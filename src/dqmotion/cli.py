@@ -192,11 +192,9 @@ def cmd_roundtrip(args) -> int:
 
     offset_dev = 0.0
     if kind is ReprKind.DUALQUAT:
-        from .losses import _extracted_offsets, _skeleton_offsets
+        from .losses import _offset_violations
 
-        extracted = _extracted_offsets(encoded)
-        expected = _skeleton_offsets(encoded, clip.skeleton)
-        offset_dev = float(np.max(np.linalg.norm(extracted[:, 1:] - expected[1:], axis=-1)))
+        offset_dev = float(np.max(_offset_violations(encoded, clip.skeleton), initial=0.0))
 
     print(f"max quaternion deviation: {quat_dev:.3e}")
     print(f"max position deviation:   {pos_dev:.3e}")

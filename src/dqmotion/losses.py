@@ -8,7 +8,10 @@ the block components. The three root-translation columns never enter a
 loss; the root displacement is modeled as a separate signal.
 
 Each loss has an analytic gradient with respect to the predicted feature
-matrix, verified against central finite differences by `grad_check`.
+matrix. The gradients are closed forms batched over frames: Hamilton
+products on whole (F, J, .) arrays, with no per-(frame, joint) Jacobian
+matrices. `grad_check` verifies them against central finite differences,
+and the tests also hold them to a per-(frame, joint) loop oracle.
 """
 
 from dataclasses import dataclass, field
@@ -143,9 +146,32 @@ def _require_raw(*clips: EncodedClip):
             raise ValueError("loss needs raw features; destandardize the clip first")
 
 
+def _check_inputs(name: str, pred: EncodedClip, truth: EncodedClip | None = None):
+    """The input checks of loss `name`, shared by the loss and its gradient.
+
+    Offset and regularization see the prediction alone and are defined for
+    the dualquat kind; every other loss compares a pair, and only the MSE
+    accepts standardized features.
+    """
+    if name in ("offset", "regularization"):
+        if pred.kind is not ReprKind.DUALQUAT:
+            raise ShapeMismatchError(f"{name} loss is defined for the dualquat kind")
+        _require_raw(pred)
+        return
+    _check_pair(pred, truth)
+    if name != "mse":
+        _require_raw(pred, truth)
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of a per-(frame, joint) term; 0.0 for a term with no joints."""
+    return float(np.mean(values)) if values.size else 0.0
+
+
 def _encoded_parents(skeleton: Skeleton) -> np.ndarray:
     """Parent row per encoded joint, -1 for the root. Parents of encoded
-    joints are never end sites, so the mapping is closed."""
+    joints are never end sites, so the mapping is closed. Row 0 is the
+    only root and every parent row precedes its children."""
     row_of = {joint: row for row, joint in enumerate(skeleton.encoded_indices)}
     out = np.empty(len(row_of), dtype=int)
     for row, joint in enumerate(skeleton.encoded_indices):
@@ -154,8 +180,18 @@ def _encoded_parents(skeleton: Skeleton) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis. einsum is several times faster
+    than a reduction over an axis of length 4 or 8."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
 def _normalized_quats(blocks: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(blocks, axis=-1)
+    norms = _norm(blocks)
     if np.any(norms <= 1e-12):
         raise DegenerateNormError("quaternion block with vanishing norm")
     return blocks / norms[..., None]
@@ -163,33 +199,25 @@ def _normalized_quats(blocks: np.ndarray) -> np.ndarray:
 
 def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
     """(F, J, 4) rotations in the requested space for a rotational kind."""
+    if space not in ("local", "current"):
+        raise ValueError(f"space must be 'local' or 'current', got {space!r}")
     if clip.kind not in _ROTATIONAL_KINDS:
         raise ShapeMismatchError(f"rotational loss undefined for kind {clip.kind.value}")
     parents = _encoded_parents(clip.skeleton)
-    blocks = clip.joint_blocks()
+    rotations = _normalized_quats(clip.joint_blocks()[..., :4])
     if clip.kind is ReprKind.DUALQUAT:
-        current = _normalized_quats(blocks[..., :4])
+        # dual-quaternion real parts are current (root-relative) rotations
         if space == "current":
-            return current
-        local = np.empty_like(current)
-        for row in range(current.shape[1]):
-            parent = parents[row]
-            if parent < 0:
-                local[:, row] = current[:, row]
-            else:
-                local[:, row] = quat.mul(quat.conjugate(current[:, parent]), current[:, row])
+            return rotations
+        local = rotations.copy()
+        local[:, 1:] = quat.mul(quat.conjugate(rotations[:, parents[1:]]), rotations[:, 1:])
         return local
     # quaternion-valued blocks hold local rotations
-    local = _normalized_quats(blocks[..., :4])
     if space == "local":
-        return local
-    current = np.empty_like(local)
-    for row in range(local.shape[1]):
-        parent = parents[row]
-        if parent < 0:
-            current[:, row] = local[:, row]
-        else:
-            current[:, row] = quat.mul(current[:, parent], local[:, row])
+        return rotations
+    current = rotations.copy()
+    for row in range(1, len(parents)):
+        current[:, row] = quat.mul(current[:, parents[row]], rotations[:, row])
     return current
 
 
@@ -209,47 +237,58 @@ def _positions(clip: EncodedClip) -> np.ndarray:
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
 
 
-def _extracted_offsets(clip: EncodedClip) -> np.ndarray:
-    """(F, J, 3) offsets encoded in the blocks (root row is the zero
-    translation of its pure rotation)."""
-    if clip.kind is not ReprKind.DUALQUAT:
-        raise ShapeMismatchError("offset loss is defined for the dualquat kind")
+def _offset_errors(clip: EncodedClip, skeleton: Skeleton):
+    """Offset errors of the non-root joints of a dualquat clip.
+
+    Returns the normalized (F, J, 8) blocks, the (F, J-1, 8) parent-relative
+    transforms of the non-root joints, and their (F, J-1, 3) translations
+    minus the bone offsets of `skeleton`.
+    """
     parents = _encoded_parents(clip.skeleton)
     current = dualquat.normalize(clip.joint_blocks())
-    local = np.empty_like(current)
-    for row in range(current.shape[1]):
-        parent = parents[row]
-        if parent < 0:
-            local[:, row] = current[:, row]
-        else:
-            local[:, row] = dualquat.mul(
-                dualquat.conjugate(current[:, parent]), current[:, row]
-            )
-    return dualquat.translation(local)
-
-
-def _skeleton_offsets(clip: EncodedClip, skeleton: Skeleton) -> np.ndarray:
-    return skeleton.offsets[list(skeleton.encoded_indices)]
+    local = dualquat.mul(dualquat.conjugate(current[:, parents[1:]]), current[:, 1:])
+    expected = skeleton.offsets[list(skeleton.encoded_indices[1:])]
+    return current, local, dualquat.translation(local) - expected
 
 
 # ---------------------------------------------------------------------------
 # the losses
 # ---------------------------------------------------------------------------
+# Each term has one body giving a per-(frame, joint) array; the public loss,
+# loss_total and grad_check's kink test all reduce that same array.
 
-def loss_mse(pred: EncodedClip, truth: EncodedClip) -> float:
-    """Mean squared error over the per-joint blocks."""
-    _check_pair(pred, truth)
+def _squared_errors(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
     diff = pred.joint_blocks() - truth.joint_blocks()
-    return float(np.mean(diff * diff))
+    return _dot(diff, diff) / diff.shape[-1]
 
 
 def _rotational_terms(pred: EncodedClip, truth: EncodedClip, space: str):
     q_pred = _rotation_quats(pred, space)
     q_truth = _rotation_quats(truth, space)
-    dots = np.sum(q_pred * q_truth, axis=-1)
+    dots = _dot(q_pred, q_truth)
     raw = 1.0 - dots
     aligned = 1.0 - np.abs(dots)
     return aligned, raw, dots
+
+
+def _position_distances(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
+    return _norm(_positions(pred) - _positions(truth))
+
+
+def _offset_violations(pred: EncodedClip, skeleton: Skeleton) -> np.ndarray:
+    """(F, J-1) bone-offset violations; no columns for a root-only skeleton."""
+    return _norm(_offset_errors(pred, skeleton)[2])
+
+
+def _unit_residuals(pred: EncodedClip) -> np.ndarray:
+    norm_res, ortho_res = dualquat.unitary_residual(pred.joint_blocks())
+    return norm_res**2 + ortho_res**2
+
+
+def loss_mse(pred: EncodedClip, truth: EncodedClip) -> float:
+    """Mean squared error over the per-joint blocks."""
+    _check_inputs("mse", pred, truth)
+    return _mean(_squared_errors(pred, truth))
 
 
 def loss_rotational(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
@@ -258,37 +297,33 @@ def loss_rotational(pred: EncodedClip, truth: EncodedClip, space: str = "local")
     `space` selects local (parent-relative, recovered through the
     hierarchy for the dualquat kind) or current (root-relative) rotations.
     """
-    if space not in ("local", "current"):
-        raise ValueError(f"space must be 'local' or 'current', got {space!r}")
-    _check_pair(pred, truth)
-    _require_raw(pred, truth)
+    _check_inputs("rotational", pred, truth)
     aligned, _, _ = _rotational_terms(pred, truth, space)
-    return float(np.mean(aligned))
+    return _mean(aligned)
 
 
 def loss_rotational_raw(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
     """Same but without sign alignment; ranges over [0, 2] per joint."""
-    _check_pair(pred, truth)
-    _require_raw(pred, truth)
+    _check_inputs("rotational", pred, truth)
     _, raw, _ = _rotational_terms(pred, truth, space)
-    return float(np.mean(raw))
+    return _mean(raw)
 
 
 def loss_positional(pred: EncodedClip, truth: EncodedClip) -> float:
     """Mean Euclidean distance between represented joint positions."""
-    _check_pair(pred, truth)
-    _require_raw(pred, truth)
-    delta = _positions(pred) - _positions(truth)
-    return float(np.mean(np.linalg.norm(delta, axis=-1)))
+    _check_inputs("positional", pred, truth)
+    return _mean(_position_distances(pred, truth))
 
 
 def loss_offset(pred: EncodedClip, truth_skeleton: Skeleton | None = None) -> float:
-    """Mean violation of the skeleton's bone offsets, non-root joints."""
-    _require_raw(pred)
+    """Mean violation of the skeleton's bone offsets, non-root joints.
+
+    A skeleton whose only encoded joint is the root has no bones, and the
+    term is 0.
+    """
+    _check_inputs("offset", pred)
     skeleton = truth_skeleton if truth_skeleton is not None else pred.skeleton
-    extracted = _extracted_offsets(pred)[:, 1:, :]
-    expected = _skeleton_offsets(pred, skeleton)[1:]
-    return float(np.mean(np.linalg.norm(extracted - expected, axis=-1)))
+    return _mean(_offset_violations(pred, skeleton))
 
 
 def loss_regularization(pred: EncodedClip) -> float:
@@ -297,11 +332,8 @@ def loss_regularization(pred: EncodedClip) -> float:
     Computed on the blocks as stored, prior to any normalization: the
     term exists precisely to penalize drift off the unit manifold.
     """
-    if pred.kind is not ReprKind.DUALQUAT:
-        raise ShapeMismatchError("regularization loss is defined for the dualquat kind")
-    _require_raw(pred)
-    norm_res, ortho_res = dualquat.unitary_residual(pred.joint_blocks())
-    return float(np.mean(norm_res**2 + ortho_res**2))
+    _check_inputs("regularization", pred)
+    return _mean(_unit_residuals(pred))
 
 
 def _applicable(kind: ReprKind) -> set:
@@ -335,38 +367,25 @@ def loss_total(
     if report.standardized_inputs and names != {"mse"}:
         raise ValueError("loss_total needs raw clips; destandardize first")
 
-    diff = pred.joint_blocks() - truth.joint_blocks()
-    report.mse = float(np.mean(diff * diff))
-    report.per_joint["mse"] = np.mean(diff * diff, axis=(0, 2)).tolist()
-    total = weights.mse * report.mse
-
+    terms = {"mse": _squared_errors(pred, truth)}
     if "rotational" in names:
         aligned, raw, _ = _rotational_terms(pred, truth, rotation_space)
-        report.rotational = float(np.mean(aligned))
-        report.rotational_raw = float(np.mean(raw))
-        report.per_joint["rotational"] = np.mean(aligned, axis=0).tolist()
-        total += weights.rotational * report.rotational
+        report.rotational_raw = _mean(raw)
+        terms["rotational"] = aligned
     if "positional" in names:
-        dist = np.linalg.norm(_positions(pred) - _positions(truth), axis=-1)
-        report.positional = float(np.mean(dist))
-        report.per_joint["positional"] = np.mean(dist, axis=0).tolist()
-        total += weights.positional * report.positional
+        terms["positional"] = _position_distances(pred, truth)
     if "offset" in names:
         skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
-        violation = np.linalg.norm(
-            _extracted_offsets(pred)[:, 1:, :] - _skeleton_offsets(pred, skeleton)[1:],
-            axis=-1,
-        )
-        report.offset = float(np.mean(violation))
-        report.per_joint["offset"] = np.mean(violation, axis=0).tolist()
-        total += weights.offset * report.offset
+        terms["offset"] = _offset_violations(pred, skeleton)
     if "regularization" in names:
-        norm_res, ortho_res = dualquat.unitary_residual(pred.joint_blocks())
-        per = norm_res**2 + ortho_res**2
-        report.regularization = float(np.mean(per))
-        report.per_joint["regularization"] = np.mean(per, axis=0).tolist()
-        total += weights.regularization * report.regularization
+        terms["regularization"] = _unit_residuals(pred)
 
+    total = 0.0
+    for name, values in terms.items():
+        value = _mean(values)
+        setattr(report, name, value)
+        report.per_joint[name] = np.mean(values, axis=0).tolist()
+        total += getattr(weights, name) * value
     report.weighted_total = float(total)
     return report
 
@@ -374,91 +393,52 @@ def loss_total(
 # ---------------------------------------------------------------------------
 # analytic gradients
 # ---------------------------------------------------------------------------
+# Every gradient is a closed form over the whole (F, J, .) block array. A
+# Jacobian-transpose product M.T @ v becomes a Hamilton product, using
+# L(q).T = L(q*) and R(q).T = R(q*) for the matrices of q x and x q. The
+# one Python loop left is the reverse sweep over joints of the quaternion
+# kinds' current-space rotational gradient.
 
-def _left_matrix(q: np.ndarray) -> np.ndarray:
-    """L(q) with q x = L(q) @ x."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+def _swap(d: np.ndarray) -> np.ndarray:
+    """Exchange the real and dual halves of a dual quaternion."""
+    return np.concatenate([d[..., 4:], d[..., :4]], axis=-1)
 
 
-def _right_matrix(q: np.ndarray) -> np.ndarray:
-    """R(q) with x q = R(q) @ x."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
-
-
-_CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def _normalize_jacobian(r: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(r)
+def _normalize_vjp(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g through the Jacobian (I - r^ r^T) / |r| of r -> r / |r|."""
+    n = _norm(r)[..., None]
     r_hat = r / n
-    return (np.eye(4) - np.outer(r_hat, r_hat)) / n
+    return (g - r_hat * _dot(r_hat, g)[..., None]) / n
 
 
-def _dq_normalize_jacobian(d: np.ndarray) -> np.ndarray:
-    """8x8 Jacobian of dualquat.normalize at d."""
-    r, e = d[:4], d[4:]
-    n = np.linalg.norm(r)
-    k = r @ e
-    n3 = n**3
-    n5 = n**5
-    jac = np.zeros((8, 8))
-    r_hat = r / n
-    jac[:4, :4] = (np.eye(4) - np.outer(r_hat, r_hat)) / n
-    jac[4:, 4:] = np.eye(4) / n - np.outer(r, r) / n3
-    jac[4:, :4] = (
-        -np.outer(e, r) / n3
-        - k * np.eye(4) / n3
-        - np.outer(r, e) / n3
-        + 3.0 * k * np.outer(r, r) / n5
+def _dq_normalize_vjp(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g through the Jacobian of dualquat.normalize at d.
+
+    The Jacobian is [[A, 0], [B, A]] with symmetric blocks
+    A = (I - r^ r^T) / n and B = -(e r^T + r e^T + k I) / n^3 + 3k r r^T / n^5,
+    where n = |r| and k = <r, e>; its transpose maps g to
+    (A g_r + B g_e, A g_e).
+    """
+    r, e = d[..., :4], d[..., 4:]
+    g_e = g[..., 4:]
+    n = _norm(r)[..., None]
+    k = _dot(r, e)[..., None]
+    r_ge = _dot(r, g_e)[..., None]
+    e_ge = _dot(e, g_e)[..., None]
+    b_ge = -(e * r_ge + r * e_ge + k * g_e) / n**3 + 3.0 * k * r_ge * r / n**5
+    return np.concatenate(
+        [_normalize_vjp(r, g[..., :4]) + b_ge, _normalize_vjp(r, g_e)], axis=-1
     )
-    return jac
 
 
-def _dq_left_matrix(a: np.ndarray) -> np.ndarray:
-    """Matrix of x -> a x (dual-quaternion product)."""
-    out = np.zeros((8, 8))
-    lr = _left_matrix(a[:4])
-    out[:4, :4] = lr
-    out[4:, 4:] = lr
-    out[4:, :4] = _left_matrix(a[4:])
-    return out
+def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u (..., 3) through the Jacobian of the translation 2 vec(m_d m_r*).
 
-
-def _dq_right_matrix(b: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x b (dual-quaternion product)."""
-    out = np.zeros((8, 8))
-    rr = _right_matrix(b[:4])
-    out[:4, :4] = rr
-    out[4:, 4:] = rr
-    out[4:, :4] = _right_matrix(b[4:])
-    return out
-
-
-_DQ_CONJ = np.kron(np.eye(2), _CONJ4)
-
-
-def _translation_jacobian(m: np.ndarray) -> np.ndarray:
-    """3x8 Jacobian of the translation 2*vec(m_d m_r^*) of a unit dq."""
-    out = np.zeros((3, 8))
-    out[:, :4] = 2.0 * (_left_matrix(m[4:]) @ _CONJ4)[1:, :]
-    out[:, 4:] = 2.0 * _right_matrix(quat.conjugate(m[:4]))[1:, :]
-    return out
+    With u~ = (0, u): the real part is 2 (m_d* u~)* = -2 u~ m_d, since u~
+    is pure, and the dual part is 2 u~ m_r.
+    """
+    u_q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
+    return 2.0 * np.concatenate([quat.mul(u_q, -m[..., 4:]), quat.mul(u_q, m[..., :4])], axis=-1)
 
 
 def _scatter(grad_blocks: np.ndarray, clip: EncodedClip) -> np.ndarray:
@@ -486,12 +466,15 @@ def _grad_regularization(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
     return _scatter(grad / (f * j), pred)
 
 
+def _unit_directions(delta: np.ndarray) -> np.ndarray:
+    """delta / |delta| along the last axis, 0 where delta is 0, divided by
+    the number of distances the loss averages."""
+    dist = _norm(delta)[..., None]
+    return delta / np.where(dist > 0, dist, 1.0) / (delta.size // delta.shape[-1])
+
+
 def _grad_positional(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
-    delta = _positions(pred) - _positions(truth)
-    dist = np.linalg.norm(delta, axis=-1, keepdims=True)
-    unit = delta / np.where(dist > 0, dist, 1.0)
-    f, j, _ = delta.shape
-    unit /= f * j
+    unit = _unit_directions(_positions(pred) - _positions(truth))
     blocks = pred.joint_blocks()
     grad = np.zeros_like(blocks)
     if pred.kind is ReprKind.POSITIONS:
@@ -501,109 +484,56 @@ def _grad_positional(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
     elif pred.kind is ReprKind.ORTHO6D_POSITIONS:
         grad[..., 6:9] = unit
     else:  # dualquat: chain through normalization and translation
-        for fi in range(f):
-            for ji in range(j):
-                d = blocks[fi, ji]
-                chain = _translation_jacobian(dualquat.normalize(d)) @ _dq_normalize_jacobian(d)
-                grad[fi, ji] = chain.T @ unit[fi, ji]
+        grad = _dq_normalize_vjp(blocks, _translation_vjp(dualquat.normalize(blocks), unit))
     return _scatter(grad, pred)
 
 
 def _grad_offset(pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> np.ndarray:
-    parents = _encoded_parents(pred.skeleton)
-    blocks = pred.joint_blocks()
-    f, j, _ = blocks.shape
-    normalized = dualquat.normalize(blocks)
-    expected = _skeleton_offsets(pred, skeleton)
+    if pred.joint_count == 1:
+        return np.zeros_like(pred.features)  # no bones, constant zero loss
+    normalized, local, delta = _offset_errors(pred, skeleton)
+    # local = n_p* n for every non-root row n with parent n_p. For dual
+    # quaternions the transposed Jacobians of x -> a x and x -> x b map v
+    # to swap(a* swap(v)) and swap(swap(v) b*), conjugating both halves.
+    swapped = _swap(_translation_vjp(local, _unit_directions(delta)))
+    parents = _encoded_parents(pred.skeleton)[1:]
     grad_normalized = np.zeros_like(normalized)
-    scale = 1.0 / (f * (j - 1))
-    for fi in range(f):
-        for ji in range(1, j):
-            parent = parents[ji]
-            n_p, n_j = normalized[fi, parent], normalized[fi, ji]
-            local = dualquat.mul(dualquat.conjugate(n_p), n_j)
-            delta = dualquat.translation(local) - expected[ji]
-            dist = np.linalg.norm(delta)
-            if dist == 0.0:
-                continue
-            upstream = (_translation_jacobian(local).T @ (delta / dist)) * scale
-            grad_normalized[fi, ji] += _dq_left_matrix(dualquat.conjugate(n_p)).T @ upstream
-            grad_normalized[fi, parent] += (_dq_right_matrix(n_j) @ _DQ_CONJ).T @ upstream
-    grad = np.empty_like(blocks)
-    for fi in range(f):
-        for ji in range(j):
-            grad[fi, ji] = _dq_normalize_jacobian(blocks[fi, ji]).T @ grad_normalized[fi, ji]
-    return _scatter(grad, pred)
+    grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
+    np.add.at(
+        grad_normalized,
+        (slice(None), parents),
+        _swap(dualquat.mul(normalized[:, 1:], dualquat.conjugate(swapped))),
+    )
+    return _scatter(_dq_normalize_vjp(pred.joint_blocks(), grad_normalized), pred)
 
 
 def _grad_rotational(pred: EncodedClip, truth: EncodedClip, space: str) -> np.ndarray:
     parents = _encoded_parents(pred.skeleton)
     blocks = pred.joint_blocks()
     f, j, _ = blocks.shape
-    raw = blocks[..., :4]
-    unit = _normalized_quats(raw)
+    unit = _normalized_quats(blocks[..., :4])
+    q_pred = _rotation_quats(pred, space)
     q_truth = _rotation_quats(truth, space)
-
-    if pred.kind is ReprKind.DUALQUAT:
-        # unit quats are root-relative; local space divides by the parent.
-        if space == "current":
-            q_pred = unit
-        else:
-            q_pred = np.empty_like(unit)
-            for row in range(j):
-                parent = parents[row]
-                q_pred[:, row] = (
-                    unit[:, row]
-                    if parent < 0
-                    else quat.mul(quat.conjugate(unit[:, parent]), unit[:, row])
-                )
-    else:
-        if space == "local":
-            q_pred = unit
-        else:
-            q_pred = np.empty_like(unit)
-            for row in range(j):
-                parent = parents[row]
-                q_pred[:, row] = (
-                    unit[:, row]
-                    if parent < 0
-                    else quat.mul(q_pred[:, parent], unit[:, row])
-                )
-
-    signs = np.where(np.sum(q_pred * q_truth, axis=-1) >= 0, 1.0, -1.0)
-    grad_unit = np.zeros_like(unit)
-    scale = 1.0 / (f * j)
+    signs = np.where(_dot(q_pred, q_truth) >= 0, 1.0, -1.0)
+    # `bar` starts as the gradient w.r.t. q_pred and is carried back, row
+    # by row, to the gradient w.r.t. the unit blocks.
+    bar = -signs[..., None] * q_truth / (f * j)
 
     if pred.kind is ReprKind.DUALQUAT and space == "local":
-        for fi in range(f):
-            for row in range(j):
-                upstream = -signs[fi, row] * q_truth[fi, row] * scale
-                parent = parents[row]
-                if parent < 0:
-                    grad_unit[fi, row] += upstream
-                else:
-                    grad_unit[fi, row] += _left_matrix(quat.conjugate(unit[fi, parent])).T @ upstream
-                    grad_unit[fi, parent] += (
-                        _right_matrix(unit[fi, row]) @ _CONJ4
-                    ).T @ upstream
+        # q_pred = u_p* u for every non-root row u with parent u_p.
+        to_parent = quat.mul(unit[:, 1:], quat.conjugate(bar[:, 1:]))
+        bar[:, 1:] = quat.mul(unit[:, parents[1:]], bar[:, 1:])
+        np.add.at(bar, (slice(None), parents[1:]), to_parent)
     elif pred.kind is not ReprKind.DUALQUAT and space == "current":
-        # Reverse sweep: each current rotation feeds all its descendants.
-        bar_current = -signs[..., None] * q_truth * scale
-        for row in range(j - 1, -1, -1):
+        # Reverse sweep: each current rotation feeds all its descendants,
+        # and a row's upstream is complete once every later row is done.
+        for row in range(j - 1, 0, -1):
             parent = parents[row]
-            if parent < 0:
-                grad_unit[:, row] += bar_current[:, row]
-            else:
-                for fi in range(f):
-                    grad_unit[fi, row] += _left_matrix(q_pred[fi, parent]).T @ bar_current[fi, row]
-                    bar_current[fi, parent] += _right_matrix(unit[fi, row]).T @ bar_current[fi, row]
-    else:
-        grad_unit = -signs[..., None] * q_truth * scale
+            bar[:, parent] += quat.mul(bar[:, row], quat.conjugate(unit[:, row]))
+            bar[:, row] = quat.mul(quat.conjugate(q_pred[:, parent]), bar[:, row])
 
     grad = np.zeros_like(blocks)
-    for fi in range(f):
-        for row in range(j):
-            grad[fi, row, :4] = _normalize_jacobian(raw[fi, row]).T @ grad_unit[fi, row]
+    grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
     return _scatter(grad, pred)
 
 
@@ -633,6 +563,11 @@ def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skel
 
 
 def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton):
+    """Gradient of loss `name` w.r.t. pred.features, after the loss's own
+    input checks."""
+    if name not in GRAD_LOSSES:
+        raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
+    _check_inputs(name, pred, truth)
     if name == "mse":
         return _grad_mse(pred, truth)
     if name == "rotational_local":
@@ -643,26 +578,21 @@ def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, skeleto
         return _grad_positional(pred, truth)
     if name == "offset":
         return _grad_offset(pred, truth, skeleton)
-    if name == "regularization":
-        return _grad_regularization(pred, truth)
-    raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
+    return _grad_regularization(pred, truth)
 
 
 def _boundary_proximity(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> bool:
     """True when the point sits near a known kink of the loss surface."""
     if name in ("rotational_local", "rotational_current"):
-        space = name.split("_")[1]
-        _, _, dots = _rotational_terms(pred, truth, space)
+        _, _, dots = _rotational_terms(pred, truth, name.split("_")[1])
         return bool(np.min(np.abs(dots)) < 1e-3)
     if name == "positional":
-        dist = np.linalg.norm(_positions(pred) - _positions(truth), axis=-1)
-        return bool(np.min(dist) < 1e-9)
-    if name == "offset":
-        dist = np.linalg.norm(
-            _extracted_offsets(pred)[:, 1:, :] - _skeleton_offsets(pred, skeleton)[1:], axis=-1
-        )
-        return bool(np.min(dist) < 1e-9)
-    return False
+        dist = _position_distances(pred, truth)
+    elif name == "offset":
+        dist = _offset_violations(pred, skeleton)
+    else:
+        return False
+    return bool(np.min(dist, initial=np.inf) < 1e-9)
 
 
 def grad_check(
@@ -696,14 +626,14 @@ def grad_check(
                 bumped[fi, wi] = base[fi, wi] + step
                 plus = _loss_value(
                     name,
-                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped),
+                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped, pred.stats),
                     truth,
                     skeleton,
                 )
                 bumped[fi, wi] = base[fi, wi] - step
                 minus = _loss_value(
                     name,
-                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped),
+                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped, pred.stats),
                     truth,
                     skeleton,
                 )

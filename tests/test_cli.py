@@ -123,6 +123,56 @@ class TestDecode:
         assert code == 3
 
 
+SINGLE_JOINT_BVH = """HIERARCHY
+ROOT hip
+{
+  OFFSET 0.000000 0.000000 0.000000
+  CHANNELS 6 Xposition Yposition Zposition Zrotation Yrotation Xrotation
+  End Site
+  {
+    OFFSET 0.000000 1.000000 0.000000
+  }
+}
+MOTION
+Frames: 3
+Frame Time: 0.0333333
+1.000000 2.000000 3.000000 10.000000 20.000000 30.000000
+1.500000 2.500000 0.000000 0.000000 80.000000 0.000000
+0.000000 0.000000 0.000000 -40.000000 5.000000 60.000000
+"""
+
+
+@pytest.fixture
+def single_joint(tmp_path):
+    path = tmp_path / "single.bvh"
+    path.write_text(SINGLE_JOINT_BVH)
+    return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestSingleJoint:
+    """A skeleton whose only encoded joint is the root has no bone to
+    violate: the offset term is 0, never NaN."""
+
+    def test_roundtrip_dq(self, capsys, single_joint):
+        code, out, err = run(capsys, "roundtrip", single_joint, "--repr", "dq")
+        assert code == 0, err
+        assert "max offset deviation:     0.000e+00" in out
+
+    def test_loss_output_is_strict_json(self, capsys, tmp_path, single_joint):
+        enc = tmp_path / "single.dqm"
+        assert run(capsys, "encode", single_joint, "--repr", "dq", "-o", enc)[0] == 0
+        code, out, _ = run(capsys, "loss", enc, enc)
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(payload, schema("loss_report.schema.json"))
+        assert payload["offset"] == 0.0
+        assert abs(payload["weighted_total"]) < 1e-12
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("repr_flag", ["dq", "quat", "ortho6d", "quat-pos", "ortho6d-pos"])
     def test_fixture_corpus_under_tolerance(self, capsys, fixtures_dir, repr_flag):

@@ -8,9 +8,11 @@ from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
 from dqmotion.errors import ShapeMismatchError
 from dqmotion.kinematics import LocalPose, local_to_current
+from dqmotion import losses
 from dqmotion.losses import (
     GRAD_LOSSES,
     LossWeights,
+    _analytic_gradient,
     grad_check,
     loss_mse,
     loss_offset,
@@ -217,6 +219,38 @@ class TestOffset:
         assert abs(before - after) < 1e-9
 
 
+class TestSingleJointOffset:
+    """With the root as the only encoded joint there is no bone: the offset
+    term is 0 with a zero gradient, never NaN or a division by zero."""
+
+    def clip(self, rng):
+        block = dualquat.from_rotation_translation(oracles.random_unit_quat(rng), np.zeros(3))
+        return single_dq_clip(block + rng.normal(scale=0.05, size=8))
+
+    def test_loss_is_zero(self, rng):
+        clip = self.clip(rng)
+        assert loss_offset(clip) == 0.0
+
+    def test_total_is_finite(self, rng):
+        clip = self.clip(rng)
+        report = loss_total(clip, clip)
+        assert report.offset == 0.0
+        assert report.per_joint["offset"] == []
+        assert np.isfinite(report.weighted_total)
+
+    def test_gradient_is_zero(self, rng):
+        clip = self.clip(rng)
+        grad = _analytic_gradient("offset", clip, clip, clip.skeleton)
+        assert grad.shape == clip.features.shape
+        assert not np.any(grad)
+
+    def test_grad_check(self, rng):
+        clip = self.clip(rng)
+        result = grad_check("offset", clip, clip)
+        assert result.max_relative_deviation == 0.0
+        assert not result.nondifferentiable
+
+
 class TestRegularization:
     def test_unit_blocks(self, rng):
         skeleton = oracles.random_skeleton(rng, 5)
@@ -385,3 +419,59 @@ class TestGradCheck:
         pred, truth = perturbed_pair(rng)
         with pytest.raises(ValueError):
             grad_check("bogus", pred, truth)
+
+
+class TestGradientInputChecks:
+    """Gradients refuse the inputs their losses refuse."""
+
+    def std_pair(self, rng):
+        pred, truth = perturbed_pair(rng, n_joints=4, frames=3)
+        return standardize(pred, fit_stats(pred)), standardize(truth, fit_stats(truth))
+
+    @pytest.mark.parametrize("name", [n for n in GRAD_LOSSES if n != "mse"])
+    def test_standardized_rejected(self, rng, name):
+        pred, truth = self.std_pair(rng)
+        with pytest.raises(ValueError, match="raw features"):
+            _analytic_gradient(name, pred, truth, truth.skeleton)
+        with pytest.raises(ValueError, match="raw features"):
+            grad_check(name, pred, truth)
+
+    def test_standardized_truth_rejected(self, rng):
+        pred, truth = perturbed_pair(rng, n_joints=4, frames=3)
+        std_truth = standardize(truth, fit_stats(truth))
+        for name in ("rotational_local", "rotational_current", "positional"):
+            with pytest.raises(ValueError, match="raw features"):
+                _analytic_gradient(name, pred, std_truth, truth.skeleton)
+
+    def test_mse_accepts_standardized(self, rng):
+        pred, truth = self.std_pair(rng)
+        result = grad_check("mse", pred, truth)
+        assert result.max_relative_deviation < 1e-5
+
+    @pytest.mark.parametrize("name", ["mse", "rotational_local", "rotational_current"])
+    def test_kind_mismatch(self, rng, name):
+        skeleton = oracles.random_skeleton(rng, 4)
+        poses = oracles.random_poses(rng, skeleton, 3)
+        dq, q = encode(poses, ReprKind.DUALQUAT), encode(poses, ReprKind.QUATERNIONS)
+        with pytest.raises(ShapeMismatchError):
+            _analytic_gradient(name, dq, q, skeleton)
+
+    @pytest.mark.parametrize("name", ["offset", "regularization"])
+    def test_dualquat_only_terms(self, rng, name):
+        skeleton = oracles.random_skeleton(rng, 4)
+        q = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.QUATERNIONS)
+        with pytest.raises(ShapeMismatchError):
+            _analytic_gradient(name, q, q, skeleton)
+
+    def test_grad_check_bumps_keep_stats(self, rng, monkeypatch):
+        pred, truth = self.std_pair(rng)
+        seen = []
+        original = losses._loss_value
+
+        def spy(name, bumped, truth_clip, skeleton):
+            seen.append(bumped.stats)
+            return original(name, bumped, truth_clip, skeleton)
+
+        monkeypatch.setattr(losses, "_loss_value", spy)
+        grad_check("mse", pred, truth)
+        assert seen and all(stats is pred.stats for stats in seen)
