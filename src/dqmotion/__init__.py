@@ -4,9 +4,9 @@ evaluation metrics.
 
 The algebra modules (`quat`, `dualquat`) operate on plain numpy arrays,
 scalar-first. Higher layers wrap them in small dataclasses: parse a BVH
-file into a `MotionClip`, expand it to `LocalPose` sequences, `encode`
-those under a `ReprKind`, and feed encoded clips to the loss and metric
-functions.
+file into a `MotionClip`, expand it to one frame-batched `LocalPose`,
+`encode` that under a `ReprKind`, and feed encoded clips to the loss
+functions and poses to the metric functions.
 """
 
 from . import bvh, container, dualquat, encoding, errors, kinematics, losses, metrics, quat

@@ -10,17 +10,20 @@ import numpy as np
 AXES = "XYZ"
 
 
-def axis_rotation_matrix(axis: int, angle: float) -> np.ndarray:
-    """3x3 rotation about coordinate axis 0 (x), 1 (y) or 2 (z)."""
+def axis_rotation_matrix(axis: int, angle) -> np.ndarray:
+    """(..., 3, 3) rotations about coordinate axis 0 (x), 1 (y) or 2 (z),
+    broadcasting over the shape of `angle`."""
+    angle = np.asarray(angle, dtype=float)
     c = np.cos(angle)
     s = np.sin(angle)
-    m = np.eye(3)
+    m = np.zeros(angle.shape + (3, 3))
     u = (axis + 1) % 3
     v = (axis + 2) % 3
-    m[u, u] = c
-    m[u, v] = -s
-    m[v, u] = s
-    m[v, v] = c
+    m[..., axis, axis] = 1.0
+    m[..., u, u] = c
+    m[..., u, v] = -s
+    m[..., v, u] = s
+    m[..., v, v] = c
     return m
 
 
@@ -49,35 +52,34 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a 3x3 rotation matrix.
+    """Unit quaternions (..., 4) of (..., 3, 3) rotation matrices.
 
-    Shepperd's branching keeps the division well conditioned for any input.
+    Shepperd's branching keeps the division well conditioned for any
+    input: row n of `table` is 4 q_n q, divided by 4 q_n for the branch n.
     """
     m = np.asarray(m, dtype=float)
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if trace > 0.0:
-        s = 2.0 * np.sqrt(trace + 1.0)
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([w, x, y, z])
-    return q / np.linalg.norm(q)
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    wx = m[..., 2, 1] - m[..., 1, 2]
+    wy = m[..., 0, 2] - m[..., 2, 0]
+    wz = m[..., 1, 0] - m[..., 0, 1]
+    xy = m[..., 0, 1] + m[..., 1, 0]
+    xz = m[..., 0, 2] + m[..., 2, 0]
+    yz = m[..., 1, 2] + m[..., 2, 1]
+    table = np.stack(
+        [
+            np.stack([1.0 + m00 + m11 + m22, wx, wy, wz], axis=-1),
+            np.stack([wx, 1.0 + m00 - m11 - m22, xy, xz], axis=-1),
+            np.stack([wy, xy, 1.0 - m00 + m11 - m22, yz], axis=-1),
+            np.stack([wz, xz, yz, 1.0 - m00 - m11 + m22], axis=-1),
+        ],
+        axis=-2,
+    )
+    branch = np.where(
+        m00 + m11 + m22 > 0.0,
+        0,
+        np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)),
+    )
+    row = np.take_along_axis(table, branch[..., None, None], axis=-2)[..., 0, :]
+    lead = np.take_along_axis(row, branch[..., None], axis=-1)
+    q = row / (2.0 * np.sqrt(lead))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)

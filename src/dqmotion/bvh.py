@@ -117,6 +117,14 @@ class Skeleton:
     def num_encoded(self) -> int:
         return len(self.encoded_indices)
 
+    @property
+    def encoded_parents(self) -> np.ndarray:
+        """Parent row per encoded joint, rows in `encoded_indices` order,
+        -1 for the root. Parents of encoded joints are never end sites, so
+        every parent has a row, and it precedes its children's rows."""
+        rows = {joint: row for row, joint in enumerate(self.encoded_indices)}
+        return np.array([rows.get(self.joints[joint].parent, -1) for joint in rows])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton):
             return NotImplemented
@@ -425,19 +433,24 @@ def write(clip: MotionClip) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_file(path, clip: MotionClip):
-    """Write BVH atomically: the target appears only on success."""
-    text = write(clip)
+def _atomic_write(path, data: bytes):
+    """Write `data` to `path` through a temporary file in the same
+    directory: the target appears only once fully written."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_file(path, clip: MotionClip):
+    """Write BVH atomically as UTF-8: the target appears only on success."""
+    _atomic_write(path, write(clip).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

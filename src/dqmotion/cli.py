@@ -32,9 +32,9 @@ from .errors import (
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import clip_to_local, local_to_clip, matrix_fk
+from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, loss_total
-from .metrics import metric_report
+from .metrics import pose_pair_positions, pose_positions, report_between
 
 log = logging.getLogger("dqmotion")
 
@@ -181,14 +181,11 @@ def cmd_roundtrip(args) -> int:
     encoded = encode(poses, kind, clip.frame_time)
     decoded = decode(encoded)
 
-    quat_dev = 0.0
-    pos_dev = 0.0
-    for before, after in zip(poses, decoded):
-        for a, b in zip(before.joint_rotations, after.joint_rotations):
-            quat_dev = max(quat_dev, min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
-        _, pos_before = matrix_fk(before)
-        _, pos_after = matrix_fk(after)
-        pos_dev = max(pos_dev, float(np.max(np.linalg.norm(pos_before - pos_after, axis=-1))))
+    a, b = poses.joint_rotations, decoded.joint_rotations
+    sign_gaps = np.minimum(np.max(np.abs(a - b), axis=-1), np.max(np.abs(a + b), axis=-1))
+    quat_dev = float(np.max(sign_gaps))
+    pos_gaps = np.linalg.norm(pose_positions(poses) - pose_positions(decoded), axis=-1)
+    pos_dev = float(np.max(pos_gaps))
 
     offset_dev = 0.0
     if kind is ReprKind.DUALQUAT:
@@ -268,46 +265,20 @@ def cmd_metrics(args) -> int:
 
     pred_clip = _load_clip(args.pred)
     truth_clip = _load_clip(args.truth)
-    if pred_clip.num_frames != truth_clip.num_frames:
-        raise LengthMismatchError(
-            f"frame counts differ: {pred_clip.num_frames} vs {truth_clip.num_frames}"
-        )
-    pred = clip_to_local(pred_clip)
-    truth = clip_to_local(truth_clip)
-
-    if args.horizon is None:
-        report = metric_report(pred, truth, frame_time=truth_clip.frame_time)
-        payload = report.to_dict()
-        payload.update({"windows": 1, "horizon": len(pred), "stride": args.stride,
-                        "seeds": args.seeds, "seed": args.seed})
-        print(json.dumps(payload, indent=2))
-        return 0
-
+    # Forward kinematics runs once; each window is a slice of its positions.
+    pred, truth = pose_pair_positions(clip_to_local(pred_clip), clip_to_local(truth_clip))
     frames = len(pred)
-    starts = list(range(0, frames - args.horizon + 1, args.stride))[: args.seeds]
+    horizon = frames if args.horizon is None else args.horizon
+    starts = list(range(0, frames - horizon + 1, args.stride))[: args.seeds]
     if not starts:
-        raise UsageError(f"--horizon {args.horizon} exceeds the shared length {frames}")
-    reports = [
-        metric_report(
-            pred[s : s + args.horizon], truth[s : s + args.horizon],
-            frame_time=truth_clip.frame_time,
-        )
-        for s in starts
-    ]
-    payload = {
-        "schema_version": 1,
-        "euclidean": float(np.mean([r.euclidean for r in reports])),
-        "npss": float(np.mean([r.npss for r in reports])),
-        "acceleration_pred": float(np.mean([r.acceleration_pred for r in reports])),
-        "acceleration_truth": float(np.mean([r.acceleration_truth for r in reports])),
-        "acceleration_error": float(np.mean([r.acceleration_error for r in reports])),
-        "frame_time": truth_clip.frame_time,
-        "windows": len(starts),
-        "horizon": args.horizon,
-        "stride": args.stride,
-        "seeds": args.seeds,
-        "seed": args.seed,
-    }
+        raise UsageError(f"--horizon {horizon} exceeds the shared length {frames}")
+    reports = [report_between(pred[s : s + horizon], truth[s : s + horizon]) for s in starts]
+    payload = {"schema_version": 1}
+    for name in ("euclidean", "npss", "acceleration_pred", "acceleration_truth",
+                 "acceleration_error"):
+        payload[name] = float(np.mean([getattr(r, name) for r in reports]))
+    payload.update({"frame_time": truth_clip.frame_time, "windows": len(starts),
+                    "horizon": horizon, "stride": args.stride, "seeds": args.seeds})
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -361,14 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("local", "current"), default="local")
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("metrics", help="evaluation metrics between two BVH files")
+    # Exact option names only, so that --seed is not read as --seeds.
+    p = sub.add_parser("metrics", help="evaluation metrics between two BVH files",
+                       allow_abbrev=False)
     p.add_argument("pred")
     p.add_argument("truth")
     p.add_argument("--horizon", type=int, default=None, help="frames per window")
     p.add_argument("--seeds", type=int, default=400, help="max number of windows")
     p.add_argument("--stride", type=int, default=7, help="window start spacing")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for reproducibility; the window protocol is deterministic")
     p.set_defaults(func=cmd_metrics)
 
     return parser

@@ -21,13 +21,11 @@ Everything numerical is float64, so a write/read cycle is bit-exact.
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 
 import numpy as np
 
-from .bvh import Skeleton
+from .bvh import Skeleton, _atomic_write
 from .encoding import EncodedClip, NormalizationStats, ReprKind
 from .errors import ContainerError
 
@@ -148,17 +146,7 @@ def from_bytes(data: bytes) -> EncodedClip:
 
 def write_file(path, clip: EncodedClip):
     """Atomic write: the target path appears only once fully written."""
-    data = to_bytes(clip)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, to_bytes(clip))
 
 
 def read_file(path) -> EncodedClip:

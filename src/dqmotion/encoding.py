@@ -1,6 +1,6 @@
 """Flat feature encodings of pose sequences.
 
-A pose sequence becomes an (F, 3 + D*J) matrix: the first three columns
+A frame-batched pose becomes an (F, 3 + D*J) matrix: the first three columns
 hold the root translation, followed by J per-joint blocks of width D.
 J counts the skeleton's non-end-site joints. Six block layouts are
 supported:
@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import LocalPose, current_chain
+from .kinematics import LocalPose, current_chain, relative, stack_poses
 
 #: Smallest standard deviation kept when fitting normalization statistics.
 STD_FLOOR = 1e-8
@@ -96,6 +96,8 @@ class NormalizationStats:
         self.std = np.asarray(self.std, dtype=float).reshape(-1)
         if self.mean.shape != self.std.shape:
             raise ShapeMismatchError("mean and std must have the same width")
+        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.std)):
+            raise ValueError("non-finite statistics")
         if np.any(self.std <= 0.0):
             raise ValueError("std must be strictly positive")
 
@@ -127,6 +129,10 @@ class EncodedClip:
             )
         if self.features.shape[0] < 1:
             raise ValueError("need at least one frame")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("non-finite feature values")
+        if not (np.isfinite(self.frame_time) and self.frame_time > 0.0):
+            raise ValueError("frame_time must be finite and positive")
         if self.stats is not None and self.stats.width != self.features.shape[1]:
             raise ShapeMismatchError("stats width does not match features")
 
@@ -197,52 +203,35 @@ def antipodal_correct(blocks: np.ndarray) -> np.ndarray:
 # encode
 # ---------------------------------------------------------------------------
 
-def _local_rotation_stack(poses: list[LocalPose], indices) -> np.ndarray:
-    return np.stack([pose.joint_rotations[indices, :] for pose in poses])
-
-
-def _current_dq_stack(poses: list[LocalPose], indices) -> np.ndarray:
-    rotations = np.stack([pose.joint_rotations for pose in poses])
-    return current_chain(poses[0].skeleton, rotations)[:, indices, :]
-
-
 def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
     """First two columns of each rotation matrix, column-major."""
     m = _rotmat.quat_to_matrix(quats)
     return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
 
 
-def encode(poses: list[LocalPose], kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
-    """Encode a pose sequence under the requested representation."""
-    if not poses:
-        raise TooFewFramesError("need at least one pose")
-    skeleton = poses[0].skeleton
-    for pose in poses[1:]:
-        if pose.skeleton is not skeleton and pose.skeleton != skeleton:
-            raise ShapeMismatchError("poses reference different skeletons")
+def encode(poses, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
+    """Encode a batched LocalPose (or a sequence of single-frame poses)
+    under the requested representation."""
+    pose = stack_poses(poses)
+    skeleton = pose.skeleton
     indices = list(skeleton.encoded_indices)
-    roots = np.stack([pose.root_translation for pose in poses])
 
+    if kind.has_positions:
+        current = current_chain(skeleton, pose.joint_rotations)[:, indices]
     if kind is ReprKind.DUALQUAT:
-        blocks = antipodal_correct(_current_dq_stack(poses, indices))
-    elif kind is ReprKind.QUATERNIONS:
-        blocks = antipodal_correct(quat.normalize(_local_rotation_stack(poses, indices)))
+        blocks = antipodal_correct(current)
     elif kind is ReprKind.POSITIONS:
-        blocks = dualquat.translation(_current_dq_stack(poses, indices))
-    elif kind is ReprKind.ORTHO6D:
-        blocks = _ortho6d_of_quats(quat.normalize(_local_rotation_stack(poses, indices)))
-    elif kind is ReprKind.QUATERNIONS_POSITIONS:
-        current = _current_dq_stack(poses, indices)
-        quats = antipodal_correct(quat.normalize(_local_rotation_stack(poses, indices)))
-        blocks = np.concatenate([quats, dualquat.translation(current)], axis=-1)
-    elif kind is ReprKind.ORTHO6D_POSITIONS:
-        current = _current_dq_stack(poses, indices)
-        six = _ortho6d_of_quats(quat.normalize(_local_rotation_stack(poses, indices)))
-        blocks = np.concatenate([six, dualquat.translation(current)], axis=-1)
-    else:  # pragma: no cover
-        raise ValueError(kind)
+        blocks = dualquat.translation(current)
+    else:
+        local = quat.normalize(pose.joint_rotations[:, indices])
+        if kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
+            blocks = antipodal_correct(local)
+        else:
+            blocks = _ortho6d_of_quats(local)
+        if kind.has_positions:
+            blocks = np.concatenate([blocks, dualquat.translation(current)], axis=-1)
 
-    features = np.concatenate([roots, blocks.reshape(len(poses), -1)], axis=1)
+    features = np.concatenate([pose.root_translation, blocks.reshape(len(pose), -1)], axis=1)
     return EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=features)
 
 
@@ -267,14 +256,9 @@ def _gram_schmidt(blocks: np.ndarray) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)  # columns x, y, z
 
 
-def _quats_from_ortho6d(blocks: np.ndarray) -> np.ndarray:
-    mats = _gram_schmidt(blocks)
-    flat = mats.reshape(-1, 3, 3)
-    return np.stack([_rotmat.matrix_to_quat(m) for m in flat]).reshape(blocks.shape[:-1] + (4,))
-
-
-def decode(clip: EncodedClip) -> list[LocalPose]:
-    """Recover local poses; the inverse of encode for rotation-bearing kinds.
+def decode(clip: EncodedClip) -> LocalPose:
+    """Recover the batched local pose; the inverse of encode for
+    rotation-bearing kinds.
 
     Positions alone cannot be inverted (limb roll is unobservable), so the
     positions kind raises NotInvertibleError. Standardized clips must be
@@ -286,42 +270,21 @@ def decode(clip: EncodedClip) -> list[LocalPose]:
         raise NotInvertibleError("positions carry no rotations to decode")
 
     skeleton = clip.skeleton
-    indices = list(skeleton.encoded_indices)
     blocks = clip.joint_blocks()
-    f = clip.num_frames
-
     if clip.kind is ReprKind.DUALQUAT:
-        current = dualquat.normalize(blocks)[..., :4]
         # Local rotations fall out of parent-conjugate products; offsets
-        # come from the skeleton, and end sites stay at identity.
-        rotations = np.zeros((f, skeleton.num_joints, 4))
-        rotations[..., 0] = 1.0
-        row_of = {joint: row for row, joint in enumerate(indices)}
-        for row, joint_idx in enumerate(indices):
-            parent = skeleton.joints[joint_idx].parent
-            if parent is None:
-                rotations[:, joint_idx] = current[:, row]
-            else:
-                rotations[:, joint_idx] = quat.mul(
-                    quat.conjugate(current[:, row_of[parent]]), current[:, row]
-                )
-        return [
-            LocalPose(skeleton, clip.root_translation[frame].copy(), rotations[frame])
-            for frame in range(f)
-        ]
-
-    if clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
+        # come from the skeleton.
+        current = dualquat.normalize(blocks)[..., :4]
+        quats = relative(skeleton.encoded_parents, current, quat.mul, quat.conjugate)
+    elif clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
         quats = quat.normalize(blocks[..., :4])
     else:  # ortho6d variants
-        quats = _quats_from_ortho6d(blocks[..., :6])
+        quats = _rotmat.matrix_to_quat(_gram_schmidt(blocks[..., :6]))
 
-    poses = []
-    for frame in range(f):
-        rotations = np.zeros((skeleton.num_joints, 4))
-        rotations[:, 0] = 1.0
-        rotations[indices] = quats[frame]
-        poses.append(LocalPose(skeleton, clip.root_translation[frame].copy(), rotations))
-    return poses
+    rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))
+    rotations[..., 0] = 1.0  # end sites stay at identity
+    rotations[:, list(skeleton.encoded_indices)] = quats
+    return LocalPose(skeleton, clip.root_translation.copy(), rotations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,62 +1,160 @@
 """Hierarchical transforms between local (parent-relative) and current
-(root-centered) coordinates.
+(root-centered) coordinates, batched over frames.
 
-Two deliberately separate implementations of the same kinematics live
-here: the dual-quaternion chain (`local_to_current` / `current_to_local`)
-and a homogeneous-matrix forward kinematics (`matrix_fk`) kept free of any
-dual-quaternion code so the two can verify each other.
+A `LocalPose` holds a clip's (F, J, 4) local rotations and (F, 3) root
+path. Every layer shares two hierarchy helpers: `compose` sweeps parent to
+child one depth level at a time, and `relative` undoes it with one parent
+gather. The dual-quaternion chain (`current_chain`, `local_to_current` /
+`current_to_local`) is built on them. A homogeneous-matrix forward
+kinematics (`matrix_fk`), kept free of any dual-quaternion code, is the
+tests' oracle for the chain; no other module calls it.
 
 Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rotmat, dualquat, quat
 from .bvh import MotionClip, ROTATION_CHANNELS, POSITION_CHANNELS, Skeleton
-from .errors import NotUnitError, UnsupportedChannelError
+from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError, UnsupportedChannelError
+
+
+def _frame_shape(skeleton: Skeleton, values: np.ndarray, width: int, field: str) -> tuple:
+    """Leading (frame) shape of per-joint values: () or (F,)."""
+    expected = (skeleton.num_joints, width)
+    if values.ndim not in (2, 3) or values.shape[-2:] != expected:
+        raise ValueError(f"{field} must have shape {expected} or (F,) + {expected}")
+    return values.shape[:-2]
 
 
 @dataclass
 class LocalPose:
-    """Per-joint local rotations plus the separate root displacement.
+    """Per-joint local rotations plus the separate root displacement, for
+    a whole clip or for one frame.
 
-    joint_rotations has one row per joint in skeleton order; end sites
-    (and any channel-less joints) carry the identity quaternion.
+    joint_rotations is (F, J, 4) unit quaternions with root_translation
+    (F, 3), or (J, 4) with (3,) for a single frame. Rows follow skeleton
+    order; end sites (and any channel-less joints) carry the identity.
+    `len(pose)` is F, `pose[f]` is frame f as a single-frame pose,
+    `pose[a:b]` stays batched, and iterating yields single frames.
     """
 
     skeleton: Skeleton
-    root_translation: np.ndarray  # (3,)
-    joint_rotations: np.ndarray  # (J, 4) unit quaternions
+    root_translation: np.ndarray  # (F, 3) or (3,)
+    joint_rotations: np.ndarray  # (F, J, 4) or (J, 4)
 
     def __post_init__(self):
-        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(3)
         self.joint_rotations = np.asarray(self.joint_rotations, dtype=float)
-        expected = (self.skeleton.num_joints, 4)
-        if self.joint_rotations.shape != expected:
-            raise ValueError(f"joint_rotations must have shape {expected}")
+        frames = _frame_shape(self.skeleton, self.joint_rotations, 4, "joint_rotations")
+        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(frames + (3,))
+
+    @property
+    def batched(self) -> bool:
+        return self.joint_rotations.ndim == 3
+
+    def __len__(self) -> int:
+        if not self.batched:
+            raise TypeError("a single-frame pose has no frame axis")
+        return self.joint_rotations.shape[0]
+
+    def __getitem__(self, index) -> "LocalPose":
+        if not self.batched:
+            raise TypeError("a single-frame pose has no frame axis")
+        return LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
+
+    def __iter__(self):
+        return (self[f] for f in range(len(self)))
 
 
 @dataclass
 class CurrentPose:
-    """Per-joint unit dual quaternions relative to the root.
+    """Per-joint unit dual quaternions relative to the root, (F, J, 8)
+    with (F, 3) root displacements, or (J, 8) with (3,).
 
     The root entry is a pure rotation (zero dual part); the root
     translation rides along unchanged.
     """
 
     skeleton: Skeleton
-    root_translation: np.ndarray  # (3,)
-    joint_dq: np.ndarray  # (J, 8)
+    root_translation: np.ndarray  # (F, 3) or (3,)
+    joint_dq: np.ndarray  # (F, J, 8) or (J, 8)
 
     def __post_init__(self):
-        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(3)
         self.joint_dq = np.asarray(self.joint_dq, dtype=float)
-        expected = (self.skeleton.num_joints, 8)
-        if self.joint_dq.shape != expected:
-            raise ValueError(f"joint_dq must have shape {expected}")
+        frames = _frame_shape(self.skeleton, self.joint_dq, 8, "joint_dq")
+        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(frames + (3,))
+
+
+def stack_poses(poses) -> LocalPose:
+    """The frame-batched pose of `poses`: a batched LocalPose as it is, or
+    a sequence of single-frame poses stacked along a new frame axis.
+
+    Raises ShapeMismatchError when the poses reference different
+    skeletons and TooFewFramesError when there is no frame.
+    """
+    if not isinstance(poses, LocalPose):
+        poses = list(poses)
+        if not poses:
+            raise TooFewFramesError("need at least one pose")
+        skeleton = poses[0].skeleton
+        if any(p.skeleton is not skeleton and p.skeleton != skeleton for p in poses[1:]):
+            raise ShapeMismatchError("poses reference different skeletons")
+        poses = LocalPose(
+            skeleton,
+            np.stack([p.root_translation for p in poses]),
+            np.stack([p.joint_rotations for p in poses]),
+        )
+    if len(poses) == 0:
+        raise TooFewFramesError("need at least one pose")
+    return poses
+
+
+# ---------------------------------------------------------------------------
+# the hierarchy sweep
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def _levels(parents_key: bytes) -> tuple:
+    """(rows, parent rows) per depth level below the roots of the parent
+    array with bytes `parents_key`; found once per tree."""
+    parents = np.frombuffer(parents_key, dtype=np.intp)
+    levels = []
+    level = np.flatnonzero(parents < 0)
+    while True:
+        level = np.flatnonzero(np.isin(parents, level))
+        if level.size == 0:
+            return tuple(levels)
+        levels.append((level, parents[level]))
+
+
+def compose(parents: np.ndarray, local: np.ndarray, mul) -> np.ndarray:
+    """Forward hierarchy sweep over (..., J, D) per-joint values.
+
+    Entry j of the result is mul(result[parents[j]], local[j]); roots
+    (parent -1) keep their local value. Each step handles one depth level
+    of the tree, so the loop runs once per level, not once per joint.
+    """
+    out = np.array(local, dtype=float)
+    for rows, parent_rows in _levels(np.asarray(parents, dtype=np.intp).tobytes()):
+        out[..., rows, :] = mul(out[..., parent_rows, :], out[..., rows, :])
+    return out
+
+
+def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.ndarray:
+    """Inverse of `compose` for unit values, with one parent gather.
+
+    Entry j is mul(conjugate(current[parents[j]]), current[j]); roots keep
+    their current value. `conjugate` must invert the values it is given.
+    """
+    parents = np.asarray(parents)
+    child = np.flatnonzero(parents >= 0)
+    out = np.array(current, dtype=float)
+    out[..., child, :] = mul(conjugate(current[..., parents[child], :]), current[..., child, :])
+    return out
 
 
 def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
@@ -64,29 +162,22 @@ def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
 
     The root becomes a pure-rotation dual quaternion; each child is its
     parent's current transform times its own local (rotation + offset)
-    transform. Leading axes (e.g. time) are processed in one sweep.
+    transform. Raises NotUnitError unless every rotation is unit.
     """
     rotations = np.asarray(rotations, dtype=float)
-    current = np.zeros(rotations.shape[:-1] + (8,))
-    for idx, joint in enumerate(skeleton.joints):
-        rot = rotations[..., idx, :]
-        if joint.parent is None:
-            norms = np.linalg.norm(rot, axis=-1)
-            if np.any(np.abs(norms - 1.0) > dualquat.UNIT_TOLERANCE):
-                raise NotUnitError("root rotation is not a unit quaternion")
-            current[..., idx, :4] = rot / norms[..., None]
-        else:
-            offset = np.broadcast_to(joint.offset, rot.shape[:-1] + (3,))
-            local = dualquat.from_rotation_translation(rot, offset)
-            current[..., idx, :] = dualquat.mul(current[..., joint.parent, :], local)
-    return current
+    offsets = skeleton.offsets
+    offsets[0] = 0.0  # the root displacement rides outside the chain
+    local = dualquat.from_rotation_translation(
+        rotations, np.broadcast_to(offsets, rotations.shape[:-1] + (3,))
+    )
+    return compose(skeleton.parent_indices, local, dualquat.mul)
 
 
 def local_to_current(pose: LocalPose) -> CurrentPose:
-    """Chain one pose's local transforms into root-relative dual quaternions.
+    """Chain local transforms into root-relative dual quaternions.
 
     The translation of joint j's entry is j's position relative to the
-    root; batched callers use `current_chain` directly.
+    root.
     """
     return CurrentPose(
         skeleton=pose.skeleton,
@@ -102,17 +193,9 @@ def current_to_local_dq(pose: CurrentPose) -> np.ndarray:
     the joint's local rotation and its translation is the joint offset as
     actually encoded, which the offset loss compares against the skeleton.
     """
-    current = pose.joint_dq
-    if not dualquat.is_unit(current):
+    if not dualquat.is_unit(pose.joint_dq):
         raise NotUnitError("current pose entries must be unit dual quaternions")
-    parents = pose.skeleton.parent_indices
-    local = np.empty_like(current)
-    for idx in range(len(current)):
-        if parents[idx] < 0:
-            local[idx] = current[idx]
-        else:
-            local[idx] = dualquat.mul(dualquat.conjugate(current[parents[idx]]), current[idx])
-    return local
+    return relative(pose.skeleton.parent_indices, pose.joint_dq, dualquat.mul, dualquat.conjugate)
 
 
 def current_to_local(pose: CurrentPose) -> LocalPose:
@@ -121,16 +204,17 @@ def current_to_local(pose: CurrentPose) -> LocalPose:
     return LocalPose(
         skeleton=pose.skeleton,
         root_translation=pose.root_translation.copy(),
-        joint_rotations=local[:, :4].copy(),
+        joint_rotations=local[..., :4].copy(),
     )
 
 
 def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
-    """Root-centered forward kinematics via homogeneous matrices.
+    """Root-centered forward kinematics of one frame via homogeneous
+    matrices.
 
     Returns (J, 3, 3) current rotation matrices and (J, 3) current
-    positions. This path never touches dual quaternions; it is the
-    verification oracle for the chain above.
+    positions. This path never touches dual quaternions and sweeps the
+    joints one by one; it is the verification oracle for the chain above.
     """
     skeleton = pose.skeleton
     n = skeleton.num_joints
@@ -170,14 +254,14 @@ def _channel_layout(skeleton: Skeleton):
     return layout
 
 
-def clip_to_local(clip: MotionClip) -> list[LocalPose]:
-    """Expand a raw clip into per-frame LocalPoses (radians, quaternions)."""
+def clip_to_local(clip: MotionClip) -> LocalPose:
+    """Expand a raw clip into one frame-batched LocalPose (radians,
+    quaternions)."""
     skeleton = clip.skeleton
     layout = _channel_layout(skeleton)
     n_frames = clip.num_frames
-    n_joints = skeleton.num_joints
 
-    rotations = np.zeros((n_frames, n_joints, 4))
+    rotations = np.zeros((n_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0
     for idx, entry in enumerate(layout):
         if not entry["rotation"]:
@@ -191,33 +275,24 @@ def clip_to_local(clip: MotionClip) -> list[LocalPose]:
     root_translation = np.zeros((n_frames, 3))
     for axis, column in layout[0]["position"].items():
         root_translation[:, "XYZ".index(axis)] = clip.frames[:, column]
-
-    return [
-        LocalPose(
-            skeleton=skeleton,
-            root_translation=root_translation[f],
-            joint_rotations=rotations[f],
-        )
-        for f in range(n_frames)
-    ]
+    return LocalPose(skeleton, root_translation, rotations)
 
 
-def local_to_clip(poses: list[LocalPose], template: Skeleton, frame_time: float) -> MotionClip:
-    """Flatten LocalPoses back into a raw channel matrix (degrees)."""
-    if not poses:
-        raise ValueError("need at least one pose")
+def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
+    """Flatten a batched LocalPose (or a sequence of single-frame poses)
+    back into a raw channel matrix (degrees)."""
+    pose = stack_poses(poses)
+    if pose.skeleton is not template and pose.skeleton != template:
+        raise ValueError("pose skeleton does not match the template")
     layout = _channel_layout(template)
-    frames = np.zeros((len(poses), template.channel_count))
-    for f, pose in enumerate(poses):
-        if pose.skeleton is not template and pose.skeleton != template:
-            raise ValueError("pose skeleton does not match the template")
-        for axis, column in layout[0]["position"].items():
-            frames[f, column] = pose.root_translation["XYZ".index(axis)]
-        for idx, entry in enumerate(layout):
-            if not entry["rotation"]:
-                continue
-            order = "".join(axis for axis, _ in entry["rotation"])
-            angles = quat.to_euler(pose.joint_rotations[idx], order)
-            for axis, column in entry["rotation"]:
-                frames[f, column] = np.degrees(angles["XYZ".index(axis)])
+    frames = np.zeros((len(pose), template.channel_count))
+    for axis, column in layout[0]["position"].items():
+        frames[:, column] = pose.root_translation[:, "XYZ".index(axis)]
+    for idx, entry in enumerate(layout):
+        if not entry["rotation"]:
+            continue
+        order = "".join(axis for axis, _ in entry["rotation"])
+        angles = np.degrees(quat.to_euler(pose.joint_rotations[:, idx], order))
+        for axis, column in entry["rotation"]:
+            frames[:, column] = angles[:, "XYZ".index(axis)]
     return MotionClip(skeleton=template, frame_time=frame_time, frames=frames)

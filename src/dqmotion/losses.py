@@ -22,6 +22,7 @@ from . import dualquat, quat
 from .bvh import Skeleton
 from .encoding import EncodedClip, ReprKind
 from .errors import DegenerateNormError, ShapeMismatchError
+from .kinematics import compose, relative
 
 _ROTATIONAL_KINDS = (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS)
 
@@ -168,18 +169,6 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values)) if values.size else 0.0
 
 
-def _encoded_parents(skeleton: Skeleton) -> np.ndarray:
-    """Parent row per encoded joint, -1 for the root. Parents of encoded
-    joints are never end sites, so the mapping is closed. Row 0 is the
-    only root and every parent row precedes its children."""
-    row_of = {joint: row for row, joint in enumerate(skeleton.encoded_indices)}
-    out = np.empty(len(row_of), dtype=int)
-    for row, joint in enumerate(skeleton.encoded_indices):
-        parent = skeleton.joints[joint].parent
-        out[row] = -1 if parent is None else row_of[parent]
-    return out
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products over the last axis. einsum is several times faster
     than a reduction over an axis of length 4 or 8."""
@@ -203,22 +192,15 @@ def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
         raise ValueError(f"space must be 'local' or 'current', got {space!r}")
     if clip.kind not in _ROTATIONAL_KINDS:
         raise ShapeMismatchError(f"rotational loss undefined for kind {clip.kind.value}")
-    parents = _encoded_parents(clip.skeleton)
+    parents = clip.skeleton.encoded_parents
     rotations = _normalized_quats(clip.joint_blocks()[..., :4])
-    if clip.kind is ReprKind.DUALQUAT:
-        # dual-quaternion real parts are current (root-relative) rotations
-        if space == "current":
-            return rotations
-        local = rotations.copy()
-        local[:, 1:] = quat.mul(quat.conjugate(rotations[:, parents[1:]]), rotations[:, 1:])
-        return local
-    # quaternion-valued blocks hold local rotations
-    if space == "local":
+    # dual-quaternion real parts are current (root-relative) rotations,
+    # quaternion-valued blocks hold local ones
+    if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
         return rotations
-    current = rotations.copy()
-    for row in range(1, len(parents)):
-        current[:, row] = quat.mul(current[:, parents[row]], rotations[:, row])
-    return current
+    if space == "local":
+        return relative(parents, rotations, quat.mul, quat.conjugate)
+    return compose(parents, rotations, quat.mul)
 
 
 def _positions(clip: EncodedClip) -> np.ndarray:
@@ -244,9 +226,8 @@ def _offset_errors(clip: EncodedClip, skeleton: Skeleton):
     transforms of the non-root joints, and their (F, J-1, 3) translations
     minus the bone offsets of `skeleton`.
     """
-    parents = _encoded_parents(clip.skeleton)
     current = dualquat.normalize(clip.joint_blocks())
-    local = dualquat.mul(dualquat.conjugate(current[:, parents[1:]]), current[:, 1:])
+    local = relative(clip.skeleton.encoded_parents, current, dualquat.mul, dualquat.conjugate)[:, 1:]
     expected = skeleton.offsets[list(skeleton.encoded_indices[1:])]
     return current, local, dualquat.translation(local) - expected
 
@@ -496,7 +477,7 @@ def _grad_offset(pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> n
     # quaternions the transposed Jacobians of x -> a x and x -> x b map v
     # to swap(a* swap(v)) and swap(swap(v) b*), conjugating both halves.
     swapped = _swap(_translation_vjp(local, _unit_directions(delta)))
-    parents = _encoded_parents(pred.skeleton)[1:]
+    parents = pred.skeleton.encoded_parents[1:]
     grad_normalized = np.zeros_like(normalized)
     grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
     np.add.at(
@@ -508,7 +489,7 @@ def _grad_offset(pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> n
 
 
 def _grad_rotational(pred: EncodedClip, truth: EncodedClip, space: str) -> np.ndarray:
-    parents = _encoded_parents(pred.skeleton)
+    parents = pred.skeleton.encoded_parents
     blocks = pred.joint_blocks()
     f, j, _ = blocks.shape
     unit = _normalized_quats(blocks[..., :4])

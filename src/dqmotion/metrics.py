@@ -2,7 +2,9 @@
 
 Three metrics, all computed on root-centered joint positions obtained by
 forward kinematics with the root displacement zeroed (pose quality only,
-by construction invariant to root translation):
+by construction invariant to root translation). The positions come from
+the frame-batched dual-quaternion chain (`kinematics.current_chain`), run
+once per pose sequence on rotations normalized first:
 
 - frame-wise Euclidean distance, averaged over frames and joints;
 - normalized power-spectrum similarity (NPSS): per feature, the squared
@@ -13,8 +15,9 @@ by construction invariant to root translation):
   a jitter proxy, reported for both sequences plus their gap.
 
 Trajectory-level entry points (`euclidean_between`, `npss_between`,
-`acceleration_of`) operate on plain position arrays; the `metric_*`
-wrappers run forward kinematics on pose sequences first.
+`acceleration_of`, `report_between`) operate on plain position arrays;
+the `metric_*` wrappers take a batched LocalPose, or a sequence of
+single-frame poses, and run forward kinematics first.
 """
 
 import json
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dualquat, quat
 from .errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
-from .kinematics import LocalPose, matrix_fk
+from .kinematics import current_chain, stack_poses
 
 
 @dataclass
@@ -118,58 +122,60 @@ def acceleration_of(positions: np.ndarray) -> float:
     return float(np.mean(np.linalg.norm(second, axis=-1)))
 
 
-# ---------------------------------------------------------------------------
-# pose level
-# ---------------------------------------------------------------------------
-
-def pose_positions(poses: list[LocalPose]) -> np.ndarray:
-    """(F, J, 3) root-centered joint positions; root displacement ignored."""
-    if not poses:
-        raise TooFewFramesError("need at least one pose")
-    return np.stack([matrix_fk(pose)[1] for pose in poses])
-
-
-def _check_pose_pair(pred: list[LocalPose], truth: list[LocalPose]):
-    if len(pred) != len(truth):
-        raise LengthMismatchError(f"sequence lengths differ: {len(pred)} vs {len(truth)}")
-    if not pred:
-        raise LengthMismatchError("empty sequences")
-    if pred[0].skeleton is not truth[0].skeleton and pred[0].skeleton != truth[0].skeleton:
-        raise ShapeMismatchError("sequences use different skeletons")
-
-
-def metric_euclidean(pred: list[LocalPose], truth: list[LocalPose]) -> float:
-    _check_pose_pair(pred, truth)
-    return euclidean_between(pose_positions(pred), pose_positions(truth))
-
-
-def metric_npss(pred: list[LocalPose], truth: list[LocalPose]) -> float:
-    _check_pose_pair(pred, truth)
-    if len(pred) < 2:
-        raise TooFewFramesError("NPSS needs at least 2 frames")
-    return npss_between(pose_positions(pred), pose_positions(truth))
-
-
-def metric_acceleration(seq: list[LocalPose]) -> float:
-    if len(seq) < 3:
-        raise TooFewFramesError("acceleration needs at least 3 frames")
-    return acceleration_of(pose_positions(seq))
-
-
-def metric_report(
-    pred: list[LocalPose], truth: list[LocalPose], frame_time: float | None = None
+def report_between(
+    pred: np.ndarray, truth: np.ndarray, frame_time: float | None = None
 ) -> MetricReport:
-    """All metrics bundled; acceleration gap is the absolute difference."""
-    _check_pose_pair(pred, truth)
-    pred_pos = pose_positions(pred)
-    truth_pos = pose_positions(truth)
-    accel_pred = acceleration_of(pred_pos)
-    accel_truth = acceleration_of(truth_pos)
+    """All metrics of two (F, J, 3) position arrays; the acceleration gap
+    is the absolute difference."""
+    accel_pred = acceleration_of(pred)
+    accel_truth = acceleration_of(truth)
     return MetricReport(
-        euclidean=euclidean_between(pred_pos, truth_pos),
-        npss=npss_between(pred_pos, truth_pos),
+        euclidean=euclidean_between(pred, truth),
+        npss=npss_between(pred, truth),
         acceleration_pred=accel_pred,
         acceleration_truth=accel_truth,
         acceleration_error=abs(accel_pred - accel_truth),
         frame_time=frame_time,
     )
+
+
+# ---------------------------------------------------------------------------
+# pose level
+# ---------------------------------------------------------------------------
+
+def pose_positions(poses) -> np.ndarray:
+    """(F, J, 3) root-centered joint positions; root displacement ignored.
+
+    Rotations are normalized first, so any non-degenerate quaternions
+    are accepted.
+    """
+    pose = stack_poses(poses)
+    chain = current_chain(pose.skeleton, quat.normalize(pose.joint_rotations))
+    return dualquat.translation(chain)
+
+
+def pose_pair_positions(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of two pose sequences of one skeleton and one length."""
+    pred, truth = stack_poses(pred), stack_poses(truth)
+    if len(pred) != len(truth):
+        raise LengthMismatchError(f"sequence lengths differ: {len(pred)} vs {len(truth)}")
+    if pred.skeleton is not truth.skeleton and pred.skeleton != truth.skeleton:
+        raise ShapeMismatchError("sequences use different skeletons")
+    return pose_positions(pred), pose_positions(truth)
+
+
+def metric_euclidean(pred, truth) -> float:
+    return euclidean_between(*pose_pair_positions(pred, truth))
+
+
+def metric_npss(pred, truth) -> float:
+    return npss_between(*pose_pair_positions(pred, truth))
+
+
+def metric_acceleration(seq) -> float:
+    return acceleration_of(pose_positions(seq))
+
+
+def metric_report(pred, truth, frame_time: float | None = None) -> MetricReport:
+    """All metrics bundled; see `report_between`."""
+    return report_between(*pose_pair_positions(pred, truth), frame_time=frame_time)

@@ -2,7 +2,9 @@
 
 A quaternion is a length-4 float array; every function broadcasts over
 leading axes, so a time series of shape (F, J, 4) works the same as a
-single (4,) value. Angles are radians throughout.
+single (4,) value. That includes the Euler conversions: `to_euler` maps
+(..., 4) to (..., 3), its gimbal-lock branch selected per element by a
+mask. Angles are radians throughout.
 
 Euler angles are passed as an (alpha, beta, gamma) triple holding the
 rotations about the x, y and z axes respectively, together with an order
@@ -17,8 +19,9 @@ from . import _rotmat
 from .errors import DegenerateNormError
 
 #: Arguments of arcsin at least this close to +-1 take the degenerate
-#: (gimbal-lock) branch of to_euler.
-LOCK_TOLERANCE = 1e-7
+#: (gimbal-lock) branch of to_euler. It covers middle angles within about
+#: 1e-4 degrees of the pole; a wider band would snap nearby angles onto it.
+LOCK_TOLERANCE = 1e-12
 
 _VALID_ORDERS = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"}
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
@@ -102,15 +105,9 @@ def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     return q
 
 
-def _angle_about(m: np.ndarray, axis: int) -> float:
-    """Rotation angle of a matrix known to rotate about `axis`."""
-    u = (axis + 1) % 3
-    v = (axis + 2) % 3
-    return float(np.arctan2(m[v, u], m[u, u]))
-
-
 def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
-    """Recover (alpha, beta, gamma) such that from_euler reproduces +-q.
+    """Recover (..., 3) angles (alpha, beta, gamma) such that from_euler
+    reproduces +-q, for quaternions of shape (..., 4).
 
     The extraction uses the two-argument arctangent, so the full rotation
     range survives. Near the arcsin pole (argument within LOCK_TOLERANCE
@@ -119,23 +116,25 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     last one, which keeps the round trip well defined at the pole itself.
     """
     order = _check_order(order)
-    q = normalize(np.asarray(q, dtype=float).reshape(4))
-    m = _rotmat.quat_to_matrix(q)
+    m = _rotmat.quat_to_matrix(normalize(q))
 
     i, j, k = (_rotmat.AXES.index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
-    s = sign * m[i, k]
+    s = sign * m[..., i, k]
 
-    out = np.zeros(3)
-    if abs(s) >= 1.0 - LOCK_TOLERANCE:
-        mid = np.copysign(np.pi / 2.0, s)
+    out = np.empty(s.shape + (3,))
+    out[..., j] = np.arcsin(np.clip(s, -1.0, 1.0))
+    out[..., i] = np.arctan2(-sign * m[..., j, k], m[..., k, k])
+    out[..., k] = np.arctan2(-sign * m[..., i, j], m[..., i, i])
+
+    lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
+    if np.any(lock):
+        mid = np.copysign(np.pi / 2.0, s[lock])
         # With the first angle pinned to zero the residual is a pure
         # rotation about the last axis.
-        residual = _rotmat.axis_rotation_matrix(j, mid).T @ m
-        out[j] = mid
-        out[k] = _angle_about(residual, k)
-    else:
-        out[j] = np.arcsin(np.clip(s, -1.0, 1.0))
-        out[i] = np.arctan2(-sign * m[j, k], m[k, k])
-        out[k] = np.arctan2(-sign * m[i, j], m[i, i])
+        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m[lock]
+        u, v = (k + 1) % 3, (k + 2) % 3
+        out[lock, i] = 0.0
+        out[lock, j] = mid
+        out[lock, k] = np.arctan2(residual[:, v, u], residual[:, u, u])
     return out

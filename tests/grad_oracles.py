@@ -8,7 +8,7 @@ Hamilton products batched over frames; `test_grad_oracles.py` holds the
 two within 1e-12 relative.
 
 The helpers read the clip through the package's forward plumbing
-(`_positions`, `_rotation_quats`, `_encoded_parents`); only the
+(`_positions`, `_rotation_quats`, `Skeleton.encoded_parents`); only the
 derivatives are independent.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from dqmotion import dualquat, quat
 from dqmotion.encoding import ReprKind
-from dqmotion.losses import _encoded_parents, _normalized_quats, _positions, _rotation_quats
+from dqmotion.losses import _normalized_quats, _positions, _rotation_quats
 
 
 def left_matrix(q: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ def grad_positional(pred, truth) -> np.ndarray:
 
 
 def grad_offset(pred, truth, skeleton) -> np.ndarray:
-    parents = _encoded_parents(pred.skeleton)
+    parents = pred.skeleton.encoded_parents
     blocks = pred.joint_blocks()
     f, j, _ = blocks.shape
     normalized = dualquat.normalize(blocks)
@@ -187,7 +187,7 @@ def grad_offset(pred, truth, skeleton) -> np.ndarray:
 
 
 def grad_rotational(pred, truth, space: str) -> np.ndarray:
-    parents = _encoded_parents(pred.skeleton)
+    parents = pred.skeleton.encoded_parents
     blocks = pred.joint_blocks()
     f, j, _ = blocks.shape
     raw = blocks[..., :4]

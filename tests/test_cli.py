@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, schema validity."""
 
 import json
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -121,6 +122,60 @@ class TestDecode:
         bad.write_bytes(bytes(data))
         code, _, err = run(capsys, "decode", bad, "-o", tmp_path / "y.bvh")
         assert code == 3
+
+
+#: Byte offset of the frame time in the container header.
+FRAME_TIME_AT = struct.calcsize("<4sIBBHIIQ")
+
+
+def patched(tmp_path, source, at, value):
+    """A copy of container `source` with one float64 overwritten; `at`
+    counts from the end when negative."""
+    data = bytearray(source.read_bytes())
+    at = at % len(data)
+    data[at : at + 8] = struct.pack("<d", value)
+    path = tmp_path / "patched.dqm"
+    path.write_bytes(bytes(data))
+    return path
+
+
+class TestNonFiniteContainers:
+    """Containers whose payload is not a finite clip are format errors: exit
+    3 with an error line, never OK and never a traceback."""
+
+    def test_validate_rejects_nan_feature(self, capsys, tmp_path, encoded_dq):
+        bad = patched(tmp_path, encoded_dq, -8, float("nan"))
+        code, out, err = run(capsys, "validate", bad)
+        assert code == 3
+        assert "OK" not in out and err.startswith("error:")
+
+    def test_decode_rejects_nan_feature(self, capsys, tmp_path, encoded_dq):
+        bad = patched(tmp_path, encoded_dq, -8, float("nan"))
+        target = tmp_path / "back.bvh"
+        code, _, err = run(capsys, "decode", bad, "-o", target)
+        assert code == 3
+        assert err.startswith("error:")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("frame_time", [float("nan"), -0.1])
+    def test_decode_rejects_bad_frame_time(self, capsys, tmp_path, encoded_dq, frame_time):
+        bad = patched(tmp_path, encoded_dq, FRAME_TIME_AT, frame_time)
+        target = tmp_path / "back.bvh"
+        code, _, err = run(capsys, "decode", bad, "-o", target)
+        assert code == 3
+        assert err.startswith("error:")
+        assert not target.exists()
+
+    def test_decode_rejects_nan_statistics(self, capsys, tmp_path, two_joint):
+        std = tmp_path / "std.dqm"
+        assert run(capsys, "encode", two_joint, "--standardize", "-o", std)[0] == 0
+        width = 3 + 8 * 2
+        bad = patched(tmp_path, std, -8 * (2 * width + 1), float("nan"))  # last std entry
+        target = tmp_path / "back.bvh"
+        code, _, err = run(capsys, "decode", bad, "-o", target)
+        assert code == 3
+        assert err.startswith("error:")
+        assert not target.exists()
 
 
 SINGLE_JOINT_BVH = """HIERARCHY
@@ -299,6 +354,10 @@ class TestMetrics:
         payload = json.loads(out)
         assert payload["windows"] == 3  # starts 0, 4, 8
         jsonschema.validate(payload, schema("metric_report.schema.json"))
+
+    def test_seed_flag_removed(self, capsys, fixtures_dir):
+        path = fixtures_dir / "humanoid.bvh"
+        assert run(capsys, "metrics", path, path, "--seed", "3")[0] == 2
 
     def test_determinism(self, capsys, fixtures_dir):
         path = fixtures_dir / "humanoid.bvh"

@@ -6,7 +6,7 @@ import pytest
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode
 from dqmotion.kinematics import LocalPose
-from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, _encoded_parents
+from dqmotion.losses import GRAD_LOSSES, _analytic_gradient
 
 import grad_oracles
 import oracles
@@ -20,7 +20,7 @@ def branching_skeleton(rng) -> Skeleton:
     scatter that drops repeated parent indices shows up."""
     while True:
         skeleton = oracles.random_skeleton(rng, 10, end_sites=True)
-        children = np.bincount(_encoded_parents(skeleton)[1:])
+        children = np.bincount(skeleton.encoded_parents[1:])
         if children.max() >= 3:
             return skeleton
 

@@ -143,6 +143,19 @@ class TestToEuler:
                 back = quat.from_euler(recovered, order)
                 assert _same_rotation(back, q, 1e-9)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_round_trip_near_pole(self, rng, order):
+        # Middle angles just off +-90 degrees keep their value instead of
+        # snapping onto the pole.
+        angles = rng.uniform(-np.pi, np.pi, size=(80, 3))
+        offsets = np.radians(np.repeat([0.01, 0.001], 20))
+        angles[:40, "XYZ".index(order[1])] = np.pi / 2.0 - offsets
+        angles[40:, "XYZ".index(order[1])] = -np.pi / 2.0 + offsets
+        q = quat.from_euler(angles, order)
+        back = quat.from_euler(quat.to_euler(q, order), order)
+        gaps = np.minimum(np.abs(back - q).max(axis=-1), np.abs(back + q).max(axis=-1))
+        assert np.max(gaps) < 1e-6
+
     def test_arcsin_argument_clamped(self):
         # A slightly denormalized quaternion can push the argument past 1.
         q = np.array([0.5, 0.5, 0.5, -0.5]) * (1.0 + 5e-7)
