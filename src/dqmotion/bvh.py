@@ -8,11 +8,17 @@ kinematics layer, never here.
 
 Accepted input is tolerant about whitespace (spaces, tabs, CRLF); output
 is canonical: LF newlines, two-space indentation, six decimal places.
+
+`Skeleton` owns the topology every layer walks (parents, offsets, encoded
+joints, depth levels), each view built once and read-only. The parser and
+the writer walk the hierarchy with a stack; the writer writes depth-first
+whatever order the skeleton lists its joints in.
 """
 
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +34,11 @@ ROTATION_CHANNELS = ("Xrotation", "Yrotation", "Zrotation")
 _CHANNEL_TAGS = set(POSITION_CHANNELS) | set(ROTATION_CHANNELS)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass
 class JointSpec:
     """One node of the hierarchy, end sites included."""
@@ -39,7 +50,7 @@ class JointSpec:
     is_end_site: bool = False
 
     def __post_init__(self):
-        self.offset = np.asarray(self.offset, dtype=float).reshape(3)
+        self.offset = _read_only(np.array(self.offset, dtype=float).reshape(3))
         self.channels = tuple(self.channels)
 
     @property
@@ -48,13 +59,27 @@ class JointSpec:
         return "".join(tag[0] for tag in self.channels if tag in ROTATION_CHANNELS)
 
 
+def _levels(parents: np.ndarray) -> tuple:
+    """(rows, parent rows) per depth level below the root of a parent
+    array (-1 for the root), shallowest first."""
+    levels, in_level = [], parents < 0
+    while True:
+        rows = np.flatnonzero(in_level[parents] & (parents >= 0))
+        if rows.size == 0:
+            return tuple(levels)
+        levels.append((_read_only(rows), _read_only(parents[rows])))
+        in_level = np.bincount(rows, minlength=parents.size) > 0
+
+
 @dataclass(eq=False)
 class Skeleton:
-    """Joint hierarchy in topological order; joint 0 is the single root."""
+    """Joint hierarchy in topological order; joint 0 is the single root.
+    The joints are a tuple, and each derived view is built on first use."""
 
-    joints: list[JointSpec]
+    joints: tuple[JointSpec, ...]
 
     def __post_init__(self):
+        self.joints = tuple(self.joints)
         if not self.joints:
             raise ValueError("skeleton needs at least one joint")
         if self.joints[0].parent is not None:
@@ -84,10 +109,6 @@ class Skeleton:
     # -- derived views -----------------------------------------------------
 
     @property
-    def root_index(self) -> int:
-        return 0
-
-    @property
     def num_joints(self) -> int:
         return len(self.joints)
 
@@ -95,35 +116,45 @@ class Skeleton:
     def names(self) -> list[str]:
         return [j.name for j in self.joints]
 
-    @property
+    @cached_property
     def parent_indices(self) -> np.ndarray:
         """Parent index per joint, -1 for the root."""
-        return np.array([-1 if j.parent is None else j.parent for j in self.joints])
+        return _read_only(np.array([-1 if j.parent is None else j.parent for j in self.joints]))
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
-        return np.array([j.offset for j in self.joints])
+        return _read_only(np.array([j.offset for j in self.joints]))
+
+    @cached_property
+    def levels(self) -> tuple:
+        """(joints, their parents) per depth level below the root."""
+        return _levels(self.parent_indices)
 
     @property
     def channel_count(self) -> int:
         return sum(len(j.channels) for j in self.joints)
 
-    @property
+    @cached_property
     def encoded_indices(self) -> tuple[int, ...]:
         """Joints that enter feature vectors: everything but end sites."""
         return tuple(i for i, j in enumerate(self.joints) if not j.is_end_site)
 
-    @property
+    @cached_property
     def num_encoded(self) -> int:
         return len(self.encoded_indices)
 
-    @property
+    @cached_property
     def encoded_parents(self) -> np.ndarray:
         """Parent row per encoded joint, rows in `encoded_indices` order,
         -1 for the root. Parents of encoded joints are never end sites, so
         every parent has a row, and it precedes its children's rows."""
         rows = {joint: row for row, joint in enumerate(self.encoded_indices)}
-        return np.array([rows.get(self.joints[joint].parent, -1) for joint in rows])
+        return _read_only(np.array([rows.get(self.joints[joint].parent, -1) for joint in rows]))
+
+    @cached_property
+    def encoded_levels(self) -> tuple:
+        """(rows, parent rows) per depth level of the encoded joints."""
+        return _levels(self.encoded_parents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton):
@@ -278,46 +309,42 @@ def _expect(tokens: _Tokens, literal: str):
         raise tokens.error(f"expected {literal!r}")
 
 
-def _parse_joint(tokens: _Tokens, joints: list[JointSpec], parent: int | None, keyword: str):
-    header = tokens.next()
-    if header[0] != keyword or len(header) < 2:
-        raise tokens.error(f"expected '{keyword} name'")
-    name = "_".join(header[1:])
-    index = len(joints)
-    _expect(tokens, "{")
-    offset = _parse_offset(tokens)
-    channels = _parse_channels(tokens)
-    if parent is not None and any(tag in POSITION_CHANNELS for tag in channels):
-        raise BvhSyntaxError(tokens.last_line, "position channels are only allowed on the root")
-    joints.append(JointSpec(name=name, parent=parent, offset=offset, channels=channels))
-
-    saw_end_site = False
-    while True:
+def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
+    """The joints of the ROOT block in file order. `open_joints` is the
+    stack of joints whose blocks are open, innermost last."""
+    joints: list[JointSpec] = []
+    open_joints: list[int] = []
+    with_end_site = set()
+    while open_joints or not joints:
+        parent = open_joints[-1] if open_joints else None
         row = tokens.peek()
-        if row[0] == "JOINT":
-            _parse_joint(tokens, joints, index, "JOINT")
+        if not joints or row[0] == "JOINT":
+            keyword = "ROOT" if parent is None else "JOINT"
+            header = tokens.next()
+            if header[0] != keyword or len(header) < 2:
+                raise tokens.error(f"expected '{keyword} name'")
+            _expect(tokens, "{")
+            offset = _parse_offset(tokens)
+            channels = _parse_channels(tokens)
+            if parent is not None and any(tag in POSITION_CHANNELS for tag in channels):
+                raise BvhSyntaxError(tokens.last_line, "position channels are only allowed on the root")
+            open_joints.append(len(joints))
+            joints.append(JointSpec("_".join(header[1:]), parent, offset, channels))
         elif row[:2] == ["End", "Site"]:
-            if saw_end_site:
+            if parent in with_end_site:
                 raise BvhSyntaxError(tokens.line, "multiple End Site blocks in one joint")
-            saw_end_site = True
+            with_end_site.add(parent)
             tokens.next()
             _expect(tokens, "{")
-            end_offset = _parse_offset(tokens)
-            joints.append(
-                JointSpec(
-                    name=f"{name}_end",
-                    parent=index,
-                    offset=end_offset,
-                    channels=(),
-                    is_end_site=True,
-                )
-            )
+            offset = _parse_offset(tokens)
+            joints.append(JointSpec(f"{joints[parent].name}_end", parent, offset, (), is_end_site=True))
             _expect(tokens, "}")
         elif row == ["}"]:
             tokens.next()
-            return
+            open_joints.pop()
         else:
             raise BvhSyntaxError(tokens.line, f"unexpected token {row[0]!r} in joint block")
+    return joints
 
 
 def parse(text: str | bytes) -> MotionClip:
@@ -334,8 +361,7 @@ def parse(text: str | bytes) -> MotionClip:
 
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
         raise tokens.error("expected 'HIERARCHY'")
-    joints: list[JointSpec] = []
-    _parse_joint(tokens, joints, None, "ROOT")
+    joints = _parse_hierarchy(tokens)
     if tokens.peek()[0] == "ROOT":
         raise BvhSyntaxError(tokens.line, "multiple ROOT joints are not supported")
     _expect(tokens, "MOTION")
@@ -398,37 +424,36 @@ def parse_file(path) -> MotionClip:
 # writing
 # ---------------------------------------------------------------------------
 
-def _write_joint(out: list[str], skeleton: Skeleton, index: int, depth: int):
-    joint = skeleton.joints[index]
-    pad = "  " * depth
-    if joint.is_end_site:
-        out.append(f"{pad}End Site")
-        out.append(f"{pad}{{")
-        out.append(f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}")
-        out.append(f"{pad}}}")
-        return
-    keyword = "ROOT" if joint.parent is None else "JOINT"
-    out.append(f"{pad}{keyword} {joint.name}")
-    out.append(f"{pad}{{")
-    out.append(f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}")
-    if joint.channels:
-        out.append(f"{pad}  CHANNELS {len(joint.channels)} " + " ".join(joint.channels))
-    else:
-        out.append(f"{pad}  CHANNELS 0")
-    for child, spec in enumerate(skeleton.joints):
-        if spec.parent == index:
-            _write_joint(out, skeleton, child, depth + 1)
-    out.append(f"{pad}}}")
-
-
 def write(clip: MotionClip) -> str:
-    """Serialize a MotionClip as canonical BVH text."""
-    out = ["HIERARCHY"]
-    _write_joint(out, clip.skeleton, 0, 0)
-    out.append("MOTION")
-    out.append(f"Frames: {clip.num_frames}")
-    out.append(f"Frame Time: {clip.frame_time:.6f}")
-    for row in clip.frames:
+    """Serialize a MotionClip as canonical BVH text: one stack pass writes
+    the joints depth-first, siblings in index order, and each motion row
+    lists its channels in that same order."""
+    skeleton = clip.skeleton
+    children = [[] for _ in skeleton.joints]
+    for index in range(skeleton.num_joints - 1, 0, -1):  # so siblings pop in index order
+        children[skeleton.joints[index].parent].append(index)
+    starts = np.cumsum([0] + [len(j.channels) for j in skeleton.joints])
+    out, columns, stack = ["HIERARCHY"], [], [(0, "")]
+    while stack:
+        index, pad = stack.pop()
+        if index is None:  # the end of a joint block
+            out.append(f"{pad}}}")
+            continue
+        joint = skeleton.joints[index]
+        offset = f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}"
+        if joint.is_end_site:
+            out.extend([f"{pad}End Site", f"{pad}{{", offset, f"{pad}}}"])
+            continue
+        keyword = "ROOT" if joint.parent is None else "JOINT"
+        tags = "".join(" " + tag for tag in joint.channels)
+        out.extend([f"{pad}{keyword} {joint.name}", f"{pad}{{", offset,
+                    f"{pad}  CHANNELS {len(joint.channels)}{tags}"])
+        columns.extend(range(starts[index], starts[index + 1]))
+        stack.append((None, pad))
+        stack.extend((child, pad + "  ") for child in children[index])
+
+    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {clip.frame_time:.6f}"])
+    for row in clip.frames[:, columns]:
         out.append(" ".join(f"{v:.6f}" for v in row))
     return "\n".join(out) + "\n"
 

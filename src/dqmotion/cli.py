@@ -36,8 +36,6 @@ from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, loss_total
 from .metrics import pose_pair_positions, pose_positions, report_between
 
-log = logging.getLogger("dqmotion")
-
 REPR_FLAGS = {
     "dq": ReprKind.DUALQUAT,
     "quat": ReprKind.QUATERNIONS,
@@ -107,7 +105,7 @@ def cmd_inspect(args) -> int:
         "joint_detail": [
             {
                 "name": j.name,
-                "parent": None if j.parent is None else skeleton.names[j.parent],
+                "parent": None if j.parent is None else skeleton.joints[j.parent].name,
                 "offset": [float(v) for v in j.offset],
                 "channels": list(j.channels),
                 "end_site": j.is_end_site,
@@ -122,7 +120,7 @@ def cmd_inspect(args) -> int:
     print(f"frame_time: {clip.frame_time:g} s, channels: {skeleton.channel_count}, "
           f"end sites: {end_sites}")
     for j in skeleton.joints:
-        parent = "-" if j.parent is None else skeleton.names[j.parent]
+        parent = "-" if j.parent is None else skeleton.joints[j.parent].name
         tag = " (end site)" if j.is_end_site else ""
         print(f"  {j.name}{tag}: parent={parent} "
               f"offset=({j.offset[0]:g}, {j.offset[1]:g}, {j.offset[2]:g}) "

@@ -3,24 +3,24 @@
 
 A `LocalPose` holds a clip's (F, J, 4) local rotations and (F, 3) root
 path. Every layer shares two hierarchy helpers: `compose` sweeps parent to
-child one depth level at a time, and `relative` undoes it with one parent
-gather. The dual-quaternion chain (`current_chain`, `local_to_current` /
-`current_to_local`) is built on them. A homogeneous-matrix forward
-kinematics (`matrix_fk`), kept free of any dual-quaternion code, is the
-tests' oracle for the chain; no other module calls it.
+child one depth level at a time, over the levels the skeleton builds once,
+and `relative` undoes it with one parent gather. The dual-quaternion chain
+(`current_chain`, `local_to_current` / `current_to_local`) is built on
+them. A homogeneous-matrix forward kinematics (`matrix_fk`), kept free of
+any dual-quaternion code, is the tests' oracle for the chain; no other
+module calls it.
 
 Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rotmat, dualquat, quat
-from .bvh import MotionClip, ROTATION_CHANNELS, POSITION_CHANNELS, Skeleton
-from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError, UnsupportedChannelError
+from .bvh import MotionClip, POSITION_CHANNELS, Skeleton
+from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError
 
 
 def _frame_shape(skeleton: Skeleton, values: np.ndarray, width: int, field: str) -> tuple:
@@ -117,29 +117,16 @@ def stack_poses(poses) -> LocalPose:
 # the hierarchy sweep
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _levels(parents_key: bytes) -> tuple:
-    """(rows, parent rows) per depth level below the roots of the parent
-    array with bytes `parents_key`; found once per tree."""
-    parents = np.frombuffer(parents_key, dtype=np.intp)
-    levels = []
-    level = np.flatnonzero(parents < 0)
-    while True:
-        level = np.flatnonzero(np.isin(parents, level))
-        if level.size == 0:
-            return tuple(levels)
-        levels.append((level, parents[level]))
-
-
-def compose(parents: np.ndarray, local: np.ndarray, mul) -> np.ndarray:
+def compose(levels: tuple, local: np.ndarray, mul) -> np.ndarray:
     """Forward hierarchy sweep over (..., J, D) per-joint values.
 
-    Entry j of the result is mul(result[parents[j]], local[j]); roots
-    (parent -1) keep their local value. Each step handles one depth level
-    of the tree, so the loop runs once per level, not once per joint.
+    `levels` are a skeleton's (rows, parent rows) per depth level
+    (`Skeleton.levels` or `Skeleton.encoded_levels`). Entry j of the result
+    is mul(result[parent of j], local[j]); the root keeps its local value.
+    The loop runs once per depth level, not once per joint.
     """
     out = np.array(local, dtype=float)
-    for rows, parent_rows in _levels(np.asarray(parents, dtype=np.intp).tobytes()):
+    for rows, parent_rows in levels:
         out[..., rows, :] = mul(out[..., parent_rows, :], out[..., rows, :])
     return out
 
@@ -147,11 +134,11 @@ def compose(parents: np.ndarray, local: np.ndarray, mul) -> np.ndarray:
 def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.ndarray:
     """Inverse of `compose` for unit values, with one parent gather.
 
-    Entry j is mul(conjugate(current[parents[j]]), current[j]); roots keep
-    their current value. `conjugate` must invert the values it is given.
+    Entry j is mul(conjugate(current[parents[j]]), current[j]); the root,
+    row 0, keeps its current value. `conjugate` must invert the values it
+    is given.
     """
-    parents = np.asarray(parents)
-    child = np.flatnonzero(parents >= 0)
+    child = np.arange(1, len(parents))  # a gather, not a slice: contiguous operands
     out = np.array(current, dtype=float)
     out[..., child, :] = mul(conjugate(current[..., parents[child], :]), current[..., child, :])
     return out
@@ -165,12 +152,12 @@ def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
     transform. Raises NotUnitError unless every rotation is unit.
     """
     rotations = np.asarray(rotations, dtype=float)
-    offsets = skeleton.offsets
+    offsets = skeleton.offsets.copy()
     offsets[0] = 0.0  # the root displacement rides outside the chain
     local = dualquat.from_rotation_translation(
         rotations, np.broadcast_to(offsets, rotations.shape[:-1] + (3,))
     )
-    return compose(skeleton.parent_indices, local, dualquat.mul)
+    return compose(skeleton.levels, local, dualquat.mul)
 
 
 def local_to_current(pose: LocalPose) -> CurrentPose:
@@ -236,45 +223,34 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
 # clip conversion (the degrees/radians boundary)
 # ---------------------------------------------------------------------------
 
-def _channel_layout(skeleton: Skeleton):
-    """Column index of every channel, grouped per joint."""
-    layout = []
-    column = 0
-    for joint in skeleton.joints:
-        entry = {"position": {}, "rotation": []}
-        for tag in joint.channels:
-            if tag in POSITION_CHANNELS:
-                entry["position"][tag[0]] = column
-            elif tag in ROTATION_CHANNELS:
-                entry["rotation"].append((tag[0], column))
-            else:
-                raise UnsupportedChannelError(0, f"unknown channel tag {tag!r}")
-            column += 1
-        layout.append(entry)
-    return layout
+def _channel_columns(skeleton: Skeleton, frames: np.ndarray) -> list[dict]:
+    """Per joint, {channel tag: view of that channel's column of `frames`}."""
+    columns = iter(frames.T)  # zip stops at a joint's last tag, taking no extra column
+    return [dict(zip(joint.channels, columns)) for joint in skeleton.joints]
 
 
 def clip_to_local(clip: MotionClip) -> LocalPose:
     """Expand a raw clip into one frame-batched LocalPose (radians,
     quaternions)."""
     skeleton = clip.skeleton
-    layout = _channel_layout(skeleton)
+    channels = _channel_columns(skeleton, clip.frames)
     n_frames = clip.num_frames
 
     rotations = np.zeros((n_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0
-    for idx, entry in enumerate(layout):
-        if not entry["rotation"]:
+    for idx, joint in enumerate(skeleton.joints):
+        order = joint.rotation_order
+        if not order:
             continue
-        order = "".join(axis for axis, _ in entry["rotation"])
         angles = np.zeros((n_frames, 3))
-        for axis, column in entry["rotation"]:
-            angles[:, "XYZ".index(axis)] = np.radians(clip.frames[:, column])
+        for axis in order:
+            angles[:, "XYZ".index(axis)] = np.radians(channels[idx][axis + "rotation"])
         rotations[:, idx] = quat.from_euler(angles, order)
 
     root_translation = np.zeros((n_frames, 3))
-    for axis, column in layout[0]["position"].items():
-        root_translation[:, "XYZ".index(axis)] = clip.frames[:, column]
+    for tag, column in channels[0].items():
+        if tag in POSITION_CHANNELS:
+            root_translation[:, "XYZ".index(tag[0])] = column
     return LocalPose(skeleton, root_translation, rotations)
 
 
@@ -284,15 +260,16 @@ def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
     pose = stack_poses(poses)
     if pose.skeleton is not template and pose.skeleton != template:
         raise ValueError("pose skeleton does not match the template")
-    layout = _channel_layout(template)
     frames = np.zeros((len(pose), template.channel_count))
-    for axis, column in layout[0]["position"].items():
-        frames[:, column] = pose.root_translation[:, "XYZ".index(axis)]
-    for idx, entry in enumerate(layout):
-        if not entry["rotation"]:
+    channels = _channel_columns(template, frames)
+    for tag, column in channels[0].items():
+        if tag in POSITION_CHANNELS:
+            column[:] = pose.root_translation[:, "XYZ".index(tag[0])]
+    for idx, joint in enumerate(template.joints):
+        order = joint.rotation_order
+        if not order:
             continue
-        order = "".join(axis for axis, _ in entry["rotation"])
         angles = np.degrees(quat.to_euler(pose.joint_rotations[:, idx], order))
-        for axis, column in entry["rotation"]:
-            frames[:, column] = angles[:, "XYZ".index(axis)]
+        for axis in order:
+            channels[idx][axis + "rotation"][:] = angles[:, "XYZ".index(axis)]
     return MotionClip(skeleton=template, frame_time=frame_time, frames=frames)

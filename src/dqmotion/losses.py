@@ -192,15 +192,14 @@ def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
         raise ValueError(f"space must be 'local' or 'current', got {space!r}")
     if clip.kind not in _ROTATIONAL_KINDS:
         raise ShapeMismatchError(f"rotational loss undefined for kind {clip.kind.value}")
-    parents = clip.skeleton.encoded_parents
     rotations = _normalized_quats(clip.joint_blocks()[..., :4])
     # dual-quaternion real parts are current (root-relative) rotations,
     # quaternion-valued blocks hold local ones
     if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
         return rotations
     if space == "local":
-        return relative(parents, rotations, quat.mul, quat.conjugate)
-    return compose(parents, rotations, quat.mul)
+        return relative(clip.skeleton.encoded_parents, rotations, quat.mul, quat.conjugate)
+    return compose(clip.skeleton.encoded_levels, rotations, quat.mul)
 
 
 def _positions(clip: EncodedClip) -> np.ndarray:
@@ -377,8 +376,8 @@ def loss_total(
 # Every gradient is a closed form over the whole (F, J, .) block array. A
 # Jacobian-transpose product M.T @ v becomes a Hamilton product, using
 # L(q).T = L(q*) and R(q).T = R(q*) for the matrices of q x and x q. The
-# one Python loop left is the reverse sweep over joints of the quaternion
-# kinds' current-space rotational gradient.
+# quaternion kinds' current-space rotational gradient walks the skeleton's
+# depth levels in reverse, the same levels `compose` walks forward.
 
 def _swap(d: np.ndarray) -> np.ndarray:
     """Exchange the real and dual halves of a dual quaternion."""
@@ -507,11 +506,11 @@ def _grad_rotational(pred: EncodedClip, truth: EncodedClip, space: str) -> np.nd
         np.add.at(bar, (slice(None), parents[1:]), to_parent)
     elif pred.kind is not ReprKind.DUALQUAT and space == "current":
         # Reverse sweep: each current rotation feeds all its descendants,
-        # and a row's upstream is complete once every later row is done.
-        for row in range(j - 1, 0, -1):
-            parent = parents[row]
-            bar[:, parent] += quat.mul(bar[:, row], quat.conjugate(unit[:, row]))
-            bar[:, row] = quat.mul(quat.conjugate(q_pred[:, parent]), bar[:, row])
+        # and a level's upstream is complete once every deeper level is done.
+        for rows, parent_rows in reversed(pred.skeleton.encoded_levels):
+            to_parent = quat.mul(bar[:, rows], quat.conjugate(unit[:, rows]))
+            bar[:, rows] = quat.mul(quat.conjugate(q_pred[:, parent_rows]), bar[:, rows])
+            np.add.at(bar, (slice(None), parent_rows), to_parent)
 
     grad = np.zeros_like(blocks)
     grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
