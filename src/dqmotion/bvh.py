@@ -39,9 +39,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointSpec:
-    """One node of the hierarchy, end sites included."""
+    """One node of the hierarchy, end sites included. Frozen, so that the
+    views a `Skeleton` builds from its joints stay true."""
 
     name: str
     parent: int | None
@@ -50,8 +51,8 @@ class JointSpec:
     is_end_site: bool = False
 
     def __post_init__(self):
-        self.offset = _read_only(np.array(self.offset, dtype=float).reshape(3))
-        self.channels = tuple(self.channels)
+        object.__setattr__(self, "offset", _read_only(np.array(self.offset, dtype=float).reshape(3)))
+        object.__setattr__(self, "channels", tuple(self.channels))
 
     @property
     def rotation_order(self) -> str:
@@ -356,7 +357,13 @@ def parse(text: str | bytes) -> MotionClip:
     declared channels.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+        try:
+            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+        except UnicodeDecodeError as exc:
+            # The bad byte sits on the last line of the text before it
+            # ("?" stands in for it, so a prefix ending in a line break counts).
+            before = exc.object[: exc.start].decode("utf-8") + "?"
+            raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
     tokens = _Tokens.from_text(text)
 
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
@@ -392,7 +399,9 @@ def parse(text: str | bytes) -> MotionClip:
         raise BvhSyntaxError(tokens.last_line, str(exc)) from None
 
     width = skeleton.channel_count
-    frames = np.empty((num_frames, width))
+    # A count beyond the rows left ends in "unexpected end of file" below;
+    # allocate no more rows than the file holds.
+    frames = np.empty((min(num_frames, len(tokens.lines) - tokens.pos), width))
     for i in range(num_frames):
         row = tokens.next()
         if len(row) != width:

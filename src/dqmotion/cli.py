@@ -3,10 +3,11 @@
 Subcommands: inspect, encode, decode, roundtrip, validate, loss, metrics.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O or
-format error. Flags are validated before any file is opened, and output
-files are written atomically, so a failing invocation never leaves a
-partial file behind. Set DQMOTION_LOG to a logging level name for
-diagnostics on stderr.
+format error (values so large that the arithmetic overflows included).
+Flags are validated before any file is opened, and output files are
+written atomically, so a failing invocation never leaves a partial file
+behind. Set DQMOTION_LOG to a logging level name for diagnostics on
+stderr.
 """
 
 import argparse
@@ -187,9 +188,10 @@ def cmd_roundtrip(args) -> int:
 
     offset_dev = 0.0
     if kind is ReprKind.DUALQUAT:
-        from .losses import _offset_violations
+        from .losses import _evaluate
 
-        offset_dev = float(np.max(_offset_violations(encoded, clip.skeleton), initial=0.0))
+        violations = _evaluate("offset", encoded, None, clip.skeleton).values
+        offset_dev = float(np.max(violations, initial=0.0))
 
     print(f"max quaternion deviation: {quat_dev:.3e}")
     print(f"max position deviation:   {pos_dev:.3e}")
@@ -353,9 +355,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.func(args)
+        # Values so large that the arithmetic overflows are a format error,
+        # not a silent inf or NaN in the output.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (BvhSyntaxError, ContainerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"error: input values out of numeric range ({exc})", file=sys.stderr)
         return 3
     except (UsageError, BadRateError, ShapeMismatchError, LengthMismatchError,
             TooFewFramesError) as exc:

@@ -101,7 +101,7 @@ def from_bytes(data: bytes) -> EncodedClip:
         raise ContainerError("truncated skeleton block")
     try:
         skeleton = Skeleton.from_dict(json.loads(data[offset : offset + json_len]))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ContainerError(f"bad skeleton block: {exc}") from None
     offset += json_len
 

@@ -7,34 +7,34 @@ joint blocks, then mean over frames; the MSE additionally averages over
 the block components. The three root-translation columns never enter a
 loss; the root displacement is modeled as a separate signal.
 
-Each loss has an analytic gradient with respect to the predicted feature
-matrix. The gradients are closed forms batched over frames: Hamilton
-products on whole (F, J, .) arrays, with no per-(frame, joint) Jacobian
-matrices. `grad_check` verifies them against central finite differences,
-and the tests also hold them to a per-(frame, joint) loop oracle.
+Each term is written once, as one entry of the table `_TERMS`: the kinds
+it applies to, its input checks, where its kink lies, and one function
+that returns the term's per-(frame, joint) values together with the
+gradient of their mean with respect to the predicted feature matrix. The
+`loss_*` functions, `loss_total` and `grad_check` all read that table.
+The gradients are closed forms batched over frames, built from the
+forward pass's own intermediates: Hamilton products on whole (F, J, .)
+arrays, with no per-(frame, joint) Jacobian matrices. `grad_check`
+verifies them against central finite differences, and the tests also
+hold them to a per-(frame, joint) loop oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dualquat, quat
 from .bvh import Skeleton
 from .encoding import EncodedClip, ReprKind
-from .errors import DegenerateNormError, ShapeMismatchError
+from .errors import NoPositionsError, ShapeMismatchError
 from .kinematics import compose, relative
 
 _ROTATIONAL_KINDS = (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS)
+#: Block columns of the joint position in the kinds that store one.
+_POSITION_COLUMNS = slice(-3, None)
 
 GRAD_EPS_LADDER = (1e-4, 1e-5, 1e-6)
-GRAD_LOSSES = (
-    "mse",
-    "rotational_local",
-    "rotational_current",
-    "positional",
-    "offset",
-    "regularization",
-)
 
 
 @dataclass
@@ -49,10 +49,10 @@ class LossWeights:
     regularization: float = 0.01
 
     def __post_init__(self):
-        for name in ("mse", "rotational", "positional", "offset", "regularization"):
-            value = getattr(self, name)
+        for weight in fields(self):
+            value = getattr(self, weight.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"weight {name} must be finite and non-negative")
+                raise ValueError(f"weight {weight.name} must be finite and non-negative")
 
     _ALIASES = {
         "mse": "mse",
@@ -94,27 +94,7 @@ class LossReport:
     per_joint: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": self.kind,
-            "rotation_space": self.rotation_space,
-            "standardized_inputs": self.standardized_inputs,
-            "weights": {
-                "mse": self.weights.mse,
-                "rotational": self.weights.rotational,
-                "positional": self.weights.positional,
-                "offset": self.weights.offset,
-                "regularization": self.weights.regularization,
-            },
-            "mse": self.mse,
-            "rotational": self.rotational,
-            "rotational_raw": self.rotational_raw,
-            "positional": self.positional,
-            "offset": self.offset,
-            "regularization": self.regularization,
-            "weighted_total": self.weighted_total,
-            "per_joint": {k: list(v) for k, v in self.per_joint.items()},
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self) -> str:
         import json
@@ -147,21 +127,9 @@ def _require_raw(*clips: EncodedClip):
             raise ValueError("loss needs raw features; destandardize the clip first")
 
 
-def _check_inputs(name: str, pred: EncodedClip, truth: EncodedClip | None = None):
-    """The input checks of loss `name`, shared by the loss and its gradient.
-
-    Offset and regularization see the prediction alone and are defined for
-    the dualquat kind; every other loss compares a pair, and only the MSE
-    accepts standardized features.
-    """
-    if name in ("offset", "regularization"):
-        if pred.kind is not ReprKind.DUALQUAT:
-            raise ShapeMismatchError(f"{name} loss is defined for the dualquat kind")
-        _require_raw(pred)
-        return
-    _check_pair(pred, truth)
-    if name != "mse":
-        _require_raw(pred, truth)
+def _check_space(space: str):
+    if space not in ("local", "current"):
+        raise ValueError(f"space must be 'local' or 'current', got {space!r}")
 
 
 def _mean(values: np.ndarray) -> float:
@@ -169,30 +137,13 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values)) if values.size else 0.0
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products over the last axis. einsum is several times faster
-    than a reduction over an axis of length 4 or 8."""
-    return np.einsum("...i,...i->...", a, b)
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(a, a))
-
-
-def _normalized_quats(blocks: np.ndarray) -> np.ndarray:
-    norms = _norm(blocks)
-    if np.any(norms <= 1e-12):
-        raise DegenerateNormError("quaternion block with vanishing norm")
-    return blocks / norms[..., None]
-
-
 def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
     """(F, J, 4) rotations in the requested space for a rotational kind."""
-    if space not in ("local", "current"):
-        raise ValueError(f"space must be 'local' or 'current', got {space!r}")
-    if clip.kind not in _ROTATIONAL_KINDS:
-        raise ShapeMismatchError(f"rotational loss undefined for kind {clip.kind.value}")
-    rotations = _normalized_quats(clip.joint_blocks()[..., :4])
+    return _in_space(clip, quat.normalize(clip.joint_blocks()[..., :4]), space)
+
+
+def _in_space(clip: EncodedClip, rotations: np.ndarray, space: str) -> np.ndarray:
+    """The normalized rotation blocks `rotations` of `clip` in `space`."""
     # dual-quaternion real parts are current (root-relative) rotations,
     # quaternion-valued blocks hold local ones
     if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
@@ -204,17 +155,11 @@ def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
 
 def _positions(clip: EncodedClip) -> np.ndarray:
     """(F, J, 3) per-joint positions read off the representation."""
-    from .errors import NoPositionsError
-
     blocks = clip.joint_blocks()
-    if clip.kind is ReprKind.POSITIONS:
-        return blocks
-    if clip.kind is ReprKind.QUATERNIONS_POSITIONS:
-        return blocks[..., 4:7]
-    if clip.kind is ReprKind.ORTHO6D_POSITIONS:
-        return blocks[..., 6:9]
     if clip.kind is ReprKind.DUALQUAT:
         return dualquat.translation(dualquat.normalize(blocks))
+    if clip.kind.has_positions:
+        return blocks[..., _POSITION_COLUMNS]
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
 
 
@@ -232,146 +177,7 @@ def _offset_errors(clip: EncodedClip, skeleton: Skeleton):
 
 
 # ---------------------------------------------------------------------------
-# the losses
-# ---------------------------------------------------------------------------
-# Each term has one body giving a per-(frame, joint) array; the public loss,
-# loss_total and grad_check's kink test all reduce that same array.
-
-def _squared_errors(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
-    diff = pred.joint_blocks() - truth.joint_blocks()
-    return _dot(diff, diff) / diff.shape[-1]
-
-
-def _rotational_terms(pred: EncodedClip, truth: EncodedClip, space: str):
-    q_pred = _rotation_quats(pred, space)
-    q_truth = _rotation_quats(truth, space)
-    dots = _dot(q_pred, q_truth)
-    raw = 1.0 - dots
-    aligned = 1.0 - np.abs(dots)
-    return aligned, raw, dots
-
-
-def _position_distances(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
-    return _norm(_positions(pred) - _positions(truth))
-
-
-def _offset_violations(pred: EncodedClip, skeleton: Skeleton) -> np.ndarray:
-    """(F, J-1) bone-offset violations; no columns for a root-only skeleton."""
-    return _norm(_offset_errors(pred, skeleton)[2])
-
-
-def _unit_residuals(pred: EncodedClip) -> np.ndarray:
-    norm_res, ortho_res = dualquat.unitary_residual(pred.joint_blocks())
-    return norm_res**2 + ortho_res**2
-
-
-def loss_mse(pred: EncodedClip, truth: EncodedClip) -> float:
-    """Mean squared error over the per-joint blocks."""
-    _check_inputs("mse", pred, truth)
-    return _mean(_squared_errors(pred, truth))
-
-
-def loss_rotational(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
-    """1 - <q, q~> on unit rotations, sign-aligned; mean over joints/frames.
-
-    `space` selects local (parent-relative, recovered through the
-    hierarchy for the dualquat kind) or current (root-relative) rotations.
-    """
-    _check_inputs("rotational", pred, truth)
-    aligned, _, _ = _rotational_terms(pred, truth, space)
-    return _mean(aligned)
-
-
-def loss_rotational_raw(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
-    """Same but without sign alignment; ranges over [0, 2] per joint."""
-    _check_inputs("rotational", pred, truth)
-    _, raw, _ = _rotational_terms(pred, truth, space)
-    return _mean(raw)
-
-
-def loss_positional(pred: EncodedClip, truth: EncodedClip) -> float:
-    """Mean Euclidean distance between represented joint positions."""
-    _check_inputs("positional", pred, truth)
-    return _mean(_position_distances(pred, truth))
-
-
-def loss_offset(pred: EncodedClip, truth_skeleton: Skeleton | None = None) -> float:
-    """Mean violation of the skeleton's bone offsets, non-root joints.
-
-    A skeleton whose only encoded joint is the root has no bones, and the
-    term is 0.
-    """
-    _check_inputs("offset", pred)
-    skeleton = truth_skeleton if truth_skeleton is not None else pred.skeleton
-    return _mean(_offset_violations(pred, skeleton))
-
-
-def loss_regularization(pred: EncodedClip) -> float:
-    """Squared unit-condition residuals of the raw blocks.
-
-    Computed on the blocks as stored, prior to any normalization: the
-    term exists precisely to penalize drift off the unit manifold.
-    """
-    _check_inputs("regularization", pred)
-    return _mean(_unit_residuals(pred))
-
-
-def _applicable(kind: ReprKind) -> set:
-    names = {"mse"}
-    if kind in _ROTATIONAL_KINDS:
-        names.add("rotational")
-    if kind.has_positions:
-        names.add("positional")
-    if kind is ReprKind.DUALQUAT:
-        names.update(("offset", "regularization"))
-    return names
-
-
-def loss_total(
-    pred: EncodedClip,
-    truth: EncodedClip,
-    weights: LossWeights | None = None,
-    rotation_space: str = "local",
-    truth_skeleton: Skeleton | None = None,
-) -> LossReport:
-    """Weighted sum of every component applicable to the clips' kind."""
-    _check_pair(pred, truth)
-    weights = weights or LossWeights()
-    report = LossReport(
-        kind=pred.kind.value,
-        rotation_space=rotation_space,
-        standardized_inputs=pred.standardized or truth.standardized,
-        weights=weights,
-    )
-    names = _applicable(pred.kind)
-    if report.standardized_inputs and names != {"mse"}:
-        raise ValueError("loss_total needs raw clips; destandardize first")
-
-    terms = {"mse": _squared_errors(pred, truth)}
-    if "rotational" in names:
-        aligned, raw, _ = _rotational_terms(pred, truth, rotation_space)
-        report.rotational_raw = _mean(raw)
-        terms["rotational"] = aligned
-    if "positional" in names:
-        terms["positional"] = _position_distances(pred, truth)
-    if "offset" in names:
-        skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
-        terms["offset"] = _offset_violations(pred, skeleton)
-    if "regularization" in names:
-        terms["regularization"] = _unit_residuals(pred)
-
-    total = 0.0
-    for name, values in terms.items():
-        value = _mean(values)
-        setattr(report, name, value)
-        report.per_joint[name] = np.mean(values, axis=0).tolist()
-        total += getattr(weights, name) * value
-    report.weighted_total = float(total)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients
+# gradient building blocks
 # ---------------------------------------------------------------------------
 # Every gradient is a closed form over the whole (F, J, .) block array. A
 # Jacobian-transpose product M.T @ v becomes a Hamilton product, using
@@ -386,9 +192,9 @@ def _swap(d: np.ndarray) -> np.ndarray:
 
 def _normalize_vjp(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g through the Jacobian (I - r^ r^T) / |r| of r -> r / |r|."""
-    n = _norm(r)[..., None]
+    n = quat.norm(r)[..., None]
     r_hat = r / n
-    return (g - r_hat * _dot(r_hat, g)[..., None]) / n
+    return (g - r_hat * quat.dot(r_hat, g)[..., None]) / n
 
 
 def _dq_normalize_vjp(d: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -401,10 +207,10 @@ def _dq_normalize_vjp(d: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     r, e = d[..., :4], d[..., 4:]
     g_e = g[..., 4:]
-    n = _norm(r)[..., None]
-    k = _dot(r, e)[..., None]
-    r_ge = _dot(r, g_e)[..., None]
-    e_ge = _dot(e, g_e)[..., None]
+    n = quat.norm(r)[..., None]
+    k = quat.dot(r, e)[..., None]
+    r_ge = quat.dot(r, g_e)[..., None]
+    e_ge = quat.dot(e, g_e)[..., None]
     b_ge = -(e * r_ge + r * e_ge + k * g_e) / n**3 + 3.0 * k * r_ge * r / n**5
     return np.concatenate(
         [_normalize_vjp(r, g[..., :4]) + b_ge, _normalize_vjp(r, g_e)], axis=-1
@@ -421,6 +227,12 @@ def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 2.0 * np.concatenate([quat.mul(u_q, -m[..., 4:]), quat.mul(u_q, m[..., :4])], axis=-1)
 
 
+def _unit_directions(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """delta / dist along the last axis, 0 where dist is 0, divided by the
+    number of distances the loss averages."""
+    return delta / np.where(dist > 0, dist, 1.0)[..., None] / dist.size
+
+
 def _scatter(grad_blocks: np.ndarray, clip: EncodedClip) -> np.ndarray:
     """(F, J, D) block gradients into a (F, W) feature gradient."""
     out = np.zeros((clip.num_frames, clip.width))
@@ -428,94 +240,284 @@ def _scatter(grad_blocks: np.ndarray, clip: EncodedClip) -> np.ndarray:
     return out
 
 
-def _grad_mse(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the terms
+# ---------------------------------------------------------------------------
+# Each term maps (pred, truth, skeleton) to an `_Evaluation`. The public
+# losses, loss_total and grad_check's kink test all reduce its values.
+
+class _Evaluation(NamedTuple):
+    """One term at one point."""
+
+    values: np.ndarray  # per (frame, joint)
+    grad: Callable[[], np.ndarray]  # of the values' mean w.r.t. pred.features
+    unaligned: np.ndarray | None = None  # rotational terms: before sign alignment
+
+
+def _mse(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
     diff = pred.joint_blocks() - truth.joint_blocks()
-    return _scatter(2.0 * diff / diff.size, pred)
-
-
-def _grad_regularization(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
-    blocks = pred.joint_blocks()
-    f, j, _ = blocks.shape
-    norm_res, ortho_res = dualquat.unitary_residual(blocks)
-    grad = np.empty_like(blocks)
-    grad[..., :4] = (
-        4.0 * norm_res[..., None] * blocks[..., :4]
-        + 2.0 * ortho_res[..., None] * blocks[..., 4:]
+    return _Evaluation(
+        quat.dot(diff, diff) / diff.shape[-1], lambda: _scatter(2.0 * diff / diff.size, pred)
     )
-    grad[..., 4:] = 2.0 * ortho_res[..., None] * blocks[..., :4]
-    return _scatter(grad / (f * j), pred)
 
 
-def _unit_directions(delta: np.ndarray) -> np.ndarray:
-    """delta / |delta| along the last axis, 0 where delta is 0, divided by
-    the number of distances the loss averages."""
-    dist = _norm(delta)[..., None]
-    return delta / np.where(dist > 0, dist, 1.0) / (delta.size // delta.shape[-1])
+def _rotational(space: str):
+    """The term 1 - |<q, q~>| on unit rotations in `space`."""
+
+    def evaluate(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
+        blocks = pred.joint_blocks()
+        unit = quat.normalize(blocks[..., :4])
+        q_pred = _in_space(pred, unit, space)
+        q_truth = _rotation_quats(truth, space)
+        dots = quat.dot(q_pred, q_truth)
+
+        def grad() -> np.ndarray:
+            f, j, _ = blocks.shape
+            # `bar` starts as the gradient w.r.t. q_pred and is carried back,
+            # row by row, to the gradient w.r.t. the unit blocks.
+            bar = -np.where(dots >= 0, 1.0, -1.0)[..., None] * q_truth / (f * j)
+            if pred.kind is ReprKind.DUALQUAT and space == "local":
+                # q_pred = u_p* u for every non-root row u with parent u_p.
+                parents = pred.skeleton.encoded_parents[1:]
+                to_parent = quat.mul(unit[:, 1:], quat.conjugate(bar[:, 1:]))
+                bar[:, 1:] = quat.mul(unit[:, parents], bar[:, 1:])
+                np.add.at(bar, (slice(None), parents), to_parent)
+            elif pred.kind is not ReprKind.DUALQUAT and space == "current":
+                # Reverse sweep: each current rotation feeds all its
+                # descendants, and a level's upstream is complete once every
+                # deeper level is done.
+                for rows, parent_rows in reversed(pred.skeleton.encoded_levels):
+                    to_parent = quat.mul(bar[:, rows], quat.conjugate(unit[:, rows]))
+                    bar[:, rows] = quat.mul(quat.conjugate(q_pred[:, parent_rows]), bar[:, rows])
+                    np.add.at(bar, (slice(None), parent_rows), to_parent)
+            grad = np.zeros_like(blocks)
+            grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
+            return _scatter(grad, pred)
+
+        return _Evaluation(1.0 - np.abs(dots), grad, unaligned=1.0 - dots)
+
+    return evaluate
 
 
-def _grad_positional(pred: EncodedClip, truth: EncodedClip) -> np.ndarray:
-    unit = _unit_directions(_positions(pred) - _positions(truth))
-    blocks = pred.joint_blocks()
-    grad = np.zeros_like(blocks)
-    if pred.kind is ReprKind.POSITIONS:
-        grad[...] = unit
-    elif pred.kind is ReprKind.QUATERNIONS_POSITIONS:
-        grad[..., 4:7] = unit
-    elif pred.kind is ReprKind.ORTHO6D_POSITIONS:
-        grad[..., 6:9] = unit
-    else:  # dualquat: chain through normalization and translation
-        grad = _dq_normalize_vjp(blocks, _translation_vjp(dualquat.normalize(blocks), unit))
-    return _scatter(grad, pred)
+def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
+    delta = _positions(pred) - _positions(truth)
+    dist = quat.norm(delta)
+
+    def grad() -> np.ndarray:
+        unit = _unit_directions(delta, dist)
+        blocks = pred.joint_blocks()
+        if pred.kind is ReprKind.DUALQUAT:  # chain through normalization and translation
+            grad = _dq_normalize_vjp(blocks, _translation_vjp(dualquat.normalize(blocks), unit))
+        else:
+            grad = np.zeros_like(blocks)
+            grad[..., _POSITION_COLUMNS] = unit
+        return _scatter(grad, pred)
+
+    return _Evaluation(dist, grad)
 
 
-def _grad_offset(pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> np.ndarray:
-    if pred.joint_count == 1:
-        return np.zeros_like(pred.features)  # no bones, constant zero loss
+def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
+    """Bone-offset violations, (F, J-1): no columns for a root-only skeleton."""
     normalized, local, delta = _offset_errors(pred, skeleton)
-    # local = n_p* n for every non-root row n with parent n_p. For dual
-    # quaternions the transposed Jacobians of x -> a x and x -> x b map v
-    # to swap(a* swap(v)) and swap(swap(v) b*), conjugating both halves.
-    swapped = _swap(_translation_vjp(local, _unit_directions(delta)))
-    parents = pred.skeleton.encoded_parents[1:]
-    grad_normalized = np.zeros_like(normalized)
-    grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
-    np.add.at(
-        grad_normalized,
-        (slice(None), parents),
-        _swap(dualquat.mul(normalized[:, 1:], dualquat.conjugate(swapped))),
-    )
-    return _scatter(_dq_normalize_vjp(pred.joint_blocks(), grad_normalized), pred)
+    dist = quat.norm(delta)
+
+    def grad() -> np.ndarray:
+        # local = n_p* n for every non-root row n with parent n_p. For dual
+        # quaternions the transposed Jacobians of x -> a x and x -> x b map v
+        # to swap(a* swap(v)) and swap(swap(v) b*), conjugating both halves.
+        swapped = _swap(_translation_vjp(local, _unit_directions(delta, dist)))
+        parents = pred.skeleton.encoded_parents[1:]
+        grad_normalized = np.zeros_like(normalized)
+        grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
+        np.add.at(
+            grad_normalized,
+            (slice(None), parents),
+            _swap(dualquat.mul(normalized[:, 1:], dualquat.conjugate(swapped))),
+        )
+        return _scatter(_dq_normalize_vjp(pred.joint_blocks(), grad_normalized), pred)
+
+    return _Evaluation(dist, grad)
 
 
-def _grad_rotational(pred: EncodedClip, truth: EncodedClip, space: str) -> np.ndarray:
-    parents = pred.skeleton.encoded_parents
+def _regularization(pred: EncodedClip, truth, skeleton) -> _Evaluation:
+    """Squared unit-condition residuals of the blocks as stored."""
     blocks = pred.joint_blocks()
-    f, j, _ = blocks.shape
-    unit = _normalized_quats(blocks[..., :4])
-    q_pred = _rotation_quats(pred, space)
-    q_truth = _rotation_quats(truth, space)
-    signs = np.where(_dot(q_pred, q_truth) >= 0, 1.0, -1.0)
-    # `bar` starts as the gradient w.r.t. q_pred and is carried back, row
-    # by row, to the gradient w.r.t. the unit blocks.
-    bar = -signs[..., None] * q_truth / (f * j)
+    norm_res, ortho_res = dualquat.unitary_residual(blocks)
 
-    if pred.kind is ReprKind.DUALQUAT and space == "local":
-        # q_pred = u_p* u for every non-root row u with parent u_p.
-        to_parent = quat.mul(unit[:, 1:], quat.conjugate(bar[:, 1:]))
-        bar[:, 1:] = quat.mul(unit[:, parents[1:]], bar[:, 1:])
-        np.add.at(bar, (slice(None), parents[1:]), to_parent)
-    elif pred.kind is not ReprKind.DUALQUAT and space == "current":
-        # Reverse sweep: each current rotation feeds all its descendants,
-        # and a level's upstream is complete once every deeper level is done.
-        for rows, parent_rows in reversed(pred.skeleton.encoded_levels):
-            to_parent = quat.mul(bar[:, rows], quat.conjugate(unit[:, rows]))
-            bar[:, rows] = quat.mul(quat.conjugate(q_pred[:, parent_rows]), bar[:, rows])
-            np.add.at(bar, (slice(None), parent_rows), to_parent)
+    def grad() -> np.ndarray:
+        f, j, _ = blocks.shape
+        grad = np.empty_like(blocks)
+        grad[..., :4] = (
+            4.0 * norm_res[..., None] * blocks[..., :4]
+            + 2.0 * ortho_res[..., None] * blocks[..., 4:]
+        )
+        grad[..., 4:] = 2.0 * ortho_res[..., None] * blocks[..., :4]
+        return _scatter(grad / (f * j), pred)
 
-    grad = np.zeros_like(blocks)
-    grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
-    return _scatter(grad, pred)
+    return _Evaluation(norm_res**2 + ortho_res**2, grad)
 
+
+def _no_kink(values: np.ndarray) -> bool:
+    return False
+
+
+def _near_sign_tie(values: np.ndarray) -> bool:
+    """1 - |<q, q~>| close to 1: the sign alignment is about to flip."""
+    return bool(np.max(values) > 1.0 - 1e-3)
+
+
+def _near_zero_distance(values: np.ndarray) -> bool:
+    return bool(np.min(values, initial=np.inf) < 1e-9)
+
+
+@dataclass(frozen=True)
+class _Term:
+    """Everything about one loss term that its callers read."""
+
+    evaluate: Callable[..., _Evaluation]  # (pred, truth, skeleton)
+    component: str  # the LossReport component it fills, and its LossWeights weight
+    kinds: tuple
+    pair: bool = True  # compares pred with truth; False: reads pred alone
+    accepts_standardized: bool = False
+    space: str | None = None  # rotation space of a rotational term
+    kink: Callable[[np.ndarray], bool] = _no_kink  # values near a kink
+
+
+_TERMS = {
+    "mse": _Term(_mse, "mse", tuple(ReprKind), accepts_standardized=True),
+    "rotational_local": _Term(
+        _rotational("local"), "rotational", _ROTATIONAL_KINDS, space="local", kink=_near_sign_tie
+    ),
+    "rotational_current": _Term(
+        _rotational("current"), "rotational", _ROTATIONAL_KINDS, space="current", kink=_near_sign_tie
+    ),
+    "positional": _Term(
+        _positional, "positional", tuple(k for k in ReprKind if k.has_positions),
+        kink=_near_zero_distance,
+    ),
+    "offset": _Term(_offset, "offset", (ReprKind.DUALQUAT,), pair=False, kink=_near_zero_distance),
+    "regularization": _Term(_regularization, "regularization", (ReprKind.DUALQUAT,), pair=False),
+}
+GRAD_LOSSES = tuple(_TERMS)
+
+
+def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> _Evaluation:
+    """Term `name` at pred, after the input checks its loss and its
+    gradient share."""
+    if name not in _TERMS:
+        raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
+    term = _TERMS[name]
+    clips = (pred, truth) if term.pair else (pred,)
+    if term.pair:
+        _check_pair(pred, truth)
+    if pred.kind not in term.kinds:
+        raise ShapeMismatchError(f"{name} loss is undefined for kind {pred.kind.value}")
+    if not term.accepts_standardized:
+        _require_raw(*clips)
+    return term.evaluate(pred, truth, skeleton)
+
+
+def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> float:
+    return _mean(_evaluate(name, pred, truth, skeleton).values)
+
+
+def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton):
+    """Gradient of loss `name` w.r.t. pred.features, after the loss's own
+    input checks."""
+    return _evaluate(name, pred, truth, skeleton).grad()
+
+
+# ---------------------------------------------------------------------------
+# the losses
+# ---------------------------------------------------------------------------
+
+def loss_mse(pred: EncodedClip, truth: EncodedClip) -> float:
+    """Mean squared error over the per-joint blocks."""
+    return _loss_value("mse", pred, truth)
+
+
+def loss_rotational(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
+    """1 - <q, q~> on unit rotations, sign-aligned; mean over joints/frames.
+
+    `space` selects local (parent-relative, recovered through the
+    hierarchy for the dualquat kind) or current (root-relative) rotations.
+    """
+    _check_space(space)
+    return _loss_value(f"rotational_{space}", pred, truth)
+
+
+def loss_rotational_raw(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
+    """Same but without sign alignment; ranges over [0, 2] per joint."""
+    _check_space(space)
+    return _mean(_evaluate(f"rotational_{space}", pred, truth).unaligned)
+
+
+def loss_positional(pred: EncodedClip, truth: EncodedClip) -> float:
+    """Mean Euclidean distance between represented joint positions."""
+    return _loss_value("positional", pred, truth)
+
+
+def loss_offset(pred: EncodedClip, truth_skeleton: Skeleton | None = None) -> float:
+    """Mean violation of the skeleton's bone offsets, non-root joints.
+
+    A skeleton whose only encoded joint is the root has no bones, and the
+    term is 0.
+    """
+    skeleton = truth_skeleton if truth_skeleton is not None else pred.skeleton
+    return _loss_value("offset", pred, None, skeleton)
+
+
+def loss_regularization(pred: EncodedClip) -> float:
+    """Squared unit-condition residuals of the raw blocks.
+
+    Computed on the blocks as stored, prior to any normalization: the
+    term exists precisely to penalize drift off the unit manifold.
+    """
+    return _loss_value("regularization", pred, None)
+
+
+def loss_total(
+    pred: EncodedClip,
+    truth: EncodedClip,
+    weights: LossWeights | None = None,
+    rotation_space: str = "local",
+    truth_skeleton: Skeleton | None = None,
+) -> LossReport:
+    """Weighted sum of every component applicable to the clips' kind."""
+    _check_pair(pred, truth)
+    _check_space(rotation_space)
+    weights = weights or LossWeights()
+    report = LossReport(
+        kind=pred.kind.value,
+        rotation_space=rotation_space,
+        standardized_inputs=pred.standardized or truth.standardized,
+        weights=weights,
+    )
+    terms = [
+        term
+        for term in _TERMS.values()
+        if pred.kind in term.kinds and term.space in (None, rotation_space)
+    ]
+    if report.standardized_inputs and not all(term.accepts_standardized for term in terms):
+        raise ValueError("loss_total needs raw clips; destandardize first")
+
+    skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
+    total = 0.0
+    for term in terms:
+        evaluation = term.evaluate(pred, truth, skeleton)
+        value = _mean(evaluation.values)
+        setattr(report, term.component, value)
+        report.per_joint[term.component] = np.mean(evaluation.values, axis=0).tolist()
+        total += getattr(weights, term.component) * value
+        if evaluation.unaligned is not None:
+            report.rotational_raw = _mean(evaluation.unaligned)
+    report.weighted_total = float(total)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+# ---------------------------------------------------------------------------
 
 @dataclass
 class GradCheckResult:
@@ -524,55 +526,6 @@ class GradCheckResult:
     analytic: np.ndarray
     numeric: np.ndarray
     deviation_by_eps: dict
-
-
-def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> float:
-    if name == "mse":
-        return loss_mse(pred, truth)
-    if name == "rotational_local":
-        return loss_rotational(pred, truth, "local")
-    if name == "rotational_current":
-        return loss_rotational(pred, truth, "current")
-    if name == "positional":
-        return loss_positional(pred, truth)
-    if name == "offset":
-        return loss_offset(pred, skeleton)
-    if name == "regularization":
-        return loss_regularization(pred)
-    raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
-
-
-def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton):
-    """Gradient of loss `name` w.r.t. pred.features, after the loss's own
-    input checks."""
-    if name not in GRAD_LOSSES:
-        raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
-    _check_inputs(name, pred, truth)
-    if name == "mse":
-        return _grad_mse(pred, truth)
-    if name == "rotational_local":
-        return _grad_rotational(pred, truth, "local")
-    if name == "rotational_current":
-        return _grad_rotational(pred, truth, "current")
-    if name == "positional":
-        return _grad_positional(pred, truth)
-    if name == "offset":
-        return _grad_offset(pred, truth, skeleton)
-    return _grad_regularization(pred, truth)
-
-
-def _boundary_proximity(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton) -> bool:
-    """True when the point sits near a known kink of the loss surface."""
-    if name in ("rotational_local", "rotational_current"):
-        _, _, dots = _rotational_terms(pred, truth, name.split("_")[1])
-        return bool(np.min(np.abs(dots)) < 1e-3)
-    if name == "positional":
-        dist = _position_distances(pred, truth)
-    elif name == "offset":
-        dist = _offset_violations(pred, skeleton)
-    else:
-        return False
-    return bool(np.min(dist, initial=np.inf) < 1e-9)
 
 
 def grad_check(
@@ -593,7 +546,8 @@ def grad_check(
     if not 1e-8 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-8, 1e-3]")
     skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
-    analytic = _analytic_gradient(name, pred, truth, skeleton)
+    evaluation = _evaluate(name, pred, truth, skeleton)
+    analytic = evaluation.grad()
 
     base = pred.features
     f, w = base.shape
@@ -638,7 +592,7 @@ def grad_check(
                     cross_scale,
                     float(np.max(np.abs(numeric_by_eps[a] - numeric_by_eps[b])) / scale),
                 )
-    nondifferentiable = cross_scale > 1e-3 or _boundary_proximity(name, pred, truth, skeleton)
+    nondifferentiable = cross_scale > 1e-3 or _TERMS[name].kink(evaluation.values)
 
     return GradCheckResult(
         max_relative_deviation=deviation_by_eps[eps],

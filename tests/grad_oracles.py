@@ -16,7 +16,7 @@ import numpy as np
 
 from dqmotion import dualquat, quat
 from dqmotion.encoding import ReprKind
-from dqmotion.losses import _normalized_quats, _positions, _rotation_quats
+from dqmotion.losses import _positions, _rotation_quats
 
 
 def left_matrix(q: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def grad_rotational(pred, truth, space: str) -> np.ndarray:
     blocks = pred.joint_blocks()
     f, j, _ = blocks.shape
     raw = blocks[..., :4]
-    unit = _normalized_quats(raw)
+    unit = quat.normalize(raw)
     q_truth = _rotation_quats(truth, space)
 
     if pred.kind is ReprKind.DUALQUAT:

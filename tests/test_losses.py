@@ -329,6 +329,38 @@ class TestTotal:
         assert json.loads(report.to_json()) == report.to_dict()
         assert "weighted_total" in report.to_text()
 
+    @pytest.mark.parametrize("other_skeleton", [False, True])
+    @pytest.mark.parametrize("space", ["local", "current"])
+    @pytest.mark.parametrize("kind", list(ReprKind))
+    def test_components_match_standalone_losses(self, rng, kind, space, other_skeleton):
+        skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
+        truth = encode(oracles.random_poses(rng, skeleton, 4), kind)
+        features = truth.features + rng.normal(scale=0.05, size=truth.features.shape)
+        pred = clip_from_features(kind, skeleton, features)
+        truth_skeleton = None
+        if other_skeleton:
+            truth_skeleton = Skeleton(
+                [JointSpec(j.name, j.parent, j.offset * 1.5, j.channels, j.is_end_site)
+                 for j in skeleton.joints]
+            )
+        report = loss_total(pred, truth, rotation_space=space, truth_skeleton=truth_skeleton)
+        standalone = {
+            "mse": lambda: loss_mse(pred, truth),
+            "rotational": lambda: loss_rotational(pred, truth, space),
+            "rotational_raw": lambda: loss_rotational_raw(pred, truth, space),
+            "positional": lambda: loss_positional(pred, truth),
+            "offset": lambda: loss_offset(pred, truth_skeleton or truth.skeleton),
+            "regularization": lambda: loss_regularization(pred),
+        }
+        present = {name for name in standalone if getattr(report, name) is not None}
+        assert "mse" in present
+        assert ("rotational" in present) == (kind in losses._ROTATIONAL_KINDS)
+        assert ("rotational_raw" in present) == ("rotational" in present)
+        assert ("positional" in present) == kind.has_positions
+        assert ("offset" in present) == ("regularization" in present) == (kind is ReprKind.DUALQUAT)
+        for name in present:
+            assert getattr(report, name) == standalone[name](), name
+
 
 class TestPerturbationSensitivity:
     """Any block perturbation beyond 1e-6 must register in the suite."""
@@ -408,6 +440,19 @@ class TestGradCheck:
         truth = single_dq_clip(dualquat.from_rotation_translation(q_truth, np.zeros(3)))
         pred = single_dq_clip(dualquat.from_rotation_translation(q_pred, np.zeros(3)))
         result = grad_check("rotational_current", pred, truth, eps=1e-6)
+        assert result.nondifferentiable
+
+    @pytest.mark.parametrize(
+        "name, kind", [("positional", ReprKind.POSITIONS), ("offset", ReprKind.DUALQUAT)]
+    )
+    def test_zero_distance_flagged(self, rng, name, kind):
+        # At pred == truth every distance is (nearly) zero, where |x| kinks.
+        # The finite differences there agree across scales (the positions
+        # kind is linear in its features), so only the distance test can
+        # flag the point.
+        skeleton = oracles.random_skeleton(rng, 3)
+        truth = encode(oracles.random_poses(rng, skeleton, 1), kind)
+        result = grad_check(name, truth, truth, eps=1e-6)
         assert result.nondifferentiable
 
     def test_eps_out_of_range(self, rng):

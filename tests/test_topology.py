@@ -2,6 +2,8 @@
 read-only cached views, the stack-based parser and writer on deep chains,
 and the writer on skeletons that are not listed depth-first."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,16 @@ class TestSkeletonTable:
         assert isinstance(skeleton.joints, tuple)
         with pytest.raises(ValueError):
             skeleton.joints[1].offset[0] = 7
+
+    def test_joints_are_frozen(self, fixtures_dir):
+        skeleton = bvh.parse_file(fixtures_dir / "humanoid.bvh").skeleton
+        parents = skeleton.parent_indices.copy()
+        for field, value in (("parent", 0), ("name", "x"), ("offset", np.zeros(3)),
+                             ("channels", ()), ("is_end_site", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(skeleton.joints[2], field, value)
+        assert skeleton.joints[2].parent == 1
+        assert np.array_equal(skeleton.parent_indices, parents)
 
     def test_levels_cover_every_joint_once(self, rng):
         skeleton = oracles.random_skeleton(rng, 40, end_sites=True)
