@@ -10,15 +10,28 @@ Accepted input is tolerant about whitespace (spaces, tabs, CRLF); output
 is canonical: LF newlines, two-space indentation, six decimal places.
 
 `Skeleton` owns the topology every layer walks (parents, offsets, encoded
-joints, depth levels), each view built once and read-only. The parser and
-the writer walk the hierarchy with a stack; the writer writes depth-first
-whatever order the skeleton lists its joints in.
+joints, depth levels), each view built once and read-only. Its channel
+table says where each joint's channels sit in a frame row: per Euler
+order, the joints and their (x, y, z) rotation columns; the root's
+position columns; and every column in the depth-first order the writer
+lists joints in, whatever order the skeleton lists them in. The clip
+conversions in `kinematics` and the writer read it, so neither loops over
+joints; the writer formats each motion row with one `%` operation.
+
+The parser walks the hierarchy with a stack and tokenizes the text on
+demand, so only the header is split line by line. It reads the motion
+block in bulk: one float conversion over the tokens of all rows, one width
+check per row and one finiteness check. Any row the bulk read cannot take
+goes to the row loop, from the first row that may be at fault, so that
+every error keeps its type, message and line number.
 """
 
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +45,13 @@ from .errors import (
 POSITION_CHANNELS = ("Xposition", "Yposition", "Zposition")
 ROTATION_CHANNELS = ("Xrotation", "Yrotation", "Zrotation")
 _CHANNEL_TAGS = set(POSITION_CHANNELS) | set(ROTATION_CHANNELS)
+_ROTATION_COUNT_MESSAGE = "a joint needs zero or three rotation channels, not {}"
+
+
+def finite_rate(frame_time: float) -> bool:
+    """Whether a positive frame time and its rate 1/frame_time are both
+    finite; a subnormal frame time has an infinite rate."""
+    return math.isfinite(frame_time) and math.isfinite(1.0 / frame_time)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -58,6 +78,60 @@ class JointSpec:
     def rotation_order(self) -> str:
         """Composition order of the rotation channels, e.g. 'ZYX'."""
         return "".join(tag[0] for tag in self.channels if tag in ROTATION_CHANNELS)
+
+
+@dataclass(frozen=True)
+class ChannelTable:
+    """Where each joint's channels sit in a frame row.
+
+    `rotations` holds one (order, joints, columns) entry per Euler order
+    present: the joints that rotate in that order and, per joint, the
+    columns of its x, y and z rotation channels, shape (n, 3).
+    `position_axes` and `position_columns` pair each root position channel
+    with its axis. `depth_first` lists (joint, depth) in the order BVH text
+    lists joints, siblings in index order, and `depth_first_columns` every
+    channel column in that order.
+    """
+
+    rotations: tuple
+    position_axes: np.ndarray
+    position_columns: np.ndarray
+    depth_first: tuple
+    depth_first_columns: np.ndarray
+
+
+def _channel_table(joints: tuple) -> ChannelTable:
+    starts = np.cumsum([0] + [len(j.channels) for j in joints])
+    groups = {}
+    for index, joint in enumerate(joints):
+        if joint.rotation_order:
+            rows, columns = groups.setdefault(joint.rotation_order, ([], []))
+            rows.append(index)
+            columns += [starts[index] + joint.channels.index(axis + "rotation") for axis in "XYZ"]
+    positions = [(i, tag) for i, tag in enumerate(joints[0].channels) if tag in POSITION_CHANNELS]
+
+    children = [[] for _ in joints]
+    for index in range(len(joints) - 1, 0, -1):  # so siblings pop in index order
+        children[joints[index].parent].append(index)
+    depth_first, stack = [], [(0, 0)]
+    while stack:
+        index, depth = stack.pop()
+        depth_first.append((index, depth))
+        stack.extend((child, depth + 1) for child in children[index])
+
+    def array(values, shape=(-1,)):
+        return _read_only(np.array(values, dtype=np.intp).reshape(shape))
+
+    return ChannelTable(
+        rotations=tuple((order, array(rows), array(columns, (-1, 3)))
+                        for order, (rows, columns) in groups.items()),
+        position_axes=array(["XYZ".index(tag[0]) for _, tag in positions]),
+        position_columns=array([i for i, _ in positions]),
+        depth_first=tuple(depth_first),
+        depth_first_columns=array(
+            [c for index, _ in depth_first for c in range(starts[index], starts[index + 1])]
+        ),
+    )
 
 
 def _levels(parents: np.ndarray) -> tuple:
@@ -99,6 +173,8 @@ class Skeleton:
                     raise ValueError(f"unknown channel tag {tag!r}")
             if len(set(joint.channels)) != len(joint.channels):
                 raise ValueError(f"duplicate channel tag on joint {joint.name!r}")
+            if len(joint.rotation_order) not in (0, 3):
+                raise ValueError(_ROTATION_COUNT_MESSAGE.format(len(joint.rotation_order)))
             if joint.is_end_site and joint.channels:
                 raise ValueError("end sites carry no channels")
             if idx > 0 and not joint.is_end_site:
@@ -134,6 +210,11 @@ class Skeleton:
     @property
     def channel_count(self) -> int:
         return sum(len(j.channels) for j in self.joints)
+
+    @cached_property
+    def channel_table(self) -> ChannelTable:
+        """Where each joint's channels sit in a frame row."""
+        return _channel_table(self.joints)
 
     @cached_property
     def encoded_indices(self) -> tuple[int, ...]:
@@ -222,6 +303,8 @@ class MotionClip:
             raise ValueError("non-finite channel values")
         if not (self.frame_time > 0):
             raise ValueError("frame_time must be positive")
+        if not finite_rate(self.frame_time):
+            raise ValueError("frame_time and its rate 1/frame_time must be finite")
 
     @property
     def num_frames(self) -> int:
@@ -236,42 +319,42 @@ class MotionClip:
 # parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Tokens:
-    """Line-oriented token stream that remembers line numbers for errors."""
+    """Token stream over the lines of a text (`str.splitlines`), each line
+    split when the stream reaches it; blank lines are skipped. Remembers
+    line numbers for errors."""
 
-    lines: list[tuple[int, list[str]]]
-    pos: int = 0
-    last_line: int = field(default=0)
-
-    @classmethod
-    def from_text(cls, text: str) -> "_Tokens":
-        lines = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.replace("\t", " ").split()
-            if tokens:
-                lines.append((number, tokens))
-        return cls(lines)
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0  # index of the line that `peek` reads
+        self.last_line = 0  # 1-based number of the line `next` last returned
+        self._head = None  # tokens of line `pos`, once split
 
     def eof(self) -> bool:
-        return self.pos >= len(self.lines)
+        while self.pos < len(self.lines):
+            if self._head is None:
+                self._head = self.lines[self.pos].split()
+            if self._head:
+                return False
+            self.pos, self._head = self.pos + 1, None
+        return True
 
     def peek(self) -> list[str]:
         if self.eof():
             raise BvhSyntaxError(self.last_line, "unexpected end of file")
-        return self.lines[self.pos][1]
+        return self._head
 
     def next(self) -> list[str]:
         tokens = self.peek()
-        self.last_line = self.lines[self.pos][0]
-        self.pos += 1
+        self.pos, self._head = self.pos + 1, None
+        self.last_line = self.pos
         return tokens
 
     @property
     def line(self) -> int:
         if self.eof():
             return self.last_line
-        return self.lines[self.pos][0]
+        return self.pos + 1
 
     def error(self, message: str) -> BvhSyntaxError:
         return BvhSyntaxError(self.last_line, message)
@@ -301,6 +384,9 @@ def _parse_channels(tokens: _Tokens) -> tuple[str, ...]:
     for tag in tags:
         if tag not in _CHANNEL_TAGS:
             raise UnsupportedChannelError(tokens.last_line, f"unknown channel tag {tag!r}")
+    rotations = sum(tag in ROTATION_CHANNELS for tag in tags)
+    if rotations not in (0, 3):
+        raise UnsupportedChannelError(tokens.last_line, _ROTATION_COUNT_MESSAGE.format(rotations))
     return tags
 
 
@@ -348,24 +434,9 @@ def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
     return joints
 
 
-def parse(text: str | bytes) -> MotionClip:
-    """Parse BVH text into a MotionClip.
-
-    Raises BvhSyntaxError (line-anchored) on malformed structure,
-    UnsupportedChannelError on unknown channel tags, and
-    ChannelMismatchError when a motion row width disagrees with the
-    declared channels.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
-        except UnicodeDecodeError as exc:
-            # The bad byte sits on the last line of the text before it
-            # ("?" stands in for it, so a prefix ending in a line break counts).
-            before = exc.object[: exc.start].decode("utf-8") + "?"
-            raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
-    tokens = _Tokens.from_text(text)
-
+def _parse_header(tokens) -> tuple[Skeleton, int, float]:
+    """HIERARCHY through 'Frame Time': the skeleton, the declared frame
+    count and the frame time."""
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
         raise tokens.error("expected 'HIERARCHY'")
     joints = _parse_hierarchy(tokens)
@@ -392,17 +463,47 @@ def parse(text: str | bytes) -> MotionClip:
         raise tokens.error("frame time must be numeric") from None
     if not frame_time > 0:
         raise tokens.error("frame time must be positive")
+    if not finite_rate(frame_time):
+        raise tokens.error("frame time and its rate 1/t must be finite")
 
     try:
         skeleton = Skeleton(joints)
     except ValueError as exc:
         raise BvhSyntaxError(tokens.last_line, str(exc)) from None
+    return skeleton, num_frames, frame_time
 
-    width = skeleton.channel_count
-    # A count beyond the rows left ends in "unexpected end of file" below;
-    # allocate no more rows than the file holds.
-    frames = np.empty((min(num_frames, len(tokens.lines) - tokens.pos), width))
-    for i in range(num_frames):
+
+def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
+    """The (num_frames, width) motion rows, which must end the text.
+
+    The leading rows of the right width are converted in bulk. When they
+    are not all there, or one holds a token that is not a number or a
+    value that is not finite, the row loop takes over: from the first
+    non-finite row, or from the start if a token failed, so that it raises
+    each error as it always has.
+    """
+    rows = [row for row in map(str.split, tokens.lines[tokens.pos :]) if row]
+    taken = min(num_frames, len(rows))
+    good = next((i for i, row in enumerate(rows[:taken]) if len(row) != width), taken)
+    try:
+        values = chain.from_iterable(rows[:good])
+        frames = np.fromiter(values, dtype=float, count=good * width).reshape(good, width)
+    except ValueError:  # a token that is not a number
+        start = 0
+    else:
+        finite = np.isfinite(frames)
+        start = good if finite.all() else int(np.argmin(finite.all(axis=1)))
+        if start == num_frames == len(rows):
+            return frames
+
+    # The row loop. A count beyond the rows left ends in "unexpected end
+    # of file"; allocate no more rows than the file holds.
+    out = np.empty((taken, width))
+    if start:
+        out[:start] = frames[:start]
+    for _ in range(start):
+        tokens.next()
+    for i in range(start, num_frames):
         row = tokens.next()
         if len(row) != width:
             raise ChannelMismatchError(
@@ -410,14 +511,36 @@ def parse(text: str | bytes) -> MotionClip:
                 f"motion row has {len(row)} values, {width} channels declared",
             )
         try:
-            frames[i] = [float(v) for v in row]
+            out[i] = [float(v) for v in row]
         except ValueError:
             raise ChannelMismatchError(tokens.last_line, "non-numeric channel value") from None
-        if not np.all(np.isfinite(frames[i])):
+        if not np.all(np.isfinite(out[i])):
             raise ChannelMismatchError(tokens.last_line, "non-finite channel value")
     if not tokens.eof():
         raise BvhSyntaxError(tokens.line, "trailing content after declared frames")
+    return out
 
+
+def parse(text: str | bytes) -> MotionClip:
+    """Parse BVH text into a MotionClip.
+
+    Raises BvhSyntaxError (line-anchored) on malformed structure,
+    UnsupportedChannelError on unknown channel tags or on a joint with one
+    or two rotation channels, and ChannelMismatchError when a motion row
+    width disagrees with the declared channels or a value is not a finite
+    number.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+        except UnicodeDecodeError as exc:
+            # The bad byte sits on the last line of the text before it
+            # ("?" stands in for it, so a prefix ending in a line break counts).
+            before = exc.object[: exc.start].decode("utf-8") + "?"
+            raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
+    tokens = _Tokens(text)
+    skeleton, num_frames, frame_time = _parse_header(tokens)
+    frames = _read_motion(tokens, num_frames, skeleton.channel_count)
     try:
         return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)
     except ValueError as exc:
@@ -434,21 +557,16 @@ def parse_file(path) -> MotionClip:
 # ---------------------------------------------------------------------------
 
 def write(clip: MotionClip) -> str:
-    """Serialize a MotionClip as canonical BVH text: one stack pass writes
-    the joints depth-first, siblings in index order, and each motion row
-    lists its channels in that same order."""
-    skeleton = clip.skeleton
-    children = [[] for _ in skeleton.joints]
-    for index in range(skeleton.num_joints - 1, 0, -1):  # so siblings pop in index order
-        children[skeleton.joints[index].parent].append(index)
-    starts = np.cumsum([0] + [len(j.channels) for j in skeleton.joints])
-    out, columns, stack = ["HIERARCHY"], [], [(0, "")]
-    while stack:
-        index, pad = stack.pop()
-        if index is None:  # the end of a joint block
-            out.append(f"{pad}}}")
-            continue
-        joint = skeleton.joints[index]
+    """Serialize a MotionClip as canonical BVH text: the joints depth-first,
+    siblings in index order, and each motion row with its channels in that
+    same order."""
+    skeleton, table = clip.skeleton, clip.skeleton.channel_table
+    out, open_blocks = ["HIERARCHY"], 0
+    for index, depth in table.depth_first:
+        while open_blocks > depth:  # close the blocks this joint is not in
+            open_blocks -= 1
+            out.append("  " * open_blocks + "}")
+        joint, pad = skeleton.joints[index], "  " * depth
         offset = f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}"
         if joint.is_end_site:
             out.extend([f"{pad}End Site", f"{pad}{{", offset, f"{pad}}}"])
@@ -457,13 +575,12 @@ def write(clip: MotionClip) -> str:
         tags = "".join(" " + tag for tag in joint.channels)
         out.extend([f"{pad}{keyword} {joint.name}", f"{pad}{{", offset,
                     f"{pad}  CHANNELS {len(joint.channels)}{tags}"])
-        columns.extend(range(starts[index], starts[index + 1]))
-        stack.append((None, pad))
-        stack.extend((child, pad + "  ") for child in children[index])
+        open_blocks += 1
+    out.extend("  " * depth + "}" for depth in range(open_blocks - 1, -1, -1))
 
     out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {clip.frame_time:.6f}"])
-    for row in clip.frames[:, columns]:
-        out.append(" ".join(f"{v:.6f}" for v in row))
+    row = " ".join(["%.6f"] * table.depth_first_columns.size)
+    out.extend(row % tuple(values) for values in clip.frames[:, table.depth_first_columns].tolist())
     return "\n".join(out) + "\n"
 
 

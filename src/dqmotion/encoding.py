@@ -23,13 +23,12 @@ the rigid transform a block encodes.
 """
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rotmat, dualquat, quat
-from .bvh import Skeleton
+from .bvh import Skeleton, finite_rate
 from .errors import (
     DegenerateNormError,
     NotInvertibleError,
@@ -131,8 +130,8 @@ class EncodedClip:
             raise ValueError("need at least one frame")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
-        if not (np.isfinite(self.frame_time) and self.frame_time > 0.0):
-            raise ValueError("frame_time must be finite and positive")
+        if not (self.frame_time > 0.0 and finite_rate(self.frame_time)):
+            raise ValueError("frame_time must be positive and finite, with a finite rate 1/frame_time")
         if self.stats is not None and self.stats.width != self.features.shape[1]:
             raise ShapeMismatchError("stats width does not match features")
 
@@ -332,29 +331,3 @@ def destandardize(clip: EncodedClip, stats: NormalizationStats | None = None) ->
         features=clip.features * stats.std + stats.mean,
         stats=None,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic JSON
-# ---------------------------------------------------------------------------
-
-def to_debug_json(clip: EncodedClip) -> str:
-    """Human-inspectable dump. Diagnostic only: decimal text, not the
-    bit-exact interchange format (that is the binary container)."""
-    payload = {
-        "kind": clip.kind.value,
-        "frames": clip.num_frames,
-        "width": clip.width,
-        "block_dim": clip.kind.block_dim,
-        "joints": clip.joint_count,
-        "frame_time": clip.frame_time,
-        "standardized": clip.standardized,
-        "skeleton": clip.skeleton.to_dict(),
-        "features": clip.features.tolist(),
-    }
-    if clip.stats is not None:
-        payload["stats"] = {
-            "mean": clip.stats.mean.tolist(),
-            "std": clip.stats.std.tolist(),
-        }
-    return json.dumps(payload, indent=2)

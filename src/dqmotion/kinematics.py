@@ -10,6 +10,10 @@ them. A homogeneous-matrix forward kinematics (`matrix_fk`), kept free of
 any dual-quaternion code, is the tests' oracle for the chain; no other
 module calls it.
 
+The clip conversions (`clip_to_local`, `local_to_clip`) read the
+skeleton's channel table: per Euler order present, one gather of the
+joints' rotation columns and one `from_euler` or `to_euler` call.
+
 Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rotmat, dualquat, quat
-from .bvh import MotionClip, POSITION_CHANNELS, Skeleton
+from .bvh import MotionClip, Skeleton
 from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError
 
 
@@ -223,53 +227,29 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
 # clip conversion (the degrees/radians boundary)
 # ---------------------------------------------------------------------------
 
-def _channel_columns(skeleton: Skeleton, frames: np.ndarray) -> list[dict]:
-    """Per joint, {channel tag: view of that channel's column of `frames`}."""
-    columns = iter(frames.T)  # zip stops at a joint's last tag, taking no extra column
-    return [dict(zip(joint.channels, columns)) for joint in skeleton.joints]
-
-
 def clip_to_local(clip: MotionClip) -> LocalPose:
     """Expand a raw clip into one frame-batched LocalPose (radians,
-    quaternions)."""
-    skeleton = clip.skeleton
-    channels = _channel_columns(skeleton, clip.frames)
-    n_frames = clip.num_frames
-
-    rotations = np.zeros((n_frames, skeleton.num_joints, 4))
+    quaternions): one gather and one `from_euler` call per Euler order."""
+    skeleton, table = clip.skeleton, clip.skeleton.channel_table
+    rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0
-    for idx, joint in enumerate(skeleton.joints):
-        order = joint.rotation_order
-        if not order:
-            continue
-        angles = np.zeros((n_frames, 3))
-        for axis in order:
-            angles[:, "XYZ".index(axis)] = np.radians(channels[idx][axis + "rotation"])
-        rotations[:, idx] = quat.from_euler(angles, order)
-
-    root_translation = np.zeros((n_frames, 3))
-    for tag, column in channels[0].items():
-        if tag in POSITION_CHANNELS:
-            root_translation[:, "XYZ".index(tag[0])] = column
+    for order, joints, columns in table.rotations:
+        rotations[:, joints] = quat.from_euler(np.radians(clip.frames[:, columns]), order)
+    root_translation = np.zeros((clip.num_frames, 3))
+    root_translation[:, table.position_axes] = clip.frames[:, table.position_columns]
     return LocalPose(skeleton, root_translation, rotations)
 
 
 def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
     """Flatten a batched LocalPose (or a sequence of single-frame poses)
-    back into a raw channel matrix (degrees)."""
+    back into a raw channel matrix (degrees): one `to_euler` call and one
+    scatter per Euler order."""
     pose = stack_poses(poses)
     if pose.skeleton is not template and pose.skeleton != template:
         raise ValueError("pose skeleton does not match the template")
+    table = template.channel_table
     frames = np.zeros((len(pose), template.channel_count))
-    channels = _channel_columns(template, frames)
-    for tag, column in channels[0].items():
-        if tag in POSITION_CHANNELS:
-            column[:] = pose.root_translation[:, "XYZ".index(tag[0])]
-    for idx, joint in enumerate(template.joints):
-        order = joint.rotation_order
-        if not order:
-            continue
-        angles = np.degrees(quat.to_euler(pose.joint_rotations[:, idx], order))
-        for axis in order:
-            channels[idx][axis + "rotation"][:] = angles[:, "XYZ".index(axis)]
+    frames[:, table.position_columns] = pose.root_translation[:, table.position_axes]
+    for order, joints, columns in table.rotations:
+        frames[:, columns] = np.degrees(quat.to_euler(pose.joint_rotations[:, joints], order))
     return MotionClip(skeleton=template, frame_time=frame_time, frames=frames)

@@ -1,0 +1,129 @@
+"""Row-by-row and value-by-value forms of the BVH text code: the
+equivalence oracle for the bulk motion-block read in `bvh.parse` and the
+row formatting in `bvh.write`.
+
+These are the original implementations: the whole text tokenized line by
+line up front, the motion block converted one row at a time, and every
+channel value written with its own f-string. The parse oracle shares the
+package's header code (`bvh._parse_header`), so the two parsers differ
+only where the package changed: tokenizing on demand and the bulk read.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from dqmotion import bvh
+from dqmotion.bvh import MotionClip
+from dqmotion.errors import BvhSyntaxError, ChannelMismatchError
+
+
+@dataclass
+class Tokens:
+    """Line-oriented token stream that remembers line numbers for errors."""
+
+    lines: list[tuple[int, list[str]]]
+    pos: int = 0
+    last_line: int = field(default=0)
+
+    @classmethod
+    def from_text(cls, text: str) -> "Tokens":
+        lines = []
+        for number, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.replace("\t", " ").split()
+            if tokens:
+                lines.append((number, tokens))
+        return cls(lines)
+
+    def eof(self) -> bool:
+        return self.pos >= len(self.lines)
+
+    def peek(self) -> list[str]:
+        if self.eof():
+            raise BvhSyntaxError(self.last_line, "unexpected end of file")
+        return self.lines[self.pos][1]
+
+    def next(self) -> list[str]:
+        tokens = self.peek()
+        self.last_line = self.lines[self.pos][0]
+        self.pos += 1
+        return tokens
+
+    @property
+    def line(self) -> int:
+        if self.eof():
+            return self.last_line
+        return self.lines[self.pos][0]
+
+    def error(self, message: str) -> BvhSyntaxError:
+        return BvhSyntaxError(self.last_line, message)
+
+
+def parse(text: str | bytes) -> MotionClip:
+    """`bvh.parse` with the motion block read one row at a time."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+        except UnicodeDecodeError as exc:
+            before = exc.object[: exc.start].decode("utf-8") + "?"
+            raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
+    tokens = Tokens.from_text(text)
+    skeleton, num_frames, frame_time = bvh._parse_header(tokens)
+
+    width = skeleton.channel_count
+    # A count beyond the rows left ends in "unexpected end of file" below;
+    # allocate no more rows than the file holds.
+    frames = np.empty((min(num_frames, len(tokens.lines) - tokens.pos), width))
+    for i in range(num_frames):
+        row = tokens.next()
+        if len(row) != width:
+            raise ChannelMismatchError(
+                tokens.last_line,
+                f"motion row has {len(row)} values, {width} channels declared",
+            )
+        try:
+            frames[i] = [float(v) for v in row]
+        except ValueError:
+            raise ChannelMismatchError(tokens.last_line, "non-numeric channel value") from None
+        if not np.all(np.isfinite(frames[i])):
+            raise ChannelMismatchError(tokens.last_line, "non-finite channel value")
+    if not tokens.eof():
+        raise BvhSyntaxError(tokens.line, "trailing content after declared frames")
+
+    try:
+        return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)
+    except ValueError as exc:
+        raise BvhSyntaxError(tokens.last_line, str(exc)) from None
+
+
+def write(clip: MotionClip) -> str:
+    """Canonical BVH text: one stack pass writes the joints depth-first,
+    siblings in index order, and each motion value is formatted alone."""
+    skeleton = clip.skeleton
+    children = [[] for _ in skeleton.joints]
+    for index in range(skeleton.num_joints - 1, 0, -1):  # so siblings pop in index order
+        children[skeleton.joints[index].parent].append(index)
+    starts = np.cumsum([0] + [len(j.channels) for j in skeleton.joints])
+    out, columns, stack = ["HIERARCHY"], [], [(0, "")]
+    while stack:
+        index, pad = stack.pop()
+        if index is None:  # the end of a joint block
+            out.append(f"{pad}}}")
+            continue
+        joint = skeleton.joints[index]
+        offset = f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}"
+        if joint.is_end_site:
+            out.extend([f"{pad}End Site", f"{pad}{{", offset, f"{pad}}}"])
+            continue
+        keyword = "ROOT" if joint.parent is None else "JOINT"
+        tags = "".join(" " + tag for tag in joint.channels)
+        out.extend([f"{pad}{keyword} {joint.name}", f"{pad}{{", offset,
+                    f"{pad}  CHANNELS {len(joint.channels)}{tags}"])
+        columns.extend(range(starts[index], starts[index + 1]))
+        stack.append((None, pad))
+        stack.extend((child, pad + "  ") for child in children[index])
+
+    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {clip.frame_time:.6f}"])
+    for row in clip.frames[:, columns]:
+        out.append(" ".join(f"{v:.6f}" for v in row))
+    return "\n".join(out) + "\n"

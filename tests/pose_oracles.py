@@ -3,8 +3,9 @@ for the batched `quat`, `_rotmat`, `kinematics`, `encoding` and `metrics`.
 
 These are the original implementations: Euler extraction and Shepperd's
 quaternion recovery one rotation at a time, forward kinematics through
-`matrix_fk` one pose at a time, and the parent-conjugate inverse sweep one
-joint at a time. `test_pose_oracles.py` holds the batched forms to them
+`matrix_fk` one pose at a time, the parent-conjugate inverse sweep one
+joint at a time, and the clip conversions one `from_euler` / `to_euler`
+call per joint. `test_pose_oracles.py` holds the batched forms to them
 within 1e-12. They read rotation matrices through `_rotmat.quat_to_matrix`
 and six-value blocks through `encoding._gram_schmidt`; only the code that
 was vectorized is independent.
@@ -15,7 +16,8 @@ import numpy as np
 from dqmotion import _rotmat, dualquat, quat
 from dqmotion.encoding import ReprKind, _gram_schmidt
 from dqmotion.errors import NotInvertibleError, NotUnitError
-from dqmotion.kinematics import LocalPose, matrix_fk
+from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
+from dqmotion.kinematics import LocalPose, matrix_fk, stack_poses
 
 import oracles
 
@@ -144,3 +146,55 @@ def decode(clip) -> list:
         rotations[indices] = quats[frame]
         poses.append(LocalPose(skeleton, clip.root_translation[frame].copy(), rotations))
     return poses
+
+
+def _channel_columns(skeleton: Skeleton, frames: np.ndarray) -> list[dict]:
+    """Per joint, {channel tag: view of that channel's column of `frames`}."""
+    columns = iter(frames.T)  # zip stops at a joint's last tag, taking no extra column
+    return [dict(zip(joint.channels, columns)) for joint in skeleton.joints]
+
+
+def clip_to_local(clip: MotionClip) -> LocalPose:
+    """Expand a raw clip into one frame-batched LocalPose (radians,
+    quaternions)."""
+    skeleton = clip.skeleton
+    channels = _channel_columns(skeleton, clip.frames)
+    n_frames = clip.num_frames
+
+    rotations = np.zeros((n_frames, skeleton.num_joints, 4))
+    rotations[..., 0] = 1.0
+    for idx, joint in enumerate(skeleton.joints):
+        order = joint.rotation_order
+        if not order:
+            continue
+        angles = np.zeros((n_frames, 3))
+        for axis in order:
+            angles[:, "XYZ".index(axis)] = np.radians(channels[idx][axis + "rotation"])
+        rotations[:, idx] = quat.from_euler(angles, order)
+
+    root_translation = np.zeros((n_frames, 3))
+    for tag, column in channels[0].items():
+        if tag in POSITION_CHANNELS:
+            root_translation[:, "XYZ".index(tag[0])] = column
+    return LocalPose(skeleton, root_translation, rotations)
+
+
+def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
+    """Flatten a batched LocalPose (or a sequence of single-frame poses)
+    back into a raw channel matrix (degrees)."""
+    pose = stack_poses(poses)
+    if pose.skeleton is not template and pose.skeleton != template:
+        raise ValueError("pose skeleton does not match the template")
+    frames = np.zeros((len(pose), template.channel_count))
+    channels = _channel_columns(template, frames)
+    for tag, column in channels[0].items():
+        if tag in POSITION_CHANNELS:
+            column[:] = pose.root_translation[:, "XYZ".index(tag[0])]
+    for idx, joint in enumerate(template.joints):
+        order = joint.rotation_order
+        if not order:
+            continue
+        angles = np.degrees(quat.to_euler(pose.joint_rotations[:, idx], order))
+        for axis in order:
+            channels[idx][axis + "rotation"][:] = angles[:, "XYZ".index(axis)]
+    return MotionClip(skeleton=template, frame_time=frame_time, frames=frames)

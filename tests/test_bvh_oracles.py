@@ -1,0 +1,237 @@
+"""The bulk BVH text paths against the row-by-row oracles: `bvh.write`
+byte for byte, and `bvh.parse` outcome for outcome on mutated fixture
+text (an equal clip, or the same error type, message and line)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dqmotion import bvh
+from dqmotion.bvh import MotionClip
+from dqmotion.errors import BvhSyntaxError, ChannelMismatchError
+
+import bvh_oracles
+import oracles
+import test_topology
+from conftest import fixture_corpus
+
+CORPUS = {path.name: path.read_text() for path in fixture_corpus()}
+HUMANOID = CORPUS["humanoid.bvh"]
+
+#: Values whose six-decimal text is easy to get wrong: signed zeros, values
+#: that round to zero or to the last digit, and a large one.
+EDGE_VALUES = [-0.0, 0.0, 1e-7, -1e-7, 5e-7, -5e-7, 1e15, -1e15, 0.0000005, 179.9999995]
+
+
+def edge_frames(rng, skeleton, frames: int) -> np.ndarray:
+    values = rng.uniform(-180.0, 180.0, size=(frames, skeleton.channel_count))
+    picks = rng.uniform(size=values.shape) < 0.5
+    values[picks] = rng.choice(EDGE_VALUES, size=picks.sum())
+    return values
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_fixtures(self, name):
+        clip = bvh.parse(CORPUS[name])
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+    @pytest.mark.parametrize("frames", (1, 32))
+    def test_edge_values(self, rng, frames):
+        skeleton = bvh.parse(HUMANOID).skeleton
+        clip = MotionClip(skeleton, 1 / 120, edge_frames(rng, skeleton, frames))
+        text = bvh.write(clip)
+        assert text == bvh_oracles.write(clip)
+        assert "-0.000000" in text and "1000000000000000.000000" in text
+
+    def test_not_depth_first(self, rng):
+        skeleton = test_topology.not_depth_first_skeleton(rng)
+        clip = MotionClip(skeleton, 1 / 30, edge_frames(rng, skeleton, 8))
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+    def test_channelless_and_single_joint(self, rng):
+        skeleton = bvh.Skeleton([bvh.JointSpec("only", None, [0.0, 1.0, 0.0], ())])
+        clip = MotionClip(skeleton, 0.5, np.zeros((3, 0)))
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+        tree = oracles.random_skeleton(rng, 6, end_sites=True)
+        joints = [*tree.joints, bvh.JointSpec("fixed", 2, [1.0, 0.0, 0.0], ())]
+        clip = MotionClip(bvh.Skeleton(joints), 1 / 30, edge_frames(rng, tree, 4))
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+
+# ---------------------------------------------------------------------------
+# the differential parser test
+# ---------------------------------------------------------------------------
+
+def outcome(parser, text):
+    """What a parser makes of `text`: the clip's parts, or the error's
+    type, message and line."""
+    try:
+        clip = parser(text)
+    except BvhSyntaxError as exc:
+        return type(exc), exc.message, exc.line
+    return clip.skeleton.to_dict(), clip.frame_time, clip.frames.shape, clip.frames.tobytes()
+
+
+def motion_rows(lines: list) -> range:
+    """Indices from the line after 'Frame Time' to the last non-blank
+    line; empty when an earlier edit broke the 'Frame Time' line."""
+    start = next((i + 1 for i, line in enumerate(lines) if line.startswith("Frame Time:")), len(lines))
+    end = max((i + 1 for i, line in enumerate(lines) if line.strip()), default=0)
+    return range(start, end)
+
+
+def width_pair(text, k):
+    """One row a value longer and another one shorter: the total token
+    count stays right."""
+    lines = text.split("\n")
+    rows = motion_rows(lines)
+    if len(rows) < 2:
+        return text
+    wide = k % len(rows)
+    narrow = (wide + 1 + (k // len(rows)) % (len(rows) - 1)) % len(rows)
+    lines[rows[wide]] += " 0.5"
+    lines[rows[narrow]] = lines[rows[narrow]].rsplit(" ", 1)[0]
+    return "\n".join(lines)
+
+
+def row_width(text, k):
+    lines = text.split("\n")
+    rows = motion_rows(lines)
+    if rows:
+        row = rows[k % len(rows)]
+        lines[row] = lines[row] + " 1" if k % 2 else lines[row].rsplit(" ", 1)[0]
+    return "\n".join(lines)
+
+
+def blank_line(text, k):
+    lines = text.split("\n")
+    lines.insert(k % (len(lines) + 1), ["", "   ", "\t \t"][k % 3])
+    return "\n".join(lines)
+
+
+def tabs(text, k):
+    lines = text.split("\n")
+    row = k % len(lines)
+    lines[row] = lines[row].replace(" ", "\t" if k % 2 else " \t ")
+    return "\n".join(lines)
+
+
+def crlf(text, k):
+    return text.replace("\n", "\r\n")
+
+
+#: Line breaks to `str.splitlines` and nothing else in this parser.
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+def separator(text, k):
+    at = (k // len(SEPARATORS)) % len(text)
+    sep = SEPARATORS[k % len(SEPARATORS)]
+    # in place of a space or a line break, or put in between two characters
+    if text[at] in " \n" and k % 3:
+        return text[:at] + sep + text[at + 1 :]
+    return text[:at] + sep + text[at:]
+
+
+TOKENS = ["nan", "inf", "-inf", "1_000", "abc", "1e400", "0x1p3", "-0"]
+
+
+def token(text, k):
+    lines = text.split("\n")
+    rows = motion_rows(lines)
+    if rows:
+        row = rows[k % len(rows)]
+        values = lines[row].split(" ")
+        values[(k // len(rows)) % len(values)] = TOKENS[k % len(TOKENS)]
+        lines[row] = " ".join(values)
+    return "\n".join(lines)
+
+
+def frame_count(text, k):
+    lines = text.split("\n")
+    for at, line in enumerate(lines):
+        if line.startswith("Frames: ") and line[8:].isdigit():
+            count = int(line[8:])
+            lines[at] = "Frames: " + str([count - 1, count + 1, 10**15, "1e15", 1][k % 5])
+    return "\n".join(lines)
+
+
+def trailing(text, k):
+    return text + ["0 0 0\n", "junk\n", "\n\n1", "MOTION\n"][k % 4]
+
+
+def drop_row(text, k):
+    lines = text.split("\n")
+    rows = motion_rows(lines)
+    if rows:
+        del lines[rows[k % len(rows)]]
+    return "\n".join(lines)
+
+
+MUTATIONS = [width_pair, row_width, blank_line, tabs, crlf, separator, token, frame_count,
+             trailing, drop_row]
+
+
+class TestParseOutcomes:
+    """Each mutation on the humanoid fixture, with the outcome it must have."""
+
+    @pytest.mark.parametrize("mutation, k, error", [
+        (width_pair, 5, ChannelMismatchError),
+        (row_width, 3, ChannelMismatchError),
+        (row_width, 4, ChannelMismatchError),
+        (blank_line, 100, None),
+        (tabs, 100, None),
+        (crlf, 0, None),
+        (token, 0, ChannelMismatchError),  # nan
+        (token, 1, ChannelMismatchError),  # inf
+        (token, 3, None),  # 1_000 is a number to float()
+        (token, 4, ChannelMismatchError),  # abc
+        (token, 7, None),  # -0
+        (frame_count, 0, BvhSyntaxError),  # one short: trailing content
+        (frame_count, 1, BvhSyntaxError),  # one over: end of file
+        (frame_count, 2, BvhSyntaxError),  # 1e15 as an integer
+        (frame_count, 3, BvhSyntaxError),  # 1e15 as text
+        (trailing, 1, BvhSyntaxError),
+        (drop_row, 2, BvhSyntaxError),
+    ])
+    def test_same_outcome(self, mutation, k, error):
+        text = mutation(HUMANOID, k)
+        got = outcome(bvh.parse, text)
+        assert got == outcome(bvh_oracles.parse, text)
+        if error is None:
+            assert not isinstance(got[0], type)
+        else:
+            assert issubclass(got[0], error), got
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_separators_break_lines(self, sep):
+        # in place of the line break after MOTION: the same file
+        text = HUMANOID.replace("MOTION\n", "MOTION" + sep)
+        assert outcome(bvh.parse, text) == outcome(bvh.parse, HUMANOID)
+        assert outcome(bvh_oracles.parse, text) == outcome(bvh.parse, HUMANOID)
+        # in place of the first space of the first row: two short rows
+        first = HUMANOID.index("\n", HUMANOID.index("Frame Time:")) + 1
+        at = HUMANOID.index(" ", first)
+        text = HUMANOID[:at] + sep + HUMANOID[at + 1 :]
+        got = outcome(bvh.parse, text)
+        assert got == outcome(bvh_oracles.parse, text)
+        assert got[0] is ChannelMismatchError and got[2] == HUMANOID[:first].count("\n") + 1
+
+    def test_bytes_and_text_agree(self):
+        data = crlf(HUMANOID, 0).encode()
+        assert outcome(bvh.parse, data) == outcome(bvh_oracles.parse, data)
+        assert outcome(bvh.parse, data) == outcome(bvh.parse, HUMANOID)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORPUS)),
+    edits=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 1 << 16)),
+                   min_size=1, max_size=3),
+)
+def test_parse_matches_row_loop(name, edits):
+    text = CORPUS[name]
+    for mutation, k in edits:
+        text = mutation(text, k)
+    assert outcome(bvh.parse, text) == outcome(bvh_oracles.parse, text)

@@ -14,7 +14,6 @@ from dqmotion.encoding import (
     encode,
     fit_stats,
     standardize,
-    to_debug_json,
 )
 from dqmotion.errors import (
     ContainerError,
@@ -320,13 +319,3 @@ class TestContainer:
         second = encode(poses, ReprKind.DUALQUAT)
         assert np.array_equal(first.features, second.features)
         assert container.to_bytes(first) == container.to_bytes(second)
-
-    def test_debug_json_parses(self, rng):
-        import json
-
-        skeleton = oracles.random_skeleton(rng, 3)
-        clip = encode(oracles.random_poses(rng, skeleton, 2), ReprKind.DUALQUAT)
-        payload = json.loads(to_debug_json(clip))
-        assert payload["kind"] == "dualquat"
-        assert payload["frames"] == 2
-        assert np.allclose(payload["features"], clip.features)

@@ -1,14 +1,18 @@
 """Batched pose code against the scalar and per-joint loop oracles, and the
 semantics of the frame-batched LocalPose."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dqmotion import _rotmat, quat
+from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.encoding import ReprKind, decode, encode
 from dqmotion.errors import ShapeMismatchError, TooFewFramesError
 from dqmotion.kinematics import (
     LocalPose,
+    clip_to_local,
     current_to_local_dq,
     local_to_clip,
     local_to_current,
@@ -107,6 +111,65 @@ class TestHierarchy:
         assert len(got) == len(want) == frames
         assert_close(got.joint_rotations, np.stack([p.joint_rotations for p in want]))
         assert_close(got.root_translation, np.stack([p.root_translation for p in want]), 0.0)
+
+
+def every_order_skeleton(rng, root_positions: bool) -> Skeleton:
+    """A random tree with end sites, joints in all six Euler orders, a
+    channel-less joint, and root channels in a shuffled order (with or
+    without its position channels)."""
+    while True:
+        base = oracles.random_skeleton(rng, 40, end_sites=True)
+        if {j.rotation_order for j in base.joints[1:]} >= set(oracles.ORDER_POOL):
+            break
+    root = base.joints[0]
+    tags = [t for t in root.channels if root_positions or t.endswith("rotation")]
+    root = dataclasses.replace(root, channels=tuple(rng.permutation(tags)))
+    fixed = JointSpec("fixed", 0, [0.5, 0.0, 0.0], ())
+    return Skeleton([root, *base.joints[1:], fixed])
+
+
+def near_pole_frames(rng, skeleton: Skeleton, frames: int) -> np.ndarray:
+    """(F, C) channel values in degrees. Most joints' Euler middle angle
+    sits at +-90 degrees, 1e-7 rad or 0.01 degrees from it; the rest are
+    uniform."""
+    values = rng.uniform(-180.0, 180.0, size=(frames, skeleton.channel_count))
+    gaps = np.array([0.0, np.degrees(1e-7), 0.01])
+    column = 0
+    for joint in skeleton.joints:
+        order = joint.rotation_order
+        if order and rng.uniform() < 0.75:
+            middle = column + joint.channels.index(order[1] + "rotation")
+            sign = rng.choice([-1.0, 1.0], size=frames)
+            values[:, middle] = sign * (90.0 - rng.choice(gaps, size=frames))
+        column += len(joint.channels)
+    return values
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frames", (1, 64))
+@pytest.mark.parametrize("root_positions", (True, False), ids=("root-positions", "root-rotations"))
+class TestClipConversion:
+    """One gather and one Euler call per order, bit for bit the per-joint loops."""
+
+    def test_clip_to_local_matches_joint_loop(self, rng, frames, root_positions):
+        skeleton = every_order_skeleton(rng, root_positions)
+        assert {order for order, _, _ in skeleton.channel_table.rotations} == set(oracles.ORDER_POOL)
+        clip = MotionClip(skeleton, 1 / 30, near_pole_frames(rng, skeleton, frames))
+        got, want = clip_to_local(clip), pose_oracles.clip_to_local(clip)
+        assert_same_bits(got.joint_rotations, want.joint_rotations)
+        assert_same_bits(got.root_translation, want.root_translation)
+
+    def test_local_to_clip_matches_joint_loop(self, rng, frames, root_positions):
+        skeleton = every_order_skeleton(rng, root_positions)
+        clip = MotionClip(skeleton, 1 / 30, near_pole_frames(rng, skeleton, frames))
+        for pose in (clip_to_local(clip), random_batch(rng, skeleton, frames)):
+            got = local_to_clip(pose, skeleton, clip.frame_time)
+            want = pose_oracles.local_to_clip(pose, skeleton, clip.frame_time)
+            assert_same_bits(got.frames, want.frames)
 
 
 class TestLocalPose:

@@ -3,20 +3,23 @@ never as a traceback: the BVH parser's and the container reader's known
 holes, then property tests over mutated fixture text and container bytes."""
 
 import contextlib
+import hashlib
 import io
+import json
 import re
 import string
 import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmotion import bvh, container
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
-from dqmotion.errors import BvhSyntaxError, ContainerError, MotionError
+from dqmotion.errors import BvhSyntaxError, ContainerError, MotionError, UnsupportedChannelError
 from dqmotion.kinematics import clip_to_local
 
 from conftest import FIXTURES, fixture_corpus
@@ -73,6 +76,108 @@ class TestBvhInput:
         path = tmp_path / "latin1.bvh"
         path.write_bytes(data)
         assert quiet_main("inspect", path) == 3
+
+
+#: Where humanoid.bvh declares its frame time, and its first joint below
+#: the root (columns 6-8, after the root's six).
+FRAME_TIME_LINE = HUMANOID.splitlines().index(b"Frame Time: 0.033333") + 1
+SPINE_CHANNELS_LINE = 9
+
+
+def with_frame_time(value: bytes) -> bytes:
+    return HUMANOID.replace(b"Frame Time: 0.033333", b"Frame Time: " + value)
+
+
+def with_spine_channels(tags: list) -> bytes:
+    """humanoid.bvh with the spine's rotation channels cut to `tags` (a
+    prefix of Z Y X) and the matching columns dropped from every row."""
+    lines = HUMANOID.splitlines()
+    assert lines[SPINE_CHANNELS_LINE - 1].split()[2:] == [b"Zrotation", b"Yrotation", b"Xrotation"]
+    lines[SPINE_CHANNELS_LINE - 1] = b"    CHANNELS %d %s" % (len(tags), b" ".join(tags))
+    for i in range(FRAME_TIME_LINE, len(lines)):
+        row = lines[i].split()
+        lines[i] = b" ".join(row[: 6 + len(tags)] + row[9:])
+    return b"\n".join(lines) + b"\n"
+
+
+class TestFrameTime:
+    """A frame time whose rate 1/t is not finite (a subnormal one), or that
+    is not finite itself, is a format error wherever a clip is read."""
+
+    @pytest.mark.parametrize("value", [b"1e-320", b"5e-309", b"inf", b"1e400"])
+    def test_parse_rejects(self, value):
+        with pytest.raises(BvhSyntaxError) as info:
+            bvh.parse(with_frame_time(value))
+        assert info.value.line == FRAME_TIME_LINE
+        assert "frame time" in info.value.message
+
+    @pytest.mark.parametrize("frame_time", [1e-320, float("inf")])
+    def test_motion_clip_rejects(self, frame_time):
+        skeleton = bvh.parse(HUMANOID).skeleton
+        with pytest.raises(ValueError, match="frame_time"):
+            bvh.MotionClip(skeleton, frame_time, np.zeros((1, skeleton.channel_count)))
+        with pytest.raises(ValueError, match="frame_time"):
+            EncodedClip(ReprKind.QUATERNIONS, skeleton, frame_time,
+                        np.zeros((1, 3 + 4 * skeleton.num_encoded)))
+
+    @pytest.mark.parametrize("value", [b"1e-320", b"inf"])
+    def test_cli_exits_3(self, tmp_path, capsys, value):
+        path = tmp_path / "fast.bvh"
+        path.write_bytes(with_frame_time(value))
+        out = tmp_path / "out.dqm"
+        for argv in (("inspect", path), ("inspect", path, "--json"),
+                     ("encode", path, "--fps", "30", "-o", out), ("encode", path, "-o", out),
+                     ("roundtrip", path, "--fps", "30"), ("roundtrip", path)):
+            capsys.readouterr()
+            assert main([str(a) for a in argv]) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:"), argv
+            assert "Infinity" not in captured.out
+        assert not out.exists()
+
+    def test_container_decode_exits_3(self, tmp_path):
+        data = bytearray(container_bytes(ReprKind.DUALQUAT))
+        at = container._HEADER.size - 32 - 8  # the frame time, before the digest
+        data[at : at + 8] = struct.pack("<d", 1e-320)
+        path, out = tmp_path / "fast.dqm", tmp_path / "out.bvh"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError):
+            container.from_bytes(bytes(data))
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
+
+
+class TestRotationChannels:
+    """A joint rotates about all three axes or not at all: one or two
+    rotation channels have no Euler order to convert through."""
+
+    @pytest.mark.parametrize("tags", [[b"Zrotation", b"Yrotation"], [b"Xrotation"]])
+    def test_parse_rejects_at_the_channels_line(self, tmp_path, tags):
+        text = with_spine_channels(tags)
+        with pytest.raises(UnsupportedChannelError) as info:
+            bvh.parse(text)
+        assert info.value.line == SPINE_CHANNELS_LINE
+        path = tmp_path / "two.bvh"
+        path.write_bytes(text)
+        for argv in (("inspect", path), ("roundtrip", path),
+                     ("encode", path, "-o", tmp_path / "out.dqm")):
+            assert quiet_main(*argv) == 3, argv
+
+    def test_skeleton_and_container_reject(self, tmp_path):
+        data = container_bytes(ReprKind.DUALQUAT)
+        block = container.from_bytes(data).skeleton.to_dict()
+        block["joints"][1]["channels"] = ["Zrotation", "Yrotation"]
+        with pytest.raises(ValueError, match="rotation channels"):
+            bvh.Skeleton.from_dict(block)
+        canonical = json.dumps(block, sort_keys=True, separators=(",", ":")).encode()
+        head = bytearray(with_skeleton_block(data, canonical))
+        head[container._HEADER.size - 32 : container._HEADER.size] = hashlib.sha256(canonical).digest()
+        with pytest.raises(ContainerError):
+            container.from_bytes(bytes(head))
+        path, out = tmp_path / "two.dqm", tmp_path / "out.bvh"
+        path.write_bytes(bytes(head))
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
 
 
 class TestContainerInput:

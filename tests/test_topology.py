@@ -12,7 +12,7 @@ from dqmotion import bvh, container, dualquat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, decode, encode
-from dqmotion.kinematics import clip_to_local, current_chain, stack_poses
+from dqmotion.kinematics import clip_to_local, current_chain, local_to_clip, stack_poses
 from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, loss_total
 from dqmotion.metrics import metric_report, pose_positions
 
@@ -134,6 +134,47 @@ class TestSkeletonTable:
             for name in names:
                 _analytic_gradient(name, pred, truth, skeleton)
         for got, want in zip(snapshot(), before):
+            assert np.array_equal(got, want)
+
+
+    def test_channel_table_is_built_once_and_read_only(self, rng):
+        skeleton = oracles.random_skeleton(rng, 30, end_sites=True)
+        table = skeleton.channel_table
+        assert skeleton.channel_table is table
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.rotations = ()
+        arrays = [table.position_axes, table.position_columns, table.depth_first_columns]
+        arrays += [a for _, joints, columns in table.rotations for a in (joints, columns)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+        assert isinstance(table.rotations, tuple) and isinstance(table.depth_first, tuple)
+        # every channel column once: rotations and root positions, or in writer order
+        rotation_columns = np.concatenate([c.ravel() for _, _, c in table.rotations])
+        assert sorted([*rotation_columns, *table.position_columns]) == list(range(skeleton.channel_count))
+        assert sorted(table.depth_first_columns) == list(range(skeleton.channel_count))
+        assert sorted(j for j, _ in table.depth_first) == list(range(skeleton.num_joints))
+
+    def test_channel_table_unchanged_by_every_layer(self, rng):
+        skeleton = oracles.random_skeleton(rng, 12, end_sites=True)
+
+        def snapshot():
+            table = skeleton.channel_table
+            arrays = [table.position_axes, table.position_columns, table.depth_first_columns]
+            arrays += [a for _, joints, columns in table.rotations for a in (joints, columns)]
+            return table, [a.copy() for a in arrays], list(table.depth_first)
+
+        table, before, order = snapshot()
+        poses = stack_poses(oracles.random_poses(rng, skeleton, 6))
+        other = stack_poses(oracles.random_poses(rng, skeleton, 6))
+        metric_report(poses, other)
+        for kind in (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.ORTHO6D):
+            back = decode(encode(poses, kind))
+            bvh.write(local_to_clip(back, skeleton, 1 / 30))
+        clip_to_local(local_to_clip(poses, skeleton, 1 / 30))
+        got_table, after, got_order = snapshot()
+        assert got_table is table and got_order == order
+        for got, want in zip(after, before):
             assert np.array_equal(got, want)
 
 
