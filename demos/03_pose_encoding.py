@@ -13,7 +13,7 @@ import numpy as np
 
 from dqmotion import bvh, dualquat
 from dqmotion.encoding import ReprKind, antipodal_correct, decode, encode, fit_stats, standardize
-from dqmotion.kinematics import clip_to_local, local_to_clip, matrix_fk
+from dqmotion.kinematics import clip_to_local, local_to_clip, local_to_current
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,8 +39,8 @@ print(f"consecutive-frame continuity: min dot = {np.min(dots):+.4f} (>= 0 by con
 # positions fall straight out of the representation, no kinematics needed
 frame = 5
 positions = dualquat.translation(blocks[frame])
-_, fk_positions = matrix_fk(poses[frame])
-fk_positions = fk_positions[list(clip.skeleton.encoded_indices)]
+current = local_to_current(poses[frame]).joint_dq[list(clip.skeleton.encoded_indices)]
+fk_positions = dualquat.translation(current)
 print(f"frame {frame}: positions from blocks match forward kinematics within "
       f"{np.max(np.abs(positions - fk_positions)):.2e}")
 

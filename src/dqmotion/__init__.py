@@ -29,7 +29,6 @@ from .kinematics import (
     current_to_local,
     local_to_clip,
     local_to_current,
-    matrix_fk,
 )
 from .losses import (
     GradCheckResult,
@@ -60,7 +59,7 @@ __all__ = [
     "EncodedClip", "NormalizationStats", "ReprKind",
     "antipodal_correct", "decode", "destandardize", "encode", "fit_stats", "standardize",
     "CurrentPose", "LocalPose",
-    "clip_to_local", "current_to_local", "local_to_clip", "local_to_current", "matrix_fk",
+    "clip_to_local", "current_to_local", "local_to_clip", "local_to_current",
     "GradCheckResult", "LossReport", "LossWeights",
     "grad_check", "loss_mse", "loss_offset", "loss_positional",
     "loss_regularization", "loss_rotational", "loss_total",

@@ -360,12 +360,20 @@ class _Tokens:
         return BvhSyntaxError(self.last_line, message)
 
 
+def _number(token: str, kind=float):
+    """`kind(token)`, but a ValueError for the digit-group underscores and
+    non-ASCII digits that Python's `int` and `float` also read."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a plain number: {token!r}")
+    return kind(token)
+
+
 def _parse_offset(tokens: _Tokens) -> np.ndarray:
     row = tokens.next()
     if row[0] != "OFFSET" or len(row) != 4:
         raise tokens.error("expected 'OFFSET x y z'")
     try:
-        return np.array([float(v) for v in row[1:]])
+        return np.array([_number(v) for v in row[1:]])
     except ValueError:
         raise tokens.error("OFFSET values must be numeric") from None
 
@@ -375,7 +383,7 @@ def _parse_channels(tokens: _Tokens) -> tuple[str, ...]:
     if row[0] != "CHANNELS" or len(row) < 2:
         raise tokens.error("expected 'CHANNELS n tags...'")
     try:
-        count = int(row[1])
+        count = _number(row[1], int)
     except ValueError:
         raise tokens.error("CHANNELS count must be an integer") from None
     tags = tuple(row[2:])
@@ -448,7 +456,7 @@ def _parse_header(tokens) -> tuple[Skeleton, int, float]:
     if row[0] != "Frames:" or len(row) != 2:
         raise tokens.error("expected 'Frames: n'")
     try:
-        num_frames = int(row[1])
+        num_frames = _number(row[1], int)
     except ValueError:
         raise tokens.error("frame count must be an integer") from None
     if num_frames < 1:
@@ -458,7 +466,7 @@ def _parse_header(tokens) -> tuple[Skeleton, int, float]:
     if row[:2] != ["Frame", "Time:"] or len(row) != 3:
         raise tokens.error("expected 'Frame Time: t'")
     try:
-        frame_time = float(row[2])
+        frame_time = _number(row[2])
     except ValueError:
         raise tokens.error("frame time must be numeric") from None
     if not frame_time > 0:
@@ -480,15 +488,21 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
     are not all there, or one holds a token that is not a number or a
     value that is not finite, the row loop takes over: from the first
     non-finite row, or from the start if a token failed, so that it raises
-    each error as it always has.
+    each error as it always has. So does text with an underscore or a
+    non-ASCII character, which may still be well formed (`str.split`
+    splits on non-ASCII spaces): the row loop judges each token.
     """
-    rows = [row for row in map(str.split, tokens.lines[tokens.pos :]) if row]
+    lines = tokens.lines[tokens.pos :]
+    rows = [row for row in map(str.split, lines) if row]
     taken = min(num_frames, len(rows))
     good = next((i for i, row in enumerate(rows[:taken]) if len(row) != width), taken)
+    text = "".join(lines)
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError("not plain ASCII numbers")
         values = chain.from_iterable(rows[:good])
         frames = np.fromiter(values, dtype=float, count=good * width).reshape(good, width)
-    except ValueError:  # a token that is not a number
+    except ValueError:  # a token that is not a plain number
         start = 0
     else:
         finite = np.isfinite(frames)
@@ -511,7 +525,7 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
                 f"motion row has {len(row)} values, {width} channels declared",
             )
         try:
-            out[i] = [float(v) for v in row]
+            out[i] = [_number(v) for v in row]
         except ValueError:
             raise ChannelMismatchError(tokens.last_line, "non-numeric channel value") from None
         if not np.all(np.isfinite(out[i])):

@@ -28,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rotmat, dualquat, quat
-from .bvh import Skeleton, finite_rate
+from .bvh import Skeleton, _read_only, finite_rate
 from .errors import (
     DegenerateNormError,
     NotInvertibleError,
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import LocalPose, current_chain, relative, stack_poses
+from .kinematics import LocalPose, relative, stack_poses
 
 #: Smallest standard deviation kept when fitting normalization statistics.
 STD_FLOOR = 1e-8
@@ -210,13 +210,15 @@ def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
 
 def encode(poses, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
     """Encode a batched LocalPose (or a sequence of single-frame poses)
-    under the requested representation."""
+    under the requested representation. The kinds with positions read
+    `LocalPose.chain`, so encoding a pose under several of them sweeps the
+    hierarchy once, and a slice of an encoded pose not at all."""
     pose = stack_poses(poses)
     skeleton = pose.skeleton
     indices = list(skeleton.encoded_indices)
 
     if kind.has_positions:
-        current = current_chain(skeleton, pose.joint_rotations)[:, indices]
+        current = pose.chain[:, indices]
     if kind is ReprKind.DUALQUAT:
         blocks = antipodal_correct(current)
     elif kind is ReprKind.POSITIONS:
@@ -283,7 +285,7 @@ def decode(clip: EncodedClip) -> LocalPose:
     rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0  # end sites stay at identity
     rotations[:, list(skeleton.encoded_indices)] = quats
-    return LocalPose(skeleton, clip.root_translation.copy(), rotations)
+    return LocalPose(skeleton, _read_only(clip.root_translation.copy()), _read_only(rotations))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Hierarchical transforms between local (parent-relative) and current
 (root-centered) coordinates, batched over frames.
 
-A `LocalPose` holds a clip's (F, J, 4) local rotations and (F, 3) root
-path. Every layer shares two hierarchy helpers: `compose` sweeps parent to
-child one depth level at a time, over the levels the skeleton builds once,
-and `relative` undoes it with one parent gather. The dual-quaternion chain
-(`current_chain`, `local_to_current` / `current_to_local`) is built on
-them. A homogeneous-matrix forward kinematics (`matrix_fk`), kept free of
-any dual-quaternion code, is the tests' oracle for the chain; no other
-module calls it.
+A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
+and (F, 3) root path. It runs each of its two hierarchy sweeps (`chain`
+for the encodings, `positions` for the metrics) at most once, and its
+slices reuse them. Every layer shares two hierarchy helpers: `compose`
+sweeps parent to child one depth level at a time, over the levels the
+skeleton builds once, and `relative` undoes it with one parent gather.
+The dual-quaternion chain (`current_chain`, `local_to_current` /
+`current_to_local`) is built on them.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
@@ -18,43 +18,62 @@ Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _rotmat, dualquat, quat
-from .bvh import MotionClip, Skeleton
+from . import dualquat, quat
+from .bvh import MotionClip, Skeleton, _read_only
 from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError
 
 
-def _frame_shape(skeleton: Skeleton, values: np.ndarray, width: int, field: str) -> tuple:
+def _frame_shape(skeleton: Skeleton, values: np.ndarray, width: int, name: str) -> tuple:
     """Leading (frame) shape of per-joint values: () or (F,)."""
     expected = (skeleton.num_joints, width)
     if values.ndim not in (2, 3) or values.shape[-2:] != expected:
-        raise ValueError(f"{field} must have shape {expected} or (F,) + {expected}")
+        raise ValueError(f"{name} must have shape {expected} or (F,) + {expected}")
     return values.shape[:-2]
 
 
-@dataclass
+def _frozen(values) -> np.ndarray:
+    """A read-only float array that views no writable array as it is;
+    anything else as a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        base = values.base
+        if base is None or isinstance(base, np.ndarray) and not base.flags.writeable:
+            return values
+    return _read_only(np.array(values, dtype=float))
+
+
+@dataclass(frozen=True)
 class LocalPose:
     """Per-joint local rotations plus the separate root displacement, for
-    a whole clip or for one frame.
+    a whole clip or for one frame. An immutable value.
 
     joint_rotations is (F, J, 4) unit quaternions with root_translation
     (F, 3), or (J, 4) with (3,) for a single frame. Rows follow skeleton
     order; end sites (and any channel-less joints) carry the identity.
     `len(pose)` is F, `pose[f]` is frame f as a single-frame pose,
     `pose[a:b]` stays batched, and iterating yields single frames.
+
+    Both arrays are read-only; a writable one given to the constructor is
+    copied, so the pose never aliases it. `chain` and `positions` are
+    each computed on first use and kept read-only (nothing is kept when
+    they raise); a slice of the pose takes the same slice of what is kept,
+    so a window of a pose scored in full runs no hierarchy sweep.
     """
 
     skeleton: Skeleton
     root_translation: np.ndarray  # (F, 3) or (3,)
     joint_rotations: np.ndarray  # (F, J, 4) or (J, 4)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.joint_rotations = np.asarray(self.joint_rotations, dtype=float)
-        frames = _frame_shape(self.skeleton, self.joint_rotations, 4, "joint_rotations")
-        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(frames + (3,))
+        rotations = _frozen(self.joint_rotations)
+        frames = _frame_shape(self.skeleton, rotations, 4, "joint_rotations")
+        root = _read_only(_frozen(self.root_translation).reshape(frames + (3,)))
+        object.__setattr__(self, "joint_rotations", rotations)
+        object.__setattr__(self, "root_translation", root)
 
     @property
     def batched(self) -> bool:
@@ -68,10 +87,31 @@ class LocalPose:
     def __getitem__(self, index) -> "LocalPose":
         if not self.batched:
             raise TypeError("a single-frame pose has no frame axis")
-        return LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
+        pose = LocalPose(self.skeleton, _read_only(self.root_translation[index]),
+                         _read_only(self.joint_rotations[index]))
+        for key, value in self._memo.items():
+            pose._memo[key] = _read_only(value[index])
+        return pose
 
     def __iter__(self):
         return (self[f] for f in range(len(self)))
+
+    def _memoized(self, key: str, sweep) -> np.ndarray:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = _read_only(sweep())
+        return value
+
+    @property
+    def chain(self) -> np.ndarray:
+        """(..., J, 8) `current_chain` of the rotations as they are."""
+        return self._memoized("chain", lambda: current_chain(self.skeleton, self.joint_rotations))
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(..., J, 3) root-centered joint positions of the normalized rotations."""
+        return self._memoized("positions", lambda: dualquat.translation(
+            current_chain(self.skeleton, quat.normalize(self.joint_rotations))))
 
 
 @dataclass
@@ -109,8 +149,8 @@ def stack_poses(poses) -> LocalPose:
             raise ShapeMismatchError("poses reference different skeletons")
         poses = LocalPose(
             skeleton,
-            np.stack([p.root_translation for p in poses]),
-            np.stack([p.joint_rotations for p in poses]),
+            _read_only(np.stack([p.root_translation for p in poses])),
+            _read_only(np.stack([p.joint_rotations for p in poses])),
         )
     if len(poses) == 0:
         raise TooFewFramesError("need at least one pose")
@@ -194,33 +234,9 @@ def current_to_local(pose: CurrentPose) -> LocalPose:
     local = current_to_local_dq(pose)
     return LocalPose(
         skeleton=pose.skeleton,
-        root_translation=pose.root_translation.copy(),
-        joint_rotations=local[..., :4].copy(),
+        root_translation=_read_only(pose.root_translation.copy()),
+        joint_rotations=_read_only(local[..., :4].copy()),
     )
-
-
-def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
-    """Root-centered forward kinematics of one frame via homogeneous
-    matrices.
-
-    Returns (J, 3, 3) current rotation matrices and (J, 3) current
-    positions. This path never touches dual quaternions and sweeps the
-    joints one by one; it is the verification oracle for the chain above.
-    """
-    skeleton = pose.skeleton
-    n = skeleton.num_joints
-    rotations = np.empty((n, 3, 3))
-    positions = np.empty((n, 3))
-    local_mats = _rotmat.quat_to_matrix(quat.normalize(pose.joint_rotations))
-    for idx, joint in enumerate(skeleton.joints):
-        if joint.parent is None:
-            rotations[idx] = local_mats[idx]
-            positions[idx] = 0.0
-        else:
-            parent = joint.parent
-            rotations[idx] = rotations[parent] @ local_mats[idx]
-            positions[idx] = positions[parent] + rotations[parent] @ joint.offset
-    return rotations, positions
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +253,7 @@ def clip_to_local(clip: MotionClip) -> LocalPose:
         rotations[:, joints] = quat.from_euler(np.radians(clip.frames[:, columns]), order)
     root_translation = np.zeros((clip.num_frames, 3))
     root_translation[:, table.position_axes] = clip.frames[:, table.position_columns]
-    return LocalPose(skeleton, root_translation, rotations)
+    return LocalPose(skeleton, _read_only(root_translation), _read_only(rotations))
 
 
 def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:

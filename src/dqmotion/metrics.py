@@ -2,9 +2,10 @@
 
 Three metrics, all computed on root-centered joint positions obtained by
 forward kinematics with the root displacement zeroed (pose quality only,
-by construction invariant to root translation). The positions come from
-the frame-batched dual-quaternion chain (`kinematics.current_chain`), run
-once per pose sequence on rotations normalized first:
+by construction invariant to root translation). The positions are the
+pose's own (`LocalPose.positions`): the frame-batched dual-quaternion
+chain on rotations normalized first, run at most once per pose and
+sliced, not rerun, for a window of a pose already scored in full:
 
 - frame-wise Euclidean distance, averaged over frames and joints;
 - normalized power-spectrum similarity (NPSS): per feature, the squared
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dualquat, quat
 from .errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
-from .kinematics import current_chain, stack_poses
+from .kinematics import stack_poses
 
 
 @dataclass
@@ -147,11 +147,10 @@ def pose_positions(poses) -> np.ndarray:
     """(F, J, 3) root-centered joint positions; root displacement ignored.
 
     Rotations are normalized first, so any non-degenerate quaternions
-    are accepted.
+    are accepted. The array is read-only: it is the pose's own
+    `LocalPose.positions`, computed on first use.
     """
-    pose = stack_poses(poses)
-    chain = current_chain(pose.skeleton, quat.normalize(pose.joint_rotations))
-    return dualquat.translation(chain)
+    return stack_poses(poses).positions
 
 
 def pose_pair_positions(pred, truth) -> tuple[np.ndarray, np.ndarray]:

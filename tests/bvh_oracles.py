@@ -7,6 +7,9 @@ line up front, the motion block converted one row at a time, and every
 channel value written with its own f-string. The parse oracle shares the
 package's header code (`bvh._parse_header`), so the two parsers differ
 only where the package changed: tokenizing on demand and the bulk read.
+The row loop converts each value through the package's number syntax
+(`bvh._number`), so the two parsers are compared on structure, not on
+what counts as a number.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +85,7 @@ def parse(text: str | bytes) -> MotionClip:
                 f"motion row has {len(row)} values, {width} channels declared",
             )
         try:
-            frames[i] = [float(v) for v in row]
+            frames[i] = [bvh._number(v) for v in row]
         except ValueError:
             raise ChannelMismatchError(tokens.last_line, "non-numeric channel value") from None
         if not np.all(np.isfinite(frames[i])):

@@ -3,12 +3,13 @@ for the batched `quat`, `_rotmat`, `kinematics`, `encoding` and `metrics`.
 
 These are the original implementations: Euler extraction and Shepperd's
 quaternion recovery one rotation at a time, forward kinematics through
-`matrix_fk` one pose at a time, the parent-conjugate inverse sweep one
-joint at a time, and the clip conversions one `from_euler` / `to_euler`
-call per joint. `test_pose_oracles.py` holds the batched forms to them
-within 1e-12. They read rotation matrices through `_rotmat.quat_to_matrix`
-and six-value blocks through `encoding._gram_schmidt`; only the code that
-was vectorized is independent.
+homogeneous matrices (`matrix_fk`) one pose at a time, the
+parent-conjugate inverse sweep one joint at a time, and the clip
+conversions one `from_euler` / `to_euler` call per joint.
+`test_pose_oracles.py` holds the batched forms to them within 1e-12.
+They read rotation matrices through `_rotmat.quat_to_matrix` and
+six-value blocks through `encoding._gram_schmidt`; only the code that was
+vectorized is independent.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from dqmotion import _rotmat, dualquat, quat
 from dqmotion.encoding import ReprKind, _gram_schmidt
 from dqmotion.errors import NotInvertibleError, NotUnitError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
-from dqmotion.kinematics import LocalPose, matrix_fk, stack_poses
+from dqmotion.kinematics import LocalPose, stack_poses
 
 import oracles
 
@@ -92,6 +93,31 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
         z = 0.25 * s
     q = np.array([w, x, y, z])
     return q / np.linalg.norm(q)
+
+
+def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
+    """Root-centered forward kinematics of one frame via homogeneous
+    matrices.
+
+    Returns (J, 3, 3) current rotation matrices and (J, 3) current
+    positions. This path never touches dual quaternions and sweeps the
+    joints one by one; it is the verification oracle for
+    `kinematics.current_chain`.
+    """
+    skeleton = pose.skeleton
+    n = skeleton.num_joints
+    rotations = np.empty((n, 3, 3))
+    positions = np.empty((n, 3))
+    local_mats = _rotmat.quat_to_matrix(quat.normalize(pose.joint_rotations))
+    for idx, joint in enumerate(skeleton.joints):
+        if joint.parent is None:
+            rotations[idx] = local_mats[idx]
+            positions[idx] = 0.0
+        else:
+            parent = joint.parent
+            rotations[idx] = rotations[parent] @ local_mats[idx]
+            positions[idx] = positions[parent] + rotations[parent] @ joint.offset
+    return rotations, positions
 
 
 def pose_positions(poses) -> np.ndarray:

@@ -30,7 +30,6 @@ from dqmotion.kinematics import (
     current_to_local_dq,
     local_to_clip,
     local_to_current,
-    matrix_fk,
 )
 from dqmotion.losses import (
     LossWeights,
@@ -43,6 +42,7 @@ from dqmotion.losses import (
 from dqmotion.metrics import acceleration_of, metric_euclidean, npss_between
 
 import oracles
+from pose_oracles import matrix_fk
 from conftest import fixture_corpus, malformed_corpus
 
 

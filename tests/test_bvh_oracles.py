@@ -185,7 +185,7 @@ class TestParseOutcomes:
         (crlf, 0, None),
         (token, 0, ChannelMismatchError),  # nan
         (token, 1, ChannelMismatchError),  # inf
-        (token, 3, None),  # 1_000 is a number to float()
+        (token, 3, ChannelMismatchError),  # 1_000: no digit-group underscores
         (token, 4, ChannelMismatchError),  # abc
         (token, 7, None),  # -0
         (frame_count, 0, BvhSyntaxError),  # one short: trailing content

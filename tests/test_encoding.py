@@ -21,9 +21,10 @@ from dqmotion.errors import (
     ShapeMismatchError,
     TooFewFramesError,
 )
-from dqmotion.kinematics import LocalPose, clip_to_local, matrix_fk
+from dqmotion.kinematics import LocalPose, clip_to_local
 
 import oracles
+from pose_oracles import matrix_fk
 
 ALL_KINDS = list(ReprKind)
 INVERTIBLE = [k for k in ALL_KINDS if k is not ReprKind.POSITIONS]

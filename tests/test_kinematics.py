@@ -12,10 +12,10 @@ from dqmotion.kinematics import (
     current_to_local_dq,
     local_to_clip,
     local_to_current,
-    matrix_fk,
 )
 
 import oracles
+from pose_oracles import matrix_fk
 
 
 def chain_skeleton(offsets, orders=None):

@@ -165,7 +165,7 @@ class TestPositional:
         poses_a = oracles.random_poses(rng, skeleton, 4)
         poses_b = oracles.random_poses(rng, skeleton, 4)
         got = loss_positional(encode(poses_a, ReprKind.DUALQUAT), encode(poses_b, ReprKind.DUALQUAT))
-        from dqmotion.kinematics import matrix_fk
+        from pose_oracles import matrix_fk
 
         rows = list(skeleton.encoded_indices)
         dist = []

@@ -1,0 +1,191 @@
+"""The frozen LocalPose and its two memos: the current chain that `encode`
+reads and the root-centered positions that `pose_positions` returns.
+
+A slice of a pose inherits each filled memo as the same slice of it, so a
+window of a pose that was scored in full runs no forward kinematics. Every
+result must be bit for bit that of a fresh pose built from copies, and an
+error must come out of exactly the calls that raised it before the memo.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dqmotion import kinematics
+from dqmotion.encoding import ReprKind, encode
+from dqmotion.errors import DegenerateNormError, NotUnitError
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, stack_poses
+from dqmotion.metrics import metric_report, pose_positions
+
+import oracles
+
+FRAMES = 160
+INDICES = {
+    "a:b": slice(40, 110),
+    "::7": slice(None, None, 7),
+    "150:10:-3": slice(150, 10, -3),
+    "17:18": slice(17, 18),
+    "int-array": np.array([3, 150, 3, 0, 99, 42]),
+}
+
+
+@pytest.fixture
+def skeleton(rng):
+    return oracles.random_skeleton(rng, 10, end_sites=True)
+
+
+@pytest.fixture
+def pose(rng, skeleton):
+    return stack_poses(oracles.random_poses(rng, skeleton, FRAMES))
+
+
+def fresh(pose: LocalPose, index) -> LocalPose:
+    """The frames `index` of `pose` as a new pose built from copies."""
+    return LocalPose(pose.skeleton, pose.root_translation[index].copy(),
+                     pose.joint_rotations[index].copy())
+
+
+def fill(pose: LocalPose):
+    pose_positions(pose)
+    encode(pose, ReprKind.DUALQUAT)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def no_sweep(*args):
+    raise AssertionError("a hierarchy sweep ran")
+
+
+class TestSlices:
+    @pytest.mark.parametrize("filled", (False, True), ids=("empty", "filled"))
+    @pytest.mark.parametrize("name", sorted(INDICES))
+    def test_bit_identical_to_a_fresh_pose(self, pose, name, filled):
+        if filled:
+            fill(pose)
+        index = INDICES[name]
+        window, want = pose[index], fresh(pose, index)
+        assert same_bits(window.joint_rotations, want.joint_rotations)
+        assert same_bits(window.root_translation, want.root_translation)
+        assert same_bits(pose_positions(window), pose_positions(want))
+        for kind in ReprKind:
+            assert same_bits(encode(window, kind).features, encode(want, kind).features), kind
+
+    def test_single_frame_inherits(self, pose):
+        fill(pose)
+        frame = pose[17]
+        assert not frame.batched
+        assert same_bits(frame.positions, fresh(pose, 17).positions)
+        assert same_bits(frame.chain, fresh(pose, 17).chain)
+
+    def test_filled_window_runs_no_fk(self, pose, monkeypatch):
+        fill(pose)
+        full = pose_positions(pose), encode(pose, ReprKind.POSITIONS).features
+        monkeypatch.setattr(kinematics, "current_chain", no_sweep)
+        assert pose_positions(pose) is full[0]
+        window = pose[30:60]
+        assert same_bits(pose_positions(window), full[0][30:60])
+        assert same_bits(encode(window, ReprKind.POSITIONS).features, full[1][30:60])
+        assert same_bits(pose_positions(pose[::7][2:5]), full[0][14:35:7])
+        # an unfilled pose still needs the sweep
+        with pytest.raises(AssertionError):
+            pose_positions(fresh(pose, slice(30, 60)))
+
+    def test_stacked_list_starts_empty(self, pose, monkeypatch):
+        fill(pose)
+        monkeypatch.setattr(kinematics, "current_chain", no_sweep)
+        with pytest.raises(AssertionError):
+            pose_positions(list(pose[:4]))
+
+
+class TestErrorsAreNotMemoized:
+    """A zero quaternion at frame 100: only the calls that see it raise."""
+
+    @staticmethod
+    def broken(pose: LocalPose) -> LocalPose:
+        rotations = pose.joint_rotations.copy()
+        rotations[100, 1] = 0.0
+        return LocalPose(pose.skeleton, pose.root_translation, rotations)
+
+    def test_degenerate_norm(self, pose):
+        broken = self.broken(pose)
+        for _ in range(2):
+            with pytest.raises(DegenerateNormError):
+                metric_report(broken, pose)
+        assert metric_report(broken[0:30], pose[0:30]) == metric_report(
+            fresh(broken, slice(0, 30)), fresh(pose, slice(0, 30))
+        )
+        with pytest.raises(DegenerateNormError):
+            metric_report(broken[90:120], pose[90:120])
+
+    def test_not_unit(self, pose):
+        broken = self.broken(pose)
+        for _ in range(2):
+            with pytest.raises(NotUnitError):
+                encode(broken, ReprKind.DUALQUAT)
+        got = encode(broken[0:30], ReprKind.DUALQUAT).features
+        assert same_bits(got, encode(fresh(broken, slice(0, 30)), ReprKind.DUALQUAT).features)
+        with pytest.raises(NotUnitError):
+            encode(broken[90:120], ReprKind.DUALQUAT)
+
+
+class TestFrozen:
+    def test_arrays_are_read_only(self, pose):
+        fill(pose)
+        for array in (pose.joint_rotations, pose.root_translation, pose_positions(pose),
+                      pose.positions, pose.chain, pose[5:9].chain, pose[[1, 2]].positions):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(ValueError):
+            pose.root_translation += 1.0
+        with pytest.raises(ValueError):
+            pose.joint_rotations *= 2.0
+
+    def test_fields_cannot_be_reassigned(self, pose):
+        for field in ("skeleton", "root_translation", "joint_rotations", "chain", "positions"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pose, field, None)
+
+    def test_memo_is_not_a_constructor_argument(self, pose):
+        names = {f.name for f in dataclasses.fields(LocalPose) if f.init}
+        assert names == {"skeleton", "root_translation", "joint_rotations"}
+
+    def test_caller_arrays_are_copied(self, rng, skeleton):
+        rotations = oracles.random_unit_quat(rng, (8, skeleton.num_joints))
+        root = rng.normal(size=(8, 3))
+        pose = LocalPose(skeleton, root, rotations)
+        kept = pose.joint_rotations.copy(), pose.root_translation.copy()
+        assert rotations.flags.writeable and root.flags.writeable
+        assert not np.shares_memory(pose.joint_rotations, rotations)
+        assert not np.shares_memory(pose.root_translation, root)
+        rotations[:] = 0.0
+        root[:] = 0.0
+        assert same_bits(pose.joint_rotations, kept[0])
+        assert same_bits(pose.root_translation, kept[1])
+
+    def test_read_only_views_of_writable_arrays_are_copied(self, skeleton):
+        identity = np.array([1.0, 0.0, 0.0, 0.0])
+        pose = LocalPose(skeleton, np.zeros(3), np.broadcast_to(identity, (skeleton.num_joints, 4)))
+        identity[:] = 0.0
+        assert np.all(pose.joint_rotations[:, 0] == 1.0)
+
+    def test_read_only_arrays_are_not_copied(self, pose):
+        window = pose[10:20]
+        assert np.shares_memory(window.joint_rotations, pose.joint_rotations)
+        again = LocalPose(pose.skeleton, pose.root_translation, pose.joint_rotations)
+        assert again.joint_rotations is pose.joint_rotations
+
+
+class TestPoseUnchangedByEveryLayer:
+    def test_rotations_byte_identical(self, skeleton, pose):
+        for subject in (pose, clip_to_local(local_to_clip(pose, skeleton, 1 / 30))):
+            before = subject.joint_rotations.tobytes(), subject.root_translation.tobytes()
+            for kind in ReprKind:
+                encode(subject, kind)
+                encode(subject[::3], kind)
+            metric_report(subject, subject[::-1])
+            metric_report(subject[5:40], subject[40:75])
+            local_to_clip(subject, skeleton, 1 / 30)
+            assert (subject.joint_rotations.tobytes(), subject.root_translation.tobytes()) == before

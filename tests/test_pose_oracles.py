@@ -90,8 +90,9 @@ class TestHierarchy:
         want = pose_oracles.pose_positions(poses)
         assert_close(pose_positions(stack_poses(poses)), want)
         # rotations are normalized first, as matrix_fk does
-        scaled = stack_poses(poses)
-        scaled.joint_rotations *= rng.uniform(0.5, 2.0, size=(frames, skeleton.num_joints, 1))
+        pose = stack_poses(poses)
+        scale = rng.uniform(0.5, 2.0, size=(frames, skeleton.num_joints, 1))
+        scaled = LocalPose(skeleton, pose.root_translation, pose.joint_rotations * scale)
         assert_close(pose_positions(scaled), want)
 
     def test_current_to_local_matches_joint_loop(self, rng, frames):

@@ -19,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 from dqmotion import bvh, container
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
-from dqmotion.errors import BvhSyntaxError, ContainerError, MotionError, UnsupportedChannelError
+from dqmotion.errors import (
+    BvhSyntaxError,
+    ChannelMismatchError,
+    ContainerError,
+    MotionError,
+    UnsupportedChannelError,
+)
 from dqmotion.kinematics import clip_to_local
 
 from conftest import FIXTURES, fixture_corpus
@@ -178,6 +184,85 @@ class TestRotationChannels:
         path.write_bytes(bytes(head))
         assert quiet_main("decode", path, "-o", out) == 3
         assert not out.exists()
+
+
+HUMANOID_TEXT = HUMANOID.decode()
+FRAMES_LINE = FRAME_TIME_LINE - 1
+FIRST_ROW_LINE = FRAME_TIME_LINE + 1
+
+
+def with_first_value(token: str, row: int = 0) -> str:
+    """humanoid.bvh with the first value of motion row `row` replaced."""
+    lines = HUMANOID_TEXT.split("\n")
+    at = FIRST_ROW_LINE - 1 + row
+    lines[at] = token + " " + lines[at].split(" ", 1)[1]
+    return "\n".join(lines)
+
+
+class TestNumberSyntax:
+    """Numbers are plain ASCII decimal or exponent syntax: no digit-group
+    underscores and no non-ASCII digits, in the header and in the motion
+    rows. Each error keeps its type, message and line."""
+
+    @pytest.mark.parametrize("token", ["1_0", "１２", "٣", "1_000.5", "-0_1e2"])
+    @pytest.mark.parametrize("row", [0, 9])
+    def test_motion_value(self, tmp_path, token, row):
+        text = with_first_value(token, row)
+        with pytest.raises(ChannelMismatchError) as info:
+            bvh.parse(text)
+        assert info.value.message == "non-numeric channel value"
+        assert info.value.line == FIRST_ROW_LINE + row
+        path = tmp_path / "digits.bvh"
+        path.write_text(text, encoding="utf-8")
+        assert quiet_main("inspect", path) == 3
+        assert quiet_main("encode", path, "-o", tmp_path / "out.dqm") == 3
+        assert not (tmp_path / "out.dqm").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value(self, token):
+        with pytest.raises(ChannelMismatchError) as info:
+            bvh.parse(with_first_value(token, 3))
+        assert info.value.message == "non-finite channel value"
+        assert info.value.line == FIRST_ROW_LINE + 3
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("Frames: 16", "Frames: 1_6", FRAMES_LINE, "frame count must be an integer"),
+        ("Frames: 16", "Frames: １６", FRAMES_LINE, "frame count must be an integer"),
+        ("Frame Time: 0.033333", "Frame Time: 0.033_333", FRAME_TIME_LINE,
+         "frame time must be numeric"),
+        ("Frame Time: 0.033333", "Frame Time: ０.033333", FRAME_TIME_LINE,
+         "frame time must be numeric"),
+        ("OFFSET 0.000000 2.100000", "OFFSET 0_0 2.100000", SPINE_CHANNELS_LINE - 1,
+         "OFFSET values must be numeric"),
+        ("OFFSET 0.000000 2.100000", "OFFSET 0.000000 ２.100000", SPINE_CHANNELS_LINE - 1,
+         "OFFSET values must be numeric"),
+        ("CHANNELS 3 Zrotation Yrotation Xrotation", "CHANNELS ３ Zrotation Yrotation Xrotation",
+         SPINE_CHANNELS_LINE, "CHANNELS count must be an integer"),
+        ("CHANNELS 3 Zrotation Yrotation Xrotation", "CHANNELS 0_3 Zrotation Yrotation Xrotation",
+         SPINE_CHANNELS_LINE, "CHANNELS count must be an integer"),
+    ])
+    def test_header_numbers(self, tmp_path, old, new, line, message):
+        text = HUMANOID_TEXT.replace(old, new, 1)
+        assert text != HUMANOID_TEXT
+        with pytest.raises(BvhSyntaxError) as info:
+            bvh.parse(text)
+        assert (info.value.message, info.value.line) == (message, line)
+        path = tmp_path / "header.bvh"
+        path.write_text(text, encoding="utf-8")
+        assert quiet_main("inspect", path) == 3
+        assert quiet_main("encode", path, "-o", tmp_path / "out.dqm") == 3
+
+    @pytest.mark.parametrize("space", ["\xa0", "　", " "], ids=repr)
+    def test_unicode_spaces_still_separate(self, space):
+        # str.split splits on these, so the tokens between them are plain
+        # numbers: the verdict is per token, not per row.
+        lines = HUMANOID_TEXT.split("\n")
+        lines[FIRST_ROW_LINE + 1] = lines[FIRST_ROW_LINE + 1].replace(" ", space)
+        clip = bvh.parse("\n".join(lines))
+        assert clip.frames.tobytes() == bvh.parse(HUMANOID_TEXT).frames.tobytes()
+
+    def test_joint_names_keep_underscores(self):
+        assert "l_collar" in bvh.parse(HUMANOID_TEXT).skeleton.names
 
 
 class TestContainerInput:
