@@ -7,13 +7,14 @@ root-relative position in a single unit 8-vector, losslessly invertible
 back to the original animation.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dqmotion import bvh, dualquat
+from dqmotion import bvh, dualquat, quat
 from dqmotion.encoding import ReprKind, antipodal_correct, decode, encode, fit_stats, standardize
-from dqmotion.kinematics import clip_to_local, local_to_clip, local_to_current
+from dqmotion.kinematics import clip_to_local, local_to_clip
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,13 +37,28 @@ print(f"unit residuals over all blocks: |norm| <= {np.max(np.abs(norm_res)):.2e}
 dots = np.sum(blocks[:-1] * blocks[1:], axis=-1)
 print(f"consecutive-frame continuity: min dot = {np.min(dots):+.4f} (>= 0 by construction)")
 
-# positions fall straight out of the representation, no kinematics needed
+# positions fall straight out of the representation, no kinematics needed;
+# check them against forward kinematics written here with quaternions only:
+# a joint sits at its parent's position plus the offset turned by the
+# parent's accumulated rotation (the sandwich q * (0, offset) * q^*)
 frame = 5
 positions = dualquat.translation(blocks[frame])
-current = local_to_current(poses[frame]).joint_dq[list(clip.skeleton.encoded_indices)]
-fk_positions = dualquat.translation(current)
-print(f"frame {frame}: positions from blocks match forward kinematics within "
-      f"{np.max(np.abs(positions - fk_positions)):.2e}")
+skeleton = clip.skeleton
+accumulated = np.empty((skeleton.num_joints, 4))
+fk_positions = np.zeros((skeleton.num_joints, 3))
+for idx, joint in enumerate(skeleton.joints):
+    local = poses[frame].joint_rotations[idx]
+    if joint.parent is None:
+        accumulated[idx] = local
+        continue
+    turn = accumulated[joint.parent]
+    moved = quat.mul(quat.mul(turn, np.concatenate([[0.0], joint.offset])), quat.conjugate(turn))
+    fk_positions[idx] = fk_positions[joint.parent] + moved[1:]
+    accumulated[idx] = quat.mul(turn, local)
+deviation = np.max(np.abs(positions - fk_positions[list(skeleton.encoded_indices)]))
+print(f"frame {frame}: positions from blocks match forward kinematics within {deviation:.2e}")
+if deviation > 1e-9:
+    sys.exit(f"dual-quaternion positions disagree with forward kinematics by {deviation:.2e}")
 
 print()
 print("=== antipodal sign correction ===")

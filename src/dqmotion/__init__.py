@@ -22,14 +22,7 @@ from .encoding import (
     fit_stats,
     standardize,
 )
-from .kinematics import (
-    CurrentPose,
-    LocalPose,
-    clip_to_local,
-    current_to_local,
-    local_to_clip,
-    local_to_current,
-)
+from .kinematics import LocalPose, clip_to_local, local_to_clip
 from .losses import (
     GradCheckResult,
     LossReport,
@@ -58,8 +51,7 @@ __all__ = [
     "JointSpec", "MotionClip", "Skeleton",
     "EncodedClip", "NormalizationStats", "ReprKind",
     "antipodal_correct", "decode", "destandardize", "encode", "fit_stats", "standardize",
-    "CurrentPose", "LocalPose",
-    "clip_to_local", "current_to_local", "local_to_clip", "local_to_current",
+    "LocalPose", "clip_to_local", "local_to_clip",
     "GradCheckResult", "LossReport", "LossWeights",
     "grad_check", "loss_mse", "loss_offset", "loss_positional",
     "loss_regularization", "loss_rotational", "loss_total",

@@ -6,14 +6,11 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O or
 format error (values so large that the arithmetic overflows included).
 Flags are validated before any file is opened, and output files are
 written atomically, so a failing invocation never leaves a partial file
-behind. Set DQMOTION_LOG to a logging level name for diagnostics on
-stderr.
+behind.
 """
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 import numpy as np
@@ -81,9 +78,10 @@ def _parse_weights(text: str) -> LossWeights:
         raise UsageError(str(exc)) from None
 
 
-def _max_unit_residual(blocks: np.ndarray) -> float:
+def _unit_residuals(blocks: np.ndarray) -> np.ndarray:
+    """Per-(frame, joint) worst of the two dual-quaternion unit residuals."""
     norm_res, ortho_res = dualquat.unitary_residual(blocks)
-    return float(max(np.max(np.abs(norm_res)), np.max(np.abs(ortho_res))))
+    return np.maximum(np.abs(norm_res), np.abs(ortho_res))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def cmd_encode(args) -> int:
     kind = encoded.kind
     print(f"width: {encoded.width} (3 + {kind.block_dim}*{encoded.joint_count})")
     if kind is ReprKind.DUALQUAT:
-        residual = _max_unit_residual(encoded.joint_blocks())
+        residual = float(np.max(_unit_residuals(encoded.joint_blocks())))
         print(f"max unit residual: {residual:.3e}")
         if residual > ENCODE_RESIDUAL_LIMIT:
             print("error: encoded blocks violate the unit conditions", file=sys.stderr)
@@ -215,8 +213,7 @@ def cmd_validate(args) -> int:
     blocks = encoded.joint_blocks()
 
     if encoded.kind is ReprKind.DUALQUAT:
-        norm_res, ortho_res = dualquat.unitary_residual(blocks)
-        residuals = np.maximum(np.abs(norm_res), np.abs(ortho_res))
+        residuals = _unit_residuals(blocks)
     else:
         residuals = np.abs(np.sum(blocks * blocks, axis=-1) - 1.0)
     worst_idx = np.unravel_index(np.argmax(residuals), residuals.shape)
@@ -346,9 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("DQMOTION_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
-
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from . import quat
 from .errors import DegenerateNormError, NotUnitError
 
-#: Default tolerance for unit checks at API boundaries.
+#: Tolerance of every unit check at an API boundary.
 UNIT_TOLERANCE = 1e-6
 
 
@@ -61,12 +61,12 @@ def antipode(d: np.ndarray) -> np.ndarray:
     return -np.asarray(d, dtype=float)
 
 
-def magnitude(d: np.ndarray, eps: float = 1e-12) -> DualNumber:
+def magnitude(d: np.ndarray) -> DualNumber:
     """Dual-number magnitude ||q_r|| + eps_unit * <q_r, q_d> / ||q_r||."""
     r, e = real(d), dual(d)
     n = np.linalg.norm(r, axis=-1)
-    if np.any(n <= eps):
-        raise DegenerateNormError(f"dual-quaternion real part has norm <= {eps:g}")
+    if np.any(n <= quat._NORM_FLOOR):
+        raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
     return DualNumber(n, quat.dot(r, e) / n)
 
 
@@ -79,19 +79,20 @@ def unitary_residual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return quat.dot(r, r) - 1.0, quat.dot(r, e)
 
 
-def is_unit(d: np.ndarray, tol: float = UNIT_TOLERANCE) -> bool:
+def is_unit(d: np.ndarray) -> bool:
     norm_res, ortho_res = unitary_residual(d)
+    tol = UNIT_TOLERANCE
     return bool(np.all(np.abs(norm_res) <= 2.0 * tol) and np.all(np.abs(ortho_res) <= tol))
 
 
-def _require_unit(d: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _require_unit(d: np.ndarray, what: str) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if not is_unit(d, tol):
-        raise NotUnitError(f"{what} requires a unit dual quaternion (tol {tol:g})")
+    if not is_unit(d):
+        raise NotUnitError(f"{what} requires a unit dual quaternion (tol {UNIT_TOLERANCE:g})")
     return d
 
 
-def normalize(d: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def normalize(d: np.ndarray) -> np.ndarray:
     """Project onto the unit manifold.
 
     Real part is rescaled to unit norm; the dual part is rescaled and then
@@ -101,14 +102,14 @@ def normalize(d: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     r, e = real(d), dual(d)
     n = np.linalg.norm(r, axis=-1, keepdims=True)
-    if np.any(n <= eps):
-        raise DegenerateNormError(f"dual-quaternion real part has norm <= {eps:g}")
+    if np.any(n <= quat._NORM_FLOOR):
+        raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
     r_hat = r / n
     e_hat = e / n - r_hat * (np.sum(r * e, axis=-1, keepdims=True) / (n * n))
     return _join(r_hat, e_hat)
 
 
-def from_rotation_translation(r: np.ndarray, t: np.ndarray, tol: float = UNIT_TOLERANCE) -> np.ndarray:
+def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Unit dual quaternion applying rotation r, then translation t.
 
     Matches the homogeneous matrix [[R(r), t], [0, 1]]. The dual part is
@@ -117,34 +118,35 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray, tol: float = UNIT_TO
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     n = np.linalg.norm(r, axis=-1)
-    if np.any(np.abs(n - 1.0) > tol):
-        raise NotUnitError(f"rotation quaternion norm deviates from 1 by more than {tol:g}")
+    if np.any(np.abs(n - 1.0) > UNIT_TOLERANCE):
+        raise NotUnitError(
+            f"rotation quaternion norm deviates from 1 by more than {UNIT_TOLERANCE:g}")
     r = r / n[..., None]
     qt = np.zeros(t.shape[:-1] + (4,))
     qt[..., 1:] = t
     return _join(r, 0.5 * quat.mul(qt, r))
 
 
-def rotation(d: np.ndarray, tol: float = UNIT_TOLERANCE) -> np.ndarray:
+def rotation(d: np.ndarray) -> np.ndarray:
     """The rotation quaternion of a unit dual quaternion."""
-    d = _require_unit(d, tol, "rotation")
+    d = _require_unit(d, "rotation")
     return real(d).copy()
 
 
-def translation(d: np.ndarray, tol: float = UNIT_TOLERANCE) -> np.ndarray:
+def translation(d: np.ndarray) -> np.ndarray:
     """Cartesian translation 2 * q_d * q_r^*, the vector coefficients."""
-    d = _require_unit(d, tol, "translation")
+    d = _require_unit(d, "translation")
     return 2.0 * quat.mul(dual(d), quat.conjugate(real(d)))[..., 1:]
 
 
-def transform_point(d: np.ndarray, p: np.ndarray, tol: float = UNIT_TOLERANCE) -> np.ndarray:
+def transform_point(d: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Apply the rigid transform to point(s) p via the sandwich product.
 
     The point is embedded as 1 + eps*(0, p) and conjugated with the
     combined (quaternion + dual-number) conjugate, the variant under which
     the embedding is closed.
     """
-    d = _require_unit(d, tol, "transform_point")
+    d = _require_unit(d, "transform_point")
     p = np.asarray(p, dtype=float)
     shape = np.broadcast_shapes(d[..., :1].shape, p[..., :1].shape)
     embedded = np.zeros(shape[:-1] + (8,))

@@ -7,8 +7,12 @@ for the encodings, `positions` for the metrics) at most once, and its
 slices reuse them. Every layer shares two hierarchy helpers: `compose`
 sweeps parent to child one depth level at a time, over the levels the
 skeleton builds once, and `relative` undoes it with one parent gather.
-The dual-quaternion chain (`current_chain`, `local_to_current` /
-`current_to_local`) is built on them.
+
+`pose.chain` is the current pose: each joint's root-centered unit dual
+quaternion, built by `current_chain` on `compose`. `decode` of a dualquat
+clip is its inverse, and `relative(skeleton.parent_indices, pose.chain,
+dualquat.mul, dualquat.conjugate)` gives each joint's local transform,
+its translation the joint offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
@@ -24,15 +28,7 @@ import numpy as np
 
 from . import dualquat, quat
 from .bvh import MotionClip, Skeleton, _read_only
-from .errors import NotUnitError, ShapeMismatchError, TooFewFramesError
-
-
-def _frame_shape(skeleton: Skeleton, values: np.ndarray, width: int, name: str) -> tuple:
-    """Leading (frame) shape of per-joint values: () or (F,)."""
-    expected = (skeleton.num_joints, width)
-    if values.ndim not in (2, 3) or values.shape[-2:] != expected:
-        raise ValueError(f"{name} must have shape {expected} or (F,) + {expected}")
-    return values.shape[:-2]
+from .errors import ShapeMismatchError, TooFewFramesError
 
 
 def _frozen(values) -> np.ndarray:
@@ -70,8 +66,10 @@ class LocalPose:
 
     def __post_init__(self):
         rotations = _frozen(self.joint_rotations)
-        frames = _frame_shape(self.skeleton, rotations, 4, "joint_rotations")
-        root = _read_only(_frozen(self.root_translation).reshape(frames + (3,)))
+        expected = (self.skeleton.num_joints, 4)
+        if rotations.ndim not in (2, 3) or rotations.shape[-2:] != expected:
+            raise ValueError(f"joint_rotations must have shape {expected} or (F,) + {expected}")
+        root = _read_only(_frozen(self.root_translation).reshape(rotations.shape[:-2] + (3,)))
         object.__setattr__(self, "joint_rotations", rotations)
         object.__setattr__(self, "root_translation", root)
 
@@ -104,7 +102,8 @@ class LocalPose:
 
     @property
     def chain(self) -> np.ndarray:
-        """(..., J, 8) `current_chain` of the rotations as they are."""
+        """The current pose: (..., J, 8) `current_chain` of the rotations
+        as they are, one root-centered unit dual quaternion per joint."""
         return self._memoized("chain", lambda: current_chain(self.skeleton, self.joint_rotations))
 
     @property
@@ -112,25 +111,6 @@ class LocalPose:
         """(..., J, 3) root-centered joint positions of the normalized rotations."""
         return self._memoized("positions", lambda: dualquat.translation(
             current_chain(self.skeleton, quat.normalize(self.joint_rotations))))
-
-
-@dataclass
-class CurrentPose:
-    """Per-joint unit dual quaternions relative to the root, (F, J, 8)
-    with (F, 3) root displacements, or (J, 8) with (3,).
-
-    The root entry is a pure rotation (zero dual part); the root
-    translation rides along unchanged.
-    """
-
-    skeleton: Skeleton
-    root_translation: np.ndarray  # (F, 3) or (3,)
-    joint_dq: np.ndarray  # (F, J, 8) or (J, 8)
-
-    def __post_init__(self):
-        self.joint_dq = np.asarray(self.joint_dq, dtype=float)
-        frames = _frame_shape(self.skeleton, self.joint_dq, 8, "joint_dq")
-        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(frames + (3,))
 
 
 def stack_poses(poses) -> LocalPose:
@@ -202,41 +182,6 @@ def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
         rotations, np.broadcast_to(offsets, rotations.shape[:-1] + (3,))
     )
     return compose(skeleton.levels, local, dualquat.mul)
-
-
-def local_to_current(pose: LocalPose) -> CurrentPose:
-    """Chain local transforms into root-relative dual quaternions.
-
-    The translation of joint j's entry is j's position relative to the
-    root.
-    """
-    return CurrentPose(
-        skeleton=pose.skeleton,
-        root_translation=pose.root_translation.copy(),
-        joint_dq=current_chain(pose.skeleton, pose.joint_rotations),
-    )
-
-
-def current_to_local_dq(pose: CurrentPose) -> np.ndarray:
-    """Per-joint local dual quaternions recovered from current ones.
-
-    Each entry is inverse(parent current) * own current; its rotation is
-    the joint's local rotation and its translation is the joint offset as
-    actually encoded, which the offset loss compares against the skeleton.
-    """
-    if not dualquat.is_unit(pose.joint_dq):
-        raise NotUnitError("current pose entries must be unit dual quaternions")
-    return relative(pose.skeleton.parent_indices, pose.joint_dq, dualquat.mul, dualquat.conjugate)
-
-
-def current_to_local(pose: CurrentPose) -> LocalPose:
-    """Inverse of local_to_current (rotations recovered up to sign)."""
-    local = current_to_local_dq(pose)
-    return LocalPose(
-        skeleton=pose.skeleton,
-        root_translation=_read_only(pose.root_translation.copy()),
-        joint_rotations=_read_only(local[..., :4].copy()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ from .errors import DegenerateNormError
 #: 1e-4 degrees of the pole; a wider band would snap nearby angles onto it.
 LOCK_TOLERANCE = 1e-12
 
+# Norms at or below this floor cannot be normalized (DegenerateNormError);
+# `dualquat` applies the same floor to its real part.
+_NORM_FLOOR = 1e-12
+
 _VALID_ORDERS = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"}
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
@@ -71,12 +75,13 @@ def norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def normalize(q: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Scale to unit norm. Raises DegenerateNormError when the norm <= eps."""
+def normalize(q: np.ndarray) -> np.ndarray:
+    """Scale to unit norm. Raises DegenerateNormError when the norm is at
+    or below the 1e-12 floor."""
     q = np.asarray(q, dtype=float)
     n = norm(q)[..., None]
-    if np.any(n <= eps):
-        raise DegenerateNormError(f"quaternion norm <= {eps:g}")
+    if np.any(n <= _NORM_FLOOR):
+        raise DegenerateNormError(f"quaternion norm <= {_NORM_FLOOR:g}")
     return q / n
 
 

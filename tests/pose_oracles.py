@@ -126,7 +126,8 @@ def pose_positions(poses) -> np.ndarray:
 
 
 def current_to_local_dq(skeleton, current: np.ndarray) -> np.ndarray:
-    """(J, 8) local dual quaternions of one frame, one joint at a time."""
+    """(J, 8) local dual quaternions of one frame, one joint at a time: the
+    loop form of `kinematics.relative` over a frame of `LocalPose.chain`."""
     if not dualquat.is_unit(current):
         raise NotUnitError("current pose entries must be unit dual quaternions")
     parents = skeleton.parent_indices

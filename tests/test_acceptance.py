@@ -23,14 +23,7 @@ from dqmotion.encoding import (
     standardize,
 )
 from dqmotion.errors import BvhSyntaxError
-from dqmotion.kinematics import (
-    LocalPose,
-    clip_to_local,
-    current_to_local,
-    current_to_local_dq,
-    local_to_clip,
-    local_to_current,
-)
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
 from dqmotion.losses import (
     LossWeights,
     grad_check,
@@ -70,26 +63,24 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(1000):
         skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 31)))
         pose = oracles.random_pose(rng, skeleton)
-        current = local_to_current(pose)
         _, positions = matrix_fk(pose)
-        deviation = np.max(np.abs(dualquat.translation(current.joint_dq) - positions))
+        deviation = np.max(np.abs(dualquat.translation(pose.chain) - positions))
         worst = max(worst, float(deviation))
     elapsed = time.monotonic() - start
     assert worst < 1e-9, f"worst deviation {worst:.3e}"
     assert elapsed < 30.0, f"took {elapsed:.1f} s"
 
 
-@criterion(2, "current_to_local inverts local_to_current within 1e-9, 1000 trials")
+@criterion(2, "decode and relative invert the dual-quaternion chain within 1e-9, 1000 trials")
 def test_criterion_2_inverse_pair():
     rng = np.random.default_rng(102)
     for _ in range(1000):
         skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 16)))
         pose = oracles.random_pose(rng, skeleton)
-        current = local_to_current(pose)
-        back = current_to_local(current)
+        back = decode(encode([pose], ReprKind.DUALQUAT))[0]
         for a, b in zip(pose.joint_rotations, back.joint_rotations):
             assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-9
-        local = current_to_local_dq(current)
+        local = relative(skeleton.parent_indices, pose.chain, dualquat.mul, dualquat.conjugate)
         for idx, joint in enumerate(skeleton.joints):
             if joint.parent is not None:
                 extracted = dualquat.translation(local[idx])
@@ -170,7 +161,7 @@ def test_criterion_6_loss_ground_truths():
     joint = skeleton.joints[leaf]
     direction = joint.offset / np.linalg.norm(joint.offset)
     pose = poses[0]
-    current = local_to_current(pose).joint_dq.copy()
+    current = pose.chain.copy()
     current[leaf] = dualquat.mul(
         current[joint.parent],
         dualquat.from_rotation_translation(pose.joint_rotations[leaf], joint.offset + delta * direction),

@@ -1,18 +1,14 @@
-"""Kinematics: the dual-quaternion chain against the matrix oracle, and
-both against an independent homogeneous-matrix implementation."""
+"""Kinematics: the dual-quaternion chain (`LocalPose.chain`) against the
+matrix oracle, both against an independent homogeneous-matrix
+implementation, and its inverses (`decode` of a dualquat clip, and
+`relative` for the per-joint local transforms)."""
 
 import numpy as np
 import pytest
 
 from dqmotion import bvh, dualquat, quat
-from dqmotion.kinematics import (
-    LocalPose,
-    clip_to_local,
-    current_to_local,
-    current_to_local_dq,
-    local_to_clip,
-    local_to_current,
-)
+from dqmotion.encoding import ReprKind, decode, encode
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
 
 import oracles
 from pose_oracles import matrix_fk
@@ -47,6 +43,11 @@ def identity_pose(skeleton):
     return LocalPose(skeleton, np.zeros(3), rotations)
 
 
+def local_dq(pose):
+    """Each joint's parent-relative dual quaternion, recovered from the chain."""
+    return relative(pose.skeleton.parent_indices, pose.chain, dualquat.mul, dualquat.conjugate)
+
+
 def cumulative_offsets(skeleton):
     out = np.zeros((skeleton.num_joints, 3))
     for idx, joint in enumerate(skeleton.joints):
@@ -58,36 +59,35 @@ def cumulative_offsets(skeleton):
 class TestLocalToCurrent:
     def test_identity_rotations_accumulate_offsets(self, rng):
         skeleton = oracles.random_skeleton(rng, 8, end_sites=True)
-        current = local_to_current(identity_pose(skeleton))
+        chain = identity_pose(skeleton).chain
         expected = cumulative_offsets(skeleton)
         for idx in range(skeleton.num_joints):
-            assert np.allclose(dualquat.translation(current.joint_dq[idx]), expected[idx], atol=1e-12)
+            assert np.allclose(dualquat.translation(chain[idx]), expected[idx], atol=1e-12)
 
     def test_half_turn_root_flips_child(self):
         skeleton = chain_skeleton([[1.0, 0.0, 0.0]])
         rotations = np.array([quat.from_euler([0, 0, np.pi], "ZYX"), quat.identity()])
-        current = local_to_current(LocalPose(skeleton, np.zeros(3), rotations))
-        assert np.allclose(dualquat.translation(current.joint_dq[1]), [-1.0, 0.0, 0.0], atol=1e-12)
+        chain = LocalPose(skeleton, np.zeros(3), rotations).chain
+        assert np.allclose(dualquat.translation(chain[1]), [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_root_entry_is_pure_rotation(self, rng):
         skeleton = oracles.random_skeleton(rng, 6)
-        current = local_to_current(oracles.random_pose(rng, skeleton))
-        assert np.allclose(current.joint_dq[0, 4:], 0.0)
-        assert np.allclose(current.joint_dq[0, :4], quat.normalize(current.joint_dq[0, :4]))
+        chain = oracles.random_pose(rng, skeleton).chain
+        assert np.allclose(chain[0, 4:], 0.0)
+        assert np.allclose(chain[0, :4], quat.normalize(chain[0, :4]))
 
     def test_matches_matrix_fk(self, rng):
         for _ in range(300):
             skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 21)), end_sites=True)
             pose = oracles.random_pose(rng, skeleton)
-            current = local_to_current(pose)
             _, positions = matrix_fk(pose)
-            got = dualquat.translation(current.joint_dq)
+            got = dualquat.translation(pose.chain)
             assert np.max(np.abs(got - positions)) < 1e-9
 
     def test_entries_unit(self, rng):
         skeleton = oracles.random_skeleton(rng, 15, end_sites=True)
-        current = local_to_current(oracles.random_pose(rng, skeleton))
-        norm_res, ortho_res = dualquat.unitary_residual(current.joint_dq)
+        chain = oracles.random_pose(rng, skeleton).chain
+        norm_res, ortho_res = dualquat.unitary_residual(chain)
         assert np.max(np.abs(norm_res)) < 1e-9
         assert np.max(np.abs(ortho_res)) < 1e-9
 
@@ -122,7 +122,7 @@ class TestCurrentToLocal:
         for _ in range(200):
             skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 15)), end_sites=True)
             pose = oracles.random_pose(rng, skeleton)
-            back = current_to_local(local_to_current(pose))
+            back = decode(encode([pose], ReprKind.DUALQUAT))[0]
             for idx in range(skeleton.num_joints):
                 a, b = pose.joint_rotations[idx], back.joint_rotations[idx]
                 assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-9
@@ -130,28 +130,17 @@ class TestCurrentToLocal:
 
     def test_root_maps_to_itself(self, rng):
         skeleton = oracles.random_skeleton(rng, 5)
-        current = local_to_current(oracles.random_pose(rng, skeleton))
-        local = current_to_local_dq(current)
-        assert np.allclose(local[0], current.joint_dq[0])
+        pose = oracles.random_pose(rng, skeleton)
+        assert np.allclose(local_dq(pose)[0], pose.chain[0])
 
     def test_offsets_recovered(self, rng):
         for _ in range(100):
             skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 12)), end_sites=True)
-            current = local_to_current(oracles.random_pose(rng, skeleton))
-            local = current_to_local_dq(current)
+            local = local_dq(oracles.random_pose(rng, skeleton))
             for idx, joint in enumerate(skeleton.joints):
                 if joint.parent is not None:
                     extracted = dualquat.translation(local[idx])
                     assert np.max(np.abs(extracted - joint.offset)) < 1e-9
-
-    def test_rejects_non_unit(self, rng):
-        from dqmotion.errors import NotUnitError
-
-        skeleton = oracles.random_skeleton(rng, 3)
-        current = local_to_current(oracles.random_pose(rng, skeleton))
-        current.joint_dq[1] *= 1.5
-        with pytest.raises(NotUnitError):
-            current_to_local(current)
 
     def test_rejects_non_unit_local_rotations(self, rng):
         from dqmotion.errors import NotUnitError
@@ -162,21 +151,19 @@ class TestCurrentToLocal:
             rotations = pose.joint_rotations.copy()
             rotations[target] *= 1.5
             with pytest.raises(NotUnitError):
-                local_to_current(LocalPose(skeleton, pose.root_translation, rotations))
+                LocalPose(skeleton, pose.root_translation, rotations).chain
 
 
 class TestErrorLocalization:
     def test_perturbation_stays_in_subtree(self, rng):
         skeleton = oracles.random_skeleton(rng, 12, end_sites=True)
         pose = oracles.random_pose(rng, skeleton)
-        base = local_to_current(pose).joint_dq
+        base = pose.chain
 
         target = 4
         perturbed_rotations = pose.joint_rotations.copy()
         perturbed_rotations[target] = oracles.random_unit_quat(rng)
-        perturbed = local_to_current(
-            LocalPose(skeleton, pose.root_translation, perturbed_rotations)
-        ).joint_dq
+        perturbed = LocalPose(skeleton, pose.root_translation, perturbed_rotations).chain
 
         parents = skeleton.parent_indices
 

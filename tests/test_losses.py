@@ -7,7 +7,7 @@ from dqmotion import dualquat, quat
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
 from dqmotion.errors import ShapeMismatchError
-from dqmotion.kinematics import LocalPose, local_to_current
+from dqmotion.kinematics import LocalPose
 from dqmotion import losses
 from dqmotion.losses import (
     GRAD_LOSSES,
@@ -195,7 +195,7 @@ class TestOffset:
         direction = joint.offset / np.linalg.norm(joint.offset)
         stretched = joint.offset + delta * direction
 
-        current = local_to_current(pose).joint_dq.copy()
+        current = pose.chain.copy()
         local = dualquat.from_rotation_translation(pose.joint_rotations[target], stretched)
         current[target] = dualquat.mul(current[joint.parent], local)
         blocks = clip.joint_blocks().copy()
