@@ -21,21 +21,16 @@ clip = bvh.parse_file(DATA / "walk.bvh")
 truth = clip_to_local(clip)
 
 print("=== jittery prediction vs smooth truth ===")
-jittery = []
-for pose in truth:
-    wobble = rng.normal(scale=0.02, size=pose.joint_rotations.shape)
-    rotations = pose.joint_rotations + wobble
-    rotations /= np.linalg.norm(rotations, axis=-1, keepdims=True)
-    jittery.append(LocalPose(pose.skeleton, pose.root_translation, rotations))
+rotations = truth.joint_rotations + rng.normal(scale=0.02, size=truth.joint_rotations.shape)
+rotations /= np.linalg.norm(rotations, axis=-1, keepdims=True)
+jittery = LocalPose(truth.skeleton, truth.root_translation, rotations)
 report = metric_report(jittery, truth, frame_time=clip.frame_time)
 print(report.to_json())
 
 print()
 print("=== root translation never matters ===")
-moved = [
-    LocalPose(p.skeleton, p.root_translation + rng.uniform(-99, 99, 3), p.joint_rotations)
-    for p in truth
-]
+moved = LocalPose(truth.skeleton, truth.root_translation + rng.uniform(-99, 99, (len(truth), 3)),
+                  truth.joint_rotations)
 print("euclidean after randomizing root translation:",
       metric_report(moved, truth).euclidean)
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, loss_total
-from .metrics import pose_pair_positions, pose_positions, report_between
+from .metrics import pose_pair_positions, report_between
 
 REPR_FLAGS = {
     "dq": ReprKind.DUALQUAT,
@@ -72,6 +72,8 @@ def _parse_weights(text: str) -> LossWeights:
             mapping[key.strip()] = float(value)
         except ValueError:
             raise UsageError(f"bad --weights value {value!r}") from None
+    if len(mapping) <= text.count(","):  # a repeated key kept only its last value
+        raise UsageError("--weights names a loss weight more than once")
     try:
         return LossWeights.from_mapping(mapping)
     except ValueError as exc:
@@ -168,7 +170,7 @@ def cmd_roundtrip(args) -> int:
     kind = REPR_FLAGS[args.repr]
     if not kind.has_rotations:
         raise UsageError(f"--repr {args.repr} is not invertible; nothing to round-trip")
-    if args.tol < 0:
+    if not args.tol >= 0:  # NaN too: no deviation exceeds it
         raise UsageError("--tol must be non-negative")
 
     clip = _load_clip(args.input)
@@ -181,7 +183,7 @@ def cmd_roundtrip(args) -> int:
     a, b = poses.joint_rotations, decoded.joint_rotations
     sign_gaps = np.minimum(np.max(np.abs(a - b), axis=-1), np.max(np.abs(a + b), axis=-1))
     quat_dev = float(np.max(sign_gaps))
-    pos_gaps = np.linalg.norm(pose_positions(poses) - pose_positions(decoded), axis=-1)
+    pos_gaps = np.linalg.norm(poses.positions - decoded.positions, axis=-1)
     pos_dev = float(np.max(pos_gaps))
 
     offset_dev = 0.0

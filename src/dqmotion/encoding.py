@@ -1,9 +1,9 @@
-"""Flat feature encodings of pose sequences.
+"""Flat feature encodings of a frame-batched pose.
 
-A frame-batched pose becomes an (F, 3 + D*J) matrix: the first three columns
-hold the root translation, followed by J per-joint blocks of width D.
-J counts the skeleton's non-end-site joints. Six block layouts are
-supported:
+A frame-batched `LocalPose` (a whole clip; a single frame is rejected)
+becomes an (F, 3 + D*J) matrix: the first three columns hold the root
+translation, followed by J per-joint blocks of width D. J counts the
+skeleton's non-end-site joints. Six block layouts are supported:
 
 ==============================  ===  =========================================
 kind                             D   per-joint block
@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import LocalPose, relative, stack_poses
+from .kinematics import LocalPose, relative
 
 #: Smallest standard deviation kept when fitting normalization statistics.
 STD_FLOOR = 1e-8
@@ -208,12 +208,12 @@ def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
     return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
 
 
-def encode(poses, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
-    """Encode a batched LocalPose (or a sequence of single-frame poses)
-    under the requested representation. The kinds with positions read
-    `LocalPose.chain`, so encoding a pose under several of them sweeps the
-    hierarchy once, and a slice of an encoded pose not at all."""
-    pose = stack_poses(poses)
+def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
+    """Encode a batched LocalPose under the requested representation. The
+    kinds with positions read `LocalPose.chain`, so encoding a pose under
+    several of them sweeps the hierarchy once, and a slice of an encoded
+    pose not at all."""
+    frames = len(pose)
     skeleton = pose.skeleton
     indices = list(skeleton.encoded_indices)
 
@@ -232,7 +232,7 @@ def encode(poses, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip
         if kind.has_positions:
             blocks = np.concatenate([blocks, dualquat.translation(current)], axis=-1)
 
-    features = np.concatenate([pose.root_translation, blocks.reshape(len(pose), -1)], axis=1)
+    features = np.concatenate([pose.root_translation, blocks.reshape(frames, -1)], axis=1)
     return EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=features)
 
 
@@ -245,12 +245,12 @@ def _gram_schmidt(blocks: np.ndarray) -> np.ndarray:
     a = blocks[..., :3]
     b = blocks[..., 3:6]
     na = np.linalg.norm(a, axis=-1, keepdims=True)
-    if np.any(na <= 1e-12):
+    if np.any(na <= quat._NORM_FLOOR):
         raise DegenerateNormError("degenerate first column in six-value block")
     x = a / na
     b_perp = b - np.sum(x * b, axis=-1, keepdims=True) * x
     nb = np.linalg.norm(b_perp, axis=-1, keepdims=True)
-    if np.any(nb <= 1e-12):
+    if np.any(nb <= quat._NORM_FLOOR):
         raise DegenerateNormError("six-value block columns are collinear")
     y = b_perp / nb
     z = np.cross(x, y)

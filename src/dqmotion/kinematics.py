@@ -2,11 +2,13 @@
 (root-centered) coordinates, batched over frames.
 
 A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
-and (F, 3) root path. It runs each of its two hierarchy sweeps (`chain`
-for the encodings, `positions` for the metrics) at most once, and its
-slices reuse them. Every layer shares two hierarchy helpers: `compose`
-sweeps parent to child one depth level at a time, over the levels the
-skeleton builds once, and `relative` undoes it with one parent gather.
+and (F, 3) root path, F >= 1, the one input of every layer; a single
+frame, `pose[f]`, has no `len` and is never one. It runs each of its two
+hierarchy sweeps (`chain` for the encodings, `positions` for the
+metrics) at most once, and its slices reuse them. Every layer shares two
+hierarchy helpers: `compose` sweeps parent to child one depth level at a
+time, over the levels the skeleton builds once, and `relative` undoes it
+with one parent gather.
 
 `pose.chain` is the current pose: each joint's root-centered unit dual
 quaternion, built by `current_chain` on `compose`. `decode` of a dualquat
@@ -49,8 +51,8 @@ class LocalPose:
     joint_rotations is (F, J, 4) unit quaternions with root_translation
     (F, 3), or (J, 4) with (3,) for a single frame. Rows follow skeleton
     order; end sites (and any channel-less joints) carry the identity.
-    `len(pose)` is F, `pose[f]` is frame f as a single-frame pose,
-    `pose[a:b]` stays batched, and iterating yields single frames.
+    `len(pose)` is F, `pose[f]` is frame f as a single-frame pose (no
+    `len`), `pose[a:b]` stays batched, and iterating yields single frames.
 
     Both arrays are read-only; a writable one given to the constructor is
     copied, so the pose never aliases it. `chain` and `positions` are
@@ -69,6 +71,8 @@ class LocalPose:
         expected = (self.skeleton.num_joints, 4)
         if rotations.ndim not in (2, 3) or rotations.shape[-2:] != expected:
             raise ValueError(f"joint_rotations must have shape {expected} or (F,) + {expected}")
+        if rotations.ndim == 3 and rotations.shape[0] == 0:
+            raise TooFewFramesError("need at least one frame")
         root = _read_only(_frozen(self.root_translation).reshape(rotations.shape[:-2] + (3,)))
         object.__setattr__(self, "joint_rotations", rotations)
         object.__setattr__(self, "root_translation", root)
@@ -79,12 +83,11 @@ class LocalPose:
 
     def __len__(self) -> int:
         if not self.batched:
-            raise TypeError("a single-frame pose has no frame axis")
+            raise ShapeMismatchError("a single-frame pose has no frame axis")
         return self.joint_rotations.shape[0]
 
     def __getitem__(self, index) -> "LocalPose":
-        if not self.batched:
-            raise TypeError("a single-frame pose has no frame axis")
+        len(self)  # a single-frame pose has no frame axis to index
         pose = LocalPose(self.skeleton, _read_only(self.root_translation[index]),
                          _read_only(self.joint_rotations[index]))
         for key, value in self._memo.items():
@@ -111,30 +114,6 @@ class LocalPose:
         """(..., J, 3) root-centered joint positions of the normalized rotations."""
         return self._memoized("positions", lambda: dualquat.translation(
             current_chain(self.skeleton, quat.normalize(self.joint_rotations))))
-
-
-def stack_poses(poses) -> LocalPose:
-    """The frame-batched pose of `poses`: a batched LocalPose as it is, or
-    a sequence of single-frame poses stacked along a new frame axis.
-
-    Raises ShapeMismatchError when the poses reference different
-    skeletons and TooFewFramesError when there is no frame.
-    """
-    if not isinstance(poses, LocalPose):
-        poses = list(poses)
-        if not poses:
-            raise TooFewFramesError("need at least one pose")
-        skeleton = poses[0].skeleton
-        if any(p.skeleton is not skeleton and p.skeleton != skeleton for p in poses[1:]):
-            raise ShapeMismatchError("poses reference different skeletons")
-        poses = LocalPose(
-            skeleton,
-            _read_only(np.stack([p.root_translation for p in poses])),
-            _read_only(np.stack([p.joint_rotations for p in poses])),
-        )
-    if len(poses) == 0:
-        raise TooFewFramesError("need at least one pose")
-    return poses
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +180,11 @@ def clip_to_local(clip: MotionClip) -> LocalPose:
     return LocalPose(skeleton, _read_only(root_translation), _read_only(rotations))
 
 
-def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
-    """Flatten a batched LocalPose (or a sequence of single-frame poses)
-    back into a raw channel matrix (degrees): one `to_euler` call and one
-    scatter per Euler order."""
-    pose = stack_poses(poses)
+def local_to_clip(pose: LocalPose, template: Skeleton, frame_time: float) -> MotionClip:
+    """Flatten a batched LocalPose back into a raw channel matrix
+    (degrees): one `to_euler` call and one scatter per Euler order."""
     if pose.skeleton is not template and pose.skeleton != template:
-        raise ValueError("pose skeleton does not match the template")
+        raise ShapeMismatchError("pose skeleton does not match the template")
     table = template.channel_table
     frames = np.zeros((len(pose), template.channel_count))
     frames[:, table.position_columns] = pose.root_translation[:, table.position_axes]

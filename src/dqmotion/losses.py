@@ -67,11 +67,14 @@ class LossWeights:
 
     @classmethod
     def from_mapping(cls, mapping) -> "LossWeights":
-        """Build weights from e.g. {"reg": 0.01, "pos": 0.5}; unknown keys raise."""
+        """Build weights from e.g. {"reg": 0.01, "pos": 0.5}; unknown keys
+        raise, and so do two keys that name one weight ("quat", "rotational")."""
         kwargs = {}
         for key, value in mapping.items():
             if key not in cls._ALIASES:
                 raise ValueError(f"unknown loss weight {key!r}")
+            if cls._ALIASES[key] in kwargs:
+                raise ValueError(f"loss weight {cls._ALIASES[key]!r} is given more than once")
             kwargs[cls._ALIASES[key]] = float(value)
         return cls(**kwargs)
 

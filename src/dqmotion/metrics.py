@@ -17,8 +17,8 @@ sliced, not rerun, for a window of a pose already scored in full:
 
 Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `acceleration_of`, `report_between`) operate on plain position arrays;
-the `metric_*` wrappers take a batched LocalPose, or a sequence of
-single-frame poses, and run forward kinematics first.
+the `metric_*` wrappers take frame-batched LocalPoses and read their
+`positions`. A single frame, `pose[f]`, raises ShapeMismatchError.
 """
 
 import json
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
-from .kinematics import stack_poses
 
 
 @dataclass
@@ -143,24 +142,13 @@ def report_between(
 # pose level
 # ---------------------------------------------------------------------------
 
-def pose_positions(poses) -> np.ndarray:
-    """(F, J, 3) root-centered joint positions; root displacement ignored.
-
-    Rotations are normalized first, so any non-degenerate quaternions
-    are accepted. The array is read-only: it is the pose's own
-    `LocalPose.positions`, computed on first use.
-    """
-    return stack_poses(poses).positions
-
-
 def pose_pair_positions(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of two pose sequences of one skeleton and one length."""
-    pred, truth = stack_poses(pred), stack_poses(truth)
+    """`LocalPose.positions` of two batched poses of one skeleton and length."""
     if len(pred) != len(truth):
         raise LengthMismatchError(f"sequence lengths differ: {len(pred)} vs {len(truth)}")
     if pred.skeleton is not truth.skeleton and pred.skeleton != truth.skeleton:
         raise ShapeMismatchError("sequences use different skeletons")
-    return pose_positions(pred), pose_positions(truth)
+    return pred.positions, truth.positions
 
 
 def metric_euclidean(pred, truth) -> float:
@@ -171,8 +159,8 @@ def metric_npss(pred, truth) -> float:
     return npss_between(*pose_pair_positions(pred, truth))
 
 
-def metric_acceleration(seq) -> float:
-    return acceleration_of(pose_positions(seq))
+def metric_acceleration(pose) -> float:
+    return acceleration_of(pose.positions)
 
 
 def metric_report(pred, truth, frame_time: float | None = None) -> MetricReport:

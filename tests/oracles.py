@@ -173,4 +173,18 @@ def random_pose(rng, skeleton: Skeleton):
 
 
 def random_poses(rng, skeleton: Skeleton, n_frames: int):
-    return [random_pose(rng, skeleton) for _ in range(n_frames)]
+    """One batched pose of `n_frames` frames, drawn frame by frame as
+    `random_pose` draws them."""
+    from dqmotion.kinematics import LocalPose
+
+    frames = [random_pose(rng, skeleton) for _ in range(n_frames)]
+    return LocalPose(skeleton, np.stack([f.root_translation for f in frames]),
+                     np.stack([f.joint_rotations for f in frames]))
+
+
+def repeated(pose, n_frames: int = 1):
+    """The batched pose of `n_frames` copies of the single-frame `pose`."""
+    from dqmotion.kinematics import LocalPose
+
+    return LocalPose(pose.skeleton, np.tile(pose.root_translation, (n_frames, 1)),
+                     np.tile(pose.joint_rotations, (n_frames, 1, 1)))

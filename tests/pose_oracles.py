@@ -16,9 +16,9 @@ import numpy as np
 
 from dqmotion import _rotmat, dualquat, quat
 from dqmotion.encoding import ReprKind, _gram_schmidt
-from dqmotion.errors import NotInvertibleError, NotUnitError
+from dqmotion.errors import NotInvertibleError, NotUnitError, ShapeMismatchError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
-from dqmotion.kinematics import LocalPose, stack_poses
+from dqmotion.kinematics import LocalPose
 
 import oracles
 
@@ -120,9 +120,9 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
     return rotations, positions
 
 
-def pose_positions(poses) -> np.ndarray:
-    """(F, J, 3) root-centered positions, one `matrix_fk` call per pose."""
-    return np.stack([matrix_fk(pose)[1] for pose in poses])
+def pose_positions(pose: LocalPose) -> np.ndarray:
+    """(F, J, 3) root-centered positions, one `matrix_fk` call per frame."""
+    return np.stack([matrix_fk(frame)[1] for frame in pose])
 
 
 def current_to_local_dq(skeleton, current: np.ndarray) -> np.ndarray:
@@ -140,8 +140,8 @@ def current_to_local_dq(skeleton, current: np.ndarray) -> np.ndarray:
     return local
 
 
-def decode(clip) -> list:
-    """Single-frame LocalPoses of a raw clip: the parent-conjugate products
+def decode(clip) -> LocalPose:
+    """The batched LocalPose of a raw clip: the parent-conjugate products
     one joint at a time for the dualquat kind, scalar Shepperd for ortho6d."""
     if clip.kind is ReprKind.POSITIONS:
         raise NotInvertibleError("positions carry no rotations to decode")
@@ -166,13 +166,10 @@ def decode(clip) -> list:
         mats = _gram_schmidt(blocks[..., :6]).reshape(-1, 3, 3)
         quats = np.stack([matrix_to_quat(m) for m in mats]).reshape(f, len(indices), 4)
 
-    poses = []
-    for frame in range(f):
-        rotations = np.zeros((skeleton.num_joints, 4))
-        rotations[:, 0] = 1.0
-        rotations[indices] = quats[frame]
-        poses.append(LocalPose(skeleton, clip.root_translation[frame].copy(), rotations))
-    return poses
+    rotations = np.zeros((f, skeleton.num_joints, 4))
+    rotations[..., 0] = 1.0
+    rotations[:, indices] = quats
+    return LocalPose(skeleton, clip.root_translation.copy(), rotations)
 
 
 def _channel_columns(skeleton: Skeleton, frames: np.ndarray) -> list[dict]:
@@ -206,12 +203,11 @@ def clip_to_local(clip: MotionClip) -> LocalPose:
     return LocalPose(skeleton, root_translation, rotations)
 
 
-def local_to_clip(poses, template: Skeleton, frame_time: float) -> MotionClip:
-    """Flatten a batched LocalPose (or a sequence of single-frame poses)
-    back into a raw channel matrix (degrees)."""
-    pose = stack_poses(poses)
+def local_to_clip(pose: LocalPose, template: Skeleton, frame_time: float) -> MotionClip:
+    """Flatten a frame-batched LocalPose back into a raw channel matrix
+    (degrees)."""
     if pose.skeleton is not template and pose.skeleton != template:
-        raise ValueError("pose skeleton does not match the template")
+        raise ShapeMismatchError("pose skeleton does not match the template")
     frames = np.zeros((len(pose), template.channel_count))
     channels = _channel_columns(template, frames)
     for tag, column in channels[0].items():

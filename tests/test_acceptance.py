@@ -77,7 +77,7 @@ def test_criterion_2_inverse_pair():
     for _ in range(1000):
         skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 16)))
         pose = oracles.random_pose(rng, skeleton)
-        back = decode(encode([pose], ReprKind.DUALQUAT))[0]
+        back = decode(encode(oracles.repeated(pose), ReprKind.DUALQUAT))[0]
         for a, b in zip(pose.joint_rotations, back.joint_rotations):
             assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-9
         local = relative(skeleton.parent_indices, pose.chain, dualquat.mul, dualquat.conjugate)
@@ -179,7 +179,7 @@ def test_criterion_6_loss_ground_truths():
     single = oracles.random_skeleton(rng, 1)
     q = oracles.random_unit_quat(rng)
     base = LocalPose(single, np.zeros(3), q[None])
-    identical = encode([base], ReprKind.DUALQUAT)
+    identical = encode(oracles.repeated(base), ReprKind.DUALQUAT)
     assert abs(loss_rotational(identical, identical, "local")) < 1e-12
 
     flipped = EncodedClip(ReprKind.DUALQUAT, single, 1 / 30, -identical.features)
@@ -190,7 +190,7 @@ def test_criterion_6_loss_ground_truths():
     quarter = LocalPose(
         single, np.zeros(3), quat.mul(q, quat.from_euler([np.pi / 2, 0, 0], "ZYX"))[None]
     )
-    rotated = encode([quarter], ReprKind.DUALQUAT)
+    rotated = encode(oracles.repeated(quarter), ReprKind.DUALQUAT)
     value = loss_rotational(rotated, identical, "local")
     assert abs(value - (1.0 - np.cos(np.pi / 4))) < 1e-12
     assert 0.0 <= value <= 2.0
@@ -244,10 +244,8 @@ def test_criterion_8_metric_anchors():
 
     skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
     seq = oracles.random_poses(rng, skeleton, 5)
-    moved = [
-        LocalPose(skeleton, p.root_translation + rng.uniform(-50, 50, 3), p.joint_rotations)
-        for p in seq
-    ]
+    moved = LocalPose(skeleton, seq.root_translation + rng.uniform(-50, 50, (5, 3)),
+                      seq.joint_rotations)
     assert metric_euclidean(moved, seq) < 1e-12
 
 

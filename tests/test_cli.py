@@ -242,6 +242,12 @@ class TestRoundtrip:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("tol", ("nan", "-1e-9"))
+    def test_tol_not_non_negative_is_usage_error(self, capsys, fixtures_dir, tol):
+        code, out, err = run(capsys, "roundtrip", fixtures_dir / "humanoid.bvh", "--tol", tol)
+        assert code == 2
+        assert "--tol" in err and "OK" not in out
+
     def test_positions_repr_rejected(self, capsys, two_joint):
         code, _, err = run(capsys, "roundtrip", two_joint, "--repr", "pos")
         assert code == 2
@@ -310,6 +316,12 @@ class TestLoss:
     def test_bad_weights(self, capsys, encoded_dq):
         code, _, err = run(capsys, "loss", encoded_dq, encoded_dq, "--weights", "bogus=1")
         assert code == 2
+
+    @pytest.mark.parametrize("weights", ("quat=0.5,rotational=2", "reg=1,reg=2"))
+    def test_weight_given_twice(self, capsys, encoded_dq, weights):
+        code, out, err = run(capsys, "loss", encoded_dq, encoded_dq, "--weights", weights)
+        assert code == 2
+        assert "more than once" in err and not out
 
 
 class TestMetrics:

@@ -1,4 +1,5 @@
-"""The narrative demo scripts must stay runnable."""
+"""The narrative demo scripts must stay runnable, under the suite's own
+warnings policy: any warning is an error."""
 
 import subprocess
 import sys
@@ -12,7 +13,7 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

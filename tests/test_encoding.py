@@ -49,7 +49,7 @@ class TestWidthContract:
 class TestDualquatBlocks:
     def test_identity_pose_blocks(self, rng):
         skeleton = oracles.random_skeleton(rng, 6)
-        clip = encode([identity_pose(skeleton)], ReprKind.DUALQUAT)
+        clip = encode(oracles.repeated(identity_pose(skeleton)), ReprKind.DUALQUAT)
         blocks = clip.joint_blocks()[0]
         assert np.allclose(blocks[0], [1, 0, 0, 0, 0, 0, 0, 0])
         # With identity rotations the dual part is half the cumulative offset.
@@ -80,7 +80,7 @@ class TestDualquatBlocks:
 class TestOtherKinds:
     def test_identity_pose_ortho6d(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
-        clip = encode([identity_pose(skeleton)], ReprKind.ORTHO6D)
+        clip = encode(oracles.repeated(identity_pose(skeleton)), ReprKind.ORTHO6D)
         assert np.allclose(clip.joint_blocks()[0], [1, 0, 0, 0, 1, 0])
 
     def test_positions_match_matrix_fk(self, rng):

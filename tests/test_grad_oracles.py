@@ -82,8 +82,8 @@ def test_zero_distances_give_zero_gradients(rng):
     skeleton = Skeleton(joints)
     rotations = np.zeros((skeleton.num_joints, 4))
     rotations[:, 0] = 1.0
-    poses = [LocalPose(skeleton, np.zeros(3), rotations) for _ in range(FRAMES)]
-    clip = encode(poses, ReprKind.DUALQUAT)
+    clip = encode(oracles.repeated(LocalPose(skeleton, np.zeros(3), rotations), FRAMES),
+                  ReprKind.DUALQUAT)
     for name in ("offset", "positional"):
         got = _analytic_gradient(name, clip, clip, skeleton)
         want = grad_oracles.analytic_gradient(name, clip, clip, skeleton)

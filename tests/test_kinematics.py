@@ -122,7 +122,7 @@ class TestCurrentToLocal:
         for _ in range(200):
             skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 15)), end_sites=True)
             pose = oracles.random_pose(rng, skeleton)
-            back = decode(encode([pose], ReprKind.DUALQUAT))[0]
+            back = decode(encode(oracles.repeated(pose), ReprKind.DUALQUAT))[0]
             for idx in range(skeleton.num_joints):
                 a, b = pose.joint_rotations[idx], back.joint_rotations[idx]
                 assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-9
@@ -210,7 +210,7 @@ class TestClipConversion:
 
     def test_identity_rotations_write_zero_channels(self, fixtures_dir):
         clip = bvh.parse_file(fixtures_dir / "two_joint.bvh")
-        poses = [identity_pose(clip.skeleton)]
+        poses = oracles.repeated(identity_pose(clip.skeleton))
         out = local_to_clip(poses, clip.skeleton, clip.frame_time)
         assert np.allclose(out.frames, 0.0)
 

@@ -62,6 +62,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             LossWeights.from_mapping({"bogus": 1.0})
 
+    @pytest.mark.parametrize("pair", (("quat", "rotational"), ("pos", "positional"),
+                                      ("reg", "regularization")))
+    def test_one_weight_named_twice_rejected(self, pair):
+        with pytest.raises(ValueError, match="more than once"):
+            LossWeights.from_mapping({pair[0]: 0.5, pair[1]: 2.0})
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(mse=-1.0)
@@ -185,7 +191,7 @@ class TestOffset:
     def test_single_bone_stretch(self, rng):
         skeleton = oracles.random_skeleton(rng, 6)
         pose = oracles.random_pose(rng, skeleton)
-        clip = encode([pose], ReprKind.DUALQUAT)
+        clip = encode(oracles.repeated(pose), ReprKind.DUALQUAT)
         j = skeleton.num_encoded
         delta = 0.37
         # Stretch a leaf: any descendant's local transform would otherwise
@@ -208,12 +214,13 @@ class TestOffset:
     def test_invariant_under_global_rotation(self, rng):
         skeleton = oracles.random_skeleton(rng, 7, end_sites=True)
         pose = oracles.random_pose(rng, skeleton)
-        before = loss_offset(encode([pose], ReprKind.DUALQUAT), skeleton)
+        before = loss_offset(encode(oracles.repeated(pose), ReprKind.DUALQUAT), skeleton)
 
         spun = pose.joint_rotations.copy()
         spun[0] = quat.mul(oracles.random_unit_quat(rng), spun[0])
         after = loss_offset(
-            encode([LocalPose(skeleton, pose.root_translation, spun)], ReprKind.DUALQUAT),
+            encode(oracles.repeated(LocalPose(skeleton, pose.root_translation, spun)),
+                   ReprKind.DUALQUAT),
             skeleton,
         )
         assert abs(before - after) < 1e-9
@@ -381,10 +388,11 @@ class TestPerturbationSensitivity:
     def test_rotational_detects_rotation_changes(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
         pose = oracles.random_pose(rng, skeleton)
-        truth = encode([pose], ReprKind.DUALQUAT)
+        truth = encode(oracles.repeated(pose), ReprKind.DUALQUAT)
         nudged = pose.joint_rotations.copy()
         nudged[2] = quat.mul(nudged[2], quat.from_euler([1e-4, 0, 0], "ZYX"))
-        pred = encode([LocalPose(skeleton, pose.root_translation, nudged)], ReprKind.DUALQUAT)
+        pred = encode(oracles.repeated(LocalPose(skeleton, pose.root_translation, nudged)),
+                      ReprKind.DUALQUAT)
         assert loss_rotational(pred, truth, "local") > 0.0
         assert loss_rotational(pred, truth, "current") > 0.0
 

@@ -1,5 +1,5 @@
 """The frozen LocalPose and its two memos: the current chain that `encode`
-reads and the root-centered positions that `pose_positions` returns.
+reads and the root-centered positions that the metrics read.
 
 A slice of a pose inherits each filled memo as the same slice of it, so a
 window of a pose that was scored in full runs no forward kinematics. Every
@@ -15,8 +15,8 @@ import pytest
 from dqmotion import kinematics
 from dqmotion.encoding import ReprKind, encode
 from dqmotion.errors import DegenerateNormError, NotUnitError
-from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, stack_poses
-from dqmotion.metrics import metric_report, pose_positions
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
+from dqmotion.metrics import metric_report
 
 import oracles
 
@@ -37,7 +37,7 @@ def skeleton(rng):
 
 @pytest.fixture
 def pose(rng, skeleton):
-    return stack_poses(oracles.random_poses(rng, skeleton, FRAMES))
+    return oracles.random_poses(rng, skeleton, FRAMES)
 
 
 def fresh(pose: LocalPose, index) -> LocalPose:
@@ -47,7 +47,7 @@ def fresh(pose: LocalPose, index) -> LocalPose:
 
 
 def fill(pose: LocalPose):
-    pose_positions(pose)
+    pose.positions
     encode(pose, ReprKind.DUALQUAT)
 
 
@@ -69,7 +69,7 @@ class TestSlices:
         window, want = pose[index], fresh(pose, index)
         assert same_bits(window.joint_rotations, want.joint_rotations)
         assert same_bits(window.root_translation, want.root_translation)
-        assert same_bits(pose_positions(window), pose_positions(want))
+        assert same_bits(window.positions, want.positions)
         for kind in ReprKind:
             assert same_bits(encode(window, kind).features, encode(want, kind).features), kind
 
@@ -82,22 +82,16 @@ class TestSlices:
 
     def test_filled_window_runs_no_fk(self, pose, monkeypatch):
         fill(pose)
-        full = pose_positions(pose), encode(pose, ReprKind.POSITIONS).features
+        full = pose.positions, encode(pose, ReprKind.POSITIONS).features
         monkeypatch.setattr(kinematics, "current_chain", no_sweep)
-        assert pose_positions(pose) is full[0]
+        assert pose.positions is full[0]
         window = pose[30:60]
-        assert same_bits(pose_positions(window), full[0][30:60])
+        assert same_bits(window.positions, full[0][30:60])
         assert same_bits(encode(window, ReprKind.POSITIONS).features, full[1][30:60])
-        assert same_bits(pose_positions(pose[::7][2:5]), full[0][14:35:7])
+        assert same_bits(pose[::7][2:5].positions, full[0][14:35:7])
         # an unfilled pose still needs the sweep
         with pytest.raises(AssertionError):
-            pose_positions(fresh(pose, slice(30, 60)))
-
-    def test_stacked_list_starts_empty(self, pose, monkeypatch):
-        fill(pose)
-        monkeypatch.setattr(kinematics, "current_chain", no_sweep)
-        with pytest.raises(AssertionError):
-            pose_positions(list(pose[:4]))
+            fresh(pose, slice(30, 60)).positions
 
 
 class TestErrorsAreNotMemoized:
@@ -134,8 +128,8 @@ class TestErrorsAreNotMemoized:
 class TestFrozen:
     def test_arrays_are_read_only(self, pose):
         fill(pose)
-        for array in (pose.joint_rotations, pose.root_translation, pose_positions(pose),
-                      pose.positions, pose.chain, pose[5:9].chain, pose[[1, 2]].positions):
+        for array in (pose.joint_rotations, pose.root_translation, pose.positions,
+                      pose.chain, pose[5:9].chain, pose[[1, 2]].positions):
             with pytest.raises(ValueError):
                 array[0] = 0.0
         with pytest.raises(ValueError):

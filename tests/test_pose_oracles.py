@@ -2,26 +2,22 @@
 semantics of the frame-batched LocalPose."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dqmotion import _rotmat, dualquat, quat
+from dqmotion import _rotmat, bvh, dualquat, quat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.encoding import ReprKind, decode, encode
 from dqmotion.errors import ShapeMismatchError, TooFewFramesError
-from dqmotion.kinematics import (
-    LocalPose,
-    clip_to_local,
-    local_to_clip,
-    relative,
-    stack_poses,
-)
-from dqmotion.metrics import metric_report, pose_positions
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
+from dqmotion.metrics import metric_report
 
 import oracles
 import pose_oracles
 
+WALK = Path(__file__).parent.parent / "demos" / "data" / "walk.bvh"
 FRAME_COUNTS = (1, 16)
 INVERTIBLE = [kind for kind in ReprKind if kind.has_rotations]
 
@@ -33,10 +29,6 @@ def branching_skeleton(rng):
         skeleton = oracles.random_skeleton(rng, 12, end_sites=True)
         if np.bincount(skeleton.parent_indices[1:]).max() >= 3:
             return skeleton
-
-
-def random_batch(rng, skeleton, frames) -> LocalPose:
-    return stack_poses(oracles.random_poses(rng, skeleton, frames))
 
 
 def assert_close(got, want, tol=1e-12):
@@ -85,30 +77,29 @@ class TestToEuler:
 class TestHierarchy:
     def test_positions_match_matrix_fk(self, rng, frames):
         skeleton = branching_skeleton(rng)
-        poses = oracles.random_poses(rng, skeleton, frames)
-        want = pose_oracles.pose_positions(poses)
-        assert_close(pose_positions(stack_poses(poses)), want)
+        pose = oracles.random_poses(rng, skeleton, frames)
+        want = pose_oracles.pose_positions(pose)
+        assert_close(pose.positions, want)
         # rotations are normalized first, as matrix_fk does
-        pose = stack_poses(poses)
         scale = rng.uniform(0.5, 2.0, size=(frames, skeleton.num_joints, 1))
         scaled = LocalPose(skeleton, pose.root_translation, pose.joint_rotations * scale)
-        assert_close(pose_positions(scaled), want)
+        assert_close(scaled.positions, want)
 
     def test_current_to_local_matches_joint_loop(self, rng, frames):
         skeleton = branching_skeleton(rng)
-        chain = random_batch(rng, skeleton, frames).chain
+        chain = oracles.random_poses(rng, skeleton, frames).chain
         want = np.stack([pose_oracles.current_to_local_dq(skeleton, frame) for frame in chain])
         assert_close(relative(skeleton.parent_indices, chain, dualquat.mul, dualquat.conjugate), want)
 
     @pytest.mark.parametrize("kind", INVERTIBLE, ids=lambda k: k.value)
     def test_decode_matches_loop(self, rng, frames, kind):
         skeleton = branching_skeleton(rng)
-        clip = encode(random_batch(rng, skeleton, frames), kind)
+        clip = encode(oracles.random_poses(rng, skeleton, frames), kind)
         got = decode(clip)
         want = pose_oracles.decode(clip)
         assert len(got) == len(want) == frames
-        assert_close(got.joint_rotations, np.stack([p.joint_rotations for p in want]))
-        assert_close(got.root_translation, np.stack([p.root_translation for p in want]), 0.0)
+        assert_close(got.joint_rotations, want.joint_rotations)
+        assert_close(got.root_translation, want.root_translation, 0.0)
 
 
 def every_order_skeleton(rng, root_positions: bool) -> Skeleton:
@@ -164,7 +155,7 @@ class TestClipConversion:
     def test_local_to_clip_matches_joint_loop(self, rng, frames, root_positions):
         skeleton = every_order_skeleton(rng, root_positions)
         clip = MotionClip(skeleton, 1 / 30, near_pole_frames(rng, skeleton, frames))
-        for pose in (clip_to_local(clip), random_batch(rng, skeleton, frames)):
+        for pose in (clip_to_local(clip), oracles.random_poses(rng, skeleton, frames)):
             got = local_to_clip(pose, skeleton, clip.frame_time)
             want = pose_oracles.local_to_clip(pose, skeleton, clip.frame_time)
             assert_same_bits(got.frames, want.frames)
@@ -173,7 +164,7 @@ class TestClipConversion:
 class TestLocalPose:
     def test_frame_axis(self, rng):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
-        pose = random_batch(rng, skeleton, 6)
+        pose = oracles.random_poses(rng, skeleton, 6)
         assert len(pose) == 6 and pose.batched
 
         frame = pose[2]
@@ -181,8 +172,10 @@ class TestLocalPose:
         assert frame.joint_rotations.shape == (skeleton.num_joints, 4)
         assert frame.root_translation.shape == (3,)
         assert np.array_equal(frame.joint_rotations, pose.joint_rotations[2])
-        with pytest.raises(TypeError):
+        with pytest.raises(ShapeMismatchError):
             len(frame)
+        with pytest.raises(ShapeMismatchError):
+            frame[0]
 
         window = pose[1:4]
         assert window.batched and len(window) == 3
@@ -199,34 +192,38 @@ class TestLocalPose:
         with pytest.raises(ValueError):
             LocalPose(skeleton, np.zeros((2, 3)), np.ones((3, 4, 4)))
 
-    def test_list_and_batch_agree(self, rng):
-        skeleton = branching_skeleton(rng)
-        poses = oracles.random_poses(rng, skeleton, 5)
-        batch = stack_poses(poses)
-        for kind in ReprKind:
-            assert np.array_equal(encode(poses, kind).features, encode(batch, kind).features)
-        reports = metric_report(poses, poses[::-1]), metric_report(batch, batch[::-1])
-        assert reports[0].to_dict() == reports[1].to_dict()
-        assert np.array_equal(
-            local_to_clip(poses, skeleton, 0.1).frames, local_to_clip(batch, skeleton, 0.1).frames
-        )
-
     def test_mixed_skeletons_rejected(self, rng):
         a = oracles.random_skeleton(rng, 4)
         b = oracles.random_skeleton(rng, 4)
-        mixed = oracles.random_poses(rng, a, 3) + oracles.random_poses(rng, b, 3)
+        pose_a, pose_b = oracles.random_poses(rng, a, 3), oracles.random_poses(rng, b, 3)
         with pytest.raises(ShapeMismatchError):
-            stack_poses(mixed)
+            metric_report(pose_a, pose_b)
         with pytest.raises(ShapeMismatchError):
-            encode(mixed, ReprKind.DUALQUAT)
-        with pytest.raises(ShapeMismatchError):
-            metric_report(mixed, mixed)
-        with pytest.raises(ShapeMismatchError):
-            local_to_clip(mixed, a, 0.1)
+            local_to_clip(pose_b, a, 0.1)
 
     def test_no_frames_rejected(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
+        pose = oracles.random_poses(rng, skeleton, 8)
         with pytest.raises(TooFewFramesError):
-            encode([], ReprKind.DUALQUAT)
+            pose[5:2]
         with pytest.raises(TooFewFramesError):
-            encode(random_batch(rng, skeleton, 3)[3:], ReprKind.DUALQUAT)
+            pose[np.array([], dtype=int)]
+        with pytest.raises(TooFewFramesError):
+            LocalPose(skeleton, np.zeros((0, 3)), np.zeros((0, skeleton.num_joints, 4)))
+
+    @pytest.mark.parametrize("source", ("walk", "three-joint"))
+    def test_single_frame_rejected_by_every_layer(self, rng, source):
+        if source == "walk":
+            pose = clip_to_local(bvh.parse_file(WALK))
+            assert pose.skeleton.num_joints == 19
+        else:
+            pose = oracles.random_poses(rng, oracles.random_skeleton(rng, 3), 4)
+        frame = pose[0]
+        for kind in ReprKind:
+            with pytest.raises(ShapeMismatchError):
+                encode(frame, kind)
+        with pytest.raises(ShapeMismatchError):
+            local_to_clip(frame, pose.skeleton, 0.1)
+        for pred, truth in ((frame, pose), (pose, frame), (frame, frame)):
+            with pytest.raises(ShapeMismatchError):
+                metric_report(pred, truth)

@@ -12,9 +12,9 @@ from dqmotion import bvh, container, dualquat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, decode, encode
-from dqmotion.kinematics import clip_to_local, current_chain, local_to_clip, stack_poses
+from dqmotion.kinematics import clip_to_local, current_chain, local_to_clip
 from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, loss_total
-from dqmotion.metrics import metric_report, pose_positions
+from dqmotion.metrics import metric_report
 
 import oracles
 import pose_oracles
@@ -123,8 +123,8 @@ class TestSkeletonTable:
             return [a.copy() for a in arrays]
 
         before = snapshot()
-        poses = stack_poses(oracles.random_poses(rng, skeleton, 6))
-        other = stack_poses(oracles.random_poses(rng, skeleton, 6))
+        poses = oracles.random_poses(rng, skeleton, 6)
+        other = oracles.random_poses(rng, skeleton, 6)
         metric_report(poses, other)
         for kind in (ReprKind.DUALQUAT, ReprKind.QUATERNIONS):
             truth = encode(poses, kind)
@@ -165,8 +165,8 @@ class TestSkeletonTable:
             return table, [a.copy() for a in arrays], list(table.depth_first)
 
         table, before, order = snapshot()
-        poses = stack_poses(oracles.random_poses(rng, skeleton, 6))
-        other = stack_poses(oracles.random_poses(rng, skeleton, 6))
+        poses = oracles.random_poses(rng, skeleton, 6)
+        other = oracles.random_poses(rng, skeleton, 6)
         metric_report(poses, other)
         for kind in (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.ORTHO6D):
             back = decode(encode(poses, kind))
@@ -218,15 +218,15 @@ class TestWriterOrder:
 
     def test_cli_decode_positions(self, capsys, tmp_path, rng):
         skeleton = not_depth_first_skeleton(rng)
-        encoded = encode(stack_poses(oracles.random_poses(rng, skeleton, 5)), ReprKind.DUALQUAT)
+        encoded = encode(oracles.random_poses(rng, skeleton, 5), ReprKind.DUALQUAT)
         path, out = tmp_path / "tree.dqm", tmp_path / "tree.bvh"
         container.write_file(path, encoded)
         assert main(["decode", str(path), "-o", str(out)]) == 0
 
         # per joint name, its (F, 3) positions
-        want = dict(zip(bvh_names(skeleton), pose_positions(decode(encoded)).swapaxes(0, 1)))
+        want = dict(zip(bvh_names(skeleton), decode(encoded).positions.swapaxes(0, 1)))
         written = bvh.parse_file(out)
-        got = dict(zip(written.skeleton.names, pose_positions(clip_to_local(written)).swapaxes(0, 1)))
+        got = dict(zip(written.skeleton.names, clip_to_local(written).positions.swapaxes(0, 1)))
         assert set(got) == set(want)
         for name, positions in want.items():
             assert np.max(np.abs(got[name] - positions)) <= 1e-5, name
@@ -256,6 +256,6 @@ def skeletons(draw) -> Skeleton:
 def test_any_topological_order(skeleton, seed):
     rng = np.random.default_rng(seed)
     poses = oracles.random_poses(rng, skeleton, 3)
-    chain = current_chain(skeleton, stack_poses(poses).joint_rotations)
+    chain = current_chain(skeleton, poses.joint_rotations)
     assert np.max(np.abs(dualquat.translation(chain) - pose_oracles.pose_positions(poses))) <= 1e-9
     assert_write_parse_keeps_channels(MotionClip(skeleton, 1 / 30, random_frames(rng, skeleton, 3)))
