@@ -9,10 +9,11 @@ kinematics layer, never here.
 Accepted input is tolerant about whitespace (spaces, tabs, CRLF); output
 is canonical: LF newlines, two-space indentation, six decimal places.
 
-`Skeleton` owns the topology every layer walks (parents, offsets, encoded
-joints, depth levels), each view built once and read-only. Its channel
-table says where each joint's channels sit in a frame row: per Euler
-order, the joints and their (x, y, z) rotation columns; the root's
+`Skeleton` is an immutable value, equal to another with the same joints
+and offsets. It owns the topology every layer walks (parents, offsets,
+encoded joints, depth levels), each view built once and read-only. Its
+channel table says where each joint's channels sit in a frame row: per
+Euler order, the joints and their (x, y, z) rotation columns; the root's
 position columns; and every column in the depth-first order the writer
 lists joints in, whatever order the skeleton lists them in. The clip
 conversions in `kinematics` and the writer read it, so neither loops over
@@ -146,15 +147,16 @@ def _levels(parents: np.ndarray) -> tuple:
         in_level = np.bincount(rows, minlength=parents.size) > 0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Skeleton:
     """Joint hierarchy in topological order; joint 0 is the single root.
-    The joints are a tuple, and each derived view is built on first use."""
+    An immutable value: the joints are a tuple of frozen `JointSpec`s, and
+    each derived view is built on first use and read-only."""
 
     joints: tuple[JointSpec, ...]
 
     def __post_init__(self):
-        self.joints = tuple(self.joints)
+        object.__setattr__(self, "joints", tuple(self.joints))
         if not self.joints:
             raise ValueError("skeleton needs at least one joint")
         if self.joints[0].parent is not None:
@@ -238,18 +240,17 @@ class Skeleton:
         """(rows, parent rows) per depth level of the encoded joints."""
         return _levels(self.encoded_parents)
 
+    @cached_property
+    def _topology(self) -> tuple:
+        """(name, parent, channels, end-site flag) per joint."""
+        return tuple((j.name, j.parent, j.channels, j.is_end_site) for j in self.joints)
+
     def __eq__(self, other) -> bool:
+        """The same joints in the same order, offsets equal as numbers."""
         if not isinstance(other, Skeleton):
             return NotImplemented
-        if len(self.joints) != len(other.joints):
-            return False
-        return all(
-            a.name == b.name
-            and a.parent == b.parent
-            and a.channels == b.channels
-            and a.is_end_site == b.is_end_site
-            and np.array_equal(a.offset, b.offset)
-            for a, b in zip(self.joints, other.joints)
+        return self is other or (
+            self._topology == other._topology and np.array_equal(self.offsets, other.offsets)
         )
 
     def to_dict(self) -> dict:

@@ -31,7 +31,7 @@ from .errors import (
     TooFewFramesError,
 )
 from .kinematics import clip_to_local, local_to_clip
-from .losses import LossWeights, loss_total
+from .losses import LossWeights, _evaluate, loss_total
 from .metrics import pose_pair_positions, report_between
 
 REPR_FLAGS = {
@@ -42,10 +42,6 @@ REPR_FLAGS = {
     "quat-pos": ReprKind.QUATERNIONS_POSITIONS,
     "ortho6d-pos": ReprKind.ORTHO6D_POSITIONS,
 }
-
-#: Residual ceiling a freshly encoded dualquat clip must satisfy.
-ENCODE_RESIDUAL_LIMIT = 1e-6
-
 
 class UsageError(MotionError):
     """Semantically invalid flag/input combination (exit code 2)."""
@@ -84,6 +80,12 @@ def _unit_residuals(blocks: np.ndarray) -> np.ndarray:
     """Per-(frame, joint) worst of the two dual-quaternion unit residuals."""
     norm_res, ortho_res = dualquat.unitary_residual(blocks)
     return np.maximum(np.abs(norm_res), np.abs(ortho_res))
+
+
+def _offset_violations(encoded) -> np.ndarray:
+    """(F, J-1) distances of a raw dualquat clip's bone translations from
+    the offsets of its skeleton; column b is encoded row b + 1."""
+    return _evaluate("offset", encoded, None, encoded.skeleton).values
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ def cmd_encode(args) -> int:
     if kind is ReprKind.DUALQUAT:
         residual = float(np.max(_unit_residuals(encoded.joint_blocks())))
         print(f"max unit residual: {residual:.3e}")
-        if residual > ENCODE_RESIDUAL_LIMIT:
+        if residual > dualquat.UNIT_TOLERANCE:
             print("error: encoded blocks violate the unit conditions", file=sys.stderr)
             return 1
     if args.standardize:
@@ -188,10 +190,7 @@ def cmd_roundtrip(args) -> int:
 
     offset_dev = 0.0
     if kind is ReprKind.DUALQUAT:
-        from .losses import _evaluate
-
-        violations = _evaluate("offset", encoded, None, clip.skeleton).values
-        offset_dev = float(np.max(violations, initial=0.0))
+        offset_dev = float(np.max(_offset_violations(encoded), initial=0.0))
 
     print(f"max quaternion deviation: {quat_dev:.3e}")
     print(f"max position deviation:   {pos_dev:.3e}")
@@ -234,8 +233,18 @@ def cmd_validate(args) -> int:
         worst_dot = 1.0
         print("worst continuity dot: n/a (single frame)")
 
-    if worst_residual > 1e-6 or worst_dot < 0.0:
-        print("FAIL: container violates unit or continuity conditions")
+    worst_offset = 0.0
+    if encoded.kind is ReprKind.DUALQUAT:
+        offsets = _offset_violations(encoded)
+        if offsets.size:
+            frame, bone = np.unravel_index(np.argmax(offsets), offsets.shape)
+            worst_offset = float(offsets[frame, bone])
+            print(f"worst offset deviation: {worst_offset:.3e} at frame {frame}, joint {bone + 1}")
+        else:
+            print("worst offset deviation: n/a (no bones)")
+
+    if max(worst_residual, worst_offset) > dualquat.UNIT_TOLERANCE or worst_dot < 0.0:
+        print("FAIL: container violates unit, continuity or offset conditions")
         return 1
     print("OK")
     return 0
@@ -320,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("validate", help="check unit and continuity conditions")
+    p = sub.add_parser("validate", help="check unit, continuity and bone-offset conditions")
     p.add_argument("input")
     p.set_defaults(func=cmd_validate)
 

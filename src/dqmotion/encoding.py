@@ -127,7 +127,7 @@ class EncodedClip:
                 f"{self.kind.value} features for this skeleton must have width {expected}"
             )
         if self.features.shape[0] < 1:
-            raise ValueError("need at least one frame")
+            raise TooFewFramesError("need at least one frame")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
         if not (self.frame_time > 0.0 and finite_rate(self.frame_time)):
@@ -166,16 +166,11 @@ class EncodedClip:
 # ---------------------------------------------------------------------------
 
 def _seed_signs(first: np.ndarray) -> np.ndarray:
-    """Frame-0 sign choice: leading component non-negative, ties broken by
-    the first nonzero component."""
-    lead = first[..., 0]
-    signs = np.where(lead > 0, 1.0, np.where(lead < 0, -1.0, 0.0))
-    undecided = np.argwhere(signs == 0.0)
-    for index in map(tuple, undecided):
-        block = first[index]
-        nonzero = block[block != 0.0]
-        signs[index] = 1.0 if nonzero.size == 0 or nonzero[0] > 0 else -1.0
-    return signs
+    """Frame-0 sign choice: +1 when a block's first nonzero component is
+    positive or the block is all zero, otherwise -1 (NaN counts as nonzero)."""
+    nonzero = first != 0.0
+    lead = np.take_along_axis(first, np.argmax(nonzero, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((lead > 0) | ~nonzero.any(axis=-1), 1.0, -1.0)
 
 
 def antipodal_correct(blocks: np.ndarray) -> np.ndarray:

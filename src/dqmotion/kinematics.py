@@ -70,10 +70,15 @@ class LocalPose:
         rotations = _frozen(self.joint_rotations)
         expected = (self.skeleton.num_joints, 4)
         if rotations.ndim not in (2, 3) or rotations.shape[-2:] != expected:
-            raise ValueError(f"joint_rotations must have shape {expected} or (F,) + {expected}")
+            raise ShapeMismatchError(
+                f"joint_rotations must have shape {expected} or (F,) + {expected}")
         if rotations.ndim == 3 and rotations.shape[0] == 0:
             raise TooFewFramesError("need at least one frame")
-        root = _read_only(_frozen(self.root_translation).reshape(rotations.shape[:-2] + (3,)))
+        root = _frozen(self.root_translation)
+        try:
+            root = _read_only(root.reshape(rotations.shape[:-2] + (3,)))
+        except ValueError:
+            raise ShapeMismatchError("root_translation must hold one 3-vector per frame") from None
         object.__setattr__(self, "joint_rotations", rotations)
         object.__setattr__(self, "root_translation", root)
 
@@ -183,7 +188,7 @@ def clip_to_local(clip: MotionClip) -> LocalPose:
 def local_to_clip(pose: LocalPose, template: Skeleton, frame_time: float) -> MotionClip:
     """Flatten a batched LocalPose back into a raw channel matrix
     (degrees): one `to_euler` call and one scatter per Euler order."""
-    if pose.skeleton is not template and pose.skeleton != template:
+    if pose.skeleton != template:
         raise ShapeMismatchError("pose skeleton does not match the template")
     table = template.channel_table
     frames = np.zeros((len(pose), template.channel_count))

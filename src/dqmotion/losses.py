@@ -117,19 +117,6 @@ class LossReport:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _check_pair(pred: EncodedClip, truth: EncodedClip):
-    if pred.kind is not truth.kind:
-        raise ShapeMismatchError(f"kind mismatch: {pred.kind.value} vs {truth.kind.value}")
-    if pred.width != truth.width or pred.num_frames != truth.num_frames:
-        raise ShapeMismatchError("feature shapes differ")
-
-
-def _require_raw(*clips: EncodedClip):
-    for clip in clips:
-        if clip.standardized:
-            raise ValueError("loss needs raw features; destandardize the clip first")
-
-
 def _check_space(space: str):
     if space not in ("local", "current"):
         raise ValueError(f"space must be 'local' or 'current', got {space!r}")
@@ -405,18 +392,20 @@ GRAD_LOSSES = tuple(_TERMS)
 
 
 def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> _Evaluation:
-    """Term `name` at pred, after the input checks its loss and its
-    gradient share."""
+    """Term `name` at pred, after the one copy of the input checks (pair,
+    kind, raw features) that its loss, `loss_total` and its gradient share."""
     if name not in _TERMS:
         raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
     term = _TERMS[name]
-    clips = (pred, truth) if term.pair else (pred,)
-    if term.pair:
-        _check_pair(pred, truth)
+    if term.pair and pred.kind is not truth.kind:
+        raise ShapeMismatchError(f"kind mismatch: {pred.kind.value} vs {truth.kind.value}")
+    if term.pair and (pred.width != truth.width or pred.num_frames != truth.num_frames):
+        raise ShapeMismatchError("feature shapes differ")
     if pred.kind not in term.kinds:
         raise ShapeMismatchError(f"{name} loss is undefined for kind {pred.kind.value}")
-    if not term.accepts_standardized:
-        _require_raw(*clips)
+    clips = (pred, truth) if term.pair else (pred,)
+    if not term.accepts_standardized and any(clip.standardized for clip in clips):
+        raise ValueError("loss needs raw features; destandardize the clip first")
     return term.evaluate(pred, truth, skeleton)
 
 
@@ -486,8 +475,8 @@ def loss_total(
     rotation_space: str = "local",
     truth_skeleton: Skeleton | None = None,
 ) -> LossReport:
-    """Weighted sum of every component applicable to the clips' kind."""
-    _check_pair(pred, truth)
+    """Weighted sum of every component applicable to the clips' kind, each
+    term evaluated through `_evaluate`, which holds the input checks."""
     _check_space(rotation_space)
     weights = weights or LossWeights()
     report = LossReport(
@@ -496,18 +485,12 @@ def loss_total(
         standardized_inputs=pred.standardized or truth.standardized,
         weights=weights,
     )
-    terms = [
-        term
-        for term in _TERMS.values()
-        if pred.kind in term.kinds and term.space in (None, rotation_space)
-    ]
-    if report.standardized_inputs and not all(term.accepts_standardized for term in terms):
-        raise ValueError("loss_total needs raw clips; destandardize first")
-
     skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
     total = 0.0
-    for term in terms:
-        evaluation = term.evaluate(pred, truth, skeleton)
+    for name, term in _TERMS.items():
+        if pred.kind not in term.kinds or term.space not in (None, rotation_space):
+            continue
+        evaluation = _evaluate(name, pred, truth, skeleton)
         value = _mean(evaluation.values)
         setattr(report, term.component, value)
         report.per_joint[term.component] = np.mean(evaluation.values, axis=0).tolist()

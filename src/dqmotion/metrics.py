@@ -146,7 +146,7 @@ def pose_pair_positions(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     """`LocalPose.positions` of two batched poses of one skeleton and length."""
     if len(pred) != len(truth):
         raise LengthMismatchError(f"sequence lengths differ: {len(pred)} vs {len(truth)}")
-    if pred.skeleton is not truth.skeleton and pred.skeleton != truth.skeleton:
+    if pred.skeleton != truth.skeleton:
         raise ShapeMismatchError("sequences use different skeletons")
     return pred.positions, truth.positions
 

@@ -5,8 +5,10 @@ These are the original implementations: Euler extraction and Shepperd's
 quaternion recovery one rotation at a time, forward kinematics through
 homogeneous matrices (`matrix_fk`) one pose at a time, the
 parent-conjugate inverse sweep one joint at a time, and the clip
-conversions one `from_euler` / `to_euler` call per joint.
-`test_pose_oracles.py` holds the batched forms to them within 1e-12.
+conversions one `from_euler` / `to_euler` call per joint, and the
+antipodal seed sign one zero-led block at a time (`seed_signs`, held
+exactly). `test_pose_oracles.py` holds the other batched forms to them
+within 1e-12.
 They read rotation matrices through `_rotmat.quat_to_matrix` and
 six-value blocks through `encoding._gram_schmidt`; only the code that was
 vectorized is independent.
@@ -170,6 +172,20 @@ def decode(clip) -> LocalPose:
     rotations[..., 0] = 1.0
     rotations[:, indices] = quats
     return LocalPose(skeleton, clip.root_translation.copy(), rotations)
+
+
+def seed_signs(first: np.ndarray) -> np.ndarray:
+    """Frame-0 sign choice of `encoding.antipodal_correct`, one tie at a
+    time: leading component non-negative, ties broken by the first nonzero
+    component."""
+    lead = first[..., 0]
+    signs = np.where(lead > 0, 1.0, np.where(lead < 0, -1.0, 0.0))
+    undecided = np.argwhere(signs == 0.0)
+    for index in map(tuple, undecided):
+        block = first[index]
+        nonzero = block[block != 0.0]
+        signs[index] = 1.0 if nonzero.size == 0 or nonzero[0] > 0 else -1.0
+    return signs
 
 
 def _channel_columns(skeleton: Skeleton, frames: np.ndarray) -> list[dict]:

@@ -1,5 +1,8 @@
 """BVH parser/writer against the hand-built fixture corpus."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from dqmotion.errors import (
 )
 
 from conftest import fixture_corpus, malformed_corpus
+
+WALK = Path(__file__).parent.parent / "demos" / "data" / "walk.bvh"
 
 
 class TestParseTwoJoint:
@@ -178,6 +183,50 @@ class TestEdgeCases:
 
         poses = clip_to_local(clip)
         assert np.allclose(poses[0].root_translation, np.zeros(3))
+
+
+def with_joint(skeleton, index, **changes):
+    """`skeleton` with one field of joint `index` changed."""
+    joints = list(skeleton.joints)
+    joints[index] = dataclasses.replace(joints[index], **changes)
+    return bvh.Skeleton(joints)
+
+
+class TestSkeletonValue:
+    """A skeleton is immutable, and equal to another one exactly when the
+    two list the same joints with numerically equal offsets."""
+
+    def test_joints_cannot_be_reassigned(self):
+        skeleton = bvh.parse_file(WALK).skeleton
+        parents = skeleton.parent_indices
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            skeleton.joints = skeleton.joints[:3]
+        assert skeleton.num_joints == len(skeleton.parent_indices) == len(parents) == 19
+
+    def test_equality(self):
+        text = WALK.read_text()
+        skeleton = bvh.parse(text).skeleton
+        assert bvh.parse(text).skeleton == skeleton
+        assert bvh.Skeleton.from_dict(skeleton.to_dict()) == skeleton
+        offset = skeleton.joints[2].offset.copy()
+        offset[2] = np.nextafter(offset[2], 1.0)
+        for changed in (
+            with_joint(skeleton, 3, name="throat"),
+            with_joint(skeleton, 5, parent=1),
+            with_joint(skeleton, 2, channels=("Xrotation", "Yrotation", "Zrotation")),
+            with_joint(skeleton, 4, is_end_site=False),
+            with_joint(skeleton, 2, offset=offset),
+        ):
+            assert changed != skeleton and skeleton != changed
+        assert bvh.Skeleton(skeleton.joints[:-1]) != skeleton
+        assert skeleton != "x" and not skeleton == "x"
+
+    def test_negative_zero_offset_is_zero(self):
+        skeleton = bvh.parse_file(WALK).skeleton
+        assert skeleton.joints[1].offset[0] == 0.0
+        flipped = with_joint(skeleton, 1, offset=[-0.0, 2.1, 0.0])
+        assert np.signbit(flipped.offsets[1, 0])
+        assert flipped == skeleton
 
 
 class TestWrite:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output contracts, schema validity."""
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -10,12 +11,13 @@ import pytest
 
 from dqmotion import bvh, container
 from dqmotion.cli import main
-from dqmotion.encoding import ReprKind, destandardize, encode
+from dqmotion.encoding import EncodedClip, ReprKind, destandardize, encode
 from dqmotion.kinematics import clip_to_local
-from dqmotion.losses import LossWeights, loss_total
+from dqmotion.losses import LossWeights, loss_offset, loss_total
 from dqmotion.metrics import metric_report
 
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
+WALK = Path(__file__).parent.parent / "demos" / "data" / "walk.bvh"
 
 
 def schema(name):
@@ -275,6 +277,44 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", path)
         assert code == 1
         assert "frames 6 and 7" in out or "frames 7 and 8" in out
+
+    def test_header_skeleton_contradicting_blocks_fails(self, capsys, tmp_path):
+        """Blocks encoded on a skeleton 1.5 times as large, under the header
+        of the original: every unit and continuity check passes, the bone
+        offsets do not."""
+        clip = bvh.parse_file(WALK)
+        joints = [dataclasses.replace(j, offset=1.5 * j.offset) for j in clip.skeleton.joints]
+        scaled = bvh.MotionClip(bvh.Skeleton(joints), clip.frame_time, clip.frames)
+        encoded = encode(clip_to_local(scaled), ReprKind.DUALQUAT, clip.frame_time)
+        forged = tmp_path / "forged.dqm"
+        container.write_file(forged, EncodedClip(
+            encoded.kind, clip.skeleton, encoded.frame_time, encoded.features))
+        assert loss_offset(container.read_file(forged)) > 1.0
+        code, out, _ = run(capsys, "validate", forged)
+        assert code == 1
+        line = next(line for line in out.splitlines() if line.startswith("worst offset deviation:"))
+        deviation, where = line.split(":", 1)[1].split(" at ")
+        assert float(deviation) > 1.0
+        frame, joint = (int(part.split()[-1]) for part in where.split(","))
+        assert 0 <= frame < clip.num_frames and 1 <= joint < clip.skeleton.num_encoded
+        assert "FAIL" in out and "OK" not in out
+
+    @pytest.mark.parametrize("flags", ([], ["--standardize"]), ids=("raw", "standardized"))
+    def test_honest_dq_container_offsets_ok(self, capsys, tmp_path, flags):
+        path = tmp_path / "walk.dqm"
+        assert run(capsys, "encode", WALK, "--repr", "dq", *flags, "-o", path)[0] == 0
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0, out
+        line = next(line for line in out.splitlines() if line.startswith("worst offset deviation:"))
+        assert float(line.split()[3]) < 1e-12
+        assert out.splitlines()[-1] == "OK"
+
+    def test_root_only_has_no_bones(self, capsys, tmp_path, single_joint):
+        path = tmp_path / "single.dqm"
+        assert run(capsys, "encode", single_joint, "--repr", "dq", "-o", path)[0] == 0
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0
+        assert "worst offset deviation: n/a (no bones)" in out
 
     def test_non_rotational_container_inapplicable(self, capsys, tmp_path, two_joint):
         enc = tmp_path / "pos.dqm"

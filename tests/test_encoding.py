@@ -45,6 +45,12 @@ class TestWidthContract:
             assert clip.width == 3 + kind.block_dim * skeleton.num_encoded
             assert clip.joint_count == skeleton.num_encoded
 
+    def test_no_frames_rejected(self, rng):
+        pose = oracles.random_poses(rng, oracles.random_skeleton(rng, 3), 2)
+        clip = encode(pose, ReprKind.DUALQUAT)
+        with pytest.raises(TooFewFramesError):
+            EncodedClip(clip.kind, clip.skeleton, clip.frame_time, clip.features[:0])
+
 
 class TestDualquatBlocks:
     def test_identity_pose_blocks(self, rng):

@@ -9,7 +9,7 @@ import pytest
 
 from dqmotion import _rotmat, bvh, dualquat, quat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
-from dqmotion.encoding import ReprKind, decode, encode
+from dqmotion.encoding import ReprKind, _seed_signs, decode, encode
 from dqmotion.errors import ShapeMismatchError, TooFewFramesError
 from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
@@ -139,6 +139,36 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert got.tobytes() == want.tobytes()
 
 
+class TestSeedSigns:
+    """`encoding._seed_signs` picks each block's first nonzero component at
+    once; the loop oracle decides only the zero-led blocks one by one."""
+
+    @pytest.mark.parametrize("shape", [(4,), (8,), (3, 4), (6, 8), (2, 3, 4), (5, 5, 8)])
+    def test_matches_tie_loop(self, rng, shape):
+        for _ in range(50):
+            # mostly zeros, so that zero leads, long zero runs and all-zero
+            # blocks are common; -0.0 and NaN stand in for some of them
+            first = rng.choice([0.0, -0.0, 0.0, 0.0, 1.5, -2.0, np.nan], size=shape)
+            first[rng.random(shape) < 0.1] = 0.0
+            got, want = _seed_signs(first), pose_oracles.seed_signs(first)
+            assert got.shape == want.shape == shape[:-1]
+            assert np.array_equal(got, want)
+
+    def test_cases(self):
+        first = np.array([
+            [0.0, 0.0, 0.0, 0.0],  # all zero: +1
+            [-0.0, -0.0, 0.0, -0.0],  # -0.0 is zero: +1
+            [0.0, -0.0, -3.0, 1.0],  # first nonzero negative: -1
+            [-0.0, 0.0, 0.0, 2.0],  # first nonzero positive: +1
+            [np.nan, 1.0, 0.0, 0.0],  # NaN is nonzero and not positive: -1
+            [0.0, np.nan, 0.0, 0.0],
+            [-1.0, 2.0, 0.0, 0.0],
+        ])
+        want = [1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0]
+        assert np.array_equal(_seed_signs(first), want)
+        assert np.array_equal(pose_oracles.seed_signs(first), want)
+
+
 @pytest.mark.parametrize("frames", (1, 64))
 @pytest.mark.parametrize("root_positions", (True, False), ids=("root-positions", "root-rotations"))
 class TestClipConversion:
@@ -187,10 +217,12 @@ class TestLocalPose:
 
     def test_bad_shapes_rejected(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             LocalPose(skeleton, np.zeros(3), np.ones((5, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             LocalPose(skeleton, np.zeros((2, 3)), np.ones((3, 4, 4)))
+        with pytest.raises(ShapeMismatchError):  # the root path is not one 3-vector per frame
+            LocalPose(skeleton, np.zeros((3, 2)), np.ones((3, 4, 4)))
 
     def test_mixed_skeletons_rejected(self, rng):
         a = oracles.random_skeleton(rng, 4)
