@@ -8,6 +8,14 @@ A unit dual quaternion satisfies two scalar conditions: the real part has
 unit norm and is orthogonal to the dual part. Only unit values encode
 rigid transforms; `unitary_residual` exposes both residuals and
 `normalize` repairs drift.
+
+Layout: inputs may have any layout. `mul`, `conjugate`, `normalize` and
+`from_rotation_translation` return fresh C-contiguous arrays, whatever
+their operands' layout (see `quat`: downstream `einsum` reductions sum in
+an order that depends on strides, so layout is part of the bits). `mul`
+and `normalize` copy their operands component-major once and write into
+a preallocated result; every sum keeps the terms and the order of the
+per-part formula.
 """
 
 from typing import NamedTuple
@@ -40,20 +48,40 @@ def dual(d: np.ndarray) -> np.ndarray:
     return np.asarray(d, dtype=float)[..., 4:]
 
 
+#: The signs `quat.conjugate` applies, once per part.
+_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+
+
 def _join(r: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.concatenate([r, e], axis=-1)
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dual-quaternion product: (ar*br) + (ar*bd + ad*br) eps."""
-    ar, ad = real(a), dual(a)
-    br, bd = real(b), dual(b)
-    return _join(quat.mul(ar, br), quat.mul(ar, bd) + quat.mul(ad, br))
+    """Dual-quaternion product: (ar*br) + (ar*bd + ad*br) eps.
+
+    One fused kernel: the three Hamilton products run on one
+    component-major copy of each operand, and each dual component is the
+    sum of its two products, as `quat.mul` on the parts would round them.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a, b = quat._rows(a, shape), quat._rows(b, shape)
+    ar, ad, br, bd = a[:4], a[4:], b[:4], b[4:]
+    out = np.empty(shape + (8,))
+    rows = out.reshape(-1, 8).T
+    p, q, tmp = np.empty((3, a.shape[1]))
+    for k in range(4):
+        quat._hamilton_row(k, ar, br, rows[k], p, tmp)
+        quat._hamilton_row(k, ar, bd, p, p, tmp)
+        quat._hamilton_row(k, ad, br, q, q, tmp)
+        np.add(p, q, out=rows[4 + k])
+    return out
 
 
 def conjugate(d: np.ndarray) -> np.ndarray:
     """Quaternion-conjugate both parts; inverts unit dual quaternions."""
-    return _join(quat.conjugate(real(d)), quat.conjugate(dual(d)))
+    return np.multiply(np.asarray(d, dtype=float), _CONJUGATE_SIGNS, order="C")
 
 
 def antipode(d: np.ndarray) -> np.ndarray:
@@ -64,7 +92,7 @@ def antipode(d: np.ndarray) -> np.ndarray:
 def magnitude(d: np.ndarray) -> DualNumber:
     """Dual-number magnitude ||q_r|| + eps_unit * <q_r, q_d> / ||q_r||."""
     r, e = real(d), dual(d)
-    n = np.linalg.norm(r, axis=-1)
+    n = quat.norm(r)
     if np.any(n <= quat._NORM_FLOOR):
         raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
     return DualNumber(n, quat.dot(r, e) / n)
@@ -100,13 +128,31 @@ def normalize(d: np.ndarray) -> np.ndarray:
     orthogonality condition exactly (up to roundoff). Idempotent.
     """
     d = np.asarray(d, dtype=float)
-    r, e = real(d), dual(d)
-    n = np.linalg.norm(r, axis=-1, keepdims=True)
+    shape = d.shape[:-1]
+    rows = quat._rows(d, shape)
+    r, e = rows[:4], rows[4:]
+    n = np.sqrt(_row_dot(r, r))
     if np.any(n <= quat._NORM_FLOOR):
         raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
-    r_hat = r / n
-    e_hat = e / n - r_hat * (np.sum(r * e, axis=-1, keepdims=True) / (n * n))
-    return _join(r_hat, e_hat)
+    along = _row_dot(r, e)
+    along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
+    along /= n * n
+    r /= n
+    e /= n
+    out = np.empty(shape + (8,))
+    parts = out.reshape(-1, 8).T
+    parts[:4] = r
+    r *= along
+    np.subtract(e, r, out=parts[4:])
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[i] * b[i] over the component rows, in index order."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total += a[i] * b[i]
+    return total
 
 
 def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -117,7 +163,7 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    n = np.linalg.norm(r, axis=-1)
+    n = quat.norm(r)
     if np.any(np.abs(n - 1.0) > UNIT_TOLERANCE):
         raise NotUnitError(
             f"rotation quaternion norm deviates from 1 by more than {UNIT_TOLERANCE:g}")

@@ -146,9 +146,8 @@ def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.nda
     row 0, keeps its current value. `conjugate` must invert the values it
     is given.
     """
-    child = np.arange(1, len(parents))  # a gather, not a slice: contiguous operands
     out = np.array(current, dtype=float)
-    out[..., child, :] = mul(conjugate(current[..., parents[child], :]), current[..., child, :])
+    out[..., 1:, :] = mul(conjugate(current[..., parents[1:], :]), current[..., 1:, :])
     return out
 
 

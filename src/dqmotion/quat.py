@@ -11,6 +11,14 @@ rotations about the x, y and z axes respectively, together with an order
 tag such as "ZYX" naming the composition order: "ZYX" composes as
 q_z(gamma) * q_y(beta) * q_x(alpha), i.e. the x rotation is applied first
 to a column vector.
+
+Layout: inputs may have any layout (slices, gathers, broadcast views).
+`mul` returns a fresh C-contiguous array whatever its operands' layout.
+The layout is part of the bits: downstream `einsum` reductions such as
+`dot` sum in an order that depends on their operands' strides. `mul`
+copies each operand once into component-major rows and writes each sum,
+term by term in the per-component formula's order, into a preallocated
+result: the formula's bits, with a fraction of its temporaries.
 """
 
 import numpy as np
@@ -35,21 +43,53 @@ def identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+# The Hamilton product's four sums, term by term in left-to-right order:
+# component k of a * b is the sum of sign * a[i] * b[j] over _HAMILTON[k].
+_HAMILTON = (
+    ((+1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+    ((+1, 0, 1), (+1, 1, 0), (+1, 2, 3), (-1, 3, 2)),
+    ((+1, 0, 2), (-1, 1, 3), (+1, 2, 0), (+1, 3, 1)),
+    ((+1, 0, 3), (+1, 1, 2), (-1, 2, 1), (+1, 3, 0)),
+)
+_ACCUMULATE = {+1: np.add, -1: np.subtract}
+
+
+def _rows(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """x broadcast over the leading `shape` and copied component-major: a
+    C-contiguous (C, N) array whose row i holds component i."""
+    rows = np.empty((x.shape[-1],) + shape)
+    for i in range(x.shape[-1]):
+        rows[i] = x[..., i]
+    return rows.reshape(x.shape[-1], -1)
+
+
+def _hamilton_row(k: int, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Component k of the product of (4, N) rows a and b, into `out`.
+
+    The first term goes to `acc`, each later one through `tmp`, and the
+    last sum lands in `out` (which may be `acc`): the roundings of the
+    per-component formula, in its order.
+    """
+    (_, i, j), *rest = _HAMILTON[k]
+    np.multiply(a[i], b[j], out=acc)
+    for n, (sign, i, j) in enumerate(rest, 1):
+        np.multiply(a[i], b[j], out=tmp)
+        _ACCUMULATE[sign](acc, tmp, out=out if n == len(rest) else acc)
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a, b = _rows(a, shape), _rows(b, shape)
+    out = np.empty(shape + (4,))
+    rows = out.reshape(-1, 4).T
+    acc, tmp = np.empty((2, a.shape[1]))
+    for k in range(4):
+        _hamilton_row(k, a, b, rows[k], acc, tmp)
+    return out
 
 
 def conjugate(q: np.ndarray) -> np.ndarray:
