@@ -9,15 +9,23 @@ kinematics layer, never here.
 Accepted input is tolerant about whitespace (spaces, tabs, CRLF); output
 is canonical: LF newlines, two-space indentation, six decimal places.
 
-`Skeleton` is an immutable value, equal to another with the same joints
-and offsets. It owns the topology every layer walks (parents, offsets,
-encoded joints, depth levels), each view built once and read-only. Its
-channel table says where each joint's channels sit in a frame row: per
-Euler order, the joints and their (x, y, z) rotation columns; the root's
-position columns; and every column in the depth-first order the writer
-lists joints in, whatever order the skeleton lists them in. The clip
-conversions in `kinematics` and the writer read it, so neither loops over
-joints; the writer formats each motion row with one `%` operation.
+Every value the package passes is immutable: a frozen dataclass whose
+arrays are read-only, so each constructor's checks are the only validation
+any layer needs. Here that is `JointSpec`, `Skeleton`, `ChannelTable` and
+`MotionClip`. One rule, `_frozen`, stores every such array: a read-only
+array whose bases are read-only down to their owner is kept, anything else
+copied once. That holds while nobody else has the owner, who could make it
+writable again; the layers hand over fresh owners, so they never copy.
+
+A `Skeleton` equals another with the same joints and offsets. It owns
+the topology every layer walks (parents, offsets, encoded joints, depth
+levels), each view built once and read-only. Its channel table says
+where each joint's channels sit in a frame row: per Euler order, the
+joints and their (x, y, z) rotation columns; the root's position
+columns; and every column in the depth-first order the writer lists
+joints in, whatever order the skeleton lists them in. The clip
+conversions in `kinematics` and the writer read it, so neither loops
+over joints; the writer formats each motion row with one `%` operation.
 
 The parser walks the hierarchy with a stack and tokenizes the text on
 demand, so only the header is split line by line. It reads the motion
@@ -40,6 +48,7 @@ from .errors import (
     BadRateError,
     BvhSyntaxError,
     ChannelMismatchError,
+    NonFiniteError,
     UnsupportedChannelError,
 )
 
@@ -58,6 +67,19 @@ def finite_rate(frame_time: float) -> bool:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _frozen(values) -> np.ndarray:
+    """`values` as it is if it is a read-only float array whose bases are
+    read-only down to their owner, else a read-only copy. The kept array is
+    fixed only while nobody else holds that owner."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return values
+    return _read_only(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -283,7 +305,7 @@ class Skeleton:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotionClip:
     """Raw motion: a skeleton plus the frame matrix exactly as stored."""
 
@@ -292,7 +314,7 @@ class MotionClip:
     frames: np.ndarray  # (F, C), rotations in degrees, root translation in file units
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=float)
+        object.__setattr__(self, "frames", _frozen(self.frames))
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise ValueError("frames must be a (F >= 1, C) matrix")
         if self.frames.shape[1] != self.skeleton.channel_count:
@@ -301,7 +323,7 @@ class MotionClip:
                 f"{self.skeleton.channel_count}"
             )
         if not np.all(np.isfinite(self.frames)):
-            raise ValueError("non-finite channel values")
+            raise NonFiniteError("non-finite channel values")
         if not (self.frame_time > 0):
             raise ValueError("frame_time must be positive")
         if not finite_rate(self.frame_time):
@@ -502,7 +524,7 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
         if "_" in text or not text.isascii():
             raise ValueError("not plain ASCII numbers")
         values = chain.from_iterable(rows[:good])
-        frames = np.fromiter(values, dtype=float, count=good * width).reshape(good, width)
+        frames = _read_only(np.fromiter(values, dtype=float, count=good * width)).reshape(good, width)
     except ValueError:  # a token that is not a plain number
         start = 0
     else:
@@ -533,7 +555,7 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
             raise ChannelMismatchError(tokens.last_line, "non-finite channel value")
     if not tokens.eof():
         raise BvhSyntaxError(tokens.line, "trailing content after declared frames")
-    return out
+    return _read_only(out)
 
 
 def parse(text: str | bytes) -> MotionClip:
@@ -641,5 +663,6 @@ def subsample(clip: MotionClip, target_fps: float) -> MotionClip:
     return MotionClip(
         skeleton=clip.skeleton,
         frame_time=clip.frame_time * stride,
-        frames=clip.frames[::stride].copy(),
+        # a copy: a strided view would keep the full-rate frames alive
+        frames=_read_only(clip.frames[::stride].copy()),
     )

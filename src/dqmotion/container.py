@@ -116,8 +116,8 @@ def from_bytes(data: bytes) -> EncodedClip:
         need = 2 * width * 8
         if len(data) < offset + need:
             raise ContainerError("truncated statistics rows")
-        mean = np.frombuffer(data, dtype="<f8", count=width, offset=offset).copy()
-        std = np.frombuffer(data, dtype="<f8", count=width, offset=offset + width * 8).copy()
+        mean = np.frombuffer(data, dtype="<f8", count=width, offset=offset)
+        std = np.frombuffer(data, dtype="<f8", count=width, offset=offset + width * 8)
         try:
             stats = NormalizationStats(mean=mean, std=std)
         except ValueError as exc:
@@ -127,11 +127,7 @@ def from_bytes(data: bytes) -> EncodedClip:
     need = frames * width * 8
     if len(data) != offset + need:
         raise ContainerError("payload size disagrees with header")
-    features = (
-        np.frombuffer(data, dtype="<f8", count=frames * width, offset=offset)
-        .reshape(frames, width)
-        .copy()
-    )
+    features = np.frombuffer(data, dtype="<f8", count=frames * width, offset=offset).reshape(frames, width)
     try:
         return EncodedClip(
             kind=kind,

@@ -20,17 +20,25 @@ ortho6d_positions                9   six-value block, then position
 Quaternion and dual-quaternion blocks receive the antipodal sign
 correction along time at encode time, once; the correction never changes
 the rigid transform a block encodes.
+
+`EncodedClip` and `NormalizationStats` are immutable values, like every
+value the package passes: frozen dataclasses with read-only arrays, so the
+constructor's checks (width, finiteness, matching stats) hold while nobody
+else holds those arrays. `encode`, `fit_stats`, `standardize` and
+`destandardize` hand over fresh ones; a writable array given to a
+constructor is copied once (`bvh._frozen`).
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _rotmat, dualquat, quat
-from .bvh import Skeleton, _read_only, finite_rate
+from .bvh import Skeleton, _frozen, _read_only, finite_rate
 from .errors import (
     DegenerateNormError,
+    NonFiniteError,
     NotInvertibleError,
     ShapeMismatchError,
     TooFewFramesError,
@@ -83,7 +91,7 @@ _BLOCK_DIMS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationStats:
     """Per-column mean and (floored) standard deviation."""
 
@@ -91,12 +99,12 @@ class NormalizationStats:
     std: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.std = np.asarray(self.std, dtype=float).reshape(-1)
+        object.__setattr__(self, "mean", _frozen(np.reshape(self.mean, -1)))
+        object.__setattr__(self, "std", _frozen(np.reshape(self.std, -1)))
         if self.mean.shape != self.std.shape:
             raise ShapeMismatchError("mean and std must have the same width")
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.std)):
-            raise ValueError("non-finite statistics")
+            raise NonFiniteError("non-finite statistics")
         if np.any(self.std <= 0.0):
             raise ValueError("std must be strictly positive")
 
@@ -105,7 +113,7 @@ class NormalizationStats:
         return self.mean.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedClip:
     """Frame-major encoded motion plus its layout metadata.
 
@@ -120,7 +128,7 @@ class EncodedClip:
     stats: NormalizationStats | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        object.__setattr__(self, "features", _frozen(self.features))
         expected = 3 + self.kind.block_dim * self.skeleton.num_encoded
         if self.features.ndim != 2 or self.features.shape[1] != expected:
             raise ShapeMismatchError(
@@ -129,7 +137,7 @@ class EncodedClip:
         if self.features.shape[0] < 1:
             raise TooFewFramesError("need at least one frame")
         if not np.all(np.isfinite(self.features)):
-            raise ValueError("non-finite feature values")
+            raise NonFiniteError("non-finite feature values")
         if not (self.frame_time > 0.0 and finite_rate(self.frame_time)):
             raise ValueError("frame_time must be positive and finite, with a finite rate 1/frame_time")
         if self.stats is not None and self.stats.width != self.features.shape[1]:
@@ -228,7 +236,7 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
             blocks = np.concatenate([blocks, dualquat.translation(current)], axis=-1)
 
     features = np.concatenate([pose.root_translation, blocks.reshape(frames, -1)], axis=1)
-    return EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=features)
+    return EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=_read_only(features))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def fit_stats(clip: EncodedClip) -> NormalizationStats:
         raise TooFewFramesError("need at least 2 frames to fit statistics")
     mean = clip.features.mean(axis=0)
     std = np.maximum(clip.features.std(axis=0), STD_FLOOR)
-    return NormalizationStats(mean=mean, std=std)
+    return NormalizationStats(mean=_read_only(mean), std=_read_only(std))
 
 
 def standardize(clip: EncodedClip, stats: NormalizationStats) -> EncodedClip:
@@ -302,13 +310,7 @@ def standardize(clip: EncodedClip, stats: NormalizationStats) -> EncodedClip:
         raise ShapeMismatchError(
             f"stats width {stats.width} does not match clip width {clip.width}"
         )
-    return EncodedClip(
-        kind=clip.kind,
-        skeleton=clip.skeleton,
-        frame_time=clip.frame_time,
-        features=(clip.features - stats.mean) / stats.std,
-        stats=stats,
-    )
+    return replace(clip, features=_read_only((clip.features - stats.mean) / stats.std), stats=stats)
 
 
 def destandardize(clip: EncodedClip, stats: NormalizationStats | None = None) -> EncodedClip:
@@ -321,10 +323,4 @@ def destandardize(clip: EncodedClip, stats: NormalizationStats | None = None) ->
         raise ShapeMismatchError(
             f"stats width {stats.width} does not match clip width {clip.width}"
         )
-    return EncodedClip(
-        kind=clip.kind,
-        skeleton=clip.skeleton,
-        frame_time=clip.frame_time,
-        features=clip.features * stats.std + stats.mean,
-        stats=None,
-    )
+    return replace(clip, features=_read_only(clip.features * stats.std + stats.mean), stats=None)

@@ -60,3 +60,7 @@ class LengthMismatchError(MotionError):
 
 class ContainerError(MotionError):
     """A binary encoded-clip container is corrupt or unreadable."""
+
+
+class NonFiniteError(MotionError, ValueError):
+    """Clip frames or features, or normalization statistics, hold NaN or inf."""

@@ -29,18 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dualquat, quat
-from .bvh import MotionClip, Skeleton, _read_only
+from .bvh import MotionClip, Skeleton, _frozen, _read_only
 from .errors import ShapeMismatchError, TooFewFramesError
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float array that views no writable array as it is;
-    anything else as a read-only copy."""
-    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
-        base = values.base
-        if base is None or isinstance(base, np.ndarray) and not base.flags.writeable:
-            return values
-    return _read_only(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -93,8 +83,7 @@ class LocalPose:
 
     def __getitem__(self, index) -> "LocalPose":
         len(self)  # a single-frame pose has no frame axis to index
-        pose = LocalPose(self.skeleton, _read_only(self.root_translation[index]),
-                         _read_only(self.joint_rotations[index]))
+        pose = LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
         for key, value in self._memo.items():
             pose._memo[key] = _read_only(value[index])
         return pose
@@ -194,4 +183,4 @@ def local_to_clip(pose: LocalPose, template: Skeleton, frame_time: float) -> Mot
     frames[:, table.position_columns] = pose.root_translation[:, table.position_axes]
     for order, joints, columns in table.rotations:
         frames[:, columns] = np.degrees(quat.to_euler(pose.joint_rotations[:, joints], order))
-    return MotionClip(skeleton=template, frame_time=frame_time, frames=frames)
+    return MotionClip(skeleton=template, frame_time=frame_time, frames=_read_only(frames))

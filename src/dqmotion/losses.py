@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dualquat, quat
-from .bvh import Skeleton
+from .bvh import Skeleton, _read_only
 from .encoding import EncodedClip, ReprKind
 from .errors import NoPositionsError, ShapeMismatchError
 from .kinematics import compose, relative
@@ -37,7 +37,7 @@ _POSITION_COLUMNS = slice(-3, None)
 GRAD_EPS_LADDER = (1e-4, 1e-5, 1e-6)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Aggregation weights; defaults follow the reference configuration
     (rotational and positional at 1/3, regularizer at 0.01)."""
@@ -538,26 +538,17 @@ def grad_check(
     base = pred.features
     f, w = base.shape
 
+    def bumped_loss(fi: int, wi: int, step: float) -> float:
+        features = base.copy()
+        features[fi, wi] += step
+        clip = EncodedClip(pred.kind, pred.skeleton, pred.frame_time, _read_only(features), pred.stats)
+        return _loss_value(name, clip, truth, skeleton)
+
     def fd_gradient(step: float) -> np.ndarray:
         out = np.zeros_like(base)
         for fi in range(f):
             for wi in range(w):
-                bumped = base.copy()
-                bumped[fi, wi] = base[fi, wi] + step
-                plus = _loss_value(
-                    name,
-                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped, pred.stats),
-                    truth,
-                    skeleton,
-                )
-                bumped[fi, wi] = base[fi, wi] - step
-                minus = _loss_value(
-                    name,
-                    EncodedClip(pred.kind, pred.skeleton, pred.frame_time, bumped, pred.stats),
-                    truth,
-                    skeleton,
-                )
-                out[fi, wi] = (plus - minus) / (2.0 * step)
+                out[fi, wi] = (bumped_loss(fi, wi, step) - bumped_loss(fi, wi, -step)) / (2.0 * step)
         return out
 
     ladder = sorted(set(GRAD_EPS_LADDER) | {eps}, reverse=True)

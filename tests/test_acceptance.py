@@ -182,8 +182,9 @@ def test_criterion_6_loss_ground_truths():
     identical = encode(oracles.repeated(base), ReprKind.DUALQUAT)
     assert abs(loss_rotational(identical, identical, "local")) < 1e-12
 
-    flipped = EncodedClip(ReprKind.DUALQUAT, single, 1 / 30, -identical.features)
-    flipped.features[0, :3] *= -1  # root translation is not part of the flip
+    features = -identical.features
+    features[0, :3] *= -1  # root translation is not part of the flip
+    flipped = EncodedClip(ReprKind.DUALQUAT, single, 1 / 30, features)
     assert abs(loss_rotational_raw(flipped, identical, "local") - 2.0) < 1e-12
     assert abs(loss_rotational(flipped, identical, "local")) < 1e-12
 

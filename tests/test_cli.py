@@ -270,10 +270,10 @@ class TestValidate:
     def test_flipped_frame_detected(self, capsys, tmp_path, fixtures_dir):
         clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
         encoded = encode(clip_to_local(clip), ReprKind.DUALQUAT, clip.frame_time)
-        blocks = encoded.joint_blocks()
-        blocks[7] *= -1.0  # hand-flip one frame
+        features = encoded.features.copy()
+        features[7, 3:] *= -1.0  # hand-flip one frame's blocks
         path = tmp_path / "flipped.dqm"
-        container.write_file(path, encoded)
+        container.write_file(path, EncodedClip(encoded.kind, encoded.skeleton, encoded.frame_time, features))
         code, out, _ = run(capsys, "validate", path)
         assert code == 1
         assert "frames 6 and 7" in out or "frames 7 and 8" in out

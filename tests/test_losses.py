@@ -94,8 +94,9 @@ class TestMse:
     def test_root_translation_columns_ignored(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
         clip = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT)
-        shifted = clip_from_features(clip.kind, skeleton, clip.features.copy())
-        shifted.features[:, :3] += 100.0
+        features = clip.features.copy()
+        features[:, :3] += 100.0
+        shifted = clip_from_features(clip.kind, skeleton, features)
         assert loss_mse(shifted, clip) == 0.0
 
     def test_kind_mismatch(self, rng):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from dqmotion import kinematics
-from dqmotion.encoding import ReprKind, encode
+from dqmotion.bvh import MotionClip
+from dqmotion.encoding import EncodedClip, NormalizationStats, ReprKind, encode, fit_stats
 from dqmotion.errors import DegenerateNormError, NotUnitError
 from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
 from dqmotion.metrics import metric_report
@@ -53,6 +54,28 @@ def fill(pose: LocalPose):
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Per value type that stores arrays: one valid array for it, built from a
+# pose, and the value's stored array when it is built from a given one.
+VALUE_ARRAYS = {
+    "LocalPose": (
+        lambda pose: pose.joint_rotations,
+        lambda pose, array: LocalPose(pose.skeleton, np.zeros((len(array), 3)), array).joint_rotations,
+    ),
+    "MotionClip": (
+        lambda pose: local_to_clip(pose, pose.skeleton, 1 / 30).frames,
+        lambda pose, array: MotionClip(pose.skeleton, 1 / 30, array).frames,
+    ),
+    "EncodedClip": (
+        lambda pose: encode(pose, ReprKind.DUALQUAT).features,
+        lambda pose, array: EncodedClip(ReprKind.DUALQUAT, pose.skeleton, 1 / 30, array).features,
+    ),
+    "NormalizationStats": (
+        lambda pose: fit_stats(encode(pose, ReprKind.DUALQUAT)).std,
+        lambda pose, array: NormalizationStats(np.zeros_like(array), array).std,
+    ),
+}
 
 
 def no_sweep(*args):
@@ -159,17 +182,30 @@ class TestFrozen:
         assert same_bits(pose.joint_rotations, kept[0])
         assert same_bits(pose.root_translation, kept[1])
 
-    def test_read_only_views_of_writable_arrays_are_copied(self, skeleton):
-        identity = np.array([1.0, 0.0, 0.0, 0.0])
-        pose = LocalPose(skeleton, np.zeros(3), np.broadcast_to(identity, (skeleton.num_joints, 4)))
-        identity[:] = 0.0
-        assert np.all(pose.joint_rotations[:, 0] == 1.0)
-
-    def test_read_only_arrays_are_not_copied(self, pose):
+    def test_slices_view_the_pose(self, pose):
         window = pose[10:20]
         assert np.shares_memory(window.joint_rotations, pose.joint_rotations)
-        again = LocalPose(pose.skeleton, pose.root_translation, pose.joint_rotations)
-        assert again.joint_rotations is pose.joint_rotations
+        assert np.shares_memory(window.root_translation, pose.root_translation)
+
+    @pytest.mark.parametrize("value", VALUE_ARRAYS)
+    def test_read_only_views_of_writable_arrays_are_copied(self, pose, value):
+        source, stored = VALUE_ARRAYS[value]
+        writable = source(pose).copy()
+        view = writable[:]
+        view.setflags(write=False)
+        kept = stored(pose, view)
+        assert not np.shares_memory(kept, writable)
+        before = kept.tobytes()
+        writable[:] = 0.0
+        assert kept.tobytes() == before
+
+    @pytest.mark.parametrize("value", VALUE_ARRAYS)
+    def test_read_only_arrays_are_not_copied(self, pose, value):
+        source, stored = VALUE_ARRAYS[value]
+        array = source(pose)
+        assert not array.flags.writeable
+        assert np.shares_memory(stored(pose, array), array)
+        assert np.shares_memory(stored(pose, array[10:20]), array)
 
 
 class TestPoseUnchangedByEveryLayer:
