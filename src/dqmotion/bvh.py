@@ -48,6 +48,7 @@ from .errors import (
     BadRateError,
     BvhSyntaxError,
     ChannelMismatchError,
+    InvalidValueError,
     NonFiniteError,
     UnsupportedChannelError,
 )
@@ -180,32 +181,32 @@ class Skeleton:
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
         if not self.joints:
-            raise ValueError("skeleton needs at least one joint")
+            raise InvalidValueError("skeleton needs at least one joint")
         if self.joints[0].parent is not None:
-            raise ValueError("joint 0 must be the root (parent None)")
+            raise InvalidValueError("joint 0 must be the root (parent None)")
         names = set()
         for idx, joint in enumerate(self.joints):
             if idx > 0 and (joint.parent is None or not 0 <= joint.parent < idx):
-                raise ValueError(f"joint {joint.name!r} breaks topological parent order")
+                raise InvalidValueError(f"joint {joint.name!r} breaks topological parent order")
             if joint.name in names:
-                raise ValueError(f"duplicate joint name {joint.name!r}")
+                raise InvalidValueError(f"duplicate joint name {joint.name!r}")
             names.add(joint.name)
             if not np.all(np.isfinite(joint.offset)):
-                raise ValueError(f"non-finite offset on joint {joint.name!r}")
+                raise InvalidValueError(f"non-finite offset on joint {joint.name!r}")
             for tag in joint.channels:
                 if tag not in _CHANNEL_TAGS:
-                    raise ValueError(f"unknown channel tag {tag!r}")
+                    raise InvalidValueError(f"unknown channel tag {tag!r}")
             if len(set(joint.channels)) != len(joint.channels):
-                raise ValueError(f"duplicate channel tag on joint {joint.name!r}")
+                raise InvalidValueError(f"duplicate channel tag on joint {joint.name!r}")
             if len(joint.rotation_order) not in (0, 3):
-                raise ValueError(_ROTATION_COUNT_MESSAGE.format(len(joint.rotation_order)))
+                raise InvalidValueError(_ROTATION_COUNT_MESSAGE.format(len(joint.rotation_order)))
             if joint.is_end_site and joint.channels:
-                raise ValueError("end sites carry no channels")
+                raise InvalidValueError("end sites carry no channels")
             if idx > 0 and not joint.is_end_site:
                 if any(tag in POSITION_CHANNELS for tag in joint.channels):
-                    raise ValueError("position channels are only allowed on the root")
+                    raise InvalidValueError("position channels are only allowed on the root")
             if idx > 0 and self.joints[joint.parent].is_end_site:
-                raise ValueError("end sites cannot have children")
+                raise InvalidValueError("end sites cannot have children")
 
     # -- derived views -----------------------------------------------------
 
@@ -316,18 +317,18 @@ class MotionClip:
     def __post_init__(self):
         object.__setattr__(self, "frames", _frozen(self.frames))
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError("frames must be a (F >= 1, C) matrix")
+            raise InvalidValueError("frames must be a (F >= 1, C) matrix")
         if self.frames.shape[1] != self.skeleton.channel_count:
-            raise ValueError(
+            raise InvalidValueError(
                 f"frame width {self.frames.shape[1]} != declared channel count "
                 f"{self.skeleton.channel_count}"
             )
         if not np.all(np.isfinite(self.frames)):
             raise NonFiniteError("non-finite channel values")
         if not (self.frame_time > 0):
-            raise ValueError("frame_time must be positive")
+            raise InvalidValueError("frame_time must be positive")
         if not finite_rate(self.frame_time):
-            raise ValueError("frame_time and its rate 1/frame_time must be finite")
+            raise InvalidValueError("frame_time and its rate 1/frame_time must be finite")
 
     @property
     def num_frames(self) -> int:

@@ -4,6 +4,8 @@ Subcommands: inspect, encode, decode, roundtrip, validate, loss, metrics.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O or
 format error (values so large that the arithmetic overflows included).
+Each `MotionError` carries its own code in `exit_code`; `errors` holds
+the rule and the three families.
 Flags are validated before any file is opened, and output files are
 written atomically, so a failing invocation never leaves a partial file
 behind.
@@ -17,19 +19,7 @@ import numpy as np
 
 from . import bvh, container, dualquat
 from .encoding import ReprKind, decode, destandardize, encode, fit_stats, standardize
-from .errors import (
-    BadRateError,
-    BvhSyntaxError,
-    ContainerError,
-    DegenerateNormError,
-    LengthMismatchError,
-    MotionError,
-    NoPositionsError,
-    NotInvertibleError,
-    NotUnitError,
-    ShapeMismatchError,
-    TooFewFramesError,
-)
+from .errors import InvalidValueError, MotionError
 from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, _evaluate, loss_total
 from .metrics import pose_pair_positions, report_between
@@ -43,37 +33,21 @@ REPR_FLAGS = {
     "ortho6d-pos": ReprKind.ORTHO6D_POSITIONS,
 }
 
-class UsageError(MotionError):
-    """Semantically invalid flag/input combination (exit code 2)."""
-
-
-def _load_clip(path) -> bvh.MotionClip:
-    try:
-        return bvh.parse_file(path)
-    except ValueError as exc:
-        # Model-level validation failures (e.g. non-finite values) are
-        # format errors from the CLI's point of view.
-        raise BvhSyntaxError(0, str(exc)) from None
-
-
 def _parse_weights(text: str) -> LossWeights:
     if not text:
         return LossWeights()
     mapping = {}
     for item in text.split(","):
         if "=" not in item:
-            raise UsageError(f"bad --weights item {item!r}; expected key=value")
+            raise InvalidValueError(f"bad --weights item {item!r}; expected key=value")
         key, value = item.split("=", 1)
         try:
             mapping[key.strip()] = float(value)
         except ValueError:
-            raise UsageError(f"bad --weights value {value!r}") from None
+            raise InvalidValueError(f"bad --weights value {value!r}") from None
     if len(mapping) <= text.count(","):  # a repeated key kept only its last value
-        raise UsageError("--weights names a loss weight more than once")
-    try:
-        return LossWeights.from_mapping(mapping)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InvalidValueError("--weights names a loss weight more than once")
+    return LossWeights.from_mapping(mapping)
 
 
 def _unit_residuals(blocks: np.ndarray) -> np.ndarray:
@@ -93,7 +67,7 @@ def _offset_violations(encoded) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_inspect(args) -> int:
-    clip = _load_clip(args.input)
+    clip = bvh.parse_file(args.input)
     skeleton = clip.skeleton
     end_sites = skeleton.num_joints - skeleton.num_encoded
     payload = {
@@ -131,16 +105,18 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _encode_from_file(args):
-    clip = _load_clip(args.input)
+def _load_poses(args):
+    """The input file's local pose, subsampled to `--fps` when given, and
+    its frame time."""
+    clip = bvh.parse_file(args.input)
     if args.fps is not None:
         clip = bvh.subsample(clip, args.fps)
-    poses = clip_to_local(clip)
-    return encode(poses, REPR_FLAGS[args.repr], clip.frame_time), clip
+    return clip_to_local(clip), clip.frame_time
 
 
 def cmd_encode(args) -> int:
-    encoded, _ = _encode_from_file(args)
+    poses, frame_time = _load_poses(args)
+    encoded = encode(poses, REPR_FLAGS[args.repr], frame_time)
     kind = encoded.kind
     print(f"width: {encoded.width} (3 + {kind.block_dim}*{encoded.joint_count})")
     if kind is ReprKind.DUALQUAT:
@@ -171,15 +147,12 @@ def cmd_decode(args) -> int:
 def cmd_roundtrip(args) -> int:
     kind = REPR_FLAGS[args.repr]
     if not kind.has_rotations:
-        raise UsageError(f"--repr {args.repr} is not invertible; nothing to round-trip")
+        raise InvalidValueError(f"--repr {args.repr} is not invertible; nothing to round-trip")
     if not args.tol >= 0:  # NaN too: no deviation exceeds it
-        raise UsageError("--tol must be non-negative")
+        raise InvalidValueError("--tol must be non-negative")
 
-    clip = _load_clip(args.input)
-    if args.fps is not None:
-        clip = bvh.subsample(clip, args.fps)
-    poses = clip_to_local(clip)
-    encoded = encode(poses, kind, clip.frame_time)
+    poses, frame_time = _load_poses(args)
+    encoded = encode(poses, kind, frame_time)
     decoded = decode(encoded)
 
     a, b = poses.joint_rotations, decoded.joint_rotations
@@ -206,7 +179,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_validate(args) -> int:
     encoded = container.read_file(args.input)
     if not encoded.kind.sign_sensitive:
-        raise UsageError(
+        raise InvalidValueError(
             f"validate applies to dq/quat containers, not {encoded.kind.value}"
         )
     if encoded.standardized:
@@ -255,7 +228,7 @@ def cmd_loss(args) -> int:
     pred = container.read_file(args.pred)
     truth = container.read_file(args.truth)
     if container.skeleton_digest(pred.skeleton) != container.skeleton_digest(truth.skeleton):
-        raise UsageError("skeleton digests differ; clips describe different skeletons")
+        raise InvalidValueError("skeleton digests differ; clips describe different skeletons")
     if pred.standardized:
         pred = destandardize(pred)
     if truth.standardized:
@@ -267,19 +240,19 @@ def cmd_loss(args) -> int:
 
 def cmd_metrics(args) -> int:
     if args.seeds < 1 or args.stride < 1:
-        raise UsageError("--seeds and --stride must be positive")
+        raise InvalidValueError("--seeds and --stride must be positive")
     if args.horizon is not None and args.horizon < 3:
-        raise UsageError("--horizon must allow at least 3 frames")
+        raise InvalidValueError("--horizon must allow at least 3 frames")
 
-    pred_clip = _load_clip(args.pred)
-    truth_clip = _load_clip(args.truth)
+    pred_clip = bvh.parse_file(args.pred)
+    truth_clip = bvh.parse_file(args.truth)
     # Forward kinematics runs once; each window is a slice of its positions.
     pred, truth = pose_pair_positions(clip_to_local(pred_clip), clip_to_local(truth_clip))
     frames = len(pred)
     horizon = frames if args.horizon is None else args.horizon
     starts = list(range(0, frames - horizon + 1, args.stride))[: args.seeds]
     if not starts:
-        raise UsageError(f"--horizon {horizon} exceeds the shared length {frames}")
+        raise InvalidValueError(f"--horizon {horizon} exceeds the shared length {frames}")
     reports = [report_between(pred[s : s + horizon], truth[s : s + horizon]) for s in starts]
     payload = {"schema_version": 1}
     for name in ("euclidean", "npss", "acceleration_pred", "acceleration_truth",
@@ -364,19 +337,15 @@ def main(argv=None) -> int:
         # not a silent inf or NaN in the output.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (BvhSyntaxError, ContainerError, OSError) as exc:
+    except MotionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:
         print(f"error: input values out of numeric range ({exc})", file=sys.stderr)
         return 3
-    except (UsageError, BadRateError, ShapeMismatchError, LengthMismatchError,
-            TooFewFramesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotInvertibleError, NotUnitError, DegenerateNormError, NoPositionsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from . import _rotmat, dualquat, quat
 from .bvh import Skeleton, _frozen, _read_only, finite_rate
 from .errors import (
     DegenerateNormError,
+    InvalidValueError,
     NonFiniteError,
     NotInvertibleError,
     ShapeMismatchError,
@@ -106,7 +107,7 @@ class NormalizationStats:
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.std)):
             raise NonFiniteError("non-finite statistics")
         if np.any(self.std <= 0.0):
-            raise ValueError("std must be strictly positive")
+            raise InvalidValueError("std must be strictly positive")
 
     @property
     def width(self) -> int:
@@ -139,7 +140,9 @@ class EncodedClip:
         if not np.all(np.isfinite(self.features)):
             raise NonFiniteError("non-finite feature values")
         if not (self.frame_time > 0.0 and finite_rate(self.frame_time)):
-            raise ValueError("frame_time must be positive and finite, with a finite rate 1/frame_time")
+            raise InvalidValueError(
+                "frame_time must be positive and finite, with a finite rate 1/frame_time"
+            )
         if self.stats is not None and self.stats.width != self.features.shape[1]:
             raise ShapeMismatchError("stats width does not match features")
 
@@ -269,7 +272,7 @@ def decode(clip: EncodedClip) -> LocalPose:
     destandardized first.
     """
     if clip.standardized:
-        raise ValueError("clip is standardized; call destandardize first")
+        raise InvalidValueError("clip is standardized; call destandardize first")
     if clip.kind is ReprKind.POSITIONS:
         raise NotInvertibleError("positions carry no rotations to decode")
 
@@ -318,7 +321,7 @@ def destandardize(clip: EncodedClip, stats: NormalizationStats | None = None) ->
     if stats is None:
         stats = clip.stats
     if stats is None:
-        raise ValueError("clip carries no stats and none were given")
+        raise InvalidValueError("clip carries no stats and none were given")
     if stats.width != clip.width:
         raise ShapeMismatchError(
             f"stats width {stats.width} does not match clip width {clip.width}"

@@ -27,7 +27,7 @@ import numpy as np
 from . import dualquat, quat
 from .bvh import Skeleton, _read_only
 from .encoding import EncodedClip, ReprKind
-from .errors import NoPositionsError, ShapeMismatchError
+from .errors import InvalidValueError, NoPositionsError, ShapeMismatchError
 from .kinematics import compose, relative
 
 _ROTATIONAL_KINDS = (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS)
@@ -52,7 +52,7 @@ class LossWeights:
         for weight in fields(self):
             value = getattr(self, weight.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"weight {weight.name} must be finite and non-negative")
+                raise InvalidValueError(f"weight {weight.name} must be finite and non-negative")
 
     _ALIASES = {
         "mse": "mse",
@@ -72,9 +72,9 @@ class LossWeights:
         kwargs = {}
         for key, value in mapping.items():
             if key not in cls._ALIASES:
-                raise ValueError(f"unknown loss weight {key!r}")
+                raise InvalidValueError(f"unknown loss weight {key!r}")
             if cls._ALIASES[key] in kwargs:
-                raise ValueError(f"loss weight {cls._ALIASES[key]!r} is given more than once")
+                raise InvalidValueError(f"loss weight {cls._ALIASES[key]!r} is given more than once")
             kwargs[cls._ALIASES[key]] = float(value)
         return cls(**kwargs)
 
@@ -119,7 +119,7 @@ class LossReport:
 
 def _check_space(space: str):
     if space not in ("local", "current"):
-        raise ValueError(f"space must be 'local' or 'current', got {space!r}")
+        raise InvalidValueError(f"space must be 'local' or 'current', got {space!r}")
 
 
 def _mean(values: np.ndarray) -> float:
@@ -395,7 +395,7 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=
     """Term `name` at pred, after the one copy of the input checks (pair,
     kind, raw features) that its loss, `loss_total` and its gradient share."""
     if name not in _TERMS:
-        raise ValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
+        raise InvalidValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
     term = _TERMS[name]
     if term.pair and pred.kind is not truth.kind:
         raise ShapeMismatchError(f"kind mismatch: {pred.kind.value} vs {truth.kind.value}")
@@ -405,7 +405,7 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=
         raise ShapeMismatchError(f"{name} loss is undefined for kind {pred.kind.value}")
     clips = (pred, truth) if term.pair else (pred,)
     if not term.accepts_standardized and any(clip.standardized for clip in clips):
-        raise ValueError("loss needs raw features; destandardize the clip first")
+        raise InvalidValueError("loss needs raw features; destandardize the clip first")
     return term.evaluate(pred, truth, skeleton)
 
 
@@ -530,7 +530,7 @@ def grad_check(
     largest componentwise difference relative to the gradient magnitude.
     """
     if not 1e-8 <= eps <= 1e-3:
-        raise ValueError("eps must lie in [1e-8, 1e-3]")
+        raise InvalidValueError("eps must lie in [1e-8, 1e-3]")
     skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
     evaluation = _evaluate(name, pred, truth, skeleton)
     analytic = evaluation.grad()

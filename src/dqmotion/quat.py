@@ -24,7 +24,7 @@ result: the formula's bits, with a fraction of its temporaries.
 import numpy as np
 
 from . import _rotmat
-from .errors import DegenerateNormError
+from .errors import DegenerateNormError, InvalidValueError
 
 #: Arguments of arcsin at least this close to +-1 take the degenerate
 #: (gimbal-lock) branch of to_euler. It covers middle angles within about
@@ -128,7 +128,7 @@ def normalize(q: np.ndarray) -> np.ndarray:
 def _check_order(order: str) -> str:
     order = order.upper()
     if order not in _VALID_ORDERS:
-        raise ValueError(f"invalid rotation order {order!r}; expected a permutation of XYZ")
+        raise InvalidValueError(f"invalid rotation order {order!r}; expected a permutation of XYZ")
     return order
 
 

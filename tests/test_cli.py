@@ -261,6 +261,22 @@ class TestRoundtrip:
         assert code == 0
 
 
+@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+def test_subsampled_frame_time_overflow_is_usage_error(capsys, tmp_path, fixtures_dir, command):
+    """A stride of 2 doubles a 1e308 s frame time past the float range."""
+    source = tmp_path / "big.bvh"
+    text = (fixtures_dir / "humanoid.bvh").read_text()
+    source.write_text(text.replace("Frame Time: 0.033333", "Frame Time: 1e308"))
+    argv = [command, source, "--fps", "5e-309"]
+    if command == "encode":
+        argv += ["-o", tmp_path / "out.dqm"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines() == ["error: frame_time and its rate 1/frame_time must be finite"]
+    assert "OK" not in out
+    assert list(tmp_path.iterdir()) == [source]
+
+
 class TestValidate:
     def test_fresh_container_ok(self, capsys, encoded_dq):
         code, out, _ = run(capsys, "validate", encoded_dq)
