@@ -3,6 +3,17 @@
 Matrices are deliberately not part of the public quaternion API; they back
 the forward-kinematics oracle, Euler-angle extraction, and the six-value
 rotation blocks. All matrices act on column vectors.
+
+The conversions are entry-wise: `entry` computes one matrix entry of
+quaternions, so a caller computes only the entries it reads (`to_euler`
+reads five, the six-value encode six, and only `quat_to_matrix` all
+nine), and the six-value decode (`encoding._ortho6d_to_quats`) runs
+Gram-Schmidt and Shepperd's method on the block values without building a
+matrix. Each entry keeps the terms, and the order of the terms, of the
+whole-matrix formula, so the results keep their bits:
+`tests/algebra_oracles.py` keeps the stacked matrix forms
+(`quat_to_matrix`, `gram_schmidt`, `matrix_to_quat`) that
+`tests/test_algebra_oracles.py` holds the entry-wise ones to.
 """
 
 import numpy as np
@@ -27,59 +38,33 @@ def axis_rotation_matrix(axis: int, angle) -> np.ndarray:
     return m
 
 
+def entry(q: np.ndarray, r: int, c: int, out=None) -> np.ndarray:
+    """Entry (r, c) of the rotation matrices of unit quaternions (..., 4),
+    into `out` when given.
+
+    Diagonal: 1 - 2 (a a + b b) over the two other vector components in
+    index order. Off the diagonal: 2 (v_lo v_hi -+ w v_t), with the sign
+    minus where c follows r cyclically and t the third axis.
+    """
+    w, *v = (q[..., n] for n in range(4))
+    if r == c:
+        a, b = (v[n] for n in range(3) if n != r)
+        return np.subtract(1.0, 2.0 * (a * a + b * b), out=out)
+    lo, hi = sorted((r, c))
+    along = v[lo] * v[hi]
+    cross = w * v[3 - r - c]
+    along = along - cross if c == (r + 1) % 3 else along + cross
+    return np.multiply(2.0, along, out=out)
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion, broadcasting over leading axes.
 
     Input shape (..., 4) scalar-first, output shape (..., 3, 3).
     """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = np.stack(
-        [
-            1.0 - 2.0 * (y * y + z * z),
-            2.0 * (x * y - w * z),
-            2.0 * (x * z + w * y),
-            2.0 * (x * y + w * z),
-            1.0 - 2.0 * (x * x + z * z),
-            2.0 * (y * z - w * x),
-            2.0 * (x * z - w * y),
-            2.0 * (y * z + w * x),
-            1.0 - 2.0 * (x * x + y * y),
-        ],
-        axis=-1,
-    )
-    return rows.reshape(q.shape[:-1] + (3, 3))
-
-
-def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Unit quaternions (..., 4) of (..., 3, 3) rotation matrices.
-
-    Shepperd's branching keeps the division well conditioned for any
-    input: row n of `table` is 4 q_n q, divided by 4 q_n for the branch n.
-    """
-    m = np.asarray(m, dtype=float)
-    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    wx = m[..., 2, 1] - m[..., 1, 2]
-    wy = m[..., 0, 2] - m[..., 2, 0]
-    wz = m[..., 1, 0] - m[..., 0, 1]
-    xy = m[..., 0, 1] + m[..., 1, 0]
-    xz = m[..., 0, 2] + m[..., 2, 0]
-    yz = m[..., 1, 2] + m[..., 2, 1]
-    table = np.stack(
-        [
-            np.stack([1.0 + m00 + m11 + m22, wx, wy, wz], axis=-1),
-            np.stack([wx, 1.0 + m00 - m11 - m22, xy, xz], axis=-1),
-            np.stack([wy, xy, 1.0 - m00 + m11 - m22, yz], axis=-1),
-            np.stack([wz, xz, yz, 1.0 - m00 - m11 + m22], axis=-1),
-        ],
-        axis=-2,
-    )
-    branch = np.where(
-        m00 + m11 + m22 > 0.0,
-        0,
-        np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)),
-    )
-    row = np.take_along_axis(table, branch[..., None, None], axis=-2)[..., 0, :]
-    lead = np.take_along_axis(row, branch[..., None], axis=-1)
-    q = row / (2.0 * np.sqrt(lead))
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    m = np.empty(q.shape[:-1] + (3, 3))
+    for r in range(3):
+        for c in range(3):
+            entry(q, r, c, out=m[..., r, c])
+    return m

@@ -95,7 +95,11 @@ class JointSpec:
     is_end_site: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", _read_only(np.array(self.offset, dtype=float).reshape(3)))
+        try:
+            offset = np.array(self.offset, dtype=float).reshape(3)
+        except (TypeError, ValueError):
+            raise InvalidValueError(f"joint {self.name!r} offset must be three numbers") from None
+        object.__setattr__(self, "offset", _read_only(offset))
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @property

@@ -66,7 +66,7 @@ def to_bytes(clip: EncodedClip) -> bytes:
         clip.kind.block_dim,
         clip.num_frames,
         clip.frame_time,
-        skeleton_digest(clip.skeleton),
+        hashlib.sha256(skeleton_json).digest(),
     )
     parts = [header, struct.pack("<I", len(skeleton_json)), skeleton_json]
     if clip.stats is not None:

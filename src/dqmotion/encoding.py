@@ -209,9 +209,13 @@ def antipodal_correct(blocks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
-    """First two columns of each rotation matrix, column-major."""
-    m = _rotmat.quat_to_matrix(quats)
-    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+    """First two columns of each rotation matrix, column-major: entry
+    (r, c) goes to block column 3 c + r."""
+    blocks = np.empty(quats.shape[:-1] + (6,))
+    for c in range(2):
+        for r in range(3):
+            _rotmat.entry(quats, r, c, out=blocks[..., 3 * c + r])
+    return blocks
 
 
 def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
@@ -246,21 +250,78 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
 # decode
 # ---------------------------------------------------------------------------
 
-def _gram_schmidt(blocks: np.ndarray) -> np.ndarray:
-    """Rotation matrices from six-value blocks; always orthonormal."""
-    a = blocks[..., :3]
-    b = blocks[..., 3:6]
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
+#: Shepperd's candidates in rows of the table that `_ortho6d_to_quats`
+#: builds: line n below lists where the four components of candidate n,
+#: 4 q_n (w, x, y, z), sit, so component c of it is row _SHEPPERD_ROWS[c, n].
+_SHEPPERD_ROWS = np.array([
+    [0, 4, 5, 6],
+    [4, 1, 7, 8],
+    [5, 7, 2, 9],
+    [6, 8, 9, 3],
+]).T
+
+
+def _ortho6d_to_quats(blocks: np.ndarray) -> np.ndarray:
+    """Unit quaternions (..., 4) of the six-value blocks in blocks[..., :6].
+
+    Gram-Schmidt makes the columns x, y of an orthonormal matrix from the
+    two three-vectors of each block, and z = x cross y; Shepperd's method
+    then divides candidate n (4 q_n q) by 4 q_n, for the n picked per
+    element: 0 where the trace is positive, else the largest diagonal
+    entry, ties to the later one. No matrix is built: each entry and sum
+    keeps the terms, in order, of the whole-matrix form, so the bits are
+    those of Shepperd's method on the Gram-Schmidt matrix.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    shape = blocks.shape[:-1]
+    # One component-major copy: every later pass reads contiguous rows.
+    a, b = np.ascontiguousarray(np.moveaxis(blocks[..., :6], -1, 0)).reshape(2, 3, -1)
+    na = quat.norm(a.T)
     if np.any(na <= quat._NORM_FLOOR):
         raise DegenerateNormError("degenerate first column in six-value block")
     x = a / na
-    b_perp = b - np.sum(x * b, axis=-1, keepdims=True) * x
-    nb = np.linalg.norm(b_perp, axis=-1, keepdims=True)
+    along = x[0] * b[0]
+    along += x[1] * b[1]
+    along += x[2] * b[2]
+    along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
+    b = b - along * x
+    nb = quat.norm(b.T)
     if np.any(nb <= quat._NORM_FLOOR):
         raise DegenerateNormError("six-value block columns are collinear")
-    y = b_perp / nb
-    z = np.cross(x, y)
-    return np.stack([x, y, z], axis=-1)  # columns x, y, z
+    y = b / nb
+    z = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+    # The matrix has columns x, y, z. Rows 0..3 of `table` are the four
+    # candidates for 4 q_n q_n, rows 4..9 sums and differences of
+    # off-diagonal entries.
+    m00, m11, m22 = x[0], y[1], z[2]
+    table = np.empty((10,) + m00.shape)
+    np.add(1.0 + m00 + m11, m22, out=table[0])
+    np.subtract(1.0 + m00 - m11, m22, out=table[1])
+    np.subtract(1.0 - m00 + m11, m22, out=table[2])
+    np.add(1.0 - m00 - m11, m22, out=table[3])
+    np.subtract(y[2], z[1], out=table[4])  # m21 - m12
+    np.subtract(z[0], x[2], out=table[5])  # m02 - m20
+    np.subtract(x[1], y[0], out=table[6])  # m10 - m01
+    np.add(y[0], x[1], out=table[7])  # m01 + m10
+    np.add(z[0], x[2], out=table[8])  # m02 + m20
+    np.add(z[1], y[2], out=table[9])  # m12 + m21
+
+    # Branch n as integer arithmetic on the three tests, then each value
+    # gathered from its table row: no branching per element.
+    branch = 3 - (m11 > m22)
+    branch -= ((m00 > m11) & (m00 > m22)) * (branch - 1)
+    branch *= ~(m00 + m11 + m22 > 0.0)
+    size = m00.size
+    cells = np.arange(size)
+    flat = table.reshape(-1)
+    lead = flat[branch * size + cells]
+    q = np.empty((4, size))
+    for c in range(4):
+        q[c] = flat[_SHEPPERD_ROWS[c][branch] * size + cells]
+    q /= 2.0 * np.sqrt(lead)
+    q /= quat.norm(q.T)
+    return np.ascontiguousarray(q.T).reshape(shape + (4,))
 
 
 def decode(clip: EncodedClip) -> LocalPose:
@@ -281,12 +342,12 @@ def decode(clip: EncodedClip) -> LocalPose:
     if clip.kind is ReprKind.DUALQUAT:
         # Local rotations fall out of parent-conjugate products; offsets
         # come from the skeleton.
-        current = dualquat.normalize(blocks)[..., :4]
+        current = quat.normalize(blocks[..., :4])
         quats = relative(skeleton.encoded_parents, current, quat.mul, quat.conjugate)
     elif clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
         quats = quat.normalize(blocks[..., :4])
     else:  # ortho6d variants
-        quats = _rotmat.matrix_to_quat(_gram_schmidt(blocks[..., :6]))
+        quats = _ortho6d_to_quats(blocks)
 
     rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0  # end sites stay at identity

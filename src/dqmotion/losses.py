@@ -19,6 +19,7 @@ verifies them against central finite differences, and the tests also
 hold them to a per-(frame, joint) loop oracle.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -51,8 +52,8 @@ class LossWeights:
     def __post_init__(self):
         for weight in fields(self):
             value = getattr(self, weight.name)
-            if not np.isfinite(value) or value < 0:
-                raise InvalidValueError(f"weight {weight.name} must be finite and non-negative")
+            if not isinstance(value, numbers.Real) or not np.isfinite(value) or value < 0:
+                raise InvalidValueError(f"weight {weight.name} must be a finite, non-negative number")
 
     _ALIASES = {
         "mse": "mse",
@@ -75,7 +76,10 @@ class LossWeights:
                 raise InvalidValueError(f"unknown loss weight {key!r}")
             if cls._ALIASES[key] in kwargs:
                 raise InvalidValueError(f"loss weight {cls._ALIASES[key]!r} is given more than once")
-            kwargs[cls._ALIASES[key]] = float(value)
+            try:
+                kwargs[cls._ALIASES[key]] = float(value)
+            except (TypeError, ValueError):
+                raise InvalidValueError(f"loss weight {key!r} must be a number, not {value!r}") from None
         return cls(**kwargs)
 
 

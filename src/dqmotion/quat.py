@@ -18,7 +18,11 @@ The layout is part of the bits: downstream `einsum` reductions such as
 `dot` sum in an order that depends on their operands' strides. `mul`
 copies each operand once into component-major rows and writes each sum,
 term by term in the per-component formula's order, into a preallocated
-result: the formula's bits, with a fraction of its temporaries.
+result: the formula's bits, with a fraction of its temporaries. `to_euler`
+works the same way on the rotation matrix: it computes only the five
+entries it reads (`_rotmat.entry`, each in the terms and order of the
+whole-matrix formula), builds whole matrices only for the rows in the
+gimbal-lock band, and writes a fresh C-contiguous result.
 """
 
 import numpy as np
@@ -167,23 +171,25 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     last one, which keeps the round trip well defined at the pole itself.
     """
     order = _check_order(order)
-    m = _rotmat.quat_to_matrix(normalize(q))
+    q = normalize(q)
+    entry = _rotmat.entry
 
     i, j, k = (_rotmat.AXES.index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
-    s = sign * m[..., i, k]
+    s = sign * entry(q, i, k)
 
     out = np.empty(s.shape + (3,))
     out[..., j] = np.arcsin(np.clip(s, -1.0, 1.0))
-    out[..., i] = np.arctan2(-sign * m[..., j, k], m[..., k, k])
-    out[..., k] = np.arctan2(-sign * m[..., i, j], m[..., i, i])
+    out[..., i] = np.arctan2(-sign * entry(q, j, k), entry(q, k, k))
+    out[..., k] = np.arctan2(-sign * entry(q, i, j), entry(q, i, i))
 
     lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
     if np.any(lock):
         mid = np.copysign(np.pi / 2.0, s[lock])
         # With the first angle pinned to zero the residual is a pure
-        # rotation about the last axis.
-        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m[lock]
+        # rotation about the last axis; only these rows build whole matrices.
+        m = _rotmat.quat_to_matrix(q[lock])
+        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m
         u, v = (k + 1) % 3, (k + 2) % 3
         out[lock, i] = 0.0
         out[lock, j] = mid

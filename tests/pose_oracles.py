@@ -10,19 +10,21 @@ antipodal seed sign one zero-led block at a time (`seed_signs`, held
 exactly). `test_pose_oracles.py` holds the other batched forms to them
 within 1e-12.
 They read rotation matrices through `_rotmat.quat_to_matrix` and
-six-value blocks through `encoding._gram_schmidt`; only the code that was
-vectorized is independent.
+six-value blocks through the stacked Gram-Schmidt form that
+`algebra_oracles.gram_schmidt` keeps (the package decodes them entry-wise,
+without a matrix); only the code that was vectorized is independent.
 """
 
 import numpy as np
 
 from dqmotion import _rotmat, dualquat, quat
-from dqmotion.encoding import ReprKind, _gram_schmidt
+from dqmotion.encoding import ReprKind
 from dqmotion.errors import NotInvertibleError, NotUnitError, ShapeMismatchError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
 from dqmotion.kinematics import LocalPose
 
 import oracles
+from algebra_oracles import gram_schmidt
 
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
@@ -165,7 +167,7 @@ def decode(clip) -> LocalPose:
     elif clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
         quats = quat.normalize(blocks[..., :4])
     else:
-        mats = _gram_schmidt(blocks[..., :6]).reshape(-1, 3, 3)
+        mats = gram_schmidt(blocks[..., :6]).reshape(-1, 3, 3)
         quats = np.stack([matrix_to_quat(m) for m in mats]).reshape(f, len(indices), 4)
 
     rotations = np.zeros((f, skeleton.num_joints, 4))

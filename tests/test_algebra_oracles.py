@@ -1,14 +1,22 @@
 """The component-major `quat.mul`, `dualquat.mul`, `dualquat.conjugate` and
-`dualquat.normalize` against their per-component oracles: equal bits, equal sign of zero and a
-fresh C-contiguous result, on broadcast, sliced and gathered operands."""
+`dualquat.normalize`, and the entry-wise rotation conversions
+(`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
+decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`),
+against their per-component and whole-matrix oracles: equal bits, equal sign
+of zero and a fresh C-contiguous result, on broadcast, sliced, gathered,
+reversed and F-ordered operands."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from dqmotion import dualquat, quat
+from dqmotion import _rotmat, dualquat, encoding, quat
 from dqmotion.errors import DegenerateNormError
 
 import algebra_oracles
+import oracles
+import pose_oracles
 
 QUAT_SHAPES = [
     ((4,), (4,)),
@@ -158,3 +166,190 @@ class TestOneNormRoutine:
         r = values(rng, (2000, 14, 4))
         assert np.array_equal(quat.norm(r), np.linalg.norm(r, axis=-1))
         assert np.array_equal(quat.norm(r[..., ::-1]), np.linalg.norm(r[..., ::-1], axis=-1))
+
+
+def rotation_group():
+    """The 24 signed permutation matrices of determinant +1: exact entries,
+    every Shepperd branch, ties between diagonal entries and a zero trace."""
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            m[range(3), perm] = signs
+            if np.linalg.det(m) > 0:
+                mats.append(m)
+    return np.array(mats)
+
+
+def six_values(m):
+    """The six-value block of (..., 3, 3) matrices: columns 0 and 1."""
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+
+
+def shepperd_branches(blocks):
+    """The Shepperd cases that the six-value blocks' matrices take."""
+    mats = algebra_oracles.gram_schmidt(blocks).reshape(-1, 3, 3)
+    return {pose_oracles.shepperd_branch(m) for m in mats}
+
+
+def matrices(q):
+    """Rotation matrices of unit quaternions, through the Rodrigues form."""
+    return np.stack([oracles.quat_matrix(row) for row in q])
+
+
+def lock_quats(rng, order, count=40):
+    """Quaternions whose middle angle sits on the pole, inside the lock band
+    and just outside it, on both poles, in the composition `order`."""
+    angles = rng.uniform(-np.pi, np.pi, size=(count, 3))
+    middle = "XYZ".index(order[1])
+    offsets = np.resize([0.0, 1e-7, 1e-13, 1e-5], count // 2)
+    angles[: count // 2, middle] = np.pi / 2.0 - offsets
+    angles[count // 2:, middle] = -np.pi / 2.0 + offsets
+    return quat.from_euler(angles, order)
+
+
+def assert_same_error(kernel, oracle, x):
+    with pytest.raises(DegenerateNormError) as got:
+        kernel(x)
+    with pytest.raises(DegenerateNormError) as want:
+        oracle(x)
+    assert str(got.value) == str(want.value)
+
+
+class TestQuatToMatrix:
+    def test_values_and_signed_zeros(self, rng):
+        for q in (values(rng, (300, 4)), signed_zeros(rng, (500, 4)), values(rng, (4,))):
+            assert_same_bits(_rotmat.quat_to_matrix(q), algebra_oracles.quat_to_matrix(q), q)
+
+    def test_views(self, rng):
+        x = values(rng, (40, 9, 8))
+        for q in (x[..., 4:], x[:, [3, 0, 0, 8], :4], x[::-1, ::-2, 4:],
+                  np.asfortranarray(x[..., :4]), np.broadcast_to(x[0, 0, :4], (6, 5, 4))):
+            assert_same_bits(_rotmat.quat_to_matrix(q), algebra_oracles.quat_to_matrix(q), x)
+
+
+class TestOrtho6dToQuats:
+    @pytest.mark.parametrize("shape", [(6,), (7, 6), (2000, 14, 6)])
+    def test_shapes(self, rng, shape):
+        b = values(rng, shape, zeros=0.1)
+        b[..., [0, 4]] += 1.0  # keep both columns off the norm floor
+        assert_same_bits(encoding._ortho6d_to_quats(b), algebra_oracles.ortho6d_to_quats(b), b)
+
+    def test_every_branch_and_the_diagonal_ties(self, rng):
+        group = six_values(rotation_group())
+        # random rotations, and half turns about x, y and z (branches 1 to 3)
+        turns = np.concatenate([np.full((30, 1), np.pi - 0.05), rng.normal(size=(30, 3))], -1)
+        turns[:10, 1:] += [8.0, 0.0, 0.0]
+        turns[10:20, 1:] += [0.0, 8.0, 0.0]
+        turns[20:, 1:] += [0.0, 0.0, 8.0]
+        axes = turns[:, 1:] / np.linalg.norm(turns[:, 1:], axis=-1, keepdims=True)
+        q = np.concatenate([np.cos(turns[:, :1] / 2), np.sin(turns[:, :1] / 2) * axes], -1)
+        mats = matrices(np.concatenate([q, oracles.random_unit_quat(rng, (30,))]))
+        for b in (group, six_values(mats), 3.0 * group):
+            assert shepperd_branches(b) == {0, 1, 2, 3}
+            assert_same_bits(encoding._ortho6d_to_quats(b), algebra_oracles.ortho6d_to_quats(b), b)
+        ties = algebra_oracles.gram_schmidt(group)
+        diagonal = np.diagonal(ties, axis1=-2, axis2=-1)
+        assert np.any((diagonal[:, 0] == diagonal[:, 1]) & (np.trace(ties, axis1=-2, axis2=-1) <= 0))
+        assert np.any((diagonal[:, 1] == diagonal[:, 2]) & (np.trace(ties, axis1=-2, axis2=-1) <= 0))
+
+    def test_six_value_slices_of_ortho6d_positions(self, rng):
+        skeleton = oracles.random_skeleton(rng, 9, end_sites=True)
+        clip = encoding.encode(oracles.random_poses(rng, skeleton, 25), encoding.ReprKind.ORTHO6D_POSITIONS)
+        blocks = clip.joint_blocks()
+        assert not blocks[..., :6].flags.c_contiguous
+        assert_same_bits(encoding._ortho6d_to_quats(blocks[..., :6]),
+                         algebra_oracles.ortho6d_to_quats(blocks[..., :6]), blocks)
+        assert_same_bits(encoding._ortho6d_to_quats(blocks), algebra_oracles.ortho6d_to_quats(blocks), blocks)
+
+    def test_gathered_reversed_fortran_and_broadcast_views(self, rng):
+        x = values(rng, (40, 9, 12), zeros=0.1)
+        for b in (x[:, [3, 0, 0, 8, 2], 6:], x[::-1, ::-1, :6], x[::-2, :, 12:5:-1],
+                  np.asfortranarray(x[..., 3:9]), np.broadcast_to(x[0, 0, :6], (30, 5, 6)),
+                  x[0, 0, :6].tolist()):
+            assert_same_bits(encoding._ortho6d_to_quats(b), algebra_oracles.ortho6d_to_quats(b), x)
+
+    def test_signed_zeros(self, rng):
+        b = signed_zeros(rng, (4000, 6))
+        usable = np.linalg.norm(np.cross(b[:, :3], b[:, 3:]), axis=-1) > 0.0
+        b = b[usable]
+        want = algebra_oracles.ortho6d_to_quats(b)
+        assert np.any((want == 0.0) & np.signbit(want))
+        assert_same_bits(encoding._ortho6d_to_quats(b), want, b)
+
+    def test_empty(self):
+        empty = np.zeros((0, 14, 6))
+        assert_same_bits(encoding._ortho6d_to_quats(empty), algebra_oracles.ortho6d_to_quats(empty), empty)
+
+    @pytest.mark.parametrize("first", [[1e-12, 0.0, 0.0], [0.5e-12, 0.0, 0.0], [0.0, -0.0, 0.0]])
+    def test_degenerate_first_column(self, first):
+        b = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 5, 1))
+        b[1, 2, :3] = first
+        b[2, 4, 3:] = [2.0, 0.0, 0.0]  # a collinear block too: the first check wins
+        assert_same_error(encoding._ortho6d_to_quats, algebra_oracles.ortho6d_to_quats, b)
+
+    @pytest.mark.parametrize("second", [[2.0, 0.0, 0.0], [-3.0, 1e-13, 0.0], [0.0, 0.0, 0.0]])
+    def test_collinear_columns(self, second):
+        b = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 5, 1))
+        b[1, 2, 3:] = second
+        assert_same_error(encoding._ortho6d_to_quats, algebra_oracles.ortho6d_to_quats, b)
+
+
+class TestToEuler:
+    @pytest.mark.parametrize("order", oracles.ORDER_POOL)
+    def test_lock_band_rows(self, rng, order):
+        q = lock_quats(rng, order)
+        q = np.concatenate([q, oracles.random_unit_quat(rng, (40,))])
+        i, _, k = ("XYZ".index(c) for c in order)
+        pole = np.abs(algebra_oracles.quat_to_matrix(quat.normalize(q))[:, i, k])
+        assert 0 < np.count_nonzero(pole >= 1.0 - quat.LOCK_TOLERANCE) < 40
+        assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order), q)
+
+    @pytest.mark.parametrize("order", oracles.ORDER_POOL)
+    def test_views_and_signed_zeros(self, rng, order):
+        x = values(rng, (30, 7, 8), zeros=0.1)
+        x[..., 0] += 1.0
+        zeros = signed_zeros(rng, (400, 4))
+        zeros[np.all(zeros == 0.0, axis=-1), 0] = -1.0
+        exact = algebra_oracles.ortho6d_to_quats(six_values(rotation_group()))
+        for q in (x[..., :4], x[:, [5, 0, 0, 2], 4:], x[::-1, ::-3, 4:], np.asfortranarray(x[..., 2:6]),
+                  np.broadcast_to(x[0, 0, :4], (6, 4)), zeros, exact):
+            assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order), x, zeros)
+
+    def test_single_quaternions(self, rng):
+        for q in (lock_quats(rng, "ZYX", 2)[0], oracles.random_unit_quat(rng), [1.0, 0.0, -0.0, 0.0]):
+            for order in oracles.ORDER_POOL:
+                assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order))
+
+
+class TestOrtho6dOfQuats:
+    def test_views_and_signed_zeros(self, rng):
+        x = values(rng, (40, 9, 8))
+        for q in (x[..., 4:], x[:, [3, 0, 0, 8], :4], x[::-1, ::-2, 4:], np.asfortranarray(x[..., :4]),
+                  np.broadcast_to(x[0, 0, :4], (6, 5, 4)), signed_zeros(rng, (500, 4)),
+                  quat.normalize(x[..., :4])):
+            assert_same_bits(encoding._ortho6d_of_quats(q), algebra_oracles.ortho6d_of_quats(q), x)
+
+
+class TestDualquatDecodeRotations:
+    """The dq decode reads the real part alone: `quat.normalize` of it has the
+    bits of the real half of `dualquat.normalize`."""
+
+    def test_values_and_signed_zeros(self, rng):
+        x = values(rng, (200, 14, 8), zeros=0.3)
+        x[..., 0] += 1.0
+        zeros = signed_zeros(rng, (2000, 8))
+        zeros[:, 0] = np.where(rng.random(2000) < 0.5, 1.0, -1.0)
+        for d in (x, x[:, [4, 0, 0, 7]], x[::-1], zeros, unit_dq(rng, (50, 14))):
+            got = quat.normalize(d[..., :4])
+            want = dualquat.normalize(d)[..., :4]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_degenerate_real_part(self):
+        d = np.tile([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0], (3, 5, 1))
+        d[1, 2, :4] = 1e-12
+        d[1, 2, 1:4] = 0.0
+        for normalize in (lambda d: quat.normalize(d[..., :4]), dualquat.normalize):
+            with pytest.raises(DegenerateNormError):
+                normalize(d)

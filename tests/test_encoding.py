@@ -1,5 +1,8 @@
 """Feature encodings: layout, antipodal correction, round trips, container."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -320,6 +323,15 @@ class TestContainer:
         data[40] ^= 0xFF  # inside the digest field
         with pytest.raises(ContainerError):
             container.from_bytes(bytes(data))
+
+    def test_header_digest_is_the_sha256_of_the_json_block(self, rng):
+        skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
+        data = container.to_bytes(encode(oracles.random_poses(rng, skeleton, 3), ReprKind.ORTHO6D))
+        start = container._HEADER.size
+        (length,) = struct.unpack_from("<I", data, start)
+        block = data[start + 4:start + 4 + length]
+        assert data[start - 32:start] == hashlib.sha256(block).digest()
+        assert data[start - 32:start] == container.skeleton_digest(skeleton)
 
     def test_encode_is_deterministic(self, rng):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)

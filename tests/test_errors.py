@@ -69,6 +69,9 @@ BAD_VALUES = {
     "grad_check eps": lambda clip, enc: grad_check("mse", enc, enc, eps=1.0),
     "decode standardized": lambda clip, enc: decode(standardize(enc, fit_stats(enc))),
     "destandardize without stats": lambda clip, enc: destandardize(enc),
+    "JointSpec.offset two numbers": lambda clip, enc: JointSpec("a", None, [1.0, 2.0], ()),
+    "LossWeights.mse not a number": lambda clip, enc: LossWeights(mse="x"),
+    "LossWeights.from_mapping not a number": lambda clip, enc: LossWeights.from_mapping({"mse": "x"}),
 }
 
 
