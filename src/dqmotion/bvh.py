@@ -174,6 +174,23 @@ def _levels(parents: np.ndarray) -> tuple:
         in_level = np.bincount(rows, minlength=parents.size) > 0
 
 
+def _rank_groups(parents: np.ndarray) -> tuple:
+    """(positions, parents[positions]) per child rank of a parent array:
+    group k holds the k-th child of each parent with more than k children,
+    so no parent repeats within a group. Adding group 0, then group 1, and
+    so on sums each parent's children in the order `np.add.at` does."""
+    ranks, children = [], {}
+    for parent in parents.tolist():
+        ranks.append(children.get(parent, 0))
+        children[parent] = ranks[-1] + 1
+    ranks = np.array(ranks, dtype=int)
+    groups = []
+    for k in range(max(children.values(), default=0)):
+        positions = np.flatnonzero(ranks == k)
+        groups.append((_read_only(positions), _read_only(parents[positions])))
+    return tuple(groups)
+
+
 @dataclass(frozen=True, eq=False)
 class Skeleton:
     """Joint hierarchy in topological order; joint 0 is the single root.
@@ -266,6 +283,16 @@ class Skeleton:
     def encoded_levels(self) -> tuple:
         """(rows, parent rows) per depth level of the encoded joints."""
         return _levels(self.encoded_parents)
+
+    @cached_property
+    def _encoded_child_ranks(self) -> tuple:
+        """`_rank_groups` of the non-root encoded rows (positions counted
+        from row 1), then of each of `encoded_levels` (positions within the
+        level): the parent scatters of the reverse sweeps."""
+        return (
+            _rank_groups(self.encoded_parents[1:]),
+            tuple(_rank_groups(parent_rows) for _, parent_rows in self.encoded_levels),
+        )
 
     @cached_property
     def _topology(self) -> tuple:

@@ -15,7 +15,9 @@ their operands' layout (see `quat`: downstream `einsum` reductions sum in
 an order that depends on strides, so layout is part of the bits). `mul`
 and `normalize` copy their operands component-major once and write into
 a preallocated result; every sum keeps the terms and the order of the
-per-part formula.
+per-part formula. Their row kernels (`_mul_rows`, `_normalize_rows`,
+and `_translation_rows`, which keeps `translation`'s unit check) take
+(8, ...) component rows directly and give the same bits.
 """
 
 from typing import NamedTuple
@@ -67,16 +69,21 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     a, b = quat._rows(a, shape), quat._rows(b, shape)
-    ar, ad, br, bd = a[:4], a[4:], b[:4], b[4:]
     out = np.empty(shape + (8,))
     rows = out.reshape(-1, 8).T
-    p, q, tmp = np.empty((3, a.shape[1]))
+    _mul_rows(a[:4], a[4:], b[:4], b[4:], rows[:4], rows[4:])
+    return out
+
+
+def _mul_rows(ar, ad, br, bd, out_r, out_d) -> None:
+    """`mul` on (4, ...) component rows of the real and dual parts of a and
+    b, into the rows `out_r` and `out_d`, which must not overlap an operand."""
+    p, q, tmp = np.empty((3,) + ar.shape[1:])
     for k in range(4):
-        quat._hamilton_row(k, ar, br, rows[k], p, tmp)
+        quat._hamilton_row(k, ar, br, out_r[k], p, tmp)
         quat._hamilton_row(k, ar, bd, p, p, tmp)
         quat._hamilton_row(k, ad, br, q, q, tmp)
-        np.add(p, q, out=rows[4 + k])
-    return out
+        np.add(p, q, out=out_d[k])
 
 
 def conjugate(d: np.ndarray) -> np.ndarray:
@@ -108,15 +115,22 @@ def unitary_residual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_unit(d: np.ndarray) -> bool:
-    norm_res, ortho_res = unitary_residual(d)
+    return _within_unit_tolerance(*unitary_residual(d))
+
+
+def _within_unit_tolerance(norm_res: np.ndarray, ortho_res: np.ndarray) -> bool:
     tol = UNIT_TOLERANCE
     return bool(np.all(np.abs(norm_res) <= 2.0 * tol) and np.all(np.abs(ortho_res) <= tol))
+
+
+def _not_unit(what: str) -> NotUnitError:
+    return NotUnitError(f"{what} requires a unit dual quaternion (tol {UNIT_TOLERANCE:g})")
 
 
 def _require_unit(d: np.ndarray, what: str) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if not is_unit(d):
-        raise NotUnitError(f"{what} requires a unit dual quaternion (tol {UNIT_TOLERANCE:g})")
+        raise _not_unit(what)
     return d
 
 
@@ -129,30 +143,28 @@ def normalize(d: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     shape = d.shape[:-1]
-    rows = quat._rows(d, shape)
+    out = np.empty(shape + (8,))
+    _normalize_rows(quat._rows(d, shape), out.reshape(-1, 8).T)
+    return out
+
+
+def _normalize_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`normalize` on (8, ...) component rows, into the rows `out`; returns
+    the real parts' norms and the projections of the dual parts along the
+    real ones (<r, e> / |r|^2). Scales `rows` in place."""
     r, e = rows[:4], rows[4:]
-    n = np.sqrt(_row_dot(r, r))
+    n = np.sqrt(quat._row_dot(r, r))
     if np.any(n <= quat._NORM_FLOOR):
         raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
-    along = _row_dot(r, e)
+    along = quat._row_dot(r, e)
     along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
     along /= n * n
     r /= n
     e /= n
-    out = np.empty(shape + (8,))
-    parts = out.reshape(-1, 8).T
-    parts[:4] = r
+    out[:4] = r
     r *= along
-    np.subtract(e, r, out=parts[4:])
-    return out
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a[i] * b[i] over the component rows, in index order."""
-    total = a[0] * b[0]
-    for i in range(1, len(a)):
-        total += a[i] * b[i]
-    return total
+    np.subtract(e, r, out=out[4:])
+    return n, along
 
 
 def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -183,6 +195,21 @@ def translation(d: np.ndarray) -> np.ndarray:
     """Cartesian translation 2 * q_d * q_r^*, the vector coefficients."""
     d = _require_unit(d, "translation")
     return 2.0 * quat.mul(dual(d), quat.conjugate(real(d)))[..., 1:]
+
+
+def _translation_rows(d: np.ndarray) -> np.ndarray:
+    """`translation` on (8, ...) component rows: (3, ...) rows with its
+    bits, after the same unit check."""
+    r, e = d[:4], d[4:]
+    if not _within_unit_tolerance(quat._row_dot(r, r) - 1.0, quat._row_dot(r, e)):
+        raise _not_unit("translation")
+    r_conj = np.concatenate([r[:1], -r[1:]])
+    out = np.empty((3,) + d.shape[1:])
+    acc, tmp = np.empty((2,) + d.shape[1:])
+    for k in range(1, 4):
+        quat._hamilton_row(k, e, r_conj, out[k - 1], acc, tmp)
+    out *= 2.0
+    return out
 
 
 def transform_point(d: np.ndarray, p: np.ndarray) -> np.ndarray:

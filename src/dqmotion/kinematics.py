@@ -8,7 +8,9 @@ hierarchy sweeps (`chain` for the encodings, `positions` for the
 metrics) at most once, and its slices reuse them. Every layer shares two
 hierarchy helpers: `compose` sweeps parent to child one depth level at a
 time, over the levels the skeleton builds once, and `relative` undoes it
-with one parent gather.
+with one parent gather. Their joint gathers are `np.take` calls, which
+return C-ordered copies; the algebra kernels copy every operand
+component-major anyway, so the layout changes no bits.
 
 `pose.chain` is the current pose: each joint's root-centered unit dual
 quaternion, built by `current_chain` on `compose`. `decode` of a dualquat
@@ -124,7 +126,7 @@ def compose(levels: tuple, local: np.ndarray, mul) -> np.ndarray:
     """
     out = np.array(local, dtype=float)
     for rows, parent_rows in levels:
-        out[..., rows, :] = mul(out[..., parent_rows, :], out[..., rows, :])
+        out[..., rows, :] = mul(np.take(out, parent_rows, axis=-2), np.take(out, rows, axis=-2))
     return out
 
 
@@ -136,7 +138,7 @@ def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.nda
     is given.
     """
     out = np.array(current, dtype=float)
-    out[..., 1:, :] = mul(conjugate(current[..., parents[1:], :]), current[..., 1:, :])
+    out[..., 1:, :] = mul(conjugate(np.take(current, parents[1:], axis=-2)), current[..., 1:, :])
     return out
 
 

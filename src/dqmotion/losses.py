@@ -13,10 +13,16 @@ that returns the term's per-(frame, joint) values together with the
 gradient of their mean with respect to the predicted feature matrix. The
 `loss_*` functions, `loss_total` and `grad_check` all read that table.
 The gradients are closed forms batched over frames, built from the
-forward pass's own intermediates: Hamilton products on whole (F, J, .)
-arrays, with no per-(frame, joint) Jacobian matrices. `grad_check`
-verifies them against central finite differences, and the tests also
-hold them to a per-(frame, joint) loop oracle.
+forward pass's own intermediates, with no per-(frame, joint) Jacobian
+matrices. They work on component-major (C, J, F) rows: each term copies
+the blocks it reads once, and every product, normalization, distance and
+VJP after that is a whole-row operation (the dq positional and offset
+terms run their forward passes on the same rows, and their gradients
+reuse its normalized rows and norms). A parent scatter adds one child
+rank at a time, in `np.add.at`'s order. `grad_check` verifies the
+gradients against central finite differences, and the tests also hold
+them to a per-(frame, joint) loop oracle and to the batched (F, J, .)
+forms they replaced.
 """
 
 import numbers
@@ -147,90 +153,127 @@ def _in_space(clip: EncodedClip, rotations: np.ndarray, space: str) -> np.ndarra
     return compose(clip.skeleton.encoded_levels, rotations, quat.mul)
 
 
-def _positions(clip: EncodedClip) -> np.ndarray:
-    """(F, J, 3) per-joint positions read off the representation."""
-    blocks = clip.joint_blocks()
+def _rows(values: np.ndarray) -> np.ndarray:
+    """(C, J, F) component rows of (F, J, C) per-(frame, joint) values: one
+    C-contiguous copy. Each component is one contiguous row for the
+    elementwise kernels, and the frames of each joint are contiguous
+    within it, so a joint gather or a parent scatter moves whole runs."""
+    return values.transpose(2, 1, 0).copy()
+
+
+def _per_frame_joint(values: np.ndarray) -> np.ndarray:
+    """(J, F) values as the C-ordered (F, J) array the losses reduce."""
+    return np.ascontiguousarray(values.T)
+
+
+class _UnitRows(NamedTuple):
+    """The normalized blocks of a dualquat clip, as (8, J, F) rows, with
+    the (J, F) norms of their real parts and the projections of their dual
+    parts along them (the two scalars of `dualquat.normalize`)."""
+
+    rows: np.ndarray
+    norm: np.ndarray
+    along: np.ndarray
+
+
+def _unit_rows(clip: EncodedClip) -> _UnitRows:
+    raw = _rows(clip.joint_blocks())
+    rows = np.empty(raw.shape)
+    return _UnitRows(rows, *dualquat._normalize_rows(raw, rows))
+
+
+def _position_rows(clip: EncodedClip) -> np.ndarray:
+    """(3, J, F) rows of the per-joint positions read off the representation."""
     if clip.kind is ReprKind.DUALQUAT:
-        return dualquat.translation(dualquat.normalize(blocks))
+        return dualquat._translation_rows(_unit_rows(clip).rows)
     if clip.kind.has_positions:
-        return blocks[..., _POSITION_COLUMNS]
+        return _rows(clip.joint_blocks()[..., _POSITION_COLUMNS])
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
 
 
-def _offset_errors(clip: EncodedClip, skeleton: Skeleton):
-    """Offset errors of the non-root joints of a dualquat clip.
-
-    Returns the normalized (F, J, 8) blocks, the (F, J-1, 8) parent-relative
-    transforms of the non-root joints, and their (F, J-1, 3) translations
-    minus the bone offsets of `skeleton`.
-    """
-    current = dualquat.normalize(clip.joint_blocks())
-    local = relative(clip.skeleton.encoded_parents, current, dualquat.mul, dualquat.conjugate)[:, 1:]
-    expected = skeleton.offsets[list(skeleton.encoded_indices[1:])]
-    return current, local, dualquat.translation(local) - expected
+def _distances(delta: np.ndarray) -> np.ndarray:
+    """(J, F) lengths of (3, J, F) rows, the squares summed in index order
+    as `quat.norm` sums them."""
+    return np.sqrt(quat._row_dot(delta, delta))
 
 
 # ---------------------------------------------------------------------------
 # gradient building blocks
 # ---------------------------------------------------------------------------
-# Every gradient is a closed form over the whole (F, J, .) block array. A
-# Jacobian-transpose product M.T @ v becomes a Hamilton product, using
-# L(q).T = L(q*) and R(q).T = R(q*) for the matrices of q x and x q. The
-# quaternion kinds' current-space rotational gradient walks the skeleton's
-# depth levels in reverse, the same levels `compose` walks forward.
+# Every gradient is a closed form on component-major (C, J, F) rows, one
+# row per block component, copied once from the blocks a term reads; no
+# arithmetic runs over a short component axis. A Jacobian-transpose
+# product M.T @ v becomes a Hamilton product on rows, using L(q).T = L(q*)
+# and R(q).T = R(q*) for the matrices of q x and x q. A parent scatter adds
+# the children's rows one child rank at a time
+# (`Skeleton._encoded_child_ranks`), in `np.add.at`'s order. The quaternion
+# kinds' current-space rotational gradient walks the skeleton's depth
+# levels in reverse, the same levels `compose` walks forward.
 
-def _swap(d: np.ndarray) -> np.ndarray:
-    """Exchange the real and dual halves of a dual quaternion."""
-    return np.concatenate([d[..., 4:], d[..., :4]], axis=-1)
-
-
-def _normalize_vjp(r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g through the Jacobian (I - r^ r^T) / |r| of r -> r / |r|."""
-    n = quat.norm(r)[..., None]
-    r_hat = r / n
-    return (g - r_hat * quat.dot(r_hat, g)[..., None]) / n
+_CONJUGATE_ROWS = dualquat._CONJUGATE_SIGNS[:, None, None]
 
 
-def _dq_normalize_vjp(d: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g through the Jacobian of dualquat.normalize at d.
+def _add_to_parents(bar: np.ndarray, groups: tuple, children: np.ndarray) -> None:
+    """bar[:, parent] += children[:, position] for every child, one rank
+    group at a time: np.add.at's sums, bit for bit."""
+    for positions, parents in groups:
+        bar[:, parents] += children[:, positions]
 
-    The Jacobian is [[A, 0], [B, A]] with symmetric blocks
-    A = (I - r^ r^T) / n and B = -(e r^T + r e^T + k I) / n^3 + 3k r r^T / n^5,
-    where n = |r| and k = <r, e>; its transpose maps g to
-    (A g_r + B g_e, A g_e).
+
+def _normalize_vjp(unit: np.ndarray, norm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(4, ...) rows g through the Jacobian (I - r^ r^T) / |r| of r -> r / |r|,
+    at the point whose normalization is `unit` and norm is `norm`."""
+    return (g - unit * quat._row_dot(unit, g)) / norm
+
+
+def _dq_normalize_vjp(unit: _UnitRows, g: np.ndarray) -> np.ndarray:
+    """(8, ...) rows g through the Jacobian of dualquat.normalize.
+
+    With n the real part's norm, k the projection of the dual part along
+    it and (r^, e^) the normalized value, the transposed Jacobian maps g
+    to ((g_r - r^ (<r^, g_r> + <e^, g_e> - k a) - e^ a - k g_e) / n,
+    (g_e - r^ a) / n), where a = <r^, g_e>.
     """
-    r, e = d[..., :4], d[..., 4:]
-    g_e = g[..., 4:]
-    n = quat.norm(r)[..., None]
-    k = quat.dot(r, e)[..., None]
-    r_ge = quat.dot(r, g_e)[..., None]
-    e_ge = quat.dot(e, g_e)[..., None]
-    b_ge = -(e * r_ge + r * e_ge + k * g_e) / n**3 + 3.0 * k * r_ge * r / n**5
-    return np.concatenate(
-        [_normalize_vjp(r, g[..., :4]) + b_ge, _normalize_vjp(r, g_e)], axis=-1
-    )
+    r, e = unit.rows[:4], unit.rows[4:]
+    g_r, g_e = g[:4], g[4:]
+    a = quat._row_dot(r, g_e)
+    out = np.empty(g.shape)
+    out[:4] = g_r - r * (quat._row_dot(r, g_r) + quat._row_dot(e, g_e) - unit.along * a)
+    out[:4] -= e * a + unit.along * g_e
+    out[4:] = g_e - r * a
+    out /= unit.norm
+    return out
 
 
 def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u (..., 3) through the Jacobian of the translation 2 vec(m_d m_r*).
+    """(3, ...) rows u through the Jacobian of the translation
+    2 vec(m_d m_r*) of the (8, ...) rows m.
 
     With u~ = (0, u): the real part is 2 (m_d* u~)* = -2 u~ m_d, since u~
     is pure, and the dual part is 2 u~ m_r.
     """
-    u_q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
-    return 2.0 * np.concatenate([quat.mul(u_q, -m[..., 4:]), quat.mul(u_q, m[..., :4])], axis=-1)
+    out = np.empty((8,) + u.shape[1:])
+    tmp = np.empty(u.shape[1:])
+    for k in range(4):
+        quat._pure_hamilton_row(k, u, m[4:], out[k], tmp)
+        quat._pure_hamilton_row(k, u, m[:4], out[4 + k], tmp)
+    out[:4] *= -2.0
+    out[4:] *= 2.0
+    return out
 
 
 def _unit_directions(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """delta / dist along the last axis, 0 where dist is 0, divided by the
-    number of distances the loss averages."""
-    return delta / np.where(dist > 0, dist, 1.0)[..., None] / dist.size
+    """(3, ...) rows delta / dist, 0 where dist is 0, divided by the number
+    of distances the loss averages."""
+    return delta / np.where(dist > 0, dist, 1.0) / dist.size
 
 
-def _scatter(grad_blocks: np.ndarray, clip: EncodedClip) -> np.ndarray:
-    """(F, J, D) block gradients into a (F, W) feature gradient."""
+def _scatter(rows: np.ndarray, clip: EncodedClip, columns=slice(None)) -> np.ndarray:
+    """(C, J, F) rows of block gradients into the `columns` of every joint
+    block of a (F, W) feature gradient that is zero elsewhere."""
     out = np.zeros((clip.num_frames, clip.width))
-    out[:, 3:] = grad_blocks.reshape(clip.num_frames, -1)
+    blocks = out[:, 3:].reshape(clip.num_frames, clip.joint_count, clip.kind.block_dim)
+    blocks[..., columns].transpose(2, 1, 0)[...] = rows
     return out
 
 
@@ -251,7 +294,8 @@ class _Evaluation(NamedTuple):
 def _mse(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
     diff = pred.joint_blocks() - truth.joint_blocks()
     return _Evaluation(
-        quat.dot(diff, diff) / diff.shape[-1], lambda: _scatter(2.0 * diff / diff.size, pred)
+        quat.dot(diff, diff) / diff.shape[-1],
+        lambda: _scatter((2.0 * diff / diff.size).transpose(2, 1, 0), pred),
     )
 
 
@@ -266,27 +310,40 @@ def _rotational(space: str):
         dots = quat.dot(q_pred, q_truth)
 
         def grad() -> np.ndarray:
-            f, j, _ = blocks.shape
+            f, j = dots.shape
+            rows = _rows(unit)
             # `bar` starts as the gradient w.r.t. q_pred and is carried back,
             # row by row, to the gradient w.r.t. the unit blocks.
-            bar = -np.where(dots >= 0, 1.0, -1.0)[..., None] * q_truth / (f * j)
+            bar = _rows(q_truth)
+            np.multiply(-np.where(dots >= 0, 1.0, -1.0).T, bar, out=bar)
+            bar /= f * j
+            whole, levels = pred.skeleton._encoded_child_ranks
             if pred.kind is ReprKind.DUALQUAT and space == "local":
                 # q_pred = u_p* u for every non-root row u with parent u_p.
                 parents = pred.skeleton.encoded_parents[1:]
-                to_parent = quat.mul(unit[:, 1:], quat.conjugate(bar[:, 1:]))
-                bar[:, 1:] = quat.mul(unit[:, parents], bar[:, 1:])
-                np.add.at(bar, (slice(None), parents), to_parent)
+                children = bar[:, 1:]
+                to_parent = quat._mul_rows(
+                    rows[:, 1:], children * _CONJUGATE_ROWS[:4], np.empty(children.shape))
+                children[...] = quat._mul_rows(
+                    np.take(rows, parents, axis=1), children, np.empty(children.shape))
+                _add_to_parents(bar, whole, to_parent)
             elif pred.kind is not ReprKind.DUALQUAT and space == "current":
                 # Reverse sweep: each current rotation feeds all its
                 # descendants, and a level's upstream is complete once every
                 # deeper level is done.
-                for rows, parent_rows in reversed(pred.skeleton.encoded_levels):
-                    to_parent = quat.mul(bar[:, rows], quat.conjugate(unit[:, rows]))
-                    bar[:, rows] = quat.mul(quat.conjugate(q_pred[:, parent_rows]), bar[:, rows])
-                    np.add.at(bar, (slice(None), parent_rows), to_parent)
-            grad = np.zeros_like(blocks)
-            grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
-            return _scatter(grad, pred)
+                current = _rows(q_pred)
+                for (level, parent_rows), groups in zip(
+                        reversed(pred.skeleton.encoded_levels), reversed(levels)):
+                    children = np.take(bar, level, axis=1)
+                    to_parent = quat._mul_rows(
+                        children, np.take(rows, level, axis=1) * _CONJUGATE_ROWS[:4],
+                        np.empty(children.shape))
+                    bar[:, level] = quat._mul_rows(
+                        np.take(current, parent_rows, axis=1) * _CONJUGATE_ROWS[:4], children,
+                        np.empty(children.shape))
+                    _add_to_parents(bar, groups, to_parent)
+            norm = quat.norm(blocks[..., :4]).T
+            return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))
 
         return _Evaluation(1.0 - np.abs(dots), grad, unaligned=1.0 - dots)
 
@@ -294,43 +351,49 @@ def _rotational(space: str):
 
 
 def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
-    delta = _positions(pred) - _positions(truth)
-    dist = quat.norm(delta)
+    if pred.kind is ReprKind.DUALQUAT:
+        unit = _unit_rows(pred)
+        delta = dualquat._translation_rows(unit.rows) - _position_rows(truth)
+    else:
+        delta = _position_rows(pred) - _position_rows(truth)
+    dist = _distances(delta)
 
     def grad() -> np.ndarray:
-        unit = _unit_directions(delta, dist)
-        blocks = pred.joint_blocks()
+        directions = _unit_directions(delta, dist)
         if pred.kind is ReprKind.DUALQUAT:  # chain through normalization and translation
-            grad = _dq_normalize_vjp(blocks, _translation_vjp(dualquat.normalize(blocks), unit))
-        else:
-            grad = np.zeros_like(blocks)
-            grad[..., _POSITION_COLUMNS] = unit
-        return _scatter(grad, pred)
+            return _scatter(_dq_normalize_vjp(unit, _translation_vjp(unit.rows, directions)), pred)
+        return _scatter(directions, pred, _POSITION_COLUMNS)
 
-    return _Evaluation(dist, grad)
+    return _Evaluation(_per_frame_joint(dist), grad)
 
 
 def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
     """Bone-offset violations, (F, J-1): no columns for a root-only skeleton."""
-    normalized, local, delta = _offset_errors(pred, skeleton)
-    dist = quat.norm(delta)
+    unit = _unit_rows(pred)
+    parent = np.take(unit.rows, pred.skeleton.encoded_parents[1:], axis=1)
+    child = unit.rows[:, 1:]
+    # local = n_p* n for every non-root row n with parent n_p
+    local = np.empty(child.shape)
+    conjugate = parent * _CONJUGATE_ROWS
+    dualquat._mul_rows(conjugate[:4], conjugate[4:], child[:4], child[4:], local[:4], local[4:])
+    expected = skeleton.offsets[list(skeleton.encoded_indices[1:])].T[..., None]
+    delta = dualquat._translation_rows(local) - expected
+    dist = _distances(delta)
 
     def grad() -> np.ndarray:
-        # local = n_p* n for every non-root row n with parent n_p. For dual
-        # quaternions the transposed Jacobians of x -> a x and x -> x b map v
-        # to swap(a* swap(v)) and swap(swap(v) b*), conjugating both halves.
-        swapped = _swap(_translation_vjp(local, _unit_directions(delta, dist)))
-        parents = pred.skeleton.encoded_parents[1:]
-        grad_normalized = np.zeros_like(normalized)
-        grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
-        np.add.at(
-            grad_normalized,
-            (slice(None), parents),
-            _swap(dualquat.mul(normalized[:, 1:], dualquat.conjugate(swapped))),
-        )
-        return _scatter(_dq_normalize_vjp(pred.joint_blocks(), grad_normalized), pred)
+        # For dual quaternions the transposed Jacobians of x -> a x and
+        # x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*),
+        # conjugating both halves; swap exchanges the real and dual rows.
+        v = _translation_vjp(local, _unit_directions(delta, dist))
+        bar = np.zeros(unit.rows.shape)
+        dualquat._mul_rows(parent[:4], parent[4:], v[4:], v[:4], bar[4:, 1:], bar[:4, 1:])
+        v *= _CONJUGATE_ROWS
+        to_parent = np.empty(v.shape)
+        dualquat._mul_rows(child[:4], child[4:], v[4:], v[:4], to_parent[4:], to_parent[:4])
+        _add_to_parents(bar, pred.skeleton._encoded_child_ranks[0], to_parent)
+        return _scatter(_dq_normalize_vjp(unit, bar), pred)
 
-    return _Evaluation(dist, grad)
+    return _Evaluation(_per_frame_joint(dist), grad)
 
 
 def _regularization(pred: EncodedClip, truth, skeleton) -> _Evaluation:
@@ -346,7 +409,7 @@ def _regularization(pred: EncodedClip, truth, skeleton) -> _Evaluation:
             + 2.0 * ortho_res[..., None] * blocks[..., 4:]
         )
         grad[..., 4:] = 2.0 * ortho_res[..., None] * blocks[..., :4]
-        return _scatter(grad / (f * j), pred)
+        return _scatter((grad / (f * j)).transpose(2, 1, 0), pred)
 
     return _Evaluation(norm_res**2 + ortho_res**2, grad)
 
@@ -401,6 +464,11 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=
     if name not in _TERMS:
         raise InvalidValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
     term = _TERMS[name]
+    if term.pair and truth is None:
+        raise InvalidValueError(f"{name} loss compares pred with truth; truth is None")
+    if skeleton is not None and not np.array_equal(
+            skeleton.encoded_parents, pred.skeleton.encoded_parents):
+        raise ShapeMismatchError("skeleton topology differs from the clip's")
     if term.pair and pred.kind is not truth.kind:
         raise ShapeMismatchError(f"kind mismatch: {pred.kind.value} vs {truth.kind.value}")
     if term.pair and (pred.width != truth.width or pred.num_frames != truth.num_frames):
@@ -482,7 +550,14 @@ def loss_total(
     """Weighted sum of every component applicable to the clips' kind, each
     term evaluated through `_evaluate`, which holds the input checks."""
     _check_space(rotation_space)
-    weights = weights or LossWeights()
+    if truth is None:
+        raise InvalidValueError("loss_total compares pred with truth; truth is None")
+    if weights is None:
+        weights = LossWeights()
+    elif not isinstance(weights, LossWeights):
+        raise InvalidValueError(
+            f"weights must be a LossWeights, not {type(weights).__name__}; "
+            "build one with LossWeights.from_mapping")
     report = LossReport(
         kind=pred.kind.value,
         rotation_space=rotation_space,
@@ -535,7 +610,10 @@ def grad_check(
     """
     if not 1e-8 <= eps <= 1e-3:
         raise InvalidValueError("eps must lie in [1e-8, 1e-3]")
-    skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
+    if truth_skeleton is not None:
+        skeleton = truth_skeleton
+    else:
+        skeleton = (truth if truth is not None else pred).skeleton
     evaluation = _evaluate(name, pred, truth, skeleton)
     analytic = evaluation.grad()
 

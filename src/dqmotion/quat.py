@@ -18,11 +18,14 @@ The layout is part of the bits: downstream `einsum` reductions such as
 `dot` sum in an order that depends on their operands' strides. `mul`
 copies each operand once into component-major rows and writes each sum,
 term by term in the per-component formula's order, into a preallocated
-result: the formula's bits, with a fraction of its temporaries. `to_euler`
-works the same way on the rotation matrix: it computes only the five
-entries it reads (`_rotmat.entry`, each in the terms and order of the
-whole-matrix formula), builds whole matrices only for the rows in the
-gimbal-lock band, and writes a fresh C-contiguous result.
+result: the formula's bits, with a fraction of its temporaries. The same
+row kernels (`_mul_rows`, and `_pure_hamilton_row` for a pure left
+operand) serve callers that keep their values in rows, such as the
+gradients in `losses`; each reads the one table of terms, `_HAMILTON`.
+`to_euler` works the same way on the rotation matrix: it computes only
+the five entries it reads (`_rotmat.entry`, each in the terms and order
+of the whole-matrix formula), builds whole matrices only for the rows in
+the gimbal-lock band, and writes a fresh C-contiguous result.
 """
 
 import numpy as np
@@ -82,17 +85,43 @@ def _hamilton_row(k: int, a: np.ndarray, b: np.ndarray, out: np.ndarray,
         _ACCUMULATE[sign](acc, tmp, out=out if n == len(rest) else acc)
 
 
+def _pure_hamilton_row(k: int, u: np.ndarray, b: np.ndarray, out: np.ndarray,
+                       tmp: np.ndarray) -> None:
+    """Component k of (0, u) * b for (3, ...) rows u, into `out`: the terms
+    of `_HAMILTON[k]` without the one that reads u's zero real part."""
+    (sign, i, j), *rest = _HAMILTON[k][1:]
+    np.multiply(u[i - 1], b[j], out=out)
+    if sign < 0:
+        np.negative(out, out=out)
+    for sign, i, j in rest:
+        np.multiply(u[i - 1], b[j], out=tmp)
+        _ACCUMULATE[sign](out, tmp, out=out)
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hamilton product of (4, ...) component rows a and b, into the rows
+    `out`, which must not overlap either operand."""
+    acc, tmp = np.empty((2,) + a.shape[1:])
+    for k in range(4):
+        _hamilton_row(k, a, b, out[k], acc, tmp)
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[i] * b[i] over the component rows, in index order."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total += a[i] * b[i]
+    return total
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a, b = _rows(a, shape), _rows(b, shape)
     out = np.empty(shape + (4,))
-    rows = out.reshape(-1, 4).T
-    acc, tmp = np.empty((2, a.shape[1]))
-    for k in range(4):
-        _hamilton_row(k, a, b, rows[k], acc, tmp)
+    _mul_rows(_rows(a, shape), _rows(b, shape), out.reshape(-1, 4).T)
     return out
 
 

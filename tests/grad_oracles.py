@@ -1,22 +1,37 @@
-"""Per-(frame, joint) loop gradients: the equivalence oracle for `losses`.
+"""Two equivalence oracles for the analytic gradients of `losses`.
 
-These are the original Jacobian-matrix forms of the analytic loss
-gradients. Every derivative is an explicit 4x4 or 8x8 matrix built per
+The per-(frame, joint) loop gradients are the original Jacobian-matrix
+forms. Every derivative is an explicit 4x4 or 8x8 matrix built per
 (frame, joint) and applied as `M.T @ v`, so they are slow but easy to
-read against the math. `dqmotion.losses` computes the same products as
-Hamilton products batched over frames; `test_grad_oracles.py` holds the
-two within 1e-12 relative.
+read against the math.
+
+The batched forms (`BATCHED_TERMS`) are the terms as they were before
+they moved to component-major rows: Hamilton products and VJPs on whole
+(F, J, 4|8) arrays, and `np.add.at` parent scatters. Each is a drop-in
+`evaluate` of a `losses._TERMS` entry, values and gradient.
+
+`dqmotion.losses` computes the same products on (C, F, J) rows;
+`test_grad_oracles.py` holds its gradients within 1e-12 relative of both
+oracles and its values, bit for bit, to the batched forms.
 
 The helpers read the clip through the package's forward plumbing
-(`_positions`, `_rotation_quats`, `Skeleton.encoded_parents`); only the
-derivatives are independent.
+(`_rotation_quats`, `_in_space`, `Skeleton.encoded_parents`) and their
+own copy of the old `_positions`; only the derivatives are independent.
 """
 
 import numpy as np
 
 from dqmotion import dualquat, quat
 from dqmotion.encoding import ReprKind
-from dqmotion.losses import _positions, _rotation_quats
+from dqmotion.losses import _POSITION_COLUMNS, _Evaluation, _in_space, _rotation_quats
+
+
+def _positions(clip) -> np.ndarray:
+    """(F, J, 3) per-joint positions read off the representation."""
+    blocks = clip.joint_blocks()
+    if clip.kind is ReprKind.DUALQUAT:
+        return dualquat.translation(dualquat.normalize(blocks))
+    return blocks[..., _POSITION_COLUMNS]
 
 
 def left_matrix(q: np.ndarray) -> np.ndarray:
@@ -270,3 +285,148 @@ def analytic_gradient(name: str, pred, truth, skeleton) -> np.ndarray:
     if name == "regularization":
         return grad_regularization(pred, truth)
     raise ValueError(name)
+
+
+# ---------------------------------------------------------------------------
+# the batched (F, J, .) forms
+# ---------------------------------------------------------------------------
+
+def _swap(d: np.ndarray) -> np.ndarray:
+    """Exchange the real and dual halves of a dual quaternion."""
+    return np.concatenate([d[..., 4:], d[..., :4]], axis=-1)
+
+
+def _normalize_vjp(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g through the Jacobian (I - r^ r^T) / |r| of r -> r / |r|."""
+    n = quat.norm(r)[..., None]
+    r_hat = r / n
+    return (g - r_hat * quat.dot(r_hat, g)[..., None]) / n
+
+
+def _dq_normalize_vjp(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g through the Jacobian [[A, 0], [B, A]] of dualquat.normalize at d,
+    A = (I - r^ r^T) / n and B = -(e r^T + r e^T + k I) / n^3 + 3k r r^T / n^5."""
+    r, e = d[..., :4], d[..., 4:]
+    g_e = g[..., 4:]
+    n = quat.norm(r)[..., None]
+    k = quat.dot(r, e)[..., None]
+    r_ge = quat.dot(r, g_e)[..., None]
+    e_ge = quat.dot(e, g_e)[..., None]
+    b_ge = -(e * r_ge + r * e_ge + k * g_e) / n**3 + 3.0 * k * r_ge * r / n**5
+    return np.concatenate(
+        [_normalize_vjp(r, g[..., :4]) + b_ge, _normalize_vjp(r, g_e)], axis=-1
+    )
+
+
+def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u (..., 3) through the Jacobian of the translation 2 vec(m_d m_r*)."""
+    u_q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
+    return 2.0 * np.concatenate([quat.mul(u_q, -m[..., 4:]), quat.mul(u_q, m[..., :4])], axis=-1)
+
+
+def _unit_directions(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    return delta / np.where(dist > 0, dist, 1.0)[..., None] / dist.size
+
+
+def batched_mse(pred, truth, skeleton):
+    diff = pred.joint_blocks() - truth.joint_blocks()
+    return _Evaluation(
+        quat.dot(diff, diff) / diff.shape[-1], lambda: scatter(2.0 * diff / diff.size, pred)
+    )
+
+
+def batched_rotational(space: str):
+    def evaluate(pred, truth, skeleton):
+        blocks = pred.joint_blocks()
+        unit = quat.normalize(blocks[..., :4])
+        q_pred = _in_space(pred, unit, space)
+        q_truth = _rotation_quats(truth, space)
+        dots = quat.dot(q_pred, q_truth)
+
+        def grad():
+            f, j, _ = blocks.shape
+            bar = -np.where(dots >= 0, 1.0, -1.0)[..., None] * q_truth / (f * j)
+            if pred.kind is ReprKind.DUALQUAT and space == "local":
+                parents = pred.skeleton.encoded_parents[1:]
+                to_parent = quat.mul(unit[:, 1:], quat.conjugate(bar[:, 1:]))
+                bar[:, 1:] = quat.mul(unit[:, parents], bar[:, 1:])
+                np.add.at(bar, (slice(None), parents), to_parent)
+            elif pred.kind is not ReprKind.DUALQUAT and space == "current":
+                for rows, parent_rows in reversed(pred.skeleton.encoded_levels):
+                    to_parent = quat.mul(bar[:, rows], quat.conjugate(unit[:, rows]))
+                    bar[:, rows] = quat.mul(quat.conjugate(q_pred[:, parent_rows]), bar[:, rows])
+                    np.add.at(bar, (slice(None), parent_rows), to_parent)
+            grad = np.zeros_like(blocks)
+            grad[..., :4] = _normalize_vjp(blocks[..., :4], bar)
+            return scatter(grad, pred)
+
+        return _Evaluation(1.0 - np.abs(dots), grad, unaligned=1.0 - dots)
+
+    return evaluate
+
+
+def batched_positional(pred, truth, skeleton):
+    delta = _positions(pred) - _positions(truth)
+    dist = quat.norm(delta)
+
+    def grad():
+        unit = _unit_directions(delta, dist)
+        blocks = pred.joint_blocks()
+        if pred.kind is ReprKind.DUALQUAT:
+            grad = _dq_normalize_vjp(blocks, _translation_vjp(dualquat.normalize(blocks), unit))
+        else:
+            grad = np.zeros_like(blocks)
+            grad[..., _POSITION_COLUMNS] = unit
+        return scatter(grad, pred)
+
+    return _Evaluation(dist, grad)
+
+
+def batched_offset(pred, truth, skeleton):
+    normalized = dualquat.normalize(pred.joint_blocks())
+    parents = pred.skeleton.encoded_parents[1:]
+    local = dualquat.mul(dualquat.conjugate(normalized[:, parents]), normalized[:, 1:])
+    expected = skeleton.offsets[list(skeleton.encoded_indices[1:])]
+    delta = dualquat.translation(local) - expected
+    dist = quat.norm(delta)
+
+    def grad():
+        swapped = _swap(_translation_vjp(local, _unit_directions(delta, dist)))
+        grad_normalized = np.zeros_like(normalized)
+        grad_normalized[:, 1:] = _swap(dualquat.mul(normalized[:, parents], swapped))
+        np.add.at(
+            grad_normalized,
+            (slice(None), parents),
+            _swap(dualquat.mul(normalized[:, 1:], dualquat.conjugate(swapped))),
+        )
+        return scatter(_dq_normalize_vjp(pred.joint_blocks(), grad_normalized), pred)
+
+    return _Evaluation(dist, grad)
+
+
+def batched_regularization(pred, truth, skeleton):
+    blocks = pred.joint_blocks()
+    norm_res, ortho_res = dualquat.unitary_residual(blocks)
+
+    def grad():
+        f, j, _ = blocks.shape
+        grad = np.empty_like(blocks)
+        grad[..., :4] = (
+            4.0 * norm_res[..., None] * blocks[..., :4]
+            + 2.0 * ortho_res[..., None] * blocks[..., 4:]
+        )
+        grad[..., 4:] = 2.0 * ortho_res[..., None] * blocks[..., :4]
+        return scatter(grad / (f * j), pred)
+
+    return _Evaluation(norm_res**2 + ortho_res**2, grad)
+
+
+#: Drop-in `evaluate` functions for the entries of `losses._TERMS`.
+BATCHED_TERMS = {
+    "mse": batched_mse,
+    "rotational_local": batched_rotational("local"),
+    "rotational_current": batched_rotational("current"),
+    "positional": batched_positional,
+    "offset": batched_offset,
+    "regularization": batched_regularization,
+}

@@ -29,7 +29,7 @@ from dqmotion.encoding import (
 )
 from dqmotion.errors import InvalidValueError, MotionError
 from dqmotion.kinematics import clip_to_local
-from dqmotion.losses import LossWeights, grad_check, loss_rotational
+from dqmotion.losses import LossWeights, grad_check, loss_rotational, loss_total
 
 from conftest import FIXTURES
 
@@ -72,6 +72,9 @@ BAD_VALUES = {
     "JointSpec.offset two numbers": lambda clip, enc: JointSpec("a", None, [1.0, 2.0], ()),
     "LossWeights.mse not a number": lambda clip, enc: LossWeights(mse="x"),
     "LossWeights.from_mapping not a number": lambda clip, enc: LossWeights.from_mapping({"mse": "x"}),
+    "loss_total weights a mapping": lambda clip, enc: loss_total(enc, enc, weights={"mse": 1.0}),
+    "grad_check pair term without truth": lambda clip, enc: grad_check("mse", enc, None),
+    "loss_total without truth": lambda clip, enc: loss_total(enc, None),
 }
 
 
@@ -80,6 +83,22 @@ def test_bad_values_raise_a_motion_error_that_is_a_value_error(clip, encoded, bu
     with pytest.raises(InvalidValueError) as info:
         build(clip, encoded)
     assert isinstance(info.value, MotionError) and isinstance(info.value, ValueError)
+
+
+def test_weights_error_points_to_from_mapping(encoded):
+    with pytest.raises(InvalidValueError, match=r"LossWeights\.from_mapping"):
+        loss_total(encoded, encoded, weights={"mse": 1.0})
+
+
+@pytest.mark.parametrize("name", ("offset", "regularization"))
+def test_grad_check_of_a_pred_only_term_needs_no_truth(rng, encoded, name):
+    # Without truth, the pred-only terms measure against the clip's own
+    # skeleton, as loss_offset does.
+    features = encoded.features[:1] + rng.normal(scale=0.05, size=(1, encoded.width))
+    pred = EncodedClip(encoded.kind, encoded.skeleton, encoded.frame_time, features)
+    result = grad_check(name, pred, None)
+    assert not result.nondifferentiable
+    assert result.max_relative_deviation < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Batched analytic gradients against the per-(frame, joint) loop oracle."""
+"""The analytic gradients against the per-(frame, joint) loop oracle, and
+the component-major row kernels against the batched (F, J, .) forms they
+replaced."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from dqmotion import losses
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode
 from dqmotion.kinematics import LocalPose
-from dqmotion.losses import GRAD_LOSSES, _analytic_gradient
+from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, _evaluate, loss_total
 
 import grad_oracles
 import oracles
@@ -25,8 +30,8 @@ def branching_skeleton(rng) -> Skeleton:
             return skeleton
 
 
-def noisy_pair(rng, kind, skeleton, scale=0.05):
-    truth = encode(oracles.random_poses(rng, skeleton, FRAMES), kind)
+def noisy_pair(rng, kind, skeleton, scale=0.05, frames=FRAMES):
+    truth = encode(oracles.random_poses(rng, skeleton, frames), kind)
     features = truth.features + rng.normal(scale=scale, size=truth.features.shape)
     pred = EncodedClip(kind, skeleton, truth.frame_time, features)
     return pred, truth
@@ -70,10 +75,9 @@ def test_offset_against_other_skeleton(rng):
     assert_matches_oracle("offset", pred, truth, other)
 
 
-def test_zero_distances_give_zero_gradients(rng):
-    # Identity rotations and dyadic offsets make every extracted offset
-    # and every position exact, so each distance is exactly zero: the
-    # gradient there is 0, not NaN.
+def exact_clip(rng, kind=ReprKind.DUALQUAT):
+    """Identity rotations on a skeleton with dyadic offsets: every extracted
+    offset and every position is exact, so each distance is exactly zero."""
     skeleton = branching_skeleton(rng)
     joints = [
         JointSpec(j.name, j.parent, np.round(j.offset * 4.0) / 4.0, j.channels, j.is_end_site)
@@ -82,10 +86,96 @@ def test_zero_distances_give_zero_gradients(rng):
     skeleton = Skeleton(joints)
     rotations = np.zeros((skeleton.num_joints, 4))
     rotations[:, 0] = 1.0
-    clip = encode(oracles.repeated(LocalPose(skeleton, np.zeros(3), rotations), FRAMES),
-                  ReprKind.DUALQUAT)
+    return encode(oracles.repeated(LocalPose(skeleton, np.zeros(3), rotations), FRAMES), kind)
+
+
+def test_zero_distances_give_zero_gradients(rng):
+    # The gradient at an exact zero distance is 0, not NaN.
+    clip = exact_clip(rng)
     for name in ("offset", "positional"):
-        got = _analytic_gradient(name, clip, clip, skeleton)
-        want = grad_oracles.analytic_gradient(name, clip, clip, skeleton)
+        got = _analytic_gradient(name, clip, clip, clip.skeleton)
+        want = grad_oracles.analytic_gradient(name, clip, clip, clip.skeleton)
         assert not np.any(got), name
         assert not np.any(want), name
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the batched forms
+# ---------------------------------------------------------------------------
+
+#: Terms per kind: every term `loss_total` applies to it.
+KIND_TERMS = {
+    ReprKind.DUALQUAT: GRAD_LOSSES,
+    ReprKind.QUATERNIONS: QUAT_LOSSES,
+    ReprKind.QUATERNIONS_POSITIONS: QUAT_LOSSES + ("positional",),
+}
+
+
+def edge_cases(rng, kind):
+    """(case, pred, truth, skeleton) on the inputs where a row kernel could
+    part from the batched forms."""
+    branching = branching_skeleton(rng)
+    root_only = oracles.random_skeleton(rng, 1, end_sites=True)
+    assert root_only.num_encoded == 1  # the offset term has no columns
+    zero = exact_clip(rng, kind)
+    return [
+        ("branching", *noisy_pair(rng, kind, branching), branching),
+        ("root only", *noisy_pair(rng, kind, root_only), root_only),
+        ("one frame", *noisy_pair(rng, kind, branching, frames=1), branching),
+        ("zero distances", zero, zero, zero.skeleton),
+    ]
+
+
+def test_building_blocks_match_batched_forms(rng):
+    # Random upstream gradients, unlike the terms' own, have components off
+    # the tangent spaces the terms feed, so every part of each VJP shows.
+    blocks = rng.normal(size=(5, 7, 8))
+    g = rng.normal(size=(5, 7, 8))
+    u = rng.normal(size=(5, 7, 3))
+    unit = losses._unit_rows(EncodedClip(
+        ReprKind.DUALQUAT, oracles.random_skeleton(rng, 7), 1 / 30,
+        np.concatenate([np.zeros((5, 3)), blocks.reshape(5, -1)], axis=1)))
+    rows = losses._rows
+
+    def assert_close(got, want):
+        want = want.transpose(2, 1, 0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert_close(losses._dq_normalize_vjp(unit, rows(g)), grad_oracles._dq_normalize_vjp(blocks, g))
+    assert_close(losses._normalize_vjp(unit.rows[:4], unit.norm, rows(g[..., :4])),
+                 grad_oracles._normalize_vjp(blocks[..., :4], g[..., :4]))
+    assert_close(losses._translation_vjp(rows(blocks), rows(u)),
+                 grad_oracles._translation_vjp(blocks, u))
+
+
+@pytest.mark.parametrize("kind", KIND_TERMS, ids=lambda kind: kind.value)
+def test_row_kernels_match_batched_forms(rng, kind):
+    for case, pred, truth, skeleton in edge_cases(rng, kind):
+        for name in KIND_TERMS[kind]:
+            got = _evaluate(name, pred, truth, skeleton)
+            want = grad_oracles.BATCHED_TERMS[name](pred, truth, skeleton)
+            label = f"{case}: {name}"
+            # values bit for bit, in the same C-ordered layout
+            assert got.values.flags.c_contiguous, label
+            assert got.values.shape == want.values.shape, label
+            assert np.array_equal(got.values, want.values), label
+            if want.unaligned is not None:
+                assert np.array_equal(got.unaligned, want.unaligned), label
+            grad, want_grad = got.grad(), want.grad()
+            assert grad.shape == want_grad.shape, label
+            assert np.all(np.isfinite(grad)), label
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), label
+
+
+@pytest.mark.parametrize("kind", KIND_TERMS, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("space", ("local", "current"))
+def test_loss_total_unchanged_against_batched_forms(rng, monkeypatch, kind, space):
+    cases = edge_cases(rng, kind)
+    reports = [loss_total(pred, truth, rotation_space=space, truth_skeleton=skeleton).to_json()
+               for _, pred, truth, skeleton in cases]
+    for name, evaluate in grad_oracles.BATCHED_TERMS.items():
+        monkeypatch.setitem(
+            losses._TERMS, name, dataclasses.replace(losses._TERMS[name], evaluate=evaluate))
+    for (case, pred, truth, skeleton), report in zip(cases, reports):
+        want = loss_total(pred, truth, rotation_space=space, truth_skeleton=skeleton).to_json()
+        assert report == want, case

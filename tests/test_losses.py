@@ -6,7 +6,7 @@ import pytest
 from dqmotion import dualquat, quat
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
-from dqmotion.errors import ShapeMismatchError
+from dqmotion.errors import DegenerateNormError, NotUnitError, ShapeMismatchError
 from dqmotion.kinematics import LocalPose
 from dqmotion import losses
 from dqmotion.losses import (
@@ -225,6 +225,57 @@ class TestOffset:
             skeleton,
         )
         assert abs(before - after) < 1e-9
+
+
+    @pytest.mark.parametrize("change", ("fewer joints", "other parents"))
+    def test_other_topology_is_a_shape_mismatch(self, rng, change):
+        # The offset term pairs the clip's joints with the given skeleton's
+        # bones, so every entry point rejects a skeleton of another shape.
+        skeleton = oracles.random_skeleton(rng, 6)
+        clip = encode(oracles.random_poses(rng, skeleton, 2), ReprKind.DUALQUAT)
+        joints = list(skeleton.joints)
+        if change == "fewer joints":
+            joints = joints[:4]
+        else:
+            last = joints[-1]
+            parent = 1 if last.parent == 0 else 0
+            joints[-1] = JointSpec(last.name, parent, last.offset, last.channels)
+        other = Skeleton(joints)
+        for call in (
+            lambda: loss_offset(clip, other),
+            lambda: loss_total(clip, clip, truth_skeleton=other),
+            lambda: grad_check("offset", clip, clip, truth_skeleton=other),
+        ):
+            with pytest.raises(ShapeMismatchError, match="topology"):
+                call()
+
+
+class TestDualquatChecks:
+    """The dq positional and offset terms keep the norm floor of
+    `dualquat.normalize` and the unit check of `dualquat.translation`."""
+
+    BLOCKS = {
+        # a dual part so large that the normalized block misses the unit
+        # tolerance by roundoff
+        "huge dual part": (slice(4, 8), 1e12, NotUnitError),
+        "real part under the floor": (slice(0, 4), 1e-13, DegenerateNormError),
+    }
+
+    @pytest.mark.parametrize("name", ("positional", "offset"))
+    @pytest.mark.parametrize("block", BLOCKS, ids=str)
+    def test_bad_block_raises(self, rng, name, block):
+        columns, value, error = self.BLOCKS[block]
+        skeleton = oracles.random_skeleton(rng, 5)
+        clip = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT)
+        blocks = clip.joint_blocks().copy()
+        blocks[1, 2, columns] = value
+        features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
+        bad = clip_from_features(ReprKind.DUALQUAT, skeleton, features)
+        with pytest.raises(error):
+            losses._loss_value(name, bad, clip, skeleton)
+        if name == "positional":
+            with pytest.raises(error):
+                loss_positional(clip, bad)
 
 
 class TestSingleJointOffset:

@@ -113,6 +113,25 @@ class TestSkeletonTable:
                 assert set(p) <= seen  # every parent sits on a shallower level
                 seen |= set(r)
 
+    def test_child_ranks_order_each_parents_children(self, rng):
+        skeleton = oracles.random_skeleton(rng, 40, end_sites=True)
+        whole, levels = skeleton._encoded_child_ranks
+        assert skeleton._encoded_child_ranks is skeleton._encoded_child_ranks
+        cases = [(skeleton.encoded_parents[1:], whole)]
+        cases += [(p, groups) for (_, p), groups in zip(skeleton.encoded_levels, levels)]
+        for children, groups in cases:
+            last, seen = {}, []
+            for positions, parents in groups:
+                with pytest.raises(ValueError):
+                    positions[0] = 0
+                assert np.array_equal(children[positions], parents)
+                assert len(set(parents)) == len(parents)  # no parent repeats
+                for position, parent in zip(positions, parents):
+                    assert position > last.get(parent, -1)  # the k-th child in group k
+                    last[parent] = position
+                seen += list(positions)
+            assert sorted(seen) == list(range(len(children)))
+
     def test_views_unchanged_by_every_layer(self, rng):
         skeleton = oracles.random_skeleton(rng, 12, end_sites=True)
 
