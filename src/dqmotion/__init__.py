@@ -35,13 +35,7 @@ from .losses import (
     loss_rotational,
     loss_total,
 )
-from .metrics import (
-    MetricReport,
-    metric_acceleration,
-    metric_euclidean,
-    metric_npss,
-    metric_report,
-)
+from .metrics import MetricReport, metric_report
 
 __version__ = "0.1.0"
 
@@ -55,5 +49,5 @@ __all__ = [
     "GradCheckResult", "LossReport", "LossWeights",
     "grad_check", "loss_mse", "loss_offset", "loss_positional",
     "loss_regularization", "loss_rotational", "loss_total",
-    "MetricReport", "metric_acceleration", "metric_euclidean", "metric_npss", "metric_report",
+    "MetricReport", "metric_report",
 ]

@@ -16,8 +16,9 @@ an order that depends on strides, so layout is part of the bits). `mul`
 and `normalize` copy their operands component-major once and write into
 a preallocated result; every sum keeps the terms and the order of the
 per-part formula. Their row kernels (`_mul_rows`, `_normalize_rows`,
-and `_translation_rows`, which keeps `translation`'s unit check) take
-(8, ...) component rows directly and give the same bits.
+`_from_rotation_translation_rows` and `_translation_rows`, which keep
+their functions' unit checks) take component rows directly and give the
+same bits; `kinematics` sweeps the hierarchy with them.
 """
 
 from typing import NamedTuple
@@ -153,7 +154,7 @@ def _normalize_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.n
     the real parts' norms and the projections of the dual parts along the
     real ones (<r, e> / |r|^2). Scales `rows` in place."""
     r, e = rows[:4], rows[4:]
-    n = np.sqrt(quat._row_dot(r, r))
+    n = quat._row_norm(r)
     if np.any(n <= quat._NORM_FLOOR):
         raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
     along = quat._row_dot(r, e)
@@ -175,14 +176,28 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    n = quat.norm(r)
+    shape = np.broadcast_shapes(r.shape[:-1], t.shape[:-1])
+    out = np.empty(shape + (8,))
+    out.reshape(-1, 8).T[...] = _from_rotation_translation_rows(quat._rows(r, shape), quat._rows(t, shape))
+    return out
+
+
+def _from_rotation_translation_rows(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`from_rotation_translation` of (4, ...) rotation rows and (3, ...)
+    translation rows: (8, ...) rows, after the unit check. The rotation is
+    divided by its norm; the dual rows are `quat._mul_rows` of (0, t) on a
+    zero real row, halved."""
+    n = quat._row_norm(r)
     if np.any(np.abs(n - 1.0) > UNIT_TOLERANCE):
         raise NotUnitError(
             f"rotation quaternion norm deviates from 1 by more than {UNIT_TOLERANCE:g}")
-    r = r / n[..., None]
-    qt = np.zeros(t.shape[:-1] + (4,))
-    qt[..., 1:] = t
-    return _join(r, 0.5 * quat.mul(qt, r))
+    out = np.empty((8,) + np.broadcast_shapes(r.shape[1:], t.shape[1:]))
+    np.divide(r, n, out=out[:4])
+    pure = np.zeros(out[4:].shape)
+    pure[1:] = t
+    quat._mul_rows(pure, out[:4], out[4:])
+    out[4:] *= 0.5
+    return out
 
 
 def rotation(d: np.ndarray) -> np.ndarray:

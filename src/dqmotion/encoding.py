@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import LocalPose, relative
+from .kinematics import LocalPose, _from_rows, _to_rows, relative
 
 #: Smallest standard deviation kept when fitting normalization statistics.
 STD_FLOOR = 1e-8
@@ -276,7 +276,7 @@ def _ortho6d_to_quats(blocks: np.ndarray) -> np.ndarray:
     shape = blocks.shape[:-1]
     # One component-major copy: every later pass reads contiguous rows.
     a, b = np.ascontiguousarray(np.moveaxis(blocks[..., :6], -1, 0)).reshape(2, 3, -1)
-    na = quat.norm(a.T)
+    na = quat._row_norm(a)
     if np.any(na <= quat._NORM_FLOOR):
         raise DegenerateNormError("degenerate first column in six-value block")
     x = a / na
@@ -285,7 +285,7 @@ def _ortho6d_to_quats(blocks: np.ndarray) -> np.ndarray:
     along += x[2] * b[2]
     along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
     b = b - along * x
-    nb = quat.norm(b.T)
+    nb = quat._row_norm(b)
     if np.any(nb <= quat._NORM_FLOOR):
         raise DegenerateNormError("six-value block columns are collinear")
     y = b / nb
@@ -330,7 +330,9 @@ def decode(clip: EncodedClip) -> LocalPose:
 
     Positions alone cannot be inverted (limb roll is unobservable), so the
     positions kind raises NotInvertibleError. Standardized clips must be
-    destandardized first.
+    destandardized first. A rotation block whose norm is under the 1e-12
+    floor raises DegenerateNormError, one whose squared norm overflows
+    NonFiniteError.
     """
     if clip.standardized:
         raise InvalidValueError("clip is standardized; call destandardize first")
@@ -340,10 +342,10 @@ def decode(clip: EncodedClip) -> LocalPose:
     skeleton = clip.skeleton
     blocks = clip.joint_blocks()
     if clip.kind is ReprKind.DUALQUAT:
-        # Local rotations fall out of parent-conjugate products; offsets
-        # come from the skeleton.
-        current = quat.normalize(blocks[..., :4])
-        quats = relative(skeleton.encoded_parents, current, quat.mul, quat.conjugate)
+        # Local rotations fall out of parent-conjugate products
+        # (`relative` on rows); offsets come from the skeleton.
+        current = _to_rows(quat.normalize(blocks[..., :4]))
+        quats = _from_rows(relative(skeleton.encoded_parents, current))
     elif clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
         quats = quat.normalize(blocks[..., :4])
     else:  # ortho6d variants

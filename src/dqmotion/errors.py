@@ -86,6 +86,7 @@ class ContainerError(MotionError):
 
 
 class NonFiniteError(InvalidValueError):
-    """Clip frames or features, or normalization statistics, hold NaN or inf."""
+    """Clip frames or features, or normalization statistics, hold NaN or
+    inf, or a norm of finite values overflows."""
 
     exit_code = 3

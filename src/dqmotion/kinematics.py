@@ -5,18 +5,19 @@ A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
 and (F, 3) root path, F >= 1, the one input of every layer; a single
 frame, `pose[f]`, has no `len` and is never one. It runs each of its two
 hierarchy sweeps (`chain` for the encodings, `positions` for the
-metrics) at most once, and its slices reuse them. Every layer shares two
-hierarchy helpers: `compose` sweeps parent to child one depth level at a
-time, over the levels the skeleton builds once, and `relative` undoes it
-with one parent gather. Their joint gathers are `np.take` calls, which
-return C-ordered copies; the algebra kernels copy every operand
-component-major anyway, so the layout changes no bits.
+metrics) at most once, and its slices reuse them.
 
-`pose.chain` is the current pose: each joint's root-centered unit dual
-quaternion, built by `current_chain` on `compose`. `decode` of a dualquat
-clip is its inverse, and `relative(skeleton.parent_indices, pose.chain,
-dualquat.mul, dualquat.conjugate)` gives each joint's local transform,
-its translation the joint offset as encoded.
+This module holds the one forward hierarchy sweep, which every layer
+runs (`LocalPose`, the dualquat `decode`, the loss terms' space changes).
+It works on (C, J, ...) component rows, the transpose of (..., J, C)
+values (`_to_rows` and `_from_rows` copy between the two), and takes the
+product of `quat.mul` (C = 4) or `dualquat.mul` (C = 8) from C, on their
+row kernels and with their bits. `compose` sweeps parent to child one
+depth level at a time, over the levels the skeleton builds once;
+`relative` undoes it with one parent gather. `current_chain` is the
+current pose on `compose`, and `relative(skeleton.parent_indices,
+pose.chain.T).T` each joint's local transform, its translation the joint
+offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
@@ -48,9 +49,10 @@ class LocalPose:
 
     Both arrays are read-only; a writable one given to the constructor is
     copied, so the pose never aliases it. `chain` and `positions` are
-    each computed on first use and kept read-only (nothing is kept when
-    they raise); a slice of the pose takes the same slice of what is kept,
-    so a window of a pose scored in full runs no hierarchy sweep.
+    each computed on first use and kept read-only, as (F, J, .) arrays
+    (nothing is kept when they raise); a slice of the pose takes the same
+    slice of what is kept, so a window of a pose scored in full runs no
+    hierarchy sweep.
     """
 
     skeleton: Skeleton
@@ -103,59 +105,85 @@ class LocalPose:
     def chain(self) -> np.ndarray:
         """The current pose: (..., J, 8) `current_chain` of the rotations
         as they are, one root-centered unit dual quaternion per joint."""
-        return self._memoized("chain", lambda: current_chain(self.skeleton, self.joint_rotations))
+        return self._memoized("chain", lambda: _from_rows(
+            current_chain(self.skeleton, _to_rows(self.joint_rotations))))
 
     @property
     def positions(self) -> np.ndarray:
         """(..., J, 3) root-centered joint positions of the normalized rotations."""
-        return self._memoized("positions", lambda: dualquat.translation(
-            current_chain(self.skeleton, quat.normalize(self.joint_rotations))))
+        return self._memoized("positions", lambda: _from_rows(dualquat._translation_rows(
+            current_chain(self.skeleton, _to_rows(quat.normalize(self.joint_rotations))))))
 
 
 # ---------------------------------------------------------------------------
 # the hierarchy sweep
 # ---------------------------------------------------------------------------
 
-def compose(levels: tuple, local: np.ndarray, mul) -> np.ndarray:
-    """Forward hierarchy sweep over (..., J, D) per-joint values.
+def _to_rows(values: np.ndarray) -> np.ndarray:
+    """(C, J, F) rows of (F, J, C) values, every axis reversed, in one
+    C-contiguous copy: each component one row, each joint's frames one run."""
+    return np.asarray(values, dtype=float).T.copy()
 
-    `levels` are a skeleton's (rows, parent rows) per depth level
-    (`Skeleton.levels` or `Skeleton.encoded_levels`). Entry j of the result
-    is mul(result[parent of j], local[j]); the root keeps its local value.
-    The loop runs once per depth level, not once per joint.
-    """
-    out = np.array(local, dtype=float)
-    for rows, parent_rows in levels:
-        out[..., rows, :] = mul(np.take(out, parent_rows, axis=-2), np.take(out, rows, axis=-2))
+
+def _from_rows(rows: np.ndarray) -> np.ndarray:
+    """C-contiguous (F, J, C) values of (C, J, F) rows, or (F, J) of (J, F)."""
+    return rows.T.copy()
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product, in a new array, of (C, ...) rows of quaternions (C = 4) or
+    dual quaternions (C = 8), through the row kernel of `quat.mul` or
+    `dualquat.mul`."""
+    out = np.empty(a.shape)
+    if len(out) == 4:
+        quat._mul_rows(a, b, out)
+    elif len(out) == 8:
+        dualquat._mul_rows(a[:4], a[4:], b[:4], b[4:], out[:4], out[4:])
+    else:
+        raise ShapeMismatchError("component rows must hold quaternions (4) or dual quaternions (8)")
     return out
 
 
-def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.ndarray:
+def compose(levels: tuple, rows: np.ndarray) -> np.ndarray:
+    """Forward hierarchy sweep over (C, J, ...) rows of per-joint
+    quaternions (C = 4) or dual quaternions (C = 8).
+
+    `levels` are a skeleton's (rows, parent rows) per depth level
+    (`Skeleton.levels` or `Skeleton.encoded_levels`). Joint j of the
+    result is result[parent of j] * rows[j]; the root keeps its value.
+    The loop runs once per depth level, not once per joint.
+    """
+    out = np.array(rows, dtype=float)
+    for level, parent_rows in levels:
+        out[:, level] = _mul_rows(np.take(out, parent_rows, axis=1), np.take(out, level, axis=1))
+    return out
+
+
+def relative(parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse of `compose` for unit values, with one parent gather.
 
-    Entry j is mul(conjugate(current[parents[j]]), current[j]); the root,
-    row 0, keeps its current value. `conjugate` must invert the values it
-    is given.
+    Joint j of the result is conjugate(rows[parents[j]]) * rows[j], for
+    (C, J, ...) rows as in `compose`; the root, joint 0, keeps its value.
     """
-    out = np.array(current, dtype=float)
-    out[..., 1:, :] = mul(conjugate(np.take(current, parents[1:], axis=-2)), current[..., 1:, :])
+    out = np.array(rows, dtype=float)
+    conjugate = np.take(out, parents[1:], axis=1)
+    conjugate[1:4] *= -1.0
+    conjugate[5:8] *= -1.0
+    out[:, 1:] = _mul_rows(conjugate, out[:, 1:])
     return out
 
 
 def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
-    """(..., J, 4) local rotations to (..., J, 8) current dual quaternions.
-
-    The root becomes a pure-rotation dual quaternion; each child is its
-    parent's current transform times its own local (rotation + offset)
-    transform. Raises NotUnitError unless every rotation is unit.
+    """(4, J, ...) rows of local rotations to (8, J, ...) rows of current
+    dual quaternions, each child its parent's current transform times its
+    local one: `dualquat.from_rotation_translation` of the rotation and
+    offset (zero at the root), with its unit check (NotUnitError) and bits.
     """
     rotations = np.asarray(rotations, dtype=float)
-    offsets = skeleton.offsets.copy()
-    offsets[0] = 0.0  # the root displacement rides outside the chain
-    local = dualquat.from_rotation_translation(
-        rotations, np.broadcast_to(offsets, rotations.shape[:-1] + (3,))
-    )
-    return compose(skeleton.levels, local, dualquat.mul)
+    offsets = skeleton.offsets.T.copy()
+    offsets[:, 0] = 0.0  # the root displacement rides outside the chain
+    offsets = offsets.reshape(offsets.shape + (1,) * (rotations.ndim - 2))
+    return compose(skeleton.levels, dualquat._from_rotation_translation_rows(rotations, offsets))
 
 
 # ---------------------------------------------------------------------------

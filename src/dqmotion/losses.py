@@ -14,15 +14,14 @@ gradient of their mean with respect to the predicted feature matrix. The
 `loss_*` functions, `loss_total` and `grad_check` all read that table.
 The gradients are closed forms batched over frames, built from the
 forward pass's own intermediates, with no per-(frame, joint) Jacobian
-matrices. They work on component-major (C, J, F) rows: each term copies
-the blocks it reads once, and every product, normalization, distance and
-VJP after that is a whole-row operation (the dq positional and offset
-terms run their forward passes on the same rows, and their gradients
-reuse its normalized rows and norms). A parent scatter adds one child
-rank at a time, in `np.add.at`'s order. `grad_check` verifies the
-gradients against central finite differences, and the tests also hold
-them to a per-(frame, joint) loop oracle and to the batched (F, J, .)
-forms they replaced.
+matrices. Forward passes and gradients work on the (C, J, F) rows of
+`kinematics`: each term copies the blocks it reads once, every product,
+normalization, distance and VJP after that is a whole-row operation, and
+its space changes are `kinematics.compose` and `relative`. The reverse
+sweeps live here; a parent scatter adds one child rank at a time, in
+`np.add.at`'s order. `grad_check` verifies the gradients against central
+finite differences, and the tests also hold them to a per-(frame, joint)
+loop oracle and to the batched (F, J, .) forms they replaced.
 """
 
 import numbers
@@ -35,7 +34,7 @@ from . import dualquat, quat
 from .bvh import Skeleton, _read_only
 from .encoding import EncodedClip, ReprKind
 from .errors import InvalidValueError, NoPositionsError, ShapeMismatchError
-from .kinematics import compose, relative
+from .kinematics import _from_rows, _mul_rows, _to_rows, compose, relative
 
 _ROTATIONAL_KINDS = (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS)
 #: Block columns of the joint position in the kinds that store one.
@@ -137,33 +136,16 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values)) if values.size else 0.0
 
 
-def _rotation_quats(clip: EncodedClip, space: str) -> np.ndarray:
-    """(F, J, 4) rotations in the requested space for a rotational kind."""
-    return _in_space(clip, quat.normalize(clip.joint_blocks()[..., :4]), space)
-
-
-def _in_space(clip: EncodedClip, rotations: np.ndarray, space: str) -> np.ndarray:
-    """The normalized rotation blocks `rotations` of `clip` in `space`."""
+def _in_space(clip: EncodedClip, rows: np.ndarray, space: str) -> np.ndarray:
+    """The (4, J, F) rows `rows` of `clip`'s normalized rotation blocks in
+    `space`: the blocks themselves, or one `compose` or `relative` sweep."""
     # dual-quaternion real parts are current (root-relative) rotations,
     # quaternion-valued blocks hold local ones
     if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
-        return rotations
+        return rows
     if space == "local":
-        return relative(clip.skeleton.encoded_parents, rotations, quat.mul, quat.conjugate)
-    return compose(clip.skeleton.encoded_levels, rotations, quat.mul)
-
-
-def _rows(values: np.ndarray) -> np.ndarray:
-    """(C, J, F) component rows of (F, J, C) per-(frame, joint) values: one
-    C-contiguous copy. Each component is one contiguous row for the
-    elementwise kernels, and the frames of each joint are contiguous
-    within it, so a joint gather or a parent scatter moves whole runs."""
-    return values.transpose(2, 1, 0).copy()
-
-
-def _per_frame_joint(values: np.ndarray) -> np.ndarray:
-    """(J, F) values as the C-ordered (F, J) array the losses reduce."""
-    return np.ascontiguousarray(values.T)
+        return relative(clip.skeleton.encoded_parents, rows)
+    return compose(clip.skeleton.encoded_levels, rows)
 
 
 class _UnitRows(NamedTuple):
@@ -177,7 +159,7 @@ class _UnitRows(NamedTuple):
 
 
 def _unit_rows(clip: EncodedClip) -> _UnitRows:
-    raw = _rows(clip.joint_blocks())
+    raw = _to_rows(clip.joint_blocks())
     rows = np.empty(raw.shape)
     return _UnitRows(rows, *dualquat._normalize_rows(raw, rows))
 
@@ -187,14 +169,8 @@ def _position_rows(clip: EncodedClip) -> np.ndarray:
     if clip.kind is ReprKind.DUALQUAT:
         return dualquat._translation_rows(_unit_rows(clip).rows)
     if clip.kind.has_positions:
-        return _rows(clip.joint_blocks()[..., _POSITION_COLUMNS])
+        return _to_rows(clip.joint_blocks()[..., _POSITION_COLUMNS])
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
-
-
-def _distances(delta: np.ndarray) -> np.ndarray:
-    """(J, F) lengths of (3, J, F) rows, the squares summed in index order
-    as `quat.norm` sums them."""
-    return np.sqrt(quat._row_dot(delta, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -304,43 +280,36 @@ def _rotational(space: str):
 
     def evaluate(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
         blocks = pred.joint_blocks()
-        unit = quat.normalize(blocks[..., :4])
-        q_pred = _in_space(pred, unit, space)
-        q_truth = _rotation_quats(truth, space)
-        dots = quat.dot(q_pred, q_truth)
+        rows = _to_rows(quat.normalize(blocks[..., :4]))
+        q_pred = _in_space(pred, rows, space)
+        q_truth = _in_space(truth, _to_rows(quat.normalize(truth.joint_blocks()[..., :4])), space)
+        # (F, J, 4) values: einsum's sum order depends on the layout
+        dots = quat.dot(_from_rows(q_pred), _from_rows(q_truth))
 
         def grad() -> np.ndarray:
             f, j = dots.shape
-            rows = _rows(unit)
             # `bar` starts as the gradient w.r.t. q_pred and is carried back,
             # row by row, to the gradient w.r.t. the unit blocks.
-            bar = _rows(q_truth)
-            np.multiply(-np.where(dots >= 0, 1.0, -1.0).T, bar, out=bar)
+            bar = -np.where(dots >= 0, 1.0, -1.0).T * q_truth
             bar /= f * j
             whole, levels = pred.skeleton._encoded_child_ranks
             if pred.kind is ReprKind.DUALQUAT and space == "local":
                 # q_pred = u_p* u for every non-root row u with parent u_p.
                 parents = pred.skeleton.encoded_parents[1:]
                 children = bar[:, 1:]
-                to_parent = quat._mul_rows(
-                    rows[:, 1:], children * _CONJUGATE_ROWS[:4], np.empty(children.shape))
-                children[...] = quat._mul_rows(
-                    np.take(rows, parents, axis=1), children, np.empty(children.shape))
+                to_parent = _mul_rows(rows[:, 1:], children * _CONJUGATE_ROWS[:4])
+                children[...] = _mul_rows(np.take(rows, parents, axis=1), children)
                 _add_to_parents(bar, whole, to_parent)
             elif pred.kind is not ReprKind.DUALQUAT and space == "current":
                 # Reverse sweep: each current rotation feeds all its
                 # descendants, and a level's upstream is complete once every
                 # deeper level is done.
-                current = _rows(q_pred)
                 for (level, parent_rows), groups in zip(
                         reversed(pred.skeleton.encoded_levels), reversed(levels)):
                     children = np.take(bar, level, axis=1)
-                    to_parent = quat._mul_rows(
-                        children, np.take(rows, level, axis=1) * _CONJUGATE_ROWS[:4],
-                        np.empty(children.shape))
-                    bar[:, level] = quat._mul_rows(
-                        np.take(current, parent_rows, axis=1) * _CONJUGATE_ROWS[:4], children,
-                        np.empty(children.shape))
+                    to_parent = _mul_rows(children, np.take(rows, level, axis=1) * _CONJUGATE_ROWS[:4])
+                    bar[:, level] = _mul_rows(
+                        np.take(q_pred, parent_rows, axis=1) * _CONJUGATE_ROWS[:4], children)
                     _add_to_parents(bar, groups, to_parent)
             norm = quat.norm(blocks[..., :4]).T
             return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))
@@ -356,7 +325,7 @@ def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
         delta = dualquat._translation_rows(unit.rows) - _position_rows(truth)
     else:
         delta = _position_rows(pred) - _position_rows(truth)
-    dist = _distances(delta)
+    dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:
         directions = _unit_directions(delta, dist)
@@ -364,27 +333,25 @@ def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
             return _scatter(_dq_normalize_vjp(unit, _translation_vjp(unit.rows, directions)), pred)
         return _scatter(directions, pred, _POSITION_COLUMNS)
 
-    return _Evaluation(_per_frame_joint(dist), grad)
+    return _Evaluation(_from_rows(dist), grad)
 
 
 def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
     """Bone-offset violations, (F, J-1): no columns for a root-only skeleton."""
     unit = _unit_rows(pred)
-    parent = np.take(unit.rows, pred.skeleton.encoded_parents[1:], axis=1)
-    child = unit.rows[:, 1:]
     # local = n_p* n for every non-root row n with parent n_p
-    local = np.empty(child.shape)
-    conjugate = parent * _CONJUGATE_ROWS
-    dualquat._mul_rows(conjugate[:4], conjugate[4:], child[:4], child[4:], local[:4], local[4:])
+    local = relative(pred.skeleton.encoded_parents, unit.rows)[:, 1:]
     expected = skeleton.offsets[list(skeleton.encoded_indices[1:])].T[..., None]
     delta = dualquat._translation_rows(local) - expected
-    dist = _distances(delta)
+    dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:
         # For dual quaternions the transposed Jacobians of x -> a x and
         # x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*),
         # conjugating both halves; swap exchanges the real and dual rows.
         v = _translation_vjp(local, _unit_directions(delta, dist))
+        parent = np.take(unit.rows, pred.skeleton.encoded_parents[1:], axis=1)
+        child = unit.rows[:, 1:]
         bar = np.zeros(unit.rows.shape)
         dualquat._mul_rows(parent[:4], parent[4:], v[4:], v[:4], bar[4:, 1:], bar[:4, 1:])
         v *= _CONJUGATE_ROWS
@@ -393,7 +360,7 @@ def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
         _add_to_parents(bar, pred.skeleton._encoded_child_ranks[0], to_parent)
         return _scatter(_dq_normalize_vjp(unit, bar), pred)
 
-    return _Evaluation(_per_frame_joint(dist), grad)
+    return _Evaluation(_from_rows(dist), grad)
 
 
 def _regularization(pred: EncodedClip, truth, skeleton) -> _Evaluation:
@@ -508,12 +475,6 @@ def loss_rotational(pred: EncodedClip, truth: EncodedClip, space: str = "local")
     """
     _check_space(space)
     return _loss_value(f"rotational_{space}", pred, truth)
-
-
-def loss_rotational_raw(pred: EncodedClip, truth: EncodedClip, space: str = "local") -> float:
-    """Same but without sign alignment; ranges over [0, 2] per joint."""
-    _check_space(space)
-    return _mean(_evaluate(f"rotational_{space}", pred, truth).unaligned)
 
 
 def loss_positional(pred: EncodedClip, truth: EncodedClip) -> float:

@@ -17,7 +17,7 @@ sliced, not rerun, for a window of a pose already scored in full:
 
 Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `acceleration_of`, `report_between`) operate on plain position arrays;
-the `metric_*` wrappers take frame-batched LocalPoses and read their
+`metric_report` takes two frame-batched LocalPoses and reads their
 `positions`. A single frame, `pose[f]`, raises ShapeMismatchError.
 """
 
@@ -149,18 +149,6 @@ def pose_pair_positions(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     if pred.skeleton != truth.skeleton:
         raise ShapeMismatchError("sequences use different skeletons")
     return pred.positions, truth.positions
-
-
-def metric_euclidean(pred, truth) -> float:
-    return euclidean_between(*pose_pair_positions(pred, truth))
-
-
-def metric_npss(pred, truth) -> float:
-    return npss_between(*pose_pair_positions(pred, truth))
-
-
-def metric_acceleration(pose) -> float:
-    return acceleration_of(pose.positions)
 
 
 def metric_report(pred, truth, frame_time: float | None = None) -> MetricReport:

@@ -10,20 +10,38 @@ they moved to component-major rows: Hamilton products and VJPs on whole
 (F, J, 4|8) arrays, and `np.add.at` parent scatters. Each is a drop-in
 `evaluate` of a `losses._TERMS` entry, values and gradient.
 
-`dqmotion.losses` computes the same products on (C, F, J) rows;
+`dqmotion.losses` computes the same products on (C, J, F) rows;
 `test_grad_oracles.py` holds its gradients within 1e-12 relative of both
 oracles and its values, bit for bit, to the batched forms.
 
-The helpers read the clip through the package's forward plumbing
-(`_rotation_quats`, `_in_space`, `Skeleton.encoded_parents`) and their
-own copy of the old `_positions`; only the derivatives are independent.
+The helpers read the clip through `Skeleton.encoded_parents` and
+`encoded_levels`, the (F, J, .) sweeps that `pose_oracles` keeps, and
+their own copies of the old `_positions`, `_in_space` and
+`_rotation_quats`; only the derivatives and these sweeps are independent.
 """
 
 import numpy as np
 
 from dqmotion import dualquat, quat
 from dqmotion.encoding import ReprKind
-from dqmotion.losses import _POSITION_COLUMNS, _Evaluation, _in_space, _rotation_quats
+from dqmotion.losses import _POSITION_COLUMNS, _Evaluation
+
+from pose_oracles import compose, relative
+
+
+def _in_space(clip, rotations: np.ndarray, space: str) -> np.ndarray:
+    """The (F, J, 4) normalized rotation blocks `rotations` of `clip` in
+    `space`, through the (..., J, D) sweeps of `pose_oracles`."""
+    if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
+        return rotations
+    if space == "local":
+        return relative(clip.skeleton.encoded_parents, rotations, quat.mul, quat.conjugate)
+    return compose(clip.skeleton.encoded_levels, rotations, quat.mul)
+
+
+def _rotation_quats(clip, space: str) -> np.ndarray:
+    """(F, J, 4) rotations in the requested space for a rotational kind."""
+    return _in_space(clip, quat.normalize(clip.joint_blocks()[..., :4]), space)
 
 
 def _positions(clip) -> np.ndarray:

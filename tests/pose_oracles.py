@@ -1,6 +1,11 @@
 """Scalar and per-joint loop forms of the pose code: the equivalence oracle
 for the batched `quat`, `_rotmat`, `kinematics`, `encoding` and `metrics`.
 
+`compose`, `relative` and `current_chain` are the hierarchy sweep as it
+was before it moved to component rows: whole (..., J, D) arrays, with the
+algebra passed in as `mul` and `conjugate` callbacks. `test_sweep.py`
+holds the row forms in `kinematics` to them bit for bit.
+
 These are the original implementations: Euler extraction and Shepperd's
 quaternion recovery one rotation at a time, forward kinematics through
 homogeneous matrices (`matrix_fk`) one pose at a time, the
@@ -106,7 +111,7 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
     Returns (J, 3, 3) current rotation matrices and (J, 3) current
     positions. This path never touches dual quaternions and sweeps the
     joints one by one; it is the verification oracle for
-    `kinematics.current_chain`.
+    `kinematics.current_chain` (and for `current_chain` below).
     """
     skeleton = pose.skeleton
     n = skeleton.num_joints
@@ -127,6 +132,43 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
 def pose_positions(pose: LocalPose) -> np.ndarray:
     """(F, J, 3) root-centered positions, one `matrix_fk` call per frame."""
     return np.stack([matrix_fk(frame)[1] for frame in pose])
+
+
+def compose(levels: tuple, local: np.ndarray, mul) -> np.ndarray:
+    """Forward hierarchy sweep over (..., J, D) per-joint values: the
+    callback form of `kinematics.compose`. Entry j of the result is
+    mul(result[parent of j], local[j]); the root keeps its local value."""
+    out = np.array(local, dtype=float)
+    for rows, parent_rows in levels:
+        out[..., rows, :] = mul(np.take(out, parent_rows, axis=-2), np.take(out, rows, axis=-2))
+    return out
+
+
+def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.ndarray:
+    """Inverse of `compose` for unit values, the callback form of
+    `kinematics.relative`: entry j is mul(conjugate(current[parents[j]]),
+    current[j]), and the root, row 0, keeps its current value."""
+    out = np.array(current, dtype=float)
+    out[..., 1:, :] = mul(conjugate(np.take(current, parents[1:], axis=-2)), current[..., 1:, :])
+    return out
+
+
+def current_chain(skeleton, rotations: np.ndarray) -> np.ndarray:
+    """(..., J, 4) local rotations to (..., J, 8) current dual quaternions,
+    the (..., J, D) form of `kinematics.current_chain`. Each local
+    transform is the old `dualquat.from_rotation_translation` on whole
+    arrays: the rotation over its norm, then half of (0, t) * r."""
+    rotations = np.asarray(rotations, dtype=float)
+    n = quat.norm(rotations)
+    if np.any(np.abs(n - 1.0) > dualquat.UNIT_TOLERANCE):
+        raise NotUnitError("rotation quaternion norm deviates from 1")
+    r = rotations / n[..., None]
+    offsets = skeleton.offsets.copy()
+    offsets[0] = 0.0
+    qt = np.zeros(rotations.shape)
+    qt[..., 1:] = offsets
+    local = np.concatenate([r, 0.5 * quat.mul(qt, r)], axis=-1)
+    return compose(skeleton.levels, local, dualquat.mul)
 
 
 def current_to_local_dq(skeleton, current: np.ndarray) -> np.ndarray:

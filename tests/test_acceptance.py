@@ -23,16 +23,16 @@ from dqmotion.encoding import (
     standardize,
 )
 from dqmotion.errors import BvhSyntaxError
-from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
+from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.losses import (
     LossWeights,
     grad_check,
     loss_offset,
     loss_regularization,
     loss_rotational,
-    loss_rotational_raw,
+    loss_total,
 )
-from dqmotion.metrics import acceleration_of, metric_euclidean, npss_between
+from dqmotion.metrics import acceleration_of, metric_report, npss_between
 
 import oracles
 from pose_oracles import matrix_fk
@@ -80,7 +80,7 @@ def test_criterion_2_inverse_pair():
         back = decode(encode(oracles.repeated(pose), ReprKind.DUALQUAT))[0]
         for a, b in zip(pose.joint_rotations, back.joint_rotations):
             assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-9
-        local = relative(skeleton.parent_indices, pose.chain, dualquat.mul, dualquat.conjugate)
+        local = _from_rows(relative(skeleton.parent_indices, _to_rows(pose.chain)))
         for idx, joint in enumerate(skeleton.joints):
             if joint.parent is not None:
                 extracted = dualquat.translation(local[idx])
@@ -185,7 +185,7 @@ def test_criterion_6_loss_ground_truths():
     features = -identical.features
     features[0, :3] *= -1  # root translation is not part of the flip
     flipped = EncodedClip(ReprKind.DUALQUAT, single, 1 / 30, features)
-    assert abs(loss_rotational_raw(flipped, identical, "local") - 2.0) < 1e-12
+    assert abs(loss_total(flipped, identical, rotation_space="local").rotational_raw - 2.0) < 1e-12
     assert abs(loss_rotational(flipped, identical, "local")) < 1e-12
 
     quarter = LocalPose(
@@ -247,7 +247,7 @@ def test_criterion_8_metric_anchors():
     seq = oracles.random_poses(rng, skeleton, 5)
     moved = LocalPose(skeleton, seq.root_translation + rng.uniform(-50, 50, (5, 3)),
                       seq.joint_rotations)
-    assert metric_euclidean(moved, seq) < 1e-12
+    assert metric_report(moved, seq).euclidean < 1e-12
 
 
 @criterion(9, "feature widths for all six kinds, standardization inverse, default weights")

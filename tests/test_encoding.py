@@ -20,6 +20,7 @@ from dqmotion.encoding import (
 )
 from dqmotion.errors import (
     ContainerError,
+    NonFiniteError,
     NotInvertibleError,
     ShapeMismatchError,
     TooFewFramesError,
@@ -206,6 +207,18 @@ class TestDecode:
         bad = EncodedClip(clip.kind, skeleton, clip.frame_time, broken)
         with pytest.raises(DegenerateNormError):
             decode(bad)
+
+    @pytest.mark.parametrize("kind", INVERTIBLE, ids=lambda k: k.value)
+    def test_overflowing_block_rejected(self, rng, kind):
+        # finite values whose squared norm overflows: not a zero quaternion
+        # or a wrong rotation
+        skeleton = oracles.random_skeleton(rng, 4)
+        clip = encode(oracles.random_poses(rng, skeleton, 3), kind)
+        blocks = clip.joint_blocks().copy()
+        blocks[1, 2] = 1e200
+        features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
+        with pytest.raises(NonFiniteError):
+            decode(EncodedClip(kind, skeleton, clip.frame_time, features))
 
     def test_standardized_clip_rejected(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)

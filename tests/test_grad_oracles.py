@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dqmotion import losses
+from dqmotion import kinematics, losses
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode
 from dqmotion.kinematics import LocalPose
@@ -135,7 +135,7 @@ def test_building_blocks_match_batched_forms(rng):
     unit = losses._unit_rows(EncodedClip(
         ReprKind.DUALQUAT, oracles.random_skeleton(rng, 7), 1 / 30,
         np.concatenate([np.zeros((5, 3)), blocks.reshape(5, -1)], axis=1)))
-    rows = losses._rows
+    rows = kinematics._to_rows
 
     def assert_close(got, want):
         want = want.transpose(2, 1, 0)

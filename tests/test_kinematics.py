@@ -8,7 +8,7 @@ import pytest
 
 from dqmotion import bvh, dualquat, quat
 from dqmotion.encoding import ReprKind, decode, encode
-from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip, relative
+from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 
 import oracles
 from pose_oracles import matrix_fk
@@ -45,7 +45,7 @@ def identity_pose(skeleton):
 
 def local_dq(pose):
     """Each joint's parent-relative dual quaternion, recovered from the chain."""
-    return relative(pose.skeleton.parent_indices, pose.chain, dualquat.mul, dualquat.conjugate)
+    return _from_rows(relative(pose.skeleton.parent_indices, _to_rows(pose.chain)))
 
 
 def cumulative_offsets(skeleton):

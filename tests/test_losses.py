@@ -6,7 +6,7 @@ import pytest
 from dqmotion import dualquat, quat
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
-from dqmotion.errors import DegenerateNormError, NotUnitError, ShapeMismatchError
+from dqmotion.errors import DegenerateNormError, NonFiniteError, NotUnitError, ShapeMismatchError
 from dqmotion.kinematics import LocalPose
 from dqmotion import losses
 from dqmotion.losses import (
@@ -19,10 +19,10 @@ from dqmotion.losses import (
     loss_positional,
     loss_regularization,
     loss_rotational,
-    loss_rotational_raw,
     loss_total,
 )
 
+import grad_oracles
 import oracles
 
 
@@ -118,7 +118,7 @@ class TestRotational:
         block = dualquat.from_rotation_translation(q, np.zeros(3))
         pred = single_dq_clip(-block)
         truth = single_dq_clip(block)
-        assert abs(loss_rotational_raw(pred, truth, "current") - 2.0) < 1e-12
+        assert abs(loss_total(pred, truth, rotation_space="current").rotational_raw - 2.0) < 1e-12
         assert abs(loss_rotational(pred, truth, "current")) < 1e-12
 
     def test_quarter_turn_anchor(self):
@@ -135,9 +135,24 @@ class TestRotational:
         a = encode(oracles.random_poses(rng, skeleton, 6), ReprKind.QUATERNIONS)
         b = encode(oracles.random_poses(rng, skeleton, 6), ReprKind.QUATERNIONS)
         for space in ("local", "current"):
-            raw = loss_rotational_raw(a, b, space)
+            raw = loss_total(a, b, rotation_space=space).rotational_raw
             aligned = loss_rotational(a, b, space)
             assert 0.0 <= aligned <= raw <= 2.0
+
+    @pytest.mark.parametrize("kind", losses._ROTATIONAL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("space", ("local", "current"))
+    def test_overflowing_block_raises(self, rng, kind, space):
+        # a block whose squared norm overflows is not scored as a zero
+        # quaternion, neither as pred nor as truth
+        skeleton = oracles.random_skeleton(rng, 5)
+        clip = encode(oracles.random_poses(rng, skeleton, 3), kind)
+        blocks = clip.joint_blocks().copy()
+        blocks[1, 2] = 1e200
+        bad = clip_from_features(
+            kind, skeleton, np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1))
+        for pred, truth in ((bad, clip), (clip, bad)):
+            with pytest.raises(NonFiniteError):
+                loss_rotational(pred, truth, space)
 
     def test_spaces_agree_between_kinds(self, rng):
         # The same poses encoded as dualquat and as quaternions must yield
@@ -166,6 +181,14 @@ class TestPositional:
         truth = clip_from_features(ReprKind.POSITIONS, skeleton, [[0, 0, 0, 1.0, 1.0, 1.0]])
         pred = clip_from_features(ReprKind.POSITIONS, skeleton, [[0, 0, 0, 4.0, 5.0, 1.0]])
         assert np.isclose(loss_positional(pred, truth), 5.0)
+
+    def test_overflowing_distance_raises(self):
+        # a finite distance whose square overflows is not scored as inf
+        skeleton = single_joint_skeleton()
+        truth = clip_from_features(ReprKind.POSITIONS, skeleton, [[0, 0, 0, 1.0, 1.0, 1.0]])
+        pred = clip_from_features(ReprKind.POSITIONS, skeleton, [[0, 0, 0, 1e200, 1.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            loss_positional(pred, truth)
 
     def test_matches_matrix_oracle_positions(self, rng):
         skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
@@ -259,6 +282,8 @@ class TestDualquatChecks:
         # tolerance by roundoff
         "huge dual part": (slice(4, 8), 1e12, NotUnitError),
         "real part under the floor": (slice(0, 4), 1e-13, DegenerateNormError),
+        # finite, but its squared norm overflows
+        "overflowing real part": (slice(0, 4), 1e200, NonFiniteError),
     }
 
     @pytest.mark.parametrize("name", ("positional", "offset"))
@@ -406,7 +431,8 @@ class TestTotal:
         standalone = {
             "mse": lambda: loss_mse(pred, truth),
             "rotational": lambda: loss_rotational(pred, truth, space),
-            "rotational_raw": lambda: loss_rotational_raw(pred, truth, space),
+            "rotational_raw": lambda: float(np.mean(
+                grad_oracles.BATCHED_TERMS[f"rotational_{space}"](pred, truth, None).unaligned)),
             "positional": lambda: loss_positional(pred, truth),
             "offset": lambda: loss_offset(pred, truth_skeleton or truth.skeleton),
             "regularization": lambda: loss_regularization(pred),

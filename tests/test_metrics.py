@@ -8,9 +8,6 @@ from dqmotion.errors import LengthMismatchError, TooFewFramesError
 from dqmotion.metrics import (
     acceleration_of,
     euclidean_between,
-    metric_acceleration,
-    metric_euclidean,
-    metric_npss,
     metric_report,
     npss_between,
 )
@@ -45,7 +42,7 @@ class TestEuclidean:
     def test_identical(self, rng):
         skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
         seq = oracles.random_poses(rng, skeleton, 5)
-        assert metric_euclidean(seq, seq) == 0.0
+        assert metric_report(seq, seq).euclidean == 0.0
 
     def test_displaced_joint_mean_convention(self, rng):
         positions = rng.normal(size=(4, 7, 3))
@@ -58,26 +55,26 @@ class TestEuclidean:
         seq = oracles.random_poses(rng, skeleton, 4)
         moved = LocalPose(skeleton, seq.root_translation + rng.uniform(-9, 9, (4, 3)),
                           seq.joint_rotations)
-        assert metric_euclidean(moved, seq) < 1e-12
+        assert metric_report(moved, seq).euclidean < 1e-12
 
     def test_symmetry(self, rng):
         skeleton = oracles.random_skeleton(rng, 5)
         a = oracles.random_poses(rng, skeleton, 4)
         b = oracles.random_poses(rng, skeleton, 4)
-        assert np.isclose(metric_euclidean(a, b), metric_euclidean(b, a))
+        assert np.isclose(metric_report(a, b).euclidean, metric_report(b, a).euclidean)
 
     def test_length_mismatch(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
         seq = oracles.random_poses(rng, skeleton, 4)
         with pytest.raises(LengthMismatchError):
-            metric_euclidean(seq, seq[:-1])
+            metric_report(seq, seq[:-1])
 
 
 class TestNpss:
     def test_identical_zero(self, rng):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
         seq = oracles.random_poses(rng, skeleton, 8)
-        assert metric_npss(seq, seq) == 0.0
+        assert metric_report(seq, seq).npss == 0.0
 
     def test_doubled_frequency_positive_and_matches_oracle(self):
         t = np.arange(32)
@@ -114,7 +111,9 @@ class TestNpss:
         skeleton = oracles.random_skeleton(rng, 4)
         seq = oracles.random_poses(rng, skeleton, 1)
         with pytest.raises(TooFewFramesError):
-            metric_npss(seq, seq)
+            metric_report(seq, seq)
+        with pytest.raises(TooFewFramesError):
+            npss_between(seq.positions, seq.positions)
 
 
 class TestAcceleration:
@@ -136,12 +135,14 @@ class TestAcceleration:
     def test_constant_pose_sequence(self, rng):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
         pose = oracles.random_pose(rng, skeleton)
-        assert metric_acceleration(oracles.repeated(pose, 4)) < 1e-12
+        seq = oracles.repeated(pose, 4)
+        assert metric_report(seq, seq).acceleration_pred < 1e-12
 
     def test_too_few_frames(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
+        seq = oracles.random_poses(rng, skeleton, 2)
         with pytest.raises(TooFewFramesError):
-            metric_acceleration(oracles.random_poses(rng, skeleton, 2))
+            metric_report(seq, seq)
 
 
 class TestReport:
@@ -158,10 +159,10 @@ class TestReport:
         a = oracles.random_poses(rng, skeleton, 6)
         b = oracles.random_poses(rng, skeleton, 6)
         report = metric_report(a, b)
-        assert report.euclidean == metric_euclidean(a, b)
-        assert report.npss == metric_npss(a, b)
-        assert report.acceleration_pred == metric_acceleration(a)
-        assert report.acceleration_truth == metric_acceleration(b)
+        assert report.euclidean == euclidean_between(a.positions, b.positions)
+        assert report.npss == npss_between(a.positions, b.positions)
+        assert report.acceleration_pred == acceleration_of(a.positions)
+        assert report.acceleration_truth == acceleration_of(b.positions)
         assert np.isclose(
             report.acceleration_error, abs(report.acceleration_pred - report.acceleration_truth)
         )

@@ -106,7 +106,7 @@ class TestSlices:
     def test_filled_window_runs_no_fk(self, pose, monkeypatch):
         fill(pose)
         full = pose.positions, encode(pose, ReprKind.POSITIONS).features
-        monkeypatch.setattr(kinematics, "current_chain", no_sweep)
+        monkeypatch.setattr(kinematics, "compose", no_sweep)
         assert pose.positions is full[0]
         window = pose[30:60]
         assert same_bits(window.positions, full[0][30:60])
@@ -115,6 +115,27 @@ class TestSlices:
         # an unfilled pose still needs the sweep
         with pytest.raises(AssertionError):
             fresh(pose, slice(30, 60)).positions
+
+
+class TestOneSweepEach:
+    def test_every_layer_on_a_fresh_pose_runs_two_sweeps(self, pose, monkeypatch):
+        sweeps = []
+        compose = kinematics.compose
+
+        def counted(*args):
+            sweeps.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(kinematics, "compose", counted)
+        for kind in ReprKind:
+            encode(pose, kind)
+        metric_report(pose, pose)
+        assert len(sweeps) == 2  # the chain and the positions
+        window = pose[30:60]
+        for kind in ReprKind:
+            encode(window, kind)
+        metric_report(window, window)
+        assert len(sweeps) == 2
 
 
 class TestErrorsAreNotMemoized:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqmotion import quat
-from dqmotion.errors import DegenerateNormError
+from dqmotion.errors import DegenerateNormError, NonFiniteError
 
 import oracles
 
@@ -62,6 +62,15 @@ class TestNormalize:
     def test_zero_raises(self):
         with pytest.raises(DegenerateNormError):
             quat.normalize(np.zeros(4))
+
+    def test_overflowing_norm_raises(self):
+        # finite values whose squares overflow: never a zero quaternion
+        with pytest.raises(NonFiniteError):
+            quat.normalize([1e200, 0.0, 0.0, 0.0])
+
+    def test_large_finite_norm_keeps_bits(self):
+        q = np.array([3e150, -4e150, 0.0, 12e150])
+        assert quat.normalize(q).tobytes() == (q / np.linalg.norm(q)).tobytes()
 
 
 class TestDot:
