@@ -47,6 +47,6 @@ print("=== gradient checking ===")
 single = EncodedClip(ReprKind.DUALQUAT, truth.skeleton, truth.frame_time, noisy_features[:1])
 reference = EncodedClip(ReprKind.DUALQUAT, truth.skeleton, truth.frame_time, truth.features[:1])
 for name in ("mse", "rotational_local", "positional", "offset", "regularization"):
-    result = grad_check(name, single, reference, eps=1e-6)
+    result = grad_check(name, single, reference)
     flag = " (non-smooth point)" if result.nondifferentiable else ""
     print(f"  {name:18s} max relative deviation {result.max_relative_deviation:.2e}{flag}")

@@ -80,14 +80,8 @@ def cmd_inspect(args) -> int:
         "fps": clip.fps,
         "channels": skeleton.channel_count,
         "joint_detail": [
-            {
-                "name": j.name,
-                "parent": None if j.parent is None else skeleton.joints[j.parent].name,
-                "offset": [float(v) for v in j.offset],
-                "channels": list(j.channels),
-                "end_site": j.is_end_site,
-            }
-            for j in skeleton.joints
+            {**j, "parent": None if j["parent"] is None else skeleton.joints[j["parent"]].name}
+            for j in skeleton.to_dict()["joints"]
         ],
     }
     if args.json:
@@ -180,7 +174,7 @@ def cmd_validate(args) -> int:
     encoded = container.read_file(args.input)
     if not encoded.kind.sign_sensitive:
         raise InvalidValueError(
-            f"validate applies to dq/quat containers, not {encoded.kind.value}"
+            f"validate applies to dq/quat/quat-pos containers, not {encoded.kind.value}"
         )
     if encoded.standardized:
         encoded = destandardize(encoded)
@@ -189,6 +183,7 @@ def cmd_validate(args) -> int:
     if encoded.kind is ReprKind.DUALQUAT:
         residuals = _unit_residuals(blocks)
     else:
+        blocks = blocks[..., :4]
         residuals = np.abs(np.sum(blocks * blocks, axis=-1) - 1.0)
     worst_idx = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst_residual = float(residuals[worst_idx])

@@ -9,16 +9,16 @@ unit norm and is orthogonal to the dual part. Only unit values encode
 rigid transforms; `unitary_residual` exposes both residuals and
 `normalize` repairs drift.
 
-Layout: inputs may have any layout. `mul`, `conjugate`, `normalize` and
-`from_rotation_translation` return fresh C-contiguous arrays, whatever
-their operands' layout (see `quat`: downstream `einsum` reductions sum in
-an order that depends on strides, so layout is part of the bits). `mul`
-and `normalize` copy their operands component-major once and write into
-a preallocated result; every sum keeps the terms and the order of the
-per-part formula. Their row kernels (`_mul_rows`, `_normalize_rows`,
-`_from_rotation_translation_rows` and `_translation_rows`, which keep
-their functions' unit checks) take component rows directly and give the
-same bits; `kinematics` sweeps the hierarchy with them.
+Layout: inputs may have any layout. `mul`, `conjugate`, `normalize`,
+`from_rotation_translation` and `translation` return fresh C-contiguous
+arrays, whatever their operands' layout (see `quat`: downstream `einsum`
+reductions sum in an order that depends on strides, so layout is part of
+the bits). All but `conjugate` are one `quat._on_rows` call of their row
+kernel (`_mul_rows`, `_normalize_rows`, `_from_rotation_translation_rows`
+and `_translation_rows`, which keep their functions' unit checks); every
+sum keeps the terms and the order of the per-part formula. `kinematics`
+sweeps the hierarchy with the same kernels, and `_conjugate_rows` is the
+one conjugation of component rows.
 """
 
 from typing import NamedTuple
@@ -55,8 +55,11 @@ def dual(d: np.ndarray) -> np.ndarray:
 _CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
 
-def _join(r: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.concatenate([r, e], axis=-1)
+def _conjugate_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`conjugate` of (4, ...) or (8, ...) component rows, into `out` (a
+    new array when None; `rows` itself conjugates in place)."""
+    signs = _CONJUGATE_SIGNS[:len(rows)].reshape((-1,) + (1,) * (rows.ndim - 1))
+    return np.multiply(rows, signs, out=out)
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,14 +69,8 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     component-major copy of each operand, and each dual component is the
     sum of its two products, as `quat.mul` on the parts would round them.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a, b = quat._rows(a, shape), quat._rows(b, shape)
-    out = np.empty(shape + (8,))
-    rows = out.reshape(-1, 8).T
-    _mul_rows(a[:4], a[4:], b[:4], b[4:], rows[:4], rows[4:])
-    return out
+    return quat._on_rows(
+        lambda a, b, out: _mul_rows(a[:4], a[4:], b[:4], b[4:], out[:4], out[4:]), 8, a, b)
 
 
 def _mul_rows(ar, ad, br, bd, out_r, out_d) -> None:
@@ -142,11 +139,7 @@ def normalize(d: np.ndarray) -> np.ndarray:
     stripped of its component along the real part, which restores the
     orthogonality condition exactly (up to roundoff). Idempotent.
     """
-    d = np.asarray(d, dtype=float)
-    shape = d.shape[:-1]
-    out = np.empty(shape + (8,))
-    _normalize_rows(quat._rows(d, shape), out.reshape(-1, 8).T)
-    return out
+    return quat._on_rows(_normalize_rows, 8, d)
 
 
 def _normalize_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,24 +167,18 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     Matches the homogeneous matrix [[R(r), t], [0, 1]]. The dual part is
     half the pure-vector translation quaternion times the rotation.
     """
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(r.shape[:-1], t.shape[:-1])
-    out = np.empty(shape + (8,))
-    out.reshape(-1, 8).T[...] = _from_rotation_translation_rows(quat._rows(r, shape), quat._rows(t, shape))
-    return out
+    return quat._on_rows(_from_rotation_translation_rows, 8, r, t)
 
 
-def _from_rotation_translation_rows(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _from_rotation_translation_rows(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`from_rotation_translation` of (4, ...) rotation rows and (3, ...)
-    translation rows: (8, ...) rows, after the unit check. The rotation is
-    divided by its norm; the dual rows are `quat._mul_rows` of (0, t) on a
-    zero real row, halved."""
+    translation rows into (8, ...) rows `out`, after the unit check. The
+    rotation is divided by its norm; the dual rows are `quat._mul_rows` of
+    (0, t) on a zero real row, halved."""
     n = quat._row_norm(r)
     if np.any(np.abs(n - 1.0) > UNIT_TOLERANCE):
         raise NotUnitError(
             f"rotation quaternion norm deviates from 1 by more than {UNIT_TOLERANCE:g}")
-    out = np.empty((8,) + np.broadcast_shapes(r.shape[1:], t.shape[1:]))
     np.divide(r, n, out=out[:4])
     pure = np.zeros(out[4:].shape)
     pure[1:] = t
@@ -208,18 +195,20 @@ def rotation(d: np.ndarray) -> np.ndarray:
 
 def translation(d: np.ndarray) -> np.ndarray:
     """Cartesian translation 2 * q_d * q_r^*, the vector coefficients."""
-    d = _require_unit(d, "translation")
-    return 2.0 * quat.mul(dual(d), quat.conjugate(real(d)))[..., 1:]
+    return quat._on_rows(_translation_rows, 3, d)
 
 
-def _translation_rows(d: np.ndarray) -> np.ndarray:
-    """`translation` on (8, ...) component rows: (3, ...) rows with its
-    bits, after the same unit check."""
+def _translation_rows(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`translation` of (8, ...) component rows into (3, ...) rows `out`
+    (a new array when None), after the unit check."""
     r, e = d[:4], d[4:]
-    if not _within_unit_tolerance(quat._row_dot(r, r) - 1.0, quat._row_dot(r, e)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not unit either
+        unit = _within_unit_tolerance(quat._row_dot(r, r) - 1.0, quat._row_dot(r, e))
+    if not unit:
         raise _not_unit("translation")
-    r_conj = np.concatenate([r[:1], -r[1:]])
-    out = np.empty((3,) + d.shape[1:])
+    r_conj = _conjugate_rows(r)
+    if out is None:
+        out = np.empty((3,) + d.shape[1:])
     acc, tmp = np.empty((2,) + d.shape[1:])
     for k in range(1, 4):
         quat._hamilton_row(k, e, r_conj, out[k - 1], acc, tmp)
@@ -240,5 +229,6 @@ def transform_point(d: np.ndarray, p: np.ndarray) -> np.ndarray:
     embedded = np.zeros(shape[:-1] + (8,))
     embedded[..., 0] = 1.0
     embedded[..., 5:] = p
-    full_conj = _join(quat.conjugate(real(d)), -quat.conjugate(dual(d)))
+    full_conj = conjugate(d)
+    full_conj[..., 4:] *= -1.0
     return mul(mul(d, embedded), full_conj)[..., 5:]

@@ -78,8 +78,9 @@ class ReprKind(enum.Enum):
 
     @property
     def sign_sensitive(self) -> bool:
-        """Kinds whose blocks carry an antipodal sign (q and -q collide)."""
-        return self in (ReprKind.QUATERNIONS, ReprKind.DUALQUAT)
+        """Kinds whose blocks carry an antipodal sign (q and -q collide),
+        in their first four columns or all eight."""
+        return self in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS, ReprKind.DUALQUAT)
 
 
 _BLOCK_DIMS = {
@@ -235,7 +236,7 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
         blocks = dualquat.translation(current)
     else:
         local = quat.normalize(pose.joint_rotations[:, indices])
-        if kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
+        if kind.sign_sensitive:
             blocks = antipodal_correct(local)
         else:
             blocks = _ortho6d_of_quats(local)
@@ -275,7 +276,7 @@ def _ortho6d_to_quats(blocks: np.ndarray) -> np.ndarray:
     blocks = np.asarray(blocks, dtype=float)
     shape = blocks.shape[:-1]
     # One component-major copy: every later pass reads contiguous rows.
-    a, b = np.ascontiguousarray(np.moveaxis(blocks[..., :6], -1, 0)).reshape(2, 3, -1)
+    a, b = quat._rows(blocks[..., :6], shape).reshape(2, 3, -1)
     na = quat._row_norm(a)
     if np.any(na <= quat._NORM_FLOOR):
         raise DegenerateNormError("degenerate first column in six-value block")

@@ -10,14 +10,15 @@ metrics) at most once, and its slices reuse them.
 This module holds the one forward hierarchy sweep, which every layer
 runs (`LocalPose`, the dualquat `decode`, the loss terms' space changes).
 It works on (C, J, ...) component rows, the transpose of (..., J, C)
-values (`_to_rows` and `_from_rows` copy between the two), and takes the
+values (`_to_rows` and `_from_rows` copy between the two; the public
+algebra functions copy with `quat._on_rows` instead), and takes the
 product of `quat.mul` (C = 4) or `dualquat.mul` (C = 8) from C, on their
 row kernels and with their bits. `compose` sweeps parent to child one
 depth level at a time, over the levels the skeleton builds once;
-`relative` undoes it with one parent gather. `current_chain` is the
-current pose on `compose`, and `relative(skeleton.parent_indices,
-pose.chain.T).T` each joint's local transform, its translation the joint
-offset as encoded.
+`relative` undoes it with one parent gather, conjugated in place by
+`dualquat._conjugate_rows`. `current_chain` is the current pose on
+`compose`, and `relative(skeleton.parent_indices, pose.chain.T).T` each
+joint's local transform, its translation the joint offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
@@ -27,7 +28,8 @@ Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +60,6 @@ class LocalPose:
     skeleton: Skeleton
     root_translation: np.ndarray  # (F, 3) or (3,)
     joint_rotations: np.ndarray  # (F, J, 4) or (J, 4)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rotations = _frozen(self.joint_rotations)
@@ -88,30 +89,24 @@ class LocalPose:
     def __getitem__(self, index) -> "LocalPose":
         len(self)  # a single-frame pose has no frame axis to index
         pose = LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
-        for key, value in self._memo.items():
-            pose._memo[key] = _read_only(value[index])
+        for name in ("chain", "positions"):
+            if name in vars(self):
+                vars(pose)[name] = _read_only(vars(self)[name][index])
         return pose
 
     def __iter__(self):
         return (self[f] for f in range(len(self)))
 
-    def _memoized(self, key: str, sweep) -> np.ndarray:
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = _read_only(sweep())
-        return value
-
-    @property
+    @cached_property
     def chain(self) -> np.ndarray:
         """The current pose: (..., J, 8) `current_chain` of the rotations
         as they are, one root-centered unit dual quaternion per joint."""
-        return self._memoized("chain", lambda: _from_rows(
-            current_chain(self.skeleton, _to_rows(self.joint_rotations))))
+        return _read_only(_from_rows(current_chain(self.skeleton, _to_rows(self.joint_rotations))))
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
         """(..., J, 3) root-centered joint positions of the normalized rotations."""
-        return self._memoized("positions", lambda: _from_rows(dualquat._translation_rows(
+        return _read_only(_from_rows(dualquat._translation_rows(
             current_chain(self.skeleton, _to_rows(quat.normalize(self.joint_rotations))))))
 
 
@@ -166,10 +161,8 @@ def relative(parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (C, J, ...) rows as in `compose`; the root, joint 0, keeps its value.
     """
     out = np.array(rows, dtype=float)
-    conjugate = np.take(out, parents[1:], axis=1)
-    conjugate[1:4] *= -1.0
-    conjugate[5:8] *= -1.0
-    out[:, 1:] = _mul_rows(conjugate, out[:, 1:])
+    parent = np.take(out, parents[1:], axis=1)
+    out[:, 1:] = _mul_rows(dualquat._conjugate_rows(parent, parent), out[:, 1:])
     return out
 
 
@@ -183,7 +176,8 @@ def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
     offsets = skeleton.offsets.T.copy()
     offsets[:, 0] = 0.0  # the root displacement rides outside the chain
     offsets = offsets.reshape(offsets.shape + (1,) * (rotations.ndim - 2))
-    return compose(skeleton.levels, dualquat._from_rotation_translation_rows(rotations, offsets))
+    local = np.empty((8,) + rotations.shape[1:])
+    return compose(skeleton.levels, dualquat._from_rotation_translation_rows(rotations, offsets, local))
 
 
 # ---------------------------------------------------------------------------

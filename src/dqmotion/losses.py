@@ -18,8 +18,8 @@ matrices. Forward passes and gradients work on the (C, J, F) rows of
 `kinematics`: each term copies the blocks it reads once, every product,
 normalization, distance and VJP after that is a whole-row operation, and
 its space changes are `kinematics.compose` and `relative`. The reverse
-sweeps live here; a parent scatter adds one child rank at a time, in
-`np.add.at`'s order. `grad_check` verifies the gradients against central
+sweeps live here (`_relative_vjp` is the one adjoint of `relative`); a
+parent scatter adds one child rank at a time, in `np.add.at`'s order. `grad_check` verifies the gradients against central
 finite differences, and the tests also hold them to a per-(frame, joint)
 loop oracle and to the batched (F, J, .) forms they replaced.
 """
@@ -33,14 +33,15 @@ import numpy as np
 from . import dualquat, quat
 from .bvh import Skeleton, _read_only
 from .encoding import EncodedClip, ReprKind
-from .errors import InvalidValueError, NoPositionsError, ShapeMismatchError
+from .errors import InvalidValueError, NoPositionsError, NonFiniteError, ShapeMismatchError
 from .kinematics import _from_rows, _mul_rows, _to_rows, compose, relative
 
-_ROTATIONAL_KINDS = (ReprKind.DUALQUAT, ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS)
+_ROTATIONAL_KINDS = tuple(kind for kind in ReprKind if kind.sign_sensitive)
 #: Block columns of the joint position in the kinds that store one.
 _POSITION_COLUMNS = slice(-3, None)
 
 GRAD_EPS_LADDER = (1e-4, 1e-5, 1e-6)
+GRAD_EPS = 1e-6  # the step whose deviation grad_check reports
 
 
 @dataclass(frozen=True)
@@ -186,14 +187,30 @@ def _position_rows(clip: EncodedClip) -> np.ndarray:
 # kinds' current-space rotational gradient walks the skeleton's depth
 # levels in reverse, the same levels `compose` walks forward.
 
-_CONJUGATE_ROWS = dualquat._CONJUGATE_SIGNS[:, None, None]
-
-
 def _add_to_parents(bar: np.ndarray, groups: tuple, children: np.ndarray) -> None:
     """bar[:, parent] += children[:, position] for every child, one rank
     group at a time: np.add.at's sums, bit for bit."""
     for positions, parents in groups:
         bar[:, parents] += children[:, positions]
+
+
+def _relative_vjp(bar: np.ndarray, y: np.ndarray, skeleton: Skeleton, rows: np.ndarray) -> None:
+    """y, the gradient w.r.t. the non-root rows of `relative` of `rows`,
+    into `bar`: bar[:, 1:] = p y and bar[:, p] += c y* per child row c of
+    parent row p; y is conjugated in place. For C = 8 both products swap
+    the real and dual rows: the transposed Jacobians of x -> a x and
+    x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*)."""
+    def product(a, b, out):
+        if len(a) == 4:
+            quat._mul_rows(a, b, out)
+        else:
+            dualquat._mul_rows(a[:4], a[4:], b[4:], b[:4], out[4:], out[:4])
+
+    product(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:])
+    dualquat._conjugate_rows(y, y)
+    to_parent = np.empty(y.shape)
+    product(rows[:, 1:], y, to_parent)
+    _add_to_parents(bar, skeleton._encoded_child_ranks[0], to_parent)
 
 
 def _normalize_vjp(unit: np.ndarray, norm: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -292,24 +309,19 @@ def _rotational(space: str):
             # row by row, to the gradient w.r.t. the unit blocks.
             bar = -np.where(dots >= 0, 1.0, -1.0).T * q_truth
             bar /= f * j
-            whole, levels = pred.skeleton._encoded_child_ranks
             if pred.kind is ReprKind.DUALQUAT and space == "local":
-                # q_pred = u_p* u for every non-root row u with parent u_p.
-                parents = pred.skeleton.encoded_parents[1:]
-                children = bar[:, 1:]
-                to_parent = _mul_rows(rows[:, 1:], children * _CONJUGATE_ROWS[:4])
-                children[...] = _mul_rows(np.take(rows, parents, axis=1), children)
-                _add_to_parents(bar, whole, to_parent)
+                # q_pred = relative(parents, rows)
+                _relative_vjp(bar, bar[:, 1:].copy(), pred.skeleton, rows)
             elif pred.kind is not ReprKind.DUALQUAT and space == "current":
                 # Reverse sweep: each current rotation feeds all its
                 # descendants, and a level's upstream is complete once every
                 # deeper level is done.
-                for (level, parent_rows), groups in zip(
-                        reversed(pred.skeleton.encoded_levels), reversed(levels)):
+                levels = zip(pred.skeleton.encoded_levels, pred.skeleton._encoded_child_ranks[1])
+                for (level, parent_rows), groups in reversed(list(levels)):
                     children = np.take(bar, level, axis=1)
-                    to_parent = _mul_rows(children, np.take(rows, level, axis=1) * _CONJUGATE_ROWS[:4])
+                    to_parent = _mul_rows(children, dualquat._conjugate_rows(np.take(rows, level, axis=1)))
                     bar[:, level] = _mul_rows(
-                        np.take(q_pred, parent_rows, axis=1) * _CONJUGATE_ROWS[:4], children)
+                        dualquat._conjugate_rows(np.take(q_pred, parent_rows, axis=1)), children)
                     _add_to_parents(bar, groups, to_parent)
             norm = quat.norm(blocks[..., :4]).T
             return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))
@@ -346,18 +358,9 @@ def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
     dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:
-        # For dual quaternions the transposed Jacobians of x -> a x and
-        # x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*),
-        # conjugating both halves; swap exchanges the real and dual rows.
         v = _translation_vjp(local, _unit_directions(delta, dist))
-        parent = np.take(unit.rows, pred.skeleton.encoded_parents[1:], axis=1)
-        child = unit.rows[:, 1:]
         bar = np.zeros(unit.rows.shape)
-        dualquat._mul_rows(parent[:4], parent[4:], v[4:], v[:4], bar[4:, 1:], bar[:4, 1:])
-        v *= _CONJUGATE_ROWS
-        to_parent = np.empty(v.shape)
-        dualquat._mul_rows(child[:4], child[4:], v[4:], v[:4], to_parent[4:], to_parent[:4])
-        _add_to_parents(bar, pred.skeleton._encoded_child_ranks[0], to_parent)
+        _relative_vjp(bar, v, pred.skeleton, unit.rows)
         return _scatter(_dq_normalize_vjp(unit, bar), pred)
 
     return _Evaluation(_from_rows(dist), grad)
@@ -445,7 +448,19 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=
     clips = (pred, truth) if term.pair else (pred,)
     if not term.accepts_standardized and any(clip.standardized for clip in clips):
         raise InvalidValueError("loss needs raw features; destandardize the clip first")
-    return term.evaluate(pred, truth, skeleton)
+    if term.pair and not _same_stats(pred.stats, truth.stats):
+        raise InvalidValueError(f"{name} loss compares features standardized with different stats")
+    evaluation = term.evaluate(pred, truth, skeleton)
+    if not np.isfinite(evaluation.values).all():
+        raise NonFiniteError(f"{name} loss overflows: values too large for float64")
+    return evaluation
+
+
+def _same_stats(a, b) -> bool:
+    """Both clips raw, or both standardized with one mean and std."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
 def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> float:
@@ -558,7 +573,6 @@ def grad_check(
     name: str,
     pred: EncodedClip,
     truth: EncodedClip,
-    eps: float = 1e-6,
     truth_skeleton: Skeleton | None = None,
 ) -> GradCheckResult:
     """Compare the analytic gradient against central finite differences.
@@ -567,10 +581,9 @@ def grad_check(
     scales; disagreement across scales, or proximity to a known kink
     (antipodal sign ties, zero distances), marks the point as
     non-differentiable rather than raising. The reported deviation is the
-    largest componentwise difference relative to the gradient magnitude.
+    largest componentwise difference relative to the gradient magnitude,
+    at the step GRAD_EPS.
     """
-    if not 1e-8 <= eps <= 1e-3:
-        raise InvalidValueError("eps must lie in [1e-8, 1e-3]")
     if truth_skeleton is not None:
         skeleton = truth_skeleton
     else:
@@ -594,9 +607,9 @@ def grad_check(
                 out[fi, wi] = (bumped_loss(fi, wi, step) - bumped_loss(fi, wi, -step)) / (2.0 * step)
         return out
 
-    ladder = sorted(set(GRAD_EPS_LADDER) | {eps}, reverse=True)
+    ladder = sorted(GRAD_EPS_LADDER, reverse=True)
     numeric_by_eps = {step: fd_gradient(step) for step in ladder}
-    numeric = numeric_by_eps[eps]
+    numeric = numeric_by_eps[GRAD_EPS]
 
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
     deviation_by_eps = {
@@ -615,7 +628,7 @@ def grad_check(
     nondifferentiable = cross_scale > 1e-3 or _TERMS[name].kink(evaluation.values)
 
     return GradCheckResult(
-        max_relative_deviation=deviation_by_eps[eps],
+        max_relative_deviation=deviation_by_eps[GRAD_EPS],
         nondifferentiable=nondifferentiable,
         analytic=analytic,
         numeric=numeric,

@@ -22,7 +22,7 @@ Trajectory-level entry points (`euclidean_between`, `npss_between`,
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,15 +39,7 @@ class MetricReport:
     frame_time: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "euclidean": self.euclidean,
-            "npss": self.npss,
-            "acceleration_pred": self.acceleration_pred,
-            "acceleration_truth": self.acceleration_truth,
-            "acceleration_error": self.acceleration_error,
-            "frame_time": self.frame_time,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -15,13 +15,16 @@ to a column vector.
 Layout: inputs may have any layout (slices, gathers, broadcast views).
 `mul` returns a fresh C-contiguous array whatever its operands' layout.
 The layout is part of the bits: downstream `einsum` reductions such as
-`dot` sum in an order that depends on their operands' strides. `mul`
-copies each operand once into component-major rows and writes each sum,
-term by term in the per-component formula's order, into a preallocated
-result: the formula's bits, with a fraction of its temporaries. The same
-row kernels (`_mul_rows`, and `_pure_hamilton_row` for a pure left
-operand) serve callers that keep their values in rows, such as the
-gradients in `losses`; each reads the one table of terms, `_HAMILTON`.
+`dot` sum in an order that depends on their operands' strides. `mul` and
+the `dualquat` `mul`, `normalize`, `from_rotation_translation` and
+`translation` are one `_on_rows` call each: one component-major copy of
+each operand, and a row kernel that writes each sum, term by term in the
+per-component formula's order, into the fresh result: the formula's
+bits, with a fraction of its temporaries. The same row kernels
+(`_mul_rows`, and `_pure_hamilton_row` for a pure left operand) serve
+callers that keep their values in rows, such as the gradients in
+`losses`; each reads the one table of terms, `_HAMILTON`. `norm` is
+`_row_norm` on the component view.
 `to_euler` works the same way on the rotation matrix: it computes only
 the five entries it reads (`_rotmat.entry`, each in the terms and order
 of the whole-matrix formula), builds whole matrices only for the rows in
@@ -126,14 +129,20 @@ def _row_norm(rows: np.ndarray) -> np.ndarray:
     return n
 
 
+def _on_rows(kernel, width: int, *operands) -> np.ndarray:
+    """kernel(*rows, out) on one `_rows` copy of each operand, into the
+    transposed view of a fresh C-contiguous (..., width) result. (The
+    whole-array transposed copy of `kinematics._to_rows` is slower here.)"""
+    operands = [np.asarray(x, dtype=float) for x in operands]
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in operands))
+    out = np.empty(shape + (width,))
+    kernel(*(_rows(x, shape) for x in operands), out.reshape(-1, width).T)
+    return out
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(shape + (4,))
-    _mul_rows(_rows(a, shape), _rows(b, shape), out.reshape(-1, 4).T)
-    return out
+    return _on_rows(_mul_rows, 4, a, b)
 
 
 def conjugate(q: np.ndarray) -> np.ndarray:
@@ -149,19 +158,18 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def norm(q: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis. The squares are summed in index
-    order, as np.linalg.norm sums them, so the results keep their bits;
-    on a short axis this row sum is several times faster."""
+    """Euclidean norm over the last axis, with np.linalg.norm's bits (the
+    squares summed in index order). Raises NonFiniteError where it is
+    infinite, finite values whose squares overflow included."""
     q = np.asarray(q, dtype=float)
-    rows = q.transpose((-1,) + tuple(range(q.ndim - 1)))
-    return np.sqrt(_row_dot(rows, rows))
+    return _row_norm(q.transpose((-1,) + tuple(range(q.ndim - 1))))
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
     """Scale to unit norm. Raises DegenerateNormError when the norm is at
     or below the 1e-12 floor, and NonFiniteError when it is infinite."""
     q = np.asarray(q, dtype=float)
-    n = _row_norm(q.transpose((-1,) + tuple(range(q.ndim - 1))))[..., None]
+    n = norm(q)[..., None]
     if np.any(n <= _NORM_FLOOR):
         raise DegenerateNormError(f"quaternion norm <= {_NORM_FLOOR:g}")
     return q / n

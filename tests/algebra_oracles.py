@@ -1,15 +1,18 @@
 """Per-component textbook forms of the quaternion, dual-quaternion and
 rotation-conversion kernels: the bit-identity oracle for `quat.mul`,
-`dualquat.mul`, `dualquat.conjugate`, `dualquat.normalize`,
+`quat.norm`, `dualquat.mul`, `dualquat.conjugate`, `dualquat.normalize`,
+`dualquat.from_rotation_translation`, `dualquat.translation`,
 `_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
 decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`.
 
 These are the original implementations. `quat.mul` stacks four sums of
-strided component views, `dualquat.mul` is three quaternion products and a
-concatenate, `dualquat.conjugate` concatenates the conjugated parts, and
-`dualquat.normalize` takes its norms and dot products from
-`np.linalg.norm` and `np.sum`. The package computes the same operations,
-term by term and in the same order, on component-major copies.
+strided component views, `quat.norm` is `np.linalg.norm`, `dualquat.mul`
+is three quaternion products and a concatenate, `dualquat.conjugate`
+concatenates the conjugated parts, `dualquat.normalize` takes its norms
+and dot products from `np.linalg.norm` and `np.sum`, and
+`from_rotation_translation` and `translation` are quaternion products of
+the parts. The package computes the same operations, term by term and in
+the same order, on component-major copies.
 
 The rotation conversions build whole matrices: `quat_to_matrix` stacks
 nine entries, `gram_schmidt` stacks the columns x, y and `np.cross(x, y)`,
@@ -23,10 +26,10 @@ and C-contiguous layout included.
 
 import numpy as np
 
-from dqmotion import quat
+from dqmotion import dualquat, quat
 from dqmotion._rotmat import AXES, axis_rotation_matrix
 from dqmotion.dualquat import dual, real
-from dqmotion.errors import DegenerateNormError
+from dqmotion.errors import DegenerateNormError, NotUnitError
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,6 +47,11 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def quat_norm(q: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.linalg.norm(np.asarray(q, dtype=float), axis=-1)
 
 
 def _join(r: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -77,6 +85,30 @@ def dualquat_normalize(d: np.ndarray) -> np.ndarray:
     r_hat = r / n
     e_hat = e / n - r_hat * (np.sum(r * e, axis=-1, keepdims=True) / (n * n))
     return _join(r_hat, e_hat)
+
+
+def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit dual quaternion applying rotation r, then translation t: the
+    rotation divided by its norm, and half the pure-vector translation
+    quaternion times it."""
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = np.linalg.norm(r, axis=-1, keepdims=True)
+    if np.any(np.abs(n - 1.0) > dualquat.UNIT_TOLERANCE):
+        raise NotUnitError(
+            f"rotation quaternion norm deviates from 1 by more than {dualquat.UNIT_TOLERANCE:g}")
+    r_hat = r / n
+    pure = np.concatenate([np.zeros(t.shape[:-1] + (1,)), t], axis=-1)
+    e = 0.5 * quat_mul(pure, r_hat)
+    return _join(np.broadcast_to(r_hat, e.shape), e)
+
+
+def translation(d: np.ndarray) -> np.ndarray:
+    """Cartesian translation 2 * q_d * q_r^*, the vector coefficients."""
+    d = np.asarray(d, dtype=float)
+    if not dualquat.is_unit(d):
+        raise NotUnitError(f"translation requires a unit dual quaternion (tol {dualquat.UNIT_TOLERANCE:g})")
+    return 2.0 * quat_mul(dual(d), quat.conjugate(real(d)))[..., 1:]
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

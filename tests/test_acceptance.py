@@ -213,7 +213,7 @@ def test_criterion_7_gradient_checks():
 
             features = truth.features + rng.normal(scale=0.05, size=truth.features.shape)
             pred = EncodedClip(ReprKind.DUALQUAT, skeleton, 1 / 30, features)
-            result = grad_check(name, pred, truth, eps=1e-6)
+            result = grad_check(name, pred, truth)
             if result.nondifferentiable:
                 continue
             assert result.max_relative_deviation < 1e-5, (

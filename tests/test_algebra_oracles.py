@@ -1,5 +1,7 @@
-"""The component-major `quat.mul`, `dualquat.mul`, `dualquat.conjugate` and
-`dualquat.normalize`, and the entry-wise rotation conversions
+"""The component-major `quat.mul`, `quat.norm`, `dualquat.mul`,
+`dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
+`translation` (all but `norm` and `conjugate` one `quat._on_rows` call
+each), and the entry-wise rotation conversions
 (`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
 decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`),
 against their per-component and whole-matrix oracles: equal bits, equal sign
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from dqmotion import _rotmat, dualquat, encoding, quat
-from dqmotion.errors import DegenerateNormError
+from dqmotion.errors import DegenerateNormError, NotUnitError
 
 import algebra_oracles
 import oracles
@@ -166,6 +168,105 @@ class TestOneNormRoutine:
         r = values(rng, (2000, 14, 4))
         assert np.array_equal(quat.norm(r), np.linalg.norm(r, axis=-1))
         assert np.array_equal(quat.norm(r[..., ::-1]), np.linalg.norm(r[..., ::-1], axis=-1))
+
+
+def unit_parts(rng, shape, make_t=values):
+    """Rotations and translations: half the rotations +-1 on one axis and
+    exact +-0.0 elsewhere, the others normalized draws."""
+    r = np.copysign(0.0, signed_zeros(rng, shape + (4,)))
+    axis = rng.integers(0, 4, size=shape + (1,))
+    np.put_along_axis(r, axis, rng.choice([1.0, -1.0], size=shape + (1,)), axis=-1)
+    drawn = rng.random(shape) < 0.5
+    r[drawn] = quat.normalize(rng.normal(size=r[drawn].shape))
+    return r, make_t(rng, shape + (3,))
+
+
+def near_unit_dq(rng, shape):
+    return unit_dq(rng, shape) + values(rng, shape + (8,)) * 1e-3
+
+
+def signed_zero_dq(rng, shape):
+    """Real parts +-1 on the scalar axis and +-0.0 or +-1 elsewhere."""
+    d = signed_zeros(rng, shape + (8,))
+    d[..., 0] = 1.0
+    return d
+
+
+def unit_signed_zero_dq(rng, shape):
+    return dualquat.from_rotation_translation(*unit_parts(rng, shape, signed_zeros))
+
+
+#: Each public function on `quat._on_rows`, and `quat.norm`: its pre-change
+#: form, and the operands for a leading shape, drawn at random and with
+#: many exact signed zeros ((rng, shape) -> args).
+ONE_COPY = {
+    "quat.mul": (quat.mul, algebra_oracles.quat_mul,
+                 lambda rng, shape: (values(rng, shape + (4,)), values(rng, shape + (4,))),
+                 lambda rng, shape: (signed_zeros(rng, shape + (4,)), signed_zeros(rng, shape + (4,)))),
+    "quat.norm": (quat.norm, algebra_oracles.quat_norm,
+                  lambda rng, shape: (values(rng, shape + (4,)),),
+                  lambda rng, shape: (signed_zeros(rng, shape + (4,)),)),
+    "dualquat.mul": (dualquat.mul, algebra_oracles.dualquat_mul,
+                     lambda rng, shape: (values(rng, shape + (8,)), values(rng, shape + (8,))),
+                     lambda rng, shape: (signed_zeros(rng, shape + (8,)), signed_zeros(rng, shape + (8,)))),
+    "dualquat.normalize": (dualquat.normalize, algebra_oracles.dualquat_normalize,
+                           lambda rng, shape: (near_unit_dq(rng, shape),),
+                           lambda rng, shape: (signed_zero_dq(rng, shape),)),
+    "from_rotation_translation": (dualquat.from_rotation_translation,
+                                  algebra_oracles.from_rotation_translation, unit_parts,
+                                  lambda rng, shape: unit_parts(rng, shape, signed_zeros)),
+    "translation": (dualquat.translation, algebra_oracles.translation,
+                    lambda rng, shape: (dualquat.from_rotation_translation(*unit_parts(rng, shape)),),
+                    lambda rng, shape: (unit_signed_zero_dq(rng, shape),)),
+}
+
+
+def views(x):
+    """x itself, reversed along every leading axis, and stepped along the
+    first."""
+    return x, x[(slice(None, None, -1),) * (x.ndim - 1)], x[::2]
+
+
+@pytest.mark.parametrize("name", ONE_COPY)
+class TestOneCopyHelper:
+    """Against the pre-change forms: equal bits, signed zeros included,
+    and a fresh C-contiguous result."""
+
+    def test_views(self, rng, name):
+        function, oracle, make, _ = ONE_COPY[name]
+        for args in zip(*(views(x) for x in make(rng, (30, 7)))):
+            assert_same_bits(function(*args), oracle(*args), *args)
+
+    def test_broadcast_operands(self, rng, name):
+        function, oracle, make, _ = ONE_COPY[name]
+        args = make(rng, (5,))
+        first = np.broadcast_to(args[0], (6, 5) + args[0].shape[-1:])
+        for args in ((first,) + args[1:], args[:1] + tuple(x[:1] for x in args[1:])):
+            assert_same_bits(function(*args), oracle(*args), *args)
+
+    def test_signed_zeros(self, rng, name):
+        function, oracle, _, make = ONE_COPY[name]
+        args = make(rng, (400,))
+        want = oracle(*args)
+        # norms are never -0.0
+        assert np.any(want == 0.0) and (name == "quat.norm" or np.any((want == 0.0) & np.signbit(want)))
+        assert_same_bits(function(*args), want, *args)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (4, 0)])
+    def test_zero_size(self, rng, name, shape):
+        function, oracle, make, _ = ONE_COPY[name]
+        args = make(rng, shape)
+        assert_same_bits(function(*args), oracle(*args), *args)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1e200])
+def test_translation_unit_check(scale):
+    """Not unit, also where the residuals overflow: |r|^2 to inf and <r, e>
+    to inf - inf."""
+    d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0]) * scale
+    for translation in (dualquat.translation, algebra_oracles.translation):
+        with pytest.raises(NotUnitError, match="translation requires"):
+            translation(d)
 
 
 def rotation_group():

@@ -325,6 +325,17 @@ class TestValidate:
         assert float(line.split()[3]) < 1e-12
         assert out.splitlines()[-1] == "OK"
 
+    @pytest.mark.parametrize("flags", ([], ["--standardize"]), ids=("raw", "standardized"))
+    def test_quat_pos_container_ok(self, capsys, tmp_path, flags):
+        """The quaternion columns of a quat-pos block are checked, not the
+        position columns after them."""
+        path = tmp_path / "walk.dqm"
+        assert run(capsys, "encode", WALK, "--repr", "quat-pos", *flags, "-o", path)[0] == 0
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0, out
+        assert float(out.splitlines()[0].split()[3]) < 1e-12
+        assert out.splitlines()[-1] == "OK"
+
     def test_root_only_has_no_bones(self, capsys, tmp_path, single_joint):
         path = tmp_path / "single.dqm"
         assert run(capsys, "encode", single_joint, "--repr", "dq", "-o", path)[0] == 0

@@ -66,7 +66,6 @@ BAD_VALUES = {
     "Skeleton duplicate joint name": _duplicate_joint_name,
     "quat.from_euler order": lambda clip, enc: quat.from_euler(np.zeros(3), "XXY"),
     "loss_rotational space": lambda clip, enc: loss_rotational(enc, enc, space="world"),
-    "grad_check eps": lambda clip, enc: grad_check("mse", enc, enc, eps=1.0),
     "decode standardized": lambda clip, enc: decode(standardize(enc, fit_stats(enc))),
     "destandardize without stats": lambda clip, enc: destandardize(enc),
     "JointSpec.offset two numbers": lambda clip, enc: JointSpec("a", None, [1.0, 2.0], ()),

@@ -1,13 +1,17 @@
 """Losses: analytic anchor values, invariances, and gradient checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dqmotion import dualquat, quat
+from dqmotion import bvh, dualquat, quat
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
-from dqmotion.errors import DegenerateNormError, NonFiniteError, NotUnitError, ShapeMismatchError
-from dqmotion.kinematics import LocalPose
+from dqmotion.errors import (
+    DegenerateNormError, InvalidValueError, NonFiniteError, NotUnitError, ShapeMismatchError,
+)
+from dqmotion.kinematics import LocalPose, clip_to_local
 from dqmotion import losses
 from dqmotion.losses import (
     GRAD_LOSSES,
@@ -24,6 +28,8 @@ from dqmotion.losses import (
 
 import grad_oracles
 import oracles
+
+WALK = Path(__file__).parent.parent / "demos" / "data" / "walk.bvh"
 
 
 def single_joint_skeleton():
@@ -492,7 +498,7 @@ class TestGradCheck:
         while passed < 5 and attempts < 20:
             attempts += 1
             pred, truth = perturbed_pair(rng)
-            result = grad_check(name, pred, truth, eps=1e-6)
+            result = grad_check(name, pred, truth)
             if result.nondifferentiable:
                 continue
             assert result.max_relative_deviation < 1e-5, name
@@ -511,7 +517,7 @@ class TestGradCheck:
             truth = encode(oracles.random_poses(rng, skeleton, 2), ReprKind.QUATERNIONS)
             features = truth.features + rng.normal(scale=0.05, size=truth.features.shape)
             pred = clip_from_features(ReprKind.QUATERNIONS, skeleton, features)
-            result = grad_check(name, pred, truth, eps=1e-6)
+            result = grad_check(name, pred, truth)
             if result.nondifferentiable:
                 continue
             assert result.max_relative_deviation < 1e-5, name
@@ -525,7 +531,7 @@ class TestGradCheck:
         q_pred = quat.from_euler([0, 0, np.pi - 1e-7], "ZYX")  # dot almost 0
         truth = single_dq_clip(dualquat.from_rotation_translation(q_truth, np.zeros(3)))
         pred = single_dq_clip(dualquat.from_rotation_translation(q_pred, np.zeros(3)))
-        result = grad_check("rotational_current", pred, truth, eps=1e-6)
+        result = grad_check("rotational_current", pred, truth)
         assert result.nondifferentiable
 
     @pytest.mark.parametrize(
@@ -538,13 +544,8 @@ class TestGradCheck:
         # flag the point.
         skeleton = oracles.random_skeleton(rng, 3)
         truth = encode(oracles.random_poses(rng, skeleton, 1), kind)
-        result = grad_check(name, truth, truth, eps=1e-6)
+        result = grad_check(name, truth, truth)
         assert result.nondifferentiable
-
-    def test_eps_out_of_range(self, rng):
-        pred, truth = perturbed_pair(rng)
-        with pytest.raises(ValueError):
-            grad_check("mse", pred, truth, eps=1e-2)
 
     def test_unknown_loss(self, rng):
         pred, truth = perturbed_pair(rng)
@@ -556,8 +557,11 @@ class TestGradientInputChecks:
     """Gradients refuse the inputs their losses refuse."""
 
     def std_pair(self, rng):
+        """Both clips standardized with the noisy prediction's stats (no column
+        of it is constant): one feature space."""
         pred, truth = perturbed_pair(rng, n_joints=4, frames=3)
-        return standardize(pred, fit_stats(pred)), standardize(truth, fit_stats(truth))
+        stats = fit_stats(pred)
+        return standardize(pred, stats), standardize(truth, stats)
 
     @pytest.mark.parametrize("name", [n for n in GRAD_LOSSES if n != "mse"])
     def test_standardized_rejected(self, rng, name):
@@ -573,6 +577,27 @@ class TestGradientInputChecks:
         for name in ("rotational_local", "rotational_current", "positional"):
             with pytest.raises(ValueError, match="raw features"):
                 _analytic_gradient(name, pred, std_truth, truth.skeleton)
+
+    def test_mse_rejects_mixed_feature_spaces(self, rng):
+        """A standardized clip against a raw one, either way round, and two
+        clips standardized with different stats share no feature space."""
+        pred, truth = perturbed_pair(rng, n_joints=4, frames=3)
+        std_pred, std_truth = standardize(pred, fit_stats(pred)), standardize(truth, fit_stats(truth))
+        for a, b in ((std_pred, truth), (pred, std_truth), (std_pred, std_truth)):
+            with pytest.raises(InvalidValueError, match="different stats"):
+                loss_mse(a, b)
+            with pytest.raises(InvalidValueError, match="different stats"):
+                grad_check("mse", a, b)
+
+    def test_identical_motion_in_two_feature_spaces(self):
+        clip = bvh.parse_file(WALK)
+        raw = encode(clip_to_local(clip), ReprKind.ORTHO6D, clip.frame_time)
+        std = standardize(raw, fit_stats(raw))
+        for a, b in ((std, raw), (raw, std)):
+            with pytest.raises(InvalidValueError, match="different stats"):
+                loss_total(a, b)
+        assert loss_total(std, std).mse == 0.0
+        assert loss_total(raw, raw).mse == 0.0
 
     def test_mse_accepts_standardized(self, rng):
         pred, truth = self.std_pair(rng)
