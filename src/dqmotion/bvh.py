@@ -19,7 +19,8 @@ writable again; the layers hand over fresh owners, so they never copy.
 
 A `Skeleton` equals another with the same joints and offsets. It owns
 the topology every layer walks (parents, offsets, encoded joints, depth
-levels), each view built once and read-only. Its channel table says
+levels) and its canonical JSON block, which the .dqm container stores and
+hashes; each view is built once and read-only. Its channel table says
 where each joint's channels sit in a frame row: per Euler order, the
 joints and their (x, y, z) rotation columns; the root's position
 columns; and every column in the depth-first order the writer lists
@@ -35,6 +36,7 @@ goes to the row loop, from the first row that may be at fault, so that
 every error keeps its type, message and line number.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -129,13 +131,16 @@ class ChannelTable:
 
 
 def _channel_table(joints: tuple) -> ChannelTable:
-    starts = np.cumsum([0] + [len(j.channels) for j in joints])
+    starts = np.cumsum([0] + [len(j.channels) for j in joints]).tolist()
     groups = {}
     for index, joint in enumerate(joints):
-        if joint.rotation_order:
-            rows, columns = groups.setdefault(joint.rotation_order, ([], []))
+        # axis -> column of its rotation channel, in channel order
+        axes = {tag[0]: column for column, tag in enumerate(joint.channels, starts[index])
+                if tag in ROTATION_CHANNELS}
+        if axes:
+            rows, columns = groups.setdefault("".join(axes), ([], []))
             rows.append(index)
-            columns += [starts[index] + joint.channels.index(axis + "rotation") for axis in "XYZ"]
+            columns += [axes["X"], axes["Y"], axes["Z"]]
     positions = [(i, tag) for i, tag in enumerate(joints[0].channels) if tag in POSITION_CHANNELS]
 
     children = [[] for _ in joints]
@@ -206,21 +211,23 @@ class Skeleton:
         if self.joints[0].parent is not None:
             raise InvalidValueError("joint 0 must be the root (parent None)")
         names = set()
+        finite = np.isfinite(self.offsets).all(axis=1).tolist()
         for idx, joint in enumerate(self.joints):
             if idx > 0 and (joint.parent is None or not 0 <= joint.parent < idx):
                 raise InvalidValueError(f"joint {joint.name!r} breaks topological parent order")
             if joint.name in names:
                 raise InvalidValueError(f"duplicate joint name {joint.name!r}")
             names.add(joint.name)
-            if not np.all(np.isfinite(joint.offset)):
+            if not finite[idx]:
                 raise InvalidValueError(f"non-finite offset on joint {joint.name!r}")
             for tag in joint.channels:
                 if tag not in _CHANNEL_TAGS:
                     raise InvalidValueError(f"unknown channel tag {tag!r}")
             if len(set(joint.channels)) != len(joint.channels):
                 raise InvalidValueError(f"duplicate channel tag on joint {joint.name!r}")
-            if len(joint.rotation_order) not in (0, 3):
-                raise InvalidValueError(_ROTATION_COUNT_MESSAGE.format(len(joint.rotation_order)))
+            rotations = len(joint.rotation_order)
+            if rotations not in (0, 3):
+                raise InvalidValueError(_ROTATION_COUNT_MESSAGE.format(rotations))
             if joint.is_end_site and joint.channels:
                 raise InvalidValueError("end sites carry no channels")
             if idx > 0 and not joint.is_end_site:
@@ -252,6 +259,12 @@ class Skeleton:
     def levels(self) -> tuple:
         """(joints, their parents) per depth level below the root."""
         return _levels(self.parent_indices)
+
+    @cached_property
+    def canonical_json(self) -> bytes:
+        """`to_dict` as key-sorted, compact UTF-8 JSON: the skeleton block
+        of a .dqm container and the input of its digest."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     @property
     def channel_count(self) -> int:
@@ -328,7 +341,7 @@ class Skeleton:
                 JointSpec(
                     name=j["name"],
                     parent=j["parent"],
-                    offset=np.array(j["offset"], dtype=float),
+                    offset=j["offset"],
                     channels=tuple(j["channels"]),
                     is_end_site=bool(j["end_site"]),
                 )

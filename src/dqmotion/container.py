@@ -11,12 +11,19 @@ Little-endian layout, one header then payload:
     uint32        D (block width)
     uint64        F (frame count)
     float64       frame time in seconds
-    32 bytes      SHA-256 digest of the canonical skeleton JSON
-    uint32 + n    canonical skeleton JSON, UTF-8
+    32 bytes      SHA-256 digest of the skeleton block
+    uint32 + n    skeleton block: the skeleton as JSON, UTF-8
     [2 rows]      mean then std, each (3 + D*J) float64, when flagged
     payload       F x (3 + D*J) float64, row-major
 
 Everything numerical is float64, so a write/read cycle is bit-exact.
+
+The digest is the SHA-256 of the block as stored. `to_bytes` writes the
+block canonically (`Skeleton.canonical_json`: sorted keys, no spaces), so
+equal skeletons get equal digests. `from_bytes` checks the digest against
+the stored bytes before it parses them. It therefore accepts a block that
+is not canonical if the digest is that block's own, and it rejects a block
+whose digest matches only the block's canonical re-serialization.
 """
 
 import hashlib
@@ -45,17 +52,13 @@ KIND_CODES = {
 _KINDS_BY_CODE = {code: kind for kind, code in KIND_CODES.items()}
 
 
-def _canonical_skeleton_json(skeleton: Skeleton) -> bytes:
-    return json.dumps(skeleton.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def skeleton_digest(skeleton: Skeleton) -> bytes:
     """SHA-256 over the canonical skeleton JSON; identity for loss checks."""
-    return hashlib.sha256(_canonical_skeleton_json(skeleton)).digest()
+    return hashlib.sha256(skeleton.canonical_json).digest()
 
 
 def to_bytes(clip: EncodedClip) -> bytes:
-    skeleton_json = _canonical_skeleton_json(clip.skeleton)
+    skeleton_json = clip.skeleton.canonical_json
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -99,14 +102,15 @@ def from_bytes(data: bytes) -> EncodedClip:
     offset += 4
     if len(data) < offset + json_len:
         raise ContainerError("truncated skeleton block")
+    block = data[offset : offset + json_len]
+    if hashlib.sha256(block).digest() != digest:
+        raise ContainerError("skeleton digest mismatch")
     try:
-        skeleton = Skeleton.from_dict(json.loads(data[offset : offset + json_len]))
+        skeleton = Skeleton.from_dict(json.loads(block))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ContainerError(f"bad skeleton block: {exc}") from None
     offset += json_len
 
-    if skeleton_digest(skeleton) != digest:
-        raise ContainerError("skeleton digest mismatch")
     if skeleton.num_encoded != joints:
         raise ContainerError("joint count disagrees with skeleton")
 

@@ -10,6 +10,12 @@ only where the package changed: tokenizing on demand and the bulk read.
 The row loop converts each value through the package's number syntax
 (`bvh._number`), so the two parsers are compared on structure, not on
 what counts as a number.
+
+The skeleton checks are kept the same way: `validate_skeleton` is the
+per-joint loop of `Skeleton.__post_init__` with each offset's finiteness
+and each rotation count taken inside the loop, and `rotation_groups` the
+rotation entries of the channel table with each joint's columns found by
+`channels.index`.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dqmotion import bvh
-from dqmotion.bvh import MotionClip
-from dqmotion.errors import BvhSyntaxError, ChannelMismatchError
+from dqmotion.bvh import POSITION_CHANNELS, MotionClip
+from dqmotion.errors import BvhSyntaxError, ChannelMismatchError, InvalidValueError
 
 
 @dataclass
@@ -130,3 +136,51 @@ def write(clip: MotionClip) -> str:
     for row in clip.frames[:, columns]:
         out.append(" ".join(f"{v:.6f}" for v in row))
     return "\n".join(out) + "\n"
+
+
+def validate_skeleton(joints) -> None:
+    """Raise what `bvh.Skeleton(joints)` raises for a malformed joint list:
+    the checks one joint at a time, in joint order."""
+    joints = tuple(joints)
+    if not joints:
+        raise InvalidValueError("skeleton needs at least one joint")
+    if joints[0].parent is not None:
+        raise InvalidValueError("joint 0 must be the root (parent None)")
+    names = set()
+    for idx, joint in enumerate(joints):
+        if idx > 0 and (joint.parent is None or not 0 <= joint.parent < idx):
+            raise InvalidValueError(f"joint {joint.name!r} breaks topological parent order")
+        if joint.name in names:
+            raise InvalidValueError(f"duplicate joint name {joint.name!r}")
+        names.add(joint.name)
+        if not np.all(np.isfinite(joint.offset)):
+            raise InvalidValueError(f"non-finite offset on joint {joint.name!r}")
+        for tag in joint.channels:
+            if tag not in bvh._CHANNEL_TAGS:
+                raise InvalidValueError(f"unknown channel tag {tag!r}")
+        if len(set(joint.channels)) != len(joint.channels):
+            raise InvalidValueError(f"duplicate channel tag on joint {joint.name!r}")
+        if len(joint.rotation_order) not in (0, 3):
+            raise InvalidValueError(bvh._ROTATION_COUNT_MESSAGE.format(len(joint.rotation_order)))
+        if joint.is_end_site and joint.channels:
+            raise InvalidValueError("end sites carry no channels")
+        if idx > 0 and not joint.is_end_site:
+            if any(tag in POSITION_CHANNELS for tag in joint.channels):
+                raise InvalidValueError("position channels are only allowed on the root")
+        if idx > 0 and joints[joint.parent].is_end_site:
+            raise InvalidValueError("end sites cannot have children")
+
+
+def rotation_groups(joints) -> list:
+    """(order, joints, columns) per Euler order, as `ChannelTable.rotations`
+    holds them: each joint's order read from `rotation_order`, and its x,
+    y and z columns found with `channels.index`."""
+    starts = np.cumsum([0] + [len(j.channels) for j in joints])
+    groups = {}
+    for index, joint in enumerate(joints):
+        if joint.rotation_order:
+            rows, columns = groups.setdefault(joint.rotation_order, ([], []))
+            rows.append(index)
+            columns += [starts[index] + joint.channels.index(axis + "rotation") for axis in "XYZ"]
+    return [(order, np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp).reshape(-1, 3))
+            for order, (rows, columns) in groups.items()]

@@ -1,14 +1,20 @@
 """The bulk BVH text paths against the row-by-row oracles: `bvh.write`
 byte for byte, and `bvh.parse` outcome for outcome on mutated fixture
-text (an equal clip, or the same error type, message and line)."""
+text (an equal clip, or the same error type, message and line). Then the
+skeleton checks against their per-joint form, error for error on
+malformed joint lists, and the channel table's rotation entries."""
+
+import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmotion import bvh
-from dqmotion.bvh import MotionClip
-from dqmotion.errors import BvhSyntaxError, ChannelMismatchError
+from dqmotion.bvh import JointSpec, MotionClip
+from dqmotion.errors import BvhSyntaxError, ChannelMismatchError, MotionError
 
 import bvh_oracles
 import oracles
@@ -235,3 +241,107 @@ def test_parse_matches_row_loop(name, edits):
     for mutation, k in edits:
         text = mutation(text, k)
     assert outcome(bvh.parse, text) == outcome(bvh_oracles.parse, text)
+
+
+# ---------------------------------------------------------------------------
+# the skeleton checks
+# ---------------------------------------------------------------------------
+
+ZXY = ("Zrotation", "Xrotation", "Yrotation")
+VALID_JOINTS = (
+    JointSpec("hips", None, [0.0, 0.0, 0.0], ("Xposition", "Yposition", "Zposition") + ZXY),
+    JointSpec("spine", 0, [0.0, 1.0, 0.0], ZXY),
+    JointSpec("head", 1, [0.0, 1.0, -0.0], ("Xrotation", "Yrotation", "Zrotation")),
+    JointSpec("head_end", 2, [0.0, 0.5, 0.0], (), is_end_site=True),
+    JointSpec("leg", 0, [1.0, -1.0, 0.0], ZXY),
+)
+
+#: label -> (joint, field changes): one fault each on a valid joint list.
+FAULTS = {
+    "root with a parent": (0, {"parent": 0}),
+    "infinite offset": (0, {"offset": [math.inf, 0.0, 0.0]}),
+    "parent none": (1, {"parent": None}),
+    "negative parent": (1, {"parent": -1}),
+    "nan offset": (1, {"offset": [0.0, math.nan, 0.0]}),
+    "unknown tag": (1, {"channels": ("Zrotation", "Xrotation", "Wrotation")}),
+    "duplicate tag": (1, {"channels": ("Zrotation", "Zrotation", "Xrotation")}),
+    "position off the root": (1, {"channels": ("Xposition",) + ZXY}),
+    "parent after": (2, {"parent": 3}),
+    "own parent": (2, {"parent": 2}),
+    "duplicate name": (2, {"name": "spine"}),
+    "one rotation": (2, {"channels": ("Yrotation",)}),
+    "end site with channels": (3, {"channels": ZXY}),
+    "end site with a position": (3, {"channels": ("Yposition",)}),
+    "two rotations": (4, {"channels": ("Yrotation", "Xrotation")}),
+    "end site with a child": (4, {"parent": 3}),
+}
+
+
+def with_faults(*labels) -> list:
+    joints = list(VALID_JOINTS)
+    for label in labels:
+        index, changes = FAULTS[label]
+        joints[index] = dataclasses.replace(joints[index], **changes)
+    return joints
+
+
+def verdict(check, joints):
+    """The error type and message `check(joints)` raises, or None."""
+    try:
+        check(joints)
+    except MotionError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestSkeletonChecks:
+    def test_valid_lists_pass_both(self, rng):
+        skeletons = [VALID_JOINTS, *(bvh.parse(text).skeleton.joints for text in CORPUS.values())]
+        skeletons += [oracles.random_skeleton(rng, n, end_sites=True).joints for n in (1, 2, 9, 40)]
+        for joints in skeletons:
+            assert verdict(bvh.Skeleton, joints) is None
+            assert verdict(bvh_oracles.validate_skeleton, joints) is None
+
+    @pytest.mark.parametrize("label", FAULTS)
+    def test_one_fault(self, label):
+        joints = with_faults(label)
+        got = verdict(bvh.Skeleton, joints)
+        assert got is not None and got == verdict(bvh_oracles.validate_skeleton, joints)
+
+    def test_empty_list(self):
+        assert verdict(bvh.Skeleton, []) == verdict(bvh_oracles.validate_skeleton, [])
+
+    def test_two_faults(self):
+        # on one joint the check order decides, on two the first joint wins
+        for labels in itertools.permutations(FAULTS, 2):
+            joints = with_faults(*labels)
+            got = verdict(bvh.Skeleton, joints)
+            assert got is not None and got == verdict(bvh_oracles.validate_skeleton, joints), labels
+        for first, second in [("infinite offset", "duplicate name"), ("nan offset", "two rotations"),
+                              ("position off the root", "end site with a child")]:
+            assert verdict(bvh.Skeleton, with_faults(second, first)) == verdict(
+                bvh.Skeleton, with_faults(first))
+            assert verdict(bvh.Skeleton, with_faults(second)) != verdict(
+                bvh.Skeleton, with_faults(first))
+
+
+class TestRotationGroups:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_fixtures(self, name):
+        skeleton = bvh.parse(CORPUS[name]).skeleton
+        self.assert_same(skeleton)
+
+    @pytest.mark.parametrize("n_joints", (1, 3, 30, 258))
+    def test_random_trees(self, rng, n_joints):
+        self.assert_same(oracles.random_skeleton(rng, n_joints, end_sites=True))
+        self.assert_same(test_topology.not_depth_first_skeleton(rng))
+
+    @staticmethod
+    def assert_same(skeleton):
+        got = skeleton.channel_table.rotations
+        want = bvh_oracles.rotation_groups(skeleton.joints)
+        assert [order for order, _, _ in got] == [order for order, _, _ in want]
+        for (_, joints, columns), (_, want_joints, want_columns) in zip(got, want):
+            for array, expected in ((joints, want_joints), (columns, want_columns)):
+                assert array.dtype == expected.dtype and array.shape == expected.shape
+                assert array.tobytes() == expected.tobytes()

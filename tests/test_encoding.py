@@ -1,6 +1,8 @@
 """Feature encodings: layout, antipodal correction, round trips, container."""
 
+import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -28,6 +30,7 @@ from dqmotion.errors import (
 from dqmotion.kinematics import LocalPose, clip_to_local
 
 import oracles
+from conftest import fixture_corpus
 from pose_oracles import matrix_fk
 
 ALL_KINDS = list(ReprKind)
@@ -345,6 +348,44 @@ class TestContainer:
         block = data[start + 4:start + 4 + length]
         assert data[start - 32:start] == hashlib.sha256(block).digest()
         assert data[start - 32:start] == container.skeleton_digest(skeleton)
+
+    @pytest.mark.parametrize("standardized", (False, True))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rewrite_is_identity(self, rng, kind, standardized):
+        skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
+        clip = encode(oracles.random_poses(rng, skeleton, 4), kind)
+        if standardized:
+            clip = standardize(clip, fit_stats(clip))
+        data = container.to_bytes(clip)
+        assert container.to_bytes(container.from_bytes(data)) == data
+
+    def test_skeleton_block_is_serialized_once(self, rng, monkeypatch):
+        skeleton = oracles.random_skeleton(rng, 8, end_sites=True)
+        poses = oracles.random_poses(rng, skeleton, 3)
+        clips = [encode(poses, kind) for kind in ALL_KINDS]
+        calls = []
+        to_dict = bvh.Skeleton.to_dict
+        monkeypatch.setattr(bvh.Skeleton, "to_dict", lambda self: calls.append(self) or to_dict(self))
+        blobs = [container.to_bytes(clip) for clip in clips]
+        container.skeleton_digest(skeleton)
+        assert calls == [skeleton]
+        # reading hashes the stored block; the skeleton read back builds its own
+        loaded = container.from_bytes(blobs[0]).skeleton
+        assert calls == [skeleton]
+        assert loaded.canonical_json == skeleton.canonical_json
+        assert calls == [skeleton, loaded]
+
+    def test_digest_is_the_sha256_of_the_sorted_compact_json(self, rng):
+        skeletons = [bvh.parse_file(path).skeleton for path in fixture_corpus()]
+        skeletons += [oracles.random_skeleton(rng, n, end_sites=True) for n in (1, 5, 40)]
+        skeletons.append(bvh.Skeleton([
+            dataclasses.replace(j, offset=[-0.0, j.offset[1], -0.0]) for j in skeletons[-1].joints
+        ]))
+        assert '"offset":[-0.0,' in skeletons[-1].canonical_json.decode()
+        for skeleton in skeletons:
+            block = json.dumps(skeleton.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+            assert skeleton.canonical_json == block
+            assert container.skeleton_digest(skeleton) == hashlib.sha256(block).digest()
 
     def test_encode_is_deterministic(self, rng):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)

@@ -55,6 +55,12 @@ def with_skeleton_block(data: bytes, block: bytes) -> bytes:
     return data[:at] + struct.pack("<I", len(block)) + block + data[at + 4 + length :]
 
 
+def with_digest(data: bytes, digest: bytes) -> bytes:
+    """Container `data` with `digest` in its header's skeleton digest field."""
+    at = container._HEADER.size
+    return data[: at - 32] + digest + data[at:]
+
+
 class TestBvhInput:
     @pytest.mark.parametrize("frames", [17, 10**15])
     def test_frame_count_beyond_the_rows(self, tmp_path, frames):
@@ -176,12 +182,11 @@ class TestRotationChannels:
         with pytest.raises(ValueError, match="rotation channels"):
             bvh.Skeleton.from_dict(block)
         canonical = json.dumps(block, sort_keys=True, separators=(",", ":")).encode()
-        head = bytearray(with_skeleton_block(data, canonical))
-        head[container._HEADER.size - 32 : container._HEADER.size] = hashlib.sha256(canonical).digest()
+        head = with_digest(with_skeleton_block(data, canonical), hashlib.sha256(canonical).digest())
         with pytest.raises(ContainerError):
-            container.from_bytes(bytes(head))
+            container.from_bytes(head)
         path, out = tmp_path / "two.dqm", tmp_path / "out.bvh"
-        path.write_bytes(bytes(head))
+        path.write_bytes(head)
         assert quiet_main("decode", path, "-o", out) == 3
         assert not out.exists()
 
@@ -267,12 +272,48 @@ class TestNumberSyntax:
 
 class TestContainerInput:
     def test_deeply_nested_skeleton_block(self, tmp_path):
-        data = with_skeleton_block(container_bytes(ReprKind.DUALQUAT), b"[" * 200_000)
-        with pytest.raises(ContainerError):
+        # the block's own digest, so that it reaches the JSON parser
+        block = b"[" * 200_000
+        data = with_skeleton_block(container_bytes(ReprKind.DUALQUAT), block)
+        data = with_digest(data, hashlib.sha256(block).digest())
+        with pytest.raises(ContainerError, match="bad skeleton block"):
             container.from_bytes(data)
         path = tmp_path / "nested.dqm"
         path.write_bytes(data)
         assert quiet_main("validate", path) == 3
+
+    def test_reindented_block_with_its_own_digest(self):
+        data = container_bytes(ReprKind.DUALQUAT)
+        skeleton = container.from_bytes(data).skeleton
+        block = json.dumps(skeleton.to_dict(), indent=1).encode()
+        assert block != skeleton.canonical_json
+        loaded = container.from_bytes(with_digest(with_skeleton_block(data, block),
+                                                  hashlib.sha256(block).digest()))
+        assert loaded.skeleton == skeleton
+        # the decoded skeleton serializes itself, not the stored block
+        assert loaded.skeleton.canonical_json == skeleton.canonical_json
+        assert container.to_bytes(loaded) == data
+
+    def test_non_canonical_block_with_the_canonical_digest(self, tmp_path):
+        data = container_bytes(ReprKind.DUALQUAT)
+        skeleton = container.from_bytes(data).skeleton
+        block = json.dumps(skeleton.to_dict(), indent=1).encode()
+        bad = with_skeleton_block(data, block)
+        assert bad[container._HEADER.size - 32 : container._HEADER.size] == container.skeleton_digest(skeleton)
+        with pytest.raises(ContainerError, match="skeleton digest mismatch"):
+            container.from_bytes(bad)
+        path, out = tmp_path / "bad.dqm", tmp_path / "out.bvh"
+        path.write_bytes(bad)
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
+
+    def test_flipped_block_byte(self):
+        data = container_bytes(ReprKind.QUATERNIONS)
+        (length,) = struct.unpack_from("<I", data, container._HEADER.size)
+        at = container._HEADER.size + 4 + length // 2
+        flipped = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+        with pytest.raises(ContainerError, match="skeleton digest mismatch"):
+            container.from_bytes(flipped)
 
 
 class TestNumericRange:
