@@ -26,7 +26,14 @@ joints and their (x, y, z) rotation columns; the root's position
 columns; and every column in the depth-first order the writer lists
 joints in, whatever order the skeleton lists them in. The clip
 conversions in `kinematics` and the writer read it, so neither loops
-over joints; the writer formats each motion row with one `%` operation.
+over joints.
+
+The writer prints each motion value as `%.6f` does, byte for byte, but in
+fixed point: a block of rows at a time, |v|·1e6 is rounded to an integer
+with numpy and its digits gathered from tables of three-digit words. That
+rounding is exact unless the product lies within its own roundoff of a
+half-integer (a tie such as 0.0078125, or |v| of about 2.25e9 or more);
+a row holding such a value is formatted by `%` instead.
 
 The parser walks the hierarchy with a stack and tokenizes the text on
 demand, so only the header is split line by line. It reads the motion
@@ -99,7 +106,7 @@ class JointSpec:
     def __post_init__(self):
         try:
             offset = np.array(self.offset, dtype=float).reshape(3)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # overflow: an integer beyond float range
             raise InvalidValueError(f"joint {self.name!r} offset must be three numbers") from None
         object.__setattr__(self, "offset", _read_only(offset))
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -336,18 +343,41 @@ class Skeleton:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Skeleton":
-        return cls(
-            [
-                JointSpec(
-                    name=j["name"],
-                    parent=j["parent"],
-                    offset=j["offset"],
-                    channels=tuple(j["channels"]),
-                    is_end_site=bool(j["end_site"]),
-                )
-                for j in data["joints"]
-            ]
-        )
+        """The skeleton of a `to_dict` mapping, as JSON reads it back. Each
+        field must already have its JSON type: a string name, an integer or
+        null parent, three numbers, a list of channel strings and a boolean
+        end-site flag. Nothing is coerced; any other value raises
+        InvalidValueError."""
+        joints = data.get("joints") if isinstance(data, dict) else None
+        if not isinstance(joints, list):
+            raise InvalidValueError("a skeleton mapping needs a list of joints")
+        return cls([_joint_from_dict(entry) for entry in joints])
+
+
+_JOINT_FIELDS = frozenset(("name", "parent", "offset", "channels", "end_site"))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _joint_from_dict(entry) -> JointSpec:
+    """One joint of `Skeleton.from_dict`, its field types checked."""
+    if not isinstance(entry, dict) or not _JOINT_FIELDS <= entry.keys():
+        raise InvalidValueError(f"a joint needs the fields {', '.join(sorted(_JOINT_FIELDS))}")
+    name, parent, offset = entry["name"], entry["parent"], entry["offset"]
+    channels, end_site = entry["channels"], entry["end_site"]
+    if not isinstance(name, str):
+        raise InvalidValueError(f"joint name {name!r} is not a string")
+    if not (parent is None or _is_int(parent)):
+        raise InvalidValueError(f"joint {name!r} parent {parent!r} is not an integer or null")
+    if not (isinstance(offset, list) and all(_is_int(v) or isinstance(v, float) for v in offset)):
+        raise InvalidValueError(f"joint {name!r} offset must be a list of numbers")
+    if not (isinstance(channels, list) and all(isinstance(tag, str) for tag in channels)):
+        raise InvalidValueError(f"joint {name!r} channels must be a list of strings")
+    if not isinstance(end_site, bool):
+        raise InvalidValueError(f"joint {name!r} end_site {end_site!r} is not a boolean")
+    return JointSpec(name, parent, offset, tuple(channels), is_end_site=end_site)
 
 
 @dataclass(frozen=True)
@@ -660,10 +690,126 @@ def write(clip: MotionClip) -> str:
         open_blocks += 1
     out.extend("  " * depth + "}" for depth in range(open_blocks - 1, -1, -1))
 
-    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {clip.frame_time:.6f}"])
-    row = " ".join(["%.6f"] * table.depth_first_columns.size)
-    out.extend(row % tuple(values) for values in clip.frames[:, table.depth_first_columns].tolist())
-    return "\n".join(out) + "\n"
+    frame_time = f"{clip.frame_time:.6f}"
+    if frame_time == "0.000000":  # six decimals would give a file `parse` rejects
+        frame_time = repr(float(clip.frame_time))
+    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {frame_time}"])
+    return "\n".join(out) + "\n" + _motion_text(clip.frames, table.depth_first_columns)
+
+
+#: The most values the writer formats at once, which bounds its temporaries.
+_BLOCK_VALUES = 1 << 15
+#: |v| is clamped to this before it is scaled, so that |v|·1e6 stays finite;
+#: from 2**51 on the product has no bits below 0.5, and its row goes to `%`.
+_FAST_LIMIT = 2.0**52 / 1e6
+
+
+def _words(texts) -> np.ndarray:
+    """Four-character ASCII texts as one (read-only) uint32 word each."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
+
+
+# The text of a 3-digit group g of an integer part, right-aligned in one
+# word and padded with NULs; for g = 7: at _INNER + g a group below the
+# leading one (NUL "007"), at _LEADING + g the leading group (3 NULs, "7"),
+# at _LEADING + 1000 + g the leading group of a negative value (2 NULs,
+# "-7"), and at _ABOVE + g a group above the leading one (4 NULs).
+_INNER, _LEADING, _ABOVE = 0, 1000, 3000
+_GROUP_WORDS = _words(
+    [f"\0{g:03d}" for g in range(1000)]
+    + [f"{g}".rjust(4, "\0") for g in range(1000)]
+    + [f"-{g}".rjust(4, "\0") for g in range(1000)]
+    + ["\0" * 4] * 1000
+)
+_POINT_WORDS = _words(f".{g:03d}" for g in range(1000))  # the first three decimals
+_SPACE_WORDS = _words(f"{g:03d} " for g in range(1000))  # the last three, then a space
+
+
+def _thousands(values: np.ndarray) -> tuple:
+    """(quotient, remainder) by 1000 of integer-valued floats below 2**52;
+    both exact, since the quotient's roundoff cannot reach the next integer."""
+    quotient = np.floor(values / 1000.0)
+    return quotient, values - quotient * 1000.0
+
+
+def _motion_text(frames: np.ndarray, columns: np.ndarray) -> str:
+    """The motion rows, the values of `columns` in that order: each value
+    as `%.6f` formats it, joined by spaces, each row ended by a newline."""
+    if columns.size == 0:
+        return "\n" * frames.shape[0]
+    step = max(1, _BLOCK_VALUES // columns.size)
+    return "".join(_format_rows(frames[start : start + step, columns])
+                   for start in range(0, frames.shape[0], step))
+
+
+def _format_rows(values: np.ndarray) -> str:
+    """`_motion_text` of one block of rows, in fixed point: `_fixed_point`
+    rounds every value, `_digit_words` spells it out, and the NUL padding
+    that right-aligns each integer part is deleted from the whole block at
+    once. A row holding a value that `_fixed_point` cannot round exactly is
+    formatted by `%` instead, so round-half-even is never re-implemented."""
+    exact, integer, first, last = _fixed_point(values)
+    text = _digit_words(np.signbit(values), integer, first, last).tobytes()
+    text = text.translate(None, b"\0").decode("ascii")
+    inexact = np.flatnonzero(~exact.all(axis=1))
+    if inexact.size:
+        lines = text.split("\n")
+        row = " ".join(["%.6f"] * values.shape[1])
+        for index in inexact.tolist():
+            lines[index] = row % tuple(values[index].tolist())
+        text = "\n".join(lines)
+    return text
+
+
+def _fixed_point(values: np.ndarray) -> tuple:
+    """|values|·10**6 rounded to an integer as `%.6f` rounds it: whether
+    that rounding is exact, then the integer part and the first and last
+    three decimals, as integer-valued floats.
+
+    With p = |v|·1e6 (one rounding, at most p·2**-53 off) and r its
+    fraction, floor(p) + (r > 0.5) is the correctly rounded |v|·10**6
+    whenever |r - 0.5| exceeds p·2**-52: the exact product then lies on the
+    same side of the half-integer. That fails for a tie or near tie (such
+    as 0.0078125) and for |v| of about 2.25e9 or more.
+    """
+    scaled = np.minimum(np.abs(values), _FAST_LIMIT)
+    with np.errstate(under="ignore"):  # a subnormal product rounds to 0 either way
+        scaled *= 1e6
+    whole = np.floor(scaled)
+    fraction = scaled - whole
+    exact = np.abs(fraction - 0.5) * 2.0**52 > scaled
+    whole += fraction > 0.5
+    integer = np.floor(whole / 1e6)  # exact below 2**52, as in `_thousands`
+    whole -= integer * 1e6
+    return exact, integer, *_thousands(whole)
+
+
+def _digit_words(negative: np.ndarray, integer: np.ndarray, first: np.ndarray,
+                 last: np.ndarray) -> np.ndarray:
+    """The (rows, width, words) uint32 text of a block: per value the
+    integer part's 3-digit groups (the sign before the leading one), then
+    the point and the decimals, then a space, or a newline at a row's end;
+    one table gather per word."""
+    rows, width = integer.shape
+    powers = (1e3, 1e6, 1e9)  # an integer part below 2**52 / 1e6 has at most four groups
+    groups = 1 + sum(integer.max() >= power for power in powers)
+    words = np.empty((rows, width, groups + 2), dtype=np.uint32)
+    leading = negative * 1000.0
+    leading += _LEADING
+    if groups > 1:
+        top = sum(integer >= power for power in powers)  # each value's leading group
+    for group in range(groups):  # the units group first
+        if group < groups - 1:
+            integer, digits = _thousands(integer)
+        else:
+            digits = integer
+        table = leading if groups == 1 else np.where(
+            top > group, _INNER, np.where(top == group, leading, _ABOVE))
+        words[..., groups - 1 - group] = _GROUP_WORDS[(table + digits).astype(np.intp)]
+    words[..., -2] = _POINT_WORDS[first.astype(np.intp)]
+    words[..., -1] = _SPACE_WORDS[last.astype(np.intp)]
+    words.view(np.uint8)[:, -1, -1] = ord("\n")
+    return words
 
 
 def _atomic_write(path, data: bytes):

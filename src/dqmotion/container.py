@@ -23,7 +23,9 @@ block canonically (`Skeleton.canonical_json`: sorted keys, no spaces), so
 equal skeletons get equal digests. `from_bytes` checks the digest against
 the stored bytes before it parses them. It therefore accepts a block that
 is not canonical if the digest is that block's own, and it rejects a block
-whose digest matches only the block's canonical re-serialization.
+whose digest matches only the block's canonical re-serialization. A block
+that is not UTF-8, or whose joint fields do not have their JSON types
+(`Skeleton.from_dict`), is a `ContainerError`.
 """
 
 import hashlib
@@ -106,8 +108,8 @@ def from_bytes(data: bytes) -> EncodedClip:
     if hashlib.sha256(block).digest() != digest:
         raise ContainerError("skeleton digest mismatch")
     try:
-        skeleton = Skeleton.from_dict(json.loads(block))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        skeleton = Skeleton.from_dict(json.loads(block.decode("utf-8")))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ContainerError(f"bad skeleton block: {exc}") from None
     offset += json_len
 

@@ -9,7 +9,9 @@ package's header code (`bvh._parse_header`), so the two parsers differ
 only where the package changed: tokenizing on demand and the bulk read.
 The row loop converts each value through the package's number syntax
 (`bvh._number`), so the two parsers are compared on structure, not on
-what counts as a number.
+what counts as a number. The write oracle keeps the package's one header
+change: a frame time that six decimals would print as 0.000000 is written
+as its `repr`.
 
 The skeleton checks are kept the same way: `validate_skeleton` is the
 per-joint loop of `Skeleton.__post_init__` with each offset's finiteness
@@ -132,7 +134,10 @@ def write(clip: MotionClip) -> str:
         stack.append((None, pad))
         stack.extend((child, pad + "  ") for child in children[index])
 
-    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {clip.frame_time:.6f}"])
+    frame_time = f"{clip.frame_time:.6f}"
+    if frame_time == "0.000000":  # a frame time below 5e-7: its shortest repr
+        frame_time = repr(float(clip.frame_time))
+    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {frame_time}"])
     for row in clip.frames[:, columns]:
         out.append(" ".join(f"{v:.6f}" for v in row))
     return "\n".join(out) + "\n"

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dqmotion import bvh
 from dqmotion.bvh import JointSpec, MotionClip
@@ -63,6 +64,83 @@ class TestWriter:
         joints = [*tree.joints, bvh.JointSpec("fixed", 2, [1.0, 0.0, 0.0], ())]
         clip = MotionClip(bvh.Skeleton(joints), 1 / 30, edge_frames(rng, tree, 4))
         assert bvh.write(clip) == bvh_oracles.write(clip)
+
+
+#: One root with six channels and a child with three: nine columns a row.
+NINE_CHANNELS = bvh.Skeleton([
+    JointSpec("root", None, [0.0, 0.0, 0.0],
+              ("Xposition", "Yposition", "Zposition", "Zrotation", "Yrotation", "Xrotation")),
+    JointSpec("child", 0, [0.0, 1.0, 0.0], ("Zrotation", "Xrotation", "Yrotation")),
+])
+
+
+def assert_written_as_oracle(values):
+    """`bvh.write` of a clip holding `values` (any count, row-major, padded
+    with zeros to whole rows) gives the oracle's bytes."""
+    values = np.asarray(values, dtype=float).ravel()
+    frames = np.zeros(-(-max(values.size, 1) // 9) * 9)
+    frames[: values.size] = values
+    clip = MotionClip(NINE_CHANNELS, 1 / 30, frames.reshape(-1, 9))
+    assert bvh.write(clip) == bvh_oracles.write(clip)
+
+
+class TestFixedPointWriter:
+    """The writer's fixed-point motion rows against `%.6f` value by value:
+    the values it formats from integers, and those it hands back to `%`
+    (ties, near ties and magnitudes beyond 2**52 / 1e6)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.just(9)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_double(self, frames):
+        clip = MotionClip(NINE_CHANNELS, 1 / 30, frames)
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+    def test_half_grid_ties(self, rng):
+        k = np.concatenate([np.arange(40), rng.integers(0, 2**40, 400)])
+        ties = (k + 0.5) / 1e6
+        assert_written_as_oracle(np.concatenate([ties, -ties]))
+
+    def test_binary_ties_and_tiny_values(self):
+        assert_written_as_oracle([0.0078125, -0.0078125, 0.0, -0.0, -1e-9, 1e-9, 5e-324,
+                                  -5e-324, 5e-7, -5e-7, 1.5e-6, 2.5e-6, 0.0000005, 179.9999995])
+
+    def test_both_sides_of_the_fixed_point_range(self):
+        limit = 2.0**52 / 1e6
+        near = [np.nextafter(limit, 0.0), limit, np.nextafter(limit, np.inf), limit / 2,
+                np.nextafter(limit / 2, 0.0), np.nextafter(limit / 2, np.inf)]
+        near += [limit - 1e-6 * k for k in range(1, 6)] + [limit + 1e-6 * k for k in range(1, 6)]
+        assert_written_as_oracle(np.concatenate([near, np.negative(near)]))
+
+    @pytest.mark.parametrize("digits", range(1, 17))
+    def test_integer_part_digits(self, rng, digits):
+        whole = rng.integers(10 ** (digits - 1), 10**digits, 18, dtype=np.int64)
+        values = (whole + rng.uniform(0.0, 1.0, 18)) * rng.choice([-1.0, 1.0], 18)
+        assert_written_as_oracle(np.concatenate([values, whole, whole + 0.9999995]))
+
+    def test_fast_and_fallback_rows_mixed(self, rng):
+        frames = np.round(rng.uniform(-180.0, 180.0, (40, 9)), 6)
+        frames[::3, 4] = 0.0078125  # a tie: these rows go through `%`
+        frames[1::7, 8] = -1e15  # beyond the fixed-point range
+        frames[2::5, 0] = (123 + 0.5) / 1e6
+        clip = MotionClip(NINE_CHANNELS, 1 / 30, frames)
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+    @pytest.mark.parametrize("rows", [1, bvh._BLOCK_VALUES // 9, bvh._BLOCK_VALUES // 9 + 1,
+                                      2 * (bvh._BLOCK_VALUES // 9) + 5])
+    def test_one_frame_and_several_blocks(self, rng, rows):
+        frames = np.round(rng.uniform(-1000.0, 1000.0, (rows, 9)), 6)
+        frames[rows // 2, 3] = 0.0078125  # one fallback row, in the middle block
+        clip = MotionClip(NINE_CHANNELS, 1 / 30, frames)
+        assert bvh.write(clip) == bvh_oracles.write(clip)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 2.0**52])
+    def test_grid_values_read_back_bit_for_bit(self, rng, scale):
+        # k / 1e6 prints as k's digits, so the parser's correctly rounded
+        # read gives back the same double
+        k = rng.integers(-scale, scale, (50, 9), dtype=np.int64, endpoint=True)
+        clip = MotionClip(NINE_CHANNELS, 1 / 30, k / 1e6)
+        assert bvh.parse(bvh.write(clip)).frames.tobytes() == clip.frames.tobytes()
 
 
 # ---------------------------------------------------------------------------

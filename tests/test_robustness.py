@@ -23,11 +23,13 @@ from dqmotion.errors import (
     BvhSyntaxError,
     ChannelMismatchError,
     ContainerError,
+    InvalidValueError,
     MotionError,
     UnsupportedChannelError,
 )
 from dqmotion.kinematics import clip_to_local
 
+import oracles
 from conftest import FIXTURES, fixture_corpus
 
 HUMANOID = (FIXTURES / "humanoid.bvh").read_bytes()
@@ -59,6 +61,26 @@ def with_digest(data: bytes, digest: bytes) -> bytes:
     """Container `data` with `digest` in its header's skeleton digest field."""
     at = container._HEADER.size
     return data[: at - 32] + digest + data[at:]
+
+
+MISSING = object()
+
+#: A joint field of a skeleton block with a value of the wrong JSON type.
+BAD_JOINT_FIELDS = {
+    "end_site a string": ("end_site", "false"),
+    "end_site a number": ("end_site", 0),
+    "parent a float": ("parent", 0.0),
+    "parent a boolean": ("parent", False),
+    "parent a string": ("parent", "0"),
+    "name a number": ("name", 7),
+    "offset strings": ("offset", ["1", "0", "0"]),
+    "offset a boolean": ("offset", [True, 0.0, 0.0]),
+    "offset not a list": ("offset", "1 0 0"),
+    "offset beyond float range": ("offset", [10**400, 0, 0]),
+    "channel a number": ("channels", [1, 2, 3]),
+    "channels a string": ("channels", "Zrotation"),
+    "end_site missing": ("end_site", MISSING),
+}
 
 
 class TestBvhInput:
@@ -146,6 +168,28 @@ class TestFrameTime:
             assert captured.err.startswith("error:"), argv
             assert "Infinity" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("frame_time", [1e-7, 4.9e-7, 5e-7, 5e-324 * 2**60])
+    def test_short_frame_time_written_readably(self, tmp_path, frame_time):
+        # six decimals print 0.000000, which `parse` would reject
+        clip = bvh.parse(HUMANOID)
+        clip = bvh.MotionClip(clip.skeleton, frame_time, clip.frames)
+        text = bvh.write(clip)
+        assert f"Frame Time: {frame_time!r}\n" in text
+        assert bvh.parse(text).frame_time == frame_time
+        data = bytearray(container_bytes(ReprKind.DUALQUAT))
+        at = container._HEADER.size - 32 - 8
+        data[at : at + 8] = struct.pack("<d", frame_time)
+        path, out = tmp_path / "short.dqm", tmp_path / "out.bvh"
+        path.write_bytes(bytes(data))
+        assert quiet_main("decode", path, "-o", out) == 0
+        assert bvh.parse_file(out).frame_time == frame_time
+
+    @pytest.mark.parametrize("frame_time", [5.000001e-7, 1 / 120, 2.5])
+    def test_frame_time_six_decimals(self, frame_time):
+        clip = bvh.parse(HUMANOID)
+        text = bvh.write(bvh.MotionClip(clip.skeleton, frame_time, clip.frames))
+        assert f"Frame Time: {frame_time:.6f}\n" in text
 
     def test_container_decode_exits_3(self, tmp_path):
         data = bytearray(container_bytes(ReprKind.DUALQUAT))
@@ -315,6 +359,58 @@ class TestContainerInput:
         with pytest.raises(ContainerError, match="skeleton digest mismatch"):
             container.from_bytes(flipped)
 
+    @pytest.mark.parametrize("field, value", BAD_JOINT_FIELDS.values(), ids=BAD_JOINT_FIELDS.keys())
+    def test_mistyped_joint_field(self, tmp_path, field, value):
+        skeleton = container.from_bytes(container_bytes(ReprKind.DUALQUAT)).skeleton.to_dict()
+        joint = skeleton["joints"][1]
+        if value is MISSING:
+            del joint[field]
+        else:
+            joint[field] = value
+        with pytest.raises(InvalidValueError):
+            bvh.Skeleton.from_dict(skeleton)
+        self.assert_rejected(tmp_path, json.dumps(skeleton).encode())
+
+    @pytest.mark.parametrize("data", [[], {}, {"joints": {}}, {"joints": [[]]}], ids=repr)
+    def test_not_a_skeleton_mapping(self, tmp_path, data):
+        with pytest.raises(InvalidValueError):
+            bvh.Skeleton.from_dict(data)
+        self.assert_rejected(tmp_path, json.dumps(data).encode())
+
+    def test_utf16_block(self, tmp_path):
+        skeleton = container.from_bytes(container_bytes(ReprKind.DUALQUAT)).skeleton
+        self.assert_rejected(tmp_path, json.dumps(skeleton.to_dict()).encode("utf-16"))
+
+    @staticmethod
+    def assert_rejected(tmp_path, block):
+        """A container holding `block` with its own digest fails to read,
+        and `validate` and `decode` exit 3 on it, writing nothing."""
+        data = with_digest(with_skeleton_block(container_bytes(ReprKind.DUALQUAT), block),
+                           hashlib.sha256(block).digest())
+        with pytest.raises(ContainerError, match="bad skeleton block"):
+            container.from_bytes(data)
+        path, out = tmp_path / "bad.dqm", tmp_path / "out.bvh"
+        path.write_bytes(data)
+        assert quiet_main("validate", path) == 3
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(ReprKind))
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_written_containers_read_back(self, rng, kind, standardized):
+        skeletons = [bvh.parse(HUMANOID).skeleton] + [
+            oracles.random_skeleton(rng, n, end_sites=True) for n in (1, 2, 9)]
+        for skeleton in skeletons:
+            frames = rng.uniform(-90.0, 90.0, (4, skeleton.channel_count))
+            clip = bvh.MotionClip(skeleton, 1 / 30, frames)
+            encoded = encode(clip_to_local(clip), kind, clip.frame_time)
+            if standardized:
+                encoded = standardize(encoded, fit_stats(encoded))
+            data = container.to_bytes(encoded)
+            loaded = container.from_bytes(data)
+            assert loaded.skeleton == skeleton
+            assert container.to_bytes(loaded) == data
+
 
 class TestNumericRange:
     """Finite values whose squares overflow are a format error (exit 3),
@@ -402,6 +498,28 @@ def test_from_bytes_raises_only_motion_errors(source, edits):
     try:
         container.from_bytes(mutated(source, edits))
     except MotionError:
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(max_size=4), values, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint=st.integers(0, 3), field=st.sampled_from(sorted(bvh._JOINT_FIELDS)), value=JSON_VALUES)
+def test_skeleton_block_values(joint, field, value):
+    # any JSON value in any joint field reads as a skeleton or fails as a
+    # ContainerError, with the block's own digest
+    data = CONTAINER_SOURCES[0]
+    skeleton = container.from_bytes(data).skeleton.to_dict()
+    skeleton["joints"][joint][field] = value
+    block = json.dumps(skeleton).encode()
+    try:
+        container.from_bytes(with_digest(with_skeleton_block(data, block), hashlib.sha256(block).digest()))
+    except ContainerError:
         pass
 
 
