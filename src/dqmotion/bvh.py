@@ -45,8 +45,10 @@ every error keeps its type, message and line number.
 
 import json
 import math
+import numbers
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -104,12 +106,27 @@ class JointSpec:
     is_end_site: bool = False
 
     def __post_init__(self):
+        """The one check of each field's type; an integer parent is stored as int."""
+        name, parent = self.name, self.parent
+        if not isinstance(name, str):
+            raise InvalidValueError(f"joint name {name!r} is not a string")
+        # builtin types first in each tuple: an ABC check alone costs more than the rest
+        integer = isinstance(parent, (int, numbers.Integral)) and not isinstance(parent, bool)
+        if not (parent is None or integer):
+            raise InvalidValueError(f"joint {name!r} parent {parent!r} is not an integer or null")
         try:
             offset = np.array(self.offset, dtype=float).reshape(3)
         except (TypeError, ValueError, OverflowError):  # overflow: an integer beyond float range
-            raise InvalidValueError(f"joint {self.name!r} offset must be three numbers") from None
+            raise InvalidValueError(f"joint {name!r} offset must be three numbers") from None
+        iterable = isinstance(self.channels, (tuple, Iterable)) and not isinstance(self.channels, str)
+        channels = tuple(self.channels) if iterable else ()
+        if not iterable or not all(isinstance(tag, str) for tag in channels):
+            raise InvalidValueError(f"joint {name!r} channels must be a list of strings")
+        if not isinstance(self.is_end_site, bool):
+            raise InvalidValueError(f"joint {name!r} end_site {self.is_end_site!r} is not a boolean")
+        object.__setattr__(self, "parent", None if parent is None else int(parent))
         object.__setattr__(self, "offset", _read_only(offset))
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "channels", channels)
 
     @property
     def rotation_order(self) -> str:
@@ -357,27 +374,18 @@ class Skeleton:
 _JOINT_FIELDS = frozenset(("name", "parent", "offset", "channels", "end_site"))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _joint_from_dict(entry) -> JointSpec:
-    """One joint of `Skeleton.from_dict`, its field types checked."""
+    """One joint of `Skeleton.from_dict`. Only what JSON adds is checked here (every
+    field, JSON lists, offset numbers that are not bools); `JointSpec` checks the rest."""
     if not isinstance(entry, dict) or not _JOINT_FIELDS <= entry.keys():
         raise InvalidValueError(f"a joint needs the fields {', '.join(sorted(_JOINT_FIELDS))}")
-    name, parent, offset = entry["name"], entry["parent"], entry["offset"]
-    channels, end_site = entry["channels"], entry["end_site"]
-    if not isinstance(name, str):
-        raise InvalidValueError(f"joint name {name!r} is not a string")
-    if not (parent is None or _is_int(parent)):
-        raise InvalidValueError(f"joint {name!r} parent {parent!r} is not an integer or null")
-    if not (isinstance(offset, list) and all(_is_int(v) or isinstance(v, float) for v in offset)):
+    name, offset, channels = entry["name"], entry["offset"], entry["channels"]
+    if not (isinstance(offset, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in offset)):
         raise InvalidValueError(f"joint {name!r} offset must be a list of numbers")
-    if not (isinstance(channels, list) and all(isinstance(tag, str) for tag in channels)):
+    if not isinstance(channels, list):
         raise InvalidValueError(f"joint {name!r} channels must be a list of strings")
-    if not isinstance(end_site, bool):
-        raise InvalidValueError(f"joint {name!r} end_site {end_site!r} is not a boolean")
-    return JointSpec(name, parent, offset, tuple(channels), is_end_site=end_site)
+    return JointSpec(name, entry["parent"], offset, channels, is_end_site=entry["end_site"])
 
 
 @dataclass(frozen=True)
@@ -466,17 +474,20 @@ def _number(token: str, kind=float):
     return kind(token)
 
 
-def _parse_offset(tokens: _Tokens) -> np.ndarray:
+def _parse_offset(tokens: _Tokens, name: str) -> np.ndarray:
     row = tokens.next()
     if row[0] != "OFFSET" or len(row) != 4:
         raise tokens.error("expected 'OFFSET x y z'")
     try:
-        return np.array([_number(v) for v in row[1:]])
+        offset = [_number(v) for v in row[1:]]
     except ValueError:
         raise tokens.error("OFFSET values must be numeric") from None
+    if not all(map(math.isfinite, offset)):
+        raise tokens.error(f"non-finite offset on joint {name!r}")
+    return np.array(offset)
 
 
-def _parse_channels(tokens: _Tokens) -> tuple[str, ...]:
+def _parse_channels(tokens: _Tokens, name: str) -> tuple[str, ...]:
     row = tokens.next()
     if row[0] != "CHANNELS" or len(row) < 2:
         raise tokens.error("expected 'CHANNELS n tags...'")
@@ -487,10 +498,13 @@ def _parse_channels(tokens: _Tokens) -> tuple[str, ...]:
     tags = tuple(row[2:])
     if len(tags) != count:
         raise tokens.error(f"CHANNELS declares {count} tags but lists {len(tags)}")
-    for tag in tags:
-        if tag not in _CHANNEL_TAGS:
-            raise UnsupportedChannelError(tokens.last_line, f"unknown channel tag {tag!r}")
-    rotations = sum(tag in ROTATION_CHANNELS for tag in tags)
+    unique = set(tags)
+    if not unique <= _CHANNEL_TAGS:
+        unknown = next(tag for tag in tags if tag not in _CHANNEL_TAGS)
+        raise UnsupportedChannelError(tokens.last_line, f"unknown channel tag {unknown!r}")
+    if len(unique) != len(tags):
+        raise tokens.error(f"duplicate channel tag on joint {name!r}")
+    rotations = len(unique.intersection(ROTATION_CHANNELS))
     if rotations not in (0, 3):
         raise UnsupportedChannelError(tokens.last_line, _ROTATION_COUNT_MESSAGE.format(rotations))
     return tags
@@ -504,10 +518,19 @@ def _expect(tokens: _Tokens, literal: str):
 
 def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
     """The joints of the ROOT block in file order. `open_joints` is the
-    stack of joints whose blocks are open, innermost last."""
+    stack of joints whose blocks are open, innermost last. Every fault
+    `Skeleton` would find is raised here, at the line that holds it."""
     joints: list[JointSpec] = []
     open_joints: list[int] = []
     with_end_site = set()
+    names = set()
+
+    def new_name(name: str) -> str:
+        if name in names:
+            raise tokens.error(f"duplicate joint name {name!r}")
+        names.add(name)
+        return name
+
     while open_joints or not joints:
         parent = open_joints[-1] if open_joints else None
         row = tokens.peek()
@@ -516,21 +539,23 @@ def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
             header = tokens.next()
             if header[0] != keyword or len(header) < 2:
                 raise tokens.error(f"expected '{keyword} name'")
+            name = new_name("_".join(header[1:]))
             _expect(tokens, "{")
-            offset = _parse_offset(tokens)
-            channels = _parse_channels(tokens)
+            offset = _parse_offset(tokens, name)
+            channels = _parse_channels(tokens, name)
             if parent is not None and any(tag in POSITION_CHANNELS for tag in channels):
                 raise BvhSyntaxError(tokens.last_line, "position channels are only allowed on the root")
             open_joints.append(len(joints))
-            joints.append(JointSpec("_".join(header[1:]), parent, offset, channels))
+            joints.append(JointSpec(name, parent, offset, channels))
         elif row[:2] == ["End", "Site"]:
             if parent in with_end_site:
                 raise BvhSyntaxError(tokens.line, "multiple End Site blocks in one joint")
             with_end_site.add(parent)
             tokens.next()
+            name = new_name(f"{joints[parent].name}_end")
             _expect(tokens, "{")
-            offset = _parse_offset(tokens)
-            joints.append(JointSpec(f"{joints[parent].name}_end", parent, offset, (), is_end_site=True))
+            offset = _parse_offset(tokens, name)
+            joints.append(JointSpec(name, parent, offset, (), is_end_site=True))
             _expect(tokens, "}")
         elif row == ["}"]:
             tokens.next()
@@ -572,11 +597,7 @@ def _parse_header(tokens) -> tuple[Skeleton, int, float]:
     if not finite_rate(frame_time):
         raise tokens.error("frame time and its rate 1/t must be finite")
 
-    try:
-        skeleton = Skeleton(joints)
-    except ValueError as exc:
-        raise BvhSyntaxError(tokens.last_line, str(exc)) from None
-    return skeleton, num_frames, frame_time
+    return Skeleton(joints), num_frames, frame_time
 
 
 def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:

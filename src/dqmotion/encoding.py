@@ -380,14 +380,10 @@ def standardize(clip: EncodedClip, stats: NormalizationStats) -> EncodedClip:
     return replace(clip, features=_read_only((clip.features - stats.mean) / stats.std), stats=stats)
 
 
-def destandardize(clip: EncodedClip, stats: NormalizationStats | None = None) -> EncodedClip:
-    """Exact inverse of standardize; the result carries no stats."""
+def destandardize(clip: EncodedClip) -> EncodedClip:
+    """Exact inverse of standardize with the stats the clip carries; the
+    result carries no stats."""
+    stats = clip.stats
     if stats is None:
-        stats = clip.stats
-    if stats is None:
-        raise InvalidValueError("clip carries no stats and none were given")
-    if stats.width != clip.width:
-        raise ShapeMismatchError(
-            f"stats width {stats.width} does not match clip width {clip.width}"
-        )
+        raise InvalidValueError("clip carries no stats")
     return replace(clip, features=_read_only(clip.features * stats.std + stats.mean), stats=None)

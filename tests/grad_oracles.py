@@ -1,4 +1,5 @@
-"""Two equivalence oracles for the analytic gradients of `losses`.
+"""Equivalence oracles for the gradients of `losses`: two for the analytic
+gradients, one for `grad_check`'s finite differences.
 
 The per-(frame, joint) loop gradients are the original Jacobian-matrix
 forms. Every derivative is an explicit 4x4 or 8x8 matrix built per
@@ -14,6 +15,10 @@ they moved to component-major rows: Hamilton products and VJPs on whole
 `test_grad_oracles.py` holds its gradients within 1e-12 relative of both
 oracles and its values, bit for bit, to the batched forms.
 
+`numeric_gradient` is the per-element central difference that
+`grad_check` ran before it bumped a whole feature column at once: one
+full-clip evaluation per (frame, column) and sign, so 2·F·W in all.
+
 The helpers read the clip through `Skeleton.encoded_parents` and
 `encoded_levels`, the (F, J, .) sweeps that `pose_oracles` keeps, and
 their own copies of the old `_positions`, `_in_space` and
@@ -23,8 +28,8 @@ their own copies of the old `_positions`, `_in_space` and
 import numpy as np
 
 from dqmotion import dualquat, quat
-from dqmotion.encoding import ReprKind
-from dqmotion.losses import _POSITION_COLUMNS, _Evaluation
+from dqmotion.encoding import EncodedClip, ReprKind
+from dqmotion.losses import GRAD_EPS, _POSITION_COLUMNS, _evaluate, _Evaluation, _mean
 
 from pose_oracles import compose, relative
 
@@ -448,3 +453,22 @@ BATCHED_TERMS = {
     "offset": batched_offset,
     "regularization": batched_regularization,
 }
+
+
+# ---------------------------------------------------------------------------
+# the per-element finite differences
+# ---------------------------------------------------------------------------
+
+def numeric_gradient(name: str, pred, truth, skeleton, step: float = GRAD_EPS) -> np.ndarray:
+    """Central differences of the mean of term `name`, one (frame, column)
+    element of pred.features bumped at a time."""
+    out = np.zeros(pred.features.shape)
+    for index in np.ndindex(out.shape):
+        means = []
+        for bump in (step, -step):
+            features = pred.features.copy()
+            features[index] += bump
+            bumped = EncodedClip(pred.kind, pred.skeleton, pred.frame_time, features, pred.stats)
+            means.append(_mean(_evaluate(name, bumped, truth, skeleton).values))
+        out[index] = (means[0] - means[1]) / (2.0 * step)
+    return out

@@ -14,6 +14,7 @@ import pytest
 from dqmotion import bvh, dualquat, quat
 from dqmotion.cli import main as cli_main
 from dqmotion.encoding import (
+    EncodedClip,
     ReprKind,
     antipodal_correct,
     decode,
@@ -166,8 +167,6 @@ def test_criterion_6_loss_ground_truths():
         current[joint.parent],
         dualquat.from_rotation_translation(pose.joint_rotations[leaf], joint.offset + delta * direction),
     )
-    from dqmotion.encoding import EncodedClip
-
     features = np.concatenate(
         [pose.root_translation, current[list(skeleton.encoded_indices)].reshape(-1)]
     )[None]
@@ -200,24 +199,24 @@ def test_criterion_6_loss_ground_truths():
 @criterion(7, "analytic gradients match central differences within 1e-5, 100 points per loss")
 def test_criterion_7_gradient_checks():
     rng = np.random.default_rng(107)
-    losses = ("mse", "positional", "offset", "regularization", "rotational_local")
-    for name in losses:
+    checks = [(ReprKind.DUALQUAT, name) for name in (
+        "mse", "positional", "offset", "regularization", "rotational_local", "rotational_current")]
+    checks += [(ReprKind.QUATERNIONS, name) for name in ("mse", "rotational_local", "rotational_current")]
+    for kind, name in checks:
         checked = 0
         attempts = 0
         while checked < 100:
             attempts += 1
-            assert attempts < 300, f"could not find enough smooth points for {name}"
+            assert attempts < 300, f"could not find enough smooth points for {kind.value} {name}"
             skeleton = oracles.random_skeleton(rng, 3)
-            truth = encode(oracles.random_poses(rng, skeleton, 1), ReprKind.DUALQUAT)
-            from dqmotion.encoding import EncodedClip
-
+            truth = encode(oracles.random_poses(rng, skeleton, 3), kind)
             features = truth.features + rng.normal(scale=0.05, size=truth.features.shape)
-            pred = EncodedClip(ReprKind.DUALQUAT, skeleton, 1 / 30, features)
+            pred = EncodedClip(kind, skeleton, 1 / 30, features)
             result = grad_check(name, pred, truth)
             if result.nondifferentiable:
                 continue
             assert result.max_relative_deviation < 1e-5, (
-                f"{name}: {result.max_relative_deviation:.2e}"
+                f"{kind.value} {name}: {result.max_relative_deviation:.2e}"
             )
             checked += 1
 

@@ -131,6 +131,30 @@ class TestParseErrors:
         with pytest.raises(BvhSyntaxError):
             bvh.parse(text)
 
+    ZYX = " CHANNELS 3 Zrotation Yrotation Xrotation\n"
+    MOTION = "MOTION\nFrames: 1\nFrame Time: 0.04\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n CHANNELS 3 Zrotation Xrotation Zrotation\n}\n"
+         + MOTION + "0 0 0\n", 5, "duplicate channel tag on joint 'a'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 nan\n" + ZYX + "}\n" + MOTION + "0 0 0\n",
+         4, "non-finite offset on joint 'a'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " End Site\n {\n  OFFSET 0 1e400 0\n }\n}\n"
+         + MOTION + "0 0 0\n", 8, "non-finite offset on joint 'a_end'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " JOINT b\n {\n  OFFSET 1 0 0\n " + ZYX
+         + " }\n JOINT a\n {\n  OFFSET 1 0 0\n " + ZYX + " }\n}\n" + MOTION + "0 0 0 0 0 0 0 0 0\n",
+         11, "duplicate joint name 'a'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " JOINT a_end\n {\n  OFFSET 1 0 0\n " + ZYX
+         + " }\n End Site\n {\n  OFFSET 0 1 0\n }\n}\n" + MOTION + "0 0 0 0 0 0\n",
+         11, "duplicate joint name 'a_end'"),
+    ], ids=["duplicate channel", "non-finite offset", "non-finite end-site offset",
+            "duplicate joint", "end site named like a joint"])
+    def test_skeleton_faults_at_their_line(self, text, line, message):
+        # the faults Skeleton checks are reported at the line that holds them
+        with pytest.raises(BvhSyntaxError) as info:
+            bvh.parse(text)
+        assert (info.value.message, info.value.line) == (message, line)
+
     def test_second_root_rejected(self):
         text = (
             "HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n CHANNELS 3 Zrotation Yrotation Xrotation\n}\n"

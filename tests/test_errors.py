@@ -69,6 +69,9 @@ BAD_VALUES = {
     "decode standardized": lambda clip, enc: decode(standardize(enc, fit_stats(enc))),
     "destandardize without stats": lambda clip, enc: destandardize(enc),
     "JointSpec.offset two numbers": lambda clip, enc: JointSpec("a", None, [1.0, 2.0], ()),
+    "JointSpec.parent a float": lambda clip, enc: JointSpec("a", 0.0, [0.0, 1.0, 0.0], ()),
+    "JointSpec.parent a string": lambda clip, enc: JointSpec("a", "0", [0.0, 1.0, 0.0], ()),
+    "JointSpec.parent a bool": lambda clip, enc: JointSpec("a", False, [0.0, 1.0, 0.0], ()),
     "LossWeights.mse not a number": lambda clip, enc: LossWeights(mse="x"),
     "LossWeights.from_mapping not a number": lambda clip, enc: LossWeights.from_mapping({"mse": "x"}),
     "loss_total weights a mapping": lambda clip, enc: loss_total(enc, enc, weights={"mse": 1.0}),

@@ -1,6 +1,7 @@
-"""The analytic gradients against the per-(frame, joint) loop oracle, and
-the component-major row kernels against the batched (F, J, .) forms they
-replaced."""
+"""The analytic gradients against the per-(frame, joint) loop oracle, the
+component-major row kernels against the batched (F, J, .) forms they
+replaced, and `grad_check`'s one-pass finite differences against the
+per-element loop, together with the frame locality they rest on."""
 
 import dataclasses
 
@@ -11,7 +12,7 @@ from dqmotion import kinematics, losses
 from dqmotion.bvh import JointSpec, Skeleton
 from dqmotion.encoding import EncodedClip, ReprKind, encode
 from dqmotion.kinematics import LocalPose
-from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, _evaluate, loss_total
+from dqmotion.losses import GRAD_LOSSES, _analytic_gradient, _evaluate, grad_check, loss_total
 
 import grad_oracles
 import oracles
@@ -179,3 +180,56 @@ def test_loss_total_unchanged_against_batched_forms(rng, monkeypatch, kind, spac
     for (case, pred, truth, skeleton), report in zip(cases, reports):
         want = loss_total(pred, truth, rotation_space=space, truth_skeleton=skeleton).to_json()
         assert report == want, case
+
+
+# ---------------------------------------------------------------------------
+# grad_check's one pass against the per-element loop
+# ---------------------------------------------------------------------------
+
+#: Every (kind, term) pair a term applies to; a rotational term's name
+#: carries its space.
+KIND_TERM_PAIRS = [(kind, name) for name, term in losses._TERMS.items() for kind in term.kinds]
+PAIR_IDS = [f"{kind.value}-{name}" for kind, name in KIND_TERM_PAIRS]
+
+
+@pytest.mark.parametrize("frames", (1, 3, 7))
+@pytest.mark.parametrize("kind, name", KIND_TERM_PAIRS, ids=PAIR_IDS)
+def test_grad_check_matches_per_element_differences(rng, kind, name, frames):
+    skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
+    pred, truth = noisy_pair(rng, kind, skeleton, frames=frames)
+    result = grad_check(name, pred, truth)
+    want = grad_oracles.numeric_gradient(name, pred, truth, skeleton)
+    assert result.numeric.shape == want.shape
+    assert np.max(np.abs(result.numeric - want)) <= 1e-8 * np.max(np.abs(result.analytic))
+
+
+@pytest.mark.parametrize("kind, name", KIND_TERM_PAIRS, ids=PAIR_IDS)
+def test_term_values_are_frame_local(rng, kind, name):
+    # grad_check bumps a column in every frame at once, which is exact only
+    # while a frame's values read that frame's features alone. A temporal
+    # term fails here.
+    skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
+    pred, truth = noisy_pair(rng, kind, skeleton, frames=5)
+    features = pred.features.copy()
+    features[2] += rng.normal(scale=0.05, size=pred.width)
+    bumped = EncodedClip(kind, skeleton, pred.frame_time, features)
+    before = _evaluate(name, pred, truth, skeleton).values
+    after = _evaluate(name, bumped, truth, skeleton).values
+    others = [0, 1, 3, 4]
+    assert np.array_equal(before[others], after[others])
+    assert not np.array_equal(before[2], after[2])
+
+
+def test_grad_check_evaluates_the_clip_2w_plus_1_times(rng, monkeypatch):
+    skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
+    pred, truth = noisy_pair(rng, ReprKind.DUALQUAT, skeleton, frames=7)
+    calls = []
+    original = losses._evaluate
+
+    def spy(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(losses, "_evaluate", spy)
+    grad_check("positional", pred, truth)
+    assert calls == ["positional"] * (2 * pred.width + 1)

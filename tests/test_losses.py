@@ -622,12 +622,12 @@ class TestGradientInputChecks:
     def test_grad_check_bumps_keep_stats(self, rng, monkeypatch):
         pred, truth = self.std_pair(rng)
         seen = []
-        original = losses._loss_value
+        original = losses._evaluate
 
         def spy(name, bumped, truth_clip, skeleton):
             seen.append(bumped.stats)
             return original(name, bumped, truth_clip, skeleton)
 
-        monkeypatch.setattr(losses, "_loss_value", spy)
+        monkeypatch.setattr(losses, "_evaluate", spy)
         grad_check("mse", pred, truth)
         assert seen and all(stats is pred.stats for stats in seen)

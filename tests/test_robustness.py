@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmotion import bvh, container
+from dqmotion.bvh import JointSpec
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, encode, fit_stats, standardize
 from dqmotion.errors import (
@@ -521,6 +522,34 @@ def test_skeleton_block_values(joint, field, value):
         container.from_bytes(with_digest(with_skeleton_block(data, block), hashlib.sha256(block).digest()))
     except ContainerError:
         pass
+
+
+#: Python values for a `JointSpec` field: JSON's, and the tuples, numpy
+#: values, sets and generators a Python caller may pass.
+PYTHON_VALUES = (
+    JSON_VALUES
+    | st.tuples(JSON_VALUES, JSON_VALUES, JSON_VALUES)
+    | st.builds(np.int64, st.integers(-2, 2))
+    | st.builds(np.bool_, st.booleans())
+    | st.builds(np.array, st.lists(st.floats(), max_size=4))
+    | st.frozensets(st.sampled_from(sorted(bvh._CHANNEL_TAGS)), max_size=3)
+    | st.builds(iter, st.lists(st.text(max_size=4), max_size=3))
+)
+CHILD = {"name": "child", "parent": 0, "offset": [0.0, 1.0, 0.0],
+         "channels": ("Zrotation", "Xrotation", "Yrotation"), "is_end_site": False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(sorted(CHILD)), value=PYTHON_VALUES)
+def test_joint_spec_values(field, value):
+    # any value in any field of the child either builds a two-joint
+    # skeleton or fails as a MotionError
+    root = JointSpec("root", None, [0.0, 0.0, 0.0], ("Xposition", "Yposition", "Zposition"))
+    try:
+        skeleton = bvh.Skeleton([root, JointSpec(**{**CHILD, field: value})])
+    except MotionError:
+        return
+    assert skeleton.num_joints == 2
 
 
 @settings(max_examples=25, deadline=None)
