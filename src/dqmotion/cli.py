@@ -12,6 +12,7 @@ behind.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,10 @@ def cmd_metrics(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process. It names no command function: `main` looks
+    `cmd_<command>` up at call time."""
     parser = argparse.ArgumentParser(
         prog="dqmotion",
         description="Root-centered dual-quaternion motion toolkit: "
@@ -274,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="summarize a BVH file")
     p.add_argument("input")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("encode", help="encode a BVH file into a .dqm container")
     p.add_argument("input")
@@ -283,30 +286,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true",
                    help="store features standardized, statistics in the header")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a .dqm container back to BVH")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode+decode and report deviations")
     p.add_argument("input")
     p.add_argument("--repr", choices=sorted(REPR_FLAGS), default="dq")
     p.add_argument("--fps", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("validate", help="check unit, continuity and bone-offset conditions")
     p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("loss", help="training losses between two containers")
     p.add_argument("pred")
     p.add_argument("truth")
     p.add_argument("--weights", default="", help="comma list, e.g. mse=1,reg=0.01")
     p.add_argument("--space", choices=("local", "current"), default="local")
-    p.set_defaults(func=cmd_loss)
 
     # Exact option names only, so that --seed is not read as --seeds.
     p = sub.add_parser("metrics", help="evaluation metrics between two BVH files",
@@ -316,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None, help="frames per window")
     p.add_argument("--seeds", type=int, default=400, help="max number of windows")
     p.add_argument("--stride", type=int, default=7, help="window start spacing")
-    p.set_defaults(func=cmd_metrics)
 
     return parser
 
@@ -331,7 +328,7 @@ def main(argv=None) -> int:
         # Values so large that the arithmetic overflows are a format error,
         # not a silent inf or NaN in the output.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
     except MotionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

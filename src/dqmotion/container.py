@@ -26,8 +26,15 @@ is not canonical if the digest is that block's own, and it rejects a block
 whose digest matches only the block's canonical re-serialization. A block
 that is not UTF-8, or whose joint fields do not have their JSON types
 (`Skeleton.from_dict`), is a `ContainerError`.
+
+A process builds one `Skeleton` per distinct verified block: after the
+digest check, `from_bytes` takes the skeleton from a memo keyed on the
+block bytes and bounded to `SKELETON_MEMO_SIZE` blocks, so reads of clips
+that share a skeleton share one object and its derived views. A block
+that fails to parse is not memoized; it raises on every read.
 """
 
+import functools
 import hashlib
 import json
 import struct
@@ -53,10 +60,23 @@ KIND_CODES = {
 }
 _KINDS_BY_CODE = {code: kind for kind, code in KIND_CODES.items()}
 
+#: Distinct skeleton blocks whose `Skeleton` a process keeps.
+SKELETON_MEMO_SIZE = 16
+
 
 def skeleton_digest(skeleton: Skeleton) -> bytes:
     """SHA-256 over the canonical skeleton JSON; identity for loss checks."""
     return hashlib.sha256(skeleton.canonical_json).digest()
+
+
+@functools.lru_cache(maxsize=SKELETON_MEMO_SIZE)
+def _skeleton(block: bytes) -> Skeleton:
+    """The skeleton of a verified block; `Skeleton` is immutable, so reads
+    share it."""
+    try:
+        return Skeleton.from_dict(json.loads(block.decode("utf-8")))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ContainerError(f"bad skeleton block: {exc}") from None
 
 
 def to_bytes(clip: EncodedClip) -> bytes:
@@ -104,13 +124,10 @@ def from_bytes(data: bytes) -> EncodedClip:
     offset += 4
     if len(data) < offset + json_len:
         raise ContainerError("truncated skeleton block")
-    block = data[offset : offset + json_len]
+    block = bytes(data[offset : offset + json_len])  # hashable for the memo
     if hashlib.sha256(block).digest() != digest:
         raise ContainerError("skeleton digest mismatch")
-    try:
-        skeleton = Skeleton.from_dict(json.loads(block.decode("utf-8")))
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ContainerError(f"bad skeleton block: {exc}") from None
+    skeleton = _skeleton(block)
     offset += json_len
 
     if skeleton.num_encoded != joints:

@@ -24,7 +24,8 @@ parent scatter adds one child rank at a time, in `np.add.at`'s order.
 `grad_check` verifies the gradients against central finite differences
 in one pass: every term's values of a frame read only that frame's
 features, so bumping one feature column in all frames at once gives the
-difference of every frame from the per-frame sums of the values, 2·W + 1
+difference of every frame from the per-frame sums of the values. No term
+reads the three root-translation columns, so it skips them: 2·(W − 3) + 1
 evaluations in all. Its kink rule is the term's own `kink` predicate. The
 tests also hold the gradients to a per-(frame, joint) loop oracle and to
 the batched (F, J, .) forms they replaced, and the one-pass differences
@@ -582,7 +583,7 @@ def grad_check(
 ) -> GradCheckResult:
     """Compare the analytic gradient against central finite differences.
 
-    One pass at the step GRAD_EPS, 2·W + 1 evaluations: each feature
+    One pass at the step GRAD_EPS, 2·(W − 3) + 1 evaluations: each joint
     column is bumped by ±GRAD_EPS in every frame at once, and a frame's
     difference is taken from that frame's sum of the term's values. That
     is exact because each term's per-(frame, joint) values read only their
@@ -598,8 +599,9 @@ def grad_check(
     evaluation = _evaluate(name, pred, truth, skeleton)
     analytic = evaluation.grad()
 
-    numeric = np.empty(pred.features.shape)
-    for column in range(pred.width):
+    # no term reads the root-translation columns 0..2; they stay zero
+    numeric = np.zeros(pred.features.shape)
+    for column in range(3, pred.width):
         frame_sums = []
         for step in (GRAD_EPS, -GRAD_EPS):
             features = pred.features.copy()

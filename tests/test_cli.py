@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dqmotion import bvh, container
+from dqmotion import bvh, cli, container
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, destandardize, encode
 from dqmotion.kinematics import clip_to_local
@@ -437,6 +437,18 @@ class TestMetrics:
     def test_seed_flag_removed(self, capsys, fixtures_dir):
         path = fixtures_dir / "humanoid.bvh"
         assert run(capsys, "metrics", path, path, "--seed", "3")[0] == 2
+
+    def test_repeated_calls_share_one_parser(self, capsys, fixtures_dir):
+        path = fixtures_dir / "humanoid.bvh"
+        good = ("metrics", path, path, "--horizon", "6")
+        calls = [good, ("metrics", path, path, "--seed", "1"), ("--help",), good]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 2, 0, 0]
+        assert "unrecognized arguments: --seed 1" in first[1][2]
+        assert "usage: dqmotion" in first[2][1]
+        assert first[3] == first[0]
+        assert [run(capsys, *argv) for argv in calls] == first
+        assert cli._build_parser() is cli._build_parser()
 
     def test_determinism(self, capsys, fixtures_dir):
         path = fixtures_dir / "humanoid.bvh"

@@ -360,6 +360,7 @@ class TestContainer:
         assert container.to_bytes(container.from_bytes(data)) == data
 
     def test_skeleton_block_is_serialized_once(self, rng, monkeypatch):
+        container._skeleton.cache_clear()
         skeleton = oracles.random_skeleton(rng, 8, end_sites=True)
         poses = oracles.random_poses(rng, skeleton, 3)
         clips = [encode(poses, kind) for kind in ALL_KINDS]
@@ -369,11 +370,16 @@ class TestContainer:
         blobs = [container.to_bytes(clip) for clip in clips]
         container.skeleton_digest(skeleton)
         assert calls == [skeleton]
-        # reading hashes the stored block; the skeleton read back builds its own
-        loaded = container.from_bytes(blobs[0]).skeleton
+        # reading hashes the stored block; every read of it gets the memo's skeleton
+        loaded = [container.from_bytes(blob).skeleton for blob in blobs]
         assert calls == [skeleton]
-        assert loaded.canonical_json == skeleton.canonical_json
-        assert calls == [skeleton, loaded]
+        assert all(other is loaded[0] for other in loaded)
+        assert loaded[0] is not skeleton
+        assert container._skeleton.cache_info().currsize == 1
+        # writing the clips back serializes that one skeleton once
+        for _ in range(2):
+            assert [container.to_bytes(container.from_bytes(blob)) for blob in blobs] == blobs
+        assert calls == [skeleton, loaded[0]]
 
     def test_digest_is_the_sha256_of_the_sorted_compact_json(self, rng):
         skeletons = [bvh.parse_file(path).skeleton for path in fixture_corpus()]

@@ -332,8 +332,12 @@ class TestContainerInput:
         skeleton = container.from_bytes(data).skeleton
         block = json.dumps(skeleton.to_dict(), indent=1).encode()
         assert block != skeleton.canonical_json
-        loaded = container.from_bytes(with_digest(with_skeleton_block(data, block),
-                                                  hashlib.sha256(block).digest()))
+        reindented = with_digest(with_skeleton_block(data, block), hashlib.sha256(block).digest())
+        loaded = container.from_bytes(reindented)
+        # its own memo entry, beside the canonical block's
+        assert loaded.skeleton is not skeleton
+        assert container.from_bytes(reindented).skeleton is loaded.skeleton
+        assert container.from_bytes(data).skeleton is skeleton
         assert loaded.skeleton == skeleton
         # the decoded skeleton serializes itself, not the stored block
         assert loaded.skeleton.canonical_json == skeleton.canonical_json
@@ -354,11 +358,13 @@ class TestContainerInput:
 
     def test_flipped_block_byte(self):
         data = container_bytes(ReprKind.QUATERNIONS)
+        skeleton = container.from_bytes(data).skeleton  # the intact block is memoized
         (length,) = struct.unpack_from("<I", data, container._HEADER.size)
         at = container._HEADER.size + 4 + length // 2
         flipped = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
         with pytest.raises(ContainerError, match="skeleton digest mismatch"):
             container.from_bytes(flipped)
+        assert container.from_bytes(data).skeleton is skeleton
 
     @pytest.mark.parametrize("field, value", BAD_JOINT_FIELDS.values(), ids=BAD_JOINT_FIELDS.keys())
     def test_mistyped_joint_field(self, tmp_path, field, value):
@@ -411,6 +417,41 @@ class TestContainerInput:
             loaded = container.from_bytes(data)
             assert loaded.skeleton == skeleton
             assert container.to_bytes(loaded) == data
+
+
+class TestSkeletonMemo:
+    """`from_bytes` builds one skeleton per distinct verified block."""
+
+    def test_reads_of_one_block_share_one_skeleton(self):
+        dq, quat = container_bytes(ReprKind.DUALQUAT), container_bytes(ReprKind.QUATERNIONS)
+        skeleton = container.from_bytes(dq).skeleton
+        assert container.from_bytes(dq).skeleton is skeleton
+        assert container.from_bytes(quat).skeleton is skeleton
+
+    def test_memo_is_bounded(self, rng):
+        container._skeleton.cache_clear()
+        size = container.SKELETON_MEMO_SIZE
+        skeletons = [oracles.random_skeleton(rng, 3) for _ in range(size + 1)]
+        blobs = [container.to_bytes(encode(oracles.random_poses(rng, s, 2), ReprKind.DUALQUAT))
+                 for s in skeletons]
+        assert len({s.canonical_json for s in skeletons}) == size + 1
+        first = container.from_bytes(blobs[0]).skeleton
+        for blob in blobs[1:]:
+            container.from_bytes(blob)
+        assert container._skeleton.cache_info().currsize <= size
+        again = container.from_bytes(blobs[0]).skeleton
+        assert again is not first
+        assert again == first
+
+    def test_bad_block_raises_on_every_read(self):
+        block = json.dumps({"joints": {}}).encode()
+        data = with_digest(with_skeleton_block(container_bytes(ReprKind.DUALQUAT), block),
+                           hashlib.sha256(block).digest())
+        misses = container._skeleton.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ContainerError, match="bad skeleton block"):
+                container.from_bytes(data)
+        assert container._skeleton.cache_info().misses == misses + 2
 
 
 class TestNumericRange:
