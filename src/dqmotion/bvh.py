@@ -41,16 +41,22 @@ block in bulk: one float conversion over the tokens of all rows, one width
 check per row and one finiteness check. Any row the bulk read cannot take
 goes to the row loop, from the first row that may be at fault, so that
 every error keeps its type, message and line number.
+
+A process builds one `Skeleton` per distinct hierarchy text: the lines
+through the first line that is exactly `MOTION` are the key of a memo
+bounded to `SKELETON_MEMO_SIZE` (16) headers, so clips that share a
+header share one skeleton and its derived views. A header fault is never
+memoized; it raises on every parse, at the same line. The frame count,
+frame time and motion rows are read per clip.
 """
 
 import json
 import math
 import numbers
 import os
-import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -68,6 +74,10 @@ POSITION_CHANNELS = ("Xposition", "Yposition", "Zposition")
 ROTATION_CHANNELS = ("Xrotation", "Yrotation", "Zrotation")
 _CHANNEL_TAGS = set(POSITION_CHANNELS) | set(ROTATION_CHANNELS)
 _ROTATION_COUNT_MESSAGE = "a joint needs zero or three rotation channels, not {}"
+
+#: Distinct headers whose `Skeleton` a process keeps, per memo: BVH
+#: hierarchy texts here, skeleton blocks in `container`.
+SKELETON_MEMO_SIZE = 16
 
 
 def finite_rate(frame_time: float) -> bool:
@@ -290,7 +300,7 @@ class Skeleton:
         of a .dqm container and the input of its digest."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    @property
+    @cached_property
     def channel_count(self) -> int:
         return sum(len(j.channels) for j in self.joints)
 
@@ -426,12 +436,12 @@ class MotionClip:
 # ---------------------------------------------------------------------------
 
 class _Tokens:
-    """Token stream over the lines of a text (`str.splitlines`), each line
-    split when the stream reaches it; blank lines are skipped. Remembers
-    line numbers for errors."""
+    """Token stream over a sequence of lines (`str.splitlines` of a text),
+    each line split when the stream reaches it; blank lines are skipped.
+    Remembers line numbers for errors."""
 
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
+    def __init__(self, lines):
+        self.lines = lines
         self.pos = 0  # index of the line that `peek` reads
         self.last_line = 0  # 1-based number of the line `next` last returned
         self._head = None  # tokens of line `pos`, once split
@@ -452,9 +462,13 @@ class _Tokens:
 
     def next(self) -> list[str]:
         tokens = self.peek()
-        self.pos, self._head = self.pos + 1, None
-        self.last_line = self.pos
+        self.resume(self.pos + 1)
         return tokens
+
+    def resume(self, pos: int):
+        """Continue after the first `pos` lines, as if `next` had just
+        returned line `pos`."""
+        self.pos, self._head, self.last_line = pos, None, pos
 
     @property
     def line(self) -> int:
@@ -567,14 +581,36 @@ def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
 
 def _parse_header(tokens) -> tuple[Skeleton, int, float]:
     """HIERARCHY through 'Frame Time': the skeleton, the declared frame
-    count and the frame time."""
+    count and the frame time, read from any token stream without the memo."""
+    return _parse_skeleton(tokens), *_parse_timing(tokens)
+
+
+def _parse_skeleton(tokens) -> Skeleton:
+    """HIERARCHY through MOTION: the skeleton."""
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
         raise tokens.error("expected 'HIERARCHY'")
     joints = _parse_hierarchy(tokens)
     if tokens.peek()[0] == "ROOT":
         raise BvhSyntaxError(tokens.line, "multiple ROOT joints are not supported")
     _expect(tokens, "MOTION")
+    return Skeleton(joints)
 
+
+@lru_cache(maxsize=SKELETON_MEMO_SIZE)
+def _memo_skeleton(header: tuple[str, ...]) -> tuple[Skeleton, int]:
+    """`_parse_skeleton` of the lines of a text through its first line that
+    is exactly MOTION, and the number of lines it read: fewer when an
+    earlier line, such as ' MOTION', holds the keyword. The hierarchy
+    raises on the first line it cannot take, and the MOTION line is one, so
+    every fault has the line and message a read of the whole text gives it.
+    `Skeleton` is immutable, so parses share it; a fault is not memoized."""
+    tokens = _Tokens(header)
+    return _parse_skeleton(tokens), tokens.pos
+
+
+def _parse_timing(tokens) -> tuple[int, float]:
+    """'Frames:' and 'Frame Time:': the declared frame count and the frame
+    time."""
     row = tokens.next()
     if row[0] != "Frames:" or len(row) != 2:
         raise tokens.error("expected 'Frames: n'")
@@ -596,8 +632,7 @@ def _parse_header(tokens) -> tuple[Skeleton, int, float]:
         raise tokens.error("frame time must be positive")
     if not finite_rate(frame_time):
         raise tokens.error("frame time and its rate 1/t must be finite")
-
-    return Skeleton(joints), num_frames, frame_time
+    return num_frames, frame_time
 
 
 def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
@@ -671,8 +706,16 @@ def parse(text: str | bytes) -> MotionClip:
             # ("?" stands in for it, so a prefix ending in a line break counts).
             before = exc.object[: exc.start].decode("utf-8") + "?"
             raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
-    tokens = _Tokens(text)
-    skeleton, num_frames, frame_time = _parse_header(tokens)
+    lines = text.splitlines()
+    tokens = _Tokens(lines)
+    try:
+        end = lines.index("MOTION") + 1
+    except ValueError:  # no line is exactly MOTION: nothing to key the memo on
+        skeleton = _parse_skeleton(tokens)
+    else:
+        skeleton, read = _memo_skeleton(tuple(lines[:end]))
+        tokens.resume(read)
+    num_frames, frame_time = _parse_timing(tokens)
     frames = _read_motion(tokens, num_frames, skeleton.channel_count)
     try:
         return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)
@@ -835,11 +878,19 @@ def _digit_words(negative: np.ndarray, integer: np.ndarray, first: np.ndarray,
 
 def _atomic_write(path, data: bytes):
     """Write `data` to `path` through a temporary file in the same
-    directory: the target appears only once fully written."""
+    directory: the target appears only once fully written. A new target
+    gets the mode `open` would give it (0o666 less the umask); a replaced
+    one keeps its mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    # O_EXCL: never opens a file that is already there
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
+            try:
+                os.fchmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -29,7 +29,7 @@ that is not UTF-8, or whose joint fields do not have their JSON types
 
 A process builds one `Skeleton` per distinct verified block: after the
 digest check, `from_bytes` takes the skeleton from a memo keyed on the
-block bytes and bounded to `SKELETON_MEMO_SIZE` blocks, so reads of clips
+block bytes and bounded to `bvh.SKELETON_MEMO_SIZE` blocks, so reads of clips
 that share a skeleton share one object and its derived views. A block
 that fails to parse is not memoized; it raises on every read.
 """
@@ -41,7 +41,7 @@ import struct
 
 import numpy as np
 
-from .bvh import Skeleton, _atomic_write
+from .bvh import SKELETON_MEMO_SIZE, Skeleton, _atomic_write
 from .encoding import EncodedClip, NormalizationStats, ReprKind
 from .errors import ContainerError
 
@@ -59,9 +59,6 @@ KIND_CODES = {
     ReprKind.ORTHO6D_POSITIONS: 5,
 }
 _KINDS_BY_CODE = {code: kind for kind, code in KIND_CODES.items()}
-
-#: Distinct skeleton blocks whose `Skeleton` a process keeps.
-SKELETON_MEMO_SIZE = 16
 
 
 def skeleton_digest(skeleton: Skeleton) -> bytes:

@@ -1,12 +1,15 @@
 """BVH parser/writer against the hand-built fixture corpus."""
 
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dqmotion import bvh
+from dqmotion import bvh, container
+from dqmotion.encoding import ReprKind, encode
+from dqmotion.kinematics import clip_to_local
 from dqmotion.errors import (
     BadRateError,
     BvhSyntaxError,
@@ -14,6 +17,7 @@ from dqmotion.errors import (
     UnsupportedChannelError,
 )
 
+import oracles
 from conftest import fixture_corpus, malformed_corpus
 
 WALK = Path(__file__).parent.parent / "demos" / "data" / "walk.bvh"
@@ -203,8 +207,6 @@ class TestEdgeCases:
         )
         clip = bvh.parse(text)
         assert clip.skeleton.channel_count == 3
-        from dqmotion.kinematics import clip_to_local
-
         poses = clip_to_local(clip)
         assert np.allclose(poses[0].root_translation, np.zeros(3))
 
@@ -282,6 +284,96 @@ class TestWrite:
         assert "\r" not in text
         assert "\t" not in text
         assert "\n  JOINT knee\n" in text
+
+
+def split_motion(text: str) -> tuple[str, str]:
+    """`text` cut after its MOTION line: the hierarchy, then the rest."""
+    at = text.index("\nMOTION\n") + len("\nMOTION\n")
+    return text[:at], text[at:]
+
+
+class TestSkeletonMemo:
+    """`parse` builds one skeleton per distinct hierarchy text."""
+
+    def test_texts_of_one_hierarchy_share_one_skeleton(self, fixtures_dir):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        first = bvh.parse(text)
+        row = " ".join(["1.5"] * first.skeleton.channel_count)
+        header, _ = split_motion(text)
+        second = bvh.parse(f"{header}Frames: 2\nFrame Time: 0.25\n{row}\n{row}\n")
+        assert second.skeleton is first.skeleton
+        assert (second.num_frames, second.frame_time) == (2, 0.25)
+        assert np.all(second.frames == 1.5)
+
+    def test_whitespace_variant_gets_its_own_entry(self, fixtures_dir):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        header, rest = split_motion(text)
+        tabbed = header.replace("  ", "\t")
+        assert tabbed != header
+        first = bvh.parse(text)
+        misses = bvh._memo_skeleton.cache_info().misses
+        again = bvh.parse(tabbed + rest)
+        assert bvh._memo_skeleton.cache_info().misses == misses + 1
+        assert again.skeleton == first.skeleton
+        assert again.skeleton is not first.skeleton
+
+    def test_memo_is_bounded(self, rng):
+        bvh._memo_skeleton.cache_clear()
+        size = bvh.SKELETON_MEMO_SIZE
+        assert container.SKELETON_MEMO_SIZE == size  # one bound for both memos
+        texts = [bvh.write(bvh.MotionClip(s, 1 / 30, np.zeros((1, s.channel_count))))
+                 for s in (oracles.random_skeleton(rng, 3) for _ in range(size + 1))]
+        assert len({split_motion(text)[0] for text in texts}) == size + 1
+        first = bvh.parse(texts[0]).skeleton
+        for text in texts[1:]:
+            bvh.parse(text)
+        assert bvh._memo_skeleton.cache_info().currsize <= size
+        again = bvh.parse(texts[0]).skeleton
+        assert again is not first
+        assert again == first
+
+    def test_header_fault_raises_on_every_parse(self, fixtures_dir):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        bad = text.replace("OFFSET 0.000000 2.100000", "OFFSET zero 2.100000", 1)
+        assert bad != text
+        misses = bvh._memo_skeleton.cache_info().misses
+        errors = []
+        for _ in range(2):
+            with pytest.raises(BvhSyntaxError) as info:
+                bvh.parse(bad)
+            errors.append((type(info.value), info.value.message, info.value.line))
+        assert errors[0] == errors[1] == (BvhSyntaxError, "OFFSET values must be numeric", 8)
+        assert bvh._memo_skeleton.cache_info().misses == misses + 2
+
+
+class TestWriteFile:
+    """Atomic writes give files the mode `open` would give them."""
+
+    @pytest.fixture
+    def umask(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_the_open_mode(self, tmp_path, fixtures_dir, umask):
+        clip = bvh.parse_file(fixtures_dir / "two_joint.bvh")
+        reference = tmp_path / "open.txt"
+        with open(reference, "w"):
+            pass
+        bvh.write_file(tmp_path / "clip.bvh", clip)
+        container.write_file(tmp_path / "clip.dqm", encode(clip_to_local(clip), ReprKind.DUALQUAT))
+        modes = {path.name: path.stat().st_mode for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["open.txt", "clip.bvh", "clip.dqm"], reference.stat().st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, fixtures_dir, umask):
+        clip = bvh.parse_file(fixtures_dir / "two_joint.bvh")
+        path = tmp_path / "clip.bvh"
+        path.write_text("old")
+        path.chmod(0o640)
+        bvh.write_file(path, clip)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert bvh.parse_file(path).skeleton == clip.skeleton
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSubsample:

@@ -257,28 +257,38 @@ MUTATIONS = [width_pair, row_width, blank_line, tabs, crlf, separator, token, fr
              trailing, drop_row]
 
 
+#: (mutation, k, the error it must raise or None) on the humanoid fixture.
+OUTCOMES = [
+    (width_pair, 5, ChannelMismatchError),
+    (row_width, 3, ChannelMismatchError),
+    (row_width, 4, ChannelMismatchError),
+    (blank_line, 100, None),
+    (tabs, 100, None),
+    (crlf, 0, None),
+    (token, 0, ChannelMismatchError),  # nan
+    (token, 1, ChannelMismatchError),  # inf
+    (token, 3, ChannelMismatchError),  # 1_000: no digit-group underscores
+    (token, 4, ChannelMismatchError),  # abc
+    (token, 7, None),  # -0
+    (frame_count, 0, BvhSyntaxError),  # one short: trailing content
+    (frame_count, 1, BvhSyntaxError),  # one over: end of file
+    (frame_count, 2, BvhSyntaxError),  # 1e15 as an integer
+    (frame_count, 3, BvhSyntaxError),  # 1e15 as text
+    (trailing, 1, BvhSyntaxError),
+    (drop_row, 2, BvhSyntaxError),
+]
+
+
+def memo_key(text: str) -> tuple:
+    """The lines of `text` through its first line that is exactly MOTION."""
+    lines = text.splitlines()
+    return tuple(lines[: lines.index("MOTION") + 1])
+
+
 class TestParseOutcomes:
     """Each mutation on the humanoid fixture, with the outcome it must have."""
 
-    @pytest.mark.parametrize("mutation, k, error", [
-        (width_pair, 5, ChannelMismatchError),
-        (row_width, 3, ChannelMismatchError),
-        (row_width, 4, ChannelMismatchError),
-        (blank_line, 100, None),
-        (tabs, 100, None),
-        (crlf, 0, None),
-        (token, 0, ChannelMismatchError),  # nan
-        (token, 1, ChannelMismatchError),  # inf
-        (token, 3, ChannelMismatchError),  # 1_000: no digit-group underscores
-        (token, 4, ChannelMismatchError),  # abc
-        (token, 7, None),  # -0
-        (frame_count, 0, BvhSyntaxError),  # one short: trailing content
-        (frame_count, 1, BvhSyntaxError),  # one over: end of file
-        (frame_count, 2, BvhSyntaxError),  # 1e15 as an integer
-        (frame_count, 3, BvhSyntaxError),  # 1e15 as text
-        (trailing, 1, BvhSyntaxError),
-        (drop_row, 2, BvhSyntaxError),
-    ])
+    @pytest.mark.parametrize("mutation, k, error", OUTCOMES)
     def test_same_outcome(self, mutation, k, error):
         text = mutation(HUMANOID, k)
         got = outcome(bvh.parse, text)
@@ -287,6 +297,29 @@ class TestParseOutcomes:
             assert not isinstance(got[0], type)
         else:
             assert issubclass(got[0], error), got
+
+    @pytest.mark.parametrize("mutation, k, error", OUTCOMES)
+    def test_same_outcome_after_a_memo_hit(self, mutation, k, error):
+        """The corpus again with the pristine header memoized: a text that
+        keeps it resumes after MOTION from the memo, and every fault past
+        that line keeps its type, message and line."""
+        bvh.parse(HUMANOID)
+        text = mutation(HUMANOID, k)
+        hits = bvh._memo_skeleton.cache_info().hits
+        assert outcome(bvh.parse, text) == outcome(bvh_oracles.parse, text)
+        shared = memo_key(text) == memo_key(HUMANOID)
+        assert bvh._memo_skeleton.cache_info().hits == hits + shared
+        assert shared or mutation in (blank_line, tabs)
+
+    @pytest.mark.parametrize("rest", ["MOTION\n", "Frames: 1\nMOTION\n"])
+    def test_keyword_line_before_the_memo_key(self, rest):
+        """' MOTION' holds the keyword, so the parse resumes after it and
+        not after the later line that is exactly MOTION and ends the key."""
+        text = HUMANOID.replace("\nMOTION\n", "\n MOTION\n") + rest
+        got = outcome(bvh.parse, text)
+        assert got == outcome(bvh_oracles.parse, text)
+        assert got[0] is BvhSyntaxError and got[1] == "trailing content after declared frames"
+        assert got == outcome(bvh.parse, text)  # from the memo
 
     @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
     def test_separators_break_lines(self, sep):

@@ -1,6 +1,8 @@
 """The runtime stays numpy-only: every import in the package, at module
 level or inside a function, names the standard library, numpy or the
-package itself."""
+package itself. And every memo it keeps is bounded: each
+`functools.lru_cache` has a finite maxsize, and `functools.cache` holds
+only functions that take no arguments."""
 
 import ast
 import sys
@@ -34,3 +36,78 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_the_check_sees_a_foreign_import():
     tree = ast.parse("import numpy.linalg\nfrom . import bvh\n\ndef f():\n    import scipy.linalg\n")
     assert [module for _, module in imported_modules(tree) if module not in ALLOWED] == ["scipy"]
+
+
+def unbounded_memos(tree: ast.AST):
+    """(line, name) of every use of `functools.lru_cache` or
+    `functools.cache` in `tree` that may grow without bound: an
+    `lru_cache` not called with a maxsize other than None, and a `cache`
+    other than a decorator of a function with no parameters."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names}
+
+    def memo(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = node.attr if node.value.id in modules else None
+        else:
+            name = names.get(node.id) if isinstance(node, ast.Name) else None
+        return name if name in ("lru_cache", "cache") else None
+
+    bounded = set()  # ids of the references used in a bounded way
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if sizes and not (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                bounded.add(id(node.func))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                bounded.update(id(d) for d in node.decorator_list if memo(d) == "cache")
+    for node in ast.walk(tree):
+        if memo(node) and id(node) not in bounded:
+            yield node.lineno, memo(node)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(SOURCES)))
+def test_memos_are_bounded(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.relative_to(SOURCES)}:{line} {name}" for line, name in unbounded_memos(tree)] == []
+
+
+def test_the_check_sees_an_unbounded_memo():
+    source = """
+import functools
+import functools as ft
+from functools import cache, lru_cache as lru
+
+@functools.lru_cache(maxsize=16)
+def bounded(key): ...
+
+@functools.cache
+def built_once(): ...
+
+@functools.lru_cache(maxsize=None)
+def keyword_none(key): ...
+
+@ft.lru_cache(None)
+def positional_none(key): ...
+
+@lru
+def bare(key): ...
+
+@cache
+def with_argument(key): ...
+
+class Holder:
+    @functools.cache
+    def method(self): ...
+
+memo = functools.cache(len)
+"""
+    got = sorted(unbounded_memos(ast.parse(source)))
+    assert got == [(12, "lru_cache"), (15, "lru_cache"), (18, "lru_cache"), (21, "cache"),
+                   (25, "cache"), (28, "cache")]
