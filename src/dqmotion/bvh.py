@@ -596,16 +596,25 @@ def _parse_skeleton(tokens) -> Skeleton:
     return Skeleton(joints)
 
 
+class _EarlyEnd(Exception):
+    """The hierarchy ended before the memo key's last line; `args` are the
+    skeleton and the number of lines read."""
+
+
 @lru_cache(maxsize=SKELETON_MEMO_SIZE)
-def _memo_skeleton(header: tuple[str, ...]) -> tuple[Skeleton, int]:
+def _memo_skeleton(header: tuple[str, ...]) -> Skeleton:
     """`_parse_skeleton` of the lines of a text through its first line that
-    is exactly MOTION, and the number of lines it read: fewer when an
-    earlier line, such as ' MOTION', holds the keyword. The hierarchy
-    raises on the first line it cannot take, and the MOTION line is one, so
-    every fault has the line and message a read of the whole text gives it.
-    `Skeleton` is immutable, so parses share it; a fault is not memoized."""
+    is exactly MOTION. The hierarchy raises on the first line it cannot
+    take, and the MOTION line is one, so every fault has the line and
+    message a read of the whole text gives it. `Skeleton` is immutable, so
+    parses share it. `lru_cache` keeps no exception, so neither a fault nor
+    a hierarchy that an earlier line such as ' MOTION' ends (`_EarlyEnd`:
+    the key would hold lines past the header) leaves an entry."""
     tokens = _Tokens(header)
-    return _parse_skeleton(tokens), tokens.pos
+    skeleton = _parse_skeleton(tokens)
+    if tokens.pos != len(header):
+        raise _EarlyEnd(skeleton, tokens.pos)
+    return skeleton
 
 
 def _parse_timing(tokens) -> tuple[int, float]:
@@ -713,8 +722,11 @@ def parse(text: str | bytes) -> MotionClip:
     except ValueError:  # no line is exactly MOTION: nothing to key the memo on
         skeleton = _parse_skeleton(tokens)
     else:
-        skeleton, read = _memo_skeleton(tuple(lines[:end]))
-        tokens.resume(read)
+        try:
+            skeleton = _memo_skeleton(tuple(lines[:end]))
+        except _EarlyEnd as early:
+            skeleton, end = early.args
+        tokens.resume(end)
     num_frames, frame_time = _parse_timing(tokens)
     frames = _read_motion(tokens, num_frames, skeleton.channel_count)
     try:
@@ -883,14 +895,17 @@ def _atomic_write(path, data: bytes):
     one keeps its mode."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    # O_EXCL: never opens a file that is already there
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        mode = None
+    # O_EXCL: never opens a file that is already there. The umask only
+    # clears bits, so the temporary file is never more open than the old one.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
     try:
         with os.fdopen(fd, "wb") as handle:
-            try:
-                os.fchmod(handle.fileno(), os.stat(path).st_mode & 0o777)
-            except FileNotFoundError:
-                pass
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)  # the bits the umask cleared
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -365,13 +365,26 @@ class TestWriteFile:
         modes = {path.name: path.stat().st_mode for path in tmp_path.iterdir()}
         assert modes == dict.fromkeys(["open.txt", "clip.bvh", "clip.dqm"], reference.stat().st_mode)
 
-    def test_replaced_file_keeps_its_mode(self, tmp_path, fixtures_dir, umask):
+    @pytest.mark.parametrize("mode", [0o640, 0o600, 0o666])
+    def test_replaced_file_keeps_its_mode(self, tmp_path, fixtures_dir, umask, monkeypatch, mode):
+        """The temporary file is created no more open than the old file, so
+        no one who could not read the old file can open the new one."""
         clip = bvh.parse_file(fixtures_dir / "two_joint.bvh")
         path = tmp_path / "clip.bvh"
         path.write_text("old")
-        path.chmod(0o640)
+        path.chmod(mode)
+        created, real_open = [], os.open
+
+        def recording_open(name, flags, *args):
+            fd = real_open(name, flags, *args)
+            created.append(os.fstat(fd).st_mode & 0o777)
+            return fd
+
+        monkeypatch.setattr(os, "open", recording_open)
         bvh.write_file(path, clip)
-        assert path.stat().st_mode & 0o777 == 0o640
+        monkeypatch.undo()
+        assert len(created) == 1 and created[0] & ~mode == 0
+        assert path.stat().st_mode & 0o777 == mode
         assert bvh.parse_file(path).skeleton == clip.skeleton
         assert list(tmp_path.iterdir()) == [path]
 
