@@ -21,6 +21,19 @@ Quaternion and dual-quaternion blocks receive the antipodal sign
 correction along time at encode time, once; the correction never changes
 the rigid transform a block encodes.
 
+Encoding one pose under several kinds builds each shared part once: the
+sign-corrected quaternions (quaternions, quaternions_positions), the
+six-value blocks (the two ortho6d kinds) and the joint positions
+(positions and the two ``_positions`` kinds). Once a clip is built,
+`encode` keeps each part it holds in the pose's private
+`LocalPose._encoded_parts` as a read-only view into that clip's
+features, never as an array of its own, so the pose pins only clips its
+caller was handed. A later encode of the same pose copies the part from
+there, bit for bit what it would build. The dualquat kind shares
+nothing. A slice of the pose starts with no parts (the sign correction
+seeds at the slice's own first frame), and an encode that raises keeps
+nothing, so the next call raises again.
+
 `EncodedClip` and `NormalizationStats` are immutable values, like every
 value the package passes: frozen dataclasses with read-only arrays, so the
 constructor's checks (width, finiteness, matching stats) hold while nobody
@@ -219,32 +232,74 @@ def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _sign_corrected(pose: LocalPose, indices: list) -> np.ndarray:
+    return antipodal_correct(quat.normalize(pose.joint_rotations[:, indices]))
+
+
+def _six_value(pose: LocalPose, indices: list) -> np.ndarray:
+    return _ortho6d_of_quats(quat.normalize(pose.joint_rotations[:, indices]))
+
+
+def _joint_positions(pose: LocalPose, indices: list) -> np.ndarray:
+    return dualquat.translation(pose.chain[:, indices])
+
+
+#: The blocks that several kinds share: name -> (width, builder).
+_PARTS = {
+    "quaternions": (4, _sign_corrected),
+    "ortho6d": (6, _six_value),
+    "positions": (3, _joint_positions),
+}
+
+#: Per kind, its shared parts and the block column each starts at. The
+#: positions come first, so the chain's unit check raises before
+#: `quat.normalize` does, as when every encode built every block.
+_KIND_PARTS = {
+    ReprKind.POSITIONS: (("positions", 0),),
+    ReprKind.QUATERNIONS: (("quaternions", 0),),
+    ReprKind.ORTHO6D: (("ortho6d", 0),),
+    ReprKind.QUATERNIONS_POSITIONS: (("positions", 4), ("quaternions", 0)),
+    ReprKind.ORTHO6D_POSITIONS: (("positions", 6), ("ortho6d", 0)),
+    ReprKind.DUALQUAT: (),
+}
+
+
 def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
-    """Encode a batched LocalPose under the requested representation. The
-    kinds with positions read `LocalPose.chain`, so encoding a pose under
-    several of them sweeps the hierarchy once, and a slice of an encoded
-    pose not at all."""
+    """Encode a batched LocalPose under the requested representation.
+
+    The kinds with positions read `LocalPose.chain`, so encoding a pose
+    under several of them sweeps the hierarchy once, and a slice of an
+    encoded pose not at all. The blocks that kinds share (the
+    sign-corrected quaternions, the six-value blocks, the joint
+    positions) are built once per pose: the first encode that builds one
+    keeps it as a read-only view into the features of the clip it
+    returns, and a later encode of the same pose copies it from there.
+    A slice of the pose starts with none of them (its sign correction
+    seeds at its own first frame), and an encode that raises keeps
+    nothing. A `kind` that is not a `ReprKind` raises InvalidValueError.
+    """
+    if not isinstance(kind, ReprKind):
+        raise InvalidValueError(f"kind must be a ReprKind, not {kind!r}")
     frames = len(pose)
     skeleton = pose.skeleton
     indices = list(skeleton.encoded_indices)
-
-    if kind.has_positions:
-        current = pose.chain[:, indices]
+    features = np.empty((frames, 3 + kind.block_dim * skeleton.num_encoded))
+    features[:, :3] = pose.root_translation
+    blocks = features[:, 3:].reshape(frames, skeleton.num_encoded, kind.block_dim)
+    kept = pose._encoded_parts
+    parts = _KIND_PARTS[kind]
     if kind is ReprKind.DUALQUAT:
-        blocks = antipodal_correct(current)
-    elif kind is ReprKind.POSITIONS:
-        blocks = dualquat.translation(current)
-    else:
-        local = quat.normalize(pose.joint_rotations[:, indices])
-        if kind.sign_sensitive:
-            blocks = antipodal_correct(local)
-        else:
-            blocks = _ortho6d_of_quats(local)
-        if kind.has_positions:
-            blocks = np.concatenate([blocks, dualquat.translation(current)], axis=-1)
+        blocks[...] = antipodal_correct(pose.chain[:, indices])
+    for name, start in parts:
+        width, build = _PARTS[name]
+        part = kept.get(name)
+        blocks[..., start:start + width] = build(pose, indices) if part is None else part
 
-    features = np.concatenate([pose.root_translation, blocks.reshape(frames, -1)], axis=1)
-    return EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=_read_only(features))
+    clip = EncodedClip(kind=kind, skeleton=skeleton, frame_time=frame_time, features=_read_only(features))
+    held = clip.joint_blocks()
+    for name, start in parts:
+        kept.setdefault(name, held[..., start:start + _PARTS[name][0]])
+    return clip
 
 
 # ---------------------------------------------------------------------------

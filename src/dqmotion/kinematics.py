@@ -5,7 +5,9 @@ A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
 and (F, 3) root path, F >= 1, the one input of every layer; a single
 frame, `pose[f]`, has no `len` and is never one. It runs each of its two
 hierarchy sweeps (`chain` for the encodings, `positions` for the
-metrics) at most once, and its slices reuse them.
+metrics) at most once, and its slices reuse them; it also holds the
+blocks that `encoding.encode` shares between kinds, which its slices
+do not take.
 
 This module holds the one forward hierarchy sweep, which every layer
 runs (`LocalPose`, the dualquat `decode`, the loss terms' space changes).
@@ -54,7 +56,10 @@ class LocalPose:
     each computed on first use and kept read-only, as (F, J, .) arrays
     (nothing is kept when they raise); a slice of the pose takes the same
     slice of what is kept, so a window of a pose scored in full runs no
-    hierarchy sweep.
+    hierarchy sweep. `_encoded_parts`, the third memo, holds views into
+    clips that `encoding.encode` built from the pose; a slice starts
+    without it, since the sign correction seeds at the slice's first
+    frame.
     """
 
     skeleton: Skeleton
@@ -89,7 +94,7 @@ class LocalPose:
     def __getitem__(self, index) -> "LocalPose":
         len(self)  # a single-frame pose has no frame axis to index
         pose = LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
-        for name in ("chain", "positions"):
+        for name in ("chain", "positions"):  # never `_encoded_parts`
             if name in vars(self):
                 vars(pose)[name] = _read_only(vars(self)[name][index])
         return pose
@@ -108,6 +113,14 @@ class LocalPose:
         """(..., J, 3) root-centered joint positions of the normalized rotations."""
         return _read_only(_from_rows(dualquat._translation_rows(
             current_chain(self.skeleton, _to_rows(quat.normalize(self.joint_rotations))))))
+
+    @cached_property
+    def _encoded_parts(self) -> dict:
+        """The blocks that `encoding.encode` shares between kinds, by name,
+        each a read-only view into the features of a clip encoded from
+        this pose. Filled by `encode` after a clip is built; a slice of the
+        pose starts empty."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

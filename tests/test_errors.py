@@ -77,6 +77,9 @@ BAD_VALUES = {
     "loss_total weights a mapping": lambda clip, enc: loss_total(enc, enc, weights={"mse": 1.0}),
     "grad_check pair term without truth": lambda clip, enc: grad_check("mse", enc, None),
     "loss_total without truth": lambda clip, enc: loss_total(enc, None),
+    "encode kind a string": lambda clip, enc: encode(clip_to_local(clip), "dualquat"),
+    "encode kind a short name": lambda clip, enc: encode(clip_to_local(clip), "dq"),
+    "encode kind None": lambda clip, enc: encode(clip_to_local(clip), None),
 }
 
 
@@ -85,6 +88,12 @@ def test_bad_values_raise_a_motion_error_that_is_a_value_error(clip, encoded, bu
     with pytest.raises(InvalidValueError) as info:
         build(clip, encoded)
     assert isinstance(info.value, MotionError) and isinstance(info.value, ValueError)
+
+
+def test_encode_checks_the_kind_before_any_work(clip):
+    # A single-frame pose would raise ShapeMismatchError once read.
+    with pytest.raises(InvalidValueError, match="ReprKind"):
+        encode(clip_to_local(clip)[0], "dq")
 
 
 def test_weights_error_points_to_from_mapping(encoded):

@@ -1,10 +1,15 @@
-"""The frozen LocalPose and its two memos: the current chain that `encode`
-reads and the root-centered positions that the metrics read.
+"""The frozen LocalPose and its three memos: the current chain that `encode`
+reads, the root-centered positions that the metrics read, and the blocks
+that `encode` shares between kinds (the sign-corrected quaternions, the
+six-value blocks and the joint positions, each a read-only view into the
+features of a clip encoded from the pose).
 
-A slice of a pose inherits each filled memo as the same slice of it, so a
-window of a pose that was scored in full runs no forward kinematics. Every
-result must be bit for bit that of a fresh pose built from copies, and an
-error must come out of exactly the calls that raised it before the memo.
+A slice of a pose inherits the chain and the positions as the same slice
+of them, so a window of a pose that was scored in full runs no forward
+kinematics; it inherits none of the shared blocks, since the sign
+correction seeds at the window's own first frame. Every result must be
+bit for bit that of a fresh pose built from copies, and an error must
+come out of exactly the calls that raised it before the memo.
 """
 
 import dataclasses
@@ -12,10 +17,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dqmotion import kinematics
+from dqmotion import dualquat, encoding, kinematics
 from dqmotion.bvh import MotionClip
 from dqmotion.encoding import EncodedClip, NormalizationStats, ReprKind, encode, fit_stats
-from dqmotion.errors import DegenerateNormError, NotUnitError
+from dqmotion.errors import DegenerateNormError, InvalidValueError, NotUnitError
 from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
 from dqmotion.metrics import metric_report
 
@@ -49,7 +54,8 @@ def fresh(pose: LocalPose, index) -> LocalPose:
 
 def fill(pose: LocalPose):
     pose.positions
-    encode(pose, ReprKind.DUALQUAT)
+    for kind in ReprKind:
+        encode(pose, kind)
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -117,6 +123,77 @@ class TestSlices:
             fresh(pose, slice(30, 60)).positions
 
 
+KIND_CYCLE = tuple(ReprKind)
+#: Each rotation of the kind cycle and of its reverse: every kind comes
+#: first once in each direction.
+KIND_ORDERS = [cycle[n:] + cycle[:n] for cycle in (KIND_CYCLE, KIND_CYCLE[::-1])
+               for n in range(len(KIND_CYCLE))]
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedParts:
+    @pytest.mark.parametrize("order", KIND_ORDERS,
+                             ids=["-".join(kind.name.lower() for kind in order) for order in KIND_ORDERS])
+    def test_every_order_matches_each_kind_alone(self, pose, order):
+        subject = fresh(pose, slice(None))
+        clips = [encode(subject, kind) for kind in order]
+        for kind, clip in zip(order, clips):
+            alone = encode(fresh(pose, slice(None)), kind)
+            assert same_bits(clip.features, alone.features), kind
+
+    def test_six_encodes_build_each_part_once(self, pose, monkeypatch):
+        translation = counting(monkeypatch, dualquat, "translation")
+        ortho6d = counting(monkeypatch, encoding, "_ortho6d_of_quats")
+        corrected = counting(monkeypatch, encoding, "antipodal_correct")
+        for kind in ReprKind:
+            encode(pose, kind)
+        assert (len(translation), len(ortho6d), len(corrected)) == (1, 1, 2)
+
+    def test_kept_parts_view_encoded_features(self, pose):
+        clips = [encode(pose, kind) for kind in ReprKind]
+        parts = pose._encoded_parts
+        assert sorted(parts) == ["ortho6d", "positions", "quaternions"]
+        for part in parts.values():
+            assert not part.flags.writeable
+            assert any(np.shares_memory(part, clip.features) for clip in clips)
+
+    def test_slices_take_no_parts(self, pose):
+        fill(pose)
+        assert pose._encoded_parts
+        assert not pose[10:20]._encoded_parts
+        assert not pose[::3]._encoded_parts
+
+    def test_window_seeds_its_own_signs(self, pose):
+        # One encoded joint turns steadily about z through 1.5 turns, so its
+        # sign-corrected quaternion keeps w >= 0 only while the angle is
+        # under pi: at frame 100 the full clip holds w < 0, which a window
+        # starting there flips back to w > 0.
+        joint = pose.skeleton.encoded_indices[1]
+        angles = np.linspace(0.0, 3.0 * np.pi, FRAMES)
+        rotations = pose.joint_rotations.copy()
+        rotations[:, joint] = np.stack(
+            [np.cos(angles / 2), np.zeros(FRAMES), np.zeros(FRAMES), np.sin(angles / 2)], axis=-1)
+        turning = LocalPose(pose.skeleton, pose.root_translation, rotations)
+        fill(turning)
+        for kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
+            full = encode(turning, kind).joint_blocks()[100, 1, :4]
+            window = encode(turning[100:], kind)
+            assert full[0] < 0.0 and same_bits(window.joint_blocks()[0, 1, :4], -full)
+            assert same_bits(window.features, encode(fresh(turning, slice(100, None)), kind).features)
+
+
 class TestOneSweepEach:
     def test_every_layer_on_a_fresh_pose_runs_two_sweeps(self, pose, monkeypatch):
         sweeps = []
@@ -167,6 +244,34 @@ class TestErrorsAreNotMemoized:
         assert same_bits(got, encode(fresh(broken, slice(0, 30)), ReprKind.DUALQUAT).features)
         with pytest.raises(NotUnitError):
             encode(broken[90:120], ReprKind.DUALQUAT)
+
+    def test_error_class_per_kind(self, pose):
+        # The chain's unit check runs before the rotations are normalized.
+        broken = self.broken(pose)
+        for kind in ReprKind:
+            error = NotUnitError if kind.has_positions else DegenerateNormError
+            for _ in range(2):
+                with pytest.raises(error):
+                    encode(broken, kind)
+
+    def test_not_unit_with_the_quaternions_shared(self, pose):
+        # A non-unit, nonzero rotation normalizes for the quaternion kind,
+        # but the chain that the positions read rejects it.
+        rotations = pose.joint_rotations.copy()
+        rotations[100, pose.skeleton.encoded_indices[1]] *= 2.0
+        stretched = LocalPose(pose.skeleton, pose.root_translation, rotations)
+        encode(stretched, ReprKind.QUATERNIONS)
+        for kind in (ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS):
+            for _ in range(2):
+                with pytest.raises(NotUnitError):
+                    encode(stretched, kind)
+        assert sorted(stretched._encoded_parts) == ["quaternions"]
+
+    def test_a_rejected_clip_keeps_nothing(self, pose):
+        for kind in ReprKind:
+            with pytest.raises(InvalidValueError):
+                encode(pose, kind, frame_time=0.0)
+        assert not pose._encoded_parts
 
 
 class TestFrozen:
