@@ -36,23 +36,26 @@ half-integer (a tie such as 0.0078125, or |v| of about 2.25e9 or more);
 a row holding such a value is formatted by `%` instead.
 
 The parser walks the hierarchy with a stack and tokenizes the text on
-demand, so only the header is split line by line. It reads the motion
-block in bulk: one float conversion over the tokens of all rows, one width
-check per row and one finiteness check. Any row the bulk read cannot take
-goes to the row loop, from the first row that may be at fault, so that
-every error keeps its type, message and line number.
+demand, so only the header is split line by line. A leading byte order
+mark is dropped, from text and bytes alike. The motion block is read in
+bulk: one float conversion over the tokens of all rows, one width check
+per row and one finiteness check. A block the bulk read cannot take
+whole goes to the row loop, from its first row, so that every error
+keeps its type, message and line number.
 
 A process builds one `Skeleton` per distinct hierarchy text: the lines
-through the first line that is exactly `MOTION` are the key of a memo
-bounded to `SKELETON_MEMO_SIZE` (16) headers, so clips that share a
-header share one skeleton and its derived views. A header fault is never
-memoized; it raises on every parse, at the same line. The frame count,
-frame time and motion rows are read per clip.
+through the first line that is `MOTION`, whitespace around it allowed
+(every line if none is), are the key of a memo bounded to
+`SKELETON_MEMO_SIZE` (16) headers, so clips that share a header share one
+skeleton and its derived views. A header fault is never memoized; it
+raises on every parse, at the same line. The frame count, frame time and
+motion rows are read per clip.
 """
 
 import json
 import math
 import numbers
+import operator
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -579,12 +582,6 @@ def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
     return joints
 
 
-def _parse_header(tokens) -> tuple[Skeleton, int, float]:
-    """HIERARCHY through 'Frame Time': the skeleton, the declared frame
-    count and the frame time, read from any token stream without the memo."""
-    return _parse_skeleton(tokens), *_parse_timing(tokens)
-
-
 def _parse_skeleton(tokens) -> Skeleton:
     """HIERARCHY through MOTION: the skeleton."""
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
@@ -596,25 +593,16 @@ def _parse_skeleton(tokens) -> Skeleton:
     return Skeleton(joints)
 
 
-class _EarlyEnd(Exception):
-    """The hierarchy ended before the memo key's last line; `args` are the
-    skeleton and the number of lines read."""
-
-
 @lru_cache(maxsize=SKELETON_MEMO_SIZE)
 def _memo_skeleton(header: tuple[str, ...]) -> Skeleton:
     """`_parse_skeleton` of the lines of a text through its first line that
-    is exactly MOTION. The hierarchy raises on the first line it cannot
-    take, and the MOTION line is one, so every fault has the line and
-    message a read of the whole text gives it. `Skeleton` is immutable, so
-    parses share it. `lru_cache` keeps no exception, so neither a fault nor
-    a hierarchy that an earlier line such as ' MOTION' ends (`_EarlyEnd`:
-    the key would hold lines past the header) leaves an entry."""
-    tokens = _Tokens(header)
-    skeleton = _parse_skeleton(tokens)
-    if tokens.pos != len(header):
-        raise _EarlyEnd(skeleton, tokens.pos)
-    return skeleton
+    is MOTION, whitespace around it allowed, or of every line if none is. The
+    hierarchy raises on that line, and once the hierarchy is complete
+    `_expect` takes the first line that is not blank, so the parse either
+    raises with the line and message a read of the whole text gives or
+    ends on the key's last line. `Skeleton` is immutable, so parses share
+    it; `lru_cache` keeps no exception, so a fault leaves no entry."""
+    return _parse_skeleton(_Tokens(header))
 
 
 def _parse_timing(tokens) -> tuple[int, float]:
@@ -647,40 +635,32 @@ def _parse_timing(tokens) -> tuple[int, float]:
 def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
     """The (num_frames, width) motion rows, which must end the text.
 
-    The leading rows of the right width are converted in bulk. When they
-    are not all there, or one holds a token that is not a number or a
-    value that is not finite, the row loop takes over: from the first
-    non-finite row, or from the start if a token failed, so that it raises
-    each error as it always has. So does text with an underscore or a
-    non-ASCII character, which may still be well formed (`str.split`
-    splits on non-ASCII spaces): the row loop judges each token.
+    The rows are converted in bulk when there are exactly `num_frames` of
+    them (none if `width` is 0: a zero-width block holds only blank rows),
+    each of `width` values, the text is plain ASCII with no underscore,
+    and every value converts and is finite. Anything else goes to the row
+    loop from row 0, which raises the first fault with its type, message
+    and line, or reads a text that is well formed after all: `str.split`
+    also splits on non-ASCII spaces, and the loop judges each token.
     """
     lines = tokens.lines[tokens.pos :]
     rows = [row for row in map(str.split, lines) if row]
-    taken = min(num_frames, len(rows))
-    good = next((i for i, row in enumerate(rows[:taken]) if len(row) != width), taken)
     text = "".join(lines)
-    try:
-        if "_" in text or not text.isascii():
-            raise ValueError("not plain ASCII numbers")
-        values = chain.from_iterable(rows[:good])
-        frames = _read_only(np.fromiter(values, dtype=float, count=good * width)).reshape(good, width)
-    except ValueError:  # a token that is not a plain number
-        start = 0
-    else:
-        finite = np.isfinite(frames)
-        start = good if finite.all() else int(np.argmin(finite.all(axis=1)))
-        if start == num_frames == len(rows):
-            return frames
+    if (len(rows) == (num_frames if width else 0) and set(map(len, rows)) <= {width}
+            and (not rows or "_" not in text and text.isascii())):
+        values = chain.from_iterable(rows)
+        try:
+            frames = _read_only(np.fromiter(values, dtype=float, count=num_frames * width))
+        except ValueError:  # a token that is not a number
+            pass
+        else:
+            if np.isfinite(frames).all():
+                return frames.reshape(num_frames, width)
 
-    # The row loop. A count beyond the rows left ends in "unexpected end
-    # of file"; allocate no more rows than the file holds.
-    out = np.empty((taken, width))
-    if start:
-        out[:start] = frames[:start]
-    for _ in range(start):
-        tokens.next()
-    for i in range(start, num_frames):
+    # A count beyond the rows left ends in "unexpected end of file";
+    # allocate no more rows than the file holds.
+    out = np.empty((min(num_frames, len(rows)), width))
+    for i in range(num_frames):
         row = tokens.next()
         if len(row) != width:
             raise ChannelMismatchError(
@@ -709,30 +689,23 @@ def parse(text: str | bytes) -> MotionClip:
     """
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+            text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             # The bad byte sits on the last line of the text before it
             # ("?" stands in for it, so a prefix ending in a line break counts).
             before = exc.object[: exc.start].decode("utf-8") + "?"
             raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
-    lines = text.splitlines()
-    tokens = _Tokens(lines)
+    lines = text.removeprefix("\ufeff").splitlines()  # some exporters prepend a BOM
     try:
-        end = lines.index("MOTION") + 1
-    except ValueError:  # no line is exactly MOTION: nothing to key the memo on
-        skeleton = _parse_skeleton(tokens)
-    else:
-        try:
-            skeleton = _memo_skeleton(tuple(lines[:end]))
-        except _EarlyEnd as early:
-            skeleton, end = early.args
-        tokens.resume(end)
+        end = operator.indexOf(map(str.strip, lines), "MOTION") + 1
+    except ValueError:  # no MOTION line: the key is the whole text, whose parse raises
+        end = len(lines)
+    skeleton = _memo_skeleton(tuple(lines[:end]))
+    tokens = _Tokens(lines)
+    tokens.resume(end)
     num_frames, frame_time = _parse_timing(tokens)
     frames = _read_motion(tokens, num_frames, skeleton.channel_count)
-    try:
-        return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)
-    except ValueError as exc:
-        raise BvhSyntaxError(tokens.last_line, str(exc)) from None
+    return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)
 
 
 def parse_file(path) -> MotionClip:

@@ -5,13 +5,17 @@ row formatting in `bvh.write`.
 These are the original implementations: the whole text tokenized line by
 line up front, the motion block converted one row at a time, and every
 channel value written with its own f-string. The parse oracle shares the
-package's header code (`bvh._parse_header`), so the two parsers differ
-only where the package changed: tokenizing on demand and the bulk read.
-The row loop converts each value through the package's number syntax
-(`bvh._number`), so the two parsers are compared on structure, not on
-what counts as a number. The write oracle keeps the package's one header
-change: a frame time that six decimals would print as 0.000000 is written
-as its `repr`.
+package's header code (`bvh._parse_skeleton` and `bvh._parse_timing`,
+without the memo), so the two parsers differ only where the package
+changed: tokenizing on demand and the bulk read. The row loop converts
+each value through the package's number syntax (`bvh._number`), so the
+two parsers are compared on structure, not on what counts as a number.
+One difference is deliberate: for a skeleton with no channels the oracle
+still reads one non-blank row per frame, so it fails with "unexpected end
+of file" on the blank rows `bvh.write` emits, where `bvh.parse` takes a
+zero-width block to hold no rows that are not blank. The write oracle
+keeps the package's one header change: a frame time that six decimals
+would print as 0.000000 is written as its `repr`.
 
 The skeleton checks are kept the same way: `validate_skeleton` is the
 per-joint loop of `Skeleton.__post_init__` with each offset's finiteness
@@ -74,12 +78,13 @@ def parse(text: str | bytes) -> MotionClip:
     """`bvh.parse` with the motion block read one row at a time."""
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8-sig")  # some exporters prepend a BOM
+            text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             before = exc.object[: exc.start].decode("utf-8") + "?"
             raise BvhSyntaxError(len(before.splitlines()), "text is not valid UTF-8") from None
-    tokens = Tokens.from_text(text)
-    skeleton, num_frames, frame_time = bvh._parse_header(tokens)
+    tokens = Tokens.from_text(text.removeprefix("\ufeff"))  # some exporters prepend a BOM
+    skeleton = bvh._parse_skeleton(tokens)
+    num_frames, frame_time = bvh._parse_timing(tokens)
 
     width = skeleton.channel_count
     # A count beyond the rows left ends in "unexpected end of file" below;

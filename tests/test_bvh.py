@@ -210,6 +210,73 @@ class TestEdgeCases:
         poses = clip_to_local(clip)
         assert np.allclose(poses[0].root_translation, np.zeros(3))
 
+    ZERO_WIDTH = bvh.Skeleton([bvh.JointSpec("still", None, [0.0, 0.0, 0.0], ()),
+                               bvh.JointSpec("still_end", 0, [0.0, 1.0, 0.0], (), is_end_site=True)])
+
+    def test_zero_channel_clip_round_trips(self):
+        clip = bvh.MotionClip(self.ZERO_WIDTH, 1 / 30, np.zeros((3, 0)))
+        text = bvh.write(clip)
+        assert text.endswith("Frame Time: 0.033333\n\n\n\n")  # one blank row a frame
+        back = bvh.parse(text)
+        assert back.skeleton == clip.skeleton
+        assert back.frames.shape == (3, 0)
+        assert back.frame_time == pytest.approx(clip.frame_time, abs=1e-6)
+        # rows of non-ASCII spaces are blank too
+        assert bvh.parse(text[:-3] + "\u3000\n\t\n\u00a0\n").frames.shape == (3, 0)
+
+    def test_stray_row_in_a_zero_width_block(self):
+        text = bvh.write(bvh.MotionClip(self.ZERO_WIDTH, 1 / 30, np.zeros((3, 0))))
+        lines = text.split("\n")
+        lines[-3] = "0.5"  # the second of the three blank rows
+        with pytest.raises(ChannelMismatchError) as info:
+            bvh.parse("\n".join(lines))
+        assert info.value.message == "motion row has 1 values, 0 channels declared"
+        assert info.value.line == len(lines) - 2
+
+    def test_byte_order_mark_on_text_and_bytes(self, fixtures_dir):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        clips = [bvh.parse(text), bvh.parse("\ufeff" + text), bvh.parse(("\ufeff" + text).encode())]
+        for clip in clips[1:]:
+            assert clip.skeleton == clips[0].skeleton
+            assert clip.frame_time == clips[0].frame_time
+            assert clip.frames.tobytes() == clips[0].frames.tobytes()
+
+
+class TestMotionBlock:
+    """Which path `_read_motion` takes: the bulk read for plain text, the
+    row loop for anything else, with the same frames either way."""
+
+    @pytest.fixture
+    def numbers(self, monkeypatch):
+        """Counts the calls of `bvh._number`, which the row loop makes per
+        value and the header per number."""
+        calls = []
+        number = bvh._number
+
+        def counted(token, kind=float):
+            calls.append(token)
+            return number(token, kind)
+
+        monkeypatch.setattr(bvh, "_number", counted)
+        return calls
+
+    def test_plain_text_takes_the_bulk_read(self, fixtures_dir, numbers):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        bvh.parse(text)  # memoizes the header
+        numbers.clear()
+        bvh.parse(text)
+        assert len(numbers) == 2  # the frame count and the frame time
+
+    def test_non_ascii_spaces_take_the_row_loop(self, fixtures_dir, numbers):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        plain = bvh.parse(text)
+        header, rows = split_motion(text)
+        numbers.clear()
+        spaced = bvh.parse(header + rows.replace(" ", "\u00a0"))
+        assert len(numbers) == 2 + plain.frames.size
+        assert spaced.skeleton is plain.skeleton
+        assert spaced.frames.tobytes() == plain.frames.tobytes()
+
 
 def with_joint(skeleton, index, **changes):
     """`skeleton` with one field of joint `index` changed."""
@@ -316,6 +383,12 @@ class TestSkeletonMemo:
         assert bvh._memo_skeleton.cache_info().misses == misses + 1
         assert again.skeleton == first.skeleton
         assert again.skeleton is not first.skeleton
+
+    @pytest.mark.parametrize("line", ["MOTION ", "\tMOTION"], ids=repr)
+    def test_motion_line_with_blanks_is_memoized(self, fixtures_dir, line):
+        text = (fixtures_dir / "humanoid.bvh").read_text().replace("\nMOTION\n", f"\n{line}\n")
+        first = bvh.parse(text)
+        assert bvh.parse(text).skeleton is first.skeleton
 
     def test_memo_is_bounded(self, rng):
         bvh._memo_skeleton.cache_clear()

@@ -253,8 +253,19 @@ def drop_row(text, k):
     return "\n".join(lines)
 
 
+#: Lines whose tokens are exactly MOTION: each ends the memo key.
+MOTION_LINES = ["MOTION", " MOTION", "MOTION\t", "\t MOTION "]
+
+
+def motion_line(text, k):
+    """A MOTION line put in before line k, most often inside the hierarchy."""
+    lines = text.split("\n")
+    lines.insert(k % len(lines), MOTION_LINES[k % len(MOTION_LINES)])
+    return "\n".join(lines)
+
+
 MUTATIONS = [width_pair, row_width, blank_line, tabs, crlf, separator, token, frame_count,
-             trailing, drop_row]
+             trailing, drop_row, motion_line]
 
 
 #: (mutation, k, the error it must raise or None) on the humanoid fixture.
@@ -280,9 +291,11 @@ OUTCOMES = [
 
 
 def memo_key(text: str) -> tuple:
-    """The lines of `text` through its first line that is exactly MOTION."""
+    """The lines of `text` through its first line whose tokens are exactly
+    MOTION, or every line if there is none."""
     lines = text.splitlines()
-    return tuple(lines[: lines.index("MOTION") + 1])
+    end = next((i + 1 for i, line in enumerate(lines) if line.split() == ["MOTION"]), len(lines))
+    return tuple(lines[:end])
 
 
 class TestParseOutcomes:
@@ -311,18 +324,28 @@ class TestParseOutcomes:
         assert bvh._memo_skeleton.cache_info().hits == hits + shared
         assert shared or mutation in (blank_line, tabs)
 
+    def test_motion_line_anywhere_in_the_header(self):
+        """A MOTION line before every line through the real one: the key
+        ends there, and the outcome is the oracle's, fresh and from the memo."""
+        lines = HUMANOID.split("\n")
+        for at, line in itertools.product(range(lines.index("MOTION") + 1), MOTION_LINES):
+            text = "\n".join(lines[:at] + [line] + lines[at:])
+            expected = outcome(bvh_oracles.parse, text)
+            assert outcome(bvh.parse, text) == expected
+            assert outcome(bvh.parse, text) == expected
+
     @pytest.mark.parametrize("rest", ["MOTION\n", "Frames: 1\nMOTION\n"])
     def test_keyword_line_before_the_memo_key(self, rest):
-        """' MOTION' holds the keyword, so the parse resumes after it and
-        not after the later line that is exactly MOTION and ends the key."""
+        """' MOTION' holds the keyword, so the key ends there and the parse
+        resumes after it, not after the later line that is exactly MOTION."""
         text = HUMANOID.replace("\nMOTION\n", "\n MOTION\n") + rest
         bvh._memo_skeleton.cache_clear()
         got = outcome(bvh.parse, text)
         assert got == outcome(bvh_oracles.parse, text)
         assert got[0] is BvhSyntaxError and got[1] == "trailing content after declared frames"
         assert got == outcome(bvh.parse, text)
-        # the key runs past the header, so the memo keeps no entry for it
-        assert bvh._memo_skeleton.cache_info().currsize == 0
+        # the key ends at ' MOTION', so the memo keeps one entry for it
+        assert bvh._memo_skeleton.cache_info().currsize == 1
 
     @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
     def test_separators_break_lines(self, sep):

@@ -176,9 +176,9 @@ def test_main_returns_the_class_exit_code(monkeypatch, capsys, cls):
 # no bare builtin raise
 # ---------------------------------------------------------------------------
 
-#: The two `ValueError`s that stand in for `float()`'s own error; their
-#: callers catch them and raise a line-anchored `BvhSyntaxError`.
-SENTINELS = {("bvh.py", "_number"), ("bvh.py", "_read_motion")}
+#: The `ValueError` that stands in for `float()`'s own error; its callers
+#: catch it and raise a line-anchored `BvhSyntaxError`.
+SENTINELS = {("bvh.py", "_number")}
 
 
 def builtin_raises():
