@@ -636,18 +636,20 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
     """The (num_frames, width) motion rows, which must end the text.
 
     The rows are converted in bulk when there are exactly `num_frames` of
-    them (none if `width` is 0: a zero-width block holds only blank rows),
-    each of `width` values, the text is plain ASCII with no underscore,
-    and every value converts and is finite. Anything else goes to the row
-    loop from row 0, which raises the first fault with its type, message
-    and line, or reads a text that is well formed after all: `str.split`
-    also splits on non-ASCII spaces, and the loop judges each token.
+    them, each of `width` values, the text is plain ASCII with no
+    underscore, and every value converts and is finite; a zero-width block
+    instead holds no rows that are not blank in at least `num_frames`
+    lines (`write` emits one blank row a frame), so the file bounds the
+    frame count. Anything else goes to the row loop from row 0, which
+    raises the first fault with its type, message and line, or reads a
+    text that is well formed after all: `str.split` also splits on
+    non-ASCII spaces, and the loop judges each token.
     """
     lines = tokens.lines[tokens.pos :]
     rows = [row for row in map(str.split, lines) if row]
     text = "".join(lines)
     if (len(rows) == (num_frames if width else 0) and set(map(len, rows)) <= {width}
-            and (not rows or "_" not in text and text.isascii())):
+            and (width or len(lines) >= num_frames) and "_" not in text and text.isascii()):
         values = chain.from_iterable(rows)
         try:
             frames = _read_only(np.fromiter(values, dtype=float, count=num_frames * width))

@@ -221,8 +221,17 @@ class TestEdgeCases:
         assert back.skeleton == clip.skeleton
         assert back.frames.shape == (3, 0)
         assert back.frame_time == pytest.approx(clip.frame_time, abs=1e-6)
-        # rows of non-ASCII spaces are blank too
-        assert bvh.parse(text[:-3] + "\u3000\n\t\n\u00a0\n").frames.shape == (3, 0)
+
+    @pytest.mark.parametrize("frames", [4, 10**15])
+    def test_zero_width_block_needs_a_line_a_frame(self, frames):
+        """The blank rows bound the frame count: a block of three lines
+        cannot hold more than three frames, however many are declared."""
+        text = bvh.write(bvh.MotionClip(self.ZERO_WIDTH, 1 / 30, np.zeros((3, 0))))
+        text = text.replace("Frames: 3\n", f"Frames: {frames}\n")
+        with pytest.raises(BvhSyntaxError) as info:
+            bvh.parse(text)
+        assert info.value.message == "unexpected end of file"
+        assert info.value.line == text.split("\n").index("Frame Time: 0.033333") + 1
 
     def test_stray_row_in_a_zero_width_block(self):
         text = bvh.write(bvh.MotionClip(self.ZERO_WIDTH, 1 / 30, np.zeros((3, 0))))

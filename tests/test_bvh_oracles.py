@@ -257,15 +257,8 @@ def drop_row(text, k):
 MOTION_LINES = ["MOTION", " MOTION", "MOTION\t", "\t MOTION "]
 
 
-def motion_line(text, k):
-    """A MOTION line put in before line k, most often inside the hierarchy."""
-    lines = text.split("\n")
-    lines.insert(k % len(lines), MOTION_LINES[k % len(MOTION_LINES)])
-    return "\n".join(lines)
-
-
 MUTATIONS = [width_pair, row_width, blank_line, tabs, crlf, separator, token, frame_count,
-             trailing, drop_row, motion_line]
+             trailing, drop_row]
 
 
 #: (mutation, k, the error it must raise or None) on the humanoid fixture.

@@ -100,6 +100,21 @@ class TestEncode:
         assert code == 3
         assert not out.exists()
 
+    def test_frame_count_beyond_a_zero_width_block(self, capsys, tmp_path):
+        """A skeleton with no channels and no rows cannot declare 10**15
+        frames: the parse stops at the end of the file, before any
+        per-frame array is allocated."""
+        source = tmp_path / "still.bvh"
+        source.write_text(
+            "HIERARCHY\nROOT still\n{\n OFFSET 0 0 0\n CHANNELS 0\n End Site\n {\n"
+            "  OFFSET 0 1 0\n }\n}\nMOTION\nFrames: 1000000000000000\nFrame Time: 0.033333\n"
+        )
+        out = tmp_path / "c.dqm"
+        code, _, err = run(capsys, "encode", source, "--repr", "dq", "-o", out)
+        assert code == 3
+        assert "line 13" in err and "unexpected end of file" in err
+        assert not out.exists()
+
 
 class TestDecode:
     def test_topology_preserved(self, capsys, tmp_path, encoded_dq, two_joint):
