@@ -37,11 +37,16 @@ a row holding such a value is formatted by `%` instead.
 
 The parser walks the hierarchy with a stack and tokenizes the text on
 demand, so only the header is split line by line. A leading byte order
-mark is dropped, from text and bytes alike. The motion block is read in
-bulk: one float conversion over the tokens of all rows, one width check
-per row and one finiteness check. A block the bulk read cannot take
-whole goes to the row loop, from its first row, so that every error
-keeps its type, message and line number.
+mark is dropped, from text and bytes alike. A motion block of plain
+ASCII is read in bulk by one `np.loadtxt` call, numpy's compiled text
+reader (numpy 1.23 on): it splits rows on whitespace, with comments and
+quotes off, and converts each value with CPython's correctly rounded
+`PyOS_string_to_double`, the routine `float` uses, so a value reads to
+the same bits either way. Its result is kept if it has the declared
+frames, each of the channel count, all finite. A block the bulk read
+cannot take whole, or one `loadtxt` rejects, goes to the row loop, from
+its first row, so that every error keeps its type, message and line
+number.
 
 A process builds one `Skeleton` per distinct hierarchy text: the lines
 through the first line that is `MOTION`, whitespace around it allowed
@@ -60,7 +65,6 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -635,33 +639,38 @@ def _parse_timing(tokens) -> tuple[int, float]:
 def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
     """The (num_frames, width) motion rows, which must end the text.
 
-    The rows are converted in bulk when there are exactly `num_frames` of
-    them, each of `width` values, the text is plain ASCII with no
-    underscore, and every value converts and is finite; a zero-width block
-    instead holds no rows that are not blank in at least `num_frames`
-    lines (`write` emits one blank row a frame), so the file bounds the
-    frame count. Anything else goes to the row loop from row 0, which
-    raises the first fault with its type, message and line, or reads a
-    text that is well formed after all: `str.split` also splits on
-    non-ASCII spaces, and the loop judges each token.
+    A text that is plain ASCII with no underscore is read in bulk. Rows of
+    `width` > 0 values go to one `np.loadtxt` call, which splits them on
+    whitespace and converts each value with CPython's correctly rounded
+    `float` parser; its result is taken if it has `num_frames` rows of
+    `width` values, all finite (a text that is blank throughout never
+    reaches it: `loadtxt` warns on one). A zero-width block instead holds
+    no rows that are not blank in at least `num_frames` lines (`write`
+    emits one blank row a frame), so the file bounds the frame count.
+    Anything else goes to the row loop from row 0, which raises the first
+    fault with its type, message and line, or reads a text that is well
+    formed after all: `str.split` also splits on non-ASCII spaces, and the
+    loop judges each token.
     """
     lines = tokens.lines[tokens.pos :]
-    rows = [row for row in map(str.split, lines) if row]
     text = "".join(lines)
-    if (len(rows) == (num_frames if width else 0) and set(map(len, rows)) <= {width}
-            and (width or len(lines) >= num_frames) and "_" not in text and text.isascii()):
-        values = chain.from_iterable(rows)
-        try:
-            frames = _read_only(np.fromiter(values, dtype=float, count=num_frames * width))
-        except ValueError:  # a token that is not a number
-            pass
-        else:
-            if np.isfinite(frames).all():
-                return frames.reshape(num_frames, width)
+    blank = not text or text.isspace()
+    if text.isascii() and "_" not in text:
+        if not width:
+            if blank and len(lines) >= num_frames:
+                return _read_only(np.empty((num_frames, 0)))
+        elif not blank:
+            try:  # a ValueError is a token that is not a number, or a ragged row
+                frames = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if frames.shape == (num_frames, width) and np.isfinite(frames).all():
+                    return _read_only(frames)
 
     # A count beyond the rows left ends in "unexpected end of file";
     # allocate no more rows than the file holds.
-    out = np.empty((min(num_frames, len(rows)), width))
+    out = np.empty((min(num_frames, len(lines)), width))
     for i in range(num_frames):
         row = tokens.next()
         if len(row) != width:

@@ -29,8 +29,11 @@ six-value blocks (the two ortho6d kinds) and the joint positions
 `LocalPose._encoded_parts` as a read-only view into that clip's
 features, never as an array of its own, so the pose pins only clips its
 caller was handed. A later encode of the same pose copies the part from
-there, bit for bit what it would build. The dualquat kind shares
-nothing. A slice of the pose starts with no parts (the sign correction
+there, bit for bit what it would build. The six-value blocks are built
+from the kept sign-corrected quaternions when there are any, so six
+encodes normalize the rotations once: every term of a rotation-matrix
+entry is a product of two components, which a sign flip leaves as it
+is. The dualquat kind shares nothing. A slice of the pose starts with no parts (the sign correction
 seeds at the slice's own first frame), and an encode that raises keeps
 nothing, so the next call raises again.
 
@@ -237,7 +240,12 @@ def _sign_corrected(pose: LocalPose, indices: list) -> np.ndarray:
 
 
 def _six_value(pose: LocalPose, indices: list) -> np.ndarray:
-    return _ortho6d_of_quats(quat.normalize(pose.joint_rotations[:, indices]))
+    # The kept sign-corrected quaternions give the same bits: every term of
+    # `_rotmat.entry` is a product of two components, so a sign flip cancels.
+    quats = pose._encoded_parts.get("quaternions")
+    if quats is None:
+        quats = quat.normalize(pose.joint_rotations[:, indices])
+    return _ortho6d_of_quats(quats)
 
 
 def _joint_positions(pose: LocalPose, indices: list) -> np.ndarray:

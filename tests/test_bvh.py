@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,74 @@ class TestMotionBlock:
         numbers.clear()
         bvh.parse(text)
         assert len(numbers) == 2  # the frame count and the frame time
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Counts the calls of `_Tokens.next`: one per header line the
+        memo misses, two for the timing lines and one per row the row
+        loop reads."""
+        calls = []
+        read = bvh._Tokens.next
+
+        def counted(tokens):
+            calls.append(tokens.pos)
+            return read(tokens)
+
+        monkeypatch.setattr(bvh._Tokens, "next", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", [path.name for path in fixture_corpus()] + ["generated"])
+    def test_well_formed_text_reads_no_row(self, fixtures_dir, rng, reads, name):
+        """Without this, a bulk read that always fell back to the row loop
+        would still give every clip right."""
+        if name == "generated":
+            skeleton = bvh.parse((fixtures_dir / "humanoid.bvh").read_text()).skeleton
+            frames = np.round(rng.uniform(-180.0, 180.0, (300, skeleton.channel_count)), 6)
+            text = bvh.write(bvh.MotionClip(skeleton, 1 / 120, frames))
+        else:
+            text = (fixtures_dir / name).read_text()
+        first = bvh.parse(text)  # memoizes the header
+        reads.clear()
+        clip = bvh.parse(text)
+        assert len(reads) == 2  # the 'Frames:' and the 'Frame Time:' line
+        assert clip.frames.tobytes() == first.frames.tobytes()
+        if name == "generated":
+            assert clip.frames.tobytes() == frames.tobytes()
+
+    @pytest.mark.parametrize("rest", ["", "\n", "\n   \n\t\n", "\n\n\n\n"], ids=repr)
+    def test_blank_block_ends_the_file(self, fixtures_dir, rest):
+        # `np.loadtxt` warns on a text with no data; the warning must not escape
+        header, _ = split_motion((fixtures_dir / "humanoid.bvh").read_text())
+        text = header + "Frames: 1\nFrame Time: 0.033333" + rest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BvhSyntaxError) as info:
+                bvh.parse(text)
+        assert info.value.message == "unexpected end of file"
+        assert info.value.line == text.split("\n").index("Frame Time: 0.033333") + 1
+
+    def test_one_frame_block(self, fixtures_dir, reads):
+        text = (fixtures_dir / "humanoid.bvh").read_text()
+        full = bvh.parse(text)
+        header, rest = split_motion(text)
+        rows = rest.split("\n")[2:]
+        reads.clear()  # the header is memoized
+        one = bvh.parse(header + "Frames: 1\nFrame Time: 0.033333\n" + rows[0] + "\n")
+        assert len(reads) == 2
+        assert one.frames.shape == (1, full.skeleton.channel_count)
+        assert one.frames.tobytes() == full.frames[:1].tobytes()
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_one_column_block(self, reads, frames):
+        skeleton = bvh.Skeleton([bvh.JointSpec("slider", None, [0.0, 0.0, 0.0], ("Xposition",))])
+        values = np.arange(frames, dtype=float).reshape(frames, 1) - 0.5
+        text = bvh.write(bvh.MotionClip(skeleton, 1 / 30, values))
+        bvh.parse(text)
+        reads.clear()
+        clip = bvh.parse(text)
+        assert len(reads) == 2
+        assert clip.frames.shape == (frames, 1)
+        assert clip.frames.tobytes() == values.tobytes()
 
     def test_non_ascii_spaces_take_the_row_loop(self, fixtures_dir, numbers):
         text = (fixtures_dir / "humanoid.bvh").read_text()

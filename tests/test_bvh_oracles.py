@@ -218,7 +218,11 @@ def separator(text, k):
     return text[:at] + sep + text[at:]
 
 
-TOKENS = ["nan", "inf", "-inf", "1_000", "abc", "1e400", "0x1p3", "-0"]
+#: Appended to, never reordered: `OUTCOMES` pins tokens by index. From `#1`
+#: on, the syntax `np.loadtxt` has of its own (a comment character, a
+#: quote, a comma) and spellings that `float` reads.
+TOKENS = ["nan", "inf", "-inf", "1_000", "abc", "1e400", "0x1p3", "-0",
+          "#1", '"1"', "1,5", "Infinity", "1e-400", "+.5"]
 
 
 def token(text, k):
@@ -274,6 +278,12 @@ OUTCOMES = [
     (token, 3, ChannelMismatchError),  # 1_000: no digit-group underscores
     (token, 4, ChannelMismatchError),  # abc
     (token, 7, None),  # -0
+    (token, 8, ChannelMismatchError),  # #1: no comments
+    (token, 9, ChannelMismatchError),  # "1": no quotes
+    (token, 10, ChannelMismatchError),  # 1,5
+    (token, 11, ChannelMismatchError),  # Infinity
+    (token, 12, None),  # 1e-400: underflows to zero
+    (token, 13, None),  # +.5
     (frame_count, 0, BvhSyntaxError),  # one short: trailing content
     (frame_count, 1, BvhSyntaxError),  # one over: end of file
     (frame_count, 2, BvhSyntaxError),  # 1e15 as an integer
@@ -316,6 +326,29 @@ class TestParseOutcomes:
         shared = memo_key(text) == memo_key(HUMANOID)
         assert bvh._memo_skeleton.cache_info().hits == hits + shared
         assert shared or mutation in (blank_line, tabs)
+
+    @pytest.mark.parametrize("k", [8, 9], ids=lambda k: TOKENS[k])
+    def test_loadtxt_syntax_fails_at_its_line(self, k):
+        """A comment character or a quote is a bad value, on its own row."""
+        text = token(HUMANOID, k)
+        lines = text.split("\n")
+        got = outcome(bvh.parse, text)
+        assert got[0] is ChannelMismatchError and got[1] == "non-numeric channel value"
+        assert TOKENS[k] in lines[got[2] - 1].split(" ")
+        assert got[2] - 1 == motion_rows(lines)[k % len(motion_rows(lines))]
+
+    @pytest.mark.parametrize("tail", [" #1", " # note", ' "1"'], ids=repr)
+    def test_same_tail_on_every_row(self, tail):
+        """A comment or a quoted value ending every row: a reader that
+        dropped it would find every row of the right width."""
+        lines = HUMANOID.split("\n")
+        rows = motion_rows(lines)
+        for row in rows:
+            lines[row] += tail
+        text = "\n".join(lines)
+        got = outcome(bvh.parse, text)
+        assert got == outcome(bvh_oracles.parse, text)
+        assert got[0] is ChannelMismatchError and got[2] == rows[0] + 1
 
     def test_motion_line_anywhere_in_the_header(self):
         """A MOTION line before every line through the real one: the key

@@ -2,9 +2,11 @@
 level or inside a function, names the standard library, numpy or the
 package itself. And every memo it keeps is bounded: each
 `functools.lru_cache` has a finite maxsize, and `functools.cache` holds
-only functions that take no arguments."""
+only functions that take no arguments. The numpy floor in
+`pyproject.toml` is one whose `loadtxt` the BVH parser can rely on."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -111,3 +113,27 @@ memo = functools.cache(len)
     got = sorted(unbounded_memos(ast.parse(source)))
     assert got == [(12, "lru_cache"), (15, "lru_cache"), (18, "lru_cache"), (21, "cache"),
                    (25, "cache"), (28, "cache")]
+
+
+#: The first numpy whose `loadtxt` is the compiled reader that `bvh.parse`
+#: reads motion rows with: `comments=None` turns comments off, and with
+#: no `quotechar` a quote is part of a value.
+LOADTXT_NUMPY = (1, 23)
+
+
+def numpy_floor(pyproject: str) -> tuple:
+    """The version of the `numpy>=` requirement in `pyproject` text, as
+    integers; () when there is none."""
+    match = re.search(r'"numpy\s*>=\s*([0-9]+(?:\.[0-9]+)*)', pyproject)
+    return tuple(map(int, match.group(1).split("."))) if match else ()
+
+
+def test_numpy_floor_has_the_compiled_loadtxt():
+    floor = numpy_floor((SOURCES.parent.parent / "pyproject.toml").read_text())
+    assert floor >= LOADTXT_NUMPY, floor
+
+
+def test_the_check_sees_a_lower_floor():
+    assert numpy_floor('dependencies = ["numpy>=1.22.4"]') == (1, 22, 4) < LOADTXT_NUMPY
+    assert numpy_floor('dependencies = ["numpy"]') == () < LOADTXT_NUMPY
+    assert numpy_floor('dependencies = ["numpy >= 2.0"]') == (2, 0) >= LOADTXT_NUMPY

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dqmotion import dualquat, encoding, kinematics
+from dqmotion import dualquat, encoding, kinematics, quat
 from dqmotion.bvh import MotionClip
 from dqmotion.encoding import EncodedClip, NormalizationStats, ReprKind, encode, fit_stats
 from dqmotion.errors import DegenerateNormError, InvalidValueError, NotUnitError
@@ -160,6 +160,26 @@ class TestSharedParts:
         for kind in ReprKind:
             encode(pose, kind)
         assert (len(translation), len(ortho6d), len(corrected)) == (1, 1, 2)
+
+    def test_six_encodes_normalize_once(self, pose, monkeypatch):
+        # the six-value blocks read the kept sign-corrected quaternions
+        normalized = counting(monkeypatch, quat, "normalize")
+        for kind in ReprKind:
+            encode(pose, kind)
+        assert len(normalized) == 1
+
+    @pytest.mark.parametrize("order", [
+        (ReprKind.QUATERNIONS, ReprKind.ORTHO6D, ReprKind.ORTHO6D_POSITIONS),
+        (ReprKind.ORTHO6D_POSITIONS, ReprKind.ORTHO6D, ReprKind.QUATERNIONS),
+    ], ids=("quaternions-first", "quaternions-last"))
+    def test_six_value_blocks_match_a_fresh_pose(self, pose, order):
+        clips = {kind: encode(pose, kind) for kind in order}
+        kept = pose._encoded_parts["quaternions"]
+        normalized = quat.normalize(pose.joint_rotations[:, list(pose.skeleton.encoded_indices)])
+        assert np.any(kept != normalized)  # the sign correction flipped some blocks
+        for kind in (ReprKind.ORTHO6D, ReprKind.ORTHO6D_POSITIONS):
+            alone = encode(fresh(pose, slice(None)), kind)
+            assert clips[kind].features.tobytes() == alone.features.tobytes(), kind
 
     def test_kept_parts_view_encoded_features(self, pose):
         clips = [encode(pose, kind) for kind in ReprKind]
