@@ -111,7 +111,7 @@ def _frozen(values) -> np.ndarray:
     return _read_only(np.array(values, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSpec:
     """One node of the hierarchy, end sites included. Frozen, so that the
     views a `Skeleton` builds from its joints stay true."""
@@ -151,7 +151,7 @@ class JointSpec:
         return "".join(tag[0] for tag in self.channels if tag in ROTATION_CHANNELS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelTable:
     """Where each joint's channels sit in a frame row.
 
@@ -405,7 +405,7 @@ def _joint_from_dict(entry) -> JointSpec:
     return JointSpec(name, entry["parent"], offset, channels, is_end_site=entry["end_site"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionClip:
     """Raw motion: a skeleton plus the frame matrix exactly as stored."""
 

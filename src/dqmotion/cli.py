@@ -60,7 +60,7 @@ def _unit_residuals(blocks: np.ndarray) -> np.ndarray:
 def _offset_violations(encoded) -> np.ndarray:
     """(F, J-1) distances of a raw dualquat clip's bone translations from
     the offsets of its skeleton; column b is encoded row b + 1."""
-    return _evaluate("offset", encoded, None, encoded.skeleton).values
+    return _evaluate("offset", encoded, None).values
 
 
 # ---------------------------------------------------------------------------

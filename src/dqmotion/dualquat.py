@@ -167,7 +167,12 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     Matches the homogeneous matrix [[R(r), t], [0, 1]]. The dual part is
     half the pure-vector translation quaternion times the rotation.
     """
-    return quat._on_rows(_from_rotation_translation_rows, 8, r, t)
+    def kernel(r, t, out):
+        # A contiguous temporary: the kernel reads its rotation rows back
+        # as the right operand of every Hamilton term, and `out` is strided.
+        out[...] = _from_rotation_translation_rows(r, t, np.empty(out.shape))
+
+    return quat._on_rows(kernel, 8, r, t)
 
 
 def _from_rotation_translation_rows(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -21,11 +21,15 @@ Quaternion and dual-quaternion blocks receive the antipodal sign
 correction along time at encode time, once; the correction never changes
 the rigid transform a block encodes.
 
-Encoding one pose under several kinds builds each shared part once: the
-sign-corrected quaternions (quaternions, quaternions_positions), the
-six-value blocks (the two ortho6d kinds) and the joint positions
-(positions and the two ``_positions`` kinds). Once a clip is built,
-`encode` keeps each part it holds in the pose's private
+A block is a row of parts, and `_KIND_PARTS` is the one definition of
+each kind's: its parts and the column each starts at. The rotation part
+(sign-corrected quaternions, six-value block or sign-corrected dual
+quaternion) starts at column 0, and stored positions take the last three
+columns. `block_dim`, `has_positions`, `sign_sensitive` and `decode`'s
+choice of rotation reader all read it.
+
+Encoding one pose under several kinds builds each part once. Once a clip
+is built, `encode` keeps each part it holds in the pose's private
 `LocalPose._encoded_parts` as a read-only view into that clip's
 features, never as an array of its own, so the pose pins only clips its
 caller was handed. A later encode of the same pose copies the part from
@@ -33,8 +37,8 @@ there, bit for bit what it would build. The six-value blocks are built
 from the kept sign-corrected quaternions when there are any, so six
 encodes normalize the rotations once: every term of a rotation-matrix
 entry is a product of two components, which a sign flip leaves as it
-is. The dualquat kind shares nothing. A slice of the pose starts with no parts (the sign correction
-seeds at the slice's own first frame), and an encode that raises keeps
+is. A slice of the pose starts with no parts (the sign correction seeds
+at the slice's own first frame), and an encode that raises keeps
 nothing, so the next call raises again.
 
 `EncodedClip` and `NormalizationStats` are immutable values, like every
@@ -80,13 +84,9 @@ class ReprKind(enum.Enum):
 
     @property
     def has_positions(self) -> bool:
-        """Whether per-joint positions can be read off the blocks."""
-        return self in (
-            ReprKind.POSITIONS,
-            ReprKind.QUATERNIONS_POSITIONS,
-            ReprKind.DUALQUAT,
-            ReprKind.ORTHO6D_POSITIONS,
-        )
+        """Whether per-joint positions can be read off the blocks: stored,
+        or the translations of the dual quaternions."""
+        return not _KIND_PARTS[self].keys().isdisjoint(("positions", "dualquat"))
 
     @property
     def has_rotations(self) -> bool:
@@ -94,22 +94,12 @@ class ReprKind(enum.Enum):
 
     @property
     def sign_sensitive(self) -> bool:
-        """Kinds whose blocks carry an antipodal sign (q and -q collide),
-        in their first four columns or all eight."""
-        return self in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS, ReprKind.DUALQUAT)
+        """Kinds whose blocks carry an antipodal sign (q and -q collide):
+        those with a sign-corrected part, quaternions or dual quaternions."""
+        return not _KIND_PARTS[self].keys().isdisjoint(("quaternions", "dualquat"))
 
 
-_BLOCK_DIMS = {
-    ReprKind.POSITIONS: 3,
-    ReprKind.QUATERNIONS: 4,
-    ReprKind.ORTHO6D: 6,
-    ReprKind.QUATERNIONS_POSITIONS: 7,
-    ReprKind.DUALQUAT: 8,
-    ReprKind.ORTHO6D_POSITIONS: 9,
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationStats:
     """Per-column mean and (floored) standard deviation."""
 
@@ -131,7 +121,7 @@ class NormalizationStats:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedClip:
     """Frame-major encoded motion plus its layout metadata.
 
@@ -252,39 +242,48 @@ def _joint_positions(pose: LocalPose, indices: list) -> np.ndarray:
     return dualquat.translation(pose.chain[:, indices])
 
 
-#: The blocks that several kinds share: name -> (width, builder).
+def _dual_quaternions(pose: LocalPose, indices: list) -> np.ndarray:
+    return antipodal_correct(pose.chain[:, indices])
+
+
+#: The parts a block is made of: name -> (width, builder).
 _PARTS = {
     "quaternions": (4, _sign_corrected),
     "ortho6d": (6, _six_value),
     "positions": (3, _joint_positions),
+    "dualquat": (8, _dual_quaternions),
 }
 
-#: Per kind, its shared parts and the block column each starts at. The
-#: positions come first, so the chain's unit check raises before
-#: `quat.normalize` does, as when every encode built every block.
+#: Per kind, its parts and the block column each starts at: the one
+#: definition of each block. The rotation part starts at column 0, stored
+#: positions take the last three columns. The positions come first, so the
+#: chain's unit check raises before `quat.normalize` does, as when every
+#: encode built every block.
 _KIND_PARTS = {
-    ReprKind.POSITIONS: (("positions", 0),),
-    ReprKind.QUATERNIONS: (("quaternions", 0),),
-    ReprKind.ORTHO6D: (("ortho6d", 0),),
-    ReprKind.QUATERNIONS_POSITIONS: (("positions", 4), ("quaternions", 0)),
-    ReprKind.ORTHO6D_POSITIONS: (("positions", 6), ("ortho6d", 0)),
-    ReprKind.DUALQUAT: (),
+    ReprKind.POSITIONS: {"positions": 0},
+    ReprKind.QUATERNIONS: {"quaternions": 0},
+    ReprKind.ORTHO6D: {"ortho6d": 0},
+    ReprKind.QUATERNIONS_POSITIONS: {"positions": 4, "quaternions": 0},
+    ReprKind.DUALQUAT: {"dualquat": 0},
+    ReprKind.ORTHO6D_POSITIONS: {"positions": 6, "ortho6d": 0},
 }
+
+_BLOCK_DIMS = {kind: sum(_PARTS[name][0] for name in parts) for kind, parts in _KIND_PARTS.items()}
 
 
 def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> EncodedClip:
     """Encode a batched LocalPose under the requested representation.
 
-    The kinds with positions read `LocalPose.chain`, so encoding a pose
-    under several of them sweeps the hierarchy once, and a slice of an
-    encoded pose not at all. The blocks that kinds share (the
-    sign-corrected quaternions, the six-value blocks, the joint
-    positions) are built once per pose: the first encode that builds one
-    keeps it as a read-only view into the features of the clip it
-    returns, and a later encode of the same pose copies it from there.
-    A slice of the pose starts with none of them (its sign correction
-    seeds at its own first frame), and an encode that raises keeps
-    nothing. A `kind` that is not a `ReprKind` raises InvalidValueError.
+    Each part of the kind's block (`_KIND_PARTS`) goes to its columns.
+    The positions and dual quaternions read `LocalPose.chain`, so
+    encoding a pose under several kinds sweeps the hierarchy once, and a
+    slice of an encoded pose not at all. Each part is built once per
+    pose: the first encode that builds one keeps it as a read-only view
+    into the features of the clip it returns, and a later encode of the
+    same pose copies it from there. A slice of the pose starts with none
+    of them (its sign correction seeds at its own first frame), and an
+    encode that raises keeps nothing. A `kind` that is not a `ReprKind`
+    raises InvalidValueError.
     """
     if not isinstance(kind, ReprKind):
         raise InvalidValueError(f"kind must be a ReprKind, not {kind!r}")
@@ -295,9 +294,7 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
     features[:, :3] = pose.root_translation
     blocks = features[:, 3:].reshape(frames, skeleton.num_encoded, kind.block_dim)
     kept = pose._encoded_parts
-    parts = _KIND_PARTS[kind]
-    if kind is ReprKind.DUALQUAT:
-        blocks[...] = antipodal_correct(pose.chain[:, indices])
+    parts = _KIND_PARTS[kind].items()
     for name, start in parts:
         width, build = _PARTS[name]
         part = kept.get(name)
@@ -404,15 +401,16 @@ def decode(clip: EncodedClip) -> LocalPose:
         raise NotInvertibleError("positions carry no rotations to decode")
 
     skeleton = clip.skeleton
-    blocks = clip.joint_blocks()
-    if clip.kind is ReprKind.DUALQUAT:
+    blocks = clip.joint_blocks()  # the rotation part starts at column 0
+    parts = _KIND_PARTS[clip.kind]
+    if "dualquat" in parts:
         # Local rotations fall out of parent-conjugate products
         # (`relative` on rows); offsets come from the skeleton.
         current = _to_rows(quat.normalize(blocks[..., :4]))
         quats = _from_rows(relative(skeleton.encoded_parents, current))
-    elif clip.kind in (ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS):
+    elif "quaternions" in parts:
         quats = quat.normalize(blocks[..., :4])
-    else:  # ortho6d variants
+    else:  # "ortho6d"
         quats = _ortho6d_to_quats(blocks)
 
     rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))

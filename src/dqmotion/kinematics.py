@@ -40,7 +40,7 @@ from .bvh import MotionClip, Skeleton, _frozen, _read_only
 from .errors import ShapeMismatchError, TooFewFramesError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalPose:
     """Per-joint local rotations plus the separate root displacement, for
     a whole clip or for one frame. An immutable value.
@@ -116,10 +116,10 @@ class LocalPose:
 
     @cached_property
     def _encoded_parts(self) -> dict:
-        """The blocks that `encoding.encode` shares between kinds, by name,
-        each a read-only view into the features of a clip encoded from
-        this pose. Filled by `encode` after a clip is built; a slice of the
-        pose starts empty."""
+        """The parts of the blocks that `encoding.encode` built from this
+        pose, by part name, each a read-only view into the features of a
+        clip encoded from it. Filled by `encode` after a clip is built; a
+        slice of the pose starts empty."""
         return {}
 
 

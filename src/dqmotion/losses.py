@@ -435,15 +435,22 @@ _TERMS = {
 GRAD_LOSSES = tuple(_TERMS)
 
 
-def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> _Evaluation:
+def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, truth_skeleton=None) -> _Evaluation:
     """Term `name` at pred, after the one copy of the input checks (pair,
-    kind, raw features) that its loss, `loss_total` and its gradient share."""
+    skeleton, kind, raw features) that its loss, `loss_total` and its
+    gradient share.
+
+    The skeleton the offset term scores against is `truth_skeleton` when
+    given, else truth's, else pred's. Unless it is pred's own, its topology
+    must match pred's, whatever the term.
+    """
     if name not in _TERMS:
         raise InvalidValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
     term = _TERMS[name]
     if term.pair and truth is None:
         raise InvalidValueError(f"{name} loss compares pred with truth; truth is None")
-    if skeleton is not None and not np.array_equal(
+    skeleton = truth_skeleton or (pred if truth is None else truth).skeleton
+    if skeleton is not pred.skeleton and not np.array_equal(
             skeleton.encoded_parents, pred.skeleton.encoded_parents):
         raise ShapeMismatchError("skeleton topology differs from the clip's")
     if term.pair and pred.kind is not truth.kind:
@@ -470,14 +477,14 @@ def _same_stats(a, b) -> bool:
     return np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
-def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip | None, skeleton=None) -> float:
-    return _mean(_evaluate(name, pred, truth, skeleton).values)
+def _loss_value(name: str, pred: EncodedClip, truth: EncodedClip | None, truth_skeleton=None) -> float:
+    return _mean(_evaluate(name, pred, truth, truth_skeleton).values)
 
 
-def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, skeleton: Skeleton):
+def _analytic_gradient(name: str, pred: EncodedClip, truth: EncodedClip, truth_skeleton):
     """Gradient of loss `name` w.r.t. pred.features, after the loss's own
     input checks."""
-    return _evaluate(name, pred, truth, skeleton).grad()
+    return _evaluate(name, pred, truth, truth_skeleton).grad()
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +512,13 @@ def loss_positional(pred: EncodedClip, truth: EncodedClip) -> float:
 
 
 def loss_offset(pred: EncodedClip, truth_skeleton: Skeleton | None = None) -> float:
-    """Mean violation of the skeleton's bone offsets, non-root joints.
+    """Mean violation of the bone offsets of `truth_skeleton` (default:
+    pred's own; see `_evaluate`), non-root joints.
 
     A skeleton whose only encoded joint is the root has no bones, and the
     term is 0.
     """
-    skeleton = truth_skeleton if truth_skeleton is not None else pred.skeleton
-    return _loss_value("offset", pred, None, skeleton)
+    return _loss_value("offset", pred, None, truth_skeleton)
 
 
 def loss_regularization(pred: EncodedClip) -> float:
@@ -531,7 +538,8 @@ def loss_total(
     truth_skeleton: Skeleton | None = None,
 ) -> LossReport:
     """Weighted sum of every component applicable to the clips' kind, each
-    term evaluated through `_evaluate`, which holds the input checks."""
+    term evaluated through `_evaluate`, which holds the input checks and
+    resolves `truth_skeleton`."""
     _check_space(rotation_space)
     if truth is None:
         raise InvalidValueError("loss_total compares pred with truth; truth is None")
@@ -547,12 +555,11 @@ def loss_total(
         standardized_inputs=pred.standardized or truth.standardized,
         weights=weights,
     )
-    skeleton = truth_skeleton if truth_skeleton is not None else truth.skeleton
     total = 0.0
     for name, term in _TERMS.items():
         if pred.kind not in term.kinds or term.space not in (None, rotation_space):
             continue
-        evaluation = _evaluate(name, pred, truth, skeleton)
+        evaluation = _evaluate(name, pred, truth, truth_skeleton)
         value = _mean(evaluation.values)
         setattr(report, term.component, value)
         report.per_joint[term.component] = np.mean(evaluation.values, axis=0).tolist()
@@ -567,7 +574,7 @@ def loss_total(
 # gradient check
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class GradCheckResult:
     max_relative_deviation: float
     nondifferentiable: bool
@@ -590,13 +597,10 @@ def grad_check(
     own frame's features. A point near the term's kink (antipodal sign
     ties, zero distances) is marked non-differentiable rather than
     raising. The reported deviation is the largest componentwise
-    difference relative to the gradient magnitude.
+    difference relative to the gradient magnitude. `truth_skeleton` goes
+    to `_evaluate` as given.
     """
-    if truth_skeleton is not None:
-        skeleton = truth_skeleton
-    else:
-        skeleton = (truth if truth is not None else pred).skeleton
-    evaluation = _evaluate(name, pred, truth, skeleton)
+    evaluation = _evaluate(name, pred, truth, truth_skeleton)
     analytic = evaluation.grad()
 
     # no term reads the root-translation columns 0..2; they stay zero
@@ -606,7 +610,8 @@ def grad_check(
         for step in (GRAD_EPS, -GRAD_EPS):
             features = pred.features.copy()
             features[:, column] += step
-            values = _evaluate(name, replace(pred, features=_read_only(features)), truth, skeleton).values
+            bumped = replace(pred, features=_read_only(features))
+            values = _evaluate(name, bumped, truth, truth_skeleton).values
             frame_sums.append(values.sum(axis=1))
         # a term with no values (offset on a root-only skeleton) has a zero sum
         numeric[:, column] = (frame_sums[0] - frame_sums[1]) / (2.0 * GRAD_EPS * max(values.size, 1))

@@ -18,7 +18,9 @@ sliced, not rerun, for a window of a pose already scored in full:
 Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `acceleration_of`, `report_between`) operate on plain position arrays;
 `metric_report` takes two frame-batched LocalPoses and reads their
-`positions`. A single frame, `pose[f]`, raises ShapeMismatchError.
+`positions`. A single frame, `pose[f]`, raises ShapeMismatchError. Every
+entry point checks a pair one way: a different frame count raises
+LengthMismatchError, any other shape difference ShapeMismatchError.
 """
 
 import json
@@ -49,15 +51,25 @@ class MetricReport:
 # trajectory level
 # ---------------------------------------------------------------------------
 
+def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """The two sequences as float arrays of one shape: a different frame
+    count raises LengthMismatchError, any other difference
+    ShapeMismatchError."""
+    pred = np.asarray(pred, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if pred.shape[:1] != truth.shape[:1]:
+        raise LengthMismatchError(f"sequences differ in length: {pred.shape} vs {truth.shape}")
+    if pred.shape != truth.shape:
+        raise ShapeMismatchError(f"sequences differ in shape: {pred.shape} vs {truth.shape}")
+    return pred, truth
+
+
 def euclidean_between(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean over frames and joints of the positional distance.
 
     Inputs are (F, J, 3) position arrays.
     """
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape:
-        raise ShapeMismatchError("position arrays differ in shape")
+    pred, truth = _pair(pred, truth)
     if pred.ndim != 3 or pred.shape[0] < 1:
         raise ShapeMismatchError("expected (F >= 1, J, 3) position arrays")
     return float(np.mean(np.linalg.norm(pred - truth, axis=-1)))
@@ -71,10 +83,7 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     flattened into features. Features with zero power in both sequences
     carry no weight; two identical sequences score exactly 0.
     """
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape:
-        raise LengthMismatchError("sequences differ in shape")
+    pred, truth = _pair(pred, truth)
     if pred.shape[0] < 2:
         raise TooFewFramesError("NPSS needs at least 2 frames")
     pred = pred.reshape(pred.shape[0], -1)
@@ -118,6 +127,7 @@ def report_between(
 ) -> MetricReport:
     """All metrics of two (F, J, 3) position arrays; the acceleration gap
     is the absolute difference."""
+    pred, truth = _pair(pred, truth)
     accel_pred = acceleration_of(pred)
     accel_truth = acceleration_of(truth)
     return MetricReport(

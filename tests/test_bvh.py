@@ -160,6 +160,24 @@ class TestParseErrors:
             bvh.parse(text)
         assert (info.value.message, info.value.line) == (message, line)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " JOINT b\n {\n  OFFSET 1 0 0\n"
+         "  CHANNELS 4 Xposition Zrotation Yrotation Xrotation\n }\n}\n" + MOTION + "0 0 0 0 0 0 0\n",
+         9, "position channels are only allowed on the root"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " End Site\n {\n  OFFSET 0 1 0\n }\n"
+         " End Site\n {\n  OFFSET 0 2 0\n }\n}\n" + MOTION + "0 0 0\n",
+         10, "multiple End Site blocks in one joint"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\nMOTION\nFrames: 1\nFrame Time: 0\n0 0 0\n",
+         9, "frame time must be positive"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\nMOTION\nFrames: 1\nFrame Time: -0.5\n0 0 0\n",
+         9, "frame time must be positive"),
+    ], ids=["position channel on a joint", "two end sites", "zero frame time", "negative frame time"])
+    def test_parser_faults_at_their_line(self, text, line, message):
+        with pytest.raises(BvhSyntaxError) as info:
+            bvh.parse(text)
+        assert type(info.value) is BvhSyntaxError
+        assert (info.value.message, info.value.line) == (message, line)
+
     def test_second_root_rejected(self):
         text = (
             "HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n CHANNELS 3 Zrotation Yrotation Xrotation\n}\n"
@@ -537,6 +555,22 @@ class TestWriteFile:
         assert len(created) == 1 and created[0] & ~mode == 0
         assert path.stat().st_mode & 0o777 == mode
         assert bvh.parse_file(path).skeleton == clip.skeleton
+        assert list(tmp_path.iterdir()) == [path]
+
+
+    def test_failed_replace_leaves_the_target_alone(self, tmp_path, fixtures_dir, monkeypatch):
+        clip = bvh.parse_file(fixtures_dir / "two_joint.bvh")
+        path = tmp_path / "clip.bvh"
+        path.write_text("old")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            bvh.write_file(path, clip)
+        monkeypatch.undo()
+        assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
 
 

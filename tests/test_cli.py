@@ -12,7 +12,7 @@ import pytest
 from dqmotion import bvh, cli, container
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, destandardize, encode
-from dqmotion.kinematics import clip_to_local
+from dqmotion.kinematics import clip_to_local, local_to_clip
 from dqmotion.losses import LossWeights, loss_offset, loss_total
 from dqmotion.metrics import metric_report
 
@@ -481,3 +481,85 @@ class TestUsage:
 
     def test_bad_repr_flag(self, capsys, two_joint, tmp_path):
         assert run(capsys, "encode", two_joint, "--repr", "euler", "-o", tmp_path / "x")[0] == 2
+
+
+class TestUsageErrors:
+    """Flag values that only a command can judge: exit 2 with the reason,
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("weights, message", [
+        ("mse", "bad --weights item 'mse'; expected key=value"),
+        ("mse=x", "bad --weights value 'x'"),
+    ])
+    def test_malformed_weights(self, capsys, encoded_dq, weights, message):
+        code, out, err = run(capsys, "loss", encoded_dq, encoded_dq, "--weights", weights)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--seeds", "0"), "--seeds and --stride must be positive"),
+        (("--stride", "0"), "--seeds and --stride must be positive"),
+        (("--horizon", "2"), "--horizon must allow at least 3 frames"),
+        (("--horizon", "17"), "--horizon 17 exceeds the shared length 16"),
+    ], ids=["seeds", "stride", "short horizon", "horizon beyond the clip"])
+    def test_metrics_windows(self, capsys, fixtures_dir, flags, message):
+        path = fixtures_dir / "humanoid.bvh"  # 16 frames
+        code, out, err = run(capsys, "metrics", path, path, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestStandardizedContainers:
+    """decode and loss destandardize a container that stores its stats."""
+
+    @pytest.fixture
+    def pair(self, capsys, tmp_path, fixtures_dir):
+        clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
+        poses = clip_to_local(clip)
+        paths = tmp_path / "a.dqm", tmp_path / "b.dqm"
+        for path, window in zip(paths, (poses[:-1], poses[1:])):
+            bvh.write_file(tmp_path / "in.bvh", local_to_clip(window, clip.skeleton, clip.frame_time))
+            argv = ("encode", tmp_path / "in.bvh", "--standardize", "-o", path)
+            assert run(capsys, *argv)[0] == 0
+        return paths
+
+    def test_decode(self, capsys, tmp_path, pair):
+        out = tmp_path / "back.bvh"
+        code, text, _ = run(capsys, "decode", pair[0], "-o", out)
+        assert code == 0 and f"wrote {out}" in text
+        encoded = destandardize(container.read_file(pair[0]))
+        back = bvh.parse_file(out)
+        assert back.skeleton == encoded.skeleton and back.num_frames == encoded.num_frames
+        again = encode(clip_to_local(back), ReprKind.DUALQUAT, back.frame_time)
+        assert np.max(np.abs(again.features - encoded.features)) < 1e-5
+
+    def test_loss(self, capsys, pair):
+        code, out, _ = run(capsys, "loss", *pair)
+        assert code == 0
+        a, b = (destandardize(container.read_file(path)) for path in pair)
+        assert json.loads(out) == loss_total(a, b).to_dict()
+
+
+def test_validate_one_frame_container(capsys, tmp_path, two_joint):
+    one = tmp_path / "one.bvh"
+    clip = bvh.parse_file(two_joint)
+    bvh.write_file(one, bvh.MotionClip(clip.skeleton, clip.frame_time, clip.frames[:1]))
+    out = tmp_path / "one.dqm"
+    assert run(capsys, "encode", one, "-o", out)[0] == 0
+    code, text, _ = run(capsys, "validate", out)
+    assert code == 0
+    assert "worst continuity dot: n/a (single frame)" in text.splitlines()
+    assert text.splitlines()[-1] == "OK"
+
+
+def test_encode_refuses_blocks_off_the_unit_manifold(capsys, tmp_path, fixtures_dir):
+    """Offsets of 1e10 leave the dual parts so large that the
+    orthogonality residual of the encoded blocks passes the tolerance."""
+    clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
+    joints = [dataclasses.replace(j, offset=j.offset * 1e10) for j in clip.skeleton.joints]
+    huge = tmp_path / "huge.bvh"
+    bvh.write_file(huge, dataclasses.replace(clip, skeleton=bvh.Skeleton(joints)))
+    out = tmp_path / "huge.dqm"
+    code, text, err = run(capsys, "encode", huge, "-o", out)
+    assert code == 1
+    assert "max unit residual: 7.629e-06" in text
+    assert err == "error: encoded blocks violate the unit conditions\n"
+    assert not out.exists()

@@ -2,7 +2,9 @@
 level or inside a function, names the standard library, numpy or the
 package itself. And every memo it keeps is bounded: each
 `functools.lru_cache` has a finite maxsize, and `functools.cache` holds
-only functions that take no arguments. The numpy floor in
+only functions that take no arguments. Every dataclass that holds an
+array compares by identity (`eq=False`): a generated `__eq__` would ask
+numpy for the truth value of an array. The numpy floor in
 `pyproject.toml` is one whose `loadtxt` the BVH parser can rely on."""
 
 import ast
@@ -113,6 +115,79 @@ memo = functools.cache(len)
     got = sorted(unbounded_memos(ast.parse(source)))
     assert got == [(12, "lru_cache"), (15, "lru_cache"), (18, "lru_cache"), (21, "cache"),
                    (25, "cache"), (28, "cache")]
+
+
+def is_array(annotation: ast.AST) -> bool:
+    """`np.ndarray`, alone or in a `|` union; not inside a subscript such
+    as `Callable[[np.ndarray], bool]`, which holds no array."""
+    if isinstance(annotation, ast.BinOp):
+        return is_array(annotation.left) or is_array(annotation.right)
+    return isinstance(annotation, ast.Attribute) and annotation.attr == "ndarray"
+
+
+def array_dataclasses_with_eq(tree: ast.AST):
+    """(line, name) of every `@dataclass` class in `tree` with a field
+    annotated `np.ndarray` that does not pass `eq=False`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            name = call.func if call else decorator
+            if getattr(name, "id", getattr(name, "attr", None)) != "dataclass":
+                continue
+            eq_off = call is not None and any(
+                k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in call.keywords)
+            holds_array = any(isinstance(field, ast.AnnAssign) and is_array(field.annotation)
+                              for field in node.body)
+            if holds_array and not eq_off:
+                yield node.lineno, node.name
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(SOURCES)))
+def test_array_dataclasses_compare_by_identity(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.relative_to(SOURCES)}:{line} {name}"
+            for line, name in array_dataclasses_with_eq(tree)] == []
+
+
+def test_the_check_sees_an_array_dataclass_with_eq():
+    source = """
+import numpy as np
+from dataclasses import dataclass
+
+@dataclass(frozen=True, eq=False)
+class Identity:
+    values: np.ndarray
+
+@dataclass
+class Bare:
+    values: np.ndarray
+
+@dataclass(frozen=True)
+class Frozen:
+    stats: np.ndarray | None = None
+
+@dataclass(eq=True)
+class Explicit:
+    values: np.ndarray
+
+@dataclass
+class NoArray:
+    value: float
+    kink: Callable[[np.ndarray], bool]
+
+class Plain:
+    values: np.ndarray
+
+@dataclasses.dataclass(frozen=True)
+class Qualified:
+    values: np.ndarray
+"""
+    got = sorted(array_dataclasses_with_eq(ast.parse(source)))
+    assert got == [(10, "Bare"), (14, "Frozen"), (18, "Explicit"), (30, "Qualified")]
 
 
 #: The first numpy whose `loadtxt` is the compiled reader that `bvh.parse`

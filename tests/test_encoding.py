@@ -10,6 +10,8 @@ import pytest
 
 from dqmotion import bvh, container, dualquat
 from dqmotion.encoding import (
+    _KIND_PARTS,
+    _PARTS,
     EncodedClip,
     NormalizationStats,
     ReprKind,
@@ -28,6 +30,7 @@ from dqmotion.errors import (
     TooFewFramesError,
 )
 from dqmotion.kinematics import LocalPose, clip_to_local
+from dqmotion.losses import _POSITION_COLUMNS
 
 import oracles
 from conftest import fixture_corpus
@@ -51,6 +54,29 @@ class TestWidthContract:
             clip = encode(oracles.random_poses(rng, skeleton, 3), kind)
             assert clip.width == 3 + kind.block_dim * skeleton.num_encoded
             assert clip.joint_count == skeleton.num_encoded
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_parts_tile_the_block(self, kind):
+        """`_KIND_PARTS` is the one definition of a block: its parts cover
+        [0, block_dim) with no gap or overlap, the rotation part starts at
+        column 0, and stored positions are the last three columns."""
+        parts = _KIND_PARTS[kind]
+        spans = sorted((start, start + _PARTS[name][0]) for name, start in parts.items())
+        assert spans and spans[0][0] == 0 and spans[-1][1] == kind.block_dim
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
+        rotation = [name for name in parts if name != "positions"]
+        assert len(rotation) == kind.has_rotations and all(parts[name] == 0 for name in rotation)
+        if "positions" in parts:
+            columns = range(kind.block_dim)[_POSITION_COLUMNS]
+            assert columns == range(parts["positions"], parts["positions"] + 3)
+
+    def test_kind_properties_read_the_parts(self):
+        assert {k for k in ALL_KINDS if k.has_positions} == {
+            ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS, ReprKind.DUALQUAT,
+            ReprKind.ORTHO6D_POSITIONS}
+        assert {k for k in ALL_KINDS if k.sign_sensitive} == {
+            ReprKind.QUATERNIONS, ReprKind.QUATERNIONS_POSITIONS, ReprKind.DUALQUAT}
+        assert [k.block_dim for k in ALL_KINDS] == [3, 4, 6, 7, 8, 9]
 
     def test_no_frames_rejected(self, rng):
         pose = oracles.random_poses(rng, oracles.random_skeleton(rng, 3), 2)
@@ -166,6 +192,10 @@ class TestAntipodalCorrect:
         corrected = antipodal_correct(block[None])
         assert np.allclose(corrected[0], [[0.0, 1.0, 0.0, 0.0]])
 
+    def test_zero_frames(self):
+        with pytest.raises(TooFewFramesError, match="^antipodal correction needs at least one frame$"):
+            antipodal_correct(np.zeros((0, 3, 8)))
+
 
 class TestDecode:
     @pytest.mark.parametrize("kind", INVERTIBLE, ids=lambda k: k.value)
@@ -247,6 +277,22 @@ class TestStats:
     def make_clip(self, rng, frames=6):
         skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
         return encode(oracles.random_poses(rng, skeleton, frames), ReprKind.DUALQUAT)
+
+    def test_mean_and_std_of_different_widths(self):
+        with pytest.raises(ShapeMismatchError, match="^mean and std must have the same width$"):
+            NormalizationStats(np.zeros(5), np.ones(4))
+
+    def test_features_of_the_wrong_width(self, rng):
+        clip = self.make_clip(rng)
+        with pytest.raises(ShapeMismatchError,
+                           match="^dualquat features for this skeleton must have width 43$"):
+            EncodedClip(clip.kind, clip.skeleton, clip.frame_time, clip.features[:, :-1])
+
+    def test_stats_of_the_wrong_width(self, rng):
+        clip = self.make_clip(rng)
+        stats = NormalizationStats(np.zeros(clip.width - 1), np.ones(clip.width - 1))
+        with pytest.raises(ShapeMismatchError, match="^stats width does not match features$"):
+            EncodedClip(clip.kind, clip.skeleton, clip.frame_time, clip.features, stats)
 
     def test_constant_column_floored(self, rng):
         clip = self.make_clip(rng)

@@ -619,6 +619,33 @@ class TestGradientInputChecks:
         with pytest.raises(ShapeMismatchError):
             _analytic_gradient(name, q, q, skeleton)
 
+    def test_every_entry_point_checks_the_truth_topology(self):
+        """A 3-joint chain against a 3-joint star: one width, two
+        topologies. `_evaluate` resolves the skeleton for every term."""
+        channels = ("Zrotation", "Yrotation", "Xrotation")
+
+        def clip(parents):
+            joints = [JointSpec("root", None, np.zeros(3), ("Xposition", "Yposition", "Zposition") + channels)]
+            joints += [JointSpec(f"j{i}", p, np.array([0.0, 1.0, 0.0]), channels)
+                       for i, p in enumerate(parents, 1)]
+            rotations = np.zeros((4, 3, 4))
+            rotations[..., 0] = 1.0
+            return encode(LocalPose(Skeleton(joints), np.zeros((4, 3)), rotations), ReprKind.DUALQUAT)
+
+        chain, star = clip([0, 1]), clip([0, 0])
+        assert chain.width == star.width
+        for call in (loss_mse, loss_positional, loss_total, lambda a, b: grad_check("mse", a, b)):
+            with pytest.raises(ShapeMismatchError, match="topology"):
+                call(chain, star)
+
+    def test_frame_counts_differ(self, rng):
+        skeleton = oracles.random_skeleton(rng, 4)
+        clip = encode(oracles.random_poses(rng, skeleton, 5), ReprKind.DUALQUAT)
+        short = clip_from_features(ReprKind.DUALQUAT, skeleton, clip.features[:-1])
+        for call in (loss_mse, loss_positional, loss_total, lambda a, b: grad_check("mse", a, b)):
+            with pytest.raises(ShapeMismatchError, match="^feature shapes differ$"):
+                call(clip, short)
+
     def test_grad_check_bumps_keep_stats(self, rng, monkeypatch):
         pred, truth = self.std_pair(rng)
         seen = []

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dqmotion.kinematics import LocalPose
-from dqmotion.errors import LengthMismatchError, TooFewFramesError
+from dqmotion.errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
 from dqmotion.metrics import (
     acceleration_of,
     euclidean_between,
     metric_report,
     npss_between,
+    report_between,
 )
 
 import oracles
@@ -190,3 +191,33 @@ class TestReport:
         before = metric_report(a, b)
         after = metric_report(moved, b)
         assert before.to_dict() == after.to_dict()
+
+
+PAIR_FUNCTIONS = (euclidean_between, npss_between, report_between)
+
+
+class TestPairCheck:
+    """Every array entry point checks a pair the same way."""
+
+    @pytest.mark.parametrize("between", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_frame_count_differs(self, between):
+        with pytest.raises(LengthMismatchError, match="differ in length"):
+            between(np.zeros((6, 4, 3)), np.zeros((5, 4, 3)))
+
+    @pytest.mark.parametrize("between", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_joint_count_differs(self, between):
+        with pytest.raises(ShapeMismatchError, match="differ in shape"):
+            between(np.zeros((6, 4, 3)), np.zeros((6, 3, 3)))
+
+    @pytest.mark.parametrize("between", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_same_shape_passes(self, between):
+        between(np.zeros((6, 4, 3)), np.ones((6, 4, 3)))
+
+    def test_poses_of_different_lengths(self, rng):
+        skeleton = oracles.random_skeleton(rng, 4)
+        seq = oracles.random_poses(rng, skeleton, 6)
+        for between in PAIR_FUNCTIONS:
+            with pytest.raises(LengthMismatchError):
+                between(seq.positions, seq[:-1].positions)
+        with pytest.raises(LengthMismatchError):
+            metric_report(seq, seq[:-1])

@@ -184,7 +184,7 @@ class TestSharedParts:
     def test_kept_parts_view_encoded_features(self, pose):
         clips = [encode(pose, kind) for kind in ReprKind]
         parts = pose._encoded_parts
-        assert sorted(parts) == ["ortho6d", "positions", "quaternions"]
+        assert sorted(parts) == ["dualquat", "ortho6d", "positions", "quaternions"]
         for part in parts.values():
             assert not part.flags.writeable
             assert any(np.shares_memory(part, clip.features) for clip in clips)

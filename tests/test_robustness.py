@@ -402,6 +402,42 @@ class TestContainerInput:
         assert quiet_main("decode", path, "-o", out) == 3
         assert not out.exists()
 
+    @staticmethod
+    def truncated_at(data: bytes, part: str) -> bytes:
+        """`data` cut inside the header, the skeleton block's length field,
+        its JSON or the statistics rows."""
+        at = container._HEADER.size
+        (length,) = struct.unpack_from("<I", data, at)
+        cut = {"header": at - 1, "block length": at + 2, "block": at + 4 + length // 2,
+               "stats": at + 4 + length + 8}[part]
+        return data[:cut]
+
+    @pytest.mark.parametrize("part, message", [
+        ("header", "truncated header"),
+        ("block length", "truncated skeleton block"),
+        ("block", "truncated skeleton block"),
+        ("stats", "truncated statistics rows"),
+    ])
+    def test_truncated(self, tmp_path, part, message):
+        data = self.truncated_at(container_bytes(ReprKind.DUALQUAT, standardized=True), part)
+        with pytest.raises(ContainerError) as info:
+            container.from_bytes(data)
+        assert type(info.value) is ContainerError and str(info.value) == message
+        path = tmp_path / "cut.dqm"
+        path.write_bytes(data)
+        assert quiet_main("validate", path) == 3
+
+    def test_joint_count_beyond_the_skeleton(self):
+        data = container_bytes(ReprKind.DUALQUAT)
+        at = struct.calcsize("<4sIBBH")  # the header's joint count
+        (joints,) = struct.unpack_from("<I", data, at)
+        assert joints == container.from_bytes(data).joint_count
+        bad = data[:at] + struct.pack("<I", joints + 1) + data[at + 4:]
+        with pytest.raises(ContainerError) as info:
+            container.from_bytes(bad)
+        assert type(info.value) is ContainerError
+        assert str(info.value) == "joint count disagrees with skeleton"
+
     @pytest.mark.parametrize("kind", list(ReprKind))
     @pytest.mark.parametrize("standardized", [False, True])
     def test_written_containers_read_back(self, rng, kind, standardized):

@@ -5,7 +5,8 @@
 dataclasses, and the arrays they hold are read-only, so a value that
 passed its constructor's checks cannot be edited into one that fails
 them. The layers that produce arrays hand them over read-only; what a
-caller hands over writable is copied once.
+caller hands over writable is copied once. A value that holds arrays
+compares and hashes by identity; `Skeleton` alone has a value equality.
 """
 
 import dataclasses
@@ -128,3 +129,32 @@ def test_non_finite_values_raise_a_motion_error(clip, encoded, build, value):
     with pytest.raises(MotionError) as info:
         build(clip, encoded, bad)
     assert isinstance(info.value, NonFiniteError) and isinstance(info.value, ValueError)
+
+
+# One value of each class that holds arrays, from the humanoid clip.
+ARRAY_VALUES = {
+    "JointSpec": lambda clip, enc: clip.skeleton.joints[1],
+    "ChannelTable": lambda clip, enc: clip.skeleton.channel_table,
+    "MotionClip": lambda clip, enc: clip,
+    "NormalizationStats": lambda clip, enc: fit_stats(enc),
+    "EncodedClip": lambda clip, enc: enc,
+    "LocalPose": lambda clip, enc: clip_to_local(clip),
+    "GradCheckResult": lambda clip, enc: GradCheckResult(0.0, False, enc.features, enc.features),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_VALUES)
+def test_array_values_compare_by_identity(clip, encoded, name):
+    """`==` on arrays has no single truth value, so these classes compare
+    and hash by identity: no numpy ValueError, no unhashable TypeError."""
+    value = ARRAY_VALUES[name](clip, encoded)
+    assert type(value).__name__ == name
+    twin = dataclasses.replace(value)
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert hash(value) == hash(value) and len({value, twin}) == 2
+
+
+def test_skeleton_keeps_its_value_equality(clip):
+    twin = dataclasses.replace(clip.skeleton)
+    assert twin is not clip.skeleton and twin == clip.skeleton
