@@ -23,7 +23,7 @@ from .encoding import ReprKind, decode, destandardize, encode, fit_stats, standa
 from .errors import InvalidValueError, MotionError
 from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, _evaluate, loss_total
-from .metrics import pose_pair_positions, report_between
+from .metrics import pose_pair_positions, window_reports
 
 REPR_FLAGS = {
     "dq": ReprKind.DUALQUAT,
@@ -249,7 +249,7 @@ def cmd_metrics(args) -> int:
     starts = list(range(0, frames - horizon + 1, args.stride))[: args.seeds]
     if not starts:
         raise InvalidValueError(f"--horizon {horizon} exceeds the shared length {frames}")
-    reports = [report_between(pred[s : s + horizon], truth[s : s + horizon]) for s in starts]
+    reports = window_reports(pred, truth, starts, horizon)
     payload = {"schema_version": 1}
     for name in ("euclidean", "npss", "acceleration_pred", "acceleration_truth",
                  "acceleration_error"):

@@ -21,6 +21,13 @@ Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `positions`. A single frame, `pose[f]`, raises ShapeMismatchError. Every
 entry point checks a pair one way: a different frame count raises
 LengthMismatchError, any other shape difference ShapeMismatchError.
+
+`window_reports` scores many windows of one position pair, each equal
+bit for bit to `report_between` of the window: each frame's distance and
+second differences are computed once per clip, and NPSS runs on batches
+of windows side by side through the one kernel `_npss` that
+`npss_between` also calls. `dqmotion metrics` scores its windows through
+it.
 """
 
 import json
@@ -28,7 +35,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
+from .errors import (
+    InvalidValueError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    TooFewFramesError,
+)
 
 
 @dataclass
@@ -86,9 +98,16 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     pred, truth = _pair(pred, truth)
     if pred.shape[0] < 2:
         raise TooFewFramesError("NPSS needs at least 2 frames")
-    pred = pred.reshape(pred.shape[0], -1)
-    truth = truth.reshape(truth.shape[0], -1)
+    frames = pred.shape[0]
+    return float(_npss(pred.reshape(frames, -1), truth.reshape(frames, -1), 1)[0])
 
+
+def _npss(pred: np.ndarray, truth: np.ndarray, windows: int) -> np.ndarray:
+    """NPSS of each of `windows` windows whose feature columns sit side by
+    side in two (H, windows * K) arrays: window w owns columns
+    [w * K, (w + 1) * K). Every step up to the EMD runs per column along
+    the time axis, so a column's value does not depend on its neighbours;
+    only the weighted sums at the end group the columns by window."""
     pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
     truth_power = np.abs(np.fft.fft(truth, axis=0)) ** 2
     pred_total = pred_power.sum(axis=0)
@@ -101,10 +120,10 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     # 1-D EMD between unit-mass spectra: L1 distance of the cumulative sums.
     emd = np.abs(np.cumsum(pred_norm, axis=0) - np.cumsum(truth_norm, axis=0)).sum(axis=0)
 
-    weight_total = truth_total.sum()
-    if weight_total <= 0.0:
-        return 0.0
-    return float((emd * truth_total).sum() / weight_total)
+    weighted = (emd * truth_total).reshape(windows, -1).sum(axis=1)
+    weight_total = truth_total.reshape(windows, -1).sum(axis=1)
+    # A window whose truth has no power scores 0; a NaN total gives NaN.
+    return np.divide(weighted, weight_total, out=np.zeros(windows), where=~(weight_total <= 0.0))
 
 
 def acceleration_of(positions: np.ndarray) -> float:
@@ -118,8 +137,14 @@ def acceleration_of(positions: np.ndarray) -> float:
         raise ShapeMismatchError("expected a (F, J, 3) position array")
     if positions.shape[0] < 3:
         raise TooFewFramesError("acceleration needs at least 3 frames")
+    return float(np.mean(_second_differences(positions)))
+
+
+def _second_differences(positions: np.ndarray) -> np.ndarray:
+    """(F - 2, J) second-difference magnitude per frame step and joint;
+    row f is centred on frame f + 1."""
     second = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
-    return float(np.mean(np.linalg.norm(second, axis=-1)))
+    return np.linalg.norm(second, axis=-1)
 
 
 def report_between(
@@ -138,6 +163,72 @@ def report_between(
         acceleration_error=abs(accel_pred - accel_truth),
         frame_time=frame_time,
     )
+
+
+#: Values of one (H, windows * K) NPSS batch in `window_reports`. The
+#: FFT and its temporaries stay in cache up to about this size; batching
+#: more windows at once is slower, not faster.
+_NPSS_BATCH_VALUES = 16384
+
+
+def window_reports(
+    pred: np.ndarray,
+    truth: np.ndarray,
+    starts,
+    horizon: int,
+) -> list[MetricReport]:
+    """`report_between` of every window [s, s + horizon) of two (F, J, 3)
+    position arrays, for s in `starts`, equal to it bit for bit.
+
+    The distances and both sequences' second differences are computed
+    once per clip; a window's Euclidean and acceleration values are the
+    means of its contiguous slices of them. NPSS runs on batches of
+    windows whose feature columns sit side by side, at most
+    `_NPSS_BATCH_VALUES` values (and at least one window) a batch. The
+    pair and the horizon are checked as `report_between` checks them,
+    before any arithmetic; a window outside the clip raises
+    InvalidValueError.
+    """
+    pred, truth = _pair(pred, truth)
+    if pred.ndim != 3:
+        raise ShapeMismatchError("expected a (F, J, 3) position array")
+    if horizon < 3:
+        raise TooFewFramesError("acceleration needs at least 3 frames")
+    frames = pred.shape[0]
+    starts = list(starts)
+    for start in starts:
+        if not 0 <= start <= frames - horizon:
+            raise InvalidValueError(
+                f"window [{start}, {start + horizon}) is not inside the {frames} frames"
+            )
+
+    distances = np.linalg.norm(pred - truth, axis=-1)
+    accel_pred = _second_differences(pred)
+    accel_truth = _second_differences(truth)
+
+    flat_pred = pred.reshape(frames, -1)
+    flat_truth = truth.reshape(frames, -1)
+    per_batch = max(1, _NPSS_BATCH_VALUES // max(1, horizon * flat_pred.shape[1]))
+    steps = np.arange(horizon)[:, None]
+    npss = []
+    for first in range(0, len(starts), per_batch):
+        rows = steps + starts[first : first + per_batch]  # (H, windows) frame indices
+        npss.extend(_npss(flat_pred[rows].reshape(horizon, -1),
+                          flat_truth[rows].reshape(horizon, -1), rows.shape[1]))
+
+    reports = []
+    for start, value in zip(starts, npss):
+        diffs = slice(start, start + horizon - 2)
+        a_pred = float(np.mean(accel_pred[diffs]))
+        a_truth = float(np.mean(accel_truth[diffs]))
+        reports.append(MetricReport(
+            euclidean=float(np.mean(distances[start : start + horizon])),
+            npss=float(value),
+            acceleration_pred=a_pred,
+            acceleration_truth=a_truth,
+            acceleration_error=abs(a_pred - a_truth),
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,17 @@ class TestParseErrors:
             bvh.parse(text)
         assert info.value.line == 10
 
-    def test_position_channel_on_child(self):
+    def test_two_rotation_channels_on_child(self):
         text = (
             "HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n CHANNELS 3 Zrotation Yrotation Xrotation\n"
             " JOINT b\n {\n  OFFSET 1 0 0\n  CHANNELS 3 Xposition Yrotation Xrotation\n }\n}\n"
             "MOTION\nFrames: 1\nFrame Time: 0.04\n0 0 0 0 0 0\n"
         )
-        with pytest.raises(BvhSyntaxError):
+        with pytest.raises(UnsupportedChannelError) as info:
             bvh.parse(text)
+        assert type(info.value) is UnsupportedChannelError
+        assert (info.value.message, info.value.line) == (
+            "a joint needs zero or three rotation channels, not 2", 9)
 
     ZYX = " CHANNELS 3 Zrotation Yrotation Xrotation\n"
     MOTION = "MOTION\nFrames: 1\nFrame Time: 0.04\n"

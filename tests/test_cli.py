@@ -506,6 +506,15 @@ class TestUsageErrors:
         code, out, err = run(capsys, "metrics", path, path, *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_metrics_on_two_frames(self, capsys, tmp_path, two_joint):
+        # With no --horizon the one window is the whole clip, too short
+        # for a second difference.
+        clip = bvh.parse_file(two_joint)
+        other = tmp_path / "other.bvh"
+        bvh.write_file(other, bvh.MotionClip(clip.skeleton, clip.frame_time, clip.frames[::-1]))
+        code, out, err = run(capsys, "metrics", other, two_joint)
+        assert (code, out, err) == (2, "", "error: acceleration needs at least 3 frames\n")
+
 
 class TestStandardizedContainers:
     """decode and loss destandardize a container that stores its stats."""

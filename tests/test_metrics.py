@@ -1,16 +1,28 @@
-"""Metrics: analytic anchors, invariances, and the brute-force EMD oracle."""
+"""Metrics: analytic anchors, invariances, the brute-force EMD oracle,
+and the per-window loop that `window_reports` is held to."""
+
+import ast
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dqmotion.kinematics import LocalPose
-from dqmotion.errors import LengthMismatchError, ShapeMismatchError, TooFewFramesError
+from dqmotion import bvh, metrics
+from dqmotion.kinematics import LocalPose, clip_to_local
+from dqmotion.errors import (
+    InvalidValueError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    TooFewFramesError,
+)
 from dqmotion.metrics import (
     acceleration_of,
     euclidean_between,
     metric_report,
     npss_between,
     report_between,
+    window_reports,
 )
 
 import oracles
@@ -221,3 +233,163 @@ class TestPairCheck:
                 between(seq.positions, seq[:-1].positions)
         with pytest.raises(LengthMismatchError):
             metric_report(seq, seq[:-1])
+
+
+def loop_reports(pred, truth, starts, horizon):
+    """The oracle: one `report_between` per window."""
+    return [report_between(pred[s : s + horizon], truth[s : s + horizon]) for s in starts]
+
+
+def bits(reports):
+    """Every field of every report, floats as `float.hex`, so that -0.0
+    and +0.0 differ."""
+    return [{name: float.hex(value) if isinstance(value, float) else value
+             for name, value in report.__dict__.items()} for report in reports]
+
+
+def window_starts(frames, horizon, stride):
+    return list(range(0, frames - horizon + 1, stride))
+
+
+class TestWindowReports:
+    """`window_reports` equals the per-window loop bit for bit."""
+
+    def assert_matches_loop(self, pred, truth, starts, horizon):
+        got = window_reports(pred, truth, starts, horizon)
+        assert len(got) == len(starts)
+        assert bits(got) == bits(loop_reports(pred, truth, starts, horizon))
+        return got
+
+    def test_humanoid_fixture(self, rng, fixtures_dir):
+        clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")  # 16 frames
+        jittered = bvh.MotionClip(clip.skeleton, clip.frame_time,
+                                  clip.frames + rng.normal(scale=0.5, size=clip.frames.shape))
+        pred, truth = clip_to_local(jittered).positions, clip_to_local(clip).positions
+        for horizon, stride in ((8, 4), (3, 1), (16, 7), (5, 2)):
+            self.assert_matches_loop(pred, truth, window_starts(16, horizon, stride), horizon)
+
+    def test_long_clip_spans_many_batches(self, rng):
+        pred, truth = rng.normal(size=(2, 2000, 19, 3))
+        starts = window_starts(2000, 30, 7)
+        per_batch = metrics._NPSS_BATCH_VALUES // (30 * 19 * 3)
+        assert len(starts) == 282 and per_batch > 1 and len(starts) % per_batch
+        self.assert_matches_loop(pred, truth, starts, 30)
+
+    def test_wide_skeleton_one_window_a_batch(self, rng):
+        pred, truth = rng.normal(size=(2, 64, 258, 3))
+        assert 30 * 258 * 3 > metrics._NPSS_BATCH_VALUES
+        self.assert_matches_loop(pred, truth, window_starts(64, 30, 7), 30)
+
+    @pytest.mark.parametrize("horizon", (3, 40), ids=("horizon 3", "horizon = F"))
+    def test_horizon_extremes(self, rng, horizon):
+        pred, truth = rng.normal(size=(2, 40, 6, 3))
+        self.assert_matches_loop(pred, truth, window_starts(40, horizon, 1), horizon)
+
+    def test_stride_beyond_horizon(self, rng):
+        pred, truth = rng.normal(size=(2, 100, 6, 3))
+        self.assert_matches_loop(pred, truth, window_starts(100, 8, 13), 8)
+
+    def test_joint_held_at_origin(self, rng):
+        pred, truth = rng.normal(size=(2, 60, 7, 3))
+        pred[:, 3] = truth[:, 3] = 0.0  # zero-power NPSS columns
+        truth[:, 5, 1] = -0.0  # zero power with a negative sign
+        self.assert_matches_loop(pred, truth, window_starts(60, 10, 3), 10)
+
+    def test_identical_sequences_score_zero(self, rng):
+        positions = rng.normal(size=(50, 9, 3))
+        got = self.assert_matches_loop(positions, positions.copy(), window_starts(50, 12, 5), 12)
+        assert all(float.hex(report.npss) == float.hex(0.0) for report in got)
+        assert all(report.euclidean == 0.0 == report.acceleration_error for report in got)
+
+    def test_order_and_repeated_starts(self, rng):
+        pred, truth = rng.normal(size=(2, 30, 4, 3))
+        self.assert_matches_loop(pred, truth, [20, 0, 7, 7], 10)
+        assert window_reports(pred, truth, [], 10) == []
+
+    def test_npss_between_still_matches_oracle(self, rng):
+        for frames in (2, 3, 30):
+            pred, truth = rng.normal(size=(2, frames, 19, 3))
+            assert abs(npss_between(pred, truth) - npss_oracle(pred, truth)) < 1e-9
+
+
+class TestWindowReportErrors:
+    """`window_reports` raises what `report_between` raises on the same
+    windows, before any arithmetic."""
+
+    @pytest.mark.parametrize("shapes, error, message", [
+        (((6, 4, 3), (5, 4, 3)), LengthMismatchError, "differ in length"),
+        (((6, 4, 3), (6, 3, 3)), ShapeMismatchError, "differ in shape"),
+        (((6, 12), (6, 12)), ShapeMismatchError, "expected a \\(F, J, 3\\) position array"),
+    ], ids=["length", "shape", "rank"])
+    def test_pair(self, shapes, error, message):
+        pred, truth = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(error, match=message):
+            report_between(pred, truth)
+        with pytest.raises(error, match=message):
+            window_reports(pred, truth, [0], 3)
+
+    def test_horizon_below_three(self, rng):
+        pred, truth = rng.normal(size=(2, 2, 4, 3))
+        with pytest.raises(TooFewFramesError, match="acceleration needs at least 3 frames"):
+            report_between(pred, truth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+            for horizon in (2, 1, 0):
+                with pytest.raises(TooFewFramesError,
+                                   match="acceleration needs at least 3 frames"):
+                    window_reports(pred, truth, [0], horizon)
+
+    @pytest.mark.parametrize("start", (-1, 8), ids=("before", "past the end"))
+    def test_window_outside_the_clip(self, rng, start):
+        pred, truth = rng.normal(size=(2, 10, 4, 3))
+        with pytest.raises(InvalidValueError, match="is not inside the 10 frames"):
+            window_reports(pred, truth, [0, start], 3)
+
+
+METRICS_SOURCE = Path(metrics.__file__)
+
+
+def fft_callers(tree: ast.AST) -> list:
+    """Name of the innermost function around each `np.fft.fft` (or
+    `numpy.fft.fft`) call in `tree`, "<module>" outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "fft"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "fft"
+                    and isinstance(func.value.value, ast.Name)
+                    and func.value.value.id in ("np", "numpy")):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_npss_body():
+    callers = fft_callers(ast.parse(METRICS_SOURCE.read_text()))
+    assert set(callers) == {"_npss"}, callers
+
+
+def test_the_check_sees_a_second_npss_body():
+    source = """
+import numpy as np
+
+def _npss(pred, truth, windows):
+    return np.fft.fft(pred, axis=0), np.fft.fft(truth, axis=0)
+
+def npss_between(pred, truth):
+    def inner(x):
+        return numpy.fft.fft(x)
+    return np.fft.fft(pred), np.fft.rfft(truth), inner(pred)
+
+SPECTRUM = np.fft.fft([1.0, 2.0])
+"""
+    callers = fft_callers(ast.parse(source))
+    assert callers == ["_npss", "_npss", "inner", "npss_between", "<module>"]
+    assert set(callers) != {"_npss"}
