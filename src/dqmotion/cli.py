@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bvh, container, dualquat
+from . import bvh, container, dualquat, quat
 from .encoding import ReprKind, decode, destandardize, encode, fit_stats, standardize
 from .errors import InvalidValueError, MotionError
 from .kinematics import clip_to_local, local_to_clip
@@ -153,7 +153,7 @@ def cmd_roundtrip(args) -> int:
     a, b = poses.joint_rotations, decoded.joint_rotations
     sign_gaps = np.minimum(np.max(np.abs(a - b), axis=-1), np.max(np.abs(a + b), axis=-1))
     quat_dev = float(np.max(sign_gaps))
-    pos_gaps = np.linalg.norm(poses.positions - decoded.positions, axis=-1)
+    pos_gaps = quat._lengths(poses.positions - decoded.positions)
     pos_dev = float(np.max(pos_gaps))
 
     offset_dev = 0.0

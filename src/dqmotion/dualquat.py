@@ -16,9 +16,11 @@ reductions sum in an order that depends on strides, so layout is part of
 the bits). All but `conjugate` are one `quat._on_rows` call of their row
 kernel (`_mul_rows`, `_normalize_rows`, `_from_rotation_translation_rows`
 and `_translation_rows`, which keep their functions' unit checks); every
-sum keeps the terms and the order of the per-part formula. `kinematics`
-sweeps the hierarchy with the same kernels, and `_conjugate_rows` is the
-one conjugation of component rows.
+sum keeps the terms and the order of the per-part formula. `_mul_rows`
+gathers all 48 terms of a small product at once and multiplies them in
+one call, and runs larger ones per component (`_STACK_VALUES`).
+`kinematics` sweeps the hierarchy with the same kernels, and
+`_conjugate_rows` is the one conjugation of component rows.
 """
 
 from typing import NamedTuple
@@ -65,17 +67,63 @@ def _conjugate_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dual-quaternion product: (ar*br) + (ar*bd + ad*br) eps.
 
-    One fused kernel: the three Hamilton products run on one
-    component-major copy of each operand, and each dual component is the
-    sum of its two products, as `quat.mul` on the parts would round them.
+    One fused kernel, `_mul_rows`, on one component-major copy of each
+    operand: each dual component is the sum of its two products, as
+    `quat.mul` on the parts would round them.
     """
-    return quat._on_rows(
-        lambda a, b, out: _mul_rows(a[:4], a[4:], b[:4], b[4:], out[:4], out[4:]), 8, a, b)
+    return quat._on_rows(_mul_rows, 8, a, b)
 
 
-def _mul_rows(ar, ad, br, bd, out_r, out_d) -> None:
-    """`mul` on (4, ...) component rows of the real and dual parts of a and
-    b, into the rows `out_r` and `out_d`, which must not overlap an operand."""
+#: Most values in the (48, N) block of terms of a stacked `_mul_rows`;
+#: larger products run per component. A block this size (128 KiB) stays
+#: below glibc's default mmap threshold; past it the stacked operands
+#: fall out of cache and the per-component form is faster.
+_STACK_VALUES = 16384
+
+
+def _stacked_terms(b_real: int, b_dual: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of [a; -a] and of b for the 48 Hamilton terms of a dual
+    product whose b holds its real part at row `b_real` and its dual part
+    at `b_dual`. Row n * 12 + s is term n of sum s, the sums being the
+    four real components, then the four of ar * bd and the four of ad * br;
+    each term's `quat._HAMILTON` sign picks a or -a (rows 8..15)."""
+    a_rows, b_rows = [], []
+    for n in range(4):
+        for a_part, b_part in ((0, b_real), (0, b_dual), (4, b_real)):
+            for sums in quat._HAMILTON:
+                sign, i, j = sums[n]
+                a_rows.append(a_part + i + 8 * (sign < 0))
+                b_rows.append(b_part + j)
+    return np.array(a_rows), np.array(b_rows)
+
+
+#: `_stacked_terms` of b as it is, and of b with its parts swapped.
+_STACKED_TERMS = {False: _stacked_terms(0, 4), True: _stacked_terms(4, 0)}
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, swap: bool = False) -> None:
+    """`mul` on (8, ...) component rows a and b, into the rows `out`,
+    which must not overlap an operand. With `swap`, the real and dual rows
+    of b and of `out` trade places: out = swap(a * swap(b)).
+
+    Up to `_STACK_VALUES` values of terms, every term comes from one
+    gather of [a; -a] and one of b, and one multiply; the sums add the
+    terms in `quat._HAMILTON`'s order. Above it each component runs
+    `quat._hamilton_row` three times. Both round as `quat.mul` does.
+    """
+    ar, ad = a[:4], a[4:]
+    br, bd = (b[4:], b[:4]) if swap else (b[:4], b[4:])
+    out_r, out_d = (out[4:], out[:4]) if swap else (out[:4], out[4:])
+    if 48 * ar[0].size <= _STACK_VALUES:
+        a_rows, b_rows = _STACKED_TERMS[swap]
+        terms = np.take(np.concatenate((a, np.negative(a))), a_rows, axis=0)
+        terms *= np.take(b, b_rows, axis=0)
+        sums = terms[:12] + terms[12:24]
+        sums += terms[24:36]
+        sums += terms[36:]
+        np.copyto(out_r, sums[:4])
+        np.add(sums[4:8], sums[8:], out=out_d)
+        return
     p, q, tmp = np.empty((3,) + ar.shape[1:])
     for k in range(4):
         quat._hamilton_row(k, ar, br, out_r[k], p, tmp)

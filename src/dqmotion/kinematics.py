@@ -15,7 +15,9 @@ It works on (C, J, ...) component rows, the transpose of (..., J, C)
 values (`_to_rows` and `_from_rows` copy between the two; the public
 algebra functions copy with `quat._on_rows` instead), and takes the
 product of `quat.mul` (C = 4) or `dualquat.mul` (C = 8) from C, on their
-row kernels and with their bits. `compose` sweeps parent to child one
+row kernels and with their bits; a level of few (joint, frame) columns
+takes the stacked dual-quaternion product, one gather of each operand's
+terms and one multiply. `compose` sweeps parent to child one
 depth level at a time, over the levels the skeleton builds once;
 `relative` undoes it with one parent gather, conjugated in place by
 `dualquat._conjugate_rows`. `current_chain` is the current pose on
@@ -24,7 +26,8 @@ joint's local transform, its translation the joint offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
-joints' rotation columns and one `from_euler` or `to_euler` call.
+joints' rotation columns and one `from_euler` or `to_euler` call, each
+computing only the terms and entries it reads.
 
 Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
@@ -146,7 +149,7 @@ def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(out) == 4:
         quat._mul_rows(a, b, out)
     elif len(out) == 8:
-        dualquat._mul_rows(a[:4], a[4:], b[:4], b[4:], out[:4], out[4:])
+        dualquat._mul_rows(a, b, out)
     else:
         raise ShapeMismatchError("component rows must hold quaternions (4) or dual quaternions (8)")
     return out

@@ -211,7 +211,7 @@ def _relative_vjp(bar: np.ndarray, y: np.ndarray, skeleton: Skeleton, rows: np.n
         if len(a) == 4:
             quat._mul_rows(a, b, out)
         else:
-            dualquat._mul_rows(a[:4], a[4:], b[4:], b[:4], out[4:], out[:4])
+            dualquat._mul_rows(a, b, out, swap=True)
 
     product(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:])
     dualquat._conjugate_rows(y, y)

@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import quat
 from .errors import (
     InvalidValueError,
     LengthMismatchError,
@@ -84,7 +85,7 @@ def euclidean_between(pred: np.ndarray, truth: np.ndarray) -> float:
     pred, truth = _pair(pred, truth)
     if pred.ndim != 3 or pred.shape[0] < 1:
         raise ShapeMismatchError("expected (F >= 1, J, 3) position arrays")
-    return float(np.mean(np.linalg.norm(pred - truth, axis=-1)))
+    return float(np.mean(quat._lengths(pred - truth)))
 
 
 def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -144,7 +145,7 @@ def _second_differences(positions: np.ndarray) -> np.ndarray:
     """(F - 2, J) second-difference magnitude per frame step and joint;
     row f is centred on frame f + 1."""
     second = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
-    return np.linalg.norm(second, axis=-1)
+    return quat._lengths(second)
 
 
 def report_between(
@@ -163,6 +164,12 @@ def report_between(
         acceleration_error=abs(accel_pred - accel_truth),
         frame_time=frame_time,
     )
+
+
+def _mean(values: np.ndarray) -> float:
+    """`np.mean` of a non-empty array, bit for bit: the same `add.reduce`
+    over every value, then one division by the count."""
+    return float(values.sum() / values.size)
 
 
 #: Values of one (H, windows * K) NPSS batch in `window_reports`. The
@@ -202,7 +209,7 @@ def window_reports(
                 f"window [{start}, {start + horizon}) is not inside the {frames} frames"
             )
 
-    distances = np.linalg.norm(pred - truth, axis=-1)
+    distances = quat._lengths(pred - truth)
     accel_pred = _second_differences(pred)
     accel_truth = _second_differences(truth)
 
@@ -219,10 +226,10 @@ def window_reports(
     reports = []
     for start, value in zip(starts, npss):
         diffs = slice(start, start + horizon - 2)
-        a_pred = float(np.mean(accel_pred[diffs]))
-        a_truth = float(np.mean(accel_truth[diffs]))
+        a_pred = _mean(accel_pred[diffs])
+        a_truth = _mean(accel_truth[diffs])
         reports.append(MetricReport(
-            euclidean=float(np.mean(distances[start : start + horizon])),
+            euclidean=_mean(distances[start : start + horizon]),
             npss=float(value),
             acceleration_pred=a_pred,
             acceleration_truth=a_truth,

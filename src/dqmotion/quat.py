@@ -18,17 +18,24 @@ The layout is part of the bits: downstream `einsum` reductions such as
 `dot` sum in an order that depends on their operands' strides. `mul` and
 the `dualquat` `mul`, `normalize`, `from_rotation_translation` and
 `translation` are one `_on_rows` call each: one component-major copy of
-each operand, and a row kernel that writes each sum, term by term in the
-per-component formula's order, into the fresh result: the formula's
+each operand, and a row kernel that adds each sum's terms in the
+per-component formula's order into the fresh result: the formula's
 bits, with a fraction of its temporaries. The same row kernels
 (`_mul_rows`, and `_pure_hamilton_row` for a pure left operand) serve
 callers that keep their values in rows, such as the gradients in
-`losses`; each reads the one table of terms, `_HAMILTON`. `norm` is
-`_row_norm` on the component view.
-`to_euler` works the same way on the rotation matrix: it computes only
-the five entries it reads (`_rotmat.entry`, each in the terms and order
-of the whole-matrix formula), builds whole matrices only for the rows in
-the gimbal-lock band, and writes a fresh C-contiguous result.
+`losses`. `_HAMILTON` is the one table of terms: `_hamilton_row`, the
+stacked dual-quaternion product (`dualquat._mul_rows`) and `from_euler`
+each read it or tables derived from it at import. `norm` is `_row_norm`
+on the component view, and `_lengths` the same row sum without its
+overflow check, for the metrics.
+`from_euler` runs only the live terms of its two axis-quaternion
+products, 12 of 32, on (3, N) rows of half angles; the few rows where a
+skipped zero term could set a sign of zero go through the full product,
+`_euler_product`, again. `to_euler` works the same way on the rotation
+matrix: it computes only the five entries it reads (`_rotmat.entry`,
+each in the terms and order of the whole-matrix formula), builds whole
+matrices only for the rows in the gimbal-lock band, and writes a fresh
+C-contiguous result.
 """
 
 import numpy as np
@@ -129,6 +136,15 @@ def _row_norm(rows: np.ndarray) -> np.ndarray:
     return n
 
 
+def _lengths(values: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis, the squares summed in index
+    order: `np.linalg.norm(values, axis=-1)`, bits and overflow warning
+    included, without `norm`'s NonFiniteError."""
+    values = np.asarray(values, dtype=float)
+    rows = values.transpose((-1,) + tuple(range(values.ndim - 1)))
+    return np.sqrt(_row_dot(rows, rows))
+
+
 def _on_rows(kernel, width: int, *operands) -> np.ndarray:
     """kernel(*rows, out) on one `_rows` copy of each operand, into the
     transposed view of a fresh C-contiguous (..., width) result. (The
@@ -191,18 +207,87 @@ def _axis_quat(axis: int, angle: np.ndarray) -> np.ndarray:
     return q
 
 
+def _euler_product(angles: np.ndarray, axes: list) -> np.ndarray:
+    """`from_euler` as the ordered `mul` of the three axis quaternions,
+    every zero term included."""
+    q = _axis_quat(axes[0], angles[..., axes[0]])
+    for axis in axes[1:]:
+        q = mul(q, _axis_quat(axis, angles[..., axis]))
+    return q
+
+
+# `from_euler` reads its cosines and sines from a (12, ...) table: row
+# part * 3 + position holds part (cos, sin, -cos, -sin) of the half angle
+# at `position` of the composition order. Rows 6..11 negate rows 0..5, so
+# a term's sign is folded into the row it reads.
+_NEGATED = 6
+
+
+def _axis_table_rows(position: int, order: str) -> dict:
+    """Component -> table row of the two nonzero components of the axis
+    quaternion at `position` of `order`."""
+    return {0: position, 1 + _rotmat.AXES.index(order[position]): 3 + position}
+
+
+def _euler_terms(order: str) -> tuple:
+    """The live terms of `_euler_product` for `order`, from `_HAMILTON`,
+    as four index arrays.
+
+    Of the first product P = A0 * A1, each component has exactly one term
+    that reads no zero: the table rows of its two factors, the first
+    carrying the term's sign. Of the second, P * A2, each component has
+    two, in `_HAMILTON`'s order: component k's first term is term k, its
+    second term 4 + k; P's row and the table row, the second carrying the
+    sign.
+    """
+    a0, a1, a2 = (_axis_table_rows(position, order) for position in range(3))
+    pair_rows, pair_table_rows = [], []
+    for sums in _HAMILTON:
+        (sign, i, j), = [(s, i, j) for s, i, j in sums if i in a0 and j in a1]
+        pair_rows.append(a0[i] + _NEGATED * (sign < 0))
+        pair_table_rows.append(a1[j])
+    live = [[(s, i, j) for s, i, j in sums if j in a2] for sums in _HAMILTON]
+    terms = [term[n] for n in range(2) for term in live]
+    return (np.array(pair_rows), np.array(pair_table_rows),
+            np.array([i for _, i, _ in terms]),
+            np.array([a2[j] + _NEGATED * (s < 0) for s, _, j in terms]))
+
+
+_EULER_TERMS = {order: _euler_terms(order) for order in _VALID_ORDERS}
+
+
 def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     """Unit quaternion of (alpha, beta, gamma) about x, y, z under `order`.
 
     `angles` has shape (..., 3); the result the ordered product of the
-    three axis quaternions, e.g. q_z * q_y * q_x for "ZYX".
+    three axis quaternions, e.g. q_z * q_y * q_x for "ZYX", with the bits
+    of `_euler_product`. Only the live terms run (`_euler_terms`): adding
+    a zero term changes no sum that is neither zero nor NaN, so the rows
+    with such a component, where a skipped term can set the sign of zero,
+    go through `_euler_product` again.
     """
     order = _check_order(order)
     angles = np.asarray(angles, dtype=float)
     axes = [_rotmat.AXES.index(c) for c in order]
-    q = _axis_quat(axes[0], angles[..., axes[0]])
-    for axis in axes[1:]:
-        q = mul(q, _axis_quat(axis, angles[..., axis]))
+    pair_rows, pair_table_rows, term_rows, term_table_rows = _EULER_TERMS[order]
+    half = np.empty((3,) + angles.shape[:-1])  # in composition order
+    for position, axis in enumerate(axes):
+        np.divide(angles[..., axis], 2.0, out=half[position, ...])
+    table = np.empty((4,) + half.shape)
+    np.cos(half, out=table[0])
+    np.sin(half, out=table[1])
+    np.negative(table[:2], out=table[2:])
+    table = table.reshape(12, -1)
+    pair = np.take(table, pair_rows, axis=0)
+    pair *= np.take(table, pair_table_rows, axis=0)
+    terms = np.take(pair, term_rows, axis=0)
+    terms *= np.take(table, term_table_rows, axis=0)
+    q = np.empty(angles.shape[:-1] + (4,))
+    np.add(terms[:4], terms[4:], out=q.reshape(-1, 4).T)
+    live = np.abs(q) > 0.0  # neither zero nor NaN
+    if not live.all():
+        redo = ~live.all(axis=-1)
+        q[redo] = _euler_product(angles[redo], axes)
     return q
 
 

@@ -1,13 +1,14 @@
 """Per-component textbook forms of the quaternion, dual-quaternion and
 rotation-conversion kernels: the bit-identity oracle for `quat.mul`,
-`quat.norm`, `dualquat.mul`, `dualquat.conjugate`, `dualquat.normalize`,
+`quat.norm`, `quat.from_euler`, `dualquat.mul`, `dualquat.conjugate`, `dualquat.normalize`,
 `dualquat.from_rotation_translation`, `dualquat.translation`,
 `_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
 decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`.
 
 These are the original implementations. `quat.mul` stacks four sums of
-strided component views, `quat.norm` is `np.linalg.norm`, `dualquat.mul`
-is three quaternion products and a concatenate, `dualquat.conjugate`
+strided component views, `quat.norm` is `np.linalg.norm`, `from_euler`
+is the ordered product of three axis quaternions, every zero term
+included, `dualquat.mul` is three quaternion products and a concatenate, `dualquat.conjugate`
 concatenates the conjugated parts, `dualquat.normalize` takes its norms
 and dot products from `np.linalg.norm` and `np.sum`, and
 `from_rotation_translation` and `translation` are quaternion products of
@@ -47,6 +48,27 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def axis_quat(axis: int, angle: np.ndarray) -> np.ndarray:
+    """cos(angle/2) + sin(angle/2) * axis unit vector."""
+    angle = np.asarray(angle, dtype=float)
+    q = np.zeros(angle.shape + (4,))
+    q[..., 0] = np.cos(angle / 2.0)
+    q[..., 1 + axis] = np.sin(angle / 2.0)
+    return q
+
+
+def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
+    """Unit quaternion of (alpha, beta, gamma) about x, y, z under `order`:
+    the ordered product of the three axis quaternions, e.g.
+    q_z * q_y * q_x for "ZYX"."""
+    angles = np.asarray(angles, dtype=float)
+    axes = [AXES.index(c) for c in order]
+    q = axis_quat(axes[0], angles[..., axes[0]])
+    for axis in axes[1:]:
+        q = quat_mul(q, axis_quat(axis, angles[..., axis]))
+    return q
 
 
 def quat_norm(q: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """The component-major `quat.mul`, `quat.norm`, `dualquat.mul`,
 `dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
 `translation` (all but `norm` and `conjugate` one `quat._on_rows` call
-each), and the entry-wise rotation conversions
-(`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
-decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`),
-against their per-component and whole-matrix oracles: equal bits, equal sign
-of zero and a fresh C-contiguous result, on broadcast, sliced, gathered,
+each), the stacked dual-quaternion product on either side of
+`dualquat._STACK_VALUES`, `quat.from_euler`'s live terms, and the
+entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
+`quat.to_euler`, and the six-value encode and decode
+`encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`), against
+their per-component and whole-matrix oracles: equal bits, equal sign of
+zero and a fresh C-contiguous result, on broadcast, sliced, gathered,
 reversed and F-ordered operands."""
 
 import itertools
@@ -113,6 +115,75 @@ class TestDualquatMul:
         parents = np.array([0, 0, 1, 1, 3, 0, 5])
         a, b = d[:, parents], d[:, 1:8]
         assert_same_bits(dualquat.mul(a, b), algebra_oracles.dualquat_mul(a, b), d)
+
+
+#: Columns of the largest dual-quaternion product that stacks its terms,
+#: and of the smallest that runs per component.
+STACK_COLUMNS = {"stacked": dualquat._STACK_VALUES // 48,
+                 "per component": dualquat._STACK_VALUES // 48 + 1}
+#: The real and dual rows of a dual quaternion, traded.
+SWAP = np.r_[4:8, 0:4]
+
+
+@pytest.fixture
+def hamilton_calls(monkeypatch):
+    """The calls of `quat._hamilton_row`, which only the per-component
+    product makes."""
+    calls = []
+    row = quat._hamilton_row
+    monkeypatch.setattr(quat, "_hamilton_row", lambda *args: calls.append(args) or row(*args))
+    return calls
+
+
+@pytest.mark.parametrize("path", STACK_COLUMNS)
+class TestDualquatMulRows:
+    """`dualquat._mul_rows` at the stacking bound and one column above it,
+    each test on the path it is named for."""
+
+    def product(self, calls, path, a, b, swap=False):
+        """_mul_rows of (8, ...) rows into a fresh C-contiguous array."""
+        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        dualquat._mul_rows(a, b, out, swap=swap)
+        assert bool(calls) == (path == "per component")
+        return out
+
+    def test_values_and_signed_zeros(self, rng, hamilton_calls, path):
+        n = STACK_COLUMNS[path]
+        for a, b in ((values(rng, (n, 8)), values(rng, (n, 8))),
+                     (signed_zeros(rng, (n, 8)), signed_zeros(rng, (n, 8)))):
+            want = algebra_oracles.dualquat_mul(a, b)
+            assert_same_bits(self.product(hamilton_calls, path, a.T.copy(), b.T.copy()).T.copy(), want)
+        assert np.any((want == 0.0) & np.signbit(want))
+
+    def test_gathered_reversed_and_transposed_rows(self, rng, hamilton_calls, path):
+        n = STACK_COLUMNS[path]
+        x = values(rng, (8, n + 7))
+        gathered = x[:, rng.integers(0, n + 7, size=n)]
+        reversed_ = x[::-1, ::-1][SWAP, :n]
+        transposed = np.asfortranarray(values(rng, (n, 8))).T
+        for a, b in ((gathered, reversed_), (reversed_, transposed), (transposed, gathered)):
+            got = self.product(hamilton_calls, path, a, b)
+            assert_same_bits(got.T.copy(), algebra_oracles.dualquat_mul(a.T, b.T), x)
+
+    def test_joint_and_frame_axes(self, rng, hamilton_calls, path):
+        n = STACK_COLUMNS[path]
+        a, b = values(rng, (8, 1, n)), values(rng, (8, 1, n))
+        want = algebra_oracles.dualquat_mul(a.T, b.T).T
+        assert self.product(hamilton_calls, path, a, b).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_swapped_parts(self, rng, hamilton_calls, path):
+        """The call of `losses._relative_vjp`: swap(a * swap(b))."""
+        n = STACK_COLUMNS[path]
+        for a, b in ((values(rng, (n, 8)), values(rng, (n, 8))),
+                     (signed_zeros(rng, (n, 8)), signed_zeros(rng, (n, 8)))):
+            want = algebra_oracles.dualquat_mul(a, b[:, SWAP])[:, SWAP]
+            got = self.product(hamilton_calls, path, a.T.copy(), b.T.copy(), swap=True)
+            assert_same_bits(got.T.copy(), want)
+
+    def test_through_mul(self, rng, hamilton_calls, path):
+        a, b = values(rng, (STACK_COLUMNS[path], 8)), values(rng, (1, 8))
+        assert_same_bits(dualquat.mul(a, b), algebra_oracles.dualquat_mul(a, b), a, b)
+        assert bool(hamilton_calls) == (path == "per component")
 
 
 class TestDualquatConjugate:
@@ -394,6 +465,49 @@ class TestOrtho6dToQuats:
         b = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 5, 1))
         b[1, 2, 3:] = second
         assert_same_error(encoding._ortho6d_to_quats, algebra_oracles.ortho6d_to_quats, b)
+
+
+#: Angles whose sines and cosines are exact zeros or round near them:
+#: signed zeros, half and quarter turns both ways, a full turn, and tiny
+#: angles (5e-324 halves to an exact zero).
+EULER_GRID = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi, 1e-300, 5e-324, 0.3)
+
+
+@pytest.mark.parametrize("order", oracles.ORDER_POOL)
+class TestFromEuler:
+    @pytest.mark.parametrize("shape", [(75, 8, 3), (75, 1, 3), (3,), (0, 5, 3)])
+    def test_shapes(self, rng, order, shape):
+        angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=shape)
+        assert_same_bits(quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order), angles)
+
+    def test_special_angle_grid(self, order):
+        angles = np.array(list(itertools.product(EULER_GRID, repeat=3)))
+        want = algebra_oracles.from_euler(angles, order)
+        assert np.any(want == 0.0) and np.any(np.all(want != 0.0, axis=-1))
+        assert_same_bits(quat.from_euler(angles, order), want, angles)
+        grouped = angles.reshape(10, 100, 3)
+        assert_same_bits(quat.from_euler(grouped, order), want.reshape(10, 100, 4), angles)
+
+    def test_views_and_lists(self, rng, order):
+        x = rng.uniform(-np.pi, np.pi, size=(30, 9, 5))
+        for angles in (x[..., 1:4], x[:, [4, 0, 0, 7], ::2], x[::-1, ::-2, 2:], np.asfortranarray(x[..., :3]),
+                       np.broadcast_to(x[0, 0, :3], (6, 3)), [0.3, -0.0, np.pi]):
+            assert_same_bits(quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order), x)
+
+    def test_nan_and_inf(self, rng, order):
+        """NaN in the components where the full product has NaN."""
+        angles = rng.uniform(-np.pi, np.pi, size=(60, 2, 3))
+        angles[rng.random(angles.shape) < 0.1] = np.nan
+        angles[rng.random(angles.shape) < 0.1] = np.inf
+        angles[rng.random(angles.shape) < 0.1] = -np.inf
+        angles[rng.random(angles.shape) < 0.2] = 0.0
+        with np.errstate(invalid="ignore"):  # sin and cos of inf
+            got, want = quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order)
+        nan = np.isnan(want)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(got), nan)
+        assert_same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
+        assert got.flags.c_contiguous
 
 
 class TestToEuler:

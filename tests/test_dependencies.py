@@ -5,7 +5,10 @@ package itself. And every memo it keeps is bounded: each
 only functions that take no arguments. Every dataclass that holds an
 array compares by identity (`eq=False`): a generated `__eq__` would ask
 numpy for the truth value of an array. The numpy floor in
-`pyproject.toml` is one whose `loadtxt` the BVH parser can rely on."""
+`pyproject.toml` is one whose `loadtxt` the BVH parser can rely on. And
+the Hamilton product has one table of terms, `quat._HAMILTON`: every
+other index or sign table of its terms is derived from it, none written
+by hand."""
 
 import ast
 import re
@@ -212,3 +215,68 @@ def test_the_check_sees_a_lower_floor():
     assert numpy_floor('dependencies = ["numpy>=1.22.4"]') == (1, 22, 4) < LOADTXT_NUMPY
     assert numpy_floor('dependencies = ["numpy"]') == () < LOADTXT_NUMPY
     assert numpy_floor('dependencies = ["numpy >= 2.0"]') == (2, 0) >= LOADTXT_NUMPY
+
+
+#: Tables of small integers in the package that hold no Hamilton terms,
+#: by module and name.
+NOT_HAMILTON = {
+    ("quat.py", "_CYCLIC"): "the cyclic Euler axis orders",
+    ("encoding.py", "_SHEPPERD_ROWS"): "where Shepperd's candidates sit in the decode's table",
+}
+
+
+def small_int(node: ast.AST) -> bool:
+    """An integer literal from -15 to 15, signed or not: a component index
+    of a dual quaternion or of its negated copy, or a sign."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int and abs(node.value) <= 15
+
+
+def hand_written_tables(tree: ast.AST, module: str):
+    """(line, name) of every list, tuple or set display of three or more
+    small integer literals in `tree` (`module`'s source): an index or sign
+    table of Hamilton terms written by hand. `name` is the module-level
+    name it is assigned to, if any. `quat._HAMILTON`, the one table, and
+    the tables of NOT_HAMILTON are skipped."""
+    allowed = {name for where, name in NOT_HAMILTON if where == module}
+    if module == "quat.py":
+        allowed.add("_HAMILTON")
+    owners = {}
+    for statement in getattr(tree, "body", []):
+        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            for node in ast.walk(statement):
+                owners[id(node)] = names[0] if names else None
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.List, ast.Tuple, ast.Set)) and len(node.elts) >= 3
+                and all(small_int(element) for element in node.elts)
+                and owners.get(id(node)) not in allowed):
+            yield node.lineno, owners.get(id(node))
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(SOURCES)))
+def test_hamilton_terms_come_from_one_table(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = str(path.relative_to(SOURCES))
+    assert [f"{module}:{line} {name}" for line, name in hand_written_tables(tree, module)] == []
+
+
+def test_the_check_sees_a_hand_written_table():
+    source = """
+_HAMILTON = ((+1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3))
+_CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+_TERMS = np.array([0, 1, 2, 3, 1, 0, 3, 2])
+_PAIR = (0, 4)
+_SIGNS = [1.0, -1.0, -1.0, -1.0]
+_SHAPE = (0, 1000, 3000)
+
+def product(a, b):
+    return a[[1, 0, 3]] * b[..., (3, 2, 1)] * [+1, -1, +1]
+"""
+    got = sorted(hand_written_tables(ast.parse(source), "quat.py"))
+    assert got == [(4, "_TERMS"), (10, None), (10, None), (10, None)]
+    elsewhere = sorted(hand_written_tables(ast.parse(source), "dualquat.py"))
+    assert [line for line, _ in elsewhere] == [2, 2, 2, 2, 3, 3, 3, 4, 10, 10, 10]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqmotion import bvh, metrics
+from dqmotion import bvh, metrics, quat
 from dqmotion.kinematics import LocalPose, clip_to_local
 from dqmotion.errors import (
     InvalidValueError,
@@ -233,6 +233,52 @@ class TestPairCheck:
                 between(seq.positions, seq[:-1].positions)
         with pytest.raises(LengthMismatchError):
             metric_report(seq, seq[:-1])
+
+
+class TestLengthsAndMeans:
+    """The metrics' lengths (`quat._lengths`, the squares summed in index
+    order) keep `np.linalg.norm(..., axis=-1)`'s bits and overflow warning,
+    and `window_reports`' means (`metrics._mean`) keep `np.mean`'s bits."""
+
+    def test_lengths_match_linalg_norm(self, rng):
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 40, size=rng.integers(1, 4))) + (3,)
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-150.0, 150.0, size=shape)
+            x[rng.random(shape) < 0.1] = -0.0
+            for v in (x, x[::-1], np.asfortranarray(x)):
+                assert quat._lengths(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(30, 19, 3), (30, 258, 3), (2000, 19, 3)])
+    def test_metric_shapes(self, rng, shape):
+        x = rng.normal(size=shape)
+        assert quat._lengths(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+    def test_overflow_keeps_value_and_warning(self):
+        v = np.array([[1e200, 0.0, 0.0], [np.inf, 1.0, 0.0], [np.nan, 0.0, 1.0], [3.0, 4.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            want = np.linalg.norm(v, axis=-1)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            got = quat._lengths(v)
+        assert got.tobytes() == want.tobytes()
+
+    def test_metrics_return_inf_on_overflow(self):
+        """A distance past float64 is inf with numpy's warning, never a
+        NonFiniteError; NPSS's power spectrum warns of its own overflow."""
+        pred, truth = np.full((5, 2, 3), 1e200), np.zeros((5, 2, 3))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert euclidean_between(pred, truth) == np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert window_reports(pred, truth, [0, 2], 3)[1].euclidean == np.inf
+        assert "overflow encountered in multiply" in {str(w.message) for w in caught}
+
+    def test_mean_matches_np_mean(self, rng):
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 60, size=rng.integers(1, 3)))
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+            start = rng.integers(0, shape[0])
+            for v in (x, x[start:], -np.abs(x) * 0.0):
+                assert float.hex(metrics._mean(v)) == float.hex(float(np.mean(v)))
 
 
 def loop_reports(pred, truth, starts, horizon):
