@@ -251,7 +251,7 @@ class Skeleton:
             raise InvalidValueError("skeleton needs at least one joint")
         if self.joints[0].parent is not None:
             raise InvalidValueError("joint 0 must be the root (parent None)")
-        names = set()
+        names, with_end_site = set(), set()
         finite = np.isfinite(self.offsets).all(axis=1).tolist()
         for idx, joint in enumerate(self.joints):
             if idx > 0 and (joint.parent is None or not 0 <= joint.parent < idx):
@@ -276,6 +276,12 @@ class Skeleton:
                     raise InvalidValueError("position channels are only allowed on the root")
             if idx > 0 and self.joints[joint.parent].is_end_site:
                 raise InvalidValueError("end sites cannot have children")
+            if joint.is_end_site:
+                if joint.parent in with_end_site:
+                    # BVH holds one End Site block per joint: `write` could not round-trip it
+                    raise InvalidValueError(
+                        f"joint {self.joints[joint.parent].name!r} has more than one end site")
+                with_end_site.add(joint.parent)
 
     # -- derived views -----------------------------------------------------
 

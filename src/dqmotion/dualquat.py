@@ -17,9 +17,9 @@ the bits). All but `conjugate` are one `quat._on_rows` call of their row
 kernel (`_mul_rows`, `_normalize_rows`, `_from_rotation_translation_rows`
 and `_translation_rows`, which keep their functions' unit checks); every
 sum keeps the terms and the order of the per-part formula. `_mul_rows`
-gathers all 48 terms of a small product at once and multiplies them in
-one call, and runs larger ones per component (`_STACK_VALUES`).
-`kinematics` sweeps the hierarchy with the same kernels, and
+and `_translation_rows` are term tables of the one Hamilton-product
+kernel, `quat._products`; the translation's table folds the conjugate's
+signs in. `kinematics` sweeps the hierarchy with the same kernels, and
 `_conjugate_rows` is the one conjugation of component rows.
 """
 
@@ -74,31 +74,11 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat._on_rows(_mul_rows, 8, a, b)
 
 
-#: Most values in the (48, N) block of terms of a stacked `_mul_rows`;
-#: larger products run per component. A block this size (128 KiB) stays
-#: below glibc's default mmap threshold; past it the stacked operands
-#: fall out of cache and the per-component form is faster.
-_STACK_VALUES = 16384
-
-
-def _stacked_terms(b_real: int, b_dual: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of [a; -a] and of b for the 48 Hamilton terms of a dual
-    product whose b holds its real part at row `b_real` and its dual part
-    at `b_dual`. Row n * 12 + s is term n of sum s, the sums being the
-    four real components, then the four of ar * bd and the four of ad * br;
-    each term's `quat._HAMILTON` sign picks a or -a (rows 8..15)."""
-    a_rows, b_rows = [], []
-    for n in range(4):
-        for a_part, b_part in ((0, b_real), (0, b_dual), (4, b_real)):
-            for sums in quat._HAMILTON:
-                sign, i, j = sums[n]
-                a_rows.append(a_part + i + 8 * (sign < 0))
-                b_rows.append(b_part + j)
-    return np.array(a_rows), np.array(b_rows)
-
-
-#: `_stacked_terms` of b as it is, and of b with its parts swapped.
-_STACKED_TERMS = {False: _stacked_terms(0, 4), True: _stacked_terms(4, 0)}
+#: The term tables of `_mul_rows`, without and with `swap`: the sums
+#: ar * b[:4], ar * b[4:] and ad * b[4:] or ad * b[:4], four each.
+_MUL_TERMS = {swap: quat._product_terms(
+    [(k, a_row, b_row) for a_row, b_row in ((0, 0), (0, 4), (4, 4 * swap)) for k in range(4)], 8)
+    for swap in (False, True)}
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, swap: bool = False) -> None:
@@ -106,30 +86,14 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, swap: bool = False)
     which must not overlap an operand. With `swap`, the real and dual rows
     of b and of `out` trade places: out = swap(a * swap(b)).
 
-    Up to `_STACK_VALUES` values of terms, every term comes from one
-    gather of [a; -a] and one of b, and one multiply; the sums add the
-    terms in `quat._HAMILTON`'s order. Above it each component runs
-    `quat._hamilton_row` three times. Both round as `quat.mul` does.
+    One `quat._products` of 12 sums: rows 0..3 of `out` take ar * b[:4],
+    rows 4..7 take ar * b[4:], and the dual rows add the third product of
+    parts to theirs, as `quat.mul` on the parts rounds them.
     """
-    ar, ad = a[:4], a[4:]
-    br, bd = (b[4:], b[:4]) if swap else (b[:4], b[4:])
-    out_r, out_d = (out[4:], out[:4]) if swap else (out[:4], out[4:])
-    if 48 * ar[0].size <= _STACK_VALUES:
-        a_rows, b_rows = _STACKED_TERMS[swap]
-        terms = np.take(np.concatenate((a, np.negative(a))), a_rows, axis=0)
-        terms *= np.take(b, b_rows, axis=0)
-        sums = terms[:12] + terms[12:24]
-        sums += terms[24:36]
-        sums += terms[36:]
-        np.copyto(out_r, sums[:4])
-        np.add(sums[4:8], sums[8:], out=out_d)
-        return
-    p, q, tmp = np.empty((3,) + ar.shape[1:])
-    for k in range(4):
-        quat._hamilton_row(k, ar, br, out_r[k], p, tmp)
-        quat._hamilton_row(k, ar, bd, p, p, tmp)
-        quat._hamilton_row(k, ad, br, q, q, tmp)
-        np.add(p, q, out=out_d[k])
+    tmp = np.empty((4,) + a.shape[1:])
+    quat._products(_MUL_TERMS[swap], a, b, out, tmp)
+    dual_rows = out[:4] if swap else out[4:]
+    np.add(dual_rows, tmp, out=dual_rows)
 
 
 def conjugate(d: np.ndarray) -> np.ndarray:
@@ -251,6 +215,10 @@ def translation(d: np.ndarray) -> np.ndarray:
     return quat._on_rows(_translation_rows, 3, d)
 
 
+#: The vector components of e * conjugate(r), the conjugate's signs in the table.
+_TRANSLATION_TERMS = quat._product_terms([(k, 0, 0) for k in range(1, 4)], conjugate=True)
+
+
 def _translation_rows(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`translation` of (8, ...) component rows into (3, ...) rows `out`
     (a new array when None), after the unit check."""
@@ -259,12 +227,9 @@ def _translation_rows(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         unit = _within_unit_tolerance(quat._row_dot(r, r) - 1.0, quat._row_dot(r, e))
     if not unit:
         raise _not_unit("translation")
-    r_conj = _conjugate_rows(r)
     if out is None:
         out = np.empty((3,) + d.shape[1:])
-    acc, tmp = np.empty((2,) + d.shape[1:])
-    for k in range(1, 4):
-        quat._hamilton_row(k, e, r_conj, out[k - 1], acc, tmp)
+    quat._products(_TRANSLATION_TERMS, e, r, out)
     out *= 2.0
     return out
 

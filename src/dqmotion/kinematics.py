@@ -15,14 +15,15 @@ It works on (C, J, ...) component rows, the transpose of (..., J, C)
 values (`_to_rows` and `_from_rows` copy between the two; the public
 algebra functions copy with `quat._on_rows` instead), and takes the
 product of `quat.mul` (C = 4) or `dualquat.mul` (C = 8) from C, on their
-row kernels and with their bits; a level of few (joint, frame) columns
-takes the stacked dual-quaternion product, one gather of each operand's
-terms and one multiply. `compose` sweeps parent to child one
-depth level at a time, over the levels the skeleton builds once;
-`relative` undoes it with one parent gather, conjugated in place by
-`dualquat._conjugate_rows`. `current_chain` is the current pose on
-`compose`, and `relative(skeleton.parent_indices, pose.chain.T).T` each
-joint's local transform, its translation the joint offset as encoded.
+row kernels and with their bits (`_mul_rows`, which `losses` shares);
+a level of few (joint, frame) columns takes the product stacked, one
+gather of each operand's terms and one multiply (`quat._products`).
+`compose` sweeps parent to child one depth level at a time, over the
+levels the skeleton builds once; `relative` undoes it with one parent
+gather, conjugated in place by `dualquat._conjugate_rows`.
+`current_chain` is the current pose on `compose`, and
+`relative(skeleton.parent_indices, pose.chain.T).T` each joint's local
+transform, its translation the joint offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's channel table: per Euler order present, one gather of the
@@ -141,15 +142,18 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
     return rows.T.copy()
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product, in a new array, of (C, ...) rows of quaternions (C = 4) or
-    dual quaternions (C = 8), through the row kernel of `quat.mul` or
-    `dualquat.mul`."""
-    out = np.empty(a.shape)
-    if len(out) == 4:
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+              swap: bool = False) -> np.ndarray:
+    """Product of (C, ...) rows of quaternions (C = 4) or dual quaternions
+    (C = 8), through the row kernel of `quat.mul` or `dualquat.mul`, into
+    `out` (a new array when None). With `swap`, dual quaternions trade
+    the real and dual rows of b and of the result (`dualquat._mul_rows`);
+    quaternions have no parts to trade."""
+    out = np.empty(a.shape) if out is None else out
+    if len(a) == 4:
         quat._mul_rows(a, b, out)
-    elif len(out) == 8:
-        dualquat._mul_rows(a, b, out)
+    elif len(a) == 8:
+        dualquat._mul_rows(a, b, out, swap)
     else:
         raise ShapeMismatchError("component rows must hold quaternions (4) or dual quaternions (8)")
     return out

@@ -17,9 +17,12 @@ forward pass's own intermediates, with no per-(frame, joint) Jacobian
 matrices. Forward passes and gradients work on the (C, J, F) rows of
 `kinematics`: each term copies the blocks it reads once, every product,
 normalization, distance and VJP after that is a whole-row operation, and
-its space changes are `kinematics.compose` and `relative`. The reverse
-sweeps live here (`_relative_vjp` is the one adjoint of `relative`); a
-parent scatter adds one child rank at a time, in `np.add.at`'s order.
+its space changes are `kinematics.compose` and `relative`. Every Hamilton
+product runs through the one kernel `quat._products`: through
+`kinematics._mul_rows`, or on `_translation_vjp`'s table, which skips
+the zero real row of its pure left operand. The reverse sweeps live here
+(`_relative_vjp` is the one adjoint of `relative`); a parent scatter
+adds one child rank at a time, in `np.add.at`'s order.
 
 `grad_check` verifies the gradients against central finite differences
 in one pass: every term's values of a frame read only that frame's
@@ -207,16 +210,9 @@ def _relative_vjp(bar: np.ndarray, y: np.ndarray, skeleton: Skeleton, rows: np.n
     parent row p; y is conjugated in place. For C = 8 both products swap
     the real and dual rows: the transposed Jacobians of x -> a x and
     x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*)."""
-    def product(a, b, out):
-        if len(a) == 4:
-            quat._mul_rows(a, b, out)
-        else:
-            dualquat._mul_rows(a, b, out, swap=True)
-
-    product(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:])
+    _mul_rows(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:], swap=True)
     dualquat._conjugate_rows(y, y)
-    to_parent = np.empty(y.shape)
-    product(rows[:, 1:], y, to_parent)
+    to_parent = _mul_rows(rows[:, 1:], y, swap=True)
     _add_to_parents(bar, skeleton._encoded_child_ranks[0], to_parent)
 
 
@@ -245,6 +241,11 @@ def _dq_normalize_vjp(unit: _UnitRows, g: np.ndarray) -> np.ndarray:
     return out
 
 
+#: The products u~ m_d and u~ m_r of `_translation_vjp`, without the
+#: terms of u~'s zero real row.
+_TRANSLATION_VJP_TERMS = quat._product_terms([(k, 0, b) for b in (4, 0) for k in range(4)], 3, pure=True)
+
+
 def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(3, ...) rows u through the Jacobian of the translation
     2 vec(m_d m_r*) of the (8, ...) rows m.
@@ -253,10 +254,7 @@ def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     is pure, and the dual part is 2 u~ m_r.
     """
     out = np.empty((8,) + u.shape[1:])
-    tmp = np.empty(u.shape[1:])
-    for k in range(4):
-        quat._pure_hamilton_row(k, u, m[4:], out[k], tmp)
-        quat._pure_hamilton_row(k, u, m[:4], out[4 + k], tmp)
+    quat._products(_TRANSLATION_VJP_TERMS, u, m, out)
     out[:4] *= -2.0
     out[4:] *= 2.0
     return out

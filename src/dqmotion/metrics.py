@@ -31,6 +31,7 @@ it.
 """
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,6 +78,13 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return pred, truth
 
 
+def _mean(values: np.ndarray) -> float:
+    """`np.mean` of a non-empty array, bit for bit: the same `add.reduce`
+    over every value, then one division by the count.
+    An empty array gives NaN with numpy's "invalid value" RuntimeWarning."""
+    return float(values.sum() / values.size)
+
+
 def euclidean_between(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean over frames and joints of the positional distance.
 
@@ -85,7 +93,7 @@ def euclidean_between(pred: np.ndarray, truth: np.ndarray) -> float:
     pred, truth = _pair(pred, truth)
     if pred.ndim != 3 or pred.shape[0] < 1:
         raise ShapeMismatchError("expected (F >= 1, J, 3) position arrays")
-    return float(np.mean(quat._lengths(pred - truth)))
+    return _mean(quat._lengths(pred - truth))
 
 
 def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -138,7 +146,7 @@ def acceleration_of(positions: np.ndarray) -> float:
         raise ShapeMismatchError("expected a (F, J, 3) position array")
     if positions.shape[0] < 3:
         raise TooFewFramesError("acceleration needs at least 3 frames")
-    return float(np.mean(_second_differences(positions)))
+    return _mean(_second_differences(positions))
 
 
 def _second_differences(positions: np.ndarray) -> np.ndarray:
@@ -166,12 +174,6 @@ def report_between(
     )
 
 
-def _mean(values: np.ndarray) -> float:
-    """`np.mean` of a non-empty array, bit for bit: the same `add.reduce`
-    over every value, then one division by the count."""
-    return float(values.sum() / values.size)
-
-
 #: Values of one (H, windows * K) NPSS batch in `window_reports`. The
 #: FFT and its temporaries stay in cache up to about this size; batching
 #: more windows at once is slower, not faster.
@@ -193,16 +195,23 @@ def window_reports(
     windows whose feature columns sit side by side, at most
     `_NPSS_BATCH_VALUES` values (and at least one window) a batch. The
     pair and the horizon are checked as `report_between` checks them,
-    before any arithmetic; a window outside the clip raises
-    InvalidValueError.
+    before any arithmetic; starts that are not a sequence of integers, a
+    horizon that is not an integer (a bool is neither) or a window
+    outside the clip raises InvalidValueError.
     """
     pred, truth = _pair(pred, truth)
     if pred.ndim != 3:
         raise ShapeMismatchError("expected a (F, J, 3) position array")
+    try:
+        starts = list(starts)
+    except TypeError:
+        raise InvalidValueError(f"window starts must be a sequence of integers, not {starts!r}") from None
+    for value in [horizon] + starts:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidValueError(f"window starts and horizon must be integers, not {value!r}")
     if horizon < 3:
         raise TooFewFramesError("acceleration needs at least 3 frames")
     frames = pred.shape[0]
-    starts = list(starts)
     for start in starts:
         if not 0 <= start <= frames - horizon:
             raise InvalidValueError(

@@ -20,14 +20,17 @@ the `dualquat` `mul`, `normalize`, `from_rotation_translation` and
 `translation` are one `_on_rows` call each: one component-major copy of
 each operand, and a row kernel that adds each sum's terms in the
 per-component formula's order into the fresh result: the formula's
-bits, with a fraction of its temporaries. The same row kernels
-(`_mul_rows`, and `_pure_hamilton_row` for a pure left operand) serve
+bits, with a fraction of its temporaries. The same row kernels serve
 callers that keep their values in rows, such as the gradients in
-`losses`. `_HAMILTON` is the one table of terms: `_hamilton_row`, the
-stacked dual-quaternion product (`dualquat._mul_rows`) and `from_euler`
-each read it or tables derived from it at import. `norm` is `_row_norm`
-on the component view, and `_lengths` the same row sum without its
-overflow check, for the metrics.
+`losses`. Every quaternion and dual-quaternion product on rows runs
+through one kernel, `_products`, on a term table that `_product_terms`
+derives at import from `_HAMILTON`, the one table of terms (a table may
+skip a pure operand's zero real row or fold a conjugate's signs in). A
+product whose terms fit in `_STACK_VALUES` values gathers and
+multiplies them all at once; a larger one runs sum by sum. `from_euler`
+derives its own live-term tables from `_HAMILTON`. `norm` is
+`_row_norm` on the component view, and `_lengths` the same row sum
+without its overflow check, for the metrics.
 `from_euler` runs only the live terms of its two axis-quaternion
 products, 12 of 32, on (3, N) rows of half angles; the few rows where a
 skipped zero term could set a sign of zero go through the full product,
@@ -68,7 +71,8 @@ _HAMILTON = (
     ((+1, 0, 2), (-1, 1, 3), (+1, 2, 0), (+1, 3, 1)),
     ((+1, 0, 3), (+1, 1, 2), (-1, 2, 1), (+1, 3, 0)),
 )
-_ACCUMULATE = {+1: np.add, -1: np.subtract}
+#: The accumulation of a later term into its sum, by whether its sign negates it.
+_ACCUMULATE = (np.add, np.subtract)
 
 
 def _rows(x: np.ndarray, shape: tuple) -> np.ndarray:
@@ -80,41 +84,80 @@ def _rows(x: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.reshape(x.shape[-1], -1)
 
 
-def _hamilton_row(k: int, a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                  acc: np.ndarray, tmp: np.ndarray) -> None:
-    """Component k of the product of (4, N) rows a and b, into `out`.
+#: Most values in the block of terms of a stacked `_products`; larger
+#: products run sum by sum. A block this size (128 KiB) stays below
+#: glibc's default mmap threshold; past it the stacked operands fall out
+#: of cache and the form sum by sum is faster.
+_STACK_VALUES = 16384
 
-    The first term goes to `acc`, each later one through `tmp`, and the
-    last sum lands in `out` (which may be `acc`): the roundings of the
-    per-component formula, in its order.
+
+def _product_terms(sums: list, width: int = 4, pure: bool = False, conjugate: bool = False) -> tuple:
+    """The term table of `_products` for `sums`, a list of (k, a_row,
+    b_row): component k of the quaternion at rows a_row.. of a times the
+    one at rows b_row.. of b.
+
+    Term n of sum s sits at n * len(sums) + s: its row of [a; -a], for an
+    a of `width` rows, where its `_HAMILTON` sign picks -a, and its row of
+    b. A `pure` a holds only the vector rows of its quaternions, whose
+    real row is zero: its terms are left out. With `conjugate` b's
+    quaternions are conjugated, the signs folded into a's rows. Returns
+    the rows of [a; -a], the rows of b and the number of sums.
     """
-    (_, i, j), *rest = _HAMILTON[k]
-    np.multiply(a[i], b[j], out=acc)
-    for n, (sign, i, j) in enumerate(rest, 1):
-        np.multiply(a[i], b[j], out=tmp)
-        _ACCUMULATE[sign](acc, tmp, out=out if n == len(rest) else acc)
+    signed_rows, b_rows = [], []
+    for n in range(4):
+        for k, a_row, b_row in sums:
+            sign, i, j = _HAMILTON[k][n]
+            if not (pure and i == 0):
+                signed_rows.append(a_row + i - pure + width * ((sign < 0) != (conjugate and j > 0)))
+                b_rows.append(b_row + j)
+    return np.array(signed_rows), np.array(b_rows), len(sums)
 
 
-def _pure_hamilton_row(k: int, u: np.ndarray, b: np.ndarray, out: np.ndarray,
-                       tmp: np.ndarray) -> None:
-    """Component k of (0, u) * b for (3, ...) rows u, into `out`: the terms
-    of `_HAMILTON[k]` without the one that reads u's zero real part."""
-    (sign, i, j), *rest = _HAMILTON[k][1:]
-    np.multiply(u[i - 1], b[j], out=out)
-    if sign < 0:
-        np.negative(out, out=out)
-    for sign, i, j in rest:
-        np.multiply(u[i - 1], b[j], out=tmp)
-        _ACCUMULATE[sign](out, tmp, out=out)
+def _products(table: tuple, a: np.ndarray, b: np.ndarray, *out: np.ndarray) -> None:
+    """The sums of the term `table` (`_product_terms`) on component rows a
+    and b, sum s into row s of the blocks `out` taken in order, which must
+    not overlap an operand. Each sum adds its terms in `_HAMILTON`'s
+    order: the per-component formula's bits.
+
+    Up to `_STACK_VALUES` values of terms, every term comes from one
+    gather of [a; -a], one of b and one multiply; the sums add whole
+    blocks of terms in place and are copied into `out`. Above it each sum
+    runs on its own output row, its first term negated in place where its
+    sign says so and each later one added or subtracted (`_ACCUMULATE`).
+    """
+    signed_rows, b_rows, count = table
+    if len(signed_rows) * a[0].size <= _STACK_VALUES:
+        terms = np.take(np.concatenate((a, np.negative(a))), signed_rows, axis=0)
+        terms *= np.take(b, b_rows, axis=0)
+        terms = terms.reshape((len(signed_rows) // count, count) + terms.shape[1:])
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        first = 0
+        for block in out:
+            block[...] = total[first:first + len(block)]
+            first += len(block)
+        return
+    signed_rows, b_rows = signed_rows.tolist(), b_rows.tolist()
+    tmp = np.empty(a.shape[1:])
+    for s, row in enumerate(row for block in out for row in block):
+        negated, i = divmod(signed_rows[s], len(a))
+        np.multiply(a[i], b[b_rows[s]], out=row)
+        if negated:
+            np.negative(row, out=row)
+        for n in range(s + count, len(signed_rows), count):
+            negated, i = divmod(signed_rows[n], len(a))
+            np.multiply(a[i], b[b_rows[n]], out=tmp)
+            _ACCUMULATE[negated](row, tmp, out=row)
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+_MUL_TERMS = _product_terms([(k, 0, 0) for k in range(4)])
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Hamilton product of (4, ...) component rows a and b, into the rows
     `out`, which must not overlap either operand."""
-    acc, tmp = np.empty((2,) + a.shape[1:])
-    for k in range(4):
-        _hamilton_row(k, a, b, out[k], acc, tmp)
-    return out
+    _products(_MUL_TERMS, a, b, out)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -156,7 +156,7 @@ def validate_skeleton(joints) -> None:
         raise InvalidValueError("skeleton needs at least one joint")
     if joints[0].parent is not None:
         raise InvalidValueError("joint 0 must be the root (parent None)")
-    names = set()
+    names, with_end_site = set(), set()
     for idx, joint in enumerate(joints):
         if idx > 0 and (joint.parent is None or not 0 <= joint.parent < idx):
             raise InvalidValueError(f"joint {joint.name!r} breaks topological parent order")
@@ -179,6 +179,10 @@ def validate_skeleton(joints) -> None:
                 raise InvalidValueError("position channels are only allowed on the root")
         if idx > 0 and joints[joint.parent].is_end_site:
             raise InvalidValueError("end sites cannot have children")
+        if joint.is_end_site:
+            if joint.parent in with_end_site:
+                raise InvalidValueError(f"joint {joints[joint.parent].name!r} has more than one end site")
+            with_end_site.add(joint.parent)
 
 
 def rotation_groups(joints) -> list:

@@ -1,8 +1,9 @@
 """The component-major `quat.mul`, `quat.norm`, `dualquat.mul`,
 `dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
 `translation` (all but `norm` and `conjugate` one `quat._on_rows` call
-each), the stacked dual-quaternion product on either side of
-`dualquat._STACK_VALUES`, `quat.from_euler`'s live terms, and the
+each), every product of the one Hamilton-product kernel
+`quat._products` on either side of `quat._STACK_VALUES`,
+`quat.from_euler`'s live terms, and the
 entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
 `quat.to_euler`, and the six-value encode and decode
 `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`), against
@@ -11,14 +12,16 @@ zero and a fresh C-contiguous result, on broadcast, sliced, gathered,
 reversed and F-ordered operands."""
 
 import itertools
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from dqmotion import _rotmat, dualquat, encoding, quat
+from dqmotion import _rotmat, dualquat, encoding, losses, quat
 from dqmotion.errors import DegenerateNormError, NotUnitError
 
 import algebra_oracles
+import grad_oracles
 import oracles
 import pose_oracles
 
@@ -117,73 +120,153 @@ class TestDualquatMul:
         assert_same_bits(dualquat.mul(a, b), algebra_oracles.dualquat_mul(a, b), d)
 
 
-#: Columns of the largest dual-quaternion product that stacks its terms,
-#: and of the smallest that runs per component.
-STACK_COLUMNS = {"stacked": dualquat._STACK_VALUES // 48,
-                 "per component": dualquat._STACK_VALUES // 48 + 1}
 #: The real and dual rows of a dual quaternion, traded.
 SWAP = np.r_[4:8, 0:4]
 
 
+def swapped_dualquat_mul(a, b):
+    """The product of `losses._relative_vjp`: swap(a * swap(b))."""
+    return algebra_oracles.dualquat_mul(a, b[..., SWAP])[..., SWAP]
+
+
+def conjugate_product(e, r):
+    """The vector components of e * conjugate(r): the product of
+    `dualquat.translation` before its factor 2."""
+    return algebra_oracles.quat_mul(e, quat.conjugate(r))[..., 1:]
+
+
+def translation_vjp_rows(m, u, out):
+    np.copyto(out, losses._translation_vjp(m, u))
+
+
+class Product(NamedTuple):
+    """A product on component rows: the widths of its operands and its
+    result, its term table, its row function (operands and `out` as
+    rows) and its oracle (operands as (..., C) values)."""
+
+    a: int
+    b: int
+    out: int
+    table: tuple
+    run: Callable
+    oracle: Callable
+
+
+PRODUCTS = {
+    "quat": Product(4, 4, 4, quat._MUL_TERMS, quat._mul_rows, algebra_oracles.quat_mul),
+    "dualquat": Product(8, 8, 8, dualquat._MUL_TERMS[False], dualquat._mul_rows,
+                        algebra_oracles.dualquat_mul),
+    "dualquat swapped": Product(8, 8, 8, dualquat._MUL_TERMS[True],
+                                lambda a, b, out: dualquat._mul_rows(a, b, out, swap=True),
+                                swapped_dualquat_mul),
+    "translation": Product(4, 4, 3, dualquat._TRANSLATION_TERMS,
+                           lambda e, r, out: quat._products(dualquat._TRANSLATION_TERMS, e, r, out),
+                           conjugate_product),
+    "translation vjp": Product(8, 3, 8, losses._TRANSLATION_VJP_TERMS, translation_vjp_rows,
+                               grad_oracles._translation_vjp),
+}
+PATHS = ("stacked", "sum by sum")
+
+
+def columns(terms: int, path: str) -> int:
+    """Columns of a product of `terms` terms at its stacking bound (the
+    most whose terms fit in `quat._STACK_VALUES` values), or one above."""
+    return quat._STACK_VALUES // terms + PATHS.index(path)
+
+
 @pytest.fixture
-def hamilton_calls(monkeypatch):
-    """The calls of `quat._hamilton_row`, which only the per-component
-    product makes."""
+def accumulations(monkeypatch):
+    """The calls of `quat._ACCUMULATE`, which only the products that run
+    sum by sum make."""
     calls = []
-    row = quat._hamilton_row
-    monkeypatch.setattr(quat, "_hamilton_row", lambda *args: calls.append(args) or row(*args))
+
+    def spy(accumulate):
+        return lambda *args, **kwargs: calls.append(args) or accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(quat, "_ACCUMULATE", tuple(spy(f) for f in quat._ACCUMULATE))
     return calls
 
 
-@pytest.mark.parametrize("path", STACK_COLUMNS)
-class TestDualquatMulRows:
-    """`dualquat._mul_rows` at the stacking bound and one column above it,
-    each test on the path it is named for."""
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("name", PRODUCTS)
+class TestProducts:
+    """Every product of `quat._products` at its stacking bound and one
+    column above it, each test on the path it is named for, against its
+    oracle.
 
-    def product(self, calls, path, a, b, swap=False):
-        """_mul_rows of (8, ...) rows into a fresh C-contiguous array."""
-        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
-        dualquat._mul_rows(a, b, out, swap=swap)
-        assert bool(calls) == (path == "per component")
+    The translation VJP matches `grad_oracles._translation_vjp` bit for bit
+    up to the sign of a zero: the oracle multiplies the zero real row of
+    (0, u) and negates m_d before the product, the kernel skips that row
+    and negates after it, so a zero sum can round to either sign.
+    """
+
+    def product(self, calls, name, path, a, b):
+        """The row function of `name` on (C, ...) rows a and b, into a
+        fresh C-contiguous array, on `path`."""
+        out = np.empty((PRODUCTS[name].out,) + a.shape[1:])
+        PRODUCTS[name].run(a, b, out)
+        assert bool(calls) == (path == "sum by sum")
         return out
 
-    def test_values_and_signed_zeros(self, rng, hamilton_calls, path):
-        n = STACK_COLUMNS[path]
-        for a, b in ((values(rng, (n, 8)), values(rng, (n, 8))),
-                     (signed_zeros(rng, (n, 8)), signed_zeros(rng, (n, 8)))):
-            want = algebra_oracles.dualquat_mul(a, b)
-            assert_same_bits(self.product(hamilton_calls, path, a.T.copy(), b.T.copy()).T.copy(), want)
-        assert np.any((want == 0.0) & np.signbit(want))
+    def assert_matches(self, name, got, want):
+        if name == "translation vjp":
+            got, want = got + 0.0, want + 0.0  # every zero +0.0
+        assert_same_bits(got.copy(), want)
 
-    def test_gathered_reversed_and_transposed_rows(self, rng, hamilton_calls, path):
-        n = STACK_COLUMNS[path]
+    def operands(self, make, rng, name, path):
+        product = PRODUCTS[name]
+        n = columns(len(product.table[0]), path)
+        return make(rng, (product.a, n)), make(rng, (product.b, n))
+
+    def test_values_and_signed_zeros(self, rng, accumulations, name, path):
+        for make in (values, signed_zeros):
+            a, b = self.operands(make, rng, name, path)
+            want = PRODUCTS[name].oracle(a.T, b.T)
+            self.assert_matches(name, self.product(accumulations, name, path, a, b).T, want)
+        if name != "translation vjp":
+            assert np.any((want == 0.0) & np.signbit(want))
+
+    def test_gathered_reversed_and_transposed_rows(self, rng, accumulations, name, path):
+        product = PRODUCTS[name]
+        n = columns(len(product.table[0]), path)
         x = values(rng, (8, n + 7))
         gathered = x[:, rng.integers(0, n + 7, size=n)]
-        reversed_ = x[::-1, ::-1][SWAP, :n]
-        transposed = np.asfortranarray(values(rng, (n, 8))).T
+        reversed_ = x[::-1, ::-1][:, :n]
+        transposed = values(rng, (n, 8)).T
         for a, b in ((gathered, reversed_), (reversed_, transposed), (transposed, gathered)):
-            got = self.product(hamilton_calls, path, a, b)
-            assert_same_bits(got.T.copy(), algebra_oracles.dualquat_mul(a.T, b.T), x)
+            a, b = a[:product.a], b[:product.b]
+            got = self.product(accumulations, name, path, a, b)
+            self.assert_matches(name, got.T, product.oracle(a.T, b.T))
 
-    def test_joint_and_frame_axes(self, rng, hamilton_calls, path):
-        n = STACK_COLUMNS[path]
-        a, b = values(rng, (8, 1, n)), values(rng, (8, 1, n))
-        want = algebra_oracles.dualquat_mul(a.T, b.T).T
-        assert self.product(hamilton_calls, path, a, b).tobytes() == np.ascontiguousarray(want).tobytes()
+    def test_joint_and_frame_axes(self, rng, accumulations, name, path):
+        """(C, 1, N) rows, as `kinematics` passes a one-joint level."""
+        a, b = self.operands(values, rng, name, path)
+        a, b = a[:, None], b[:, None]
+        want = PRODUCTS[name].oracle(a.T, b.T).T
+        self.assert_matches(name, self.product(accumulations, name, path, a, b), want)
 
-    def test_swapped_parts(self, rng, hamilton_calls, path):
-        """The call of `losses._relative_vjp`: swap(a * swap(b))."""
-        n = STACK_COLUMNS[path]
-        for a, b in ((values(rng, (n, 8)), values(rng, (n, 8))),
-                     (signed_zeros(rng, (n, 8)), signed_zeros(rng, (n, 8)))):
-            want = algebra_oracles.dualquat_mul(a, b[:, SWAP])[:, SWAP]
-            got = self.product(hamilton_calls, path, a.T.copy(), b.T.copy(), swap=True)
-            assert_same_bits(got.T.copy(), want)
 
-    def test_through_mul(self, rng, hamilton_calls, path):
-        a, b = values(rng, (STACK_COLUMNS[path], 8)), values(rng, (1, 8))
+@pytest.mark.parametrize("path", PATHS)
+class TestProductsThroughFunctions:
+    """The public functions on either side of their products' bounds."""
+
+    def test_quat_mul(self, rng, accumulations, path):
+        n = columns(16, path)
+        a, b = values(rng, (n, 4)), values(rng, (n, 4))
+        assert_same_bits(quat.mul(a, b), algebra_oracles.quat_mul(a, b), a, b)
+        assert bool(accumulations) == (path == "sum by sum")
+
+    def test_dualquat_mul(self, rng, accumulations, path):
+        n = columns(48, path)
+        a, b = values(rng, (n, 8)), values(rng, (1, 8))
         assert_same_bits(dualquat.mul(a, b), algebra_oracles.dualquat_mul(a, b), a, b)
-        assert bool(hamilton_calls) == (path == "per component")
+        assert bool(accumulations) == (path == "sum by sum")
+
+    def test_translation(self, rng, accumulations, path):
+        d = unit_dq(rng, (columns(12, path),))
+        accumulations.clear()  # building d ran quaternion products
+        assert_same_bits(dualquat.translation(d), algebra_oracles.translation(d), d)
+        assert bool(accumulations) == (path == "sum by sum")
 
 
 class TestDualquatConjugate:

@@ -15,6 +15,7 @@ from dqmotion.errors import (
     BadRateError,
     BvhSyntaxError,
     ChannelMismatchError,
+    InvalidValueError,
     UnsupportedChannelError,
 )
 
@@ -412,6 +413,16 @@ class TestSkeletonValue:
             assert changed != skeleton and skeleton != changed
         assert bvh.Skeleton(skeleton.joints[:-1]) != skeleton
         assert skeleton != "x" and not skeleton == "x"
+
+    def test_one_end_site_per_joint(self):
+        """BVH holds one End Site block per joint, so a skeleton with a
+        second one, which `write` could not round-trip, is refused."""
+        data = bvh.parse_file(WALK).skeleton.to_dict()
+        end = next(j for j in data["joints"] if j["end_site"])
+        data["joints"].append(dict(end, name=end["name"] + "_2", offset=[0.0, 1.0, 0.0]))
+        parent = data["joints"][end["parent"]]["name"]
+        with pytest.raises(InvalidValueError, match=f"joint '{parent}' has more than one end site"):
+            bvh.Skeleton.from_dict(data)
 
     def test_negative_zero_offset_is_zero(self):
         skeleton = bvh.parse_file(WALK).skeleton

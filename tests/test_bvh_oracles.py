@@ -437,6 +437,7 @@ FAULTS = {
     "end site with a position": (3, {"channels": ("Yposition",)}),
     "two rotations": (4, {"channels": ("Yrotation", "Xrotation")}),
     "end site with a child": (4, {"parent": 3}),
+    "second end site": (4, {"parent": 2, "channels": (), "is_end_site": True}),
 }
 
 

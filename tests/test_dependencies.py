@@ -8,7 +8,8 @@ numpy for the truth value of an array. The numpy floor in
 `pyproject.toml` is one whose `loadtxt` the BVH parser can rely on. And
 the Hamilton product has one table of terms, `quat._HAMILTON`: every
 other index or sign table of its terms is derived from it, none written
-by hand."""
+by hand. It has one kernel too: only the table builders read
+`_HAMILTON`, and only `quat._products` accumulates terms."""
 
 import ast
 import re
@@ -280,3 +281,67 @@ def product(a, b):
     assert got == [(4, "_TERMS"), (10, None), (10, None), (10, None)]
     elsewhere = sorted(hand_written_tables(ast.parse(source), "dualquat.py"))
     assert [line for line, _ in elsewhere] == [2, 2, 2, 2, 3, 3, 3, 4, 10, 10, 10]
+
+
+#: The one function that accumulates Hamilton terms, and the functions
+#: that read the one table of terms: the kernel's table builder and the
+#: live-term tables of `from_euler`.
+ACCUMULATORS = {("quat.py", "_products")}
+TABLE_READERS = {("quat.py", "_product_terms"), ("quat.py", "_euler_terms")}
+
+
+def readers(tree: ast.AST, module: str, name: str) -> set:
+    """(module, function) of every read of `name` in `tree`, bare or as an
+    attribute (`quat._HAMILTON`); a read outside any function is
+    (module, None). A nested function's read counts for the outermost."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and function is None:
+            function = getattr(node, "name", "<lambda>")
+        read = ((isinstance(node, ast.Name) and node.id == name
+                 or isinstance(node, ast.Attribute) and node.attr == name)
+                and isinstance(node.ctx, ast.Load))
+        if read:
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def hamilton_readers(name: str) -> set:
+    return set().union(*(readers(ast.parse(path.read_text()), str(path.relative_to(SOURCES)), name)
+                         for path in sorted(SOURCES.rglob("*.py"))))
+
+
+def test_one_function_accumulates_hamilton_terms():
+    assert hamilton_readers("_ACCUMULATE") == ACCUMULATORS
+
+
+def test_only_the_table_builders_read_the_terms():
+    assert hamilton_readers("_HAMILTON") == TABLE_READERS
+
+
+def test_the_check_sees_another_reader():
+    source = """
+_HAMILTON = ((+1, 0, 0),)
+_ACCUMULATE = (np.add, np.subtract)
+FIRST = _HAMILTON[0]
+
+def _products(a, b):
+    return _ACCUMULATE[0](a, b)
+
+def _hamilton_row(k, a, b):
+    def term(n):
+        return quat._HAMILTON[k][n]
+    return [term(n) for n in range(4)]
+
+def mul(a, b):
+    _ACCUMULATE = None
+    return _products(a, b)
+"""
+    tree = ast.parse(source)
+    assert readers(tree, "quat.py", "_ACCUMULATE") == {("quat.py", "_products")}
+    assert readers(tree, "quat.py", "_HAMILTON") == {("quat.py", None), ("quat.py", "_hamilton_row")}

@@ -276,6 +276,28 @@ class TestLengthsAndMeans:
             for v in (x, x[start:], -np.abs(x) * 0.0):
                 assert float.hex(metrics._mean(v)) == float.hex(float(np.mean(v)))
 
+    def test_trajectory_means_keep_np_mean_bits(self, rng):
+        """`euclidean_between` and `acceleration_of` take `_mean`, with the
+        bits of the `np.mean` they took before."""
+        for shape in [(30, 19, 3), (3, 1, 3), (64, 258, 3)]:
+            pred, truth = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert float.hex(euclidean_between(pred, truth)) == float.hex(
+                float(np.mean(np.linalg.norm(pred - truth, axis=-1))))
+            second = pred[2:] - 2.0 * pred[1:-1] + pred[:-2]
+            assert float.hex(acceleration_of(pred)) == float.hex(
+                float(np.mean(np.linalg.norm(second, axis=-1))))
+
+    def test_no_joints_is_nan_with_a_warning(self):
+        """An (F, 0, 3) pair has no distances to average: NaN, with numpy's
+        warning of the 0 / 0."""
+        empty = np.zeros((5, 0, 3))
+        for metric in (lambda: euclidean_between(empty, empty), lambda: acceleration_of(empty)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert np.isnan(metric())
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (RuntimeWarning, "invalid value encountered in scalar divide")]
+
 
 def loop_reports(pred, truth, starts, horizon):
     """The oracle: one `report_between` per window."""
@@ -380,6 +402,26 @@ class TestWindowReportErrors:
                 with pytest.raises(TooFewFramesError,
                                    match="acceleration needs at least 3 frames"):
                     window_reports(pred, truth, [0], horizon)
+
+    @pytest.mark.parametrize("starts, horizon", [
+        ([1.5], 3), ([0], 3.5), (["1"], 3), ([0, True], 3), ([0], False), ([None], 3),
+        ([0], np.float64(3.0)),
+    ], ids=["float start", "float horizon", "string start", "bool start", "bool horizon",
+            "no start", "numpy float horizon"])
+    def test_starts_and_horizon_are_integers(self, rng, starts, horizon):
+        pred, truth = rng.normal(size=(2, 10, 4, 3))
+        with pytest.raises(InvalidValueError, match="must be integers, not"):
+            window_reports(pred, truth, starts, horizon)
+
+    def test_starts_are_a_sequence(self, rng):
+        pred, truth = rng.normal(size=(2, 10, 4, 3))
+        with pytest.raises(InvalidValueError, match="must be a sequence of integers, not 1"):
+            window_reports(pred, truth, 1, 3)
+
+    def test_numpy_integers_are_integers(self, rng):
+        pred, truth = rng.normal(size=(2, 10, 4, 3))
+        got = window_reports(pred, truth, np.arange(0, 7, 3), np.int32(4))
+        assert bits(got) == bits(window_reports(pred, truth, [0, 3, 6], 4))
 
     @pytest.mark.parametrize("start", (-1, 8), ids=("before", "past the end"))
     def test_window_outside_the_clip(self, rng, start):

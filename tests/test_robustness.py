@@ -327,6 +327,23 @@ class TestContainerInput:
         path.write_bytes(data)
         assert quiet_main("validate", path) == 3
 
+    def test_second_end_site_in_the_skeleton_block(self, tmp_path):
+        """A block that `Skeleton` refuses, with its own digest: the
+        container is a format error, and `decode` writes no BVH that its
+        own parser would reject."""
+        data = container_bytes(ReprKind.DUALQUAT)
+        skeleton = container.from_bytes(data).skeleton.to_dict()
+        end = next(j for j in skeleton["joints"] if j["end_site"])
+        skeleton["joints"].append(dict(end, name=end["name"] + "_2"))
+        block = json.dumps(skeleton).encode()
+        data = with_digest(with_skeleton_block(data, block), hashlib.sha256(block).digest())
+        with pytest.raises(ContainerError, match="bad skeleton block: .* more than one end site"):
+            container.from_bytes(data)
+        path, out = tmp_path / "two_ends.dqm", tmp_path / "two_ends.bvh"
+        path.write_bytes(data)
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
+
     def test_reindented_block_with_its_own_digest(self):
         data = container_bytes(ReprKind.DUALQUAT)
         skeleton = container.from_bytes(data).skeleton
