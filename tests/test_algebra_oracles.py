@@ -1,10 +1,9 @@
 """The component-major `quat.mul`, `quat.norm`, `dualquat.mul`,
 `dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
 `translation` (all but `norm` and `conjugate` one `quat._on_rows` call
-each), every product of the one Hamilton-product kernel
-`quat._products` on either side of `quat._STACK_VALUES`,
-`quat.from_euler`'s live terms, and the
-entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
+each), every product of the one Hamilton-product kernel `quat._products`
+on either side of `quat._STACK_VALUES`, `quat.from_euler`'s live terms,
+and the entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
 `quat.to_euler`, and the six-value encode and decode
 `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`), against
 their per-component and whole-matrix oracles: equal bits, equal sign of
