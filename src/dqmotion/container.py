@@ -5,8 +5,8 @@ Little-endian layout, one header then payload:
     bytes 0..3    magic b"DQMC"
     uint32        format version (currently 1)
     uint8         kind code (see KIND_CODES)
-    uint8         stats flag (1 when mean/std rows precede the payload)
-    uint16        reserved, zero
+    uint8         stats flag (1 when mean/std rows precede the payload, else 0)
+    uint16        reserved, zero (anything else is a ContainerError)
     uint32        J (encoded joint count)
     uint32        D (block width)
     uint64        F (frame count)
@@ -101,13 +101,17 @@ def to_bytes(clip: EncodedClip) -> bytes:
 def from_bytes(data: bytes) -> EncodedClip:
     if len(data) < _HEADER.size:
         raise ContainerError("truncated header")
-    magic, version, kind_code, stats_flag, _reserved, joints, block_dim, frames, frame_time, digest = (
+    magic, version, kind_code, stats_flag, reserved, joints, block_dim, frames, frame_time, digest = (
         _HEADER.unpack_from(data, 0)
     )
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
+    if stats_flag not in (0, 1):
+        raise ContainerError(f"bad stats flag {stats_flag}")
+    if reserved != 0:
+        raise ContainerError(f"reserved header field is {reserved}, not zero")
     if kind_code not in _KINDS_BY_CODE:
         raise ContainerError(f"unknown kind code {kind_code}")
     kind = _KINDS_BY_CODE[kind_code]

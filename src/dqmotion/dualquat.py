@@ -19,8 +19,8 @@ and `_translation_rows`, which keep their functions' unit checks); every
 sum keeps the terms and the order of the per-part formula. `_mul_rows`
 and `_translation_rows` are term tables of the one Hamilton-product
 kernel, `quat._products`; the translation's table folds the conjugate's
-signs in. `kinematics` sweeps the hierarchy with the same kernels, and
-`_conjugate_rows` is the one conjugation of component rows.
+signs in, and `_mul_rows` has tables that fold either operand's.
+`kinematics` sweeps the hierarchy with the same kernels.
 """
 
 from typing import NamedTuple
@@ -57,13 +57,6 @@ def dual(d: np.ndarray) -> np.ndarray:
 _CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
 
-def _conjugate_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`conjugate` of (4, ...) or (8, ...) component rows, into `out` (a
-    new array when None; `rows` itself conjugates in place)."""
-    signs = _CONJUGATE_SIGNS[:len(rows)].reshape((-1,) + (1,) * (rows.ndim - 1))
-    return np.multiply(rows, signs, out=out)
-
-
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dual-quaternion product: (ar*br) + (ar*bd + ad*br) eps.
 
@@ -74,24 +67,28 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat._on_rows(_mul_rows, 8, a, b)
 
 
-#: The term tables of `_mul_rows`, without and with `swap`: the sums
-#: ar * b[:4], ar * b[4:] and ad * b[4:] or ad * b[:4], four each.
-_MUL_TERMS = {swap: quat._product_terms(
-    [(k, a_row, b_row) for a_row, b_row in ((0, 0), (0, 4), (4, 4 * swap)) for k in range(4)], 8)
-    for swap in (False, True)}
+#: The term tables of `_mul_rows` that its callers use, by (swap,
+#: conjugate): the sums ar * b[:4], ar * b[4:] and ad * b[4:] or
+#: ad * b[:4], four each.
+_MUL_TERMS = {(swap, conjugate): quat._product_terms(
+    [(k, a_row, b_row) for a_row, b_row in ((0, 0), (0, 4), (4, 4 * swap)) for k in range(4)], 8,
+    conjugate=conjugate) for swap, conjugate in ((False, None), (True, None), (False, "a"), (True, "b"))}
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, swap: bool = False) -> None:
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, swap: bool = False,
+              conjugate: str | None = None) -> None:
     """`mul` on (8, ...) component rows a and b, into the rows `out`,
     which must not overlap an operand. With `swap`, the real and dual rows
-    of b and of `out` trade places: out = swap(a * swap(b)).
+    of b and of `out` trade places: out = swap(a * swap(b)). With
+    `conjugate` "a" or "b", that operand's `conjugate` takes its place
+    (a alone, b only with `swap`).
 
     One `quat._products` of 12 sums: rows 0..3 of `out` take ar * b[:4],
     rows 4..7 take ar * b[4:], and the dual rows add the third product of
     parts to theirs, as `quat.mul` on the parts rounds them.
     """
     tmp = np.empty((4,) + a.shape[1:])
-    quat._products(_MUL_TERMS[swap], a, b, out, tmp)
+    quat._products(_MUL_TERMS[swap, conjugate], a, b, out, tmp)
     dual_rows = out[:4] if swap else out[4:]
     np.add(dual_rows, tmp, out=dual_rows)
 
@@ -216,7 +213,7 @@ def translation(d: np.ndarray) -> np.ndarray:
 
 
 #: The vector components of e * conjugate(r), the conjugate's signs in the table.
-_TRANSLATION_TERMS = quat._product_terms([(k, 0, 0) for k in range(1, 4)], conjugate=True)
+_TRANSLATION_TERMS = quat._product_terms([(k, 0, 0) for k in range(1, 4)], conjugate="b")
 
 
 def _translation_rows(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

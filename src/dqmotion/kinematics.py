@@ -20,7 +20,7 @@ a level of few (joint, frame) columns takes the product stacked, one
 gather of each operand's terms and one multiply (`quat._products`).
 `compose` sweeps parent to child one depth level at a time, over the
 levels the skeleton builds once; `relative` undoes it with one parent
-gather, conjugated in place by `dualquat._conjugate_rows`.
+gather and one product whose term table conjugates the parents.
 `current_chain` is the current pose on `compose`, and
 `relative(skeleton.parent_indices, pose.chain.T).T` each joint's local
 transform, its translation the joint offset as encoded.
@@ -143,17 +143,18 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-              swap: bool = False) -> np.ndarray:
+              swap: bool = False, conjugate: str | None = None) -> np.ndarray:
     """Product of (C, ...) rows of quaternions (C = 4) or dual quaternions
     (C = 8), through the row kernel of `quat.mul` or `dualquat.mul`, into
     `out` (a new array when None). With `swap`, dual quaternions trade
     the real and dual rows of b and of the result (`dualquat._mul_rows`);
-    quaternions have no parts to trade."""
+    quaternions have no parts to trade. With `conjugate` "a" or "b", that
+    operand's conjugate takes its place, its signs in the term table."""
     out = np.empty(a.shape) if out is None else out
     if len(a) == 4:
-        quat._mul_rows(a, b, out)
+        quat._mul_rows(a, b, out, conjugate)
     elif len(a) == 8:
-        dualquat._mul_rows(a, b, out, swap)
+        dualquat._mul_rows(a, b, out, swap, conjugate)
     else:
         raise ShapeMismatchError("component rows must hold quaternions (4) or dual quaternions (8)")
     return out
@@ -178,11 +179,13 @@ def relative(parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse of `compose` for unit values, with one parent gather.
 
     Joint j of the result is conjugate(rows[parents[j]]) * rows[j], for
-    (C, J, ...) rows as in `compose`; the root, joint 0, keeps its value.
+    (C, J, ...) rows as in `compose`, into a new array of the layout of
+    `rows`; the root, joint 0, keeps its value.
     """
-    out = np.array(rows, dtype=float)
-    parent = np.take(out, parents[1:], axis=1)
-    out[:, 1:] = _mul_rows(dualquat._conjugate_rows(parent, parent), out[:, 1:])
+    rows = np.asarray(rows, dtype=float)
+    out = np.empty_like(rows)
+    out[:, 0] = rows[:, 0]
+    _mul_rows(np.take(rows, parents[1:], axis=1), rows[:, 1:], out[:, 1:], conjugate="a")
     return out
 
 

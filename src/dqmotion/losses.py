@@ -19,10 +19,11 @@ matrices. Forward passes and gradients work on the (C, J, F) rows of
 normalization, distance and VJP after that is a whole-row operation, and
 its space changes are `kinematics.compose` and `relative`. Every Hamilton
 product runs through the one kernel `quat._products`: through
-`kinematics._mul_rows`, or on `_translation_vjp`'s table, which skips
-the zero real row of its pure left operand. The reverse sweeps live here
-(`_relative_vjp` is the one adjoint of `relative`); a parent scatter
-adds one child rank at a time, in `np.add.at`'s order.
+`kinematics._mul_rows`, whose tables fold in the conjugates that the
+reverse sweeps multiply by, or on `_translation_vjp`'s table, which
+skips the zero real row of its pure left operand. The reverse sweeps
+live here (`_relative_vjp` is the one adjoint of `relative`); a parent
+scatter adds one child rank at a time, in `np.add.at`'s order.
 
 `grad_check` verifies the gradients against central finite differences
 in one pass: every term's values of a frame read only that frame's
@@ -206,13 +207,12 @@ def _add_to_parents(bar: np.ndarray, groups: tuple, children: np.ndarray) -> Non
 
 def _relative_vjp(bar: np.ndarray, y: np.ndarray, skeleton: Skeleton, rows: np.ndarray) -> None:
     """y, the gradient w.r.t. the non-root rows of `relative` of `rows`,
-    into `bar`: bar[:, 1:] = p y and bar[:, p] += c y* per child row c of
-    parent row p; y is conjugated in place. For C = 8 both products swap
-    the real and dual rows: the transposed Jacobians of x -> a x and
-    x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*)."""
+    into `bar`, which y must not overlap: bar[:, 1:] = p y and
+    bar[:, p] += c y* per child row c of parent row p. For C = 8 both
+    products swap the real and dual rows: the transposed Jacobians of
+    x -> a x and x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*)."""
     _mul_rows(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:], swap=True)
-    dualquat._conjugate_rows(y, y)
-    to_parent = _mul_rows(rows[:, 1:], y, swap=True)
+    to_parent = _mul_rows(rows[:, 1:], y, swap=True, conjugate="b")
     _add_to_parents(bar, skeleton._encoded_child_ranks[0], to_parent)
 
 
@@ -243,7 +243,8 @@ def _dq_normalize_vjp(unit: _UnitRows, g: np.ndarray) -> np.ndarray:
 
 #: The products u~ m_d and u~ m_r of `_translation_vjp`, without the
 #: terms of u~'s zero real row.
-_TRANSLATION_VJP_TERMS = quat._product_terms([(k, 0, b) for b in (4, 0) for k in range(4)], 3, pure=True)
+_TRANSLATION_VJP_TERMS = quat._product_terms([(k, 0, b) for b in (4, 0) for k in range(4)], 3,
+                                             a_parts=(None, 0, 1, 2))
 
 
 def _translation_vjp(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -324,9 +325,8 @@ def _rotational(space: str):
                 levels = zip(pred.skeleton.encoded_levels, pred.skeleton._encoded_child_ranks[1])
                 for (level, parent_rows), groups in reversed(list(levels)):
                     children = np.take(bar, level, axis=1)
-                    to_parent = _mul_rows(children, dualquat._conjugate_rows(np.take(rows, level, axis=1)))
-                    bar[:, level] = _mul_rows(
-                        dualquat._conjugate_rows(np.take(q_pred, parent_rows, axis=1)), children)
+                    to_parent = _mul_rows(children, np.take(rows, level, axis=1), conjugate="b")
+                    bar[:, level] = _mul_rows(np.take(q_pred, parent_rows, axis=1), children, conjugate="a")
                     _add_to_parents(bar, groups, to_parent)
             norm = quat.norm(blocks[..., :4]).T
             return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))

@@ -25,14 +25,15 @@ callers that keep their values in rows, such as the gradients in
 `losses`. Every quaternion and dual-quaternion product on rows runs
 through one kernel, `_products`, on a term table that `_product_terms`
 derives at import from `_HAMILTON`, the one table of terms (a table may
-skip a pure operand's zero real row or fold a conjugate's signs in). A
-product whose terms fit in `_STACK_VALUES` values gathers and
-multiplies them all at once; a larger one runs sum by sum. `from_euler`
-derives its own live-term tables from `_HAMILTON`. `norm` is
-`_row_norm` on the component view, and `_lengths` the same row sum
-without its overflow check, for the metrics.
-`from_euler` runs only the live terms of its two axis-quaternion
-products, 12 of 32, on (3, N) rows of half angles; the few rows where a
+leave out the terms of an operand's zero components or fold either
+operand's conjugate into its signs). A product whose terms fit in
+`_STACK_VALUES` values gathers and multiplies them all at once; a
+larger one runs sum by sum. `norm` is `_row_norm` on the component
+view, and `_lengths` the same row sum without its overflow check, for
+the metrics.
+`from_euler` is two such products on (2, N) rows of the cosines and
+sines of the half angles, which store only the two nonzero components of
+each axis quaternion: 12 of the 32 terms run. The few rows where a
 skipped zero term could set a sign of zero go through the full product,
 `_euler_product`, again. `to_euler` works the same way on the rotation
 matrix: it computes only the five entries it reads (`_rotmat.entry`,
@@ -91,25 +92,31 @@ def _rows(x: np.ndarray, shape: tuple) -> np.ndarray:
 _STACK_VALUES = 16384
 
 
-def _product_terms(sums: list, width: int = 4, pure: bool = False, conjugate: bool = False) -> tuple:
+def _product_terms(sums: list, width: int = 4, a_parts=range(4), b_parts=range(4),
+                   conjugate: str | None = None) -> tuple:
     """The term table of `_products` for `sums`, a list of (k, a_row,
     b_row): component k of the quaternion at rows a_row.. of a times the
     one at rows b_row.. of b.
 
-    Term n of sum s sits at n * len(sums) + s: its row of [a; -a], for an
-    a of `width` rows, where its `_HAMILTON` sign picks -a, and its row of
-    b. A `pure` a holds only the vector rows of its quaternions, whose
-    real row is zero: its terms are left out. With `conjugate` b's
-    quaternions are conjugated, the signs folded into a's rows. Returns
-    the rows of [a; -a], the rows of b and the number of sums.
+    `a_parts` and `b_parts` map each component of an operand's
+    quaternions to its row after a_row or b_row, or to None where the
+    component is zero and not stored: its terms are left out, and every
+    sum must keep as many as the others. With `conjugate` "a" or "b" that
+    operand's quaternions are conjugated, the signs folded into a's rows.
+    Term n of sum s, the n-th it keeps in `_HAMILTON`'s order, sits at
+    n * len(sums) + s: its row of [a; -a], for an a of `width` rows, where
+    its sign picks -a, and its row of b. Returns the rows of [a; -a], the
+    rows of b and the number of sums.
     """
+    kept = [[(sign, i, j) for sign, i, j in _HAMILTON[k] if a_parts[i] is not None and b_parts[j] is not None]
+            for k, _, _ in sums]
     signed_rows, b_rows = [], []
-    for n in range(4):
-        for k, a_row, b_row in sums:
-            sign, i, j = _HAMILTON[k][n]
-            if not (pure and i == 0):
-                signed_rows.append(a_row + i - pure + width * ((sign < 0) != (conjugate and j > 0)))
-                b_rows.append(b_row + j)
+    for n in range(max(map(len, kept))):
+        for (_, a_row, b_row), terms in zip(sums, kept):
+            sign, i, j = terms[n]
+            negated = (sign < 0) ^ (conjugate == "a" and i > 0) ^ (conjugate == "b" and j > 0)
+            signed_rows.append(a_row + a_parts[i] + width * negated)
+            b_rows.append(b_row + b_parts[j])
     return np.array(signed_rows), np.array(b_rows), len(sums)
 
 
@@ -151,13 +158,17 @@ def _products(table: tuple, a: np.ndarray, b: np.ndarray, *out: np.ndarray) -> N
             _ACCUMULATE[negated](row, tmp, out=row)
 
 
-_MUL_TERMS = _product_terms([(k, 0, 0) for k in range(4)])
+#: The four sums of one quaternion product on rows 0..3 of each operand.
+_QUAT_SUMS = [(k, 0, 0) for k in range(4)]
+#: The term tables of `_mul_rows`, by the operand it conjugates.
+_MUL_TERMS = {conjugate: _product_terms(_QUAT_SUMS, conjugate=conjugate) for conjugate in (None, "a", "b")}
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, conjugate: str | None = None) -> None:
     """Hamilton product of (4, ...) component rows a and b, into the rows
-    `out`, which must not overlap either operand."""
-    _products(_MUL_TERMS, a, b, out)
+    `out`, which must not overlap either operand; with `conjugate` "a" or
+    "b", that operand's conjugate in its place."""
+    _products(_MUL_TERMS[conjugate], a, b, out)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,44 +270,21 @@ def _euler_product(angles: np.ndarray, axes: list) -> np.ndarray:
     return q
 
 
-# `from_euler` reads its cosines and sines from a (12, ...) table: row
-# part * 3 + position holds part (cos, sin, -cos, -sin) of the half angle
-# at `position` of the composition order. Rows 6..11 negate rows 0..5, so
-# a term's sign is folded into the row it reads.
-_NEGATED = 6
+def _euler_tables(order: str) -> tuple:
+    """The term tables of `from_euler` for `order`: A0 * A1, and P * A2
+    for P = A0 * A1, where the axis quaternion Ap at position p of the
+    composition order is held as (2, ...) rows of the cosine and sine of
+    its half angle, its other two components zero."""
+    parts = []
+    for axis in order:
+        part = [0, None, None, None]
+        part[1 + _rotmat.AXES.index(axis)] = 1
+        parts.append(part)
+    return (_product_terms(_QUAT_SUMS, 2, parts[0], parts[1]),
+            _product_terms(_QUAT_SUMS, b_parts=parts[2]))
 
 
-def _axis_table_rows(position: int, order: str) -> dict:
-    """Component -> table row of the two nonzero components of the axis
-    quaternion at `position` of `order`."""
-    return {0: position, 1 + _rotmat.AXES.index(order[position]): 3 + position}
-
-
-def _euler_terms(order: str) -> tuple:
-    """The live terms of `_euler_product` for `order`, from `_HAMILTON`,
-    as four index arrays.
-
-    Of the first product P = A0 * A1, each component has exactly one term
-    that reads no zero: the table rows of its two factors, the first
-    carrying the term's sign. Of the second, P * A2, each component has
-    two, in `_HAMILTON`'s order: component k's first term is term k, its
-    second term 4 + k; P's row and the table row, the second carrying the
-    sign.
-    """
-    a0, a1, a2 = (_axis_table_rows(position, order) for position in range(3))
-    pair_rows, pair_table_rows = [], []
-    for sums in _HAMILTON:
-        (sign, i, j), = [(s, i, j) for s, i, j in sums if i in a0 and j in a1]
-        pair_rows.append(a0[i] + _NEGATED * (sign < 0))
-        pair_table_rows.append(a1[j])
-    live = [[(s, i, j) for s, i, j in sums if j in a2] for sums in _HAMILTON]
-    terms = [term[n] for n in range(2) for term in live]
-    return (np.array(pair_rows), np.array(pair_table_rows),
-            np.array([i for _, i, _ in terms]),
-            np.array([a2[j] + _NEGATED * (s < 0) for s, _, j in terms]))
-
-
-_EULER_TERMS = {order: _euler_terms(order) for order in _VALID_ORDERS}
+_EULER_TABLES = {order: _euler_tables(order) for order in _VALID_ORDERS}
 
 
 def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
@@ -304,29 +292,26 @@ def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
 
     `angles` has shape (..., 3); the result the ordered product of the
     three axis quaternions, e.g. q_z * q_y * q_x for "ZYX", with the bits
-    of `_euler_product`. Only the live terms run (`_euler_terms`): adding
-    a zero term changes no sum that is neither zero nor NaN, so the rows
-    with such a component, where a skipped term can set the sign of zero,
-    go through `_euler_product` again.
+    of `_euler_product`. Only the terms that read no zero component run
+    (`_euler_tables`): adding a zero term changes no sum that is neither
+    zero nor NaN, so the rows with such a component, where a skipped term
+    can set the sign of zero, go through `_euler_product` again.
     """
     order = _check_order(order)
     angles = np.asarray(angles, dtype=float)
     axes = [_rotmat.AXES.index(c) for c in order]
-    pair_rows, pair_table_rows, term_rows, term_table_rows = _EULER_TERMS[order]
     half = np.empty((3,) + angles.shape[:-1])  # in composition order
     for position, axis in enumerate(axes):
         np.divide(angles[..., axis], 2.0, out=half[position, ...])
-    table = np.empty((4,) + half.shape)
-    np.cos(half, out=table[0])
-    np.sin(half, out=table[1])
-    np.negative(table[:2], out=table[2:])
-    table = table.reshape(12, -1)
-    pair = np.take(table, pair_rows, axis=0)
-    pair *= np.take(table, pair_table_rows, axis=0)
-    terms = np.take(pair, term_rows, axis=0)
-    terms *= np.take(table, term_table_rows, axis=0)
+    rows = np.empty((2,) + half.shape)
+    np.cos(half, out=rows[0])
+    np.sin(half, out=rows[1])
+    rows = rows.reshape(2, 3, -1)
+    pair_table, table = _EULER_TABLES[order]
+    pair = np.empty((4, rows.shape[-1]))
+    _products(pair_table, rows[:, 0], rows[:, 1], pair)
     q = np.empty(angles.shape[:-1] + (4,))
-    np.add(terms[:4], terms[4:], out=q.reshape(-1, 4).T)
+    _products(table, pair, rows[:, 2], q.reshape(-1, 4).T)
     live = np.abs(q) > 0.0  # neither zero nor NaN
     if not live.all():
         redo = ~live.all(axis=-1)

@@ -2,7 +2,7 @@
 `dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
 `translation` (all but `norm` and `conjugate` one `quat._on_rows` call
 each), every product of the one Hamilton-product kernel `quat._products`
-on either side of `quat._STACK_VALUES`, `quat.from_euler`'s live terms,
+on either side of `quat._STACK_VALUES`, `quat.from_euler`'s two products,
 and the entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
 `quat.to_euler`, and the six-value encode and decode
 `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`), against
@@ -138,6 +138,12 @@ def translation_vjp_rows(m, u, out):
     np.copyto(out, losses._translation_vjp(m, u))
 
 
+def conjugated_rows(mul_rows, conjugate, **options):
+    """The row function `mul_rows` with the table that conjugates operand
+    `conjugate`."""
+    return lambda a, b, out: mul_rows(a, b, out, conjugate=conjugate, **options)
+
+
 class Product(NamedTuple):
     """A product on component rows: the widths of its operands and its
     result, its term table, its row function (operands and `out` as
@@ -152,12 +158,22 @@ class Product(NamedTuple):
 
 
 PRODUCTS = {
-    "quat": Product(4, 4, 4, quat._MUL_TERMS, quat._mul_rows, algebra_oracles.quat_mul),
-    "dualquat": Product(8, 8, 8, dualquat._MUL_TERMS[False], dualquat._mul_rows,
+    "quat": Product(4, 4, 4, quat._MUL_TERMS[None], quat._mul_rows, algebra_oracles.quat_mul),
+    "quat conjugated a": Product(4, 4, 4, quat._MUL_TERMS["a"], conjugated_rows(quat._mul_rows, "a"),
+                                 lambda a, b: algebra_oracles.quat_mul(quat.conjugate(a), b)),
+    "quat conjugated b": Product(4, 4, 4, quat._MUL_TERMS["b"], conjugated_rows(quat._mul_rows, "b"),
+                                 lambda a, b: algebra_oracles.quat_mul(a, quat.conjugate(b))),
+    "dualquat": Product(8, 8, 8, dualquat._MUL_TERMS[False, None], dualquat._mul_rows,
                         algebra_oracles.dualquat_mul),
-    "dualquat swapped": Product(8, 8, 8, dualquat._MUL_TERMS[True],
+    "dualquat conjugated a": Product(
+        8, 8, 8, dualquat._MUL_TERMS[False, "a"], conjugated_rows(dualquat._mul_rows, "a"),
+        lambda a, b: algebra_oracles.dualquat_mul(algebra_oracles.dualquat_conjugate(a), b)),
+    "dualquat swapped": Product(8, 8, 8, dualquat._MUL_TERMS[True, None],
                                 lambda a, b, out: dualquat._mul_rows(a, b, out, swap=True),
                                 swapped_dualquat_mul),
+    "dualquat swapped conjugated b": Product(
+        8, 8, 8, dualquat._MUL_TERMS[True, "b"], conjugated_rows(dualquat._mul_rows, "b", swap=True),
+        lambda a, b: swapped_dualquat_mul(a, algebra_oracles.dualquat_conjugate(b))),
     "translation": Product(4, 4, 3, dualquat._TRANSLATION_TERMS,
                            lambda e, r, out: quat._products(dualquat._TRANSLATION_TERMS, e, r, out),
                            conjugate_product),
@@ -553,11 +569,15 @@ class TestOrtho6dToQuats:
 #: signed zeros, half and quarter turns both ways, a full turn, and tiny
 #: angles (5e-324 halves to an exact zero).
 EULER_GRID = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi, 1e-300, 5e-324, 0.3)
+#: Angles whose columns pass the stacking bound of both products of
+#: `from_euler`, of 4 and 8 terms, by less than one row of 60: both run
+#: sum by sum.
+SUM_BY_SUM_ANGLES = (quat._STACK_VALUES // (4 * 60) + 1, 60, 3)
 
 
 @pytest.mark.parametrize("order", oracles.ORDER_POOL)
 class TestFromEuler:
-    @pytest.mark.parametrize("shape", [(75, 8, 3), (75, 1, 3), (3,), (0, 5, 3)])
+    @pytest.mark.parametrize("shape", [(75, 8, 3), (75, 1, 3), (3,), (0, 5, 3), SUM_BY_SUM_ANGLES])
     def test_shapes(self, rng, order, shape):
         angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=shape)
         assert_same_bits(quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order), angles)
@@ -578,18 +598,19 @@ class TestFromEuler:
 
     def test_nan_and_inf(self, rng, order):
         """NaN in the components where the full product has NaN."""
-        angles = rng.uniform(-np.pi, np.pi, size=(60, 2, 3))
-        angles[rng.random(angles.shape) < 0.1] = np.nan
-        angles[rng.random(angles.shape) < 0.1] = np.inf
-        angles[rng.random(angles.shape) < 0.1] = -np.inf
-        angles[rng.random(angles.shape) < 0.2] = 0.0
-        with np.errstate(invalid="ignore"):  # sin and cos of inf
-            got, want = quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order)
-        nan = np.isnan(want)
-        assert nan.any() and not nan.all()
-        assert np.array_equal(np.isnan(got), nan)
-        assert_same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
-        assert got.flags.c_contiguous
+        for shape in ((60, 2, 3), SUM_BY_SUM_ANGLES):
+            angles = rng.uniform(-np.pi, np.pi, size=shape)
+            angles[rng.random(angles.shape) < 0.1] = np.nan
+            angles[rng.random(angles.shape) < 0.1] = np.inf
+            angles[rng.random(angles.shape) < 0.1] = -np.inf
+            angles[rng.random(angles.shape) < 0.2] = 0.0
+            with np.errstate(invalid="ignore"):  # sin and cos of inf
+                got, want = quat.from_euler(angles, order), algebra_oracles.from_euler(angles, order)
+            nan = np.isnan(want)
+            assert nan.any() and not nan.all()
+            assert np.array_equal(np.isnan(got), nan)
+            assert_same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
+            assert got.flags.c_contiguous
 
 
 class TestToEuler:

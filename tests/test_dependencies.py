@@ -283,11 +283,10 @@ def product(a, b):
     assert [line for line, _ in elsewhere] == [2, 2, 2, 2, 3, 3, 3, 4, 10, 10, 10]
 
 
-#: The one function that accumulates Hamilton terms, and the functions
-#: that read the one table of terms: the kernel's table builder and the
-#: live-term tables of `from_euler`.
+#: The one function that accumulates Hamilton terms, and the one that
+#: reads the one table of terms: the kernel's table builder.
 ACCUMULATORS = {("quat.py", "_products")}
-TABLE_READERS = {("quat.py", "_product_terms"), ("quat.py", "_euler_terms")}
+TABLE_READERS = {("quat.py", "_product_terms")}
 
 
 def readers(tree: ast.AST, module: str, name: str) -> set:

@@ -203,6 +203,25 @@ class TestFrameTime:
         assert quiet_main("decode", path, "-o", out) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, at", [("stats flag", 9), ("reserved", 10)])
+    @pytest.mark.parametrize("value", [2, 7])
+    def test_container_header_fields_exit_3(self, tmp_path, field, at, value):
+        """A stats flag other than 0 or 1 and a nonzero reserved field
+        are rejected, not read as a standardized clip or ignored."""
+        data = bytearray(container_bytes(ReprKind.DUALQUAT))
+        data[at] = value
+        path, out = tmp_path / "field.dqm", tmp_path / "out.bvh"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match=field):
+            container.from_bytes(bytes(data))
+        assert quiet_main("decode", path, "-o", out) == 3
+        assert not out.exists()
+        assert quiet_main("validate", path) == 3
+        ok = tmp_path / "ok.dqm"
+        ok.write_bytes(container_bytes(ReprKind.DUALQUAT))
+        assert quiet_main("loss", path, ok) == 3
+        assert quiet_main("loss", ok, path) == 3
+
 
 class TestRotationChannels:
     """A joint rotates about all three axes or not at all: one or two
