@@ -46,11 +46,14 @@ value the package passes: frozen dataclasses with read-only arrays, so the
 constructor's checks (width, finiteness, matching stats) hold while nobody
 else holds those arrays. `encode`, `fit_stats`, `standardize` and
 `destandardize` hand over fresh ones; a writable array given to a
-constructor is copied once (`bvh._frozen`).
+constructor is copied once (`bvh._frozen`). A clip also keeps the rows
+that the loss terms derive from its features, in its private
+`_derived_rows`, which a new clip starts without.
 """
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +180,16 @@ class EncodedClip:
         """(F, J, D) view of the per-joint blocks."""
         f = self.num_frames
         return self.features[:, 3:].reshape(f, self.joint_count, self.kind.block_dim)
+
+    @cached_property
+    def _derived_rows(self) -> dict:
+        """The rows that the loss terms derive from the features (unit
+        blocks, rotations in each space, positions, bones), each kept
+        read-only on first use. Filled only by `losses._kept`; a clip built
+        by `replace` (`standardize`, `destandardize`) or read from a
+        container starts empty. True while nobody else holds the features'
+        owner (`bvh._frozen`)."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,22 @@ gradient of their mean with respect to the predicted feature matrix. The
 The gradients are closed forms batched over frames, built from the
 forward pass's own intermediates, with no per-(frame, joint) Jacobian
 matrices. Forward passes and gradients work on the (C, J, F) rows of
-`kinematics`: each term copies the blocks it reads once, every product,
-normalization, distance and VJP after that is a whole-row operation, and
-its space changes are `kinematics.compose` and `relative`. Every Hamilton
-product runs through the one kernel `quat._products`: through
-`kinematics._mul_rows`, whose tables fold in the conjugates that the
-reverse sweeps multiply by, or on `_translation_vjp`'s table, which
-skips the zero real row of its pure left operand. The reverse sweeps
-live here (`_relative_vjp` is the one adjoint of `relative`); a parent
-scatter adds one child rank at a time, in `np.add.at`'s order.
+`kinematics`. The rows a term reads are derived once per clip and kept on
+it, read-only, in `EncodedClip._derived_rows`: a dualquat clip's blocks
+normalized once (`_unit_rows`, whose real part and norms the rotational
+terms read too), the rotation rows of the other kinds and their norms,
+the rotations in each space (one `kinematics.compose` or `relative`
+sweep), the positions and a dualquat prediction's bones. Only the
+builders decorated with `_kept` derive them, so a loss and its gradient
+on the same clips, or a truth clip scored again, reuse them; a build that
+raises keeps nothing. Every distance, product and VJP after that is a
+whole-row operation. Every Hamilton product runs through the one kernel
+`quat._products`: through `kinematics._mul_rows`, whose tables fold in
+the conjugates that the reverse sweeps multiply by, or on
+`_translation_vjp`'s table, which skips the zero real row of its pure
+left operand. The reverse sweeps live here (`_relative_vjp` is the one
+adjoint of `relative`); a parent scatter adds one child rank at a time,
+in `np.add.at`'s order.
 
 `grad_check` verifies the gradients against central finite differences
 in one pass: every term's values of a frame read only that frame's
@@ -36,6 +43,7 @@ the batched (F, J, .) forms they replaced, and the one-pass differences
 to the per-element loop they replaced.
 """
 
+import functools
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
@@ -148,16 +156,24 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values)) if values.size else 0.0
 
 
-def _in_space(clip: EncodedClip, rows: np.ndarray, space: str) -> np.ndarray:
-    """The (4, J, F) rows `rows` of `clip`'s normalized rotation blocks in
-    `space`: the blocks themselves, or one `compose` or `relative` sweep."""
-    # dual-quaternion real parts are current (root-relative) rotations,
-    # quaternion-valued blocks hold local ones
-    if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
-        return rows
-    if space == "local":
-        return relative(clip.skeleton.encoded_parents, rows)
-    return compose(clip.skeleton.encoded_levels, rows)
+def _kept(build):
+    """`build(clip, *args)` run once per clip and arguments: the rows it
+    derives from the clip's features are made read-only and kept in the
+    clip's memo, `EncodedClip._derived_rows`, which only this helper fills.
+    A build that raises keeps nothing, so the next call raises again."""
+
+    @functools.wraps(build)
+    def derived(clip: EncodedClip, *args):
+        memo = clip._derived_rows
+        key = (build.__name__,) + args
+        if key not in memo:
+            value = build(clip, *args)
+            for array in value if isinstance(value, tuple) else (value,):
+                _read_only(array)
+            memo[key] = value
+        return memo[key]
+
+    return derived
 
 
 class _UnitRows(NamedTuple):
@@ -170,12 +186,40 @@ class _UnitRows(NamedTuple):
     along: np.ndarray
 
 
+@_kept
 def _unit_rows(clip: EncodedClip) -> _UnitRows:
     raw = _to_rows(clip.joint_blocks())
     rows = np.empty(raw.shape)
     return _UnitRows(rows, *dualquat._normalize_rows(raw, rows))
 
 
+@_kept
+def _rotation_rows(clip: EncodedClip) -> tuple:
+    """(4, J, F) rows of the normalized rotation part at column 0 and
+    their (J, F) norms. A dualquat clip's are its unit rows' real part and
+    norms, which are `quat.normalize` and `quat.norm` bit for bit."""
+    if clip.kind is ReprKind.DUALQUAT:
+        unit = _unit_rows(clip)
+        return unit.rows[:4], unit.norm
+    blocks = clip.joint_blocks()[..., :4]
+    return _to_rows(quat.normalize(blocks)), quat.norm(blocks).T
+
+
+@_kept
+def _in_space(clip: EncodedClip, space: str) -> np.ndarray:
+    """The (4, J, F) `_rotation_rows` of `clip` in `space`: the rows
+    themselves, or one `compose` or `relative` sweep."""
+    rows = _rotation_rows(clip)[0]
+    # dual-quaternion real parts are current (root-relative) rotations,
+    # quaternion-valued blocks hold local ones
+    if (clip.kind is ReprKind.DUALQUAT) == (space == "current"):
+        return rows
+    if space == "local":
+        return relative(clip.skeleton.encoded_parents, rows)
+    return compose(clip.skeleton.encoded_levels, rows)
+
+
+@_kept
 def _position_rows(clip: EncodedClip) -> np.ndarray:
     """(3, J, F) rows of the per-joint positions read off the representation."""
     if clip.kind is ReprKind.DUALQUAT:
@@ -185,14 +229,21 @@ def _position_rows(clip: EncodedClip) -> np.ndarray:
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
 
 
+@_kept
+def _bone_rows(clip: EncodedClip) -> np.ndarray:
+    """(8, J, F) rows of each joint's transform relative to its parent's,
+    `relative` of a dualquat clip's unit rows; the root keeps its own."""
+    return relative(clip.skeleton.encoded_parents, _unit_rows(clip).rows)
+
+
 # ---------------------------------------------------------------------------
 # gradient building blocks
 # ---------------------------------------------------------------------------
 # Every gradient is a closed form on component-major (C, J, F) rows, one
-# row per block component, copied once from the blocks a term reads; no
-# arithmetic runs over a short component axis. A Jacobian-transpose
-# product M.T @ v becomes a Hamilton product on rows, using L(q).T = L(q*)
-# and R(q).T = R(q*) for the matrices of q x and x q. A parent scatter adds
+# row per block component, read from the clip's kept rows; no arithmetic
+# runs over a short component axis. A Jacobian-transpose product M.T @ v
+# becomes a Hamilton product on rows, using L(q).T = L(q*) and
+# R(q).T = R(q*) for the matrices of q x and x q. A parent scatter adds
 # the children's rows one child rank at a time
 # (`Skeleton._encoded_child_ranks`), in `np.add.at`'s order. The quaternion
 # kinds' current-space rotational gradient walks the skeleton's depth
@@ -302,10 +353,9 @@ def _rotational(space: str):
     """The term 1 - |<q, q~>| on unit rotations in `space`."""
 
     def evaluate(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
-        blocks = pred.joint_blocks()
-        rows = _to_rows(quat.normalize(blocks[..., :4]))
-        q_pred = _in_space(pred, rows, space)
-        q_truth = _in_space(truth, _to_rows(quat.normalize(truth.joint_blocks()[..., :4])), space)
+        rows, norm = _rotation_rows(pred)
+        q_pred = _in_space(pred, space)
+        q_truth = _in_space(truth, space)
         # (F, J, 4) values: einsum's sum order depends on the layout
         dots = quat.dot(_from_rows(q_pred), _from_rows(q_truth))
 
@@ -328,7 +378,6 @@ def _rotational(space: str):
                     to_parent = _mul_rows(children, np.take(rows, level, axis=1), conjugate="b")
                     bar[:, level] = _mul_rows(np.take(q_pred, parent_rows, axis=1), children, conjugate="a")
                     _add_to_parents(bar, groups, to_parent)
-            norm = quat.norm(blocks[..., :4]).T
             return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))
 
         return _Evaluation(1.0 - np.abs(dots), grad, unaligned=1.0 - dots)
@@ -337,16 +386,13 @@ def _rotational(space: str):
 
 
 def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
-    if pred.kind is ReprKind.DUALQUAT:
-        unit = _unit_rows(pred)
-        delta = dualquat._translation_rows(unit.rows) - _position_rows(truth)
-    else:
-        delta = _position_rows(pred) - _position_rows(truth)
+    delta = _position_rows(pred) - _position_rows(truth)
     dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:
         directions = _unit_directions(delta, dist)
         if pred.kind is ReprKind.DUALQUAT:  # chain through normalization and translation
+            unit = _unit_rows(pred)
             return _scatter(_dq_normalize_vjp(unit, _translation_vjp(unit.rows, directions)), pred)
         return _scatter(directions, pred, _POSITION_COLUMNS)
 
@@ -355,14 +401,14 @@ def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
 
 def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
     """Bone-offset violations, (F, J-1): no columns for a root-only skeleton."""
-    unit = _unit_rows(pred)
     # local = n_p* n for every non-root row n with parent n_p
-    local = relative(pred.skeleton.encoded_parents, unit.rows)[:, 1:]
+    local = _bone_rows(pred)[:, 1:]
     expected = skeleton.offsets[list(skeleton.encoded_indices[1:])].T[..., None]
     delta = dualquat._translation_rows(local) - expected
     dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:
+        unit = _unit_rows(pred)
         v = _translation_vjp(local, _unit_directions(delta, dist))
         bar = np.zeros(unit.rows.shape)
         _relative_vjp(bar, v, pred.skeleton, unit.rows)
@@ -440,7 +486,8 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, truth_ske
 
     The skeleton the offset term scores against is `truth_skeleton` when
     given, else truth's, else pred's. Unless it is pred's own, its topology
-    must match pred's, whatever the term.
+    must match pred's, whatever the term; so must a pair term's truth
+    clip's, whether `truth_skeleton` is given or not.
     """
     if name not in _TERMS:
         raise InvalidValueError(f"unknown loss {name!r}; expected one of {GRAD_LOSSES}")
@@ -448,9 +495,10 @@ def _evaluate(name: str, pred: EncodedClip, truth: EncodedClip | None, truth_ske
     if term.pair and truth is None:
         raise InvalidValueError(f"{name} loss compares pred with truth; truth is None")
     skeleton = truth_skeleton or (pred if truth is None else truth).skeleton
-    if skeleton is not pred.skeleton and not np.array_equal(
-            skeleton.encoded_parents, pred.skeleton.encoded_parents):
-        raise ShapeMismatchError("skeleton topology differs from the clip's")
+    for other in (skeleton, truth.skeleton) if term.pair else (skeleton,):
+        if other is not pred.skeleton and not np.array_equal(
+                other.encoded_parents, pred.skeleton.encoded_parents):
+            raise ShapeMismatchError("skeleton topology differs from the clip's")
     if term.pair and pred.kind is not truth.kind:
         raise ShapeMismatchError(f"kind mismatch: {pred.kind.value} vs {truth.kind.value}")
     if term.pair and (pred.width != truth.width or pred.num_frames != truth.num_frames):

@@ -9,7 +9,10 @@ numpy for the truth value of an array. The numpy floor in
 the Hamilton product has one table of terms, `quat._HAMILTON`: every
 other index or sign table of its terms is derived from it, none written
 by hand. It has one kernel too: only the table builders read
-`_HAMILTON`, and only `quat._products` accumulates terms."""
+`_HAMILTON`, and only `quat._products` accumulates terms. The loss terms
+derive a clip's rows once: in `losses`, only the builders of the clip's
+memo (the functions decorated with `_kept`) normalize blocks or take
+them relative to their parents."""
 
 import ast
 import re
@@ -344,3 +347,55 @@ def mul(a, b):
     tree = ast.parse(source)
     assert readers(tree, "quat.py", "_ACCUMULATE") == {("quat.py", "_products")}
     assert readers(tree, "quat.py", "_HAMILTON") == {("quat.py", None), ("quat.py", "_hamilton_row")}
+
+
+#: The derivations in `losses` that only the memo's builders may run.
+ROW_DERIVATIONS = ("normalize", "_normalize_rows", "relative")
+LOSSES = SOURCES / "losses.py"
+
+
+def memo_builders(tree: ast.AST, module: str) -> set:
+    """(module, function) of every module-level function decorated with
+    `_kept`, the helper that keeps what it builds in a clip's memo."""
+    return {(module, node.name) for node in getattr(tree, "body", [])
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id == "_kept" for d in node.decorator_list)}
+
+
+def stray_derivations(tree: ast.AST, module: str) -> set:
+    """(name, module, function) of every read of a ROW_DERIVATIONS name
+    outside the memo's builders."""
+    builders = memo_builders(tree, module)
+    return {(name,) + reader for name in ROW_DERIVATIONS
+            for reader in readers(tree, module, name) - builders}
+
+
+def test_only_the_memo_builders_derive_rows():
+    tree = ast.parse(LOSSES.read_text())
+    assert stray_derivations(tree, "losses.py") == set()
+    # and each derivation is still run, by a builder
+    assert all(readers(tree, "losses.py", name) for name in ROW_DERIVATIONS)
+
+
+def test_the_check_sees_a_second_reader():
+    source = """
+@_kept
+def _unit_rows(clip):
+    return dualquat._normalize_rows(clip.rows, out)
+
+@_kept
+def _bone_rows(clip):
+    return relative(clip.parents, _unit_rows(clip).rows)
+
+@functools.cache
+def _cached(clip):
+    return quat.normalize(clip.rows)
+
+def _offset(pred, truth, skeleton):
+    local = relative(pred.parents, _unit_rows(pred).rows)
+    return local
+"""
+    tree = ast.parse(source)
+    assert memo_builders(tree, "losses.py") == {("losses.py", "_unit_rows"), ("losses.py", "_bone_rows")}
+    assert stray_derivations(tree, "losses.py") == {
+        ("normalize", "losses.py", "_cached"), ("relative", "losses.py", "_offset")}

@@ -292,21 +292,45 @@ class TestDualquatChecks:
         "overflowing real part": (slice(0, 4), 1e200, NonFiniteError),
     }
 
-    @pytest.mark.parametrize("name", ("positional", "offset"))
-    @pytest.mark.parametrize("block", BLOCKS, ids=str)
-    def test_bad_block_raises(self, rng, name, block):
-        columns, value, error = self.BLOCKS[block]
+    @staticmethod
+    def bad_pair(rng, block):
+        """A clean dualquat clip and a copy with one bad block."""
+        columns, value, _ = TestDualquatChecks.BLOCKS[block]
         skeleton = oracles.random_skeleton(rng, 5)
         clip = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT)
         blocks = clip.joint_blocks().copy()
         blocks[1, 2, columns] = value
         features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
-        bad = clip_from_features(ReprKind.DUALQUAT, skeleton, features)
+        return clip_from_features(ReprKind.DUALQUAT, skeleton, features), clip
+
+    @pytest.mark.parametrize("name", ("positional", "offset"))
+    @pytest.mark.parametrize("block", BLOCKS, ids=str)
+    def test_bad_block_raises(self, rng, name, block):
+        error = self.BLOCKS[block][2]
+        bad, clip = self.bad_pair(rng, block)
         with pytest.raises(error):
-            losses._loss_value(name, bad, clip, skeleton)
+            losses._loss_value(name, bad, clip, clip.skeleton)
         if name == "positional":
             with pytest.raises(error):
                 loss_positional(clip, bad)
+
+    @pytest.mark.parametrize("name", ("rotational_local", "rotational_current"))
+    @pytest.mark.parametrize("block", BLOCKS, ids=str)
+    def test_rotational_terms_read_the_normalized_blocks(self, rng, name, block):
+        """The rotational terms read the real part of the blocks that
+        `dualquat.normalize` makes, so its norm floor and its message hold,
+        as pred and as truth. They read no translation: a huge dual part
+        passes."""
+        error = self.BLOCKS[block][2]
+        bad, clip = self.bad_pair(rng, block)
+        for pred, truth in ((bad, clip), (clip, bad)):
+            if error is NotUnitError:
+                assert np.isfinite(losses._loss_value(name, pred, truth))
+                continue
+            with pytest.raises(error) as raised:
+                losses._loss_value(name, pred, truth)
+            if error is DegenerateNormError:
+                assert str(raised.value).startswith("dual-quaternion real part has norm")
 
 
 class TestSingleJointOffset:
@@ -619,24 +643,39 @@ class TestGradientInputChecks:
         with pytest.raises(ShapeMismatchError):
             _analytic_gradient(name, q, q, skeleton)
 
+    @staticmethod
+    def three_joint_clip(parents, kind=ReprKind.DUALQUAT):
+        """A root and two joints under `parents`, at rest, encoded as `kind`."""
+        channels = ("Zrotation", "Yrotation", "Xrotation")
+        joints = [JointSpec("root", None, np.zeros(3), ("Xposition", "Yposition", "Zposition") + channels)]
+        joints += [JointSpec(f"j{i}", p, np.array([0.0, 1.0, 0.0]), channels)
+                   for i, p in enumerate(parents, 1)]
+        rotations = np.zeros((4, 3, 4))
+        rotations[..., 0] = 1.0
+        return encode(LocalPose(Skeleton(joints), np.zeros((4, 3)), rotations), kind)
+
     def test_every_entry_point_checks_the_truth_topology(self):
         """A 3-joint chain against a 3-joint star: one width, two
         topologies. `_evaluate` resolves the skeleton for every term."""
-        channels = ("Zrotation", "Yrotation", "Xrotation")
-
-        def clip(parents):
-            joints = [JointSpec("root", None, np.zeros(3), ("Xposition", "Yposition", "Zposition") + channels)]
-            joints += [JointSpec(f"j{i}", p, np.array([0.0, 1.0, 0.0]), channels)
-                       for i, p in enumerate(parents, 1)]
-            rotations = np.zeros((4, 3, 4))
-            rotations[..., 0] = 1.0
-            return encode(LocalPose(Skeleton(joints), np.zeros((4, 3)), rotations), ReprKind.DUALQUAT)
-
-        chain, star = clip([0, 1]), clip([0, 0])
+        chain, star = self.three_joint_clip([0, 1]), self.three_joint_clip([0, 0])
         assert chain.width == star.width
         for call in (loss_mse, loss_positional, loss_total, lambda a, b: grad_check("mse", a, b)):
             with pytest.raises(ShapeMismatchError, match="topology"):
                 call(chain, star)
+
+    @pytest.mark.parametrize("kind", (ReprKind.DUALQUAT, ReprKind.QUATERNIONS), ids=lambda k: k.value)
+    def test_truth_skeleton_does_not_skip_the_truth_topology(self, kind):
+        """Pred's own skeleton as `truth_skeleton` leaves the truth clip's
+        topology to check: a pair term still refuses the star."""
+        chain, star = self.three_joint_clip([0, 1], kind), self.three_joint_clip([0, 0], kind)
+        for name in ("mse", "rotational_local", "rotational_current"):
+            with pytest.raises(ShapeMismatchError, match="topology"):
+                grad_check(name, chain, star, truth_skeleton=chain.skeleton)
+        for space in ("local", "current"):
+            with pytest.raises(ShapeMismatchError, match="topology"):
+                loss_total(chain, star, rotation_space=space, truth_skeleton=chain.skeleton)
+        # a truth of pred's own topology still scores
+        assert loss_total(chain, chain, truth_skeleton=chain.skeleton).mse == 0.0
 
     def test_frame_counts_differ(self, rng):
         skeleton = oracles.random_skeleton(rng, 4)
