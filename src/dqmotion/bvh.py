@@ -11,22 +11,22 @@ is canonical: LF newlines, two-space indentation, six decimal places.
 
 Every value the package passes is immutable: a frozen dataclass whose
 arrays are read-only, so each constructor's checks are the only validation
-any layer needs. Here that is `JointSpec`, `Skeleton`, `ChannelTable` and
-`MotionClip`. One rule, `_frozen`, stores every such array: a read-only
-array whose bases are read-only down to their owner is kept, anything else
-copied once. That holds while nobody else has the owner, who could make it
+any layer needs. Here that is `JointSpec`, `Skeleton`, `ChannelTable`,
+`RotationPlan` and `MotionClip`. One rule, `_frozen`, stores every such
+array: a read-only array whose bases are read-only down to their owner is
+kept, anything else copied once. That holds while nobody else has the owner, who could make it
 writable again; the layers hand over fresh owners, so they never copy.
 
 A `Skeleton` equals another with the same joints and offsets. It owns
 the topology every layer walks (parents, offsets, encoded joints, depth
 levels) and its canonical JSON block, which the .dqm container stores and
 hashes; each view is built once and read-only. Its channel table says
-where each joint's channels sit in a frame row: per Euler order, the
-joints and their (x, y, z) rotation columns; the root's position
-columns; and every column in the depth-first order the writer lists
-joints in, whatever order the skeleton lists them in. The clip
-conversions in `kinematics` and the writer read it, so neither loops
-over joints.
+where each joint's channels sit in a frame row: one rotation plan, every
+rotating joint's columns in composition order with their axes and the
+parity of its Euler order; the root's position columns; and every column
+in the depth-first order the writer lists joints in, whatever order the
+skeleton lists them in. The clip conversions in `kinematics` and the
+writer read it, so neither loops over joints or Euler orders.
 
 The writer prints each motion value as `%.6f` does, byte for byte, but in
 fixed point: a block of rows at a time, |v|·1e6 is rounded to an integer
@@ -68,6 +68,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import quat
 from .errors import (
     BadRateError,
     BvhSyntaxError,
@@ -152,19 +153,33 @@ class JointSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class RotationPlan(quat.EulerPlan):
+    """Every joint's rotation channels as one plan of the Euler kernels of
+    `quat`, whatever mix of orders the joints use.
+
+    `joints` lists the n joints that have rotation channels, in skeleton
+    order, and `columns` (n, 3) each one's rotation columns in composition
+    order; `axes` (n, 3) holds the axis each of those columns turns about
+    (0 x, 1 y, 2 z), and `parity` (n,) is 1.0 where the joint's order is
+    cyclic and -1.0 where it is not (`quat.EulerPlan`).
+    """
+
+    joints: np.ndarray
+    columns: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelTable:
     """Where each joint's channels sit in a frame row.
 
-    `rotations` holds one (order, joints, columns) entry per Euler order
-    present: the joints that rotate in that order and, per joint, the
-    columns of its x, y and z rotation channels, shape (n, 3).
+    `rotations` is the `RotationPlan` of the joints' rotation channels.
     `position_axes` and `position_columns` pair each root position channel
     with its axis. `depth_first` lists (joint, depth) in the order BVH text
     lists joints, siblings in index order, and `depth_first_columns` every
     channel column in that order.
     """
 
-    rotations: tuple
+    rotations: RotationPlan
     position_axes: np.ndarray
     position_columns: np.ndarray
     depth_first: tuple
@@ -173,15 +188,17 @@ class ChannelTable:
 
 def _channel_table(joints: tuple) -> ChannelTable:
     starts = np.cumsum([0] + [len(j.channels) for j in joints]).tolist()
-    groups = {}
+    rows, columns, axes, parity = [], [], [], []
     for index, joint in enumerate(joints):
-        # axis -> column of its rotation channel, in channel order
-        axes = {tag[0]: column for column, tag in enumerate(joint.channels, starts[index])
-                if tag in ROTATION_CHANNELS}
-        if axes:
-            rows, columns = groups.setdefault("".join(axes), ([], []))
+        # axis -> column of its rotation channel, in composition order
+        by_axis = {tag[0]: column for column, tag in enumerate(joint.channels, starts[index])
+                   if tag in ROTATION_CHANNELS}
+        if by_axis:
+            order_axes, order_parity = quat._order_axes("".join(by_axis))
             rows.append(index)
-            columns += [axes["X"], axes["Y"], axes["Z"]]
+            columns += by_axis.values()
+            axes += order_axes
+            parity.append(order_parity)
     positions = [(i, tag) for i, tag in enumerate(joints[0].channels) if tag in POSITION_CHANNELS]
 
     children = [[] for _ in joints]
@@ -197,8 +214,8 @@ def _channel_table(joints: tuple) -> ChannelTable:
         return _read_only(np.array(values, dtype=np.intp).reshape(shape))
 
     return ChannelTable(
-        rotations=tuple((order, array(rows), array(columns, (-1, 3)))
-                        for order, (rows, columns) in groups.items()),
+        rotations=RotationPlan(axes=array(axes, (-1, 3)), parity=_read_only(np.array(parity)),
+                               joints=array(rows), columns=array(columns, (-1, 3))),
         position_axes=array(["XYZ".index(tag[0]) for _, tag in positions]),
         position_columns=array([i for i, _ in positions]),
         depth_first=tuple(depth_first),

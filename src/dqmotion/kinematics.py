@@ -26,9 +26,10 @@ gather and one product whose term table conjugates the parents.
 transform, its translation the joint offset as encoded.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
-skeleton's channel table: per Euler order present, one gather of the
-joints' rotation columns and one `from_euler` or `to_euler` call, each
-computing only the terms and entries it reads.
+skeleton's rotation plan (`ChannelTable.rotations`): one gather of every
+rotating joint's columns in composition order, and one call of the
+Euler kernel (`quat._from_euler` or `quat._to_euler`) with the joints'
+axes and parities as data, whatever mix of orders they use.
 
 Root translation never enters either chain; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
@@ -209,12 +210,14 @@ def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
 
 def clip_to_local(clip: MotionClip) -> LocalPose:
     """Expand a raw clip into one frame-batched LocalPose (radians,
-    quaternions): one gather and one `from_euler` call per Euler order."""
+    quaternions): one gather of the rotation columns and one call of the
+    Euler kernel, for every joint whatever its order."""
     skeleton, table = clip.skeleton, clip.skeleton.channel_table
+    plan = table.rotations
     rotations = np.zeros((clip.num_frames, skeleton.num_joints, 4))
     rotations[..., 0] = 1.0
-    for order, joints, columns in table.rotations:
-        rotations[:, joints] = quat.from_euler(np.radians(clip.frames[:, columns]), order)
+    angles = clip.frames[:, plan.columns.T].swapaxes(0, 1)
+    quat._from_euler(np.radians(angles, out=angles), plan, rotations, plan.joints)
     root_translation = np.zeros((clip.num_frames, 3))
     root_translation[:, table.position_axes] = clip.frames[:, table.position_columns]
     return LocalPose(skeleton, _read_only(root_translation), _read_only(rotations))
@@ -222,12 +225,15 @@ def clip_to_local(clip: MotionClip) -> LocalPose:
 
 def local_to_clip(pose: LocalPose, template: Skeleton, frame_time: float) -> MotionClip:
     """Flatten a batched LocalPose back into a raw channel matrix
-    (degrees): one `to_euler` call and one scatter per Euler order."""
+    (degrees): one call of the Euler kernel and one scatter, for every
+    joint whatever its order."""
     if pose.skeleton != template:
         raise ShapeMismatchError("pose skeleton does not match the template")
     table = template.channel_table
+    plan = table.rotations
     frames = np.zeros((len(pose), template.channel_count))
     frames[:, table.position_columns] = pose.root_translation[:, table.position_axes]
-    for order, joints, columns in table.rotations:
-        frames[:, columns] = np.degrees(quat.to_euler(pose.joint_rotations[:, joints], order))
+    rotations = quat.normalize(pose.joint_rotations[:, plan.joints])
+    euler = quat._to_euler(rotations, plan)
+    frames[:, plan.columns.T] = np.degrees(euler, out=euler).swapaxes(0, 1)
     return MotionClip(skeleton=template, frame_time=frame_time, frames=_read_only(frames))

@@ -229,11 +229,20 @@ def _position_rows(clip: EncodedClip) -> np.ndarray:
     raise NoPositionsError(f"kind {clip.kind.value} carries no positions")
 
 
+class _Bones(NamedTuple):
+    """Each non-root joint's transform relative to its parent's, as
+    (8, J-1, F) rows, and their (3, J-1, F) translations."""
+
+    rows: np.ndarray
+    translations: np.ndarray
+
+
 @_kept
-def _bone_rows(clip: EncodedClip) -> np.ndarray:
-    """(8, J, F) rows of each joint's transform relative to its parent's,
-    `relative` of a dualquat clip's unit rows; the root keeps its own."""
-    return relative(clip.skeleton.encoded_parents, _unit_rows(clip).rows)
+def _bone_rows(clip: EncodedClip) -> _Bones:
+    """The bones of a dualquat clip: `relative` of its unit rows without
+    the root, and their translations (with their unit check)."""
+    rows = relative(clip.skeleton.encoded_parents, _unit_rows(clip).rows)[:, 1:]
+    return _Bones(rows, dualquat._translation_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +411,9 @@ def _positional(pred: EncodedClip, truth: EncodedClip, skeleton) -> _Evaluation:
 def _offset(pred: EncodedClip, truth, skeleton: Skeleton) -> _Evaluation:
     """Bone-offset violations, (F, J-1): no columns for a root-only skeleton."""
     # local = n_p* n for every non-root row n with parent n_p
-    local = _bone_rows(pred)[:, 1:]
+    local, translations = _bone_rows(pred)
     expected = skeleton.offsets[list(skeleton.encoded_indices[1:])].T[..., None]
-    delta = dualquat._translation_rows(local) - expected
+    delta = translations - expected
     dist = quat._row_norm(delta)
 
     def grad() -> np.ndarray:

@@ -31,16 +31,29 @@ operand's conjugate into its signs). A product whose terms fit in
 larger one runs sum by sum. `norm` is `_row_norm` on the component
 view, and `_lengths` the same row sum without its overflow check, for
 the metrics.
-`from_euler` is two such products on (2, N) rows of the cosines and
-sines of the half angles, which store only the two nonzero components of
-each axis quaternion: 12 of the 32 terms run. The few rows where a
-skipped zero term could set a sign of zero go through the full product,
-`_euler_product`, again. `to_euler` works the same way on the rotation
-matrix: it computes only the five entries it reads (`_rotmat.entry`,
-each in the terms and order of the whole-matrix formula), builds whole
-matrices only for the rows in the gimbal-lock band, and writes a fresh
-C-contiguous result.
+
+The Euler conversions take the order as data. An `EulerPlan` gives each
+column of angles the axes (i, j, k) it turns about, in composition
+order, and a parity, 1.0 for a cyclic order and -1.0 for the others, so
+one call of a kernel, `_from_euler` or `_to_euler`, converts columns of
+any mix of orders: `kinematics` converts a whole clip with one call each
+way, and `from_euler` and `to_euler` are the kernels on a one-column
+plan. `_from_euler` is two such products on rows of the cosines and sines
+of the half angles, which store only the two nonzero components of each
+axis quaternion: 12 of the 32 terms run. It uses the tables of "XYZ",
+which on the slots (w, v_i, v_j, v_k) of the composition axes hold for
+every cyclic order; an order that is not cyclic runs them on a negated
+middle sine and negates slot j. The few rows where a skipped zero term
+could set a sign of zero go through the full product, `_euler_product`,
+again. `_to_euler` works the same way on the rotation matrix: it computes
+only the five entries it reads (`_rotmat.euler_entries`, each with the
+bits of `_rotmat.entry`), builds whole matrices only for the rows in the
+gimbal-lock band, and `to_euler` writes a fresh C-contiguous result.
 """
+
+import functools
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +119,7 @@ def _product_terms(sums: list, width: int = 4, a_parts=range(4), b_parts=range(4
     Term n of sum s, the n-th it keeps in `_HAMILTON`'s order, sits at
     n * len(sums) + s: its row of [a; -a], for an a of `width` rows, where
     its sign picks -a, and its row of b. Returns the rows of [a; -a], the
-    rows of b and the number of sums.
+    rows of b, the number of sums and whether any term reads -a.
     """
     kept = [[(sign, i, j) for sign, i, j in _HAMILTON[k] if a_parts[i] is not None and b_parts[j] is not None]
             for k, _, _ in sums]
@@ -117,34 +130,42 @@ def _product_terms(sums: list, width: int = 4, a_parts=range(4), b_parts=range(4
             negated = (sign < 0) ^ (conjugate == "a" and i > 0) ^ (conjugate == "b" and j > 0)
             signed_rows.append(a_row + a_parts[i] + width * negated)
             b_rows.append(b_row + b_parts[j])
-    return np.array(signed_rows), np.array(b_rows), len(sums)
+    return np.array(signed_rows), np.array(b_rows), len(sums), max(signed_rows) >= width
 
 
-def _products(table: tuple, a: np.ndarray, b: np.ndarray, *out: np.ndarray) -> None:
+def _products(table: tuple, a: np.ndarray, b: np.ndarray, *out: np.ndarray) -> np.ndarray | None:
     """The sums of the term `table` (`_product_terms`) on component rows a
     and b, sum s into row s of the blocks `out` taken in order, which must
-    not overlap an operand. Each sum adds its terms in `_HAMILTON`'s
-    order: the per-component formula's bits.
+    not overlap an operand, or into new rows that are returned when no
+    block is given. Each sum adds its terms in `_HAMILTON`'s order: the
+    per-component formula's bits.
 
     Up to `_STACK_VALUES` values of terms, every term comes from one
-    gather of [a; -a], one of b and one multiply; the sums add whole
-    blocks of terms in place and are copied into `out`. Above it each sum
-    runs on its own output row, its first term negated in place where its
-    sign says so and each later one added or subtracted (`_ACCUMULATE`).
+    gather of [a; -a] (of a alone when no term is negated), one of b and
+    one multiply; the sums add whole blocks of terms in place and are
+    copied into `out`. Above it each sum runs on its own output row, its
+    first term negated in place where its sign says so and each later one
+    added or subtracted (`_ACCUMULATE`).
     """
-    signed_rows, b_rows, count = table
+    signed_rows, b_rows, count, negated = table
     if len(signed_rows) * a[0].size <= _STACK_VALUES:
-        terms = np.take(np.concatenate((a, np.negative(a))), signed_rows, axis=0)
-        terms *= np.take(b, b_rows, axis=0)
+        signed = np.concatenate((a, np.negative(a))) if negated else a
+        # the `take` methods: `np.take`'s dispatch costs more than a small take
+        terms = signed.take(signed_rows, axis=0)
+        terms *= b.take(b_rows, axis=0)
         terms = terms.reshape((len(signed_rows) // count, count) + terms.shape[1:])
         total = terms[0]
         for term in terms[1:]:
             total += term
+        if not out:
+            return total
         first = 0
         for block in out:
             block[...] = total[first:first + len(block)]
             first += len(block)
-        return
+        return None
+    fresh = () if out else (np.empty((count,) + a.shape[1:]),)
+    out = out or fresh
     signed_rows, b_rows = signed_rows.tolist(), b_rows.tolist()
     tmp = np.empty(a.shape[1:])
     for s, row in enumerate(row for block in out for row in block):
@@ -156,6 +177,7 @@ def _products(table: tuple, a: np.ndarray, b: np.ndarray, *out: np.ndarray) -> N
             negated, i = divmod(signed_rows[n], len(a))
             np.multiply(a[i], b[b_rows[n]], out=tmp)
             _ACCUMULATE[negated](row, tmp, out=row)
+    return fresh[0] if fresh else None
 
 
 #: The four sums of one quaternion product on rows 0..3 of each operand.
@@ -252,76 +274,191 @@ def _check_order(order: str) -> str:
     return order
 
 
-def _axis_quat(axis: int, angle: np.ndarray) -> np.ndarray:
-    """cos(angle/2) + sin(angle/2) * axis unit vector."""
-    angle = np.asarray(angle, dtype=float)
-    q = np.zeros(angle.shape + (4,))
-    q[..., 0] = np.cos(angle / 2.0)
-    q[..., 1 + axis] = np.sin(angle / 2.0)
+def _order_axes(order: str) -> tuple:
+    """The axes (i, j, k) of `order`'s rotations in composition order (0 x,
+    1 y, 2 z), and its parity: 1.0 if they are cyclic, -1.0 if not."""
+    axes = tuple(_rotmat.AXES.index(c) for c in _check_order(order))
+    return axes, 1.0 if axes in _CYCLIC else -1.0
+
+
+def _fixed(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class EulerPlan:
+    """Euler orders as data, the one input of the Euler kernels
+    (`_from_euler`, `_to_euler`): column c of n turns about the axes
+    axes[c] = (i, j, k) in composition order (0 x, 1 y, 2 z), and parity[c]
+    is 1.0 where they are cyclic (XYZ, YZX, ZXY) and -1.0 where not. The
+    arrays are read-only, and so is `slot_components`, derived from them.
+    """
+
+    axes: np.ndarray  # (n, 3)
+    parity: np.ndarray  # (n,)
+
+    @cached_property
+    def slot_components(self) -> np.ndarray:
+        """(n, 4): the component, of (w, x, y, z), of each column's slots
+        (w, v_i, v_j, v_k): 0 and 1 + its axes."""
+        components = np.zeros((len(self.axes), 4), dtype=np.intp)
+        np.add(self.axes, 1, out=components[:, 1:])
+        return _fixed(components)
+
+
+@functools.lru_cache(maxsize=4 * len(_VALID_ORDERS))
+def _one_order(order: str) -> EulerPlan:
+    """`order` as a one-column plan of the Euler kernels."""
+    axes, parity = _order_axes(order)
+    return EulerPlan(_fixed(np.array([axes], dtype=np.intp)), _fixed(np.array([parity])))
+
+
+def _axis_quat(axis: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """cos(half) + sin(half) * the unit vector of each half angle's axis."""
+    q = np.zeros(half.shape + (4,))
+    q[..., 0] = np.cos(half)
+    np.put_along_axis(q, 1 + axis[..., None], np.sin(half)[..., None], axis=-1)
     return q
 
 
-def _euler_product(angles: np.ndarray, axes: list) -> np.ndarray:
-    """`from_euler` as the ordered `mul` of the three axis quaternions,
-    every zero term included."""
-    q = _axis_quat(axes[0], angles[..., axes[0]])
-    for axis in axes[1:]:
-        q = mul(q, _axis_quat(axis, angles[..., axis]))
+def _euler_product(half: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """`_from_euler` as the ordered `mul` of the three axis quaternions,
+    every zero term included, for (L, 3) half angles in composition order
+    about the (L, 3) axes."""
+    q = _axis_quat(axes[:, 0], half[:, 0])
+    for position in range(1, 3):
+        q = mul(q, _axis_quat(axes[:, position], half[:, position]))
     return q
 
 
-def _euler_tables(order: str) -> tuple:
-    """The term tables of `from_euler` for `order`: A0 * A1, and P * A2
-    for P = A0 * A1, where the axis quaternion Ap at position p of the
-    composition order is held as (2, ...) rows of the cosine and sine of
-    its half angle, its other two components zero."""
+def _euler_tables() -> tuple:
+    """The term tables of the Euler kernel: A0 * A1, and P * A2 for
+    P = A0 * A1, where the axis quaternion Ap turns about axis p (the
+    order "XYZ") and is held as (2, ...) rows of the cosine and sine of
+    its half angle, its other two components zero. On the slots (w, v_i,
+    v_j, v_k) of the composition axes they are every cyclic order's
+    tables, since the Hamilton product keeps its form when the axes turn
+    cyclically."""
     parts = []
-    for axis in order:
+    for axis in range(3):
         part = [0, None, None, None]
-        part[1 + _rotmat.AXES.index(axis)] = 1
+        part[1 + axis] = 1
         parts.append(part)
     return (_product_terms(_QUAT_SUMS, 2, parts[0], parts[1]),
             _product_terms(_QUAT_SUMS, b_parts=parts[2]))
 
 
-_EULER_TABLES = {order: _euler_tables(order) for order in _VALID_ORDERS}
+_EULER_TERMS = _euler_tables()
+
+
+def _from_euler(angles, plan: EulerPlan, out: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """Unit quaternions of Euler angles given as three (..., n) arrays in
+    composition order, column c turning as column c of `plan`: the Euler
+    kernel of `from_euler` and `kinematics.clip_to_local`, one call for
+    every column of every order. Column c goes to out[..., rows[c], :] of
+    a (..., J, 4) `out`, which is returned; without `out`, a one-column
+    plan on (M,) angles fills a new (M, 4) array.
+
+    The half angles' cosines and sines go through the two products of
+    `_EULER_TERMS` into the slots (w, v_i, v_j, v_k) of each column, which
+    one scatter (`plan.slot_components`) puts in the components (w, x, y,
+    z); without `out` they are written straight into the components. A
+    column whose order is not cyclic turns about j the other way in a
+    frame whose j axis is flipped, where its axes are cyclic: it runs the
+    cyclic tables on a negated middle sine and negates slot j of the
+    result. Each component of P * A2 sums at most two live terms, a sum of
+    two terms does not depend on their order, and a sign flip is exact,
+    so every quaternion with no zero or NaN component has the bits of
+    `_euler_product`; the ones with one, where a skipped zero term can set
+    the sign of a zero, go through `_euler_product` again.
+    """
+    shape = angles[0].shape
+    trig = np.empty((2, 3) + shape)
+    for position in range(3):
+        np.multiply(angles[position], 0.5, out=trig[1, position])  # the bits of angle / 2
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
+    trig[1, 1] *= plan.parity
+    pair_table, table = _EULER_TERMS
+    pair = _products(pair_table, trig[:, 0], trig[:, 1])
+    if out is None:
+        out = np.empty(shape + (4,))
+        components = out.T
+        slots = [components[c:c + 1] for c in plan.slot_components[0].tolist()]
+        _products(table, pair, trig[:, 2], *slots)
+        slots[2] *= plan.parity
+        values = components
+    else:
+        values = _products(table, pair, trig[:, 2])
+        values[2] *= plan.parity
+        out[..., rows[:, None], plan.slot_components] = np.moveaxis(values, 0, -1)
+    magnitudes = np.abs(values, out=pair)
+    if not np.minimum.reduce(magnitudes, axis=None, initial=np.inf) > 0.0:  # a zero or NaN component
+        redo = np.nonzero(~(magnitudes > 0.0).all(axis=0))
+        half = np.multiply(angles, 0.5)[(slice(None),) + redo].T
+        axes = np.broadcast_to(plan.axes, shape + (3,))[redo]
+        if rows is None:
+            out[redo] = _euler_product(half, axes)
+        else:
+            out[redo[:-1] + (rows[redo[-1]],)] = _euler_product(half, axes)
+    return out
 
 
 def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     """Unit quaternion of (alpha, beta, gamma) about x, y, z under `order`.
 
     `angles` has shape (..., 3); the result the ordered product of the
-    three axis quaternions, e.g. q_z * q_y * q_x for "ZYX", with the bits
-    of `_euler_product`. Only the terms that read no zero component run
-    (`_euler_tables`): adding a zero term changes no sum that is neither
-    zero nor NaN, so the rows with such a component, where a skipped term
-    can set the sign of zero, go through `_euler_product` again.
+    three axis quaternions, e.g. q_z * q_y * q_x for "ZYX": the Euler
+    kernel `_from_euler` on a one-column plan.
     """
-    order = _check_order(order)
+    plan = _one_order(order)
     angles = np.asarray(angles, dtype=float)
-    axes = [_rotmat.AXES.index(c) for c in order]
-    half = np.empty((3,) + angles.shape[:-1])  # in composition order
-    for position, axis in enumerate(axes):
-        np.divide(angles[..., axis], 2.0, out=half[position, ...])
-    rows = np.empty((2,) + half.shape)
-    np.cos(half, out=rows[0])
-    np.sin(half, out=rows[1])
-    rows = rows.reshape(2, 3, -1)
-    pair_table, table = _EULER_TABLES[order]
-    pair = np.empty((4, rows.shape[-1]))
-    _products(pair_table, rows[:, 0], rows[:, 1], pair)
-    q = np.empty(angles.shape[:-1] + (4,))
-    _products(table, pair, rows[:, 2], q.reshape(-1, 4).T)
-    live = np.abs(q) > 0.0  # neither zero nor NaN
-    if not live.all():
-        redo = ~live.all(axis=-1)
-        q[redo] = _euler_product(angles[redo], axes)
-    return q
+    rows = angles.reshape(-1, 3)
+    return _from_euler([rows[:, axis] for axis in plan.axes[0].tolist()], plan).reshape(angles.shape[:-1] + (4,))
+
+
+def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
+    """Euler angles of unit quaternions (..., n, 4), column c turning as
+    column c of `plan`: the Euler kernel of `to_euler` and
+    `kinematics.local_to_clip`, one call for every column of every order.
+    The angles go into the three (..., n) targets `euler`, in composition
+    order, or a new (3, ..., n) array, which is returned. One gather
+    (`plan.slot_components`) takes each column's slots for the five matrix
+    entries it reads (`_rotmat.euler_entries`), and only the rows in the
+    gimbal-lock band build whole matrices.
+    """
+    if len(plan.axes) == 1:  # its slots are views of its components
+        slots = [q[..., c] for c in plan.slot_components[0].tolist()]
+    else:
+        slots = np.moveaxis(q[..., np.arange(len(plan.axes))[:, None], plan.slot_components], -1, 0)
+    entries = _rotmat.euler_entries(slots, plan.parity)
+    s = plan.parity * next(entries)
+    euler = np.empty((3,) + s.shape) if euler is None else euler
+    negated = -plan.parity
+    np.arcsin(np.clip(s, -1.0, 1.0), out=euler[1])
+    np.arctan2(negated * next(entries), next(entries), out=euler[0])
+    np.arctan2(negated * next(entries), next(entries), out=euler[2])
+
+    lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
+    if lock.any():
+        mid = np.copysign(np.pi / 2.0, s[lock])
+        _, j, k = np.broadcast_to(plan.axes, lock.shape + (3,))[lock].T
+        # With the first angle pinned to zero the residual is a pure
+        # rotation about the last axis; only these rows build whole matrices.
+        m = _rotmat.quat_to_matrix(q[lock])
+        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m
+        u, v, rows = (k + 1) % 3, (k + 2) % 3, np.arange(len(mid))
+        euler[0][lock] = 0.0
+        euler[1][lock] = mid
+        euler[2][lock] = np.arctan2(residual[rows, v, u], residual[rows, u, u])
+    return euler
 
 
 def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     """Recover (..., 3) angles (alpha, beta, gamma) such that from_euler
-    reproduces +-q, for quaternions of shape (..., 4).
+    reproduces +-q, for quaternions of shape (..., 4): the Euler kernel
+    `_to_euler` on a one-column plan, into a fresh C-contiguous result.
 
     The extraction uses the two-argument arctangent, so the full rotation
     range survives. Near the arcsin pole (argument within LOCK_TOLERANCE
@@ -329,28 +466,8 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     composition order is set to zero and the remainder is folded into the
     last one, which keeps the round trip well defined at the pole itself.
     """
-    order = _check_order(order)
+    plan = _one_order(order)
     q = normalize(q)
-    entry = _rotmat.entry
-
-    i, j, k = (_rotmat.AXES.index(c) for c in order)
-    sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
-    s = sign * entry(q, i, k)
-
-    out = np.empty(s.shape + (3,))
-    out[..., j] = np.arcsin(np.clip(s, -1.0, 1.0))
-    out[..., i] = np.arctan2(-sign * entry(q, j, k), entry(q, k, k))
-    out[..., k] = np.arctan2(-sign * entry(q, i, j), entry(q, i, i))
-
-    lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
-    if np.any(lock):
-        mid = np.copysign(np.pi / 2.0, s[lock])
-        # With the first angle pinned to zero the residual is a pure
-        # rotation about the last axis; only these rows build whole matrices.
-        m = _rotmat.quat_to_matrix(q[lock])
-        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m
-        u, v = (k + 1) % 3, (k + 2) % 3
-        out[lock, i] = 0.0
-        out[lock, j] = mid
-        out[lock, k] = np.arctan2(residual[:, v, u], residual[:, u, u])
-    return out
+    out = np.empty((q.size // 4, 3))
+    _to_euler(q.reshape(-1, 4), plan, [out[:, axis] for axis in plan.axes[0].tolist()])
+    return out.reshape(q.shape[:-1] + (3,))

@@ -19,8 +19,8 @@ would print as 0.000000 is written as its `repr`.
 
 The skeleton checks are kept the same way: `validate_skeleton` is the
 per-joint loop of `Skeleton.__post_init__` with each offset's finiteness
-and each rotation count taken inside the loop, and `rotation_groups` the
-rotation entries of the channel table with each joint's columns found by
+and each rotation count taken inside the loop, and `rotation_plan` the
+rotation plan of the channel table with each joint's columns found by
 `channels.index`.
 """
 
@@ -185,16 +185,23 @@ def validate_skeleton(joints) -> None:
             with_end_site.add(joint.parent)
 
 
-def rotation_groups(joints) -> list:
-    """(order, joints, columns) per Euler order, as `ChannelTable.rotations`
-    holds them: each joint's order read from `rotation_order`, and its x,
-    y and z columns found with `channels.index`."""
+#: The Euler orders whose axes follow one another cyclically.
+CYCLIC_ORDERS = ("XYZ", "YZX", "ZXY")
+
+
+def rotation_plan(joints) -> tuple:
+    """(joints, columns, axes, parity), as `ChannelTable.rotations` holds
+    them: each joint's order read from `rotation_order`, its columns in
+    that order found with `channels.index`, each column's axis the index
+    of its letter in "XYZ", and the parity 1.0 for a cyclic order."""
     starts = np.cumsum([0] + [len(j.channels) for j in joints])
-    groups = {}
+    rows, columns, axes, parity = [], [], [], []
     for index, joint in enumerate(joints):
-        if joint.rotation_order:
-            rows, columns = groups.setdefault(joint.rotation_order, ([], []))
+        order = joint.rotation_order
+        if order:
             rows.append(index)
-            columns += [starts[index] + joint.channels.index(axis + "rotation") for axis in "XYZ"]
-    return [(order, np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp).reshape(-1, 3))
-            for order, (rows, columns) in groups.items()]
+            columns += [starts[index] + joint.channels.index(axis + "rotation") for axis in order]
+            axes += ["XYZ".index(axis) for axis in order]
+            parity.append(1.0 if order in CYCLIC_ORDERS else -1.0)
+    return (np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp).reshape(-1, 3),
+            np.array(axes, dtype=np.intp).reshape(-1, 3), np.array(parity))

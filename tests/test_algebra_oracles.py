@@ -2,13 +2,13 @@
 `dualquat.conjugate`, `dualquat.normalize`, `from_rotation_translation` and
 `translation` (all but `norm` and `conjugate` one `quat._on_rows` call
 each), every product of the one Hamilton-product kernel `quat._products`
-on either side of `quat._STACK_VALUES`, `quat.from_euler`'s two products,
-and the entry-wise rotation conversions (`_rotmat.quat_to_matrix`,
-`quat.to_euler`, and the six-value encode and decode
-`encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`), against
-their per-component and whole-matrix oracles: equal bits, equal sign of
-zero and a fresh C-contiguous result, on broadcast, sliced, gathered,
-reversed and F-ordered operands."""
+on either side of `quat._STACK_VALUES`, the Euler kernels on one order
+and on plans that mix all six, and the entry-wise rotation conversions
+(`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
+decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`),
+against their per-component and whole-matrix oracles: equal bits, equal
+sign of zero and a fresh C-contiguous result, on broadcast, sliced,
+gathered, reversed and F-ordered operands."""
 
 import itertools
 from typing import Callable, NamedTuple
@@ -17,12 +17,16 @@ import numpy as np
 import pytest
 
 from dqmotion import _rotmat, dualquat, encoding, losses, quat
+from dqmotion.bvh import MotionClip
 from dqmotion.errors import DegenerateNormError, NotUnitError
+from dqmotion.kinematics import clip_to_local, local_to_clip
 
 import algebra_oracles
+import bvh_oracles
 import grad_oracles
 import oracles
 import pose_oracles
+import test_pose_oracles
 
 QUAT_SHAPES = [
     ((4,), (4,)),
@@ -638,6 +642,107 @@ class TestToEuler:
         for q in (lock_quats(rng, "ZYX", 2)[0], oracles.random_unit_quat(rng), [1.0, 0.0, -0.0, 0.0]):
             for order in oracles.ORDER_POOL:
                 assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order))
+
+
+def mixed_plan(rng, n: int) -> tuple:
+    """n columns of seeded Euler orders, all six among them, and their
+    `quat.EulerPlan`, built from the order letters alone."""
+    orders = list(oracles.ORDER_POOL) + [oracles.ORDER_POOL[i] for i in rng.integers(6, size=n - 6)]
+    orders = [orders[i] for i in rng.permutation(n)]
+    axes = np.array([["XYZ".index(axis) for axis in order] for order in orders])
+    parity = np.array([1.0 if order in bvh_oracles.CYCLIC_ORDERS else -1.0 for order in orders])
+    return orders, quat.EulerPlan(axes, parity)
+
+
+def mixed_from_euler(angles, plan, rows):
+    """`quat._from_euler` of (..., n, 3) angles, each column's (x, y, z),
+    into rows `rows` of a NaN-filled (..., J, 4) array."""
+    composition = np.moveaxis(np.take_along_axis(angles, np.broadcast_to(plan.axes, angles.shape), axis=-1), -1, 0)
+    out = np.full(angles.shape[:-2] + (rows.max() + 2, 4), np.nan)
+    assert quat._from_euler(composition, plan, out, rows) is out
+    untouched = np.ones(out.shape[-2], dtype=bool)
+    untouched[rows] = False
+    assert np.isnan(out[..., untouched, :]).all()
+    return out[..., rows, :]
+
+
+def assert_columns(got, want_of_column, orders):
+    for c, order in enumerate(orders):
+        assert_same_bits(got[..., c, :].copy(), want_of_column(c, order))
+
+
+class TestMixedOrders:
+    """The Euler kernels on plans that mix all six orders, column by column
+    against the per-order oracles, bit for bit."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_from_euler_on_both_product_paths(self, rng, accumulations, path):
+        shape = SUM_BY_SUM_ANGLES if path == "sum by sum" else (75, 8, 3)
+        orders, plan = mixed_plan(rng, shape[1])
+        angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=shape)
+        got = mixed_from_euler(angles, plan, rng.permutation(shape[1] + 1)[:shape[1]])
+        assert bool(accumulations) == (path == "sum by sum")
+        assert_columns(got, lambda c, order: algebra_oracles.from_euler(angles[:, c], order), orders)
+
+    def test_special_angle_grid(self, rng):
+        grid = np.array(list(itertools.product(EULER_GRID, repeat=3)))
+        orders, plan = mixed_plan(rng, 9)
+        angles = np.repeat(grid[:, None], 9, axis=1)
+        got = mixed_from_euler(angles, plan, rng.permutation(10)[:9])
+        assert_columns(got, lambda c, order: algebra_oracles.from_euler(grid, order), orders)
+        assert np.any(got == 0.0) and np.any(np.all(got != 0.0, axis=-1))
+
+    @pytest.mark.parametrize("shape", [(60, 12, 3), SUM_BY_SUM_ANGLES])
+    def test_nan_and_inf(self, rng, shape):
+        orders, plan = mixed_plan(rng, shape[1])
+        angles = rng.uniform(-np.pi, np.pi, size=shape)
+        angles[rng.random(shape) < 0.1] = np.nan
+        angles[rng.random(shape) < 0.1] = np.inf
+        angles[rng.random(shape) < 0.1] = -np.inf
+        angles[rng.random(shape) < 0.2] = 0.0
+        with np.errstate(invalid="ignore"):  # sin and cos of inf
+            got = mixed_from_euler(angles, plan, rng.permutation(shape[1]))
+            for c, order in enumerate(orders):
+                want = algebra_oracles.from_euler(angles[:, c], order)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got[:, c]), nan)
+                assert_same_bits(np.where(nan, 0.0, got[:, c]), np.where(nan, 0.0, want))
+
+    def test_to_euler_lock_band_rows_of_several_orders(self, rng):
+        orders, plan = mixed_plan(rng, 10)
+        q = np.stack([np.concatenate([lock_quats(rng, order), oracles.random_unit_quat(rng, (40,))])
+                      for order in orders], axis=1)
+        normalized = quat.normalize(q)
+        pole = [np.abs(algebra_oracles.quat_to_matrix(normalized[:, c])[:, plan.axes[c, 0], plan.axes[c, 2]])
+                >= 1.0 - quat.LOCK_TOLERANCE for c in range(len(orders))]
+        assert all(0 < np.count_nonzero(rows) < 40 for rows in pole)
+        got = np.moveaxis(quat._to_euler(normalized, plan), 0, -1)
+        assert_columns(got, lambda c, order: algebra_oracles.to_euler(q[:, c], order)[:, plan.axes[c]], orders)
+
+    def test_to_euler_signed_zeros_and_exact_rotations(self, rng):
+        zeros = signed_zeros(rng, (400, 4))
+        zeros[np.all(zeros == 0.0, axis=-1), 0] = -1.0
+        exact = algebra_oracles.ortho6d_to_quats(six_values(rotation_group()))
+        for q in (zeros, exact):
+            orders, plan = mixed_plan(rng, 12)
+            columns = np.stack([q[rng.permutation(len(q))] for _ in orders], axis=1)
+            got = np.moveaxis(quat._to_euler(quat.normalize(columns), plan), 0, -1)
+            assert_columns(got, lambda c, order: algebra_oracles.to_euler(columns[:, c], order)[:, plan.axes[c]],
+                           orders)
+
+    @pytest.mark.parametrize("frames", (1, 64))
+    def test_each_clip_conversion_reaches_its_kernel_once(self, rng, monkeypatch, frames):
+        calls = []
+        for name in ("_from_euler", "_to_euler"):
+            kernel = getattr(quat, name)
+            monkeypatch.setattr(quat, name, lambda *args, name=name, kernel=kernel:
+                                calls.append(name) or kernel(*args))
+        skeleton = test_pose_oracles.every_order_skeleton(rng, root_positions=True)
+        clip = MotionClip(skeleton, 1 / 30, test_pose_oracles.near_pole_frames(rng, skeleton, frames))
+        pose = clip_to_local(clip)
+        assert calls == ["_from_euler"]
+        local_to_clip(pose, skeleton, clip.frame_time)
+        assert calls == ["_from_euler", "_to_euler"]
 
 
 class TestOrtho6dOfQuats:

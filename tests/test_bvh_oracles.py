@@ -490,6 +490,9 @@ class TestSkeletonChecks:
 
 
 class TestRotationGroups:
+    """The channel table's rotation plan, array for array, against the
+    per-joint `bvh_oracles.rotation_plan`."""
+
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_fixtures(self, name):
         skeleton = bvh.parse(CORPUS[name]).skeleton
@@ -502,10 +505,8 @@ class TestRotationGroups:
 
     @staticmethod
     def assert_same(skeleton):
-        got = skeleton.channel_table.rotations
-        want = bvh_oracles.rotation_groups(skeleton.joints)
-        assert [order for order, _, _ in got] == [order for order, _, _ in want]
-        for (_, joints, columns), (_, want_joints, want_columns) in zip(got, want):
-            for array, expected in ((joints, want_joints), (columns, want_columns)):
-                assert array.dtype == expected.dtype and array.shape == expected.shape
-                assert array.tobytes() == expected.tobytes()
+        plan = skeleton.channel_table.rotations
+        got = (plan.joints, plan.columns, plan.axes, plan.parity)
+        for array, expected in zip(got, bvh_oracles.rotation_plan(skeleton.joints), strict=True):
+            assert array.dtype == expected.dtype and array.shape == expected.shape
+            assert array.tobytes() == expected.tobytes()

@@ -90,6 +90,15 @@ class TestSharedRows:
         assert len(calls) == 2
         assert calls[0][0] is calls[1][0] is losses._unit_rows(pred)
 
+    def test_the_offset_term_translates_the_bones_once(self, rng, monkeypatch):
+        pred, truth = pair(rng, ReprKind.DUALQUAT)
+        calls = spy(monkeypatch, "_translation_rows", dualquat)
+        loss_total(pred, truth)
+        _analytic_gradient("offset", pred, truth, truth.skeleton)
+        bones = losses._bone_rows(pred)
+        assert [args[0] is bones.rows for args in calls].count(True) == 1
+        assert len(calls) == 3  # the bones, and each clip's positions
+
     @pytest.mark.parametrize("kind", losses._ROTATIONAL_KINDS, ids=lambda kind: kind.value)
     def test_both_rotational_terms_read_one_rotation_rows(self, rng, monkeypatch, kind):
         pred, truth = pair(rng, kind)

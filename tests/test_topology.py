@@ -160,17 +160,19 @@ class TestSkeletonTable:
         skeleton = oracles.random_skeleton(rng, 30, end_sites=True)
         table = skeleton.channel_table
         assert skeleton.channel_table is table
+        plan = table.rotations
         with pytest.raises(dataclasses.FrozenInstanceError):
-            table.rotations = ()
+            table.rotations = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.axes = None
         arrays = [table.position_axes, table.position_columns, table.depth_first_columns]
-        arrays += [a for _, joints, columns in table.rotations for a in (joints, columns)]
+        arrays += [plan.joints, plan.columns, plan.axes, plan.parity]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
-        assert isinstance(table.rotations, tuple) and isinstance(table.depth_first, tuple)
+        assert isinstance(plan, bvh.RotationPlan) and isinstance(table.depth_first, tuple)
         # every channel column once: rotations and root positions, or in writer order
-        rotation_columns = np.concatenate([c.ravel() for _, _, c in table.rotations])
-        assert sorted([*rotation_columns, *table.position_columns]) == list(range(skeleton.channel_count))
+        assert sorted([*plan.columns.ravel(), *table.position_columns]) == list(range(skeleton.channel_count))
         assert sorted(table.depth_first_columns) == list(range(skeleton.channel_count))
         assert sorted(j for j, _ in table.depth_first) == list(range(skeleton.num_joints))
 
@@ -180,7 +182,8 @@ class TestSkeletonTable:
         def snapshot():
             table = skeleton.channel_table
             arrays = [table.position_axes, table.position_columns, table.depth_first_columns]
-            arrays += [a for _, joints, columns in table.rotations for a in (joints, columns)]
+            plan = table.rotations
+            arrays += [plan.joints, plan.columns, plan.axes, plan.parity]
             return table, [a.copy() for a in arrays], list(table.depth_first)
 
         table, before, order = snapshot()

@@ -1,8 +1,8 @@
 """Every value the layers pass is immutable once built.
 
-`JointSpec`, `Skeleton`, `ChannelTable`, `MotionClip`, `LocalPose`,
-`EncodedClip`, `NormalizationStats` and `LossWeights` are frozen
-dataclasses, and the arrays they hold are read-only, so a value that
+`JointSpec`, `Skeleton`, `ChannelTable`, `RotationPlan`, `MotionClip`,
+`LocalPose`, `EncodedClip`, `NormalizationStats` and `LossWeights` are
+frozen dataclasses, and the arrays they hold are read-only, so a value that
 passed its constructor's checks cannot be edited into one that fails
 them. The layers that produce arrays hand them over read-only; what a
 caller hands over writable is copied once. A value that holds arrays
@@ -33,7 +33,7 @@ from dqmotion.metrics import MetricReport
 
 
 INPUT_VALUES = (
-    bvh.JointSpec, bvh.Skeleton, bvh.ChannelTable, MotionClip, LocalPose,
+    bvh.JointSpec, bvh.Skeleton, bvh.ChannelTable, bvh.RotationPlan, MotionClip, LocalPose,
     EncodedClip, NormalizationStats, LossWeights,
 )
 OUTPUT_RECORDS = (LossReport, MetricReport, GradCheckResult)
@@ -135,6 +135,7 @@ def test_non_finite_values_raise_a_motion_error(clip, encoded, build, value):
 ARRAY_VALUES = {
     "JointSpec": lambda clip, enc: clip.skeleton.joints[1],
     "ChannelTable": lambda clip, enc: clip.skeleton.channel_table,
+    "RotationPlan": lambda clip, enc: clip.skeleton.channel_table.rotations,
     "MotionClip": lambda clip, enc: clip,
     "NormalizationStats": lambda clip, enc: fit_stats(enc),
     "EncodedClip": lambda clip, enc: enc,
