@@ -267,17 +267,13 @@ def normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def _check_order(order: str) -> str:
-    order = order.upper()
-    if order not in _VALID_ORDERS:
-        raise InvalidValueError(f"invalid rotation order {order!r}; expected a permutation of XYZ")
-    return order
-
-
 def _order_axes(order: str) -> tuple:
     """The axes (i, j, k) of `order`'s rotations in composition order (0 x,
     1 y, 2 z), and its parity: 1.0 if they are cyclic, -1.0 if not."""
-    axes = tuple(_rotmat.AXES.index(c) for c in _check_order(order))
+    order = order.upper()
+    if order not in _VALID_ORDERS:
+        raise InvalidValueError(f"invalid rotation order {order!r}; expected a permutation of XYZ")
+    axes = tuple(_rotmat.AXES.index(c) for c in order)
     return axes, 1.0 if axes in _CYCLIC else -1.0
 
 
