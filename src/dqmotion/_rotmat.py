@@ -65,23 +65,20 @@ def entry(q: np.ndarray, r: int, c: int, out=None) -> np.ndarray:
 def euler_entries(slots, parity: np.ndarray):
     """Entries (i, k), (j, k), (k, k), (i, j) and (i, i) of the rotation
     matrices of unit quaternions, given as their slots (w, v_i, v_j, v_k)
-    for columns that turn about the axes (i, j, k) in composition order,
-    with `parity` 1.0 where those are cyclic and -1.0 where not: the five
-    entries `to_euler` reads, yielded one at a time in the order it reads
-    them.
+    on axis -2 of (..., 4, n) `slots`, for columns that turn about the
+    axes (i, j, k) in composition order, with `parity` 1.0 where those
+    are cyclic and -1.0 where not: the five entries `to_euler` reads, in
+    that order.
 
     Each entry has the bits of `entry`: an off-diagonal entry there adds
     w v_t to v_lo v_hi or subtracts it, as c follows r cyclically or not,
     which the parity's sign on w decides here; a sum of two terms does not
     depend on their order, and a sign flip is exact.
     """
-    w, a, b, c = slots
+    w, a, b, c = (slots[..., s, :] for s in range(4))
     w = parity * w  # (parity w) v has the bits of parity (w v)
-    yield 2.0 * (a * c + w * b)
-    yield 2.0 * (b * c - w * a)
-    yield 1.0 - 2.0 * (a * a + b * b)
-    yield 2.0 * (a * b - w * c)
-    yield 1.0 - 2.0 * (b * b + c * c)
+    return (2.0 * (a * c + w * b), 2.0 * (b * c - w * a), 1.0 - 2.0 * (a * a + b * b),
+            2.0 * (a * b - w * c), 1.0 - 2.0 * (b * b + c * c))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -77,6 +77,7 @@ from .errors import (
     NonFiniteError,
     UnsupportedChannelError,
 )
+from .quat import _read_only
 
 POSITION_CHANNELS = ("Xposition", "Yposition", "Zposition")
 ROTATION_CHANNELS = ("Xrotation", "Yrotation", "Zrotation")
@@ -92,11 +93,6 @@ def finite_rate(frame_time: float) -> bool:
     """Whether a positive frame time and its rate 1/frame_time are both
     finite; a subnormal frame time has an infinite rate."""
     return math.isfinite(frame_time) and math.isfinite(1.0 / frame_time)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _frozen(values) -> np.ndarray:

@@ -277,7 +277,7 @@ def _order_axes(order: str) -> tuple:
     return axes, 1.0 if axes in _CYCLIC else -1.0
 
 
-def _fixed(array: np.ndarray) -> np.ndarray:
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
@@ -296,18 +296,21 @@ class EulerPlan:
 
     @cached_property
     def slot_components(self) -> np.ndarray:
-        """(n, 4): the component, of (w, x, y, z), of each column's slots
-        (w, v_i, v_j, v_k): 0 and 1 + its axes."""
-        components = np.zeros((len(self.axes), 4), dtype=np.intp)
-        np.add(self.axes, 1, out=components[:, 1:])
-        return _fixed(components)
+        """(4, n): the component, of (w, x, y, z), of each column's slots
+        (w, v_i, v_j, v_k), slot by slot: 0 and 1 + its axes."""
+        components = np.zeros((4, len(self.axes)), dtype=np.intp)
+        np.add(self.axes.T, 1, out=components[1:])
+        return _read_only(components)
 
 
 @functools.lru_cache(maxsize=4 * len(_VALID_ORDERS))
 def _one_order(order: str) -> EulerPlan:
     """`order` as a one-column plan of the Euler kernels."""
     axes, parity = _order_axes(order)
-    return EulerPlan(_fixed(np.array([axes], dtype=np.intp)), _fixed(np.array([parity])))
+    return EulerPlan(_read_only(np.array([axes], dtype=np.intp)), _read_only(np.array([parity])))
+
+
+_ONE_ROW = _read_only(np.zeros(1, dtype=np.intp))  # the rows of a one-column plan
 
 
 def _axis_quat(axis: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -348,21 +351,19 @@ def _euler_tables() -> tuple:
 _EULER_TERMS = _euler_tables()
 
 
-def _from_euler(angles, plan: EulerPlan, out: np.ndarray | None = None, rows=None) -> np.ndarray:
+def _from_euler(angles, plan: EulerPlan, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Unit quaternions of Euler angles given as three (..., n) arrays in
     composition order, column c turning as column c of `plan`: the Euler
     kernel of `from_euler` and `kinematics.clip_to_local`, one call for
     every column of every order. Column c goes to out[..., rows[c], :] of
-    a (..., J, 4) `out`, which is returned; without `out`, a one-column
-    plan on (M,) angles fills a new (M, 4) array.
+    a (..., J, 4) `out`, which is returned.
 
     The half angles' cosines and sines go through the two products of
     `_EULER_TERMS` into the slots (w, v_i, v_j, v_k) of each column, which
     one scatter (`plan.slot_components`) puts in the components (w, x, y,
-    z); without `out` they are written straight into the components. A
-    column whose order is not cyclic turns about j the other way in a
-    frame whose j axis is flipped, where its axes are cyclic: it runs the
-    cyclic tables on a negated middle sine and negates slot j of the
+    z). A column whose order is not cyclic turns about j the other way in
+    a frame whose j axis is flipped, where its axes are cyclic: it runs
+    the cyclic tables on a negated middle sine and negates slot j of the
     result. Each component of P * A2 sums at most two live terms, a sum of
     two terms does not depend on their order, and a sign flip is exact,
     so every quaternion with no zero or NaN component has the bits of
@@ -378,26 +379,15 @@ def _from_euler(angles, plan: EulerPlan, out: np.ndarray | None = None, rows=Non
     trig[1, 1] *= plan.parity
     pair_table, table = _EULER_TERMS
     pair = _products(pair_table, trig[:, 0], trig[:, 1])
-    if out is None:
-        out = np.empty(shape + (4,))
-        components = out.T
-        slots = [components[c:c + 1] for c in plan.slot_components[0].tolist()]
-        _products(table, pair, trig[:, 2], *slots)
-        slots[2] *= plan.parity
-        values = components
-    else:
-        values = _products(table, pair, trig[:, 2])
-        values[2] *= plan.parity
-        out[..., rows[:, None], plan.slot_components] = np.moveaxis(values, 0, -1)
+    values = _products(table, pair, trig[:, 2])
+    values[2] *= plan.parity
+    out[..., rows, plan.slot_components] = values.transpose(*range(1, values.ndim - 1), 0, -1)  # (..., 4, n)
     magnitudes = np.abs(values, out=pair)
     if not np.minimum.reduce(magnitudes, axis=None, initial=np.inf) > 0.0:  # a zero or NaN component
         redo = np.nonzero(~(magnitudes > 0.0).all(axis=0))
         half = np.multiply(angles, 0.5)[(slice(None),) + redo].T
         axes = np.broadcast_to(plan.axes, shape + (3,))[redo]
-        if rows is None:
-            out[redo] = _euler_product(half, axes)
-        else:
-            out[redo[:-1] + (rows[redo[-1]],)] = _euler_product(half, axes)
+        out[redo[:-1] + (rows[redo[-1]],)] = _euler_product(half, axes)
     return out
 
 
@@ -410,8 +400,10 @@ def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     """
     plan = _one_order(order)
     angles = np.asarray(angles, dtype=float)
-    rows = angles.reshape(-1, 3)
-    return _from_euler([rows[:, axis] for axis in plan.axes[0].tolist()], plan).reshape(angles.shape[:-1] + (4,))
+    columns = angles.reshape(-1, 1, 3)
+    out = np.empty(columns.shape[:1] + (1, 4))
+    _from_euler([columns[..., axis] for axis in plan.axes[0].tolist()], plan, out, _ONE_ROW)
+    return out.reshape(angles.shape[:-1] + (4,))
 
 
 def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
@@ -424,17 +416,14 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     entries it reads (`_rotmat.euler_entries`), and only the rows in the
     gimbal-lock band build whole matrices.
     """
-    if len(plan.axes) == 1:  # its slots are views of its components
-        slots = [q[..., c] for c in plan.slot_components[0].tolist()]
-    else:
-        slots = np.moveaxis(q[..., np.arange(len(plan.axes))[:, None], plan.slot_components], -1, 0)
-    entries = _rotmat.euler_entries(slots, plan.parity)
-    s = plan.parity * next(entries)
+    slots = q[..., np.arange(len(plan.axes)), plan.slot_components]  # (..., 4, n)
+    ik, jk, kk, ij, ii = _rotmat.euler_entries(slots, plan.parity)
+    s = plan.parity * ik
     euler = np.empty((3,) + s.shape) if euler is None else euler
     negated = -plan.parity
     np.arcsin(np.clip(s, -1.0, 1.0), out=euler[1])
-    np.arctan2(negated * next(entries), next(entries), out=euler[0])
-    np.arctan2(negated * next(entries), next(entries), out=euler[2])
+    np.arctan2(negated * jk, kk, out=euler[0])
+    np.arctan2(negated * ij, ii, out=euler[2])
 
     lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
     if lock.any():
@@ -464,6 +453,6 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     """
     plan = _one_order(order)
     q = normalize(q)
-    out = np.empty((q.size // 4, 3))
-    _to_euler(q.reshape(-1, 4), plan, [out[:, axis] for axis in plan.axes[0].tolist()])
+    out = np.empty((q.size // 4, 1, 3))
+    _to_euler(q.reshape(-1, 1, 4), plan, [out[..., axis] for axis in plan.axes[0].tolist()])
     return out.reshape(q.shape[:-1] + (3,))
