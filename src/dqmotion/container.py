@@ -90,12 +90,10 @@ def to_bytes(clip: EncodedClip) -> bytes:
         clip.frame_time,
         hashlib.sha256(skeleton_json).digest(),
     )
-    parts = [header, struct.pack("<I", len(skeleton_json)), skeleton_json]
-    if clip.stats is not None:
-        parts.append(np.ascontiguousarray(clip.stats.mean, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(clip.stats.std, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(clip.features, dtype="<f8").tobytes())
-    return b"".join(parts)
+    blocks = [clip.features] if clip.stats is None else [clip.stats.mean, clip.stats.std, clip.features]
+    # `join` copies each block once, from a byte view of its little-endian values.
+    views = [memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B") for block in blocks]
+    return b"".join([header, struct.pack("<I", len(skeleton_json)), skeleton_json, *views])
 
 
 def from_bytes(data: bytes) -> EncodedClip:

@@ -172,7 +172,7 @@ def compose(levels: tuple, rows: np.ndarray) -> np.ndarray:
     """
     out = np.array(rows, dtype=float)
     for level, parent_rows in levels:
-        out[:, level] = _mul_rows(np.take(out, parent_rows, axis=1), np.take(out, level, axis=1))
+        out[:, level] = _mul_rows(out.take(parent_rows, axis=1), out.take(level, axis=1))
     return out
 
 
@@ -186,7 +186,7 @@ def relative(parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     out = np.empty_like(rows)
     out[:, 0] = rows[:, 0]
-    _mul_rows(np.take(rows, parents[1:], axis=1), rows[:, 1:], out[:, 1:], conjugate="a")
+    _mul_rows(rows.take(parents[1:], axis=1), rows[:, 1:], out[:, 1:], conjugate="a")
     return out
 
 

@@ -271,7 +271,7 @@ def _relative_vjp(bar: np.ndarray, y: np.ndarray, skeleton: Skeleton, rows: np.n
     bar[:, p] += c y* per child row c of parent row p. For C = 8 both
     products swap the real and dual rows: the transposed Jacobians of
     x -> a x and x -> x b map v to swap(a* swap(v)) and swap(swap(v) b*)."""
-    _mul_rows(np.take(rows, skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:], swap=True)
+    _mul_rows(rows.take(skeleton.encoded_parents[1:], axis=1), y, bar[:, 1:], swap=True)
     to_parent = _mul_rows(rows[:, 1:], y, swap=True, conjugate="b")
     _add_to_parents(bar, skeleton._encoded_child_ranks[0], to_parent)
 
@@ -383,9 +383,9 @@ def _rotational(space: str):
                 # deeper level is done.
                 levels = zip(pred.skeleton.encoded_levels, pred.skeleton._encoded_child_ranks[1])
                 for (level, parent_rows), groups in reversed(list(levels)):
-                    children = np.take(bar, level, axis=1)
-                    to_parent = _mul_rows(children, np.take(rows, level, axis=1), conjugate="b")
-                    bar[:, level] = _mul_rows(np.take(q_pred, parent_rows, axis=1), children, conjugate="a")
+                    children = bar.take(level, axis=1)
+                    to_parent = _mul_rows(children, rows.take(level, axis=1), conjugate="b")
+                    bar[:, level] = _mul_rows(q_pred.take(parent_rows, axis=1), children, conjugate="a")
                     _add_to_parents(bar, groups, to_parent)
             return _scatter(_normalize_vjp(rows, norm, bar), pred, slice(0, 4))
 

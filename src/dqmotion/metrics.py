@@ -23,13 +23,16 @@ entry point checks a pair one way: a different frame count raises
 LengthMismatchError, any other shape difference ShapeMismatchError.
 
 `window_reports` scores many windows of one position pair, each equal
-bit for bit to `report_between` of the window: each frame's distance and
-second differences are computed once per clip, and NPSS runs on batches
-of windows side by side through the one kernel `_npss` that
-`npss_between` also calls. `dqmotion metrics` scores its windows through
-it.
+bit for bit to `report_between` of the window, which is its one window
+over the whole pair: each frame's distance and second differences are
+computed once per clip, and NPSS runs once per window through the one
+kernel `_npss` that `npss_between` also calls. Up to `_DFT_FRAMES`
+frames the kernel takes the power spectra from a real DFT as matrix
+products on a basis memoized per horizon (`_dft_basis`); longer windows
+run the FFT. `dqmotion metrics` scores its windows through it.
 """
 
+import functools
 import json
 import numbers
 from dataclasses import asdict, dataclass
@@ -108,31 +111,71 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     if pred.shape[0] < 2:
         raise TooFewFramesError("NPSS needs at least 2 frames")
     frames = pred.shape[0]
-    return float(_npss(pred.reshape(frames, -1), truth.reshape(frames, -1), 1)[0])
+    return _npss(pred.reshape(frames, -1), truth.reshape(frames, -1))
 
 
-def _npss(pred: np.ndarray, truth: np.ndarray, windows: int) -> np.ndarray:
-    """NPSS of each of `windows` windows whose feature columns sit side by
-    side in two (H, windows * K) arrays: window w owns columns
-    [w * K, (w + 1) * K). Every step up to the EMD runs per column along
-    the time axis, so a column's value does not depend on its neighbours;
-    only the weighted sums at the end group the columns by window."""
-    pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
-    truth_power = np.abs(np.fft.fft(truth, axis=0)) ** 2
-    pred_total = pred_power.sum(axis=0)
-    truth_total = truth_power.sum(axis=0)
+#: Longest window whose power spectra are matrix products on `_dft_basis`.
+#: Their cost grows as H^2 and the FFT's as H log H: on 57 columns the
+#: FFT catches up at about 200-250 frames.
+_DFT_FRAMES = 160
+
+
+@functools.lru_cache(maxsize=32)
+def _dft_basis(frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real DFT of an H-frame window as matrices, B = H // 2 + 1 bins:
+    the (2B, H) rows [cos; sin] of the half spectrum, each half bin's
+    multiplicity in the full spectrum (1, 2, ..., 2 and a last 1 when H is
+    even), and the (H, B) mirror-cumulative matrix whose row j counts the
+    full-spectrum indices up to j that fold onto each half bin."""
+    bins = frames // 2 + 1
+    steps = np.arange(frames)
+    # Reducing k * t mod H first keeps every angle in [0, 2 pi).
+    angles = (2.0 * np.pi / frames) * (np.outer(np.arange(bins), steps) % frames)
+    basis = np.concatenate([np.cos(angles), np.sin(angles)])
+    folded = np.minimum(steps, frames - steps)  # the half bin of each full index
+    mirror = quat._read_only(np.cumsum(folded[:, None] == np.arange(bins), axis=0, dtype=float))
+    return quat._read_only(basis), mirror[-1], mirror
+
+
+def _npss(pred: np.ndarray, truth: np.ndarray) -> float:
+    """NPSS of one window given as two (H, K) arrays, time first. Up to
+    `_DFT_FRAMES` frames the power spectra are matrix products on the
+    memoized `_dft_basis`, on a C-contiguous copy of each side, so that
+    BLAS runs every product: numpy's own matmul loop, which numpy may run
+    on operands of other strides, sums in another order. Longer windows
+    run one FFT per side."""
+    frames = pred.shape[0]
+    if frames > _DFT_FRAMES:
+        pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
+        truth_power = np.abs(np.fft.fft(truth, axis=0)) ** 2
+        pred_total = pred_power.sum(axis=0)
+        truth_total = truth_power.sum(axis=0)
+    else:
+        basis, multiplicity, mirror = _dft_basis(frames)
+        half = len(multiplicity)
+        pred_spectrum = basis @ np.ascontiguousarray(pred)
+        truth_spectrum = basis @ np.ascontiguousarray(truth)
+        pred_spectrum *= pred_spectrum
+        truth_spectrum *= truth_spectrum
+        pred_power = pred_spectrum[:half] + pred_spectrum[half:]
+        truth_power = truth_spectrum[:half] + truth_spectrum[half:]
+        pred_total = multiplicity @ pred_power
+        truth_total = multiplicity @ truth_power
 
     with np.errstate(invalid="ignore", divide="ignore"):
         pred_norm = np.where(pred_total > 0, pred_power / pred_total, 0.0)
         truth_norm = np.where(truth_total > 0, truth_power / truth_total, 0.0)
 
     # 1-D EMD between unit-mass spectra: L1 distance of the cumulative sums.
-    emd = np.abs(np.cumsum(pred_norm, axis=0) - np.cumsum(truth_norm, axis=0)).sum(axis=0)
-
-    weighted = (emd * truth_total).reshape(windows, -1).sum(axis=1)
-    weight_total = truth_total.reshape(windows, -1).sum(axis=1)
+    if frames > _DFT_FRAMES:
+        gap = np.cumsum(pred_norm, axis=0) - np.cumsum(truth_norm, axis=0)
+    else:
+        gap = mirror @ (pred_norm - truth_norm)
+    weight_total = truth_total.sum()
     # A window whose truth has no power scores 0; a NaN total gives NaN.
-    return np.divide(weighted, weight_total, out=np.zeros(windows), where=~(weight_total <= 0.0))
+    if weight_total <= 0.0:
+        return 0.0
+    return float((np.abs(gap).sum(axis=0) * truth_total).sum() / weight_total)
 
 
 def acceleration_of(positions: np.ndarray) -> float:
@@ -159,25 +202,14 @@ def _second_differences(positions: np.ndarray) -> np.ndarray:
 def report_between(
     pred: np.ndarray, truth: np.ndarray, frame_time: float | None = None
 ) -> MetricReport:
-    """All metrics of two (F, J, 3) position arrays; the acceleration gap
-    is the absolute difference."""
+    """All metrics of two (F, J, 3) position arrays, the one window of
+    `window_reports` that spans them; the acceleration gap is the
+    absolute difference."""
     pred, truth = _pair(pred, truth)
-    accel_pred = acceleration_of(pred)
-    accel_truth = acceleration_of(truth)
-    return MetricReport(
-        euclidean=euclidean_between(pred, truth),
-        npss=npss_between(pred, truth),
-        acceleration_pred=accel_pred,
-        acceleration_truth=accel_truth,
-        acceleration_error=abs(accel_pred - accel_truth),
-        frame_time=frame_time,
-    )
-
-
-#: Values of one (H, windows * K) NPSS batch in `window_reports`. The
-#: FFT and its temporaries stay in cache up to about this size; batching
-#: more windows at once is slower, not faster.
-_NPSS_BATCH_VALUES = 16384
+    # A 0-d pair fails `window_reports`' rank check whatever the horizon.
+    [report] = window_reports(pred, truth, [0], len(pred) if pred.ndim else 0)
+    report.frame_time = frame_time
+    return report
 
 
 def window_reports(
@@ -186,18 +218,20 @@ def window_reports(
     starts,
     horizon: int,
 ) -> list[MetricReport]:
-    """`report_between` of every window [s, s + horizon) of two (F, J, 3)
-    position arrays, for s in `starts`, equal to it bit for bit.
+    """The metrics of every window [s, s + horizon) of two (F, J, 3)
+    position arrays, for s in `starts`; `report_between` is its one
+    window over the whole pair.
 
     The distances and both sequences' second differences are computed
     once per clip; a window's Euclidean and acceleration values are the
-    means of its contiguous slices of them. NPSS runs on batches of
-    windows whose feature columns sit side by side, at most
-    `_NPSS_BATCH_VALUES` values (and at least one window) a batch. The
-    pair and the horizon are checked as `report_between` checks them,
-    before any arithmetic; starts that are not a sequence of integers, a
-    horizon that is not an integer (a bool is neither) or a window
-    outside the clip raises InvalidValueError.
+    means of its contiguous slices of them. NPSS runs once per window,
+    on its row slices of the flattened clip: BLAS sums a product's terms
+    in an order that depends on its column count, so windows side by
+    side in one product would not keep the bits of a window alone. The
+    pair and the horizon are checked before any arithmetic; starts that
+    are not a sequence of integers, a horizon that is not an integer (a
+    bool is neither) or a window outside the clip raises
+    InvalidValueError.
     """
     pred, truth = _pair(pred, truth)
     if pred.ndim != 3:
@@ -224,22 +258,16 @@ def window_reports(
 
     flat_pred = pred.reshape(frames, -1)
     flat_truth = truth.reshape(frames, -1)
-    per_batch = max(1, _NPSS_BATCH_VALUES // max(1, horizon * flat_pred.shape[1]))
-    steps = np.arange(horizon)[:, None]
-    npss = []
-    for first in range(0, len(starts), per_batch):
-        rows = steps + starts[first : first + per_batch]  # (H, windows) frame indices
-        npss.extend(_npss(flat_pred[rows].reshape(horizon, -1),
-                          flat_truth[rows].reshape(horizon, -1), rows.shape[1]))
 
     reports = []
-    for start, value in zip(starts, npss):
+    for start in starts:
+        window = slice(start, start + horizon)
         diffs = slice(start, start + horizon - 2)
         a_pred = _mean(accel_pred[diffs])
         a_truth = _mean(accel_truth[diffs])
         reports.append(MetricReport(
-            euclidean=_mean(distances[start : start + horizon]),
-            npss=float(value),
+            euclidean=_mean(distances[window]),
+            npss=_npss(flat_pred[window], flat_truth[window]),
             acceleration_pred=a_pred,
             acceleration_truth=a_truth,
             acceleration_error=abs(a_pred - a_truth),

@@ -12,7 +12,8 @@ by hand. It has one kernel too: only the table builders read
 `_HAMILTON`, and only `quat._products` accumulates terms. The loss terms
 derive a clip's rows once: in `losses`, only the builders of the clip's
 memo (the functions decorated with `_kept`) normalize blocks or take
-them relative to their parents."""
+them relative to their parents. Gathers call the `take` method, never
+the function `np.take`."""
 
 import ast
 import re
@@ -399,3 +400,28 @@ def _offset(pred, truth, skeleton):
     assert memo_builders(tree, "losses.py") == {("losses.py", "_unit_rows"), ("losses.py", "_bone_rows")}
     assert stray_derivations(tree, "losses.py") == {
         ("normalize", "losses.py", "_cached"), ("relative", "losses.py", "_offset")}
+
+
+def take_function_calls(tree: ast.AST) -> list:
+    """Line of every call of the function `np.take` (or `numpy.take`) in
+    `tree`; its dispatch costs about three times the `take` method's on
+    the small gathers of the hierarchy sweeps."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(SOURCES)))
+def test_gathers_call_the_take_method(path):
+    assert take_function_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_check_sees_a_take_function_call():
+    source = """
+rows = np.take(values, index, axis=1)
+more = numpy.take(values, [0])
+fine = values.take(index, axis=1) + np.take_along_axis(values, index, axis=1)
+"""
+    assert take_function_calls(ast.parse(source)) == [2, 3]

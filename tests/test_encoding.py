@@ -405,6 +405,27 @@ class TestContainer:
         data = container.to_bytes(clip)
         assert container.to_bytes(container.from_bytes(data)) == data
 
+    @pytest.mark.parametrize("standardized", (False, True))
+    def test_blocks_are_their_tobytes_copies(self, rng, standardized):
+        """The rows after the skeleton block are, byte for byte, the
+        `tobytes` of each block's little-endian values, whatever the
+        features' memory layout."""
+        skeleton = oracles.random_skeleton(rng, 5, end_sites=True)
+        clip = encode(oracles.random_poses(rng, skeleton, 8), ReprKind.QUATERNIONS)
+        if standardized:
+            clip = standardize(clip, fit_stats(clip))
+        fortran = np.asfortranarray(clip.features)
+        fortran.setflags(write=False)
+        for features in (clip.features, clip.features[::3], fortran):
+            view = EncodedClip(clip.kind, clip.skeleton, clip.frame_time, features, clip.stats)
+            assert view.features is features  # kept as given, not copied
+            blocks = [features] if clip.stats is None else [clip.stats.mean, clip.stats.std, features]
+            rows = b"".join(np.ascontiguousarray(block, dtype="<f8").tobytes() for block in blocks)
+            data = container.to_bytes(view)
+            head = container._HEADER.size + 4 + len(skeleton.canonical_json)
+            assert len(data) == head + len(rows) and data[head:] == rows
+        assert not clip.features[::3].flags.c_contiguous and not fortran.flags.c_contiguous
+
     def test_skeleton_block_is_serialized_once(self, rng, monkeypatch):
         container._skeleton.cache_clear()
         skeleton = oracles.random_skeleton(rng, 8, end_sites=True)

@@ -1,5 +1,6 @@
 """Metrics: analytic anchors, invariances, the brute-force EMD oracle,
-and the per-window loop that `window_reports` is held to."""
+the FFT formula that the NPSS kernel's matrix path is held to, and the
+per-window loop that `window_reports` is held to."""
 
 import ast
 import warnings
@@ -17,6 +18,7 @@ from dqmotion.errors import (
     TooFewFramesError,
 )
 from dqmotion.metrics import (
+    MetricReport,
     acceleration_of,
     euclidean_between,
     metric_report,
@@ -127,6 +129,57 @@ class TestNpss:
             metric_report(seq, seq)
         with pytest.raises(TooFewFramesError):
             npss_between(seq.positions, seq.positions)
+
+
+def fft_npss(pred: np.ndarray, truth: np.ndarray) -> float:
+    """NPSS of (H, K) columns by the FFT formula: full power spectra from
+    one complex FFT per side, cumulative sums along time."""
+    pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
+    truth_power = np.abs(np.fft.fft(truth, axis=0)) ** 2
+    pred_total = pred_power.sum(axis=0)
+    truth_total = truth_power.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pred_norm = np.where(pred_total > 0, pred_power / pred_total, 0.0)
+        truth_norm = np.where(truth_total > 0, truth_power / truth_total, 0.0)
+    emd = np.abs(np.cumsum(pred_norm, axis=0) - np.cumsum(truth_norm, axis=0)).sum(axis=0)
+    weight_total = truth_total.sum()
+    return 0.0 if weight_total <= 0.0 else float((emd * truth_total).sum() / weight_total)
+
+
+class TestNpssKernel:
+    """`metrics._npss` on every horizon up to one past `_DFT_FRAMES`: the
+    matrix path within 1e-12 relative of the FFT formula, the FFT path
+    that formula bit for bit."""
+
+    @staticmethod
+    def columns(rng, frames):
+        """(frames, 12) pred and truth columns: three zero-power root
+        columns (one of them -0.0 in the truth), a constant column on
+        each side, a -0.0 column in pred, the rest normal."""
+        pred, truth = rng.normal(size=(2, frames, 12))
+        pred[:, :3] = truth[:, :3] = 0.0
+        truth[:, 1] = -0.0
+        pred[:, 3], truth[:, 4], pred[:, 5] = 2.5, -1.0, -0.0
+        return pred, truth
+
+    def test_matches_the_fft_formula(self, rng):
+        for frames in range(2, metrics._DFT_FRAMES + 2):
+            pred, truth = self.columns(rng, frames)
+            got, want = metrics._npss(pred, truth), fft_npss(pred, truth)
+            if frames > metrics._DFT_FRAMES:
+                assert float.hex(got) == float.hex(want)
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), frames
+
+    def test_identical_columns_score_zero(self, rng):
+        for frames in range(2, metrics._DFT_FRAMES + 2):
+            pred, _ = self.columns(rng, frames)
+            assert float.hex(metrics._npss(pred, pred.copy())) == float.hex(0.0), frames
+
+    def test_no_truth_power_scores_zero(self, rng):
+        pred, truth = self.columns(rng, 30)
+        assert metrics._npss(pred, np.zeros_like(truth)) == 0.0
+        assert metrics._npss(pred, np.full_like(truth, -0.0)) == 0.0
 
 
 class TestAcceleration:
@@ -300,8 +353,16 @@ class TestLengthsAndMeans:
 
 
 def loop_reports(pred, truth, starts, horizon):
-    """The oracle: one `report_between` per window."""
-    return [report_between(pred[s : s + horizon], truth[s : s + horizon]) for s in starts]
+    """The oracle: each window's metrics from the single-metric entry
+    points, on its slices of the pair."""
+    reports = []
+    for s in starts:
+        p, t = pred[s : s + horizon], truth[s : s + horizon]
+        a_pred, a_truth = acceleration_of(p), acceleration_of(t)
+        reports.append(MetricReport(euclidean=euclidean_between(p, t), npss=npss_between(p, t),
+                                    acceleration_pred=a_pred, acceleration_truth=a_truth,
+                                    acceleration_error=abs(a_pred - a_truth)))
+    return reports
 
 
 def bits(reports):
@@ -316,12 +377,15 @@ def window_starts(frames, horizon, stride):
 
 
 class TestWindowReports:
-    """`window_reports` equals the per-window loop bit for bit."""
+    """`window_reports` equals the per-window loop, and `report_between`
+    of each window, bit for bit."""
 
     def assert_matches_loop(self, pred, truth, starts, horizon):
         got = window_reports(pred, truth, starts, horizon)
         assert len(got) == len(starts)
         assert bits(got) == bits(loop_reports(pred, truth, starts, horizon))
+        assert bits(got) == bits(report_between(pred[s : s + horizon], truth[s : s + horizon])
+                                 for s in starts)
         return got
 
     def test_humanoid_fixture(self, rng, fixtures_dir):
@@ -335,13 +399,12 @@ class TestWindowReports:
     def test_long_clip_spans_many_batches(self, rng):
         pred, truth = rng.normal(size=(2, 2000, 19, 3))
         starts = window_starts(2000, 30, 7)
-        per_batch = metrics._NPSS_BATCH_VALUES // (30 * 19 * 3)
-        assert len(starts) == 282 and per_batch > 1 and len(starts) % per_batch
+        assert len(starts) == 282 and 30 <= metrics._DFT_FRAMES  # every window a matrix product
         self.assert_matches_loop(pred, truth, starts, 30)
 
     def test_wide_skeleton_one_window_a_batch(self, rng):
         pred, truth = rng.normal(size=(2, 64, 258, 3))
-        assert 30 * 258 * 3 > metrics._NPSS_BATCH_VALUES
+        assert 30 <= metrics._DFT_FRAMES  # 774 columns a matrix product
         self.assert_matches_loop(pred, truth, window_starts(64, 30, 7), 30)
 
     @pytest.mark.parametrize("horizon", (3, 40), ids=("horizon 3", "horizon = F"))
@@ -370,6 +433,26 @@ class TestWindowReports:
         self.assert_matches_loop(pred, truth, [20, 0, 7, 7], 10)
         assert window_reports(pred, truth, [], 10) == []
 
+    @pytest.mark.parametrize("layout", ("fortran", "row-strided", "column-strided"))
+    def test_any_input_layout(self, rng, layout):
+        pred, truth = rng.normal(size=(2, 180, 7, 6))
+        pred[:, 0] = truth[:, 0] = 0.0  # the root
+        if layout == "fortran":  # flattened by a copy
+            pred, truth = np.asfortranarray(pred[:90, :, :3]), np.asfortranarray(truth[:90, :, :3])
+        elif layout == "row-strided":  # flattened to (90, 21) rows 84 values apart, no copy
+            pred, truth = pred.reshape(180, 14, 3)[::2, :7], truth.reshape(180, 14, 3)[::2, :7]
+        else:  # flattened to (90, 21) columns 2 values apart, no copy
+            pred, truth = pred[:90, :, ::2], truth[:90, :, ::2]
+        assert not pred.flags.c_contiguous and not truth.flags.c_contiguous
+        assert np.shares_memory(pred.reshape(90, -1), pred) == (layout != "fortran")
+        copies = np.ascontiguousarray(pred), np.ascontiguousarray(truth)
+        for horizon, stride in ((30, 7), (90, 1), (3, 11)):
+            starts = window_starts(90, horizon, stride)
+            got = self.assert_matches_loop(pred, truth, starts, horizon)
+            # NPSS does not depend on the layout (the means reduce in memory order)
+            assert ([float.hex(report.npss) for report in got]
+                    == [float.hex(report.npss) for report in window_reports(*copies, starts, horizon)])
+
     def test_npss_between_still_matches_oracle(self, rng):
         for frames in (2, 3, 30):
             pred, truth = rng.normal(size=(2, frames, 19, 3))
@@ -384,7 +467,8 @@ class TestWindowReportErrors:
         (((6, 4, 3), (5, 4, 3)), LengthMismatchError, "differ in length"),
         (((6, 4, 3), (6, 3, 3)), ShapeMismatchError, "differ in shape"),
         (((6, 12), (6, 12)), ShapeMismatchError, "expected a \\(F, J, 3\\) position array"),
-    ], ids=["length", "shape", "rank"])
+        (((), ()), ShapeMismatchError, "expected a \\(F, J, 3\\) position array"),
+    ], ids=["length", "shape", "rank", "scalar"])
     def test_pair(self, shapes, error, message):
         pred, truth = (np.zeros(shape) for shape in shapes)
         with pytest.raises(error, match=message):
@@ -433,9 +517,22 @@ class TestWindowReportErrors:
 METRICS_SOURCE = Path(metrics.__file__)
 
 
-def fft_callers(tree: ast.AST) -> list:
-    """Name of the innermost function around each `np.fft.fft` (or
-    `numpy.fft.fft`) call in `tree`, "<module>" outside any function."""
+def is_fft(func: ast.AST) -> bool:
+    """`np.fft.fft` or `numpy.fft.fft`."""
+    return (isinstance(func, ast.Attribute) and func.attr == "fft"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "fft"
+            and isinstance(func.value.value, ast.Name) and func.value.value.id in ("np", "numpy"))
+
+
+def is_dft_basis(func: ast.AST) -> bool:
+    """The DFT basis builder, bare or as `metrics._dft_basis`."""
+    return (isinstance(func, ast.Name) and func.id == "_dft_basis"
+            or isinstance(func, ast.Attribute) and func.attr == "_dft_basis")
+
+
+def callers(tree: ast.AST, called) -> list:
+    """Name of the innermost function around each call in `tree` whose
+    callee satisfies `called`, "<module>" outside any function."""
     found = []
 
     def visit(node, owner):
@@ -443,11 +540,7 @@ def fft_callers(tree: ast.AST) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "fft"
-                    and isinstance(func.value, ast.Attribute) and func.value.attr == "fft"
-                    and isinstance(func.value.value, ast.Name)
-                    and func.value.value.id in ("np", "numpy")):
+            if isinstance(child, ast.Call) and called(child.func):
                 found.append(owner)
             visit(child, owner)
 
@@ -456,24 +549,29 @@ def fft_callers(tree: ast.AST) -> list:
 
 
 def test_one_npss_body():
-    callers = fft_callers(ast.parse(METRICS_SOURCE.read_text()))
-    assert set(callers) == {"_npss"}, callers
+    tree = ast.parse(METRICS_SOURCE.read_text())
+    assert set(callers(tree, is_fft)) == {"_npss"}, callers(tree, is_fft)
+    assert callers(tree, is_dft_basis) == ["_npss"]
 
 
 def test_the_check_sees_a_second_npss_body():
     source = """
 import numpy as np
 
-def _npss(pred, truth, windows):
+def _npss(pred, truth):
+    basis = _dft_basis(len(pred))
     return np.fft.fft(pred, axis=0), np.fft.fft(truth, axis=0)
 
 def npss_between(pred, truth):
     def inner(x):
         return numpy.fft.fft(x)
-    return np.fft.fft(pred), np.fft.rfft(truth), inner(pred)
+    return np.fft.fft(pred), np.fft.rfft(truth), inner(pred), metrics._dft_basis(3)
 
 SPECTRUM = np.fft.fft([1.0, 2.0])
+BASIS = _dft_basis(30)
 """
-    callers = fft_callers(ast.parse(source))
-    assert callers == ["_npss", "_npss", "inner", "npss_between", "<module>"]
-    assert set(callers) != {"_npss"}
+    tree = ast.parse(source)
+    found = callers(tree, is_fft)
+    assert found == ["_npss", "_npss", "inner", "npss_between", "<module>"]
+    assert set(found) != {"_npss"}
+    assert callers(tree, is_dft_basis) == ["_npss", "npss_between", "<module>"]
