@@ -35,9 +35,11 @@ rounding is exact unless the product lies within its own roundoff of a
 half-integer (a tie such as 0.0078125, or |v| of about 2.25e9 or more);
 a row holding such a value is formatted by `%` instead.
 
-The parser walks the hierarchy with a stack and tokenizes the text on
-demand, so only the header is split line by line. A leading byte order
-mark is dropped, from text and bytes alike. A motion block of plain
+The parser reads the text forward and never steps back. It walks the
+hierarchy with a stack, skips blank lines, and splits each other line
+once, when it reads it: the header, the two timing lines, and the rows
+of a motion block that the bulk read refuses. A leading byte order mark
+is dropped, from text and bytes alike. A motion block of plain
 ASCII is read in bulk by one `np.loadtxt` call, numpy's compiled text
 reader (numpy 1.23 on): it splits rows on whitespace, with comments and
 quotes off, and converts each value with CPython's correctly rounded
@@ -462,45 +464,28 @@ class MotionClip:
 # ---------------------------------------------------------------------------
 
 class _Tokens:
-    """Token stream over a sequence of lines (`str.splitlines` of a text),
-    each line split when the stream reaches it; blank lines are skipped.
-    Remembers line numbers for errors."""
+    """Forward reader over a sequence of lines (`str.splitlines` of a text),
+    from line index `start` on: blank lines are skipped, and each other line
+    is split once, when `next` returns it. Remembers line numbers for errors."""
 
-    def __init__(self, lines):
+    def __init__(self, lines, start: int = 0):
         self.lines = lines
-        self.pos = 0  # index of the line that `peek` reads
-        self.last_line = 0  # 1-based number of the line `next` last returned
-        self._head = None  # tokens of line `pos`, once split
+        self.pos = start  # index of the next line to read
+        self.last_line = start  # 1-based number of the line `next` last returned
 
     def eof(self) -> bool:
-        while self.pos < len(self.lines):
-            if self._head is None:
-                self._head = self.lines[self.pos].split()
-            if self._head:
-                return False
-            self.pos, self._head = self.pos + 1, None
-        return True
-
-    def peek(self) -> list[str]:
-        if self.eof():
-            raise BvhSyntaxError(self.last_line, "unexpected end of file")
-        return self._head
+        """Skips blank lines and tells whether no other line is left.
+        `str.strip` strips exactly the whitespace `str.split` splits on."""
+        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
+            self.pos += 1
+        return self.pos == len(self.lines)
 
     def next(self) -> list[str]:
-        tokens = self.peek()
-        self.resume(self.pos + 1)
-        return tokens
-
-    def resume(self, pos: int):
-        """Continue after the first `pos` lines, as if `next` had just
-        returned line `pos`."""
-        self.pos, self._head, self.last_line = pos, None, pos
-
-    @property
-    def line(self) -> int:
         if self.eof():
-            return self.last_line
-        return self.pos + 1
+            raise BvhSyntaxError(self.last_line, "unexpected end of file")
+        self.pos += 1
+        self.last_line = self.pos
+        return self.lines[self.pos - 1].split()
 
     def error(self, message: str) -> BvhSyntaxError:
         return BvhSyntaxError(self.last_line, message)
@@ -573,35 +558,32 @@ def _parse_hierarchy(tokens: _Tokens) -> list[JointSpec]:
 
     while open_joints or not joints:
         parent = open_joints[-1] if open_joints else None
-        row = tokens.peek()
+        row = tokens.next()
         if not joints or row[0] == "JOINT":
             keyword = "ROOT" if parent is None else "JOINT"
-            header = tokens.next()
-            if header[0] != keyword or len(header) < 2:
+            if row[0] != keyword or len(row) < 2:
                 raise tokens.error(f"expected '{keyword} name'")
-            name = new_name("_".join(header[1:]))
+            name = new_name("_".join(row[1:]))
             _expect(tokens, "{")
             offset = _parse_offset(tokens, name)
             channels = _parse_channels(tokens, name)
             if parent is not None and any(tag in POSITION_CHANNELS for tag in channels):
-                raise BvhSyntaxError(tokens.last_line, "position channels are only allowed on the root")
+                raise tokens.error("position channels are only allowed on the root")
             open_joints.append(len(joints))
             joints.append(JointSpec(name, parent, offset, channels))
         elif row[:2] == ["End", "Site"]:
             if parent in with_end_site:
-                raise BvhSyntaxError(tokens.line, "multiple End Site blocks in one joint")
+                raise tokens.error("multiple End Site blocks in one joint")
             with_end_site.add(parent)
-            tokens.next()
             name = new_name(f"{joints[parent].name}_end")
             _expect(tokens, "{")
             offset = _parse_offset(tokens, name)
             joints.append(JointSpec(name, parent, offset, (), is_end_site=True))
             _expect(tokens, "}")
         elif row == ["}"]:
-            tokens.next()
             open_joints.pop()
         else:
-            raise BvhSyntaxError(tokens.line, f"unexpected token {row[0]!r} in joint block")
+            raise tokens.error(f"unexpected token {row[0]!r} in joint block")
     return joints
 
 
@@ -610,9 +592,11 @@ def _parse_skeleton(tokens) -> Skeleton:
     if tokens.eof() or tokens.next() != ["HIERARCHY"]:
         raise tokens.error("expected 'HIERARCHY'")
     joints = _parse_hierarchy(tokens)
-    if tokens.peek()[0] == "ROOT":
-        raise BvhSyntaxError(tokens.line, "multiple ROOT joints are not supported")
-    _expect(tokens, "MOTION")
+    row = tokens.next()
+    if row[0] == "ROOT":
+        raise tokens.error("multiple ROOT joints are not supported")
+    if row != ["MOTION"]:
+        raise tokens.error("expected 'MOTION'")
     return Skeleton(joints)
 
 
@@ -621,7 +605,7 @@ def _memo_skeleton(header: tuple[str, ...]) -> Skeleton:
     """`_parse_skeleton` of the lines of a text through its first line that
     is MOTION, whitespace around it allowed, or of every line if none is. The
     hierarchy raises on that line, and once the hierarchy is complete
-    `_expect` takes the first line that is not blank, so the parse either
+    `_parse_skeleton` reads the first line that is not blank, so the parse either
     raises with the line and message a read of the whole text gives or
     ends on the key's last line. `Skeleton` is immutable, so parses share
     it; `lru_cache` keeps no exception, so a fault leaves no entry."""
@@ -704,7 +688,7 @@ def _read_motion(tokens: _Tokens, num_frames: int, width: int) -> np.ndarray:
         if not np.all(np.isfinite(out[i])):
             raise ChannelMismatchError(tokens.last_line, "non-finite channel value")
     if not tokens.eof():
-        raise BvhSyntaxError(tokens.line, "trailing content after declared frames")
+        raise BvhSyntaxError(tokens.pos + 1, "trailing content after declared frames")
     return _read_only(out)
 
 
@@ -731,8 +715,7 @@ def parse(text: str | bytes) -> MotionClip:
     except ValueError:  # no MOTION line: the key is the whole text, whose parse raises
         end = len(lines)
     skeleton = _memo_skeleton(tuple(lines[:end]))
-    tokens = _Tokens(lines)
-    tokens.resume(end)
+    tokens = _Tokens(lines, end)
     num_frames, frame_time = _parse_timing(tokens)
     frames = _read_motion(tokens, num_frames, skeleton.channel_count)
     return MotionClip(skeleton=skeleton, frame_time=frame_time, frames=frames)

@@ -21,6 +21,9 @@ Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `positions`. A single frame, `pose[f]`, raises ShapeMismatchError. Every
 entry point checks a pair one way: a different frame count raises
 LengthMismatchError, any other shape difference ShapeMismatchError.
+Every entry point takes its arrays C-contiguous, copying only an input
+that is not, so a report's bits do not depend on the input's memory
+layout (numpy's sums reduce in memory order).
 
 `window_reports` scores many windows of one position pair, each equal
 bit for bit to `report_between` of the window, which is its one window
@@ -69,11 +72,11 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    """The two sequences as float arrays of one shape: a different frame
-    count raises LengthMismatchError, any other difference
-    ShapeMismatchError."""
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
+    """The two sequences as C-contiguous float arrays of one shape (a copy
+    only of an array that is not): a different frame count raises
+    LengthMismatchError, any other difference ShapeMismatchError."""
+    pred = np.asarray(pred, dtype=float, order="C")
+    truth = np.asarray(truth, dtype=float, order="C")
     if pred.shape[:1] != truth.shape[:1]:
         raise LengthMismatchError(f"sequences differ in length: {pred.shape} vs {truth.shape}")
     if pred.shape != truth.shape:
@@ -138,12 +141,12 @@ def _dft_basis(frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _npss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """NPSS of one window given as two (H, K) arrays, time first. Up to
-    `_DFT_FRAMES` frames the power spectra are matrix products on the
-    memoized `_dft_basis`, on a C-contiguous copy of each side, so that
-    BLAS runs every product: numpy's own matmul loop, which numpy may run
-    on operands of other strides, sums in another order. Longer windows
-    run one FFT per side."""
+    """NPSS of one window given as two C-contiguous (H, K) arrays, time
+    first. Up to `_DFT_FRAMES` frames the power spectra are matrix
+    products on the memoized `_dft_basis`; both callers hand over row
+    slices of C-contiguous arrays, so BLAS runs every product (numpy's own
+    matmul loop, which numpy may run on operands of other strides, sums in
+    another order). Longer windows run one FFT per side."""
     frames = pred.shape[0]
     if frames > _DFT_FRAMES:
         pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
@@ -153,8 +156,8 @@ def _npss(pred: np.ndarray, truth: np.ndarray) -> float:
     else:
         basis, multiplicity, mirror = _dft_basis(frames)
         half = len(multiplicity)
-        pred_spectrum = basis @ np.ascontiguousarray(pred)
-        truth_spectrum = basis @ np.ascontiguousarray(truth)
+        pred_spectrum = basis @ pred
+        truth_spectrum = basis @ truth
         pred_spectrum *= pred_spectrum
         truth_spectrum *= truth_spectrum
         pred_power = pred_spectrum[:half] + pred_spectrum[half:]
@@ -184,7 +187,7 @@ def acceleration_of(positions: np.ndarray) -> float:
     Input is (F, J, 3) with F >= 3; frame time is deliberately not folded
     in, so the value is in length units per squared frame step.
     """
-    positions = np.asarray(positions, dtype=float)
+    positions = np.asarray(positions, dtype=float, order="C")
     if positions.ndim != 3:
         raise ShapeMismatchError("expected a (F, J, 3) position array")
     if positions.shape[0] < 3:

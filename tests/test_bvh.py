@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -175,12 +176,30 @@ class TestParseErrors:
          9, "frame time must be positive"),
         ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\nMOTION\nFrames: 1\nFrame Time: -0.5\n0 0 0\n",
          9, "frame time must be positive"),
-    ], ids=["position channel on a joint", "two end sites", "zero frame time", "negative frame time"])
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\nROOT b\n{\n OFFSET 0 0 0\n" + ZYX + "}\n"
+         + MOTION + "0 0 0 0 0 0\n", 7, "multiple ROOT joints are not supported"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\nJOINT b\n{\n OFFSET 0 0 0\n" + ZYX + "}\n"
+         + MOTION + "0 0 0 0 0 0\n", 7, "expected 'MOTION'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + " Joint b\n {\n  OFFSET 1 0 0\n " + ZYX
+         + " }\n}\n" + MOTION + "0 0 0 0 0 0\n", 6, "unexpected token 'Joint' in joint block"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "\n\n", 5, "unexpected end of file"),
+        ("", 0, "expected 'HIERARCHY'"),
+        ("  \n\t\n \r\n", 0, "expected 'HIERARCHY'"),
+        ("HIERARCHY\nROOT a\n{\n OFFSET 0 0 0\n" + ZYX + "}\n" + MOTION + "0 0 0\n\n\n1 2 3\n",
+         13, "trailing content after declared frames"),
+    ], ids=["position channel on a joint", "two end sites", "zero frame time", "negative frame time",
+            "second root", "joint after the root block", "unknown keyword", "end inside the root block",
+            "empty text", "whitespace-only text", "row after the declared frames"])
     def test_parser_faults_at_their_line(self, text, line, message):
         with pytest.raises(BvhSyntaxError) as info:
             bvh.parse(text)
         assert type(info.value) is BvhSyntaxError
         assert (info.value.message, info.value.line) == (message, line)
+
+    def test_blank_lines_split_to_nothing(self):
+        # `_Tokens.eof` skips the lines `str.strip` empties, which are the lines `str.split` empties
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        assert [c for c in chars if not c.strip()] == [c for c in chars if not c.split()]
 
     def test_second_root_rejected(self):
         text = (

@@ -449,9 +449,10 @@ class TestWindowReports:
         for horizon, stride in ((30, 7), (90, 1), (3, 11)):
             starts = window_starts(90, horizon, stride)
             got = self.assert_matches_loop(pred, truth, starts, horizon)
-            # NPSS does not depend on the layout (the means reduce in memory order)
-            assert ([float.hex(report.npss) for report in got]
-                    == [float.hex(report.npss) for report in window_reports(*copies, starts, horizon)])
+            # no value depends on the layout, the means included, which reduce in memory order
+            assert bits(got) == bits(window_reports(*copies, starts, horizon))
+        assert bits([report_between(pred, truth)]) == bits([report_between(*copies)])
+        assert float.hex(acceleration_of(pred)) == float.hex(acceleration_of(copies[0]))
 
     def test_npss_between_still_matches_oracle(self, rng):
         for frames in (2, 3, 30):
