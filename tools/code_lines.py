@@ -10,7 +10,6 @@ anywhere, with no options:
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -41,15 +40,14 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> int:
+def main():
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:16} {count:5}")
     print(f"{'total':16} {total:5}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
