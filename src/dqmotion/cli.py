@@ -51,10 +51,12 @@ def _parse_weights(text: str) -> LossWeights:
     return LossWeights.from_mapping(mapping)
 
 
-def _unit_residuals(blocks: np.ndarray) -> np.ndarray:
-    """Per-(frame, joint) worst of the two dual-quaternion unit residuals."""
+def _unit_residuals(blocks: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-(frame, joint) worst of the two dual-quaternion unit residuals,
+    and whether every block is unit by `dualquat.is_unit`'s rule."""
     norm_res, ortho_res = dualquat.unitary_residual(blocks)
-    return np.maximum(np.abs(norm_res), np.abs(ortho_res))
+    return (np.maximum(np.abs(norm_res), np.abs(ortho_res)),
+            dualquat._within_unit_tolerance(norm_res, ortho_res))
 
 
 def _offset_violations(encoded) -> np.ndarray:
@@ -115,9 +117,9 @@ def cmd_encode(args) -> int:
     kind = encoded.kind
     print(f"width: {encoded.width} (3 + {kind.block_dim}*{encoded.joint_count})")
     if kind is ReprKind.DUALQUAT:
-        residual = float(np.max(_unit_residuals(encoded.joint_blocks())))
-        print(f"max unit residual: {residual:.3e}")
-        if residual > dualquat.UNIT_TOLERANCE:
+        residuals, unit = _unit_residuals(encoded.joint_blocks())
+        print(f"max unit residual: {float(np.max(residuals)):.3e}")
+        if not unit:
             print("error: encoded blocks violate the unit conditions", file=sys.stderr)
             return 1
     if args.standardize:
@@ -182,10 +184,11 @@ def cmd_validate(args) -> int:
     blocks = encoded.joint_blocks()
 
     if encoded.kind is ReprKind.DUALQUAT:
-        residuals = _unit_residuals(blocks)
+        residuals, unit = _unit_residuals(blocks)
     else:
         blocks = blocks[..., :4]
         residuals = np.abs(np.sum(blocks * blocks, axis=-1) - 1.0)
+        unit = dualquat._within_unit_tolerance(residuals, 0.0)
     worst_idx = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst_residual = float(residuals[worst_idx])
     print(f"worst unit residual: {worst_residual:.3e} at frame {worst_idx[0]}, joint {worst_idx[1]}")
@@ -212,7 +215,7 @@ def cmd_validate(args) -> int:
         else:
             print("worst offset deviation: n/a (no bones)")
 
-    if max(worst_residual, worst_offset) > dualquat.UNIT_TOLERANCE or worst_dot < 0.0:
+    if not unit or worst_offset > dualquat.UNIT_TOLERANCE or worst_dot < 0.0:
         print("FAIL: container violates unit, continuity or offset conditions")
         return 1
     print("OK")

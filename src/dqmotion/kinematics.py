@@ -24,6 +24,11 @@ gather and one product whose term table conjugates the parents.
 `current_chain` is the current pose on `compose`, and
 `relative(skeleton.parent_indices, pose.chain.T).T` each joint's local
 transform, its translation the joint offset as encoded.
+`LocalPose.positions` sweeps the rotations alone: `compose` on (4, J, F)
+rows, each offset turned by its parent's current rotation, q (0, o) q*
+(two products, 24 multiply terms a (joint, frame) beside the sweep's 16,
+against the chain's 76), and the turned offsets added parent to child
+over the same levels, the one other loop over them.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's rotation plan (`ChannelTable.rotations`): one gather of every
@@ -43,6 +48,9 @@ import numpy as np
 from . import dualquat, quat
 from .bvh import MotionClip, Skeleton, _frozen, _read_only
 from .errors import ShapeMismatchError, TooFewFramesError
+
+#: The terms of q * (0, o): a pure right operand, stored as its three vector rows.
+_OFFSET_TERMS = quat._product_terms(quat._QUAT_SUMS, b_parts=(None, 0, 1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +123,25 @@ class LocalPose:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        """(..., J, 3) root-centered joint positions of the normalized rotations."""
-        return _read_only(_from_rows(dualquat._translation_rows(
-            current_chain(self.skeleton, _to_rows(quat.normalize(self.joint_rotations))))))
+        """(..., J, 3) root-centered joint positions of the normalized
+        rotations: `compose` of the rotations alone, each offset turned by
+        its parent's current rotation, q (0, o) q*, and the turned offsets
+        added parent to child over the same levels, the root at +0.0. A
+        composed rotation that is not unit (a NaN) raises the NotUnitError
+        of `dualquat.translation`'s check."""
+        skeleton = self.skeleton
+        current = compose(skeleton.levels, _to_rows(quat.normalize(self.joint_rotations)))
+        if not dualquat._within_unit_tolerance(quat._row_dot(current, current) - 1.0, 0.0):
+            raise dualquat._not_unit("translation")
+        parents = current.take(skeleton.parent_indices[1:], axis=1)
+        offsets = skeleton.offsets[1:].T.reshape((3, -1) + (1,) * (current.ndim - 2))
+        out = np.empty((3,) + current.shape[1:])
+        out[:, 0] = 0.0
+        turning = quat._products(_OFFSET_TERMS, parents, offsets)  # q (0, o)
+        quat._products(dualquat._TRANSLATION_TERMS, turning, parents, out[:, 1:])  # its q* product's vector
+        for level, parent_rows in skeleton.levels:
+            out[:, level] += out.take(parent_rows, axis=1)
+        return _read_only(_from_rows(out))
 
     @cached_property
     def _encoded_parts(self) -> dict:

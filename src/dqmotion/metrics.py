@@ -3,9 +3,10 @@
 Three metrics, all computed on root-centered joint positions obtained by
 forward kinematics with the root displacement zeroed (pose quality only,
 by construction invariant to root translation). The positions are the
-pose's own (`LocalPose.positions`): the frame-batched dual-quaternion
-chain on rotations normalized first, run at most once per pose and
-sliced, not rerun, for a window of a pose already scored in full:
+pose's own (`LocalPose.positions`): the frame-batched rotation sweep on
+rotations normalized first, each bone offset turned by its parent's
+current rotation and summed parent to child, run at most once per pose
+and sliced, not rerun, for a window of a pose already scored in full:
 
 - frame-wise Euclidean distance, averaged over frames and joints;
 - normalized power-spectrum similarity (NPSS): per feature, the squared
@@ -111,6 +112,8 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     carry no weight; two identical sequences score exactly 0.
     """
     pred, truth = _pair(pred, truth)
+    if pred.ndim == 0:
+        raise ShapeMismatchError("expected (F, ...) arrays with time first")
     if pred.shape[0] < 2:
         raise TooFewFramesError("NPSS needs at least 2 frames")
     frames = pred.shape[0]

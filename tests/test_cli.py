@@ -9,9 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dqmotion import bvh, cli, container
+from dqmotion import bvh, cli, container, dualquat
 from dqmotion.cli import main
 from dqmotion.encoding import EncodedClip, ReprKind, destandardize, encode
+from dqmotion.errors import NotUnitError
 from dqmotion.kinematics import clip_to_local, local_to_clip
 from dqmotion.losses import LossWeights, loss_offset, loss_total
 from dqmotion.metrics import metric_report
@@ -572,3 +573,35 @@ def test_encode_refuses_blocks_off_the_unit_manifold(capsys, tmp_path, fixtures_
     assert "max unit residual: 7.629e-06" in text
     assert err == "error: encoded blocks violate the unit conditions\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("excess, unit", ((1.5e-6, True), (2.5e-6, False)))
+def test_one_unit_rule(capsys, tmp_path, fixtures_dir, monkeypatch, excess, unit):
+    """`encode`, `validate`, `dualquat.is_unit` and `translation` agree on
+    a block whose |r|^2 exceeds 1 by `excess`: up to 2 * UNIT_TOLERANCE,
+    that is |r| within UNIT_TOLERANCE of 1, it is unit everywhere."""
+    source = fixtures_dir / "humanoid.bvh"
+    clip = bvh.parse_file(source)
+    encoded = encode(clip_to_local(clip), ReprKind.DUALQUAT, clip.frame_time)
+    features = encoded.features.copy()
+    features[0, 3:11] *= np.sqrt(1.0 + excess)  # frame 0's root block
+    scaled = EncodedClip(ReprKind.DUALQUAT, encoded.skeleton, encoded.frame_time, features)
+    block = scaled.joint_blocks()[0, 0]
+    assert dualquat.is_unit(block) is unit
+    if unit:
+        dualquat.translation(block)
+    else:
+        with pytest.raises(NotUnitError):
+            dualquat.translation(block)
+
+    path = tmp_path / "scaled.dqm"
+    container.write_file(path, scaled)
+    code, text, _ = run(capsys, "validate", path)
+    assert f"worst unit residual: {excess:.3e} at frame 0, joint 0" in text
+    assert (code, text.splitlines()[-1] == "OK") == ((0, True) if unit else (1, False))
+
+    monkeypatch.setattr(cli, "encode", lambda *args: scaled)
+    out = tmp_path / "encoded.dqm"
+    code, text, _ = run(capsys, "encode", source, "--repr", "dq", "-o", out)
+    assert f"max unit residual: {excess:.3e}" in text
+    assert (code, out.exists()) == ((0, True) if unit else (1, False))

@@ -13,7 +13,8 @@ by hand. It has one kernel too: only the table builders read
 derive a clip's rows once: in `losses`, only the builders of the clip's
 memo (the functions decorated with `_kept`) normalize blocks or take
 them relative to their parents. Gathers call the `take` method, never
-the function `np.take`."""
+the function `np.take`. And only `kinematics` loops over a skeleton's
+depth levels, apart from two named walks that sweep no rows forward."""
 
 import ast
 import re
@@ -425,3 +426,66 @@ more = numpy.take(values, [0])
 fine = values.take(index, axis=1) + np.take_along_axis(values, index, axis=1)
 """
     assert take_function_calls(ast.parse(source)) == [2, 3]
+
+
+#: The one module that sweeps a skeleton's depth levels (`compose` and the
+#: additive pass of `LocalPose.positions`), and the two loops elsewhere
+#: that walk them without sweeping rows forward: `Skeleton` builds each
+#: encoded level's child ranks once, and the quaternion kinds'
+#: current-space rotational gradient walks the levels in reverse.
+LEVEL_SWEEPER = "kinematics.py"
+LEVEL_WALKERS = {("bvh.py", "_encoded_child_ranks"), ("losses.py", "_rotational")}
+
+
+def level_loops(tree: ast.AST, module: str) -> set:
+    """(module, function) of every `for` loop or comprehension in `tree`
+    whose iterable reads `levels` or `encoded_levels`, bare or as an
+    attribute; a loop outside any function is (module, None), and a
+    nested function's loop counts for the outermost, as in `readers`."""
+    found = set()
+
+    def reads_levels(node):
+        return any(isinstance(n, ast.Name) and n.id in ("levels", "encoded_levels")
+                   or isinstance(n, ast.Attribute) and n.attr in ("levels", "encoded_levels")
+                   for n in ast.walk(node))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and function is None:
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and reads_levels(node.iter):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_kinematics_sweeps_the_levels():
+    found = set().union(*(level_loops(ast.parse(path.read_text()), str(path.relative_to(SOURCES)))
+                          for path in sorted(SOURCES.rglob("*.py"))))
+    assert {loop for loop in found if loop[0] != LEVEL_SWEEPER} == LEVEL_WALKERS
+    assert {function for module, function in found if module == LEVEL_SWEEPER} == {"compose", "positions"}
+
+
+def test_the_check_sees_a_level_loop():
+    source = """
+for rows, parents in skeleton.levels:
+    pass
+
+def sweep(skeleton, out):
+    def step(levels):
+        for level, parent_rows in reversed(list(levels)):
+            out[:, level] += out[:, parent_rows]
+    return step
+
+def by_index(skeleton):
+    return [skeleton.encoded_levels[depth] for depth in range(len(skeleton.encoded_levels))]
+
+def fine(skeleton, rows):
+    for group in skeleton.groups:
+        rows = rows + len(skeleton.levels)
+    return compose(skeleton.levels, rows)
+"""
+    assert level_loops(ast.parse(source), "losses.py") == {
+        ("losses.py", None), ("losses.py", "sweep"), ("losses.py", "by_index")}

@@ -1,14 +1,19 @@
 """Kinematics: the dual-quaternion chain (`LocalPose.chain`) against the
 matrix oracle, both against an independent homogeneous-matrix
 implementation, and its inverses (`decode` of a dualquat clip, and
-`relative` for the per-joint local transforms)."""
+`relative` for the per-joint local transforms), and the errors that the
+positions raise on a bad rotation."""
+
+import re
 
 import numpy as np
 import pytest
 
 from dqmotion import bvh, dualquat, quat
 from dqmotion.encoding import ReprKind, decode, encode
+from dqmotion.errors import DegenerateNormError, NonFiniteError, NotUnitError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
+from dqmotion.metrics import metric_report
 
 import oracles
 from pose_oracles import matrix_fk
@@ -227,3 +232,30 @@ class TestClipConversion:
         for before, after in zip(poses, back):
             for a, b in zip(before.joint_rotations, after.joint_rotations):
                 assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-6
+
+
+#: A bad rotation, set in all four components, and what `positions` and
+#: `metric_report` raise on it: the classes and messages of the
+#: dual-quaternion chain that the rotation sweep replaced.
+BAD_ROTATIONS = {
+    "zero": (0.0, DegenerateNormError, "quaternion norm <= 1e-12"),
+    "1e200": (1e200, NonFiniteError, "a norm overflows: values too large for float64"),
+    "NaN": (np.nan, NotUnitError, "translation requires a unit dual quaternion (tol 1e-06)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROTATIONS)
+@pytest.mark.parametrize("where", ("root", "inner", "end site"))
+def test_positions_raise_what_the_chain_raised(rng, name, where):
+    skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
+    pose = oracles.random_poses(rng, skeleton, 5)
+    joint = {"root": 0, "inner": skeleton.parent_indices[-1], "end site": skeleton.num_joints - 1}[where]
+    value, error, message = BAD_ROTATIONS[name]
+    rotations = pose.joint_rotations.copy()
+    rotations[3, joint] = value
+    bad = LocalPose(skeleton, pose.root_translation, rotations)
+    calls = (lambda: bad.positions, lambda: metric_report(bad, pose), lambda: metric_report(pose, bad))
+    for call in calls + calls:  # nothing raised is kept
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    assert "positions" not in vars(bad)

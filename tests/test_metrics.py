@@ -275,6 +275,11 @@ class TestPairCheck:
             between(np.zeros((6, 4, 3)), np.zeros((6, 3, 3)))
 
     @pytest.mark.parametrize("between", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_zero_dimensional_pair(self, between):
+        with pytest.raises(ShapeMismatchError):
+            between(np.float64(1), np.float64(1))
+
+    @pytest.mark.parametrize("between", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
     def test_same_shape_passes(self, between):
         between(np.zeros((6, 4, 3)), np.ones((6, 4, 3)))
 

@@ -74,6 +74,40 @@ class TestToEuler:
         assert quat.to_euler(q, "ZYX").shape == (3,)
 
 
+def with_zero_offsets(rng, skeleton: Skeleton) -> Skeleton:
+    """`skeleton` with about half of its offsets, end sites' included, zero."""
+    return Skeleton([dataclasses.replace(joint, offset=np.zeros(3)) if rng.random() < 0.5 else joint
+                     for joint in skeleton.joints])
+
+
+@pytest.mark.parametrize("frames", (1, 2, 400))
+@pytest.mark.parametrize("zero_offsets", (False, True), ids=("offsets", "zero offsets"))
+def test_positions_match_the_chain_translations(rng, frames, zero_offsets):
+    """The rotation sweep's positions against the translations of the dual-
+    quaternion chain they replaced, within 1e-12 of the largest |position|."""
+    for n_joints in (1, 2, 5, 12, 30):
+        skeleton = oracles.random_skeleton(rng, n_joints, end_sites=True)
+        if zero_offsets:
+            skeleton = with_zero_offsets(rng, skeleton)
+        pose = oracles.random_poses(rng, skeleton, frames)
+        want = pose_oracles.chain_positions(pose)
+        got = pose.positions
+        assert got.shape == want.shape == (frames, skeleton.num_joints, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not np.signbit(got[:, 0]).any() and not got[:, 0].any()  # the root at +0.0
+
+
+def test_positions_scale_with_the_offsets(rng):
+    """The positions check no dual quaternion, so offsets of 1e10, whose
+    chain fails its orthogonality check, give the positions scaled."""
+    skeleton = branching_skeleton(rng)
+    pose = oracles.random_poses(rng, skeleton, 16)
+    huge = Skeleton([dataclasses.replace(joint, offset=joint.offset * 1e10) for joint in skeleton.joints])
+    scaled = LocalPose(huge, pose.root_translation, pose.joint_rotations).positions
+    want = pose.positions * 1e10
+    assert np.max(np.abs(scaled - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("frames", FRAME_COUNTS)
 class TestHierarchy:
     def test_positions_match_matrix_fk(self, rng, frames):
