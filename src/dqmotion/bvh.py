@@ -329,6 +329,28 @@ class Skeleton:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     @cached_property
+    def _hierarchy_text(self) -> str:
+        """The HIERARCHY block of `write`, newline-terminated: the joints
+        depth-first, siblings in index order."""
+        table, out, open_blocks = self.channel_table, ["HIERARCHY"], 0
+        for index, depth in table.depth_first:
+            while open_blocks > depth:  # close the blocks this joint is not in
+                open_blocks -= 1
+                out.append("  " * open_blocks + "}")
+            joint, pad = self.joints[index], "  " * depth
+            offset = f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}"
+            if joint.is_end_site:
+                out.extend([f"{pad}End Site", f"{pad}{{", offset, f"{pad}}}"])
+                continue
+            keyword = "ROOT" if joint.parent is None else "JOINT"
+            tags = "".join(" " + tag for tag in joint.channels)
+            out.extend([f"{pad}{keyword} {joint.name}", f"{pad}{{", offset,
+                        f"{pad}  CHANNELS {len(joint.channels)}{tags}"])
+            open_blocks += 1
+        out.extend("  " * depth + "}" for depth in range(open_blocks - 1, -1, -1))
+        return "\n".join(out) + "\n"
+
+    @cached_property
     def channel_count(self) -> int:
         return sum(len(j.channels) for j in self.joints)
 
@@ -731,32 +753,15 @@ def parse_file(path) -> MotionClip:
 # ---------------------------------------------------------------------------
 
 def write(clip: MotionClip) -> str:
-    """Serialize a MotionClip as canonical BVH text: the joints depth-first,
-    siblings in index order, and each motion row with its channels in that
-    same order."""
-    skeleton, table = clip.skeleton, clip.skeleton.channel_table
-    out, open_blocks = ["HIERARCHY"], 0
-    for index, depth in table.depth_first:
-        while open_blocks > depth:  # close the blocks this joint is not in
-            open_blocks -= 1
-            out.append("  " * open_blocks + "}")
-        joint, pad = skeleton.joints[index], "  " * depth
-        offset = f"{pad}  OFFSET {joint.offset[0]:.6f} {joint.offset[1]:.6f} {joint.offset[2]:.6f}"
-        if joint.is_end_site:
-            out.extend([f"{pad}End Site", f"{pad}{{", offset, f"{pad}}}"])
-            continue
-        keyword = "ROOT" if joint.parent is None else "JOINT"
-        tags = "".join(" " + tag for tag in joint.channels)
-        out.extend([f"{pad}{keyword} {joint.name}", f"{pad}{{", offset,
-                    f"{pad}  CHANNELS {len(joint.channels)}{tags}"])
-        open_blocks += 1
-    out.extend("  " * depth + "}" for depth in range(open_blocks - 1, -1, -1))
-
+    """Serialize a MotionClip as canonical BVH text: the skeleton's
+    HIERARCHY block (`Skeleton._hierarchy_text`, built once per skeleton),
+    then each motion row with its channels in that block's order."""
     frame_time = f"{clip.frame_time:.6f}"
     if frame_time == "0.000000":  # six decimals would give a file `parse` rejects
         frame_time = repr(float(clip.frame_time))
-    out.extend(["MOTION", f"Frames: {clip.num_frames}", f"Frame Time: {frame_time}"])
-    return "\n".join(out) + "\n" + _motion_text(clip.frames, table.depth_first_columns)
+    return (f"{clip.skeleton._hierarchy_text}MOTION\nFrames: {clip.num_frames}\n"
+            f"Frame Time: {frame_time}\n"
+            + _motion_text(clip.frames, clip.skeleton.channel_table.depth_first_columns))
 
 
 #: The most values the writer formats at once, which bounds its temporaries.

@@ -25,10 +25,11 @@ gather and one product whose term table conjugates the parents.
 `relative(skeleton.parent_indices, pose.chain.T).T` each joint's local
 transform, its translation the joint offset as encoded.
 `LocalPose.positions` sweeps the rotations alone: `compose` on (4, J, F)
-rows, each offset turned by its parent's current rotation, q (0, o) q*
-(two products, 24 multiply terms a (joint, frame) beside the sweep's 16,
-against the chain's 76), and the turned offsets added parent to child
-over the same levels, the one other loop over them.
+rows, normalized in place as rows, each offset turned by its parent's
+current rotation, q (0, o) q* (two products, 24 multiply terms a
+(joint, frame) beside the sweep's 16, against the chain's 76), and the
+turned offsets added parent to child over the same levels, the one
+other loop over them.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's rotation plan (`ChannelTable.rotations`): one gather of every
@@ -69,10 +70,12 @@ class LocalPose:
     each computed on first use and kept read-only, as (F, J, .) arrays
     (nothing is kept when they raise); a slice of the pose takes the same
     slice of what is kept, so a window of a pose scored in full runs no
-    hierarchy sweep. `_encoded_parts`, the third memo, holds views into
-    clips that `encoding.encode` built from the pose; a slice starts
-    without it, since the sign correction seeds at the slice's first
-    frame.
+    hierarchy sweep. A non-empty slice of a batched pose holds read-only
+    views of its arrays and skips the constructor's checks, which they
+    passed; an empty slice and any other index run them.
+    `_encoded_parts`, the third memo, holds views into clips that
+    `encoding.encode` built from the pose; a slice starts without it,
+    since the sign correction seeds at the slice's first frame.
     """
 
     skeleton: Skeleton
@@ -106,7 +109,14 @@ class LocalPose:
 
     def __getitem__(self, index) -> "LocalPose":
         len(self)  # a single-frame pose has no frame axis to index
-        pose = LocalPose(self.skeleton, self.root_translation[index], self.joint_rotations[index])
+        rotations = self.joint_rotations[index]
+        if isinstance(index, slice) and len(rotations):
+            # frames of a checked pose: read-only views, nothing to check again
+            pose = object.__new__(LocalPose)
+            vars(pose).update(skeleton=self.skeleton, joint_rotations=rotations,
+                              root_translation=self.root_translation[index])
+        else:
+            pose = LocalPose(self.skeleton, self.root_translation[index], rotations)
         for name in ("chain", "positions"):  # never `_encoded_parts`
             if name in vars(self):
                 vars(pose)[name] = _read_only(vars(self)[name][index])
@@ -130,7 +140,7 @@ class LocalPose:
         composed rotation that is not unit (a NaN) raises the NotUnitError
         of `dualquat.translation`'s check."""
         skeleton = self.skeleton
-        current = compose(skeleton.levels, _to_rows(quat.normalize(self.joint_rotations)))
+        current = compose(skeleton.levels, _unit_rows(self.joint_rotations))
         if not dualquat._within_unit_tolerance(quat._row_dot(current, current) - 1.0, 0.0):
             raise dualquat._not_unit("translation")
         parents = current.take(skeleton.parent_indices[1:], axis=1)
@@ -160,6 +170,14 @@ def _to_rows(values: np.ndarray) -> np.ndarray:
     """(C, J, F) rows of (F, J, C) values, every axis reversed, in one
     C-contiguous copy: each component one row, each joint's frames one run."""
     return np.asarray(values, dtype=float).T.copy()
+
+
+def _unit_rows(rotations: np.ndarray) -> np.ndarray:
+    """`_to_rows(quat.normalize(rotations))`, its bits and errors, in one
+    copy: the rows are normalized in place."""
+    rows = _to_rows(rotations)
+    rows /= quat._unit_norms(rows)
+    return rows
 
 
 def _from_rows(rows: np.ndarray) -> np.ndarray:

@@ -22,18 +22,25 @@ Trajectory-level entry points (`euclidean_between`, `npss_between`,
 `positions`. A single frame, `pose[f]`, raises ShapeMismatchError. Every
 entry point checks a pair one way: a different frame count raises
 LengthMismatchError, any other shape difference ShapeMismatchError.
-Every entry point takes its arrays C-contiguous, copying only an input
-that is not, so a report's bits do not depend on the input's memory
-layout (numpy's sums reduce in memory order).
+Every entry point copies the pair into one C-contiguous (2, ...) stack,
+pred first (`_pair`), so a report's bits do not depend on the input's
+memory layout (numpy's sums reduce in memory order), and both sides share
+each numpy call.
 
 `window_reports` scores many windows of one position pair, each equal
-bit for bit to `report_between` of the window, which is its one window
-over the whole pair: each frame's distance and second differences are
-computed once per clip, and NPSS runs once per window through the one
-kernel `_npss` that `npss_between` also calls. Up to `_DFT_FRAMES`
-frames the kernel takes the power spectra from a real DFT as matrix
-products on a basis memoized per horizon (`_dft_basis`); longer windows
-run the FFT. `dqmotion metrics` scores its windows through it.
+bit for bit to `report_between` of the window. Each frame's distance and
+both sides' second differences are computed once per clip; the windows
+then go in chunks (`_chunk_windows`), each gathered with `take` into
+C-contiguous rows whose sums are the window means, and scored by one
+call of the one NPSS kernel, `_npss`, on its (2, n, H, K) stack.
+`report_between` hands `_npss` its (2, F, K) pair as it is. A stacked
+matrix product is one BLAS product per stack item, so every window keeps
+the bits it has alone; windows side by side in one product would not,
+since BLAS sums a product's terms in an order that depends on its shape.
+Up to `_DFT_FRAMES` frames the kernel takes the power spectra from a
+real DFT as matrix products on a basis memoized per horizon
+(`_dft_basis`); longer windows run one FFT per stack item.
+`dqmotion metrics` scores its windows through `window_reports`.
 """
 
 import functools
@@ -72,17 +79,28 @@ class MetricReport:
 # trajectory level
 # ---------------------------------------------------------------------------
 
-def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    """The two sequences as C-contiguous float arrays of one shape (a copy
-    only of an array that is not): a different frame count raises
-    LengthMismatchError, any other difference ShapeMismatchError."""
-    pred = np.asarray(pred, dtype=float, order="C")
-    truth = np.asarray(truth, dtype=float, order="C")
+def _pair(pred, truth) -> np.ndarray:
+    """The two sequences as one C-contiguous (2, ...) float stack, pred
+    first: a different frame count raises LengthMismatchError, any other
+    difference ShapeMismatchError."""
+    pred = np.asarray(pred, dtype=float)
+    truth = np.asarray(truth, dtype=float)
     if pred.shape[:1] != truth.shape[:1]:
         raise LengthMismatchError(f"sequences differ in length: {pred.shape} vs {truth.shape}")
     if pred.shape != truth.shape:
         raise ShapeMismatchError(f"sequences differ in shape: {pred.shape} vs {truth.shape}")
-    return pred, truth
+    pair = np.empty((2,) + pred.shape)
+    pair[0] = pred
+    pair[1] = truth
+    return pair
+
+
+def _position_pair(pred, truth) -> np.ndarray:
+    """`_pair` of two (F, J, 3) position arrays, as a (2, F, J, 3) stack."""
+    pair = _pair(pred, truth)
+    if pair.ndim != 4:
+        raise ShapeMismatchError("expected a (F, J, 3) position array")
+    return pair
 
 
 def _mean(values: np.ndarray) -> float:
@@ -92,15 +110,22 @@ def _mean(values: np.ndarray) -> float:
     return float(values.sum() / values.size)
 
 
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """`_mean` over the last two axes of a C-contiguous array, bit for bit:
+    each block is one contiguous row, which sums as the block alone does."""
+    rows = values.reshape(values.shape[:-2] + (-1,))
+    return rows.sum(axis=-1) / rows.shape[-1]
+
+
 def euclidean_between(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean over frames and joints of the positional distance.
 
     Inputs are (F, J, 3) position arrays.
     """
-    pred, truth = _pair(pred, truth)
-    if pred.ndim != 3 or pred.shape[0] < 1:
+    pair = _pair(pred, truth)
+    if pair.ndim != 4 or pair.shape[1] < 1:
         raise ShapeMismatchError("expected (F >= 1, J, 3) position arrays")
-    return _mean(quat._lengths(pred - truth))
+    return _mean(quat._lengths(pair[0] - pair[1], overwrite=True))
 
 
 def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -111,13 +136,12 @@ def npss_between(pred: np.ndarray, truth: np.ndarray) -> float:
     flattened into features. Features with zero power in both sequences
     carry no weight; two identical sequences score exactly 0.
     """
-    pred, truth = _pair(pred, truth)
-    if pred.ndim == 0:
+    pair = _pair(pred, truth)
+    if pair.ndim == 1:
         raise ShapeMismatchError("expected (F, ...) arrays with time first")
-    if pred.shape[0] < 2:
+    if pair.shape[1] < 2:
         raise TooFewFramesError("NPSS needs at least 2 frames")
-    frames = pred.shape[0]
-    return _npss(pred.reshape(frames, -1), truth.reshape(frames, -1))
+    return float(_npss(pair.reshape(2, pair.shape[1], -1)))
 
 
 #: Longest window whose power spectra are matrix products on `_dft_basis`.
@@ -143,45 +167,52 @@ def _dft_basis(frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quat._read_only(basis), mirror[-1], mirror
 
 
-def _npss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """NPSS of one window given as two C-contiguous (H, K) arrays, time
-    first. Up to `_DFT_FRAMES` frames the power spectra are matrix
-    products on the memoized `_dft_basis`; both callers hand over row
-    slices of C-contiguous arrays, so BLAS runs every product (numpy's own
-    matmul loop, which numpy may run on operands of other strides, sums in
-    another order). Longer windows run one FFT per side."""
-    frames = pred.shape[0]
+def _npss(pair: np.ndarray) -> np.ndarray:
+    """NPSS of the windows of a C-contiguous (2, ..., H, K) stack, pred on
+    axis 0 before truth, time on axis -2: one score per window, shape
+    (...). Both sides and every window share each call; numpy runs a
+    stacked product as one BLAS product per stack item, so each window
+    keeps the bits it has alone (BLAS sums a product's terms in an order
+    that depends on its shape, so windows side by side in one product
+    would not). Up to `_DFT_FRAMES` frames the power spectra are matrix
+    products on the memoized `_dft_basis`. Longer windows run one FFT per
+    stack item, in place on one complex buffer: one FFT over a (2, 2000,
+    57) stack took twice as long as two, and a fresh complex array per
+    transform page-faults under glibc's default malloc thresholds."""
+    frames, columns = pair.shape[-2:]
     if frames > _DFT_FRAMES:
-        pred_power = np.abs(np.fft.fft(pred, axis=0)) ** 2
-        truth_power = np.abs(np.fft.fft(truth, axis=0)) ** 2
-        pred_total = pred_power.sum(axis=0)
-        truth_total = truth_power.sum(axis=0)
+        power = np.empty(pair.shape)
+        spectrum = np.empty((frames, columns), dtype=complex)
+        for item, out in zip(pair.reshape(-1, frames, columns), power.reshape(-1, frames, columns)):
+            spectrum[...] = item
+            np.abs(np.fft.fft(spectrum, axis=0, out=spectrum), out=out)
+        power *= power
+        total = power.sum(axis=-2)
     else:
         basis, multiplicity, mirror = _dft_basis(frames)
         half = len(multiplicity)
-        pred_spectrum = basis @ pred
-        truth_spectrum = basis @ truth
-        pred_spectrum *= pred_spectrum
-        truth_spectrum *= truth_spectrum
-        pred_power = pred_spectrum[:half] + pred_spectrum[half:]
-        truth_power = truth_spectrum[:half] + truth_spectrum[half:]
-        pred_total = multiplicity @ pred_power
-        truth_total = multiplicity @ truth_power
+        spectrum = basis @ pair
+        spectrum *= spectrum
+        power = spectrum[..., :half, :] + spectrum[..., half:, :]
+        total = multiplicity @ power
 
+    totals = total[..., None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
-        pred_norm = np.where(pred_total > 0, pred_power / pred_total, 0.0)
-        truth_norm = np.where(truth_total > 0, truth_power / truth_total, 0.0)
+        power /= totals
+    np.copyto(power, 0.0, where=~(totals > 0))  # no power in the column, or a NaN
 
     # 1-D EMD between unit-mass spectra: L1 distance of the cumulative sums.
     if frames > _DFT_FRAMES:
-        gap = np.cumsum(pred_norm, axis=0) - np.cumsum(truth_norm, axis=0)
+        cumulative = np.cumsum(power, axis=-2, out=power)
+        gap = np.subtract(cumulative[0], cumulative[1], out=cumulative[0])
     else:
-        gap = mirror @ (pred_norm - truth_norm)
-    weight_total = truth_total.sum()
+        gap = mirror @ (power[0] - power[1])
+    truth_total = total[1]
+    weight_total = truth_total.sum(axis=-1)
+    weighted = (np.abs(gap, out=gap).sum(axis=-2) * truth_total).sum(axis=-1)
     # A window whose truth has no power scores 0; a NaN total gives NaN.
-    if weight_total <= 0.0:
-        return 0.0
-    return float((np.abs(gap).sum(axis=0) * truth_total).sum() / weight_total)
+    silent = weight_total <= 0.0
+    return np.where(silent, 0.0, weighted / np.where(silent, 1.0, weight_total))
 
 
 def acceleration_of(positions: np.ndarray) -> float:
@@ -199,23 +230,42 @@ def acceleration_of(positions: np.ndarray) -> float:
 
 
 def _second_differences(positions: np.ndarray) -> np.ndarray:
-    """(F - 2, J) second-difference magnitude per frame step and joint;
-    row f is centred on frame f + 1."""
-    second = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
-    return quat._lengths(second)
+    """(..., F - 2, J) second-difference magnitude per frame step and
+    joint of (..., F, J, 3) positions; row f is centred on frame f + 1."""
+    second = np.multiply(positions[..., 1:-1, :, :], -2.0)
+    second += positions[..., 2:, :, :]  # x[f + 2] - 2 x[f + 1], exactly
+    second += positions[..., :-2, :, :]
+    return quat._lengths(second, overwrite=True)
 
 
 def report_between(
     pred: np.ndarray, truth: np.ndarray, frame_time: float | None = None
 ) -> MetricReport:
     """All metrics of two (F, J, 3) position arrays, the one window of
-    `window_reports` that spans them; the acceleration gap is the
-    absolute difference."""
-    pred, truth = _pair(pred, truth)
-    # A 0-d pair fails `window_reports`' rank check whatever the horizon.
-    [report] = window_reports(pred, truth, [0], len(pred) if pred.ndim else 0)
-    report.frame_time = frame_time
-    return report
+    `window_reports` that spans them, with its checks and bits; the
+    acceleration gap is the absolute difference. Both sides' second
+    differences and lengths are one pass, and NPSS one kernel call on the
+    whole pair."""
+    pair = _position_pair(pred, truth)
+    frames = pair.shape[1]
+    if frames < 3:
+        raise TooFewFramesError("acceleration needs at least 3 frames")
+    a_pred, a_truth = _row_means(_second_differences(pair)).tolist()
+    return MetricReport(
+        euclidean=_mean(quat._lengths(pair[0] - pair[1], overwrite=True)),
+        npss=float(_npss(pair.reshape(2, frames, -1))),
+        acceleration_pred=a_pred,
+        acceleration_truth=a_truth,
+        acceleration_error=abs(a_pred - a_truth),
+        frame_time=frame_time,
+    )
+
+
+def _chunk_windows(horizon: int, columns: int) -> int:
+    """Windows per `_npss` call in `window_reports`: the most whose largest
+    stack, both sides' spectra of H + 2 rows by K columns, holds at most
+    `quat._STACK_VALUES` values, and at least one."""
+    return max(1, quat._STACK_VALUES // (2 * (horizon + 2) * max(columns, 1)))
 
 
 def window_reports(
@@ -225,23 +275,20 @@ def window_reports(
     horizon: int,
 ) -> list[MetricReport]:
     """The metrics of every window [s, s + horizon) of two (F, J, 3)
-    position arrays, for s in `starts`; `report_between` is its one
-    window over the whole pair.
+    position arrays, for s in `starts`, each equal bit for bit to
+    `report_between` of the window.
 
     The distances and both sequences' second differences are computed
-    once per clip; a window's Euclidean and acceleration values are the
-    means of its contiguous slices of them. NPSS runs once per window,
-    on its row slices of the flattened clip: BLAS sums a product's terms
-    in an order that depends on its column count, so windows side by
-    side in one product would not keep the bits of a window alone. The
-    pair and the horizon are checked before any arithmetic; starts that
-    are not a sequence of integers, a horizon that is not an integer (a
-    bool is neither) or a window outside the clip raises
-    InvalidValueError.
+    once per clip. The windows go in chunks whose NPSS stacks hold at
+    most `quat._STACK_VALUES` values (one window when a single one holds
+    more): each chunk gathers its windows' rows with `take`, reads the
+    Euclidean and acceleration means as row sums of the C-contiguous
+    rows, and runs `_npss` once on its (2, n, H, K) stack. The pair and
+    the horizon are checked before any arithmetic; starts that are not a
+    sequence of integers, a horizon that is not an integer (a bool is
+    neither) or a window outside the clip raises InvalidValueError.
     """
-    pred, truth = _pair(pred, truth)
-    if pred.ndim != 3:
-        raise ShapeMismatchError("expected a (F, J, 3) position array")
+    pair = _position_pair(pred, truth)
     try:
         starts = list(starts)
     except TypeError:
@@ -251,33 +298,31 @@ def window_reports(
             raise InvalidValueError(f"window starts and horizon must be integers, not {value!r}")
     if horizon < 3:
         raise TooFewFramesError("acceleration needs at least 3 frames")
-    frames = pred.shape[0]
+    frames = pair.shape[1]
     for start in starts:
         if not 0 <= start <= frames - horizon:
             raise InvalidValueError(
                 f"window [{start}, {start + horizon}) is not inside the {frames} frames"
             )
+    if not starts:
+        return []
 
-    distances = quat._lengths(pred - truth)
-    accel_pred = _second_differences(pred)
-    accel_truth = _second_differences(truth)
-
-    flat_pred = pred.reshape(frames, -1)
-    flat_truth = truth.reshape(frames, -1)
+    distances = quat._lengths(pair[0] - pair[1], overwrite=True)
+    accel = _second_differences(pair)
+    flat = pair.reshape(2, frames, -1)
+    chunk = _chunk_windows(horizon, flat.shape[2])
+    steps = np.arange(horizon)
 
     reports = []
-    for start in starts:
-        window = slice(start, start + horizon)
-        diffs = slice(start, start + horizon - 2)
-        a_pred = _mean(accel_pred[diffs])
-        a_truth = _mean(accel_truth[diffs])
-        reports.append(MetricReport(
-            euclidean=_mean(distances[window]),
-            npss=_npss(flat_pred[window], flat_truth[window]),
-            acceleration_pred=a_pred,
-            acceleration_truth=a_truth,
-            acceleration_error=abs(a_pred - a_truth),
-        ))
+    for first in range(0, len(starts), chunk):
+        rows = np.array(starts[first:first + chunk], dtype=np.intp)[:, None] + steps
+        euclidean = _row_means(distances.take(rows, axis=0))
+        acceleration = _row_means(accel.take(rows[:, :-2], axis=1))
+        npss = _npss(flat.take(rows, axis=1))
+        for distance, score, a_pred, a_truth in zip(euclidean.tolist(), npss.tolist(),
+                                                    *acceleration.tolist()):
+            reports.append(MetricReport(euclidean=distance, npss=score, acceleration_pred=a_pred,
+                                        acceleration_truth=a_truth, acceleration_error=abs(a_pred - a_truth)))
     return reports
 
 

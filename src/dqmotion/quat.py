@@ -29,8 +29,8 @@ leave out the terms of an operand's zero components or fold either
 operand's conjugate into its signs). A product whose terms fit in
 `_STACK_VALUES` values gathers and multiplies them all at once; a
 larger one runs sum by sum. `norm` is `_row_norm` on the component
-view, and `_lengths` the same row sum without its overflow check, for
-the metrics.
+view, and `_lengths` the same sum of squares in index order without its
+overflow check, for the metrics.
 
 The Euler conversions take the order as data. An `EulerPlan` gives each
 column of angles the axes (i, j, k) it turns about, in composition
@@ -212,13 +212,18 @@ def _row_norm(rows: np.ndarray) -> np.ndarray:
     return n
 
 
-def _lengths(values: np.ndarray) -> np.ndarray:
+def _lengths(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Euclidean lengths over the last axis, the squares summed in index
     order: `np.linalg.norm(values, axis=-1)`, bits and overflow warning
-    included, without `norm`'s NonFiniteError."""
+    included, without `norm`'s NonFiniteError. One multiply squares every
+    value, in place with `overwrite` (for a temporary of the caller's);
+    the sum then reads the squares component by component."""
     values = np.asarray(values, dtype=float)
-    rows = values.transpose((-1,) + tuple(range(values.ndim - 1)))
-    return np.sqrt(_row_dot(rows, rows))
+    squares = np.multiply(values, values, out=values if overwrite else None)
+    total = squares[..., 0] + squares[..., 1] if values.shape[-1] > 1 else squares[..., 0].copy()
+    for i in range(2, values.shape[-1]):
+        total += squares[..., i]
+    return np.sqrt(total, out=total)
 
 
 def _on_rows(kernel, width: int, *operands) -> np.ndarray:
@@ -261,10 +266,16 @@ def normalize(q: np.ndarray) -> np.ndarray:
     """Scale to unit norm. Raises DegenerateNormError when the norm is at
     or below the 1e-12 floor, and NonFiniteError when it is infinite."""
     q = np.asarray(q, dtype=float)
-    n = norm(q)[..., None]
+    return q / _unit_norms(q.transpose((-1,) + tuple(range(q.ndim - 1))))[..., None]
+
+
+def _unit_norms(rows: np.ndarray) -> np.ndarray:
+    """`_row_norm` of component rows to divide by: DegenerateNormError
+    where a norm is at or below the floor."""
+    n = _row_norm(rows)
     if np.any(n <= _NORM_FLOOR):
         raise DegenerateNormError(f"quaternion norm <= {_NORM_FLOOR:g}")
-    return q / n
+    return n
 
 
 def _order_axes(order: str) -> tuple:

@@ -481,6 +481,20 @@ class TestWrite:
         assert "\t" not in text
         assert "\n  JOINT knee\n" in text
 
+    def test_hierarchy_is_built_once_per_skeleton(self, fixtures_dir):
+        clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
+        skeleton = clip.skeleton
+        clips = [clip, bvh.MotionClip(skeleton, 0.125, clip.frames[3:5] + 1.0)]
+        texts = [bvh.write(c) for c in clips]
+        header = skeleton._hierarchy_text
+        assert all(text.startswith(header + "MOTION\n") for text in texts)
+        assert bvh.write(clips[1]) == texts[1] and skeleton._hierarchy_text is header
+        for text, c in zip(texts, clips):  # the same text from a skeleton with nothing cached
+            uncached = bvh.Skeleton(skeleton.joints)
+            assert "_hierarchy_text" not in vars(uncached)
+            assert text == bvh.write(bvh.MotionClip(uncached, c.frame_time, c.frames))
+        assert texts[1].split("MOTION\n", 1)[1].startswith("Frames: 2\nFrame Time: 0.125000\n")
+
 
 def split_motion(text: str) -> tuple[str, str]:
     """`text` cut after its MOTION line: the hierarchy, then the rest."""

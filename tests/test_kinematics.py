@@ -259,3 +259,19 @@ def test_positions_raise_what_the_chain_raised(rng, name, where):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
     assert "positions" not in vars(bad)
+
+
+@pytest.mark.parametrize("present", (("zero", "1e200", "NaN"), ("NaN", "zero"), ("NaN",)), ids=str)
+def test_positions_raise_in_error_order(rng, present):
+    """With several bad rotations in one pose, `positions` raises the
+    first class of NonFiniteError, DegenerateNormError and NotUnitError,
+    wherever the rotations sit."""
+    skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
+    pose = oracles.random_poses(rng, skeleton, 5)
+    rotations = pose.joint_rotations.copy()
+    for frame, name in enumerate(present):
+        rotations[frame, skeleton.num_joints - 1 - frame] = BAD_ROTATIONS[name][0]
+    first = min(present, key=["1e200", "zero", "NaN"].index)
+    _, error, message = BAD_ROTATIONS[first]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        LocalPose(skeleton, pose.root_translation, rotations).positions

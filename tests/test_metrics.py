@@ -146,6 +146,11 @@ def fft_npss(pred: np.ndarray, truth: np.ndarray) -> float:
     return 0.0 if weight_total <= 0.0 else float((emd * truth_total).sum() / weight_total)
 
 
+def kernel(pred: np.ndarray, truth: np.ndarray) -> float:
+    """`metrics._npss` of one window, given as its two (H, K) sides."""
+    return float(metrics._npss(np.stack((pred, truth))))
+
+
 class TestNpssKernel:
     """`metrics._npss` on every horizon up to one past `_DFT_FRAMES`: the
     matrix path within 1e-12 relative of the FFT formula, the FFT path
@@ -165,7 +170,7 @@ class TestNpssKernel:
     def test_matches_the_fft_formula(self, rng):
         for frames in range(2, metrics._DFT_FRAMES + 2):
             pred, truth = self.columns(rng, frames)
-            got, want = metrics._npss(pred, truth), fft_npss(pred, truth)
+            got, want = kernel(pred, truth), fft_npss(pred, truth)
             if frames > metrics._DFT_FRAMES:
                 assert float.hex(got) == float.hex(want)
             else:
@@ -174,12 +179,12 @@ class TestNpssKernel:
     def test_identical_columns_score_zero(self, rng):
         for frames in range(2, metrics._DFT_FRAMES + 2):
             pred, _ = self.columns(rng, frames)
-            assert float.hex(metrics._npss(pred, pred.copy())) == float.hex(0.0), frames
+            assert float.hex(kernel(pred, pred.copy())) == float.hex(0.0), frames
 
     def test_no_truth_power_scores_zero(self, rng):
         pred, truth = self.columns(rng, 30)
-        assert metrics._npss(pred, np.zeros_like(truth)) == 0.0
-        assert metrics._npss(pred, np.full_like(truth, -0.0)) == 0.0
+        assert kernel(pred, np.zeros_like(truth)) == 0.0
+        assert kernel(pred, np.full_like(truth, -0.0)) == 0.0
 
 
 class TestAcceleration:

@@ -20,7 +20,7 @@ import pytest
 from dqmotion import dualquat, encoding, kinematics, quat
 from dqmotion.bvh import MotionClip
 from dqmotion.encoding import EncodedClip, NormalizationStats, ReprKind, encode, fit_stats
-from dqmotion.errors import DegenerateNormError, InvalidValueError, NotUnitError
+from dqmotion.errors import DegenerateNormError, InvalidValueError, NotUnitError, TooFewFramesError
 from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
 from dqmotion.metrics import metric_report
 
@@ -121,6 +121,32 @@ class TestSlices:
         # an unfilled pose still needs the sweep
         with pytest.raises(AssertionError):
             fresh(pose, slice(30, 60)).positions
+
+    @pytest.mark.parametrize("index", (slice(7, 7), slice(50, 10), slice(FRAMES, None)),
+                             ids=("a:a", "b:a", "past the end"))
+    def test_an_empty_slice_raises(self, pose, index):
+        fill(pose)
+        with pytest.raises(TooFewFramesError, match="need at least one frame"):
+            pose[index]
+
+    def test_arrays_are_read_only_views_of_the_pose(self, pose):
+        fill(pose)
+        for window in (pose[10:20], pose[::7], pose[150:10:-3], pose[10:20][2:5]):
+            assert window.skeleton is pose.skeleton
+            for name in ("joint_rotations", "root_translation", "positions", "chain"):
+                array = getattr(window, name)
+                assert not array.flags.writeable, name
+                assert array.base is not None and np.shares_memory(array, getattr(pose, name)), name
+
+    def test_only_a_slice_skips_the_checks(self, pose, monkeypatch):
+        checks = counting(monkeypatch, LocalPose, "__post_init__")
+        pose[10:20], pose[::3][1:4]
+        assert checks == []
+        pose[5], pose[[1, 2]], pose[np.array([3, 4])]
+        assert len(checks) == 3
+        with pytest.raises(TooFewFramesError):
+            pose[4:4]
+        assert len(checks) == 4
 
 
 KIND_CYCLE = tuple(ReprKind)
