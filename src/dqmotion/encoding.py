@@ -28,6 +28,12 @@ quaternion) starts at column 0, and stored positions take the last three
 columns. `block_dim`, `has_positions`, `sign_sensitive` and `decode`'s
 choice of rotation reader all read it.
 
+The positions part is `LocalPose.positions` at the encoded joints, and
+each dual-quaternion block is (q, 1/2 (0, p) q) of the current rotation q
+and position p that the pose's one forward sweep keeps: no encoding runs
+a sweep of its own, and every kind with positions or dual quaternions
+raises what `pose.positions` raises.
+
 Encoding one pose under several kinds builds each part once. Once a clip
 is built, `encode` keeps each part it holds in the pose's private
 `LocalPose._encoded_parts` as a read-only view into that clip's
@@ -252,11 +258,18 @@ def _six_value(pose: LocalPose, indices: list) -> np.ndarray:
 
 
 def _joint_positions(pose: LocalPose, indices: list) -> np.ndarray:
-    return dualquat.translation(pose.chain[:, indices])
+    return pose.positions[:, indices]
 
 
 def _dual_quaternions(pose: LocalPose, indices: list) -> np.ndarray:
-    return antipodal_correct(pose.chain[:, indices])
+    # (q, 1/2 (0, p) q) from the pose's one sweep: its current rotations
+    # and positions
+    rotations, positions = pose._sweep
+    rows = np.empty((8, len(indices)) + rotations.shape[2:])
+    dualquat._from_rotation_translation_rows(rotations.take(indices, axis=1), positions[:, indices].T, rows)
+    blocks = _from_rows(rows)
+    del rows  # freed before the sign correction's temporaries
+    return antipodal_correct(blocks)
 
 
 #: The parts a block is made of: name -> (width, builder).
@@ -269,9 +282,10 @@ _PARTS = {
 
 #: Per kind, its parts and the block column each starts at: the one
 #: definition of each block. The rotation part starts at column 0, stored
-#: positions take the last three columns. The positions come first, so the
-#: chain's unit check raises before `quat.normalize` does, as when every
-#: encode built every block.
+#: positions take the last three columns. The positions come first, so a
+#: kind with positions raises what `pose.positions` raises: its sweep
+#: checks every joint's rotation, end sites included, and rejects a NaN,
+#: which `quat.normalize` of the encoded joints lets through.
 _KIND_PARTS = {
     ReprKind.POSITIONS: {"positions": 0},
     ReprKind.QUATERNIONS: {"quaternions": 0},
@@ -288,15 +302,16 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
     """Encode a batched LocalPose under the requested representation.
 
     Each part of the kind's block (`_KIND_PARTS`) goes to its columns.
-    The positions and dual quaternions read `LocalPose.chain`, so
-    encoding a pose under several kinds sweeps the hierarchy once, and a
-    slice of an encoded pose not at all. Each part is built once per
-    pose: the first encode that builds one keeps it as a read-only view
-    into the features of the clip it returns, and a later encode of the
-    same pose copies it from there. A slice of the pose starts with none
-    of them (its sign correction seeds at its own first frame), and an
-    encode that raises keeps nothing. A `kind` that is not a `ReprKind`
-    raises InvalidValueError.
+    The positions and dual quaternions read the pose's one forward sweep
+    (`LocalPose.positions` and the current rotations kept beside them),
+    so they raise what `positions` raises, encoding a pose under several
+    kinds sweeps the hierarchy once, and a slice of a swept pose not at
+    all. Each part is built once per pose: the first encode that builds
+    one keeps it as a read-only view into the features of the clip it
+    returns, and a later encode of the same pose copies it from there. A
+    slice of the pose starts with none of them (its sign correction
+    seeds at its own first frame), and an encode that raises keeps
+    nothing. A `kind` that is not a `ReprKind` raises InvalidValueError.
     """
     if not isinstance(kind, ReprKind):
         raise InvalidValueError(f"kind must be a ReprKind, not {kind!r}")

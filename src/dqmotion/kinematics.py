@@ -3,11 +3,11 @@
 
 A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
 and (F, 3) root path, F >= 1, the one input of every layer; a single
-frame, `pose[f]`, has no `len` and is never one. It runs each of its two
-hierarchy sweeps (`chain` for the encodings, `positions` for the
-metrics) at most once, and its slices reuse them; it also holds the
-blocks that `encoding.encode` shares between kinds, which its slices
-do not take.
+frame, `pose[f]`, has no `len` and is never one. It runs its one forward
+sweep at most once, keeping the current rotations beside the positions
+(`positions` for the metrics; both for the encodings), and its slices
+reuse them; it also holds the blocks that `encoding.encode` shares
+between kinds, which its slices do not take.
 
 This module holds the one forward hierarchy sweep, which every layer
 runs (`LocalPose`, the dualquat `decode`, the loss terms' space changes).
@@ -21,15 +21,14 @@ gather of each operand's terms and one multiply (`quat._products`).
 `compose` sweeps parent to child one depth level at a time, over the
 levels the skeleton builds once; `relative` undoes it with one parent
 gather and one product whose term table conjugates the parents.
-`current_chain` is the current pose on `compose`, and
-`relative(skeleton.parent_indices, pose.chain.T).T` each joint's local
-transform, its translation the joint offset as encoded.
-`LocalPose.positions` sweeps the rotations alone: `compose` on (4, J, F)
-rows, normalized in place as rows, each offset turned by its parent's
-current rotation, q (0, o) q* (two products, 24 multiply terms a
-(joint, frame) beside the sweep's 16, against the chain's 76), and the
-turned offsets added parent to child over the same levels, the one
-other loop over them.
+A pose's sweep is on the rotations alone: `compose` on (4, J, F) rows,
+normalized in place as rows, each offset turned by its parent's current
+rotation, q (0, o) q* (two products, 24 multiply terms a (joint, frame)
+beside the sweep's 16), and the turned offsets added parent to child
+over the same levels, the one other loop over them. A current unit dual
+quaternion is fixed by its rotation q and position p, (q, 1/2 (0, p) q),
+so the encodings build the dq blocks from the kept rotation rows and
+positions, with no sweep of their own.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's rotation plan (`ChannelTable.rotations`): one gather of every
@@ -37,7 +36,7 @@ rotating joint's columns in composition order, and one call of the
 Euler kernel (`quat._from_euler` or `quat._to_euler`) with the joints'
 axes and parities as data, whatever mix of orders they use.
 
-Root translation never enters either chain; it is carried alongside as a
+Root translation never enters the sweep; it is carried alongside as a
 plain 3-vector, and all current-frame positions are relative to the root.
 """
 
@@ -66,14 +65,15 @@ class LocalPose:
     `len`), `pose[a:b]` stays batched, and iterating yields single frames.
 
     Both arrays are read-only; a writable one given to the constructor is
-    copied, so the pose never aliases it. `chain` and `positions` are
-    each computed on first use and kept read-only, as (F, J, .) arrays
-    (nothing is kept when they raise); a slice of the pose takes the same
-    slice of what is kept, so a window of a pose scored in full runs no
-    hierarchy sweep. A non-empty slice of a batched pose holds read-only
-    views of its arrays and skips the constructor's checks, which they
-    passed; an empty slice and any other index run them.
-    `_encoded_parts`, the third memo, holds views into clips that
+    copied, so the pose never aliases it. The forward sweep runs on first
+    use of `positions` (or of an encoding that reads it) and keeps, in one
+    read-only memo, the composed (4, J, F) rotation rows beside the
+    (F, J, 3) positions (nothing is kept when it raises); a slice of the
+    pose takes the same slice of both, so a window of a pose scored in
+    full runs no hierarchy sweep. A non-empty slice of a batched pose
+    holds read-only views of its arrays and skips the constructor's
+    checks, which they passed; an empty slice and any other index run
+    them. `_encoded_parts`, the other memo, holds views into clips that
     `encoding.encode` built from the pose; a slice starts without it,
     since the sign correction seeds at the slice's first frame.
     """
@@ -117,21 +117,15 @@ class LocalPose:
                               root_translation=self.root_translation[index])
         else:
             pose = LocalPose(self.skeleton, self.root_translation[index], rotations)
-        for name in ("chain", "positions"):  # never `_encoded_parts`
-            if name in vars(self):
-                vars(pose)[name] = _read_only(vars(self)[name][index])
+        if "_sweep" in vars(self):  # never `_encoded_parts`
+            current, positions = self._sweep
+            vars(pose)["_sweep"] = _read_only(current[..., index]), _read_only(positions[index])
         return pose
 
     def __iter__(self):
         return (self[f] for f in range(len(self)))
 
-    @cached_property
-    def chain(self) -> np.ndarray:
-        """The current pose: (..., J, 8) `current_chain` of the rotations
-        as they are, one root-centered unit dual quaternion per joint."""
-        return _read_only(_from_rows(current_chain(self.skeleton, _to_rows(self.joint_rotations))))
-
-    @cached_property
+    @property
     def positions(self) -> np.ndarray:
         """(..., J, 3) root-centered joint positions of the normalized
         rotations: `compose` of the rotations alone, each offset turned by
@@ -139,6 +133,13 @@ class LocalPose:
         added parent to child over the same levels, the root at +0.0. A
         composed rotation that is not unit (a NaN) raises the NotUnitError
         of `dualquat.translation`'s check."""
+        return self._sweep[1]
+
+    @cached_property
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one forward sweep: the (4, J, ...) rows of the current
+        rotations, composed from the normalized rotations, and the
+        (..., J, 3) `positions`, both read-only."""
         skeleton = self.skeleton
         current = compose(skeleton.levels, _unit_rows(self.joint_rotations))
         if not dualquat._within_unit_tolerance(quat._row_dot(current, current) - 1.0, 0.0):
@@ -149,9 +150,10 @@ class LocalPose:
         out[:, 0] = 0.0
         turning = quat._products(_OFFSET_TERMS, parents, offsets)  # q (0, o)
         quat._products(dualquat._TRANSLATION_TERMS, turning, parents, out[:, 1:])  # its q* product's vector
+        del parents, turning  # freed before the positions' copy
         for level, parent_rows in skeleton.levels:
             out[:, level] += out.take(parent_rows, axis=1)
-        return _read_only(_from_rows(out))
+        return _read_only(current), _read_only(_from_rows(out))
 
     @cached_property
     def _encoded_parts(self) -> dict:
@@ -230,20 +232,6 @@ def relative(parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out[:, 0] = rows[:, 0]
     _mul_rows(rows.take(parents[1:], axis=1), rows[:, 1:], out[:, 1:], conjugate="a")
     return out
-
-
-def current_chain(skeleton: Skeleton, rotations: np.ndarray) -> np.ndarray:
-    """(4, J, ...) rows of local rotations to (8, J, ...) rows of current
-    dual quaternions, each child its parent's current transform times its
-    local one: `dualquat.from_rotation_translation` of the rotation and
-    offset (zero at the root), with its unit check (NotUnitError) and bits.
-    """
-    rotations = np.asarray(rotations, dtype=float)
-    offsets = skeleton.offsets.T.copy()
-    offsets[:, 0] = 0.0  # the root displacement rides outside the chain
-    offsets = offsets.reshape(offsets.shape + (1,) * (rotations.ndim - 2))
-    local = np.empty((8,) + rotations.shape[1:])
-    return compose(skeleton.levels, dualquat._from_rotation_translation_rows(rotations, offsets, local))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def forward(pose) -> tuple[np.ndarray, np.ndarray]:
     return current, positions
 
 
-def dual_quaternions(pose) -> np.ndarray:
-    """(F, J, 8) current unit dual quaternions (q, 1/2 (0, p) q), in long double."""
-    current, positions = forward(pose)
+def dual_quaternions(current: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(F, J, 8) current unit dual quaternions (q, 1/2 (0, p) q) of the
+    long-double `forward` results."""
     return np.concatenate([current, mul(pure(positions), current) / 2], axis=-1)

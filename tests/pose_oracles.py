@@ -1,10 +1,14 @@
 """Scalar and per-joint loop forms of the pose code: the equivalence oracle
 for the batched `quat`, `_rotmat`, `kinematics`, `encoding` and `metrics`.
 
-`compose`, `relative` and `current_chain` are the hierarchy sweep as it
-was before it moved to component rows: whole (..., J, D) arrays, with the
-algebra passed in as `mul` and `conjugate` callbacks. `test_sweep.py`
-holds the row forms in `kinematics` to them bit for bit.
+`compose` and `relative` are the hierarchy sweep as it was before it
+moved to component rows: whole (..., J, D) arrays, with the algebra
+passed in as `mul` and `conjugate` callbacks. `test_sweep.py` holds the
+row forms in `kinematics` to them bit for bit. `current_chain` is the
+dual-quaternion chain the package ran before its one rotation sweep
+replaced it, kept with its bits: the oracle of the encoded dual
+quaternions and, through its translations (`chain_positions`), of the
+positions.
 
 These are the original implementations: Euler extraction and Shepperd's
 quaternion recovery one rotation at a time, forward kinematics through
@@ -23,11 +27,11 @@ without a matrix); only the code that was vectorized is independent.
 
 import numpy as np
 
-from dqmotion import _rotmat, dualquat, kinematics, quat
+from dqmotion import _rotmat, dualquat, quat
 from dqmotion.encoding import ReprKind
 from dqmotion.errors import NotInvertibleError, NotUnitError, ShapeMismatchError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
-from dqmotion.kinematics import LocalPose, _from_rows, _to_rows
+from dqmotion.kinematics import LocalPose
 
 import oracles
 from algebra_oracles import gram_schmidt
@@ -112,7 +116,7 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
     Returns (J, 3, 3) current rotation matrices and (J, 3) current
     positions. This path never touches dual quaternions and sweeps the
     joints one by one; it is the verification oracle for
-    `kinematics.current_chain` (and for `current_chain` below).
+    `LocalPose.positions` (and for `current_chain` below).
     """
     skeleton = pose.skeleton
     n = skeleton.num_joints
@@ -156,9 +160,11 @@ def relative(parents: np.ndarray, current: np.ndarray, mul, conjugate) -> np.nda
 
 def current_chain(skeleton, rotations: np.ndarray) -> np.ndarray:
     """(..., J, 4) local rotations to (..., J, 8) current dual quaternions,
-    the (..., J, D) form of `kinematics.current_chain`. Each local
-    transform is the old `dualquat.from_rotation_translation` on whole
-    arrays: the rotation over its norm, then half of (0, t) * r."""
+    each child its parent's current transform times its local one, the
+    root displacement left out. Each local transform is the old
+    `dualquat.from_rotation_translation` on whole arrays: the rotation
+    over its norm (NotUnitError where that norm is off 1 by more than
+    the unit tolerance), then half of (0, t) * r."""
     rotations = np.asarray(rotations, dtype=float)
     n = quat.norm(rotations)
     if np.any(np.abs(n - 1.0) > dualquat.UNIT_TOLERANCE):
@@ -176,13 +182,12 @@ def chain_positions(pose: LocalPose) -> np.ndarray:
     """(F, J, 3) root-centered positions as the translations of the current
     dual-quaternion chain of the normalized rotations:
     `LocalPose.positions` as it was before it swept the rotations alone."""
-    rows = _to_rows(quat.normalize(pose.joint_rotations))
-    return _from_rows(dualquat._translation_rows(kinematics.current_chain(pose.skeleton, rows)))
+    return dualquat.translation(current_chain(pose.skeleton, quat.normalize(pose.joint_rotations)))
 
 
 def current_to_local_dq(skeleton, current: np.ndarray) -> np.ndarray:
     """(J, 8) local dual quaternions of one frame, one joint at a time: the
-    loop form of `kinematics.relative` over a frame of `LocalPose.chain`."""
+    loop form of `kinematics.relative` over a frame of `current_chain`."""
     if not dualquat.is_unit(current):
         raise NotUnitError("current pose entries must be unit dual quaternions")
     parents = skeleton.parent_indices

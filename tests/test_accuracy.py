@@ -34,8 +34,8 @@ EPS = np.finfo(np.float64).eps
 #: Worst error per path and source, in float64 eps: the measured worst
 #: plus 5%, rounded up to a tenth.
 BOUNDS = {
-    "humanoid": {"positions": 4.4, "dq real": 3.2, "dq dual": 1.1},  # 4.16, 2.98, 1.03
-    "random trees": {"positions": 5.7, "dq real": 3.4, "dq dual": 1.5},  # 5.35, 3.15, 1.36
+    "humanoid": {"positions": 3.5, "dq real": 1.4, "dq dual": 1.8},  # 3.30, 1.24, 1.64
+    "random trees": {"positions": 4.9, "dq real": 1.6, "dq dual": 2.0},  # 4.62, 1.50, 1.85
 }
 
 
@@ -53,7 +53,7 @@ def errors(pose) -> dict:
     """Each path's worst error on `pose`, in float64 eps."""
     indices = list(pose.skeleton.encoded_indices)
     current, positions = accuracy_oracles.forward(pose)
-    want = accuracy_oracles.dual_quaternions(pose)[:, indices]
+    want = accuracy_oracles.dual_quaternions(current, positions)[:, indices]
     scale = max(1.0, float(np.max(np.abs(positions))))
     stored = encode(pose, ReprKind.POSITIONS).joint_blocks().astype(np.longdouble)
     blocks = encode(pose, ReprKind.DUALQUAT).joint_blocks().astype(np.longdouble)
@@ -87,7 +87,7 @@ def test_the_oracle_is_the_matrix_fk(fixtures_dir):
         current, positions = accuracy_oracles.forward(pose)
         want = pose_oracles.pose_positions(pose)
         assert np.max(np.abs(positions - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        blocks = accuracy_oracles.dual_quaternions(pose)
+        blocks = accuracy_oracles.dual_quaternions(current, positions)
         real, dual = blocks[..., :4], blocks[..., 4:]
         assert np.max(np.abs(np.sum(real * real, axis=-1) - 1)) < 1e-17
         assert np.max(np.abs(np.sum(real * dual, axis=-1))) < 1e-17 * max(1.0, np.max(np.abs(want)))

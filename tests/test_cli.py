@@ -570,7 +570,7 @@ def test_encode_refuses_blocks_off_the_unit_manifold(capsys, tmp_path, fixtures_
     out = tmp_path / "huge.dqm"
     code, text, err = run(capsys, "encode", huge, "-o", out)
     assert code == 1
-    assert "max unit residual: 7.629e-06" in text
+    assert "max unit residual: 3.815e-06" in text
     assert err == "error: encoded blocks violate the unit conditions\n"
     assert not out.exists()
 

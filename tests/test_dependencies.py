@@ -429,7 +429,7 @@ fine = values.take(index, axis=1) + np.take_along_axis(values, index, axis=1)
 
 
 #: The one module that sweeps a skeleton's depth levels (`compose` and the
-#: additive pass of `LocalPose.positions`), and the two loops elsewhere
+#: additive pass of `LocalPose._sweep`), and the two loops elsewhere
 #: that walk them without sweeping rows forward: `Skeleton` builds each
 #: encoded level's child ranks once, and the quaternion kinds'
 #: current-space rotational gradient walks the levels in reverse.
@@ -465,7 +465,7 @@ def test_only_kinematics_sweeps_the_levels():
     found = set().union(*(level_loops(ast.parse(path.read_text()), str(path.relative_to(SOURCES)))
                           for path in sorted(SOURCES.rglob("*.py"))))
     assert {loop for loop in found if loop[0] != LEVEL_SWEEPER} == LEVEL_WALKERS
-    assert {function for module, function in found if module == LEVEL_SWEEPER} == {"compose", "positions"}
+    assert {function for module, function in found if module == LEVEL_SWEEPER} == {"compose", "_sweep"}
 
 
 def test_the_check_sees_a_level_loop():

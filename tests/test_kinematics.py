@@ -1,21 +1,25 @@
-"""Kinematics: the dual-quaternion chain (`LocalPose.chain`) against the
-matrix oracle, both against an independent homogeneous-matrix
-implementation, and its inverses (`decode` of a dualquat clip, and
-`relative` for the per-joint local transforms), and the errors that the
-positions raise on a bad rotation."""
+"""Kinematics: the current dual quaternions that the dualquat encode
+builds from the pose's one sweep, and the positions, against the matrix
+oracle, both against an independent homogeneous-matrix implementation,
+their inverses (`decode` of a dualquat clip, and `relative` for the
+per-joint local transforms), and the errors that the positions and every
+encode raise on a bad rotation."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from dqmotion import bvh, dualquat, quat
+from dqmotion.bvh import Skeleton
 from dqmotion.encoding import ReprKind, decode, encode
 from dqmotion.errors import DegenerateNormError, NonFiniteError, NotUnitError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
 
 import oracles
+import pose_oracles
 from pose_oracles import matrix_fk
 
 
@@ -48,9 +52,17 @@ def identity_pose(skeleton):
     return LocalPose(skeleton, np.zeros(3), rotations)
 
 
+def current_dq(pose):
+    """(J', 8) current dual quaternions of a single-frame pose at its
+    encoded joints: the blocks of its dualquat encode."""
+    return encode(oracles.repeated(pose), ReprKind.DUALQUAT).joint_blocks()[0]
+
+
 def local_dq(pose):
-    """Each joint's parent-relative dual quaternion, recovered from the chain."""
-    return _from_rows(relative(pose.skeleton.parent_indices, _to_rows(pose.chain)))
+    """Each joint's parent-relative dual quaternion, end sites included,
+    recovered by `relative` from the current chain of the oracle."""
+    chain = pose_oracles.current_chain(pose.skeleton, pose.joint_rotations)
+    return _from_rows(relative(pose.skeleton.parent_indices, _to_rows(chain)))
 
 
 def cumulative_offsets(skeleton):
@@ -64,37 +76,42 @@ def cumulative_offsets(skeleton):
 class TestLocalToCurrent:
     def test_identity_rotations_accumulate_offsets(self, rng):
         skeleton = oracles.random_skeleton(rng, 8, end_sites=True)
-        chain = identity_pose(skeleton).chain
+        pose = identity_pose(skeleton)
+        blocks = current_dq(pose)
         expected = cumulative_offsets(skeleton)
+        for row, idx in enumerate(skeleton.encoded_indices):
+            assert np.allclose(dualquat.translation(blocks[row]), expected[idx], atol=1e-12)
         for idx in range(skeleton.num_joints):
-            assert np.allclose(dualquat.translation(chain[idx]), expected[idx], atol=1e-12)
+            assert np.allclose(pose.positions[idx], expected[idx], atol=1e-12)
 
     def test_half_turn_root_flips_child(self):
         skeleton = chain_skeleton([[1.0, 0.0, 0.0]])
         rotations = np.array([quat.from_euler([0, 0, np.pi], "ZYX"), quat.identity()])
-        chain = LocalPose(skeleton, np.zeros(3), rotations).chain
-        assert np.allclose(dualquat.translation(chain[1]), [-1.0, 0.0, 0.0], atol=1e-12)
+        blocks = current_dq(LocalPose(skeleton, np.zeros(3), rotations))
+        assert np.allclose(dualquat.translation(blocks[1]), [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_root_entry_is_pure_rotation(self, rng):
         skeleton = oracles.random_skeleton(rng, 6)
-        chain = oracles.random_pose(rng, skeleton).chain
-        assert np.allclose(chain[0, 4:], 0.0)
-        assert np.allclose(chain[0, :4], quat.normalize(chain[0, :4]))
+        blocks = current_dq(oracles.random_pose(rng, skeleton))
+        assert np.allclose(blocks[0, 4:], 0.0)
+        assert np.allclose(blocks[0, :4], quat.normalize(blocks[0, :4]))
 
     def test_matches_matrix_fk(self, rng):
         for _ in range(300):
             skeleton = oracles.random_skeleton(rng, int(rng.integers(2, 21)), end_sites=True)
             pose = oracles.random_pose(rng, skeleton)
             _, positions = matrix_fk(pose)
-            got = dualquat.translation(pose.chain)
-            assert np.max(np.abs(got - positions)) < 1e-9
+            got = dualquat.translation(current_dq(pose))
+            assert np.max(np.abs(got - positions[list(skeleton.encoded_indices)])) < 1e-9
+            assert np.max(np.abs(pose.positions - positions)) < 1e-9
 
     def test_entries_unit(self, rng):
         skeleton = oracles.random_skeleton(rng, 15, end_sites=True)
-        chain = oracles.random_pose(rng, skeleton).chain
-        norm_res, ortho_res = dualquat.unitary_residual(chain)
-        assert np.max(np.abs(norm_res)) < 1e-9
-        assert np.max(np.abs(ortho_res)) < 1e-9
+        pose = oracles.random_pose(rng, skeleton)
+        for blocks in (current_dq(pose), pose_oracles.current_chain(skeleton, pose.joint_rotations)):
+            norm_res, ortho_res = dualquat.unitary_residual(blocks)
+            assert np.max(np.abs(norm_res)) < 1e-9
+            assert np.max(np.abs(ortho_res)) < 1e-9
 
 
 class TestMatrixFk:
@@ -136,7 +153,8 @@ class TestCurrentToLocal:
     def test_root_maps_to_itself(self, rng):
         skeleton = oracles.random_skeleton(rng, 5)
         pose = oracles.random_pose(rng, skeleton)
-        assert np.allclose(local_dq(pose)[0], pose.chain[0])
+        chain = pose_oracles.current_chain(skeleton, pose.joint_rotations)
+        assert np.allclose(local_dq(pose)[0], chain[0])
 
     def test_offsets_recovered(self, rng):
         for _ in range(100):
@@ -148,27 +166,38 @@ class TestCurrentToLocal:
                     assert np.max(np.abs(extracted - joint.offset)) < 1e-9
 
     def test_rejects_non_unit_local_rotations(self, rng):
-        from dqmotion.errors import NotUnitError
-
         skeleton = oracles.random_skeleton(rng, 3)
         pose = oracles.random_pose(rng, skeleton)
         for target in (0, 2):  # root and a child propagate the same way
             rotations = pose.joint_rotations.copy()
             rotations[target] *= 1.5
             with pytest.raises(NotUnitError):
-                LocalPose(skeleton, pose.root_translation, rotations).chain
+                pose_oracles.current_chain(skeleton, rotations)
+            # the encode normalizes the rotations first, as the positions do
+            got = current_dq(LocalPose(skeleton, pose.root_translation, rotations))
+            assert np.max(np.abs(got - current_dq(pose))) < 1e-12
 
 
 class TestErrorLocalization:
     def test_perturbation_stays_in_subtree(self, rng):
         skeleton = oracles.random_skeleton(rng, 12, end_sites=True)
         pose = oracles.random_pose(rng, skeleton)
-        base = pose.chain
+        encoded = list(skeleton.encoded_indices)
+
+        def current(pose):
+            """Each joint's current dual quaternion where it is encoded, its
+            position (with its parent's rotation) at an end site."""
+            out = np.zeros((skeleton.num_joints, 8))
+            out[:, 5:] = pose.positions
+            out[encoded] = current_dq(pose)
+            return out
+
+        base = current(pose)
 
         target = 4
         perturbed_rotations = pose.joint_rotations.copy()
         perturbed_rotations[target] = oracles.random_unit_quat(rng)
-        perturbed = LocalPose(skeleton, pose.root_translation, perturbed_rotations).chain
+        perturbed = current(LocalPose(skeleton, pose.root_translation, perturbed_rotations))
 
         parents = skeleton.parent_indices
 
@@ -234,9 +263,10 @@ class TestClipConversion:
                 assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-6
 
 
-#: A bad rotation, set in all four components, and what `positions` and
-#: `metric_report` raise on it: the classes and messages of the
-#: dual-quaternion chain that the rotation sweep replaced.
+#: A bad rotation, set in all four components, and what `positions`,
+#: `metric_report` and every encode with positions or dual quaternions
+#: raise on it: the classes and messages of the dual-quaternion chain that
+#: the rotation sweep replaced.
 BAD_ROTATIONS = {
     "zero": (0.0, DegenerateNormError, "quaternion norm <= 1e-12"),
     "1e200": (1e200, NonFiniteError, "a norm overflows: values too large for float64"),
@@ -247,6 +277,10 @@ BAD_ROTATIONS = {
 @pytest.mark.parametrize("name", BAD_ROTATIONS)
 @pytest.mark.parametrize("where", ("root", "inner", "end site"))
 def test_positions_raise_what_the_chain_raised(rng, name, where):
+    """Every encode with positions or dual quaternions raises what the
+    positions raise. The quaternion and six-value encodes read only the
+    encoded joints' rotations, and let a NaN through to the clip's
+    finiteness check."""
     skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
     pose = oracles.random_poses(rng, skeleton, 5)
     joint = {"root": 0, "inner": skeleton.parent_indices[-1], "end site": skeleton.num_joints - 1}[where]
@@ -254,18 +288,30 @@ def test_positions_raise_what_the_chain_raised(rng, name, where):
     rotations = pose.joint_rotations.copy()
     rotations[3, joint] = value
     bad = LocalPose(skeleton, pose.root_translation, rotations)
-    calls = (lambda: bad.positions, lambda: metric_report(bad, pose), lambda: metric_report(pose, bad))
+    calls = [lambda: bad.positions, lambda: metric_report(bad, pose), lambda: metric_report(pose, bad)]
+    calls += [lambda kind=kind: encode(bad, kind) for kind in ReprKind if kind.has_positions]
     for call in calls + calls:  # nothing raised is kept
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
-    assert "positions" not in vars(bad)
+    if name == "NaN":
+        error, message = NonFiniteError, "non-finite feature values"
+    for kind in (ReprKind.QUATERNIONS, ReprKind.ORTHO6D):
+        for _ in range(2):
+            if where == "end site":
+                encode(bad, kind)
+            else:
+                with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                    encode(bad, kind)
+    assert "_sweep" not in vars(bad)
+    assert sorted(bad._encoded_parts) == (["ortho6d", "quaternions"] if where == "end site" else [])
 
 
 @pytest.mark.parametrize("present", (("zero", "1e200", "NaN"), ("NaN", "zero"), ("NaN",)), ids=str)
 def test_positions_raise_in_error_order(rng, present):
-    """With several bad rotations in one pose, `positions` raises the
-    first class of NonFiniteError, DegenerateNormError and NotUnitError,
-    wherever the rotations sit."""
+    """With several bad rotations in one pose, `positions` and every
+    encode with positions or dual quaternions raise the first class of
+    NonFiniteError, DegenerateNormError and NotUnitError, wherever the
+    rotations sit."""
     skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
     pose = oracles.random_poses(rng, skeleton, 5)
     rotations = pose.joint_rotations.copy()
@@ -273,5 +319,27 @@ def test_positions_raise_in_error_order(rng, present):
         rotations[frame, skeleton.num_joints - 1 - frame] = BAD_ROTATIONS[name][0]
     first = min(present, key=["1e200", "zero", "NaN"].index)
     _, error, message = BAD_ROTATIONS[first]
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        LocalPose(skeleton, pose.root_translation, rotations).positions
+    bad = LocalPose(skeleton, pose.root_translation, rotations)
+    calls = [lambda: bad.positions] + [lambda kind=kind: encode(bad, kind)
+                                       for kind in ReprKind if kind.has_positions]
+    for call in calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_huge_offsets_encode_under_every_kind(fixtures_dir):
+    """Humanoid offsets x 1e10, whose dual-quaternion chain failed its
+    orthogonality check, encode under every kind; the stored positions
+    are the positions' bits."""
+    pose = clip_to_local(bvh.parse_file(fixtures_dir / "humanoid.bvh"))
+    huge = Skeleton([dataclasses.replace(joint, offset=joint.offset * 1e10)
+                     for joint in pose.skeleton.joints])
+    scaled = LocalPose(huge, pose.root_translation, pose.joint_rotations)
+    chain = pose_oracles.current_chain(huge, quat.normalize(pose.joint_rotations))
+    with pytest.raises(NotUnitError):
+        dualquat.translation(chain)
+    want = scaled.positions[:, list(huge.encoded_indices)]
+    for kind in ReprKind:
+        blocks = encode(scaled, kind).joint_blocks()
+        if kind in (ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS, ReprKind.ORTHO6D_POSITIONS):
+            assert blocks[..., -3:].tobytes() == want.tobytes(), kind

@@ -231,7 +231,7 @@ class TestOffset:
         direction = joint.offset / np.linalg.norm(joint.offset)
         stretched = joint.offset + delta * direction
 
-        current = pose.chain.copy()
+        current = clip.joint_blocks()[0].copy()  # every joint is encoded
         local = dualquat.from_rotation_translation(pose.joint_rotations[target], stretched)
         current[target] = dualquat.mul(current[joint.parent], local)
         blocks = clip.joint_blocks().copy()
@@ -285,7 +285,8 @@ class TestDualquatChecks:
 
     BLOCKS = {
         # a dual part so large that the normalized block misses the unit
-        # tolerance by roundoff
+        # tolerance by roundoff, as about 86% of random blocks do, so every
+        # joint of one frame gets it
         "huge dual part": (slice(4, 8), 1e12, NotUnitError),
         "real part under the floor": (slice(0, 4), 1e-13, DegenerateNormError),
         # finite, but its squared norm overflows
@@ -294,12 +295,12 @@ class TestDualquatChecks:
 
     @staticmethod
     def bad_pair(rng, block):
-        """A clean dualquat clip and a copy with one bad block."""
+        """A clean dualquat clip and a copy with every block of frame 1 bad."""
         columns, value, _ = TestDualquatChecks.BLOCKS[block]
         skeleton = oracles.random_skeleton(rng, 5)
         clip = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT)
         blocks = clip.joint_blocks().copy()
-        blocks[1, 2, columns] = value
+        blocks[1, :, columns] = value
         features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
         return clip_from_features(ReprKind.DUALQUAT, skeleton, features), clip
 

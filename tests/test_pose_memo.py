@@ -1,13 +1,14 @@
-"""The frozen LocalPose and its three memos: the current chain that `encode`
-reads, the root-centered positions that the metrics read, and the blocks
-that `encode` shares between kinds (the sign-corrected quaternions, the
-six-value blocks and the joint positions, each a read-only view into the
+"""The frozen LocalPose and its two memos: its one forward sweep (the
+current rotation rows beside the root-centered positions, which the
+metrics and the encodings read), and the blocks that `encode` shares
+between kinds (the sign-corrected quaternions, the six-value blocks, the
+joint positions and the dual quaternions, each a read-only view into the
 features of a clip encoded from the pose).
 
-A slice of a pose inherits the chain and the positions as the same slice
-of them, so a window of a pose that was scored in full runs no forward
-kinematics; it inherits none of the shared blocks, since the sign
-correction seeds at the window's own first frame. Every result must be
+A slice of a pose inherits the sweep as the same slice of it, so a
+window of a pose that was scored in full runs no forward kinematics; it
+inherits none of the shared blocks, since the sign correction seeds at
+the window's own first frame. Every result must be
 bit for bit that of a fresh pose built from copies, and an error must
 come out of exactly the calls that raised it before the memo.
 """
@@ -107,7 +108,7 @@ class TestSlices:
         frame = pose[17]
         assert not frame.batched
         assert same_bits(frame.positions, fresh(pose, 17).positions)
-        assert same_bits(frame.chain, fresh(pose, 17).chain)
+        assert same_bits(frame._sweep[0], fresh(pose, 17)._sweep[0])
 
     def test_filled_window_runs_no_fk(self, pose, monkeypatch):
         fill(pose)
@@ -133,10 +134,11 @@ class TestSlices:
         fill(pose)
         for window in (pose[10:20], pose[::7], pose[150:10:-3], pose[10:20][2:5]):
             assert window.skeleton is pose.skeleton
-            for name in ("joint_rotations", "root_translation", "positions", "chain"):
-                array = getattr(window, name)
+            for name in ("joint_rotations", "root_translation", "positions", "rotation rows"):
+                array, whole = ((window._sweep[0], pose._sweep[0]) if name == "rotation rows"
+                                else (getattr(window, name), getattr(pose, name)))
                 assert not array.flags.writeable, name
-                assert array.base is not None and np.shares_memory(array, getattr(pose, name)), name
+                assert array.base is not None and np.shares_memory(array, whole), name
 
     def test_only_a_slice_skips_the_checks(self, pose, monkeypatch):
         checks = counting(monkeypatch, LocalPose, "__post_init__")
@@ -180,12 +182,19 @@ class TestSharedParts:
             assert same_bits(clip.features, alone.features), kind
 
     def test_six_encodes_build_each_part_once(self, pose, monkeypatch):
-        translation = counting(monkeypatch, dualquat, "translation")
+        built = []
+        for name, (width, build) in encoding._PARTS.items():
+            def counted(*args, name=name, build=build):
+                built.append(name)
+                return build(*args)
+            monkeypatch.setitem(encoding._PARTS, name, (width, counted))
+        blocks = counting(monkeypatch, dualquat, "_from_rotation_translation_rows")
         ortho6d = counting(monkeypatch, encoding, "_ortho6d_of_quats")
         corrected = counting(monkeypatch, encoding, "antipodal_correct")
         for kind in ReprKind:
             encode(pose, kind)
-        assert (len(translation), len(ortho6d), len(corrected)) == (1, 1, 2)
+        assert sorted(built) == sorted(encoding._PARTS)
+        assert (len(blocks), len(ortho6d), len(corrected)) == (1, 1, 2)
 
     def test_six_encodes_normalize_once(self, pose, monkeypatch):
         # the six-value blocks read the kept sign-corrected quaternions
@@ -241,33 +250,35 @@ class TestSharedParts:
 
 
 class TestOneSweepEach:
-    def test_every_layer_on_a_fresh_pose_runs_two_sweeps(self, pose, monkeypatch):
-        sweeps = []
-        compose = kinematics.compose
-
-        def counted(*args):
-            sweeps.append(args)
-            return compose(*args)
-
-        monkeypatch.setattr(kinematics, "compose", counted)
+    def test_every_layer_on_a_fresh_pose_runs_one_sweep(self, pose, monkeypatch):
+        sweeps = counting(monkeypatch, kinematics, "compose")
         for kind in ReprKind:
             encode(pose, kind)
         metric_report(pose, pose)
-        assert len(sweeps) == 2  # the chain and the positions
+        assert len(sweeps) == 1  # the positions and the current rotations
         window = pose[30:60]
         for kind in ReprKind:
             encode(window, kind)
         metric_report(window, window)
-        assert len(sweeps) == 2
+        assert len(sweeps) == 1
+
+    def test_a_dual_quaternion_encode_runs_one_sweep(self, pose, monkeypatch):
+        sweeps = counting(monkeypatch, kinematics, "compose")
+        encode(pose, ReprKind.DUALQUAT)
+        assert len(sweeps) == 1
+        encode(pose[10:20], ReprKind.DUALQUAT)
+        pose.positions
+        assert len(sweeps) == 1
 
 
 class TestErrorsAreNotMemoized:
-    """A zero quaternion at frame 100: only the calls that see it raise."""
+    """A zero (or NaN) quaternion at frame 100: only the calls that see it
+    raise."""
 
     @staticmethod
-    def broken(pose: LocalPose) -> LocalPose:
+    def broken(pose: LocalPose, value: float = 0.0) -> LocalPose:
         rotations = pose.joint_rotations.copy()
-        rotations[100, 1] = 0.0
+        rotations[100, 1] = value
         return LocalPose(pose.skeleton, pose.root_translation, rotations)
 
     def test_degenerate_norm(self, pose):
@@ -282,7 +293,7 @@ class TestErrorsAreNotMemoized:
             metric_report(broken[90:120], pose[90:120])
 
     def test_not_unit(self, pose):
-        broken = self.broken(pose)
+        broken = self.broken(pose, np.nan)
         for _ in range(2):
             with pytest.raises(NotUnitError):
                 encode(broken, ReprKind.DUALQUAT)
@@ -292,26 +303,29 @@ class TestErrorsAreNotMemoized:
             encode(broken[90:120], ReprKind.DUALQUAT)
 
     def test_error_class_per_kind(self, pose):
-        # The chain's unit check runs before the rotations are normalized.
+        # Every kind normalizes the rotations first; those with positions
+        # or dual quaternions raise what the positions raise.
         broken = self.broken(pose)
+        with pytest.raises(DegenerateNormError) as positions:
+            broken.positions
         for kind in ReprKind:
-            error = NotUnitError if kind.has_positions else DegenerateNormError
             for _ in range(2):
-                with pytest.raises(error):
+                with pytest.raises(DegenerateNormError) as raised:
                     encode(broken, kind)
+                if kind.has_positions:
+                    assert str(raised.value) == str(positions.value), kind
 
     def test_not_unit_with_the_quaternions_shared(self, pose):
-        # A non-unit, nonzero rotation normalizes for the quaternion kind,
-        # but the chain that the positions read rejects it.
+        # A rotation of norm 2 normalizes for every kind, with the bits of
+        # the unit rotation: halving is exact.
         rotations = pose.joint_rotations.copy()
         rotations[100, pose.skeleton.encoded_indices[1]] *= 2.0
         stretched = LocalPose(pose.skeleton, pose.root_translation, rotations)
         encode(stretched, ReprKind.QUATERNIONS)
-        for kind in (ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS):
+        for kind in ReprKind:
             for _ in range(2):
-                with pytest.raises(NotUnitError):
-                    encode(stretched, kind)
-        assert sorted(stretched._encoded_parts) == ["quaternions"]
+                assert same_bits(encode(stretched, kind).features, encode(pose, kind).features), kind
+        assert sorted(stretched._encoded_parts) == ["dualquat", "ortho6d", "positions", "quaternions"]
 
     def test_a_rejected_clip_keeps_nothing(self, pose):
         for kind in ReprKind:
@@ -324,7 +338,7 @@ class TestFrozen:
     def test_arrays_are_read_only(self, pose):
         fill(pose)
         for array in (pose.joint_rotations, pose.root_translation, pose.positions,
-                      pose.chain, pose[5:9].chain, pose[[1, 2]].positions):
+                      pose._sweep[0], pose[5:9]._sweep[0], pose[[1, 2]].positions):
             with pytest.raises(ValueError):
                 array[0] = 0.0
         with pytest.raises(ValueError):
@@ -333,7 +347,7 @@ class TestFrozen:
             pose.joint_rotations *= 2.0
 
     def test_fields_cannot_be_reassigned(self, pose):
-        for field in ("skeleton", "root_translation", "joint_rotations", "chain", "positions"):
+        for field in ("skeleton", "root_translation", "joint_rotations", "_sweep", "positions"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(pose, field, None)
 

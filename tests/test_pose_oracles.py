@@ -9,7 +9,7 @@ import pytest
 
 from dqmotion import _rotmat, bvh, quat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
-from dqmotion.encoding import ReprKind, _ortho6d_to_quats, _seed_signs, decode, encode
+from dqmotion.encoding import ReprKind, _ortho6d_to_quats, _seed_signs, antipodal_correct, decode, encode
 from dqmotion.errors import ShapeMismatchError, TooFewFramesError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
@@ -97,6 +97,35 @@ def test_positions_match_the_chain_translations(rng, frames, zero_offsets):
         assert not np.signbit(got[:, 0]).any() and not got[:, 0].any()  # the root at +0.0
 
 
+@pytest.mark.parametrize("frames", (1, 2, 400))
+def test_dual_quaternions_match_the_chain(rng, frames):
+    """The dualquat blocks built from the pose's one sweep against the
+    sign-corrected dual-quaternion chain they replaced, within 1e-12 of
+    max(1, the largest |position|)."""
+    for n_joints in (1, 2, 5, 12, 30):
+        skeleton = oracles.random_skeleton(rng, n_joints, end_sites=True)
+        pose = oracles.random_poses(rng, skeleton, frames)
+        chain = pose_oracles.current_chain(skeleton, quat.normalize(pose.joint_rotations))
+        want = antipodal_correct(chain[:, list(skeleton.encoded_indices)])
+        got = encode(pose, ReprKind.DUALQUAT).joint_blocks()
+        assert got.shape == want.shape == (frames, skeleton.num_encoded, 8)
+        scale = max(1.0, np.max(np.abs(pose.positions)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", (ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS,
+                                  ReprKind.ORTHO6D_POSITIONS), ids=lambda k: k.value)
+def test_stored_positions_are_the_positions(rng, kind):
+    """The positions part of every kind that stores one is
+    `pose.positions` at the encoded joints, bit for bit."""
+    for frames in (1, 2, 400):
+        skeleton = branching_skeleton(rng)
+        pose = oracles.random_poses(rng, skeleton, frames)
+        stored = encode(pose, kind).joint_blocks()[..., -3:]
+        want = pose.positions[:, list(skeleton.encoded_indices)]
+        assert stored.shape == want.shape and stored.tobytes() == want.tobytes()
+
+
 def test_positions_scale_with_the_offsets(rng):
     """The positions check no dual quaternion, so offsets of 1e10, whose
     chain fails its orthogonality check, give the positions scaled."""
@@ -122,7 +151,8 @@ class TestHierarchy:
 
     def test_current_to_local_matches_joint_loop(self, rng, frames):
         skeleton = branching_skeleton(rng)
-        chain = oracles.random_poses(rng, skeleton, frames).chain
+        pose = oracles.random_poses(rng, skeleton, frames)
+        chain = pose_oracles.current_chain(skeleton, pose.joint_rotations)
         want = np.stack([pose_oracles.current_to_local_dq(skeleton, frame) for frame in chain])
         assert_close(_from_rows(relative(skeleton.parent_indices, _to_rows(chain))), want)
 

@@ -1,14 +1,13 @@
-"""The one forward hierarchy sweep: `kinematics.compose`, `relative` and
-`current_chain` on component rows, held bit for bit to the (..., J, D)
-callback forms that `pose_oracles` keeps, for quaternions (C = 4) and dual
-quaternions (C = 8)."""
+"""The one forward hierarchy sweep: `kinematics.compose` and `relative` on
+component rows, held bit for bit to the (..., J, D) callback forms that
+`pose_oracles` keeps, for quaternions (C = 4) and dual quaternions (C = 8)."""
 
 import numpy as np
 import pytest
 
 from dqmotion import dualquat, quat
-from dqmotion.errors import NotUnitError, ShapeMismatchError
-from dqmotion.kinematics import _from_rows, _to_rows, compose, current_chain, relative
+from dqmotion.errors import ShapeMismatchError
+from dqmotion.kinematics import _from_rows, _to_rows, compose, relative
 
 import oracles
 import pose_oracles
@@ -35,20 +34,6 @@ def normal(rng, c: int):
             replaced = rng.random(values.shape) < 1 / 3
             values[replaced] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[replaced]
         return values
-    return draw
-
-
-def unit_rotations(rng):
-    """Draws (..., J, 4) unit quaternions; asked for zeros, some rotate
-    about the x axis only and some are the identity, with signed zeros."""
-    def draw(shape, zeros=False):
-        q = oracles.random_unit_quat(rng, shape)
-        if zeros:
-            which = rng.random(shape)
-            q[which < 1 / 3, 2:] = [0.0, -0.0]
-            q[which > 2 / 3] = [1.0, -0.0, 0.0, -0.0]
-            q /= quat.norm(q)[..., None]
-        return q
     return draw
 
 
@@ -87,15 +72,6 @@ class TestRowsMatchCallbackForms:
             assert same_bits(_from_rows(relative(parents, _to_rows(values))), want)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_current_chain(rng, name):
-    skeleton, rotations = case(rng, name, unit_rotations(rng))
-    want = pose_oracles.current_chain(skeleton, rotations)
-    got = current_chain(skeleton, _to_rows(rotations))
-    assert got.shape == (8,) + _to_rows(rotations).shape[1:]
-    assert same_bits(_from_rows(got), want)
-
-
 def test_rows_are_fresh_and_inverse(rng):
     values = rng.normal(size=(6, 5, 8))
     rows = _to_rows(values)
@@ -121,11 +97,3 @@ def test_other_component_counts_are_rejected(rng):
         compose(skeleton.levels, rows)
     with pytest.raises(ShapeMismatchError):
         relative(skeleton.parent_indices, rows)
-
-
-def test_current_chain_checks_unit_rotations(rng):
-    skeleton = branching_skeleton(rng)
-    rotations = oracles.random_unit_quat(rng, (3, skeleton.num_joints))
-    rotations[1, 4] *= 1.5
-    with pytest.raises(NotUnitError):
-        current_chain(skeleton, _to_rows(rotations))
