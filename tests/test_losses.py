@@ -285,8 +285,8 @@ class TestDualquatChecks:
 
     BLOCKS = {
         # a dual part so large that the normalized block misses the unit
-        # tolerance by roundoff, as about 86% of random blocks do, so every
-        # joint of one frame gets it
+        # tolerance by roundoff; not every block does, so `bad_pair` puts it
+        # on a joint whose block does
         "huge dual part": (slice(4, 8), 1e12, NotUnitError),
         "real part under the floor": (slice(0, 4), 1e-13, DegenerateNormError),
         # finite, but its squared norm overflows
@@ -295,12 +295,30 @@ class TestDualquatChecks:
 
     @staticmethod
     def bad_pair(rng, block):
-        """A clean dualquat clip and a copy with every block of frame 1 bad."""
-        columns, value, _ = TestDualquatChecks.BLOCKS[block]
+        """A clean dualquat clip and a copy with one bad block, at frame 1."""
+        columns, value, error = TestDualquatChecks.BLOCKS[block]
         skeleton = oracles.random_skeleton(rng, 5)
         clip = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT)
         blocks = clip.joint_blocks().copy()
-        blocks[1, :, columns] = value
+        joint = 2
+        if error is NotUnitError:
+            # the first joint below the root whose normalized block fails
+            # the unit check of `dualquat.translation`, so a check that reads
+            # the root alone fails here
+            trial = blocks[1].copy()
+            trial[:, columns] = value
+
+            def misses(block):
+                try:
+                    dualquat.translation(dualquat.normalize(block))
+                except NotUnitError:
+                    return True
+                return False
+
+            missing = [j for j in range(1, len(trial)) if misses(trial[j])]
+            assert missing, "no block of frame 1 misses the unit tolerance"
+            joint = missing[0]
+        blocks[1, joint, columns] = value
         features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
         return clip_from_features(ReprKind.DUALQUAT, skeleton, features), clip
 

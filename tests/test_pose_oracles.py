@@ -10,7 +10,7 @@ import pytest
 from dqmotion import _rotmat, bvh, quat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.encoding import ReprKind, _ortho6d_to_quats, _seed_signs, antipodal_correct, decode, encode
-from dqmotion.errors import ShapeMismatchError, TooFewFramesError
+from dqmotion.errors import NotUnitError, ShapeMismatchError, TooFewFramesError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
 
@@ -111,6 +111,18 @@ def test_dual_quaternions_match_the_chain(rng, frames):
         assert got.shape == want.shape == (frames, skeleton.num_encoded, 8)
         scale = max(1.0, np.max(np.abs(pose.positions)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_chain_rejects_non_unit_local_rotations(rng):
+    """The oracle chain keeps the unit check of the deleted path: a
+    rotation of norm 1.5, at the root or at a child, raises."""
+    skeleton = oracles.random_skeleton(rng, 3)
+    pose = oracles.random_pose(rng, skeleton)
+    for target in (0, 2):
+        rotations = pose.joint_rotations.copy()
+        rotations[target] *= 1.5
+        with pytest.raises(NotUnitError):
+            pose_oracles.current_chain(skeleton, rotations)
 
 
 @pytest.mark.parametrize("kind", (ReprKind.POSITIONS, ReprKind.QUATERNIONS_POSITIONS,
