@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bvh, container, dualquat, quat
 from .encoding import ReprKind, decode, destandardize, encode, fit_stats, standardize
-from .errors import InvalidValueError, MotionError
+from .errors import InvalidValueError, MotionError, NonFiniteError
 from .kinematics import clip_to_local, local_to_clip
 from .losses import LossWeights, _evaluate, loss_total
 from .metrics import pose_pair_positions, window_reports
@@ -52,9 +52,13 @@ def _parse_weights(text: str) -> LossWeights:
 
 
 def _unit_residuals(blocks: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Per-(frame, joint) worst of the two dual-quaternion unit residuals,
-    and whether every block is unit by `dualquat.is_unit`'s rule."""
-    norm_res, ortho_res = dualquat.unitary_residual(blocks)
+    """Per-(frame, joint) worst unit residual of dual-quaternion (8) or
+    quaternion (4) blocks, and whether every block is unit by the rule of
+    `dualquat.is_unit`: its one residual kernel and rule. A residual that
+    overflows is a format error, as any other overflow here."""
+    norm_res, ortho_res = dualquat._residual_rows(quat._components(blocks))
+    if not (np.isfinite(norm_res).all() and np.isfinite(ortho_res).all()):
+        raise NonFiniteError("unit residuals overflow: values too large for float64")
     return (np.maximum(np.abs(norm_res), np.abs(ortho_res)),
             dualquat._within_unit_tolerance(norm_res, ortho_res))
 
@@ -182,19 +186,15 @@ def cmd_validate(args) -> int:
     if encoded.standardized:
         encoded = destandardize(encoded)
     blocks = encoded.joint_blocks()
-
-    if encoded.kind is ReprKind.DUALQUAT:
-        residuals, unit = _unit_residuals(blocks)
-    else:
+    if encoded.kind is not ReprKind.DUALQUAT:
         blocks = blocks[..., :4]
-        residuals = np.abs(np.sum(blocks * blocks, axis=-1) - 1.0)
-        unit = dualquat._within_unit_tolerance(residuals, 0.0)
+    residuals, unit = _unit_residuals(blocks)
     worst_idx = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst_residual = float(residuals[worst_idx])
     print(f"worst unit residual: {worst_residual:.3e} at frame {worst_idx[0]}, joint {worst_idx[1]}")
 
     if encoded.num_frames > 1:
-        dots = np.sum(blocks[:-1] * blocks[1:], axis=-1)
+        dots = quat.dot(blocks[:-1], blocks[1:])
         dot_idx = np.unravel_index(np.argmin(dots), dots.shape)
         worst_dot = float(dots[dot_idx])
         print(

@@ -9,18 +9,23 @@ unit norm and is orthogonal to the dual part. Only unit values encode
 rigid transforms; `unitary_residual` exposes both residuals and
 `normalize` repairs drift.
 
-Layout: inputs may have any layout. `mul`, `conjugate`, `normalize`,
-`from_rotation_translation` and `translation` return fresh C-contiguous
-arrays, whatever their operands' layout (see `quat`: downstream `einsum`
-reductions sum in an order that depends on strides, so layout is part of
-the bits). All but `conjugate` are one `quat._on_rows` call of their row
-kernel (`_mul_rows`, `_normalize_rows`, `_from_rotation_translation_rows`
-and `_translation_rows`, which keep their functions' unit checks); every
-sum keeps the terms and the order of the per-part formula. `_mul_rows`
+Layout: inputs may have any layout, and a result's bits never depend on
+it (see `quat`: every dot is `quat._row_dot`, in index order). `mul`,
+`conjugate`, `normalize`, `from_rotation_translation` and `translation`
+return fresh C-contiguous arrays. All but `conjugate` are one
+`quat._on_rows` call of their row kernel (`_mul_rows`, `_normalize_rows`,
+`_from_rotation_translation_rows` and `_translation_rows`); every sum
+keeps the terms and the order of the per-part formula. `_mul_rows`
 and `_translation_rows` are term tables of the one Hamilton-product
 kernel, `quat._products`; the translation's table folds the conjugate's
 signs in, and `_mul_rows` has tables that fold either operand's.
 `kinematics` sweeps the hierarchy with the same kernels.
+
+Every unit verdict reads one residual kernel on rows, `_residual_rows`,
+and one rule, `_within_unit_tolerance`: `unitary_residual` and so
+`is_unit`, the checks of `translation` and `from_rotation_translation`,
+`LocalPose`'s sweep, and `dqmotion encode` and `validate`. So they agree
+on every block.
 """
 
 from typing import NamedTuple
@@ -28,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quat
-from .errors import DegenerateNormError, NotUnitError
+from .errors import NotUnitError, ShapeMismatchError
 
 #: Tolerance of every unit check at an API boundary.
 UNIT_TOLERANCE = 1e-6
@@ -103,12 +108,14 @@ def antipode(d: np.ndarray) -> np.ndarray:
     return -np.asarray(d, dtype=float)
 
 
+#: The message of a real part at or below the norm floor.
+_DEGENERATE_REAL = "dual-quaternion real part has norm <= {floor:g}"
+
+
 def magnitude(d: np.ndarray) -> DualNumber:
     """Dual-number magnitude ||q_r|| + eps_unit * <q_r, q_d> / ||q_r||."""
     r, e = real(d), dual(d)
-    n = quat.norm(r)
-    if np.any(n <= quat._NORM_FLOOR):
-        raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
+    n = quat._unit_norms(quat._components(r), _DEGENERATE_REAL)
     return DualNumber(n, quat.dot(r, e) / n)
 
 
@@ -117,8 +124,23 @@ def unitary_residual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both vanish exactly iff d encodes a rigid transform.
     """
-    r, e = real(d), dual(d)
-    return quat.dot(r, r) - 1.0, quat.dot(r, e)
+    d = np.asarray(d, dtype=float)
+    if d.shape[-1:] != (8,):
+        raise ShapeMismatchError(f"dual quaternions have 8 components, got shape {d.shape}")
+    return _residual_rows(quat._components(d))
+
+
+def _residual_rows(rows: np.ndarray) -> tuple:
+    """The unit residuals (|r|^2 - 1, <r, e>) of (8, ...) component rows,
+    each dot `quat.dot`'s bits; of (4, ...) rotation rows, |r|^2 - 1 and
+    0.0. The one residual kernel of every unit verdict. An overflow is
+    not unit either: it leaves an infinite or NaN residual."""
+    r = rows[:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_res = quat._row_dot(r, r) - 1.0
+        # + 0.0: np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
+        ortho_res = quat._row_dot(r, rows[4:]) + 0.0 if len(rows) > 4 else 0.0
+    return norm_res, ortho_res
 
 
 def is_unit(d: np.ndarray) -> bool:
@@ -126,6 +148,8 @@ def is_unit(d: np.ndarray) -> bool:
 
 
 def _within_unit_tolerance(norm_res: np.ndarray, ortho_res: np.ndarray) -> bool:
+    """The one unit rule: |r|^2 within 2 tol of 1, which is |r| within tol
+    of 1, and <r, e> within tol of 0, everywhere (a NaN fails)."""
     tol = UNIT_TOLERANCE
     return bool(np.all(np.abs(norm_res) <= 2.0 * tol) and np.all(np.abs(ortho_res) <= tol))
 
@@ -156,9 +180,7 @@ def _normalize_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.n
     the real parts' norms and the projections of the dual parts along the
     real ones (<r, e> / |r|^2). Scales `rows` in place."""
     r, e = rows[:4], rows[4:]
-    n = quat._row_norm(r)
-    if np.any(n <= quat._NORM_FLOOR):
-        raise DegenerateNormError(f"dual-quaternion real part has norm <= {quat._NORM_FLOOR:g}")
+    n = quat._unit_norms(r, _DEGENERATE_REAL)
     along = quat._row_dot(r, e)
     along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
     along /= n * n
@@ -186,14 +208,15 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _from_rotation_translation_rows(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`from_rotation_translation` of (4, ...) rotation rows and (3, ...)
-    translation rows into (8, ...) rows `out`, after the unit check. The
-    rotation is divided by its norm; the dual rows are `quat._mul_rows` of
-    (0, t) on a zero real row, halved."""
-    n = quat._row_norm(r)
-    if np.any(np.abs(n - 1.0) > UNIT_TOLERANCE):
+    translation rows into (8, ...) rows `out`, after the unit check of the
+    rotation (`_residual_rows`). The rotation is divided by its norm; the
+    dual rows are `quat._mul_rows` of (0, t) on a zero real row, halved."""
+    residuals = _residual_rows(r)
+    if not _within_unit_tolerance(*residuals):
         raise NotUnitError(
             f"rotation quaternion norm deviates from 1 by more than {UNIT_TOLERANCE:g}")
-    np.divide(r, n, out=out[:4])
+    # |r|^2 - 1 + 1 is |r|^2 exactly: the check put |r|^2 in [0.5, 2] (Sterbenz)
+    np.divide(r, np.sqrt(residuals[0] + 1.0), out=out[:4])
     pure = np.zeros(out[4:].shape)
     pure[1:] = t
     quat._mul_rows(pure, out[:4], out[4:])
@@ -218,12 +241,10 @@ _TRANSLATION_TERMS = quat._product_terms([(k, 0, 0) for k in range(1, 4)], conju
 
 def _translation_rows(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`translation` of (8, ...) component rows into (3, ...) rows `out`
-    (a new array when None), after the unit check."""
-    r, e = d[:4], d[4:]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not unit either
-        unit = _within_unit_tolerance(quat._row_dot(r, r) - 1.0, quat._row_dot(r, e))
-    if not unit:
+    (a new array when None), after the unit check (`_residual_rows`)."""
+    if not _within_unit_tolerance(*_residual_rows(d)):
         raise _not_unit("translation")
+    r, e = d[:4], d[4:]
     if out is None:
         out = np.empty((3,) + d.shape[1:])
     quat._products(_TRANSLATION_TERMS, e, r, out)

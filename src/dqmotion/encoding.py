@@ -66,14 +66,13 @@ import numpy as np
 from . import _rotmat, dualquat, quat
 from .bvh import Skeleton, _frozen, _read_only, finite_rate
 from .errors import (
-    DegenerateNormError,
     InvalidValueError,
     NonFiniteError,
     NotInvertibleError,
     ShapeMismatchError,
     TooFewFramesError,
 )
-from .kinematics import LocalPose, _from_rows, _to_rows, relative
+from .kinematics import LocalPose, _from_rows, _unit_rows, relative
 
 #: Smallest standard deviation kept when fitting normalization statistics.
 STD_FLOOR = 1e-8
@@ -222,8 +221,7 @@ def antipodal_correct(blocks: np.ndarray) -> np.ndarray:
     blocks = np.asarray(blocks, dtype=float)
     if blocks.shape[0] == 0:
         raise TooFewFramesError("antipodal correction needs at least one frame")
-    dots = np.sum(blocks[:-1] * blocks[1:], axis=-1)
-    steps = np.where(dots < 0, -1.0, 1.0)
+    steps = np.where(quat.dot(blocks[:-1], blocks[1:]) < 0, -1.0, 1.0)
     signs = np.concatenate(
         [_seed_signs(blocks[0])[None], steps], axis=0
     ).cumprod(axis=0)
@@ -365,19 +363,11 @@ def _ortho6d_to_quats(blocks: np.ndarray) -> np.ndarray:
     shape = blocks.shape[:-1]
     # One component-major copy: every later pass reads contiguous rows.
     a, b = quat._rows(blocks[..., :6], shape).reshape(2, 3, -1)
-    na = quat._row_norm(a)
-    if np.any(na <= quat._NORM_FLOOR):
-        raise DegenerateNormError("degenerate first column in six-value block")
-    x = a / na
-    along = x[0] * b[0]
-    along += x[1] * b[1]
-    along += x[2] * b[2]
+    x = a / quat._unit_norms(a, "degenerate first column in six-value block")
+    along = quat._row_dot(x, b)
     along += 0.0  # np.sum starts from +0.0: a sum of -0.0 terms is +0.0
     b = b - along * x
-    nb = quat._row_norm(b)
-    if np.any(nb <= quat._NORM_FLOOR):
-        raise DegenerateNormError("six-value block columns are collinear")
-    y = b / nb
+    y = b / quat._unit_norms(b, "six-value block columns are collinear")
     z = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
     # The matrix has columns x, y, z. Rows 0..3 of `table` are the four
@@ -434,7 +424,7 @@ def decode(clip: EncodedClip) -> LocalPose:
     if "dualquat" in parts:
         # Local rotations fall out of parent-conjugate products
         # (`relative` on rows); offsets come from the skeleton.
-        current = _to_rows(quat.normalize(blocks[..., :4]))
+        current = _unit_rows(blocks[..., :4])
         quats = _from_rows(relative(skeleton.encoded_parents, current))
     elif "quaternions" in parts:
         quats = quat.normalize(blocks[..., :4])

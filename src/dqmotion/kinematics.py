@@ -142,7 +142,7 @@ class LocalPose:
         (..., J, 3) `positions`, both read-only."""
         skeleton = self.skeleton
         current = compose(skeleton.levels, _unit_rows(self.joint_rotations))
-        if not dualquat._within_unit_tolerance(quat._row_dot(current, current) - 1.0, 0.0):
+        if not dualquat._within_unit_tolerance(*dualquat._residual_rows(current)):
             raise dualquat._not_unit("translation")
         parents = current.take(skeleton.parent_indices[1:], axis=1)
         offsets = skeleton.offsets[1:].T.reshape((3, -1) + (1,) * (current.ndim - 2))

@@ -196,13 +196,16 @@ def _unit_rows(clip: EncodedClip) -> _UnitRows:
 @_kept
 def _rotation_rows(clip: EncodedClip) -> tuple:
     """(4, J, F) rows of the normalized rotation part at column 0 and
-    their (J, F) norms. A dualquat clip's are its unit rows' real part and
-    norms, which are `quat.normalize` and `quat.norm` bit for bit."""
+    their (J, F) norms, `quat.normalize` and `quat.norm` bit for bit: a
+    dualquat clip's unit rows' real part and norms, or the rows of the
+    other kinds divided in place by their one `quat._unit_norms`."""
     if clip.kind is ReprKind.DUALQUAT:
         unit = _unit_rows(clip)
         return unit.rows[:4], unit.norm
-    blocks = clip.joint_blocks()[..., :4]
-    return _to_rows(quat.normalize(blocks)), quat.norm(blocks).T
+    rows = _to_rows(clip.joint_blocks()[..., :4])
+    norm = quat._unit_norms(rows)
+    rows /= norm
+    return rows, norm
 
 
 @_kept
@@ -365,8 +368,7 @@ def _rotational(space: str):
         rows, norm = _rotation_rows(pred)
         q_pred = _in_space(pred, space)
         q_truth = _in_space(truth, space)
-        # (F, J, 4) values: einsum's sum order depends on the layout
-        dots = quat.dot(_from_rows(q_pred), _from_rows(q_truth))
+        dots = _from_rows(quat._row_dot(q_pred, q_truth))
 
         def grad() -> np.ndarray:
             f, j = dots.shape

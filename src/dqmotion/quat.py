@@ -12,10 +12,12 @@ tag such as "ZYX" naming the composition order: "ZYX" composes as
 q_z(gamma) * q_y(beta) * q_x(alpha), i.e. the x rotation is applied first
 to a column vector.
 
-Layout: inputs may have any layout (slices, gathers, broadcast views).
-`mul` returns a fresh C-contiguous array whatever its operands' layout.
-The layout is part of the bits: downstream `einsum` reductions such as
-`dot` sum in an order that depends on their operands' strides. `mul` and
+Layout: inputs may have any layout (slices, gathers, broadcast views),
+and the layout is never part of the bits. `dot` is the package's one
+inner product, `_row_dot` on the component views: it adds the terms in
+index order, so any layout gives one result, and every unit verdict
+reads it (`dualquat`'s one residual kernel). `mul` returns a fresh
+C-contiguous array whatever its operands' layout. `mul` and
 the `dualquat` `mul`, `normalize`, `from_rotation_translation` and
 `translation` are one `_on_rows` call each: one component-major copy of
 each operand, and a row kernel that adds each sum's terms in the
@@ -58,15 +60,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _rotmat
-from .errors import DegenerateNormError, InvalidValueError, NonFiniteError
+from .errors import DegenerateNormError, InvalidValueError, NonFiniteError, ShapeMismatchError
 
 #: Arguments of arcsin at least this close to +-1 take the degenerate
 #: (gimbal-lock) branch of to_euler. It covers middle angles within about
 #: 1e-4 degrees of the pole; a wider band would snap nearby angles onto it.
 LOCK_TOLERANCE = 1e-12
 
-# Norms at or below this floor cannot be normalized (DegenerateNormError);
-# `dualquat` applies the same floor to its real part.
+# Norms at or below this floor cannot be normalized (DegenerateNormError):
+# `_unit_norms` is the one check, which every module calls.
 _NORM_FLOOR = 1e-12
 
 _VALID_ORDERS = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"}
@@ -194,7 +196,8 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, conjugate: str | No
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a[i] * b[i] over the component rows, in index order."""
+    """Sum of a[i] * b[i] over the component rows, in index order: the
+    package's one inner product, which `dot` runs on component views."""
     total = a[0] * b[0]
     for i in range(1, len(a)):
         total += a[i] * b[i]
@@ -226,6 +229,13 @@ def _lengths(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _components(values: np.ndarray) -> np.ndarray:
+    """The (C, ...) component view of (..., C) values, no copy: row i is
+    component i. (`np.moveaxis` makes the same view at several times the
+    cost.)"""
+    return values.transpose((-1,) + tuple(range(values.ndim - 1)))
+
+
 def _on_rows(kernel, width: int, *operands) -> np.ndarray:
     """kernel(*rows, out) on one `_rows` copy of each operand, into the
     transposed view of a fresh C-contiguous (..., width) result. (The
@@ -249,32 +259,37 @@ def conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products over the last axis, of any length. einsum is several
-    times faster than a reduction over an axis of length 4 or 8."""
-    return np.einsum("...i,...i->...", np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Inner products over the last axis, of any length: `_row_dot` on the
+    component views, so the terms add in index order whatever the
+    operands' layout. A sum of -0.0 terms is +0.0, as `np.sum`'s. Raises
+    ShapeMismatchError when the last axes differ in length or are empty."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1:] != b.shape[-1:] or a.shape[-1:] in ((), (0,)):
+        raise ShapeMismatchError(f"dot needs nonempty last axes of one length, got {a.shape} and {b.shape}")
+    return _row_dot(_components(a), _components(b)) + 0.0  # np.sum starts from +0.0
 
 
 def norm(q: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, with np.linalg.norm's bits (the
     squares summed in index order). Raises NonFiniteError where it is
     infinite, finite values whose squares overflow included."""
-    q = np.asarray(q, dtype=float)
-    return _row_norm(q.transpose((-1,) + tuple(range(q.ndim - 1))))
+    return _row_norm(_components(np.asarray(q, dtype=float)))
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
     """Scale to unit norm. Raises DegenerateNormError when the norm is at
     or below the 1e-12 floor, and NonFiniteError when it is infinite."""
     q = np.asarray(q, dtype=float)
-    return q / _unit_norms(q.transpose((-1,) + tuple(range(q.ndim - 1))))[..., None]
+    return q / _unit_norms(_components(q))[..., None]
 
 
-def _unit_norms(rows: np.ndarray) -> np.ndarray:
-    """`_row_norm` of component rows to divide by: DegenerateNormError
+def _unit_norms(rows: np.ndarray, message: str = "quaternion norm <= {floor:g}") -> np.ndarray:
+    """`_row_norm` of component rows to divide by: the package's one floor
+    check, DegenerateNormError with `message` (its `{floor}` the floor)
     where a norm is at or below the floor."""
     n = _row_norm(rows)
     if np.any(n <= _NORM_FLOOR):
-        raise DegenerateNormError(f"quaternion norm <= {_NORM_FLOOR:g}")
+        raise DegenerateNormError(message.format(floor=_NORM_FLOOR))
     return n
 
 

@@ -116,7 +116,7 @@ def from_rotation_translation(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     n = np.linalg.norm(r, axis=-1, keepdims=True)
-    if np.any(np.abs(n - 1.0) > dualquat.UNIT_TOLERANCE):
+    if not np.all(np.abs(np.sum(r * r, axis=-1) - 1.0) <= 2.0 * dualquat.UNIT_TOLERANCE):
         raise NotUnitError(
             f"rotation quaternion norm deviates from 1 by more than {dualquat.UNIT_TOLERANCE:g}")
     r_hat = r / n

@@ -1,6 +1,8 @@
 """The accuracy ledger: how far each float64 path that builds encoded
 positions and dual-quaternion blocks is from the long-double references
-in `accuracy_oracles`.
+in `accuracy_oracles`, and how far the one inner product, `quat.dot`,
+and the unit residuals (`dualquat.unitary_residual`) read on those
+blocks are from their long-double sums.
 
 Each path's worst error, in units of float64 eps, is held to a recorded
 bound, per source: the humanoid fixture, and seeded `random_skeleton`
@@ -8,7 +10,10 @@ trees with end sites. Positions and the dual part are measured relative
 to the pose's scale, max(1, its largest |position|); the real part,
 a unit quaternion, in absolute terms. The dual quaternions are compared
 after taking the oracle's sign to the encoded block's, which the
-antipodal correction chooses. These bounds are far tighter than the
+antipodal correction chooses. A dot or residual is measured relative to
+the sum of its terms' magnitudes, the scale its rounding error follows:
+the dots between consecutive frames' blocks (the sign correction's), and
+both unit residuals of every block. These bounds are far tighter than the
 contract tolerances (FK 1e-9, round trips 1e-6), which stay as they are;
 a change that moves these bits shows its ledger before and after and
 records the new bounds.
@@ -17,7 +22,7 @@ records the new bounds.
 import numpy as np
 import pytest
 
-from dqmotion import bvh
+from dqmotion import bvh, dualquat, quat
 from dqmotion.encoding import ReprKind, encode
 from dqmotion.kinematics import clip_to_local
 
@@ -34,8 +39,10 @@ EPS = np.finfo(np.float64).eps
 #: Worst error per path and source, in float64 eps: the measured worst
 #: plus 5%, rounded up to a tenth.
 BOUNDS = {
-    "humanoid": {"positions": 3.5, "dq real": 1.4, "dq dual": 1.8},  # 3.30, 1.24, 1.64
-    "random trees": {"positions": 4.9, "dq real": 1.6, "dq dual": 2.0},  # 4.62, 1.50, 1.85
+    "humanoid": {"positions": 3.5, "dq real": 1.4, "dq dual": 1.8,  # 3.30, 1.24, 1.64
+                 "dot": 1.3, "norm residual": 1.2, "ortho residual": 0.6},  # 1.23, 1.07, 0.52
+    "random trees": {"positions": 4.9, "dq real": 1.6, "dq dual": 2.0,  # 4.62, 1.50, 1.85
+                     "dot": 1.5, "norm residual": 1.3, "ortho residual": 0.8},  # 1.41, 1.17, 0.71
 }
 
 
@@ -56,14 +63,29 @@ def errors(pose) -> dict:
     want = accuracy_oracles.dual_quaternions(current, positions)[:, indices]
     scale = max(1.0, float(np.max(np.abs(positions))))
     stored = encode(pose, ReprKind.POSITIONS).joint_blocks().astype(np.longdouble)
-    blocks = encode(pose, ReprKind.DUALQUAT).joint_blocks().astype(np.longdouble)
+    encoded = encode(pose, ReprKind.DUALQUAT).joint_blocks()
+    blocks = encoded.astype(np.longdouble)
     want *= np.where(np.sum(blocks[..., :4] * want[..., :4], axis=-1) < 0, -1, 1)[..., None]
     gap = np.abs(blocks - want)
+    norm_res, ortho_res = dualquat.unitary_residual(encoded)
+    real, dual = blocks[..., :4], blocks[..., 4:]
     return {
         "positions": float(np.max(np.abs(stored - positions[:, indices]))) / scale / EPS,
         "dq real": float(np.max(gap[..., :4])) / EPS,
         "dq dual": float(np.max(gap[..., 4:])) / scale / EPS,
+        "dot": dot_error(quat.dot(encoded[:-1], encoded[1:]), blocks[:-1] * blocks[1:]),
+        "norm residual": dot_error(norm_res + 1.0, real * real),
+        "ortho residual": dot_error(ortho_res, real * dual),
     }
+
+
+def dot_error(got: np.ndarray, terms: np.ndarray) -> float:
+    """Worst error of float64 sums `got` of the long-double (..., n)
+    `terms`, relative to the sum of their magnitudes, in float64 eps; 0
+    where every term is 0."""
+    magnitude = np.sum(np.abs(terms), axis=-1)
+    error = np.abs(got - np.sum(terms, axis=-1))
+    return float(np.max(error / np.where(magnitude > 0, magnitude, 1), initial=0.0)) / EPS
 
 
 def worst(poses) -> dict:

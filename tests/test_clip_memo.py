@@ -114,12 +114,12 @@ class TestSharedRows:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
     def test_each_clip_is_normalized_once(self, rng, monkeypatch, kind):
         pred, truth = pair(rng, kind)
-        quats = spy(monkeypatch, "normalize", quat)
+        norms = spy(monkeypatch, "_unit_norms", quat)
         blocks = spy(monkeypatch, "_normalize_rows", dualquat)
         for _ in range(2):
             score(pred, truth)
-        # one per clip: pred and truth
-        assert (len(quats), len(blocks)) == ((0, 2) if kind is ReprKind.DUALQUAT else (2, 0))
+        # one per clip: pred and truth (a dualquat clip's through `_normalize_rows`)
+        assert (len(norms), len(blocks)) == ((2, 2) if kind is ReprKind.DUALQUAT else (2, 0))
 
     def test_kept_rotation_rows_are_the_normalized_real_part(self, rng):
         # The dq rotational terms read the unit rows' real part and norms:

@@ -9,7 +9,9 @@ numpy for the truth value of an array. The numpy floor in
 the Hamilton product has one table of terms, `quat._HAMILTON`: every
 other index or sign table of its terms is derived from it, none written
 by hand. It has one kernel too: only the table builders read
-`_HAMILTON`, and only `quat._products` accumulates terms. The loss terms
+`_HAMILTON`, and only `quat._products` accumulates terms. One function,
+`quat._unit_norms`, reads the norm floor, and no inner product is an
+`einsum`, whose sum order depends on the operands' layout. The loss terms
 derive a clip's rows once: in `losses`, only the builders of the clip's
 memo (the functions decorated with `_kept`) normalize blocks or take
 them relative to their parents. Gathers call the `take` method, never
@@ -315,17 +317,17 @@ def readers(tree: ast.AST, module: str, name: str) -> set:
     return found
 
 
-def hamilton_readers(name: str) -> set:
+def package_readers(name: str) -> set:
     return set().union(*(readers(ast.parse(path.read_text()), str(path.relative_to(SOURCES)), name)
                          for path in sorted(SOURCES.rglob("*.py"))))
 
 
 def test_one_function_accumulates_hamilton_terms():
-    assert hamilton_readers("_ACCUMULATE") == ACCUMULATORS
+    assert package_readers("_ACCUMULATE") == ACCUMULATORS
 
 
 def test_only_the_table_builders_read_the_terms():
-    assert hamilton_readers("_HAMILTON") == TABLE_READERS
+    assert package_readers("_HAMILTON") == TABLE_READERS
 
 
 def test_the_check_sees_another_reader():
@@ -351,8 +353,38 @@ def mul(a, b):
     assert readers(tree, "quat.py", "_HAMILTON") == {("quat.py", None), ("quat.py", "_hamilton_row")}
 
 
+def test_one_function_checks_the_norm_floor():
+    assert package_readers("_NORM_FLOOR") == {("quat.py", "_unit_norms")}
+
+
+def test_the_package_has_no_einsum():
+    """Every inner product is `quat._row_dot`, in index order; einsum's sum
+    order depends on its operands' layout."""
+    assert package_readers("einsum") == set()
+
+
+def test_the_check_sees_a_floor_read_and_an_einsum():
+    source = """
+from numpy import einsum
+
+def _unit_norms(rows):
+    return rows <= _NORM_FLOOR
+
+def magnitude(r):
+    if quat.norm(r) <= quat._NORM_FLOOR:
+        raise DegenerateNormError(f"norm <= {quat._NORM_FLOOR:g}")
+    return np.einsum("...i,...i->...", r, r) + einsum("i,i", r, r)
+"""
+    tree = ast.parse(source)
+    # a second reader, in `quat` or elsewhere, and a reader named `_unit_norms` outside `quat`
+    assert readers(tree, "quat.py", "_NORM_FLOOR") == {("quat.py", "_unit_norms"), ("quat.py", "magnitude")}
+    assert readers(tree, "dualquat.py", "_NORM_FLOOR") == {("dualquat.py", "_unit_norms"),
+                                                          ("dualquat.py", "magnitude")}
+    assert readers(tree, "quat.py", "einsum") == {("quat.py", "magnitude")}
+
+
 #: The derivations in `losses` that only the memo's builders may run.
-ROW_DERIVATIONS = ("normalize", "_normalize_rows", "relative")
+ROW_DERIVATIONS = ("_unit_norms", "_normalize_rows", "relative")
 LOSSES = SOURCES / "losses.py"
 
 
@@ -391,7 +423,7 @@ def _bone_rows(clip):
 
 @functools.cache
 def _cached(clip):
-    return quat.normalize(clip.rows)
+    return clip.rows / quat._unit_norms(clip.rows)
 
 def _offset(pred, truth, skeleton):
     local = relative(pred.parents, _unit_rows(pred).rows)
@@ -400,7 +432,7 @@ def _offset(pred, truth, skeleton):
     tree = ast.parse(source)
     assert memo_builders(tree, "losses.py") == {("losses.py", "_unit_rows"), ("losses.py", "_bone_rows")}
     assert stray_derivations(tree, "losses.py") == {
-        ("normalize", "losses.py", "_cached"), ("relative", "losses.py", "_offset")}
+        ("_unit_norms", "losses.py", "_cached"), ("relative", "losses.py", "_offset")}
 
 
 def take_function_calls(tree: ast.AST) -> list:

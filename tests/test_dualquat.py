@@ -6,6 +6,7 @@ import pytest
 from dqmotion import dualquat, quat
 from dqmotion.errors import DegenerateNormError, NotUnitError
 
+import algebra_oracles
 import oracles
 
 
@@ -130,6 +131,17 @@ class TestConstruction:
     def test_rejects_non_unit_rotation(self):
         with pytest.raises(NotUnitError):
             dualquat.from_rotation_translation([2.0, 0, 0, 0], np.zeros(3))
+
+    @pytest.mark.parametrize("w", [np.sqrt(1.0 + 2e-6 + 5e-13), np.nan], ids=("band edge", "NaN"))
+    def test_rotation_check_is_the_unit_rule(self, w):
+        """The rotation check is `is_unit`'s rule, |r|^2 within 2 tol of 1:
+        a rotation just past it, whose |r| is within tol of 1, is rejected,
+        and so is a NaN, with the check's message."""
+        r = np.array([w, 0.0, 0.0, 0.0])
+        assert not dualquat.is_unit(np.concatenate([r, np.zeros(4)]))
+        for build in (dualquat.from_rotation_translation, algebra_oracles.from_rotation_translation):
+            with pytest.raises(NotUnitError, match="rotation quaternion norm deviates from 1 by more than 1e-06"):
+                build(r, np.zeros(3))
 
     def test_transforms_points_like_matrix(self, rng):
         r = oracles.random_unit_quat(rng)

@@ -322,6 +322,26 @@ class TestDualquatChecks:
         features = np.concatenate([clip.root_translation, blocks.reshape(3, -1)], axis=1)
         return clip_from_features(ReprKind.DUALQUAT, skeleton, features), clip
 
+    def test_is_unit_agrees_with_translation(self, rng):
+        """One residual kernel decides both verdicts: on the clean clip of
+        `bad_pair` with frame 1's dual parts at 1e12, normalized, a block
+        is unit by `is_unit` exactly when `translation` returns. Their
+        orthogonality residuals once summed in two orders and disagreed
+        on some of these blocks."""
+        skeleton = oracles.random_skeleton(rng, 5)
+        blocks = encode(oracles.random_poses(rng, skeleton, 3), ReprKind.DUALQUAT).joint_blocks().copy()
+        blocks[1, :, 4:] = 1e12
+        verdicts = []
+        for block in dualquat.normalize(blocks).reshape(-1, 8):
+            try:
+                dualquat.translation(block)
+                translates = True
+            except NotUnitError:
+                translates = False
+            verdicts.append(translates)
+            assert dualquat.is_unit(block) is translates
+        assert not all(verdicts[5:10])  # some huge block is not unit
+
     @pytest.mark.parametrize("name", ("positional", "offset"))
     @pytest.mark.parametrize("block", BLOCKS, ids=str)
     def test_bad_block_raises(self, rng, name, block):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqmotion import quat
-from dqmotion.errors import DegenerateNormError, NonFiniteError
+from dqmotion.errors import DegenerateNormError, NonFiniteError, ShapeMismatchError
 
 import oracles
 
@@ -84,6 +84,42 @@ class TestDot:
 
     def test_orthogonal(self):
         assert quat.dot(quat.identity(), [0.0, 1.0, 0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("length", (4, 8))
+    def test_every_layout_gives_the_same_bits(self, rng, length):
+        """The terms add in index order whatever the operands' strides:
+        C, Fortran, row-strided and gathered operands give one result."""
+        a, b = rng.normal(size=(2, 37, 11, length))
+        want = a[..., 0] * b[..., 0]
+        for i in range(1, length):
+            want = want + a[..., i] * b[..., i]
+        order = rng.permutation(11)
+
+        def gathered(x):
+            # (length, 11, 37) component rows gathered along the joints, viewed as (37, 11, length)
+            return np.ascontiguousarray(x.T)[:, np.argsort(order)].take(order, axis=1).T
+
+        layouts = {
+            "C": (a, b),
+            "Fortran": (np.asfortranarray(a), np.asfortranarray(b)),
+            "row-strided": (np.repeat(a, 2, axis=0)[::2], np.repeat(b, 2, axis=0)[::2]),
+            "gathered": (gathered(a), gathered(b)),
+        }
+        for name, (x, y) in layouts.items():
+            assert np.array_equal(x, a) and np.array_equal(y, b), name
+            assert quat.dot(x, y).tobytes() == want.tobytes(), name
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        got = quat.dot([-0.0, 0.0, -0.0, 0.0], [1.0, -0.0, 2.0, -3.0])
+        assert got == 0.0 and not np.signbit(got)
+        got = quat.dot(np.full((3, 8), -0.0), np.ones(8))
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("shapes", [((4,), (8,)), ((2, 4), (2, 3)), ((4,), ()), ((2, 0), (2, 0))],
+                             ids=str)
+    def test_mismatched_lengths_raise(self, shapes):
+        with pytest.raises(ShapeMismatchError):
+            quat.dot(np.ones(shapes[0]), np.ones(shapes[1]))
 
 
 class TestFromEuler:

@@ -545,6 +545,9 @@ class TestNumericRange:
             assert quiet_main("validate", path) == 3
         assert quiet_main("loss", path, ok) == 3
         assert quiet_main("loss", ok, path) == 3
+        if kind.sign_sensitive:  # one frame: no continuity dot, only the unit residuals overflow
+            container.write_file(path, EncodedClip(kind, clip.skeleton, clip.frame_time, features[:1]))
+            assert quiet_main("validate", path) == 3
 
     def test_huge_offsets(self, tmp_path):
         path = tmp_path / "huge.bvh"
