@@ -28,24 +28,22 @@ quaternion) starts at column 0, and stored positions take the last three
 columns. `block_dim`, `has_positions`, `sign_sensitive` and `decode`'s
 choice of rotation reader all read it.
 
-The positions part is `LocalPose.positions` at the encoded joints, and
-each dual-quaternion block is (q, 1/2 (0, p) q) of the current rotation q
-and position p that the pose's one forward sweep keeps: no encoding runs
-a sweep of its own, and every kind with positions or dual quaternions
-raises what `pose.positions` raises.
+Every part reads the pose's one checked set of unit rotations
+(`LocalPose._rotation_rows`), so every kind raises what `pose.positions`
+raises. The quaternion and six-value parts are those rows at the encoded
+joints, the positions part is `LocalPose.positions` there, and each
+dual-quaternion block is (q, 1/2 (0, p) q) of the current rotation q and
+position p that the pose's one forward sweep keeps: no encoding runs a
+sweep of its own.
 
 Encoding one pose under several kinds builds each part once. Once a clip
 is built, `encode` keeps each part it holds in the pose's private
 `LocalPose._encoded_parts` as a read-only view into that clip's
 features, never as an array of its own, so the pose pins only clips its
 caller was handed. A later encode of the same pose copies the part from
-there, bit for bit what it would build. The six-value blocks are built
-from the kept sign-corrected quaternions when there are any, so six
-encodes normalize the rotations once: every term of a rotation-matrix
-entry is a product of two components, which a sign flip leaves as it
-is. A slice of the pose starts with no parts (the sign correction seeds
-at the slice's own first frame), and an encode that raises keeps
-nothing, so the next call raises again.
+there, bit for bit what it would build. A slice of the pose starts with
+no parts (the sign correction seeds at the slice's own first frame), and
+an encode that raises keeps nothing, so the next call raises again.
 
 `EncodedClip` and `NormalizationStats` are immutable values, like every
 value the package passes: frozen dataclasses with read-only arrays, so the
@@ -243,16 +241,11 @@ def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
 
 
 def _sign_corrected(pose: LocalPose, indices: list) -> np.ndarray:
-    return antipodal_correct(quat.normalize(pose.joint_rotations[:, indices]))
+    return antipodal_correct(pose._rotation_rows.take(indices, axis=1).T)
 
 
 def _six_value(pose: LocalPose, indices: list) -> np.ndarray:
-    # The kept sign-corrected quaternions give the same bits: every term of
-    # `_rotmat.entry` is a product of two components, so a sign flip cancels.
-    quats = pose._encoded_parts.get("quaternions")
-    if quats is None:
-        quats = quat.normalize(pose.joint_rotations[:, indices])
-    return _ortho6d_of_quats(quats)
+    return _ortho6d_of_quats(pose._rotation_rows.take(indices, axis=1).T)
 
 
 def _joint_positions(pose: LocalPose, indices: list) -> np.ndarray:
@@ -280,10 +273,7 @@ _PARTS = {
 
 #: Per kind, its parts and the block column each starts at: the one
 #: definition of each block. The rotation part starts at column 0, stored
-#: positions take the last three columns. The positions come first, so a
-#: kind with positions raises what `pose.positions` raises: its sweep
-#: checks every joint's rotation, end sites included, and rejects a NaN,
-#: which `quat.normalize` of the encoded joints lets through.
+#: positions take the last three columns.
 _KIND_PARTS = {
     ReprKind.POSITIONS: {"positions": 0},
     ReprKind.QUATERNIONS: {"quaternions": 0},
@@ -300,9 +290,10 @@ def encode(pose: LocalPose, kind: ReprKind, frame_time: float = 1.0 / 30.0) -> E
     """Encode a batched LocalPose under the requested representation.
 
     Each part of the kind's block (`_KIND_PARTS`) goes to its columns.
-    The positions and dual quaternions read the pose's one forward sweep
-    (`LocalPose.positions` and the current rotations kept beside them),
-    so they raise what `positions` raises, encoding a pose under several
+    Every part reads the pose's checked unit rotations, so every kind
+    raises what `positions` raises. The positions and dual quaternions
+    read the pose's one forward sweep (`LocalPose.positions` and the
+    current rotations kept beside them), so encoding a pose under several
     kinds sweeps the hierarchy once, and a slice of a swept pose not at
     all. Each part is built once per pose: the first encode that builds
     one keeps it as a read-only view into the features of the clip it

@@ -3,11 +3,13 @@
 
 A `LocalPose` is an immutable value: a clip's (F, J, 4) local rotations
 and (F, 3) root path, F >= 1, the one input of every layer; a single
-frame, `pose[f]`, has no `len` and is never one. It runs its one forward
-sweep at most once, keeping the current rotations beside the positions
-(`positions` for the metrics; both for the encodings), and its slices
-reuse them; it also holds the blocks that `encoding.encode` shares
-between kinds, which its slices do not take.
+frame, `pose[f]`, has no `len` and is never one. It normalizes its
+rotations once, as (4, J, F) rows checked by the one unit rule, which
+its sweep and every encoding read, so every kind raises what `positions`
+raises. It runs its one forward sweep at most once, keeping the current
+rotations beside the positions (`positions` for the metrics; both for
+the encodings), and its slices reuse them; it also holds the blocks that
+`encoding.encode` shares between kinds, which its slices do not take.
 
 This module holds the one forward hierarchy sweep, which every layer
 runs (`LocalPose`, the dualquat `decode`, the loss terms' space changes).
@@ -21,14 +23,14 @@ gather of each operand's terms and one multiply (`quat._products`).
 `compose` sweeps parent to child one depth level at a time, over the
 levels the skeleton builds once; `relative` undoes it with one parent
 gather and one product whose term table conjugates the parents.
-A pose's sweep is on the rotations alone: `compose` on (4, J, F) rows,
-normalized in place as rows, each offset turned by its parent's current
-rotation, q (0, o) q* (two products, 24 multiply terms a (joint, frame)
-beside the sweep's 16), and the turned offsets added parent to child
-over the same levels, the one other loop over them. A current unit dual
-quaternion is fixed by its rotation q and position p, (q, 1/2 (0, p) q),
-so the encodings build the dq blocks from the kept rotation rows and
-positions, with no sweep of their own.
+A pose's sweep is on the rotations alone: `compose` on its checked unit
+rows, each offset turned by its parent's current rotation, q (0, o) q*
+(two products, 24 multiply terms a (joint, frame) beside the sweep's
+16), and the turned offsets added parent to child over the same levels,
+the one other loop over them. A current unit dual quaternion is fixed
+by its rotation q and position p, (q, 1/2 (0, p) q), so the encodings
+build the dq blocks from the kept rotation rows and positions, with no
+sweep of their own.
 
 The clip conversions (`clip_to_local`, `local_to_clip`) read the
 skeleton's rotation plan (`ChannelTable.rotations`): one gather of every
@@ -65,15 +67,19 @@ class LocalPose:
     `len`), `pose[a:b]` stays batched, and iterating yields single frames.
 
     Both arrays are read-only; a writable one given to the constructor is
-    copied, so the pose never aliases it. The forward sweep runs on first
-    use of `positions` (or of an encoding that reads it) and keeps, in one
-    read-only memo, the composed (4, J, F) rotation rows beside the
+    copied, so the pose never aliases it. `_rotation_rows`, the first
+    memo, holds the normalized (4, J, F) rotation rows, kept only when
+    they pass the one unit check; the sweep and every encoding read them,
+    so each raises what `positions` raises. The forward sweep runs on
+    first use of `positions` (or of an encoding that reads it) and keeps,
+    in one read-only memo, the composed (4, J, F) rotation rows beside the
     (F, J, 3) positions (nothing is kept when it raises); a slice of the
     pose takes the same slice of both, so a window of a pose scored in
     full runs no hierarchy sweep. A non-empty slice of a batched pose
     holds read-only views of its arrays and skips the constructor's
     checks, which they passed; an empty slice and any other index run
-    them. `_encoded_parts`, the other memo, holds views into clips that
+    them. A slice normalizes its own rotations when it needs them.
+    `_encoded_parts`, the third memo, holds views into clips that
     `encoding.encode` built from the pose; a slice starts without it,
     since the sign correction seeds at the slice's first frame.
     """
@@ -130,20 +136,28 @@ class LocalPose:
         """(..., J, 3) root-centered joint positions of the normalized
         rotations: `compose` of the rotations alone, each offset turned by
         its parent's current rotation, q (0, o) q*, and the turned offsets
-        added parent to child over the same levels, the root at +0.0. A
-        composed rotation that is not unit (a NaN) raises the NotUnitError
-        of `dualquat.translation`'s check."""
+        added parent to child over the same levels, the root at +0.0. It
+        raises what `_rotation_rows` raises, as every encoding does."""
         return self._sweep[1]
+
+    @cached_property
+    def _rotation_rows(self) -> np.ndarray:
+        """The (4, J, ...) rows of the normalized rotations, read-only,
+        checked once by the one unit rule: what every encoding and the
+        sweep read. A rotation that normalizes to no unit (a NaN) raises
+        the NotUnitError of `dualquat.translation`'s check."""
+        rows = _unit_rows(self.joint_rotations)
+        if not dualquat._within_unit_tolerance(*dualquat._residual_rows(rows)):
+            raise dualquat._not_unit("translation")
+        return _read_only(rows)
 
     @cached_property
     def _sweep(self) -> tuple[np.ndarray, np.ndarray]:
         """The one forward sweep: the (4, J, ...) rows of the current
-        rotations, composed from the normalized rotations, and the
-        (..., J, 3) `positions`, both read-only."""
+        rotations, composed from `_rotation_rows`, and the (..., J, 3)
+        `positions`, both read-only."""
         skeleton = self.skeleton
-        current = compose(skeleton.levels, _unit_rows(self.joint_rotations))
-        if not dualquat._within_unit_tolerance(*dualquat._residual_rows(current)):
-            raise dualquat._not_unit("translation")
+        current = compose(skeleton.levels, self._rotation_rows)
         parents = current.take(skeleton.parent_indices[1:], axis=1)
         offsets = skeleton.offsets[1:].T.reshape((3, -1) + (1,) * (current.ndim - 2))
         out = np.empty((3,) + current.shape[1:])

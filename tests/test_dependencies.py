@@ -16,7 +16,9 @@ derive a clip's rows once: in `losses`, only the builders of the clip's
 memo (the functions decorated with `_kept`) normalize blocks or take
 them relative to their parents. Gathers call the `take` method, never
 the function `np.take`. And only `kinematics` loops over a skeleton's
-depth levels, apart from two named walks that sweep no rows forward."""
+depth levels, apart from two named walks that sweep no rows forward. A
+pose's raw rotations are read only there, where they are normalized and
+checked once, and by the round trip's report."""
 
 import ast
 import re
@@ -381,6 +383,44 @@ def magnitude(r):
     assert readers(tree, "dualquat.py", "_NORM_FLOOR") == {("dualquat.py", "_unit_norms"),
                                                           ("dualquat.py", "magnitude")}
     assert readers(tree, "quat.py", "einsum") == {("quat.py", "magnitude")}
+
+
+#: Where the package reads a pose's raw rotations, outside `kinematics`,
+#: which normalizes and checks them once (`LocalPose._rotation_rows`): the
+#: round trip's report, which compares them with the decoded ones.
+RAW_ROTATION_READERS = {("cli.py", "cmd_roundtrip")}
+
+
+def raw_rotation_reads(tree: ast.AST, module: str) -> set:
+    """(module, function) of every read of `joint_rotations` in `tree`
+    outside `kinematics` and RAW_ROTATION_READERS."""
+    if module == "kinematics.py":
+        return set()
+    return readers(tree, module, "joint_rotations") - RAW_ROTATION_READERS
+
+
+def test_only_kinematics_reads_the_raw_rotations():
+    assert set().union(*(raw_rotation_reads(ast.parse(path.read_text()), str(path.relative_to(SOURCES)))
+                         for path in sorted(SOURCES.rglob("*.py")))) == set()
+
+
+def test_the_check_sees_a_raw_rotation_read():
+    source = """
+def cmd_roundtrip(args):
+    return poses.joint_rotations
+
+def _sign_corrected(pose, indices):
+    return quat.normalize(pose.joint_rotations[:, indices])
+
+def decode(clip):
+    return LocalPose(skeleton, root, joint_rotations=rotations)
+"""
+    tree = ast.parse(source)
+    # the keyword argument reads nothing; the round trip may read them only in `cli`
+    assert raw_rotation_reads(tree, "cli.py") == {("cli.py", "_sign_corrected")}
+    assert raw_rotation_reads(tree, "encoding.py") == {("encoding.py", "cmd_roundtrip"),
+                                                        ("encoding.py", "_sign_corrected")}
+    assert raw_rotation_reads(tree, "kinematics.py") == set()
 
 
 #: The derivations in `losses` that only the memo's builders may run.

@@ -10,11 +10,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqmotion import bvh, dualquat, quat
 from dqmotion.bvh import Skeleton
 from dqmotion.encoding import ReprKind, decode, encode
-from dqmotion.errors import DegenerateNormError, NonFiniteError, NotUnitError
+from dqmotion.errors import DegenerateNormError, MotionError, NonFiniteError, NotUnitError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
 
@@ -262,9 +263,8 @@ class TestClipConversion:
 
 
 #: A bad rotation, set in all four components, and what `positions`,
-#: `metric_report` and every encode with positions or dual quaternions
-#: raise on it: the classes and messages of the dual-quaternion chain that
-#: the rotation sweep replaced.
+#: `metric_report` and every encode raise on it: the classes and messages
+#: of the dual-quaternion chain that the rotation sweep replaced.
 BAD_ROTATIONS = {
     "zero": (0.0, DegenerateNormError, "quaternion norm <= 1e-12"),
     "1e200": (1e200, NonFiniteError, "a norm overflows: values too large for float64"),
@@ -275,10 +275,8 @@ BAD_ROTATIONS = {
 @pytest.mark.parametrize("name", BAD_ROTATIONS)
 @pytest.mark.parametrize("where", ("root", "inner", "end site"))
 def test_positions_raise_what_the_chain_raised(rng, name, where):
-    """Every encode with positions or dual quaternions raises what the
-    positions raise. The quaternion and six-value encodes read only the
-    encoded joints' rotations, and let a NaN through to the clip's
-    finiteness check."""
+    """Every encode raises what the positions raise, wherever the bad
+    rotation sits: each reads the pose's one checked set of rotations."""
     skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
     pose = oracles.random_poses(rng, skeleton, 5)
     joint = {"root": 0, "inner": skeleton.parent_indices[-1], "end site": skeleton.num_joints - 1}[where]
@@ -287,29 +285,19 @@ def test_positions_raise_what_the_chain_raised(rng, name, where):
     rotations[3, joint] = value
     bad = LocalPose(skeleton, pose.root_translation, rotations)
     calls = [lambda: bad.positions, lambda: metric_report(bad, pose), lambda: metric_report(pose, bad)]
-    calls += [lambda kind=kind: encode(bad, kind) for kind in ReprKind if kind.has_positions]
+    calls += [lambda kind=kind: encode(bad, kind) for kind in ReprKind]
     for call in calls + calls:  # nothing raised is kept
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
-    if name == "NaN":
-        error, message = NonFiniteError, "non-finite feature values"
-    for kind in (ReprKind.QUATERNIONS, ReprKind.ORTHO6D):
-        for _ in range(2):
-            if where == "end site":
-                encode(bad, kind)
-            else:
-                with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                    encode(bad, kind)
-    assert "_sweep" not in vars(bad)
-    assert sorted(bad._encoded_parts) == (["ortho6d", "quaternions"] if where == "end site" else [])
+    assert "_sweep" not in vars(bad) and "_rotation_rows" not in vars(bad)
+    assert not bad._encoded_parts
 
 
 @pytest.mark.parametrize("present", (("zero", "1e200", "NaN"), ("NaN", "zero"), ("NaN",)), ids=str)
 def test_positions_raise_in_error_order(rng, present):
     """With several bad rotations in one pose, `positions` and every
-    encode with positions or dual quaternions raise the first class of
-    NonFiniteError, DegenerateNormError and NotUnitError, wherever the
-    rotations sit."""
+    encode raise the first class of NonFiniteError, DegenerateNormError
+    and NotUnitError, wherever the rotations sit."""
     skeleton = oracles.random_skeleton(rng, 6, end_sites=True)
     pose = oracles.random_poses(rng, skeleton, 5)
     rotations = pose.joint_rotations.copy()
@@ -318,11 +306,54 @@ def test_positions_raise_in_error_order(rng, present):
     first = min(present, key=["1e200", "zero", "NaN"].index)
     _, error, message = BAD_ROTATIONS[first]
     bad = LocalPose(skeleton, pose.root_translation, rotations)
-    calls = [lambda: bad.positions] + [lambda kind=kind: encode(bad, kind)
-                                       for kind in ReprKind if kind.has_positions]
+    calls = [lambda: bad.positions] + [lambda kind=kind: encode(bad, kind) for kind in ReprKind]
     for call in calls:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
+
+
+#: Values a bad rotation takes, in all four components or in one.
+BAD_COMPONENTS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-13, 1e160, 1e200, 5e-324)
+
+
+@st.composite
+def bad_poses(draw) -> LocalPose:
+    """A random tree of 1-8 joints, with or without end sites, over 1-5
+    frames, with one or two rotations made bad, whole or in a single
+    component, at any joint: the root, an inner joint or an end site."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    skeleton = oracles.random_skeleton(rng, draw(st.integers(1, 8)), end_sites=draw(st.booleans()))
+    pose = oracles.random_poses(rng, skeleton, draw(st.integers(1, 5)))
+    rotations = pose.joint_rotations.copy()
+    for _ in range(draw(st.integers(1, 2))):
+        frame = draw(st.integers(0, len(pose) - 1))
+        joint = draw(st.integers(0, skeleton.num_joints - 1))
+        components = draw(st.sampled_from((slice(None), 0, 1, 2, 3)))
+        rotations[frame, joint, components] = draw(st.sampled_from(BAD_COMPONENTS))
+    return LocalPose(skeleton, pose.root_translation, rotations)
+
+
+def outcome(call) -> tuple | None:
+    """The class and message of what `call` raises, None if nothing."""
+    try:
+        call()
+    except MotionError as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(pose=bad_poses())
+def test_one_rule_for_the_positions_and_every_encode(pose):
+    """`positions` and the encodes under all six kinds give one outcome:
+    the same class and message, or no raise, wherever the bad rotation
+    sits. A raise keeps nothing, so each call raises again."""
+    calls = [lambda: pose.positions] + [lambda kind=kind: encode(pose, kind) for kind in ReprKind]
+    outcomes = {outcome(call) for call in calls + calls}
+    assert len(outcomes) == 1, outcomes
+    if outcomes != {None}:
+        assert "_rotation_rows" not in vars(pose) and "_sweep" not in vars(pose)
+        assert not pose._encoded_parts
 
 
 def test_huge_offsets_encode_under_every_kind(fixtures_dir):

@@ -1,5 +1,6 @@
-"""The frozen LocalPose and its two memos: its one forward sweep (the
-current rotation rows beside the root-centered positions, which the
+"""The frozen LocalPose and its three memos: its checked unit rotation
+rows (which the sweep and every encoding read), its one forward sweep
+(the current rotation rows beside the root-centered positions, which the
 metrics and the encodings read), and the blocks that `encode` shares
 between kinds (the sign-corrected quaternions, the six-value blocks, the
 joint positions and the dual quaternions, each a read-only view into the
@@ -197,11 +198,13 @@ class TestSharedParts:
         assert (len(blocks), len(ortho6d), len(corrected)) == (1, 1, 2)
 
     def test_six_encodes_normalize_once(self, pose, monkeypatch):
-        # the six-value blocks read the kept sign-corrected quaternions
+        # every encoding and the sweep read the pose's one set of unit rows
+        unit_rows = counting(monkeypatch, kinematics, "_unit_rows")
         normalized = counting(monkeypatch, quat, "normalize")
         for kind in ReprKind:
             encode(pose, kind)
-        assert len(normalized) == 1
+        pose.positions
+        assert (len(unit_rows), len(normalized)) == (1, 0)
 
     @pytest.mark.parametrize("order", [
         (ReprKind.QUATERNIONS, ReprKind.ORTHO6D, ReprKind.ORTHO6D_POSITIONS),
@@ -210,8 +213,10 @@ class TestSharedParts:
     def test_six_value_blocks_match_a_fresh_pose(self, pose, order):
         clips = {kind: encode(pose, kind) for kind in order}
         kept = pose._encoded_parts["quaternions"]
-        normalized = quat.normalize(pose.joint_rotations[:, list(pose.skeleton.encoded_indices)])
-        assert np.any(kept != normalized)  # the sign correction flipped some blocks
+        normalized = pose._rotation_rows.take(list(pose.skeleton.encoded_indices), axis=1).T
+        # the sign correction flipped some blocks; the six-value blocks read
+        # the unflipped rows, and a flip leaves every entry's terms as they are
+        assert np.any(kept != normalized)
         for kind in (ReprKind.ORTHO6D, ReprKind.ORTHO6D_POSITIONS):
             alone = encode(fresh(pose, slice(None)), kind)
             assert clips[kind].features.tobytes() == alone.features.tobytes(), kind
@@ -286,6 +291,7 @@ class TestErrorsAreNotMemoized:
         for _ in range(2):
             with pytest.raises(DegenerateNormError):
                 metric_report(broken, pose)
+        assert "_rotation_rows" not in vars(broken)
         assert metric_report(broken[0:30], pose[0:30]) == metric_report(
             fresh(broken, slice(0, 30)), fresh(pose, slice(0, 30))
         )
@@ -297,14 +303,15 @@ class TestErrorsAreNotMemoized:
         for _ in range(2):
             with pytest.raises(NotUnitError):
                 encode(broken, ReprKind.DUALQUAT)
+        assert "_rotation_rows" not in vars(broken)
         got = encode(broken[0:30], ReprKind.DUALQUAT).features
         assert same_bits(got, encode(fresh(broken, slice(0, 30)), ReprKind.DUALQUAT).features)
         with pytest.raises(NotUnitError):
             encode(broken[90:120], ReprKind.DUALQUAT)
 
     def test_error_class_per_kind(self, pose):
-        # Every kind normalizes the rotations first; those with positions
-        # or dual quaternions raise what the positions raise.
+        # Every kind reads the pose's checked rotations, so every encode
+        # raises what the positions raise, and keeps none of them.
         broken = self.broken(pose)
         with pytest.raises(DegenerateNormError) as positions:
             broken.positions
@@ -312,8 +319,8 @@ class TestErrorsAreNotMemoized:
             for _ in range(2):
                 with pytest.raises(DegenerateNormError) as raised:
                     encode(broken, kind)
-                if kind.has_positions:
-                    assert str(raised.value) == str(positions.value), kind
+                assert str(raised.value) == str(positions.value), kind
+        assert "_rotation_rows" not in vars(broken) and not broken._encoded_parts
 
     def test_not_unit_with_the_quaternions_shared(self, pose):
         # A rotation of norm 2 normalizes for every kind, with the bits of
@@ -337,7 +344,7 @@ class TestErrorsAreNotMemoized:
 class TestFrozen:
     def test_arrays_are_read_only(self, pose):
         fill(pose)
-        for array in (pose.joint_rotations, pose.root_translation, pose.positions,
+        for array in (pose.joint_rotations, pose.root_translation, pose.positions, pose._rotation_rows,
                       pose._sweep[0], pose[5:9]._sweep[0], pose[[1, 2]].positions):
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -347,7 +354,8 @@ class TestFrozen:
             pose.joint_rotations *= 2.0
 
     def test_fields_cannot_be_reassigned(self, pose):
-        for field in ("skeleton", "root_translation", "joint_rotations", "_sweep", "positions"):
+        for field in ("skeleton", "root_translation", "joint_rotations", "_rotation_rows", "_sweep",
+                      "positions"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(pose, field, None)
 
