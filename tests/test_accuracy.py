@@ -13,10 +13,24 @@ after taking the oracle's sign to the encoded block's, which the
 antipodal correction chooses. A dot or residual is measured relative to
 the sum of its terms' magnitudes, the scale its rounding error follows:
 the dots between consecutive frames' blocks (the sign correction's), and
-both unit residuals of every block. These bounds are far tighter than the
-contract tolerances (FK 1e-9, round trips 1e-6), which stay as they are;
-a change that moves these bits shows its ledger before and after and
-records the new bounds.
+both unit residuals of every block.
+
+The Euler conversions are scored by their rotation gap: the distance,
+min over the sign +-, between the long-double `from_euler` of the
+angles a path gives and the reference rotation. For `quat.from_euler`
+the reference is the long-double `from_euler` of the same angles; for
+`quat.to_euler` it is the long-double `from_euler` of the long-double
+`to_euler` angles, which keep the branch rule, so the gap is the float64
+arithmetic's and not the gimbal-lock rule's. The sources are the angles
+of the humanoid fixture, seeded uniform angles of all six orders, the
+pole band (middle angles on the arcsin pole and 1e-13, 1e-9 and 1e-7 rad
+inside the lock band), and middle angles 1e-5 rad outside the band. The
+last are a source of their own: there `to_euler` loses precision as one
+over the cosine of the middle angle, which would hide the lock rows.
+
+These bounds are far tighter than the contract tolerances (FK 1e-9,
+round trips 1e-6), which stay as they are; a change that moves these
+bits shows its ledger before and after and records the new bounds.
 """
 
 import numpy as np
@@ -113,3 +127,93 @@ def test_the_oracle_is_the_matrix_fk(fixtures_dir):
         real, dual = blocks[..., :4], blocks[..., 4:]
         assert np.max(np.abs(np.sum(real * real, axis=-1) - 1)) < 1e-17
         assert np.max(np.abs(np.sum(real * dual, axis=-1))) < 1e-17 * max(1.0, np.max(np.abs(want)))
+
+
+#: Worst rotation gap per Euler path and source, in float64 eps: the
+#: measured worst plus 5%, rounded up to a tenth.
+EULER_BOUNDS = {
+    "humanoid": {"from_euler": 1.4, "to_euler": 2.5},  # 1.25, 2.31
+    "uniform": {"from_euler": 1.5, "to_euler": 4721.3},  # 1.36, 4496.39
+    "pole band": {"from_euler": 1.6, "to_euler": 1.7},  # 1.52, 1.55
+    "outside the band": {"from_euler": 1.4, "to_euler": 213010.8},  # 1.24, 202867.39
+}
+
+#: Middle-angle offsets, in rad from the pole toward the equator: on the
+#: pole and three inside the lock band, and one outside it.
+POLE_BAND = (0.0, 1e-13, 1e-9, 1e-7)
+OUTSIDE_THE_BAND = (1e-5,)
+
+
+def humanoid_angles(fixtures_dir) -> list:
+    """(order, (F, 3) angles about x, y and z in radians) of each
+    rotating joint of the humanoid fixture."""
+    clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
+    found, column = [], 0
+    for joint in clip.skeleton.joints:
+        if joint.rotation_order:
+            columns = [column + joint.channels.index(axis + "rotation") for axis in "XYZ"]
+            found.append((joint.rotation_order, np.radians(clip.frames[:, columns])))
+        column += len(joint.channels)
+    return found
+
+
+def uniform_angles() -> list:
+    rng = np.random.default_rng(18)
+    return [(order, rng.uniform(-np.pi, np.pi, size=(4000, 3))) for order in oracles.ORDER_POOL]
+
+
+def pole_angles(offsets, seed: int) -> list:
+    """Seeded angles whose middle one sits at each of `offsets` from
+    +-pi/2, for each of the six orders."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for order in oracles.ORDER_POOL:
+        angles = rng.uniform(-np.pi, np.pi, size=(len(offsets), 800, 3))
+        side = rng.choice([-1.0, 1.0], size=angles.shape[1])
+        angles[..., "XYZ".index(order[1])] = side * (np.pi / 2 - np.array(offsets)[:, None])
+        found.append((order, angles.reshape(-1, 3)))
+    return found
+
+
+EULER_SOURCES = {"humanoid": humanoid_angles, "uniform": lambda _: uniform_angles(),
+                 "pole band": lambda _: pole_angles(POLE_BAND, 19),
+                 "outside the band": lambda _: pole_angles(OUTSIDE_THE_BAND, 20)}
+
+
+def rotation_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Worst distance, min over the sign +-, between the (..., 4)
+    long-double quaternions `got` and `want`, in float64 eps."""
+    apart = np.linalg.norm(got - want, axis=-1)
+    return float(np.max(np.minimum(apart, np.linalg.norm(got + want, axis=-1)))) / EPS
+
+
+def euler_errors(order: str, angles: np.ndarray) -> dict:
+    """Each Euler path's worst rotation gap on `angles` under `order`."""
+    q = quat.from_euler(angles, order)
+    turned = accuracy_oracles.to_euler(q, order)
+    return {
+        "from_euler": rotation_gap(q.astype(np.longdouble), accuracy_oracles.from_euler(angles, order)),
+        "to_euler": rotation_gap(accuracy_oracles.from_euler(quat.to_euler(q, order), order),
+                                 accuracy_oracles.from_euler(turned, order)),
+    }
+
+
+@pytest.mark.parametrize("source", EULER_SOURCES)
+def test_worst_euler_gap_within_the_recorded_bound(fixtures_dir, source):
+    ledgers = [euler_errors(order, angles) for order, angles in EULER_SOURCES[source](fixtures_dir)]
+    got = {path: max(ledger[path] for ledger in ledgers) for path in ("from_euler", "to_euler")}
+    print(source, {path: f"{value:.2f} eps" for path, value in got.items()})
+    for path, bound in EULER_BOUNDS[source].items():
+        assert got[path] <= bound, f"{path}: {got[path]:.3f} eps over the bound {bound}"
+
+
+def test_the_euler_references_round_trip(fixtures_dir):
+    """The long-double `from_euler` of the long-double `to_euler` angles
+    gives the rotation back: off the pole to long-double precision, and on
+    it (where float64 pi/2 is 6e-17 from the pole) to within that offset."""
+    sources = [(humanoid_angles(fixtures_dir), 1e-18), (pole_angles((0.0,), 21), 1e-16)]
+    for found, tolerance in sources:
+        for order, angles in found:
+            q = accuracy_oracles.from_euler(angles, order)
+            back = accuracy_oracles.from_euler(accuracy_oracles.to_euler(q, order), order)
+            assert rotation_gap(back, q) * EPS < tolerance, order
