@@ -61,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _rotmat, dualquat, quat
+from . import dualquat, quat
 from .bvh import Skeleton, _frozen, _read_only, finite_rate
 from .errors import (
     InvalidValueError,
@@ -231,12 +231,12 @@ def antipodal_correct(blocks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
-    """First two columns of each rotation matrix, column-major: entry
-    (r, c) goes to block column 3 c + r."""
+    """First two columns of each rotation matrix, column-major, with no
+    matrix built: entry (r, c), `quat._entry`, goes to block column 3 c + r."""
     blocks = np.empty(quats.shape[:-1] + (6,))
     for c in range(2):
         for r in range(3):
-            _rotmat.entry(quats, r, c, out=blocks[..., 3 * c + r])
+            quat._entry(quats, r, c, out=blocks[..., 3 * c + r])
     return blocks
 
 

@@ -47,10 +47,11 @@ which on the slots (w, v_i, v_j, v_k) of the composition axes hold for
 every cyclic order; an order that is not cyclic runs them on a negated
 middle sine and negates slot j. The few rows where a skipped zero term
 could set a sign of zero go through the full product, `_euler_product`,
-again. `_to_euler` works the same way on the rotation matrix: it computes
-only the five entries it reads (`_rotmat.euler_entries`, each with the
-bits of `_rotmat.entry`), builds whole matrices only for the rows in the
-gimbal-lock band, and `to_euler` writes a fresh C-contiguous result.
+again. `_to_euler` works the same way on the rotation matrix, which the
+package never builds: it computes only the entries it reads
+(`_euler_entries`, each with the bits of `_entry`, the one formula of an
+entry), two more for the rows in the gimbal-lock band, and `to_euler`
+writes a fresh C-contiguous result.
 """
 
 import functools
@@ -59,7 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _rotmat
 from .errors import DegenerateNormError, InvalidValueError, NonFiniteError, ShapeMismatchError
 
 #: Arguments of arcsin at least this close to +-1 take the degenerate
@@ -299,7 +299,7 @@ def _order_axes(order: str) -> tuple:
     order = order.upper()
     if order not in _VALID_ORDERS:
         raise InvalidValueError(f"invalid rotation order {order!r}; expected a permutation of XYZ")
-    axes = tuple(_rotmat.AXES.index(c) for c in order)
+    axes = tuple("XYZ".index(c) for c in order)
     return axes, 1.0 if axes in _CYCLIC else -1.0
 
 
@@ -432,6 +432,44 @@ def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     return out.reshape(angles.shape[:-1] + (4,))
 
 
+def _entry(q: np.ndarray, r: int, c: int, out=None) -> np.ndarray:
+    """Entry (r, c) of the rotation matrices of unit quaternions (..., 4),
+    into `out` when given.
+
+    Diagonal: 1 - 2 (a a + b b) over the two other vector components in
+    index order. Off the diagonal: 2 (v_lo v_hi -+ w v_t), with the sign
+    minus where c follows r cyclically and t the third axis.
+    """
+    w, *v = (q[..., n] for n in range(4))
+    if r == c:
+        a, b = (v[n] for n in range(3) if n != r)
+        return np.subtract(1.0, 2.0 * (a * a + b * b), out=out)
+    lo, hi = sorted((r, c))
+    along = v[lo] * v[hi]
+    cross = w * v[3 - r - c]
+    along = along - cross if c == (r + 1) % 3 else along + cross
+    return np.multiply(2.0, along, out=out)
+
+
+def _euler_entries(slots, parity: np.ndarray):
+    """Entries (i, k), (j, k), (k, k), (i, j) and (i, i) of the rotation
+    matrices of unit quaternions, given as their slots (w, v_i, v_j, v_k)
+    on axis -2 of (..., 4, n) `slots`, for columns that turn about the
+    axes (i, j, k) in composition order, with `parity` 1.0 where those
+    are cyclic and -1.0 where not: the five entries `_to_euler` reads, in
+    that order.
+
+    Each entry has the bits of `_entry`: an off-diagonal entry there adds
+    w v_t to v_lo v_hi or subtracts it, as c follows r cyclically or not,
+    which the parity's sign on w decides here; a sum of two terms does not
+    depend on their order, and a sign flip is exact.
+    """
+    w, a, b, c = (slots[..., s, :] for s in range(4))
+    w = parity * w  # (parity w) v has the bits of parity (w v)
+    return (2.0 * (a * c + w * b), 2.0 * (b * c - w * a), 1.0 - 2.0 * (a * a + b * b),
+            2.0 * (a * b - w * c), 1.0 - 2.0 * (b * b + c * c))
+
+
 def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     """Euler angles of unit quaternions (..., n, 4), column c turning as
     column c of `plan`: the Euler kernel of `to_euler` and
@@ -439,11 +477,15 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     The angles go into the three (..., n) targets `euler`, in composition
     order, or a new (3, ..., n) array, which is returned. One gather
     (`plan.slot_components`) takes each column's slots for the five matrix
-    entries it reads (`_rotmat.euler_entries`), and only the rows in the
-    gimbal-lock band build whole matrices.
+    entries it reads (`_euler_entries`).
+
+    In the gimbal-lock band the first angle is zero, the middle one +-pi/2
+    as its sine's sign, `pole`, says, and the rest is a turn about the
+    last axis, read off two entries with the bits of `_entry`: (j, i) and
+    -pole (k, i) for a cyclic order, pole (k, j) and (j, j) for the others.
     """
     slots = q[..., np.arange(len(plan.axes)), plan.slot_components]  # (..., 4, n)
-    ik, jk, kk, ij, ii = _rotmat.euler_entries(slots, plan.parity)
+    ik, jk, kk, ij, ii = _euler_entries(slots, plan.parity)
     s = plan.parity * ik
     euler = np.empty((3,) + s.shape) if euler is None else euler
     negated = -plan.parity
@@ -453,16 +495,13 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
 
     lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
     if lock.any():
-        mid = np.copysign(np.pi / 2.0, s[lock])
-        _, j, k = np.broadcast_to(plan.axes, lock.shape + (3,))[lock].T
-        # With the first angle pinned to zero the residual is a pure
-        # rotation about the last axis; only these rows build whole matrices.
-        m = _rotmat.quat_to_matrix(q[lock])
-        residual = np.swapaxes(_rotmat.axis_rotation_matrix(j, mid), -1, -2) @ m
-        u, v, rows = (k + 1) % 3, (k + 2) % 3, np.arange(len(mid))
+        pole = np.copysign(1.0, s[lock])
+        w, a, b, c = (slots[..., n, :][lock] for n in range(4))
+        cyclic = np.broadcast_to(plan.parity, lock.shape)[lock] > 0.0
         euler[0][lock] = 0.0
-        euler[1][lock] = mid
-        euler[2][lock] = np.arctan2(residual[rows, v, u], residual[rows, u, u])
+        euler[1][lock] = pole * (np.pi / 2.0)
+        euler[2][lock] = np.where(cyclic, np.arctan2(2.0 * (a * b + w * c), -pole * (2.0 * (a * c - w * b))),
+                                  np.arctan2(pole * (2.0 * (b * c - w * a)), 1.0 - 2.0 * (a * a + c * c)))
     return euler
 
 
@@ -475,7 +514,9 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     range survives. Near the arcsin pole (argument within LOCK_TOLERANCE
     of +-1) the two coupled angles collapse: the first rotation in the
     composition order is set to zero and the remainder is folded into the
-    last one, which keeps the round trip well defined at the pole itself.
+    last one, which keeps the round trip well defined at the pole itself;
+    the last angle is then read off two entries of the rotation matrix,
+    which is never built.
     """
     plan = _one_order(order)
     q = normalize(q)

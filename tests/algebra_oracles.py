@@ -1,9 +1,9 @@
 """Per-component textbook forms of the quaternion, dual-quaternion and
 rotation-conversion kernels: the bit-identity oracle for `quat.mul`,
 `quat.norm`, `quat.from_euler`, `dualquat.mul`, `dualquat.conjugate`, `dualquat.normalize`,
-`dualquat.from_rotation_translation`, `dualquat.translation`,
-`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
-decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`.
+`dualquat.from_rotation_translation`, `dualquat.translation`, the
+matrix entries `quat._entry`, `quat.to_euler`, and the six-value encode
+and decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`.
 
 These are the original implementations. `quat.mul` stacks four sums of
 strided component views, `quat.norm` is `np.linalg.norm`, `from_euler`
@@ -19,7 +19,10 @@ The rotation conversions build whole matrices: `quat_to_matrix` stacks
 nine entries, `gram_schmidt` stacks the columns x, y and `np.cross(x, y)`,
 and `matrix_to_quat` gathers Shepperd's row out of a (..., 4, 4) table of
 candidates. `to_euler` and `ortho6d_of_quats` read their entries out of
-`quat_to_matrix`. The package computes only the entries a caller reads.
+`quat_to_matrix`. The package builds no matrix: it computes only the
+entries a caller reads. `residual_to_euler` keeps the gimbal-lock rule
+the package ran before, the last angle read off the residual rotation
+`lock_residual`, a stacked 3x3 product.
 
 `test_algebra_oracles.py` holds the two forms to equal bits, sign of zero
 and C-contiguous layout included.
@@ -28,7 +31,6 @@ and C-contiguous layout included.
 import numpy as np
 
 from dqmotion import dualquat, quat
-from dqmotion._rotmat import AXES, axis_rotation_matrix
 from dqmotion.dualquat import dual, real
 from dqmotion.errors import DegenerateNormError, NotUnitError
 
@@ -64,7 +66,7 @@ def from_euler(angles: np.ndarray, order: str = "ZYX") -> np.ndarray:
     the ordered product of the three axis quaternions, e.g.
     q_z * q_y * q_x for "ZYX"."""
     angles = np.asarray(angles, dtype=float)
-    axes = [AXES.index(c) for c in order]
+    axes = ["XYZ".index(c) for c in order]
     q = axis_quat(axes[0], angles[..., axes[0]])
     for axis in axes[1:]:
         q = quat_mul(q, axis_quat(axis, angles[..., axis]))
@@ -222,11 +224,34 @@ def ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
 
-def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
-    """`quat.to_euler` through the whole rotation matrix of each element."""
+def axis_rotation_matrix(axis, angle) -> np.ndarray:
+    """(..., 3, 3) rotations about coordinate axis 0 (x), 1 (y) or 2 (z),
+    broadcasting over the shape of `angle`; `axis` is one axis or one per
+    angle."""
+    angle = np.asarray(angle, dtype=float)
+    c = np.cos(angle).ravel()
+    s = np.sin(angle).ravel()
+    m = np.zeros(angle.shape + (3, 3))
+    flat = m.reshape(-1, 9)  # entry (r, c) of each matrix at 3 r + c
+    rows = np.arange(len(flat))
+    axis = np.broadcast_to(axis, angle.shape).ravel()
+    u = (axis + 1) % 3
+    v = (axis + 2) % 3
+    flat[rows, 4 * axis] = 1.0
+    flat[rows, 4 * u] = c
+    flat[rows, 3 * u + v] = -s
+    flat[rows, 3 * v + u] = s
+    flat[rows, 4 * v] = c
+    return m
+
+
+def _to_euler(q: np.ndarray, order: str, last_in_lock) -> np.ndarray:
+    """Euler angles of each element's whole rotation matrix m; the last
+    angle of the rows in the gimbal-lock band is last_in_lock(m, (i, j,
+    k), pole) of those rows, pole the sign of the middle angle's sine."""
     m = quat_to_matrix(quat.normalize(q))
 
-    i, j, k = (AXES.index(c) for c in order)
+    i, j, k = ("XYZ".index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
     s = sign * m[..., i, k]
 
@@ -237,10 +262,37 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
 
     lock = np.abs(s) >= 1.0 - quat.LOCK_TOLERANCE
     if np.any(lock):
-        mid = np.copysign(np.pi / 2.0, s[lock])
-        residual = np.swapaxes(axis_rotation_matrix(j, mid), -1, -2) @ m[lock]
-        u, v = (k + 1) % 3, (k + 2) % 3
+        pole = np.copysign(1.0, s[lock])
         out[lock, i] = 0.0
-        out[lock, j] = mid
-        out[lock, k] = np.arctan2(residual[:, v, u], residual[:, u, u])
+        out[lock, j] = pole * (np.pi / 2.0)
+        out[lock, k] = last_in_lock(m[lock], (i, j, k), pole)
     return out
+
+
+def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
+    """`quat.to_euler` through the whole rotation matrix of each element:
+    a lock row's last angle reads two of its entries."""
+    def last_in_lock(m, axes, pole):
+        i, j, k = axes
+        if axes in _CYCLIC:
+            return np.arctan2(m[:, j, i], -pole * m[:, k, i])
+        return np.arctan2(pole * m[:, k, j], m[:, j, j])
+    return _to_euler(q, order, last_in_lock)
+
+
+def lock_residual(m: np.ndarray, j: int, mid: np.ndarray) -> np.ndarray:
+    """The residual rotations R_j(mid)^T m of (L, 3, 3) rotation matrices,
+    a stacked 3x3 product: with the first angle zero and the middle one
+    `mid` about axis j, a rotation about the last axis alone."""
+    return np.swapaxes(axis_rotation_matrix(j, mid), -1, -2) @ m
+
+
+def residual_to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
+    """`to_euler` with the gimbal-lock rule the package ran before: a lock
+    row's last angle read off its `lock_residual`."""
+    def last_in_lock(m, axes, pole):
+        _, j, k = axes
+        residual = lock_residual(m, j, pole * (np.pi / 2.0))
+        u, v = (k + 1) % 3, (k + 2) % 3
+        return np.arctan2(residual[:, v, u], residual[:, u, u])
+    return _to_euler(q, order, last_in_lock)

@@ -1,5 +1,5 @@
 """Scalar and per-joint loop forms of the pose code: the equivalence oracle
-for the batched `quat`, `_rotmat`, `kinematics`, `encoding` and `metrics`.
+for the batched `quat`, `kinematics`, `encoding` and `metrics`.
 
 `compose` and `relative` are the hierarchy sweep as it was before it
 moved to component rows: whole (..., J, D) arrays, with the algebra
@@ -19,22 +19,22 @@ conversions one `from_euler` / `to_euler` call per joint, and the
 antipodal seed sign one zero-led block at a time (`seed_signs`, held
 exactly). `test_pose_oracles.py` holds the other batched forms to them
 within 1e-12, the positions within 1e-12 of the pose's largest |position|.
-They read rotation matrices through `_rotmat.quat_to_matrix` and
-six-value blocks through the stacked Gram-Schmidt form that
-`algebra_oracles.gram_schmidt` keeps (the package decodes them entry-wise,
-without a matrix); only the code that was vectorized is independent.
+They read rotation matrices through the stacked form that
+`algebra_oracles.quat_to_matrix` keeps and six-value blocks through the
+stacked Gram-Schmidt form of `algebra_oracles.gram_schmidt` (the package
+builds no matrix); only the code that was vectorized is independent.
 """
 
 import numpy as np
 
-from dqmotion import _rotmat, dualquat, quat
+from dqmotion import dualquat, quat
 from dqmotion.encoding import ReprKind
 from dqmotion.errors import NotInvertibleError, NotUnitError, ShapeMismatchError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
 from dqmotion.kinematics import LocalPose
 
 import oracles
-from algebra_oracles import gram_schmidt
+from algebra_oracles import gram_schmidt, quat_to_matrix
 
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
@@ -49,7 +49,7 @@ def _angle_about(m: np.ndarray, axis: int) -> float:
 def to_euler(q: np.ndarray, order: str) -> np.ndarray:
     """One quaternion to (alpha, beta, gamma), with the package's pole band."""
     q = quat.normalize(np.asarray(q, dtype=float).reshape(4))
-    m = _rotmat.quat_to_matrix(q)
+    m = quat_to_matrix(q)
 
     i, j, k = ("XYZ".index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
@@ -122,7 +122,7 @@ def matrix_fk(pose: LocalPose) -> tuple[np.ndarray, np.ndarray]:
     n = skeleton.num_joints
     rotations = np.empty((n, 3, 3))
     positions = np.empty((n, 3))
-    local_mats = _rotmat.quat_to_matrix(quat.normalize(pose.joint_rotations))
+    local_mats = quat_to_matrix(quat.normalize(pose.joint_rotations))
     for idx, joint in enumerate(skeleton.joints):
         if joint.parent is None:
             rotations[idx] = local_mats[idx]

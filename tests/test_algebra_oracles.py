@@ -4,11 +4,13 @@
 each), every product of the one Hamilton-product kernel `quat._products`
 on either side of `quat._STACK_VALUES`, the Euler kernels on one order
 and on plans that mix all six, and the entry-wise rotation conversions
-(`_rotmat.quat_to_matrix`, `quat.to_euler`, and the six-value encode and
-decode `encoding._ortho6d_of_quats` and `encoding._ortho6d_to_quats`),
-against their per-component and whole-matrix oracles: equal bits, equal
-sign of zero and a fresh C-contiguous result, on broadcast, sliced,
-gathered, reversed and F-ordered operands."""
+(the matrix entries `quat._entry`, `quat.to_euler`, and the six-value
+encode and decode `encoding._ortho6d_of_quats` and
+`encoding._ortho6d_to_quats`), against their per-component and
+whole-matrix oracles: equal bits, equal sign of zero and a fresh
+C-contiguous result, on broadcast, sliced, gathered, reversed and
+F-ordered operands. The gimbal-lock rows of `to_euler` are also held to
+the rule the package ran before, through a stacked 3x3 product."""
 
 import itertools
 from typing import Callable, NamedTuple
@@ -16,10 +18,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from dqmotion import _rotmat, dualquat, encoding, losses, quat
+from dqmotion import dualquat, encoding, losses, quat
 from dqmotion.bvh import MotionClip
 from dqmotion.errors import DegenerateNormError, NotUnitError
-from dqmotion.kinematics import clip_to_local, local_to_clip
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
 
 import algebra_oracles
 import bvh_oracles
@@ -490,16 +492,29 @@ def assert_same_error(kernel, oracle, x):
     assert str(got.value) == str(want.value)
 
 
-class TestQuatToMatrix:
+def assert_entries(q, *operands):
+    """All nine `quat._entry` (r, c) of q, into a fresh `out` as the
+    six-value encode writes them and into a new array, against the
+    stacked `quat_to_matrix`."""
+    want = algebra_oracles.quat_to_matrix(q)
+    for r, c in itertools.product(range(3), repeat=2):
+        out = np.empty(want.shape[:-2])
+        assert quat._entry(q, r, c, out=out) is out
+        assert_same_bits(out, want[..., r, c].copy(), *operands)
+        fresh = quat._entry(q, r, c)
+        assert np.array_equal(fresh, out) and np.array_equal(np.signbit(fresh), np.signbit(out))
+
+
+class TestEntry:
     def test_values_and_signed_zeros(self, rng):
         for q in (values(rng, (300, 4)), signed_zeros(rng, (500, 4)), values(rng, (4,))):
-            assert_same_bits(_rotmat.quat_to_matrix(q), algebra_oracles.quat_to_matrix(q), q)
+            assert_entries(q, q)
 
     def test_views(self, rng):
         x = values(rng, (40, 9, 8))
         for q in (x[..., 4:], x[:, [3, 0, 0, 8], :4], x[::-1, ::-2, 4:],
                   np.asfortranarray(x[..., :4]), np.broadcast_to(x[0, 0, :4], (6, 5, 4))):
-            assert_same_bits(_rotmat.quat_to_matrix(q), algebra_oracles.quat_to_matrix(q), x)
+            assert_entries(q, x)
 
 
 class TestOrtho6dToQuats:
@@ -743,6 +758,89 @@ class TestMixedOrders:
         assert calls == ["_from_euler"]
         local_to_clip(pose, skeleton, clip.frame_time)
         assert calls == ["_from_euler", "_to_euler"]
+
+
+def in_lock_band(q, order):
+    """Which unit quaternions q sit in `order`'s gimbal-lock band."""
+    i, _, k = ("XYZ".index(c) for c in order)
+    return np.abs(algebra_oracles.quat_to_matrix(q)[..., i, k]) >= 1.0 - quat.LOCK_TOLERANCE
+
+
+def on_pole_quats(rng, order, count):
+    """Unit quaternions of uniform angles whose middle one is +-pi/2 or
+    1e-13 from it."""
+    angles = rng.uniform(-np.pi, np.pi, size=(count, 3))
+    angles[:, "XYZ".index(order[1])] = rng.choice([-1.0, 1.0], count) * (np.pi / 2 - rng.choice([0.0, 1e-13], count))
+    return quat.from_euler(angles, order)
+
+
+def signed_zero_lock_quats(rng, order, count):
+    """Unit quaternions of +-1 and +-0.0 components, scaled, in `order`'s
+    lock band: their matrix entries hold exact signed zeros."""
+    q = signed_zeros(rng, (40 * count, 4))
+    q = quat.normalize(q[np.any(q != 0.0, axis=-1)])
+    return q[in_lock_band(q, order)][:count]
+
+
+def former_rule_exceptions(got, want, half_turn=np.pi) -> tuple:
+    """(half-turn sign flips, values less than 1e-20 apart) where `got`
+    differs in its bits from the former lock rule's `want`; every other
+    value has the same bits."""
+    moved = got.view(np.int64) != want.view(np.int64)
+    flips = moved & (np.abs(want) == half_turn) & (got == -want)
+    tiny = moved & ~flips & (np.abs(got - want) < 1e-20)
+    assert np.array_equal(moved, flips | tiny)
+    return int(flips.sum()), int(tiny.sum())
+
+
+def assert_turns_back(angles, q, order):
+    """from_euler of each (..., 3) triple gives +-q within 1e-12."""
+    back = quat.from_euler(angles, order)
+    assert np.all(np.minimum(np.abs(back - q).max(-1), np.abs(back + q).max(-1)) <= 1e-12)
+
+
+class TestFormerLockRule:
+    """The lock rows' last angle, read off two matrix entries, against the
+    rule the package ran before, `algebra_oracles.residual_to_euler`, on
+    lock-band rows: the same bits, except values that differ only in the
+    sign of pi or by less than 1e-20 (cos(pi/2) = 6.1e-17 took part in the
+    residual's zero terms), which are counted. Every returned triple
+    turns back into +-q."""
+
+    @pytest.mark.parametrize("order", oracles.ORDER_POOL)
+    def test_each_order(self, rng, order):
+        for make in (on_pole_quats, signed_zero_lock_quats):
+            q = make(rng, order, 400)
+            assert len(q) == 400 and in_lock_band(q, order).all()
+            got = quat.to_euler(q, order)
+            flips, tiny = former_rule_exceptions(got, algebra_oracles.residual_to_euler(q, order))
+            print(order, make.__name__, f"{flips} sign-of-pi flips, {tiny} values within 1e-20")
+            assert flips + tiny < got.size // 4
+            assert_turns_back(got, q, order)
+
+    def test_mixed_plan_through_local_to_clip(self, rng):
+        skeleton = test_pose_oracles.every_order_skeleton(rng, root_positions=True)
+        rotations = np.zeros((64, skeleton.num_joints, 4))
+        rotations[..., 0] = 1.0
+        orders, column, counts = {}, 0, np.zeros(2, dtype=int)
+        for joint, spec in enumerate(skeleton.joints):
+            if spec.rotation_order:
+                orders[joint] = spec.rotation_order, [column + spec.channels.index(axis + "rotation")
+                                                      for axis in "XYZ"]
+                rotations[:, joint] = np.concatenate([on_pole_quats(rng, spec.rotation_order, 32),
+                                                      signed_zero_lock_quats(rng, spec.rotation_order, 32)])
+            column += len(spec.channels)
+        pose = LocalPose(skeleton, np.zeros((64, 3)), rotations)
+        clip = local_to_clip(pose, skeleton, 0.1)
+        back = clip_to_local(clip).joint_rotations
+        for joint, (order, columns) in orders.items():
+            q = rotations[:, joint]
+            want = np.degrees(algebra_oracles.residual_to_euler(q, order))
+            counts += former_rule_exceptions(clip.frames[:, columns].copy(), want, 180.0)
+            assert np.all(np.minimum(np.abs(back[:, joint] - q).max(-1),
+                                     np.abs(back[:, joint] + q).max(-1)) <= 1e-12)
+        print(f"{counts[0]} sign-of-pi flips, {counts[1]} values within 1e-20")
+        assert counts.sum() < 64 * 3 * len(orders) // 4
 
 
 class TestOrtho6dOfQuats:

@@ -11,7 +11,10 @@ other index or sign table of its terms is derived from it, none written
 by hand. It has one kernel too: only the table builders read
 `_HAMILTON`, and only `quat._products` accumulates terms. One function,
 `quat._unit_norms`, reads the norm floor, and no inner product is an
-`einsum`, whose sum order depends on the operands' layout. The loss terms
+`einsum`, whose sum order depends on the operands' layout. No matrix
+product runs outside the NPSS DFT: the package builds no rotation
+matrix, and a product's handling of zero terms would set bits that no
+formula names. The loss terms
 derive a clip's rows once: in `losses`, only the builders of the clip's
 memo (the functions decorated with `_kept`) normalize blocks or take
 them relative to their parents. Gathers call the `take` method, never
@@ -383,6 +386,82 @@ def magnitude(r):
     assert readers(tree, "dualquat.py", "_NORM_FLOOR") == {("dualquat.py", "_unit_norms"),
                                                           ("dualquat.py", "magnitude")}
     assert readers(tree, "quat.py", "einsum") == {("quat.py", "magnitude")}
+
+
+#: numpy's matrix products (`quat.dot` is the package's own inner product,
+#: in index order).
+MATRIX_PRODUCTS = {"matmul", "dot", "tensordot", "inner", "vdot"}
+#: The one function with matrix products: the NPSS DFT, one BLAS product
+#: per window.
+MATRIX_PRODUCT_USERS = {("metrics.py", "_npss")}
+
+
+def matrix_products(tree: ast.AST, module: str) -> set:
+    """(module, function) of every matrix product in `tree`: the `@`
+    operator, `@=` included, and a MATRIX_PRODUCTS function read off `np`
+    or `numpy` or imported from numpy. A product outside any function is
+    (module, None), and a nested function's counts for the outermost, as
+    in `readers`."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                for alias in node.names if alias.name in MATRIX_PRODUCTS}
+    found = set()
+
+    def product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.Attribute):
+            return (node.attr in MATRIX_PRODUCTS and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        return isinstance(node, ast.Name) and node.id in imported and isinstance(node.ctx, ast.Load)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and function is None:
+            function = getattr(node, "name", "<lambda>")
+        if product(node):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_npss_dft_runs_matrix_products():
+    found = set().union(*(matrix_products(ast.parse(path.read_text()), str(path.relative_to(SOURCES)))
+                          for path in sorted(SOURCES.rglob("*.py"))))
+    assert found - MATRIX_PRODUCT_USERS == set()
+
+
+def test_the_check_sees_a_matrix_product():
+    source = """
+import functools
+from numpy import vdot as flat_dot
+
+@functools.cache
+def _npss(pair):
+    return basis @ pair
+
+def residual(m, turn):
+    m @= turn
+    return np.swapaxes(turn, -1, -2) @ m
+
+def products(a, b):
+    return np.matmul(a, b) + numpy.dot(a, b) + np.tensordot(a, b) + np.inner(a, b) + np.vdot(a, b)
+
+def flat(a, b):
+    return flat_dot(a, b)
+
+def fine(a, b):
+    return quat.dot(a, b) + quat._row_dot(a, b) + np.cross(a, b) + a * b
+
+TABLE = np.eye(3) @ np.eye(3)
+"""
+    got = matrix_products(ast.parse(source), "metrics.py")
+    assert got - MATRIX_PRODUCT_USERS == {("metrics.py", "residual"), ("metrics.py", "products"),
+                                          ("metrics.py", "flat"), ("metrics.py", None)}
+    # only `metrics._npss` may: the same function elsewhere may not
+    assert ("quat.py", "_npss") in matrix_products(ast.parse(source), "quat.py") - MATRIX_PRODUCT_USERS
 
 
 #: Where the package reads a pose's raw rotations, outside `kinematics`,

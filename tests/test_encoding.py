@@ -32,6 +32,7 @@ from dqmotion.errors import (
 from dqmotion.kinematics import LocalPose, clip_to_local
 from dqmotion.losses import _POSITION_COLUMNS
 
+import algebra_oracles
 import oracles
 from conftest import fixture_corpus
 from pose_oracles import matrix_fk
@@ -224,9 +225,7 @@ class TestDecode:
             features=clip.features + rng.normal(scale=1e-3, size=clip.features.shape),
         )
         for pose in decode(noisy):
-            from dqmotion._rotmat import quat_to_matrix
-
-            mats = quat_to_matrix(pose.joint_rotations)
+            mats = algebra_oracles.quat_to_matrix(pose.joint_rotations)
             gram = mats @ np.swapaxes(mats, -1, -2)
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 

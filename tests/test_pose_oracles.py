@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqmotion import _rotmat, bvh, quat
+from dqmotion import bvh, quat
 from dqmotion.bvh import JointSpec, MotionClip, Skeleton
 from dqmotion.encoding import ReprKind, _ortho6d_to_quats, _seed_signs, antipodal_correct, decode, encode
 from dqmotion.errors import NotUnitError, ShapeMismatchError, TooFewFramesError
 from dqmotion.kinematics import LocalPose, _from_rows, _to_rows, clip_to_local, local_to_clip, relative
 from dqmotion.metrics import metric_report
 
+import algebra_oracles
 import oracles
 import pose_oracles
 
@@ -45,7 +46,7 @@ class TestShepperd:
         axes[24:] = [-0.2, 0.1, 1.0]
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         q = np.concatenate([np.cos(angles / 2)[:, None], np.sin(angles / 2)[:, None] * axes], -1)
-        mats = _rotmat.quat_to_matrix(np.concatenate([q, oracles.random_unit_quat(rng, (64,))]))
+        mats = algebra_oracles.quat_to_matrix(np.concatenate([q, oracles.random_unit_quat(rng, (64,))]))
         assert {pose_oracles.shepperd_branch(m) for m in mats} == {0, 1, 2, 3}
 
         want = np.stack([pose_oracles.matrix_to_quat(m) for m in mats])
