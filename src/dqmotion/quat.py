@@ -3,8 +3,8 @@
 A quaternion is a length-4 float array; every function broadcasts over
 leading axes, so a time series of shape (F, J, 4) works the same as a
 single (4,) value. That includes the Euler conversions: `to_euler` maps
-(..., 4) to (..., 3), its gimbal-lock branch selected per element by a
-mask. Angles are radians throughout.
+(..., 4) to (..., 3), one formula for every element, poles included.
+Angles are radians throughout.
 
 Euler angles are passed as an (alpha, beta, gamma) triple holding the
 rotations about the x, y and z axes respectively, together with an order
@@ -47,11 +47,11 @@ which on the slots (w, v_i, v_j, v_k) of the composition axes hold for
 every cyclic order; an order that is not cyclic runs them on a negated
 middle sine and negates slot j. The few rows where a skipped zero term
 could set a sign of zero go through the full product, `_euler_product`,
-again. `_to_euler` works the same way on the rotation matrix, which the
-package never builds: it computes only the entries it reads
-(`_euler_entries`, each with the bits of `_entry`, the one formula of an
-entry), two more for the rows in the gimbal-lock band, and `to_euler`
-writes a fresh C-contiguous result.
+again. `_to_euler` gathers the same slots, v_j times the parity, and
+reads every angle as a two-argument arctangent of sums of them, with no
+arcsin and no rotation-matrix entry; on a pole the first angle is zero
+by a substitution, not a branch. `to_euler` writes a fresh C-contiguous
+result.
 """
 
 import functools
@@ -62,17 +62,17 @@ import numpy as np
 
 from .errors import DegenerateNormError, InvalidValueError, NonFiniteError, ShapeMismatchError
 
-#: Arguments of arcsin at least this close to +-1 take the degenerate
-#: (gimbal-lock) branch of to_euler. It covers middle angles within about
-#: 1e-4 degrees of the pole; a wider band would snap nearby angles onto it.
-LOCK_TOLERANCE = 1e-12
-
 # Norms at or below this floor cannot be normalized (DegenerateNormError):
 # `_unit_norms` is the one check, which every module calls.
 _NORM_FLOOR = 1e-12
 
 _VALID_ORDERS = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"}
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+# A squared length of the sums (a, b) or (c, d) of `_to_euler` at or below
+# this floor puts its quaternion on a pole: for a unit quaternion it is a
+# middle angle within about 1.3e-15 rad of +-pi/2, where rounding decides
+# how the outer angles split the turn.
+_POLE_FLOOR = 2.0 ** -100
 
 
 def identity() -> np.ndarray:
@@ -451,57 +451,48 @@ def _entry(q: np.ndarray, r: int, c: int, out=None) -> np.ndarray:
     return np.multiply(2.0, along, out=out)
 
 
-def _euler_entries(slots, parity: np.ndarray):
-    """Entries (i, k), (j, k), (k, k), (i, j) and (i, i) of the rotation
-    matrices of unit quaternions, given as their slots (w, v_i, v_j, v_k)
-    on axis -2 of (..., 4, n) `slots`, for columns that turn about the
-    axes (i, j, k) in composition order, with `parity` 1.0 where those
-    are cyclic and -1.0 where not: the five entries `_to_euler` reads, in
-    that order.
-
-    Each entry has the bits of `_entry`: an off-diagonal entry there adds
-    w v_t to v_lo v_hi or subtracts it, as c follows r cyclically or not,
-    which the parity's sign on w decides here; a sum of two terms does not
-    depend on their order, and a sign flip is exact.
-    """
-    w, a, b, c = (slots[..., s, :] for s in range(4))
-    w = parity * w  # (parity w) v has the bits of parity (w v)
-    return (2.0 * (a * c + w * b), 2.0 * (b * c - w * a), 1.0 - 2.0 * (a * a + b * b),
-            2.0 * (a * b - w * c), 1.0 - 2.0 * (b * b + c * c))
-
-
 def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     """Euler angles of unit quaternions (..., n, 4), column c turning as
     column c of `plan`: the Euler kernel of `to_euler` and
     `kinematics.local_to_clip`, one call for every column of every order.
     The angles go into the three (..., n) targets `euler`, in composition
-    order, or a new (3, ..., n) array, which is returned. One gather
-    (`plan.slot_components`) takes each column's slots for the five matrix
-    entries it reads (`_euler_entries`).
+    order, or a new (3, ..., n) array, which is returned.
 
-    In the gimbal-lock band the first angle is zero, the middle one +-pi/2
-    as its sine's sign, `pole`, says, and the rest is a turn about the
-    last axis, read off two entries with the bits of `_entry`: (j, i) and
-    -pole (k, i) for a cyclic order, pole (k, j) and (j, j) for the others.
+    One gather (`plan.slot_components`) takes each column's slots (w, v_i,
+    v_j, v_k), v_j times the parity as in `_from_euler`, and the angles
+    come straight from a = w + v_j, b = v_i + v_k, c = w - v_j and d =
+    v_i - v_k (Bernardes and Viollet, PLoS ONE 17(11), 2022): for the
+    cyclic q_i(alpha) q_j(beta) q_k(gamma), a + ib and c + id are cos
+    beta/2 +- sin beta/2 times the half-angle turns of alpha + gamma and
+    alpha - gamma. So the middle angle is parity (2 atan2(|(a, b)|,
+    |(c, d)|) - pi/2), the first the argument of (a + ib)(c + id) and the
+    last that of (a + ib)(c - id). No arcsin runs and no matrix entry is
+    computed. On a pole, where |(c, d)|^2 or |(a, b)|^2 is at most
+    `_POLE_FLOOR`, only the sum or the difference of the outer angles is
+    defined: (c, d) takes (a, -b), or (a, b) takes (c, -d), so the first
+    angle is exactly zero and the last takes the whole turn. The slots'
+    copy and the middle target hold the intermediate values: beside the
+    copy, only a and b are fresh (..., n) arrays.
     """
-    slots = q[..., np.arange(len(plan.axes)), plan.slot_components]  # (..., 4, n)
-    ik, jk, kk, ij, ii = _euler_entries(slots, plan.parity)
-    s = plan.parity * ik
-    euler = np.empty((3,) + s.shape) if euler is None else euler
-    negated = -plan.parity
-    np.arcsin(np.clip(s, -1.0, 1.0), out=euler[1])
-    np.arctan2(negated * jk, kk, out=euler[0])
-    np.arctan2(negated * ij, ii, out=euler[2])
-
-    lock = np.abs(s) >= 1.0 - LOCK_TOLERANCE
-    if lock.any():
-        pole = np.copysign(1.0, s[lock])
-        w, a, b, c = (slots[..., n, :][lock] for n in range(4))
-        cyclic = np.broadcast_to(plan.parity, lock.shape)[lock] > 0.0
-        euler[0][lock] = 0.0
-        euler[1][lock] = pole * (np.pi / 2.0)
-        euler[2][lock] = np.where(cyclic, np.arctan2(2.0 * (a * b + w * c), -pole * (2.0 * (a * c - w * b))),
-                                  np.arctan2(pole * (2.0 * (b * c - w * a)), 1.0 - 2.0 * (a * a + c * c)))
+    slots = q[..., np.arange(len(plan.axes)), plan.slot_components]  # (..., 4, n), a copy
+    w, i, j, k = (slots[..., s, :] for s in range(4))
+    j *= plan.parity
+    a, b = w + j, i + k
+    c, d = np.subtract(w, j, out=j), np.subtract(i, k, out=k)
+    first, middle, last = euler = np.empty((3,) + w.shape) if euler is None else euler
+    ab, cd = np.multiply(a, a, out=w), np.multiply(c, c, out=i)
+    ab += np.multiply(b, b, out=middle)
+    cd += np.multiply(d, d, out=middle)
+    pole, other_pole = cd <= _POLE_FLOOR, ab <= _POLE_FLOOR
+    # 2 (t - pi/4) has the bits of 2 t - pi/2: a factor 2 is exact
+    np.subtract(np.arctan2(np.sqrt(ab, out=ab), np.sqrt(cd, out=cd), out=ab), np.pi / 4.0, out=middle)
+    middle *= 2.0 * plan.parity
+    c[pole], d[pole] = a[pole], -b[pole]
+    a[other_pole], b[other_pole] = c[other_pole], -d[other_pole]
+    bc, ad = np.multiply(b, c, out=w), np.multiply(a, d, out=i)
+    ac, bd = np.multiply(a, c, out=c), np.multiply(b, d, out=d)
+    np.arctan2(np.add(bc, ad, out=a), np.subtract(ac, bd, out=b), out=first)
+    np.arctan2(np.subtract(bc, ad, out=a), np.add(ac, bd, out=b), out=last)
     return euler
 
 
@@ -510,13 +501,12 @@ def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
     reproduces +-q, for quaternions of shape (..., 4): the Euler kernel
     `_to_euler` on a one-column plan, into a fresh C-contiguous result.
 
-    The extraction uses the two-argument arctangent, so the full rotation
-    range survives. Near the arcsin pole (argument within LOCK_TOLERANCE
-    of +-1) the two coupled angles collapse: the first rotation in the
-    composition order is set to zero and the remainder is folded into the
-    last one, which keeps the round trip well defined at the pole itself;
-    the last angle is then read off two entries of the rotation matrix,
-    which is never built.
+    Every angle comes from a two-argument arctangent of sums of the
+    quaternion's components, so the full rotation range survives and the
+    angles turn back into +-q to rounding, near the poles too. On a pole
+    (the middle angle +-pi/2 to rounding) only the sum or difference of
+    the outer angles is defined: the first angle is zero and the last
+    takes the whole turn.
     """
     plan = _one_order(order)
     q = normalize(q)

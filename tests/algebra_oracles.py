@@ -18,11 +18,12 @@ the same order, on component-major copies.
 The rotation conversions build whole matrices: `quat_to_matrix` stacks
 nine entries, `gram_schmidt` stacks the columns x, y and `np.cross(x, y)`,
 and `matrix_to_quat` gathers Shepperd's row out of a (..., 4, 4) table of
-candidates. `to_euler` and `ortho6d_of_quats` read their entries out of
+candidates. `ortho6d_of_quats` reads its entries out of
 `quat_to_matrix`. The package builds no matrix: it computes only the
-entries a caller reads. `residual_to_euler` keeps the gimbal-lock rule
-the package ran before, the last angle read off the residual rotation
-`lock_residual`, a stacked 3x3 product.
+entries a caller reads. `to_euler` reads no matrix either: it is the
+direct method of Bernardes and Viollet written out on whole (w, x, y, z)
+arrays, its sums taken from the components about each order's axes
+(`euler_sums`), where the package gathers them into slots of a plan.
 
 `test_algebra_oracles.py` holds the two forms to equal bits, sign of zero
 and C-contiguous layout included.
@@ -223,76 +224,37 @@ def ortho6d_of_quats(quats: np.ndarray) -> np.ndarray:
 
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
-
-def axis_rotation_matrix(axis, angle) -> np.ndarray:
-    """(..., 3, 3) rotations about coordinate axis 0 (x), 1 (y) or 2 (z),
-    broadcasting over the shape of `angle`; `axis` is one axis or one per
-    angle."""
-    angle = np.asarray(angle, dtype=float)
-    c = np.cos(angle).ravel()
-    s = np.sin(angle).ravel()
-    m = np.zeros(angle.shape + (3, 3))
-    flat = m.reshape(-1, 9)  # entry (r, c) of each matrix at 3 r + c
-    rows = np.arange(len(flat))
-    axis = np.broadcast_to(axis, angle.shape).ravel()
-    u = (axis + 1) % 3
-    v = (axis + 2) % 3
-    flat[rows, 4 * axis] = 1.0
-    flat[rows, 4 * u] = c
-    flat[rows, 3 * u + v] = -s
-    flat[rows, 3 * v + u] = s
-    flat[rows, 4 * v] = c
-    return m
+#: A squared length of (a, b) or (c, d) (`euler_sums`) at or below this
+#: puts a unit quaternion on a pole of its order.
+POLE_FLOOR = 2.0 ** -100
 
 
-def _to_euler(q: np.ndarray, order: str, last_in_lock) -> np.ndarray:
-    """Euler angles of each element's whole rotation matrix m; the last
-    angle of the rows in the gimbal-lock band is last_in_lock(m, (i, j,
-    k), pole) of those rows, pole the sign of the middle angle's sine."""
-    m = quat_to_matrix(quat.normalize(q))
-
+def euler_sums(q: np.ndarray, order: str) -> tuple:
+    """The sums (a, b, c, d) of the direct Euler method on unit
+    quaternions (..., 4) under `order`: w + v_j, v_i + v_k, w - v_j and
+    v_i - v_k on the components about the composition axes (i, j, k), v_j
+    negated for an order that is not cyclic."""
     i, j, k = ("XYZ".index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
-    s = sign * m[..., i, k]
-
-    out = np.empty(s.shape + (3,))
-    out[..., j] = np.arcsin(np.clip(s, -1.0, 1.0))
-    out[..., i] = np.arctan2(-sign * m[..., j, k], m[..., k, k])
-    out[..., k] = np.arctan2(-sign * m[..., i, j], m[..., i, i])
-
-    lock = np.abs(s) >= 1.0 - quat.LOCK_TOLERANCE
-    if np.any(lock):
-        pole = np.copysign(1.0, s[lock])
-        out[lock, i] = 0.0
-        out[lock, j] = pole * (np.pi / 2.0)
-        out[lock, k] = last_in_lock(m[lock], (i, j, k), pole)
-    return out
+    w, vi, vj, vk = q[..., 0], q[..., 1 + i], sign * q[..., 1 + j], q[..., 1 + k]
+    return w + vj, vi + vk, w - vj, vi - vk
 
 
 def to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
-    """`quat.to_euler` through the whole rotation matrix of each element:
-    a lock row's last angle reads two of its entries."""
-    def last_in_lock(m, axes, pole):
-        i, j, k = axes
-        if axes in _CYCLIC:
-            return np.arctan2(m[:, j, i], -pole * m[:, k, i])
-        return np.arctan2(pole * m[:, k, j], m[:, j, j])
-    return _to_euler(q, order, last_in_lock)
-
-
-def lock_residual(m: np.ndarray, j: int, mid: np.ndarray) -> np.ndarray:
-    """The residual rotations R_j(mid)^T m of (L, 3, 3) rotation matrices,
-    a stacked 3x3 product: with the first angle zero and the middle one
-    `mid` about axis j, a rotation about the last axis alone."""
-    return np.swapaxes(axis_rotation_matrix(j, mid), -1, -2) @ m
-
-
-def residual_to_euler(q: np.ndarray, order: str = "ZYX") -> np.ndarray:
-    """`to_euler` with the gimbal-lock rule the package ran before: a lock
-    row's last angle read off its `lock_residual`."""
-    def last_in_lock(m, axes, pole):
-        _, j, k = axes
-        residual = lock_residual(m, j, pole * (np.pi / 2.0))
-        u, v = (k + 1) % 3, (k + 2) % 3
-        return np.arctan2(residual[:, v, u], residual[:, u, u])
-    return _to_euler(q, order, last_in_lock)
+    """`quat.to_euler` per component on whole (w, x, y, z): the middle
+    angle from the lengths of (a, b) and (c, d), the first and last the
+    arguments of (a + ib)(c + id) and (a + ib)(c - id); on a pole (c, d)
+    is (a, -b), or (a, b) is (c, -d), so the first angle is zero."""
+    q = quat.normalize(q)
+    i, j, k = ("XYZ".index(c) for c in order)
+    sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
+    a, b, c, d = euler_sums(q, order)
+    ab = a * a + b * b
+    cd = c * c + d * d
+    out = np.empty(q.shape[:-1] + (3,))
+    out[..., j] = sign * (2.0 * np.arctan2(np.sqrt(ab), np.sqrt(cd)) - np.pi / 2.0)
+    c, d = np.where(cd <= POLE_FLOOR, a, c), np.where(cd <= POLE_FLOOR, -b, d)
+    a, b = np.where(ab <= POLE_FLOOR, c, a), np.where(ab <= POLE_FLOOR, -d, b)
+    out[..., i] = np.arctan2(b * c + a * d, a * c - b * d)
+    out[..., k] = np.arctan2(b * c - a * d, a * c + b * d)
+    return out

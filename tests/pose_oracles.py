@@ -10,9 +10,10 @@ replaced it, kept with its bits: the oracle of the encoded dual
 quaternions and, through its translations (`chain_positions`), of the
 positions.
 
-These are the original implementations: Euler extraction and Shepperd's
-quaternion recovery one rotation at a time, forward kinematics through
-homogeneous matrices (`matrix_fk`) one pose at a time, the positions
+These are the original implementations: Euler extraction (the direct
+method, in scalars) and Shepperd's quaternion recovery one rotation at
+a time, forward kinematics through homogeneous matrices (`matrix_fk`)
+one pose at a time, the positions
 as the dual-quaternion chain's translations (`chain_positions`), the
 parent-conjugate inverse sweep one joint at a time, and the clip
 conversions one `from_euler` / `to_euler` call per joint, and the
@@ -25,6 +26,8 @@ stacked Gram-Schmidt form of `algebra_oracles.gram_schmidt` (the package
 builds no matrix); only the code that was vectorized is independent.
 """
 
+import math
+
 import numpy as np
 
 from dqmotion import dualquat, quat
@@ -33,38 +36,28 @@ from dqmotion.errors import NotInvertibleError, NotUnitError, ShapeMismatchError
 from dqmotion.bvh import POSITION_CHANNELS, MotionClip, Skeleton
 from dqmotion.kinematics import LocalPose
 
-import oracles
-from algebra_oracles import gram_schmidt, quat_to_matrix
+from algebra_oracles import POLE_FLOOR, gram_schmidt, quat_to_matrix
 
 _CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
 
-def _angle_about(m: np.ndarray, axis: int) -> float:
-    """Rotation angle of a matrix known to rotate about `axis`."""
-    u = (axis + 1) % 3
-    v = (axis + 2) % 3
-    return float(np.arctan2(m[v, u], m[u, u]))
-
-
 def to_euler(q: np.ndarray, order: str) -> np.ndarray:
-    """One quaternion to (alpha, beta, gamma), with the package's pole band."""
-    q = quat.normalize(np.asarray(q, dtype=float).reshape(4))
-    m = quat_to_matrix(q)
-
+    """One quaternion to (alpha, beta, gamma) by the direct method, in
+    scalars: the middle angle from the lengths of (a, b) and (c, d), the
+    outer ones the arguments of (a + ib)(c +- id), the first zero on a
+    pole."""
+    w, *v = (float(x) for x in quat.normalize(np.asarray(q, dtype=float).reshape(4)))
     i, j, k = ("XYZ".index(c) for c in order)
     sign = 1.0 if (i, j, k) in _CYCLIC else -1.0
-    s = sign * m[i, k]
-
+    a, b, c, d = w + sign * v[j], v[i] + v[k], w - sign * v[j], v[i] - v[k]
     out = np.zeros(3)
-    if abs(s) >= 1.0 - quat.LOCK_TOLERANCE:
-        mid = np.copysign(np.pi / 2.0, s)
-        residual = oracles.axis_matrix("XYZ"[j], mid).T @ m
-        out[j] = mid
-        out[k] = _angle_about(residual, k)
-    else:
-        out[j] = np.arcsin(np.clip(s, -1.0, 1.0))
-        out[i] = np.arctan2(-sign * m[j, k], m[k, k])
-        out[k] = np.arctan2(-sign * m[i, j], m[i, i])
+    out[j] = sign * (2.0 * math.atan2(math.hypot(a, b), math.hypot(c, d)) - math.pi / 2.0)
+    if c * c + d * d <= POLE_FLOOR:
+        c, d = a, -b
+    elif a * a + b * b <= POLE_FLOOR:
+        a, b = c, -d
+    out[i] = math.atan2(b * c + a * d, a * c - b * d)
+    out[k] = math.atan2(b * c - a * d, a * c + b * d)
     return out
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dqmotion import bvh, dualquat, quat
+from dqmotion import bvh, container, dualquat, quat
 from dqmotion.cli import main as cli_main
 from dqmotion.encoding import (
     EncodedClip,
@@ -148,6 +148,29 @@ def test_criterion_5_full_round_trip(capsys):
         code = cli_main(["roundtrip", str(path), "--repr", "dq", *fps_args])
         capsys.readouterr()
         assert code == 0, path.name
+
+
+def test_full_round_trip_just_off_the_pole(fixtures_dir):
+    """The humanoid file with the spine's middle angle 1e-6 rad from 90
+    degrees, through the dq encode, the container bytes, decode, the BVH
+    writer and the parser: rotations and FK positions within 1e-6."""
+    clip = bvh.parse_file(fixtures_dir / "humanoid.bvh")
+    spine = clip.skeleton.joints[1]
+    assert spine.name == "spine" and spine.rotation_order == "ZYX"
+    frames = clip.frames.copy()
+    column = len(clip.skeleton.joints[0].channels) + spine.channels.index("Yrotation")
+    frames[:, column] = np.degrees(np.pi / 2.0 - 1e-6)
+    clip = bvh.parse(bvh.write(bvh.MotionClip(clip.skeleton, clip.frame_time, frames)))
+    poses = clip_to_local(clip)
+    blob = container.to_bytes(encode(poses, ReprKind.DUALQUAT, clip.frame_time))
+    decoded = decode(container.from_bytes(blob))
+    final = clip_to_local(bvh.parse(bvh.write(local_to_clip(decoded, clip.skeleton, clip.frame_time))))
+    for before, after in zip(poses, final):
+        for a, b in zip(before.joint_rotations, after.joint_rotations):
+            assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) < 1e-6
+        _, p_before = matrix_fk(before)
+        _, p_after = matrix_fk(after)
+        assert np.max(np.linalg.norm(p_before - p_after, axis=-1)) < 1e-6
 
 
 @criterion(6, "loss anchors: clean reg/offset, bone stretch delta/(J-1), rotational anchors")

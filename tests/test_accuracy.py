@@ -132,11 +132,11 @@ def test_the_oracle_is_the_matrix_fk(fixtures_dir):
 #: Worst rotation gap per Euler path and source, in float64 eps: the
 #: measured worst plus 5%, rounded up to a tenth.
 EULER_BOUNDS = {
-    "humanoid": {"from_euler": 1.4, "to_euler": 2.5},  # 1.24, 2.32
-    "uniform": {"from_euler": 1.5, "to_euler": 4723.4},  # 1.36, 4498.39
-    "pole band": {"from_euler": 1.6, "to_euler": 236438981.7},  # 1.52, 225179982.50
-    "1e-6 rad off the pole": {"from_euler": 1.3, "to_euler": 2364389805.5},  # 1.18, 2251799814.69
-    "1e-5 rad off the pole": {"from_euler": 1.4, "to_euler": 213076.5},  # 1.24, 202929.92
+    "humanoid": {"from_euler": 1.4, "to_euler": 1.1},  # 1.24, 0.99
+    "uniform": {"from_euler": 1.5, "to_euler": 1.6},  # 1.36, 1.51
+    "pole band": {"from_euler": 1.6, "to_euler": 2.1},  # 1.52, 1.94
+    "1e-6 rad off the pole": {"from_euler": 1.3, "to_euler": 1.3},  # 1.18, 1.24
+    "1e-5 rad off the pole": {"from_euler": 1.4, "to_euler": 1.4},  # 1.24, 1.30
 }
 
 #: Middle-angle offsets, in rad from the pole toward the equator.

@@ -9,8 +9,7 @@ encode and decode `encoding._ortho6d_of_quats` and
 `encoding._ortho6d_to_quats`), against their per-component and
 whole-matrix oracles: equal bits, equal sign of zero and a fresh
 C-contiguous result, on broadcast, sliced, gathered, reversed and
-F-ordered operands. The gimbal-lock rows of `to_euler` are also held to
-the rule the package ran before, through a stacked 3x3 product."""
+F-ordered operands, `to_euler` on its poles included."""
 
 import itertools
 from typing import Callable, NamedTuple
@@ -21,7 +20,7 @@ import pytest
 from dqmotion import dualquat, encoding, losses, quat
 from dqmotion.bvh import MotionClip
 from dqmotion.errors import DegenerateNormError, NotUnitError
-from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
+from dqmotion.kinematics import clip_to_local, local_to_clip
 
 import algebra_oracles
 import bvh_oracles
@@ -473,15 +472,22 @@ def matrices(q):
     return np.stack([oracles.quat_matrix(row) for row in q])
 
 
-def lock_quats(rng, order, count=40):
-    """Quaternions whose middle angle sits on the pole, inside the lock band
-    and just outside it, on both poles, in the composition `order`."""
+def pole_quats(rng, order, count=40):
+    """Quaternions whose middle angle sits on a pole and 1e-7, 1e-13 and
+    1e-5 rad from it, on both poles, in the composition `order`."""
     angles = rng.uniform(-np.pi, np.pi, size=(count, 3))
     middle = "XYZ".index(order[1])
     offsets = np.resize([0.0, 1e-7, 1e-13, 1e-5], count // 2)
     angles[: count // 2, middle] = np.pi / 2.0 - offsets
     angles[count // 2:, middle] = -np.pi / 2.0 + offsets
     return quat.from_euler(angles, order)
+
+
+def on_a_pole(q, order):
+    """Which quaternions q sit on a pole of `order`, where `to_euler` sets
+    the first angle to zero."""
+    a, b, c, d = algebra_oracles.euler_sums(quat.normalize(q), order)
+    return np.minimum(a * a + b * b, c * c + d * d) <= algebra_oracles.POLE_FLOOR
 
 
 def assert_same_error(kernel, oracle, x):
@@ -634,12 +640,9 @@ class TestFromEuler:
 
 class TestToEuler:
     @pytest.mark.parametrize("order", oracles.ORDER_POOL)
-    def test_lock_band_rows(self, rng, order):
-        q = lock_quats(rng, order)
-        q = np.concatenate([q, oracles.random_unit_quat(rng, (40,))])
-        i, _, k = ("XYZ".index(c) for c in order)
-        pole = np.abs(algebra_oracles.quat_to_matrix(quat.normalize(q))[:, i, k])
-        assert 0 < np.count_nonzero(pole >= 1.0 - quat.LOCK_TOLERANCE) < 40
+    def test_pole_rows(self, rng, order):
+        q = np.concatenate([pole_quats(rng, order), oracles.random_unit_quat(rng, (40,))])
+        assert 0 < np.count_nonzero(on_a_pole(q, order)) < 40
         assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order), q)
 
     @pytest.mark.parametrize("order", oracles.ORDER_POOL)
@@ -654,7 +657,7 @@ class TestToEuler:
             assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order), x, zeros)
 
     def test_single_quaternions(self, rng):
-        for q in (lock_quats(rng, "ZYX", 2)[0], oracles.random_unit_quat(rng), [1.0, 0.0, -0.0, 0.0]):
+        for q in (pole_quats(rng, "ZYX", 2)[0], oracles.random_unit_quat(rng), [1.0, 0.0, -0.0, 0.0]):
             for order in oracles.ORDER_POOL:
                 assert_same_bits(quat.to_euler(q, order), algebra_oracles.to_euler(q, order))
 
@@ -723,14 +726,12 @@ class TestMixedOrders:
                 assert np.array_equal(np.isnan(got[:, c]), nan)
                 assert_same_bits(np.where(nan, 0.0, got[:, c]), np.where(nan, 0.0, want))
 
-    def test_to_euler_lock_band_rows_of_several_orders(self, rng):
+    def test_to_euler_pole_rows_of_several_orders(self, rng):
         orders, plan = mixed_plan(rng, 10)
-        q = np.stack([np.concatenate([lock_quats(rng, order), oracles.random_unit_quat(rng, (40,))])
+        q = np.stack([np.concatenate([pole_quats(rng, order), oracles.random_unit_quat(rng, (40,))])
                       for order in orders], axis=1)
         normalized = quat.normalize(q)
-        pole = [np.abs(algebra_oracles.quat_to_matrix(normalized[:, c])[:, plan.axes[c, 0], plan.axes[c, 2]])
-                >= 1.0 - quat.LOCK_TOLERANCE for c in range(len(orders))]
-        assert all(0 < np.count_nonzero(rows) < 40 for rows in pole)
+        assert all(0 < np.count_nonzero(on_a_pole(q[:, c], order)) < 40 for c, order in enumerate(orders))
         got = np.moveaxis(quat._to_euler(normalized, plan), 0, -1)
         assert_columns(got, lambda c, order: algebra_oracles.to_euler(q[:, c], order)[:, plan.axes[c]], orders)
 
@@ -758,89 +759,6 @@ class TestMixedOrders:
         assert calls == ["_from_euler"]
         local_to_clip(pose, skeleton, clip.frame_time)
         assert calls == ["_from_euler", "_to_euler"]
-
-
-def in_lock_band(q, order):
-    """Which unit quaternions q sit in `order`'s gimbal-lock band."""
-    i, _, k = ("XYZ".index(c) for c in order)
-    return np.abs(algebra_oracles.quat_to_matrix(q)[..., i, k]) >= 1.0 - quat.LOCK_TOLERANCE
-
-
-def on_pole_quats(rng, order, count):
-    """Unit quaternions of uniform angles whose middle one is +-pi/2 or
-    1e-13 from it."""
-    angles = rng.uniform(-np.pi, np.pi, size=(count, 3))
-    angles[:, "XYZ".index(order[1])] = rng.choice([-1.0, 1.0], count) * (np.pi / 2 - rng.choice([0.0, 1e-13], count))
-    return quat.from_euler(angles, order)
-
-
-def signed_zero_lock_quats(rng, order, count):
-    """Unit quaternions of +-1 and +-0.0 components, scaled, in `order`'s
-    lock band: their matrix entries hold exact signed zeros."""
-    q = signed_zeros(rng, (40 * count, 4))
-    q = quat.normalize(q[np.any(q != 0.0, axis=-1)])
-    return q[in_lock_band(q, order)][:count]
-
-
-def former_rule_exceptions(got, want, half_turn=np.pi) -> tuple:
-    """(half-turn sign flips, values less than 1e-20 apart) where `got`
-    differs in its bits from the former lock rule's `want`; every other
-    value has the same bits."""
-    moved = got.view(np.int64) != want.view(np.int64)
-    flips = moved & (np.abs(want) == half_turn) & (got == -want)
-    tiny = moved & ~flips & (np.abs(got - want) < 1e-20)
-    assert np.array_equal(moved, flips | tiny)
-    return int(flips.sum()), int(tiny.sum())
-
-
-def assert_turns_back(angles, q, order):
-    """from_euler of each (..., 3) triple gives +-q within 1e-12."""
-    back = quat.from_euler(angles, order)
-    assert np.all(np.minimum(np.abs(back - q).max(-1), np.abs(back + q).max(-1)) <= 1e-12)
-
-
-class TestFormerLockRule:
-    """The lock rows' last angle, read off two matrix entries, against the
-    rule the package ran before, `algebra_oracles.residual_to_euler`, on
-    lock-band rows: the same bits, except values that differ only in the
-    sign of pi or by less than 1e-20 (cos(pi/2) = 6.1e-17 took part in the
-    residual's zero terms), which are counted. Every returned triple
-    turns back into +-q."""
-
-    @pytest.mark.parametrize("order", oracles.ORDER_POOL)
-    def test_each_order(self, rng, order):
-        for make in (on_pole_quats, signed_zero_lock_quats):
-            q = make(rng, order, 400)
-            assert len(q) == 400 and in_lock_band(q, order).all()
-            got = quat.to_euler(q, order)
-            flips, tiny = former_rule_exceptions(got, algebra_oracles.residual_to_euler(q, order))
-            print(order, make.__name__, f"{flips} sign-of-pi flips, {tiny} values within 1e-20")
-            assert flips + tiny < got.size // 4
-            assert_turns_back(got, q, order)
-
-    def test_mixed_plan_through_local_to_clip(self, rng):
-        skeleton = test_pose_oracles.every_order_skeleton(rng, root_positions=True)
-        rotations = np.zeros((64, skeleton.num_joints, 4))
-        rotations[..., 0] = 1.0
-        orders, column, counts = {}, 0, np.zeros(2, dtype=int)
-        for joint, spec in enumerate(skeleton.joints):
-            if spec.rotation_order:
-                orders[joint] = spec.rotation_order, [column + spec.channels.index(axis + "rotation")
-                                                      for axis in "XYZ"]
-                rotations[:, joint] = np.concatenate([on_pole_quats(rng, spec.rotation_order, 32),
-                                                      signed_zero_lock_quats(rng, spec.rotation_order, 32)])
-            column += len(spec.channels)
-        pose = LocalPose(skeleton, np.zeros((64, 3)), rotations)
-        clip = local_to_clip(pose, skeleton, 0.1)
-        back = clip_to_local(clip).joint_rotations
-        for joint, (order, columns) in orders.items():
-            q = rotations[:, joint]
-            want = np.degrees(algebra_oracles.residual_to_euler(q, order))
-            counts += former_rule_exceptions(clip.frames[:, columns].copy(), want, 180.0)
-            assert np.all(np.minimum(np.abs(back[:, joint] - q).max(-1),
-                                     np.abs(back[:, joint] + q).max(-1)) <= 1e-12)
-        print(f"{counts[0]} sign-of-pi flips, {counts[1]} values within 1e-20")
-        assert counts.sum() < 64 * 3 * len(orders) // 4
 
 
 class TestOrtho6dOfQuats:

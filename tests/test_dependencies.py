@@ -11,7 +11,9 @@ other index or sign table of its terms is derived from it, none written
 by hand. It has one kernel too: only the table builders read
 `_HAMILTON`, and only `quat._products` accumulates terms. One function,
 `quat._unit_norms`, reads the norm floor, and no inner product is an
-`einsum`, whose sum order depends on the operands' layout. No matrix
+`einsum`, whose sum order depends on the operands' layout. No inverse
+sine runs: near +-1 it loses precision as 1/cos, and every Euler angle
+is a two-argument arctangent instead. No matrix
 product runs outside the NPSS DFT: the package builds no rotation
 matrix, and a product's handling of zero terms would set bits that no
 formula names. The loss terms
@@ -386,6 +388,36 @@ def magnitude(r):
     assert readers(tree, "dualquat.py", "_NORM_FLOOR") == {("dualquat.py", "_unit_norms"),
                                                           ("dualquat.py", "magnitude")}
     assert readers(tree, "quat.py", "einsum") == {("quat.py", "magnitude")}
+
+
+#: The inverse sines: their precision falls as 1/cos near +-1, so a value
+#: read through one is not backward stable near the poles.
+INVERSE_SINES = ("arcsin", "asin")
+
+
+def test_the_package_has_no_arcsin():
+    """Every Euler angle is a two-argument arctangent of quaternion sums
+    (`quat._to_euler`), with no inverse sine."""
+    assert set().union(*map(package_readers, INVERSE_SINES)) == set()
+
+
+def test_the_check_sees_an_arcsin():
+    source = """
+import math
+from numpy import arcsin
+
+def _to_euler(s):
+    return np.arcsin(s) + arcsin(s)
+
+def scalar(s):
+    return math.asin(s)
+
+def fine(y, x):
+    return np.arctan2(y, x) + np.sin(x)
+"""
+    tree = ast.parse(source)
+    assert readers(tree, "quat.py", "arcsin") == {("quat.py", "_to_euler")}
+    assert readers(tree, "quat.py", "asin") == {("quat.py", "scalar")}
 
 
 #: numpy's matrix products (`quat.dot` is the package's own inner product,

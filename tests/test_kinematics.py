@@ -22,6 +22,7 @@ from dqmotion.metrics import metric_report
 import oracles
 import pose_oracles
 from pose_oracles import matrix_fk
+from test_pose_oracles import every_order_skeleton
 
 
 def chain_skeleton(offsets, orders=None):
@@ -252,6 +253,30 @@ class TestClipConversion:
         poses = clip_to_local(clip)
         out = local_to_clip(poses, clip.skeleton, clip.frame_time)
         assert out.num_frames == clip.num_frames
+
+    def test_just_off_the_pole_in_every_order(self, rng):
+        """Middle angles 1e-13 and 1e-6 rad from +-90 degrees, in joints of
+        all six orders converted by one call of the Euler kernel, keep their
+        value and turn back into +-q within 1e-12."""
+        skeleton = every_order_skeleton(rng, root_positions=True)
+        rotations = np.zeros((80, skeleton.num_joints, 4))
+        rotations[..., 0] = 1.0
+        middles, column = {}, 0
+        for joint, spec in enumerate(skeleton.joints):
+            if spec.rotation_order:
+                angles = rng.uniform(-np.pi, np.pi, size=(80, 3))
+                middle = "XYZ".index(spec.rotation_order[1])
+                angles[:, middle] = rng.choice([-1.0, 1.0], 80) * (np.pi / 2.0 - np.repeat([1e-13, 1e-6], 40))
+                rotations[:, joint] = quat.from_euler(angles, spec.rotation_order)
+                middles[joint] = column + spec.channels.index(spec.rotation_order[1] + "rotation")
+            column += len(spec.channels)
+        clip = local_to_clip(LocalPose(skeleton, np.zeros((80, 3)), rotations), skeleton, 0.1)
+        assert np.all(np.abs(clip.frames[:, list(middles.values())]) != 90.0)
+        back = clip_to_local(clip).joint_rotations
+        for joint in middles:
+            q = rotations[:, joint]
+            assert np.all(np.minimum(np.abs(back[:, joint] - q).max(-1),
+                                     np.abs(back[:, joint] + q).max(-1)) <= 1e-12)
 
     def test_reencoded_quaternions_match(self, fixtures_dir):
         clip = bvh.parse_file(fixtures_dir / "gimbal_lock.bvh")

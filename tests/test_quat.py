@@ -201,8 +201,25 @@ class TestToEuler:
         gaps = np.minimum(np.abs(back - q).max(axis=-1), np.abs(back + q).max(axis=-1))
         assert np.max(gaps) < 1e-6
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_just_off_the_pole(self, rng, order):
+        # Middle angles 1e-13 and 1e-6 rad from +-90 degrees keep their
+        # value, and the angles turn back into +-q to rounding.
+        angles = rng.uniform(-np.pi, np.pi, size=(80, 3))
+        middle = "XYZ".index(order[1])
+        offsets = np.repeat([1e-13, 1e-6], 20)
+        angles[:40, middle] = np.pi / 2.0 - offsets
+        angles[40:, middle] = -np.pi / 2.0 + offsets
+        q = quat.from_euler(angles, order)
+        recovered = quat.to_euler(q, order)
+        assert np.all(np.abs(recovered[:, middle]) != np.pi / 2.0)
+        back = quat.from_euler(recovered, order)
+        gaps = np.minimum(np.abs(back - q).max(axis=-1), np.abs(back + q).max(axis=-1))
+        assert np.max(gaps) <= 1e-12
+
     def test_arcsin_argument_clamped(self):
-        # A slightly denormalized quaternion can push the argument past 1.
+        # A slightly denormalized quaternion: to_euler normalizes it, so
+        # every angle stays finite.
         q = np.array([0.5, 0.5, 0.5, -0.5]) * (1.0 + 5e-7)
         angles = quat.to_euler(q, "ZYX")
         assert np.all(np.isfinite(angles))
