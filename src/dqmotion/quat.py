@@ -462,17 +462,19 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     v_j, v_k), v_j times the parity as in `_from_euler`, and the angles
     come straight from a = w + v_j, b = v_i + v_k, c = w - v_j and d =
     v_i - v_k (Bernardes and Viollet, PLoS ONE 17(11), 2022): for the
-    cyclic q_i(alpha) q_j(beta) q_k(gamma), a + ib and c + id are cos
-    beta/2 +- sin beta/2 times the half-angle turns of alpha + gamma and
-    alpha - gamma. So the middle angle is parity (2 atan2(|(a, b)|,
-    |(c, d)|) - pi/2), the first the argument of (a + ib)(c + id) and the
-    last that of (a + ib)(c - id). No arcsin runs and no matrix entry is
-    computed. On a pole, where |(c, d)|^2 or |(a, b)|^2 is at most
-    `_POLE_FLOOR`, only the sum or the difference of the outer angles is
-    defined: (c, d) takes (a, -b), or (a, b) takes (c, -d), so the first
-    angle is exactly zero and the last takes the whole turn. The slots'
-    copy and the middle target hold the intermediate values: beside the
-    copy, only a and b are fresh (..., n) arrays.
+    cyclic q_i(alpha) q_j(beta) q_k(gamma), a + ib is (cos beta/2 + sin
+    beta/2) exp(i (alpha + gamma) / 2) and c + id is (cos beta/2 - sin
+    beta/2) exp(i (alpha - gamma) / 2). So the middle angle is parity
+    (2 atan2(|(a, b)|, |(c, d)|) - pi/2), the first the argument of
+    (a + ib)(c + id) and the last that of (a + ib)(c - id). No arcsin
+    runs and no matrix entry is computed. On a pole, where |(c, d)|^2 or
+    |(a, b)|^2 is at most `_POLE_FLOOR`, only the sum or the difference of
+    the outer angles is defined: (c, d) takes (a, -b), or (a, b) takes
+    (c, -d), so the first angle is exactly zero and the last takes the
+    whole turn. The intermediate values reuse the slots' copy and keep its
+    layout, which the gather sets; only the three results go to the
+    targets, since an operation that mixes two layouts runs at about half
+    speed.
     """
     slots = q[..., np.arange(len(plan.axes)), plan.slot_components]  # (..., 4, n), a copy
     w, i, j, k = (slots[..., s, :] for s in range(4))
@@ -481,12 +483,12 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     c, d = np.subtract(w, j, out=j), np.subtract(i, k, out=k)
     first, middle, last = euler = np.empty((3,) + w.shape) if euler is None else euler
     ab, cd = np.multiply(a, a, out=w), np.multiply(c, c, out=i)
-    ab += np.multiply(b, b, out=middle)
-    cd += np.multiply(d, d, out=middle)
+    ab += b * b
+    cd += d * d
     pole, other_pole = cd <= _POLE_FLOOR, ab <= _POLE_FLOOR
-    # 2 (t - pi/4) has the bits of 2 t - pi/2: a factor 2 is exact
-    np.subtract(np.arctan2(np.sqrt(ab, out=ab), np.sqrt(cd, out=cd), out=ab), np.pi / 4.0, out=middle)
-    middle *= 2.0 * plan.parity
+    half = np.arctan2(np.sqrt(ab, out=ab), np.sqrt(cd, out=cd), out=ab)
+    # 2 (t - pi/4) is 2 t - pi/2 to the bit: scaling by 2 is exact
+    np.multiply(np.subtract(half, np.pi / 4.0, out=half), 2.0 * plan.parity, out=middle)
     c[pole], d[pole] = a[pole], -b[pole]
     a[other_pole], b[other_pole] = c[other_pole], -d[other_pole]
     bc, ad = np.multiply(b, c, out=w), np.multiply(a, d, out=i)

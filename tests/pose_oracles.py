@@ -10,10 +10,10 @@ replaced it, kept with its bits: the oracle of the encoded dual
 quaternions and, through its translations (`chain_positions`), of the
 positions.
 
-These are the original implementations: Euler extraction (the direct
-method, in scalars) and Shepperd's quaternion recovery one rotation at
-a time, forward kinematics through homogeneous matrices (`matrix_fk`)
-one pose at a time, the positions
+These are the original implementations, but for the Euler extraction,
+the package's direct method in scalars: Euler extraction and Shepperd's
+quaternion recovery one rotation at a time, forward kinematics through
+homogeneous matrices (`matrix_fk`) one pose at a time, the positions
 as the dual-quaternion chain's translations (`chain_positions`), the
 parent-conjugate inverse sweep one joint at a time, and the clip
 conversions one `from_euler` / `to_euler` call per joint, and the

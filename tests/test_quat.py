@@ -190,24 +190,12 @@ class TestToEuler:
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_round_trip_near_pole(self, rng, order):
-        # Middle angles just off +-90 degrees keep their value instead of
-        # snapping onto the pole.
-        angles = rng.uniform(-np.pi, np.pi, size=(80, 3))
-        offsets = np.radians(np.repeat([0.01, 0.001], 20))
-        angles[:40, "XYZ".index(order[1])] = np.pi / 2.0 - offsets
-        angles[40:, "XYZ".index(order[1])] = -np.pi / 2.0 + offsets
-        q = quat.from_euler(angles, order)
-        back = quat.from_euler(quat.to_euler(q, order), order)
-        gaps = np.minimum(np.abs(back - q).max(axis=-1), np.abs(back + q).max(axis=-1))
-        assert np.max(gaps) < 1e-6
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_just_off_the_pole(self, rng, order):
-        # Middle angles 1e-13 and 1e-6 rad from +-90 degrees keep their
-        # value, and the angles turn back into +-q to rounding.
+        # Middle angles just off +-90 degrees, 1e-13 rad to 0.01 degrees,
+        # keep their value instead of snapping onto the pole, and turn back
+        # into +-q to rounding.
         angles = rng.uniform(-np.pi, np.pi, size=(80, 3))
         middle = "XYZ".index(order[1])
-        offsets = np.repeat([1e-13, 1e-6], 20)
+        offsets = np.repeat([1e-13, 1e-6, np.radians(0.001), np.radians(0.01)], 10)
         angles[:40, middle] = np.pi / 2.0 - offsets
         angles[40:, middle] = -np.pi / 2.0 + offsets
         q = quat.from_euler(angles, order)
