@@ -486,9 +486,9 @@ def _to_euler(q: np.ndarray, plan: EulerPlan, euler=None):
     ab += b * b
     cd += d * d
     pole, other_pole = cd <= _POLE_FLOOR, ab <= _POLE_FLOOR
-    half = np.arctan2(np.sqrt(ab, out=ab), np.sqrt(cd, out=cd), out=ab)
+    t = np.arctan2(np.sqrt(ab, out=ab), np.sqrt(cd, out=cd), out=ab)
     # 2 (t - pi/4) is 2 t - pi/2 to the bit: scaling by 2 is exact
-    np.multiply(np.subtract(half, np.pi / 4.0, out=half), 2.0 * plan.parity, out=middle)
+    np.multiply(np.subtract(t, np.pi / 4.0, out=t), 2.0 * plan.parity, out=middle)
     c[pole], d[pole] = a[pole], -b[pole]
     a[other_pole], b[other_pole] = c[other_pole], -d[other_pole]
     bc, ad = np.multiply(b, c, out=w), np.multiply(a, d, out=i)
