@@ -20,7 +20,7 @@ import pytest
 from dqmotion import dualquat, encoding, losses, quat
 from dqmotion.bvh import MotionClip
 from dqmotion.errors import DegenerateNormError, NotUnitError
-from dqmotion.kinematics import clip_to_local, local_to_clip
+from dqmotion.kinematics import LocalPose, clip_to_local, local_to_clip
 
 import algebra_oracles
 import bvh_oracles
@@ -759,6 +759,61 @@ class TestMixedOrders:
         assert calls == ["_from_euler"]
         local_to_clip(pose, skeleton, clip.frame_time)
         assert calls == ["_from_euler", "_to_euler"]
+
+
+def exact_pole_quats(rng, order, count):
+    """Unit quaternions of uniform angles whose middle one is +-pi/2."""
+    angles = rng.uniform(-np.pi, np.pi, size=(count, 3))
+    angles[:, "XYZ".index(order[1])] = rng.choice([-1.0, 1.0], count) * (np.pi / 2)
+    return quat.from_euler(angles, order)
+
+
+def signed_zero_pole_quats(rng, order, count):
+    """Unit quaternions of +-1 and +-0.0 components, scaled, on a pole of
+    `order`: their sums (a, b) or (c, d) are exact signed zeros."""
+    q = signed_zeros(rng, (40 * count, 4))
+    q = quat.normalize(q[np.any(q != 0.0, axis=-1)])
+    return q[on_a_pole(q, order)][:count]
+
+
+def assert_turns_back(angles, q, order):
+    """from_euler of each (..., 3) triple gives +-q within 1e-12."""
+    back = quat.from_euler(angles, order)
+    assert np.all(np.minimum(np.abs(back - q).max(-1), np.abs(back + q).max(-1)) <= 1e-12)
+
+
+class TestPoleRows:
+    """Rows on a pole, where `to_euler` substitutes one pair of sums for
+    the other: the first angle is zero and every returned triple turns
+    back into +-q, on float64 poles and on exact signed-zero ones."""
+
+    @pytest.mark.parametrize("order", oracles.ORDER_POOL)
+    def test_each_order(self, rng, order):
+        for make in (exact_pole_quats, signed_zero_pole_quats):
+            q = make(rng, order, 400)
+            assert len(q) == 400 and on_a_pole(q, order).all()
+            got = quat.to_euler(q, order)
+            assert np.all(got[:, "XYZ".index(order[0])] == 0.0)
+            assert_turns_back(got, q, order)
+
+    def test_mixed_plan_through_local_to_clip(self, rng):
+        skeleton = test_pose_oracles.every_order_skeleton(rng, root_positions=True)
+        rotations = np.zeros((64, skeleton.num_joints, 4))
+        rotations[..., 0] = 1.0
+        firsts, column = {}, 0
+        for joint, spec in enumerate(skeleton.joints):
+            if spec.rotation_order:
+                firsts[joint] = column + spec.channels.index(spec.rotation_order[0] + "rotation")
+                rotations[:, joint] = np.concatenate([exact_pole_quats(rng, spec.rotation_order, 32),
+                                                      signed_zero_pole_quats(rng, spec.rotation_order, 32)])
+            column += len(spec.channels)
+        clip = local_to_clip(LocalPose(skeleton, np.zeros((64, 3)), rotations), skeleton, 0.1)
+        assert np.all(clip.frames[:, list(firsts.values())] == 0.0)
+        back = clip_to_local(clip).joint_rotations
+        for joint in firsts:
+            q = rotations[:, joint]
+            assert np.all(np.minimum(np.abs(back[:, joint] - q).max(-1),
+                                     np.abs(back[:, joint] + q).max(-1)) <= 1e-12)
 
 
 class TestOrtho6dOfQuats:
